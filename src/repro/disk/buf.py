@@ -67,7 +67,7 @@ class Buf:
         self.async_ = async_
         self.ordered = ordered
         self.fua = fua
-        self.done: Event = Event(engine, name=f"buf{self.id}.done")
+        self.done: Event = Event(engine, name=("buf%d.done", self.id))
         self.iodone: list[Callable[["Buf"], None]] = []
         self.owner = owner
         self.issued_at = engine.now
@@ -151,7 +151,10 @@ class Buf:
         if self.request is not None:
             self.request.io_done(self)
         if error is None:
-            self.done.succeed(self)
+            # No value: ``succeed(self)`` would tie buf and event into a
+            # reference cycle, and every finished transfer's data would
+            # sit in memory until the cycle collector next ran.
+            self.done.succeed()
         else:
             self.done.fail(error)
 

@@ -33,12 +33,16 @@ state.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.buf import Buf
+
+
+_sector = attrgetter("sector")
 
 
 class Scheduler:
@@ -97,22 +101,23 @@ class ElevatorScheduler(Scheduler):
         self._passes: dict[int, int] = {}  # buf id -> times passed over
 
     def insert(self, seg: "list[Buf]", buf: "Buf") -> None:
-        insort(seg, buf, key=lambda b: b.sector)
+        insort(seg, buf, key=_sector)
 
     def select(self, seg: "list[Buf]", last_sector: int, now: float) -> int:
-        starved = [
-            i for i, b in enumerate(seg)
-            if self._passes.get(b.id, 0) >= self.max_passes
-        ]
-        if starved:
-            return min(starved, key=lambda i: seg[i].issued_at)
-        keys = [b.sector for b in seg]
-        i = bisect_left(keys, last_sector)
+        passes = self._passes
+        if passes:  # nobody has been passed over: nobody can be starved
+            starved = [
+                i for i, b in enumerate(seg)
+                if passes.get(b.id, 0) >= self.max_passes
+            ]
+            if starved:
+                return min(starved, key=lambda i: seg[i].issued_at)
+        i = bisect_left(seg, last_sector, key=_sector)
         if i == len(seg):
             i = 0  # wrap: next sweep starts at the lowest sector
         # Everything behind the head was passed over this round.
         for skipped in seg[:i]:
-            self._passes[skipped.id] = self._passes.get(skipped.id, 0) + 1
+            passes[skipped.id] = passes.get(skipped.id, 0) + 1
         return i
 
     def forget(self, buf: "Buf") -> None:

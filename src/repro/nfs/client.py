@@ -398,9 +398,7 @@ class NfsVnode(Vnode):
         """Write dirty pages back over the wire (stable on the server)."""
         pc = self.mount.pagecache
         psize = pc.page_size
-        for page in pc.vnode_pages(self):
-            if not (offset <= page.offset < offset + length):
-                continue
+        for page in pc.vnode_range(self, offset, offset + length):
             if not page.dirty or page.locked:
                 continue
             page.lock()

@@ -1,14 +1,21 @@
 """The deterministic discrete-event engine.
 
-The engine owns simulated time and an event heap of ``(time, seq, fn, arg)``
-entries.  Everything in the simulation — timeouts, event callbacks, process
-resumptions, disk interrupts — flows through this single heap, so runs are
-fully deterministic for a given seed and workload.
+The engine owns simulated time and an event heap of
+``(time, seq, fn, arg, handle)`` entries.  Everything in the simulation —
+timeouts, event callbacks, process resumptions, disk interrupts — flows
+through this single heap, so runs are fully deterministic for a given seed
+and workload.
+
+``handle`` is a :class:`Scheduled` for entries somebody may cancel (timeouts,
+recurring timers, public :meth:`Engine.schedule` callers) and ``None`` for
+the engine's own zero-delay posts (event callbacks, process starts), which
+nobody can.  Both shapes draw ``seq`` from one counter, so ``(time, seq)``
+— the order callbacks run in — does not depend on which shape an entry has.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable
 
@@ -28,11 +35,9 @@ class Scheduled:
     without leaving a dead-time tail at the end of the run.
     """
 
-    __slots__ = ("fn", "arg", "daemon", "cancelled", "fired")
+    __slots__ = ("daemon", "cancelled", "fired")
 
-    def __init__(self, fn: Callable[[Any], None], arg: Any, daemon: bool):
-        self.fn = fn
-        self.arg = arg
+    def __init__(self, daemon: bool):
         self.daemon = daemon
         self.cancelled = False
         self.fired = False
@@ -95,7 +100,8 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Scheduled]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any,
+                               "Scheduled | None"]] = []
         self._seq = count()
         self._live = 0  # non-daemon heap entries
         self._crashed: list[tuple[Process, BaseException]] = []
@@ -130,11 +136,17 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = Scheduled(fn, arg, daemon)
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), entry))
+        entry = Scheduled(daemon)
+        heappush(self._heap, (self._now + delay, next(self._seq), fn, arg, entry))
         if not daemon:
             self._live += 1
         return entry
+
+    def _post(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at the current time, after everything already
+        due now: :meth:`schedule` with no delay and no handle to cancel."""
+        heappush(self._heap, (self._now, next(self._seq), fn, arg, None))
+        self._live += 1
 
     def cancel(self, entry: Scheduled) -> None:
         """Cancel a scheduled entry; a no-op if already cancelled or fired.
@@ -188,16 +200,20 @@ class Engine:
 
         Cancelled entries are discarded without running or advancing time.
         """
-        while self._heap:
-            when, _, entry = heapq.heappop(self._heap)
-            if entry.cancelled:
+        heap = self._heap
+        while heap:
+            when, _, fn, arg, entry = heappop(heap)
+            if entry is None:
+                self._live -= 1
+            elif entry.cancelled:
                 continue
+            else:
+                entry.fired = True
+                if not entry.daemon:
+                    self._live -= 1
             assert when >= self._now, "event heap went backwards"
             self._now = when
-            entry.fired = True
-            if not entry.daemon:
-                self._live -= 1
-            entry.fn(entry.arg)
+            fn(arg)
             self._steps += 1
             if (self.step_hook is not None and self.step_hook_every > 0
                     and self._steps % self.step_hook_every == 0):
@@ -212,8 +228,8 @@ class Engine:
         at every step boundary; the sanitizer's liveness check asserts it.
         """
         return sum(
-            1 for _, _, entry in self._heap
-            if not entry.cancelled and not entry.daemon
+            1 for entry in self._heap
+            if entry[4] is None or not (entry[4].cancelled or entry[4].daemon)
         )
 
     def run(self, until: float | None = None) -> None:
@@ -227,13 +243,21 @@ class Engine:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         try:
-            while self._heap:
-                if until is None and self._live == 0:
-                    break  # only daemon housekeeping left: we are idle
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
+            heap = self._heap
+            while heap:
+                if until is None:
+                    if self._live == 0:
+                        break  # only daemon housekeeping left: we are idle
+                else:
+                    when, _, _, _, entry = heap[0]
+                    if entry is not None and entry.cancelled:
+                        # step() would skip this corpse and run whatever
+                        # is behind it, however far past ``until`` that is.
+                        heappop(heap)
+                        continue
+                    if when > until:
+                        self._now = until
+                        break
                 self.step()
                 if self._crashed:
                     proc, exc = self._crashed[0]

@@ -42,15 +42,28 @@ class Event:
     immediately (still via the event heap, preserving determinism).
     """
 
-    __slots__ = ("engine", "_callbacks", "_value", "_failed", "_exc", "name")
+    __slots__ = ("engine", "_callbacks", "_value", "_failed", "_exc", "_name")
 
-    def __init__(self, engine: "Engine", name: str = ""):
+    def __init__(self, engine: "Engine", name: "str | tuple" = ""):
         self.engine = engine
-        self.name = name
+        self._name = name
         self._callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = _PENDING
         self._failed = False
         self._exc: BaseException | None = None
+
+    @property
+    def name(self) -> str:
+        """The event's label, for ``repr`` and error messages.
+
+        Hot paths make hundreds of thousands of events whose name nobody
+        reads, so a name may be given as a ``(format, *args)`` tuple; it is
+        rendered with ``%`` here, the first time it is wanted.
+        """
+        name = self._name
+        if type(name) is tuple:
+            name = self._name = name[0] % name[1:]
+        return name
 
     # -- state -----------------------------------------------------------
     @property
@@ -61,16 +74,16 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event triggered successfully."""
-        return self.triggered and not self._failed
+        return self._value is not _PENDING and not self._failed
 
     @property
     def value(self) -> Any:
         """The success value (raises if pending or failed)."""
-        if not self.triggered:
-            raise RuntimeError(f"event {self.name!r} has not triggered")
         if self._failed:
             assert self._exc is not None
             raise self._exc
+        if self._value is _PENDING:
+            raise RuntimeError(f"event {self.name!r} has not triggered")
         return self._value
 
     @property
@@ -81,7 +94,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
-        if self.triggered:
+        if self._value is not _PENDING or self._failed:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self._value = value
         self._dispatch()
@@ -89,7 +102,7 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event as failed; waiters see ``exc``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._failed:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self._failed = True
         self._exc = exc
@@ -99,14 +112,15 @@ class Event:
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         assert callbacks is not None
+        post = self.engine._post
         for cb in callbacks:
-            self.engine.schedule(0.0, cb, self)
+            post(cb, self)
 
     # -- waiting ---------------------------------------------------------
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Run ``cb(event)`` when the event triggers (now, if already has)."""
         if self._callbacks is None:
-            self.engine.schedule(0.0, cb, self)
+            self.engine._post(cb, self)
         else:
             self._callbacks.append(cb)
 
@@ -130,7 +144,7 @@ class Timeout(Event):
                  daemon: bool = False):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay}")
-        super().__init__(engine, name=f"timeout({delay:g})")
+        super().__init__(engine, name=("timeout(%g)", delay))
         self.delay = delay
         self._entry = engine.schedule(delay, self._expire, value, daemon=daemon)
 
@@ -167,7 +181,7 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Event | None = None
         self._started = False
-        engine.schedule(0.0, self._resume, None)
+        engine._post(self._resume, None)
 
     @property
     def is_alive(self) -> bool:
@@ -183,32 +197,38 @@ class Process(Event):
         if self.triggered:
             return
         self._waiting_on = None
-        self.engine.schedule(0.0, self._throw, Interrupt(cause))
+        self.engine._post(self._throw, Interrupt(cause))
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event | None) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._failed:
             return
-        if event is not None and event is not self._waiting_on:
+        if event is None:
+            value = None
+        elif event is not self._waiting_on:
             return  # stale wakeup from an abandoned wait (after interrupt)
-        self._waiting_on = None
-        if event is not None and not event.ok:
-            exc = event.exception
+        elif event._failed or event._value is _PENDING:
+            exc = event._exc
             assert exc is not None
-            self._step(lambda: self._gen.throw(EventFailed(exc)))
+            self._waiting_on = None
+            self._step(self._gen.throw, EventFailed(exc))
+            return
         else:
-            value = event.value if event is not None and self._started else None
-            self._started = True
-            self._step(lambda: self._gen.send(value))
+            value = event._value if self._started else None
+        self._waiting_on = None
+        self._started = True
+        self._step(self._gen.send, value)
 
     def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._failed:
             return
-        self._step(lambda: self._gen.throw(exc))
+        self._step(self._gen.throw, exc)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
+        """Run the generator to its next yield via ``advance(arg)``
+        (its ``send`` with a value, or its ``throw`` with an exception)."""
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -269,7 +289,7 @@ class AllOf(Event):
         self._events = list(events)
         self._remaining = len(self._events)
         if self._remaining == 0:
-            engine.schedule(0.0, lambda _=None: self.succeed([]), None)
+            engine._post(lambda _: self.succeed([]), None)
             return
         for ev in self._events:
             ev.add_callback(self._on_child)

@@ -14,7 +14,7 @@ is the registry of such invariants, checked at *quiesce points*:
 * at campaign ends and benchmark phase boundaries;
 * optionally every N engine steps (:meth:`Sanitizer.attach_every`).
 
-The six shipped checks:
+The shipped checks:
 
 ``engine_liveness``
     ``Engine._live`` equals the number of non-cancelled, non-daemon heap
@@ -35,6 +35,9 @@ The six shipped checks:
     Every clean, valid, unlocked page of a mounted UFS file is
     byte-identical to its backing store, resolved through the same block
     pointers bmap uses.
+``page_index``
+    The page cache's per-vnode index (``v_pages``) holds exactly the pages
+    its name hash holds, with no emptied vnode left behind.
 ``allocator``
     In-memory cylinder-group bitmaps agree with the group counters and the
     superblock totals, and every block an active inode points at is marked
@@ -342,6 +345,22 @@ class Sanitizer:
                         "(a write was lost or mis-addressed)",
                     )
 
+    def _check_page_index(self, point: str, idle: bool, deep: bool) -> None:
+        pc = self.system.pagecache
+        grouped: dict[int, dict[int, Any]] = {}
+        for (vnode_id, offset), page in pc._hash.items():
+            grouped.setdefault(vnode_id, {})[offset] = page
+        if pc._vpages != grouped:
+            stale = sorted(vid for vid in pc._vpages.keys() | grouped.keys()
+                           if pc._vpages.get(vid) != grouped.get(vid))
+            self.fail(
+                "page_index",
+                f"at {point}: the per-vnode page index disagrees with the "
+                f"page hash for vnode ids {stale[:8]} (an identity change "
+                "bypassed allocate/destroy, or an emptied vnode was left "
+                "behind)",
+            )
+
     # -- check 6: allocator consistency ------------------------------------
     def _check_allocator(self, point: str, idle: bool, deep: bool) -> None:
         from repro.ufs.bmap import HOLE
@@ -491,6 +510,7 @@ class Sanitizer:
         ("throttle_conservation", False, _check_throttles),
         ("request_spans", False, _check_request_spans),
         ("page_coherency", False, _check_page_coherency),
+        ("page_index", False, _check_page_index),
         ("allocator", False, _check_allocator),
         ("write_cache", False, _check_write_cache),
         ("integrity", False, _check_integrity),

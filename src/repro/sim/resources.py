@@ -53,9 +53,16 @@ class Semaphore:
         """Return an event that triggers once ``n`` units are granted."""
         if n <= 0:
             raise ValueError("acquire count must be positive")
-        ev = Event(self.engine, name=f"{self.name}.acquire({n})")
-        self._waiters.append((ev, n))
-        self._grant()
+        ev = Event(self.engine, name=("%s.acquire(%d)", self.name, n))
+        if not self._waiters and self._value >= n:
+            # Uncontended: what queueing and _grant() would do, without the
+            # queue.  The event is triggered before anyone can wait on it
+            # either way, so the caller's wake-up is the same one heap hop.
+            self._value -= n
+            ev.succeed()
+        else:
+            self._waiters.append((ev, n))
+            self._grant()
         return ev
 
     def try_acquire(self, n: int = 1) -> bool:
@@ -162,7 +169,7 @@ class Signal:
 
     def wait(self) -> Event:
         """Return an event triggered by the next :meth:`fire`."""
-        ev = Event(self.engine, name=f"{self.name}.wait")
+        ev = Event(self.engine, name=("%s.wait", self.name))
         self._waiters.append(ev)
         return ev
 

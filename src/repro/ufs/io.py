@@ -381,9 +381,8 @@ def _push_range(vn: "UfsVnode", offset: int, length: int, async_: bool,
     waits = []
     while True:
         dirty = [
-            p for p in pc.vnode_pages(vn)
-            if offset <= p.offset < end and p.dirty and p.valid
-            and not p.locked and p.frame not in seen
+            p for p in pc.vnode_range(vn, offset, end)
+            if p.dirty and p.valid and not p.locked and p.frame not in seen
         ]
         if not dirty:
             break

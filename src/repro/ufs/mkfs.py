@@ -90,17 +90,14 @@ def _build_group(sb: Superblock, cgx: int) -> CylinderGroup:
     )
     base = sb.cgbase(cgx)
     data_start = sb.cg_data_frag(cgx) - base
-    for rel in range(cg.ndblk):
-        cg.set_frag(rel, rel >= data_start)
-    # Count free blocks (the data area is block aligned by construction).
+    cg.fill_free(cg.frag_bitmap, data_start, cg.ndblk)
+    # Count free blocks (the data area is block aligned by construction);
+    # the tail frags not forming a whole block are counted in nffree.
     frag = sb.frag
     whole = (cg.ndblk - data_start) // frag
     cg.nbfree = whole
     cg.nffree = (cg.ndblk - data_start) - whole * frag
-    # Mark the tail frags (not forming a whole block) individually free:
-    # they already are; nffree above counts them.
-    for rel in range(sb.ipg):
-        cg.set_inode(rel, True)
+    cg.fill_free(cg.inode_bitmap, 0, sb.ipg)
     cg.nifree = sb.ipg
     if cgx == 0:
         # Inodes 0 and 1 are reserved (historical); root is inode 2.

@@ -221,6 +221,16 @@ class CylinderGroup:
         else:
             bitmap[i >> 3] &= ~(1 << (i & 7)) & 0xFF
 
+    @staticmethod
+    def fill_free(bitmap: bytearray, start: int, end: int) -> None:
+        """Mark bits ``[start, end)`` free: whole bytes by slice assignment
+        (mkfs frees ~8k bits per group), the ragged edges bit by bit."""
+        lo = min(-(-start // 8), end // 8)
+        hi = max(lo, end // 8)
+        bitmap[lo:hi] = b"\xff" * (hi - lo)
+        for i in (*range(start, min(lo * 8, end)), *range(max(hi * 8, start), end)):
+            bitmap[i >> 3] |= 1 << (i & 7)
+
     def frag_is_free(self, rel_frag: int) -> bool:
         return self._get(self.frag_bitmap, rel_frag)
 

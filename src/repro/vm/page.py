@@ -83,7 +83,7 @@ class Page:
     def lock_wait(self) -> Generator[Event, Any, None]:
         """Wait until the page is unlocked, then lock it.  ``yield from``."""
         while self.locked:
-            ev = Event(self.engine, name=f"page{self.frame}.lockwait")
+            ev = Event(self.engine, name=("page%d.lockwait", self.frame))
             self._lock_waiters.append(ev)
             yield ev
         self.lock()
@@ -91,7 +91,7 @@ class Page:
     def wait_unlocked(self) -> Generator[Event, Any, None]:
         """Wait until the page is unlocked (without taking the lock)."""
         while self.locked:
-            ev = Event(self.engine, name=f"page{self.frame}.unlockwait")
+            ev = Event(self.engine, name=("page%d.unlockwait", self.frame))
             self._lock_waiters.append(ev)
             yield ev
 

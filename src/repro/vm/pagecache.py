@@ -12,6 +12,10 @@ Allocation discipline (mirrors SunOS):
   ``free_front`` puts it at the head (used by free-behind: sequential I/O
   pages are unlikely to be reused, so they are the best candidates for
   immediate recycling).
+
+Beside the global name hash every vnode's pages hang off a per-vnode index
+(SunOS's ``v_pages`` list), so putpage, fsync, truncate and unlink walk one
+file's pages instead of all of memory.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ class PageCache:
             Page(engine, frame, page_size) for frame in range(self.total_pages)
         ]
         self._hash: dict[tuple[int, int], Page] = {}
+        #: ``vnode_id -> {offset -> Page}``: the same pages as ``_hash``,
+        #: grouped by vnode.  A vnode with no cached page has no entry.
+        self._vpages: dict[int, dict[int, Page]] = {}
         # Free list keyed by frame number; ordered oldest-freed first.
         self._freelist: OrderedDict[int, Page] = OrderedDict(
             (p.frame, p) for p in self.frames
@@ -80,6 +87,15 @@ class PageCache:
 
     def _key(self, vnode: "Vnode", offset: int) -> tuple[int, int]:
         return (vnode.vnode_id, offset)
+
+    def _unindex(self, page: Page) -> None:
+        """Drop a named page from the hash and from its vnode's index."""
+        vid = page.vnode.vnode_id
+        del self._hash[vid, page.offset]
+        pages = self._vpages[vid]
+        del pages[page.offset]
+        if not pages:
+            del self._vpages[vid]
 
     # -- lookup / reclaim --------------------------------------------------------
     def lookup(self, vnode: "Vnode", offset: int) -> Page | None:
@@ -117,12 +133,13 @@ class PageCache:
         page.free = False
         if page.named:
             # Steal the oldest free frame from whatever it used to cache.
-            del self._hash[self._key(page.vnode, page.offset)]
+            self._unindex(page)
             page.unname()
             self.stats.incr("identity_steals")
         page.name(vnode, offset)
         page.lock()
         self._hash[key] = page
+        self._vpages.setdefault(vnode.vnode_id, {})[offset] = page
         self.stats.incr("allocations")
         self.freemem_track.set(self.freemem)
         if self.freemem < self.low_water:
@@ -176,8 +193,8 @@ class PageCache:
         """Strip identity and free the frame (file truncation/unlink)."""
         if page.locked:
             raise RuntimeError(f"cannot destroy locked frame {page.frame}")
-        if page.named:
-            self._hash.pop(self._key(page.vnode, page.offset), None)
+        if page.named and self._hash.get(self._key(page.vnode, page.offset)) is page:
+            self._unindex(page)
         was_free = page.free
         page.unname()
         page.dirty = False
@@ -189,11 +206,33 @@ class PageCache:
         self.stats.incr("destroyed")
 
     # -- per-vnode operations -------------------------------------------------------------
+    def _sorted_pages(self, vnode_id: int) -> list[Page]:
+        pages = self._vpages.get(vnode_id)
+        if pages is None:
+            return []
+        return [pages[offset] for offset in sorted(pages)]
+
     def vnode_pages(self, vnode: "Vnode") -> list[Page]:
-        """All cached pages of ``vnode``, sorted by offset."""
-        vid = vnode.vnode_id
-        pages = [p for (v, _), p in self._hash.items() if v == vid]
-        return sorted(pages, key=lambda p: p.offset)
+        """All cached pages of ``vnode``, sorted by offset.
+
+        A fresh list: callers destroy pages while iterating over it.
+        """
+        return self._sorted_pages(vnode.vnode_id)
+
+    def vnode_range(self, vnode: "Vnode", start: int, end: int) -> list[Page]:
+        """Cached pages of ``vnode`` with ``start <= offset < end``, sorted
+        by offset (a fresh list, like :meth:`vnode_pages`)."""
+        pages = self._vpages.get(vnode.vnode_id)
+        if pages is None:
+            return []
+        psize = self.page_size
+        if (end - start) // psize < len(pages):
+            # A window shorter than the file: probe it, don't sort the file.
+            first = -(-start // psize) * psize
+            return [pages[offset] for offset in range(first, end, psize)
+                    if offset in pages]
+        return [pages[offset] for offset in sorted(pages)
+                if start <= offset < end]
 
     def vnode_invalidate(self, vnode: "Vnode") -> int:
         """Destroy every (unlocked) page of a vnode; returns count destroyed.
@@ -211,8 +250,6 @@ class PageCache:
 
     def dirty_pages(self, vnode: "Vnode" | None = None) -> list[Page]:
         """Dirty pages (of one vnode, or all), sorted by (vnode, offset)."""
-        pages = [
-            p for p in self._hash.values()
-            if p.dirty and (vnode is None or p.vnode is vnode)
-        ]
-        return sorted(pages, key=lambda p: (p.vnode.vnode_id, p.offset))
+        vnode_ids = sorted(self._vpages) if vnode is None else (vnode.vnode_id,)
+        return [p for vid in vnode_ids for p in self._sorted_pages(vid)
+                if p.dirty]

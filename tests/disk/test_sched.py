@@ -149,3 +149,56 @@ def test_remove_forgets_scheduler_state():
     queue.remove(parked)
     assert not queue._passes
     assert len(queue) == 0
+
+
+def _reference_elevator_select(passes, max_passes, seg, last_sector):
+    """ElevatorScheduler.select as first written: a starved scan and a
+    materialised key list on every call.  The shipped version must pick
+    the same index and leave the same pass counts."""
+    from bisect import bisect_left
+
+    starved = [i for i, b in enumerate(seg)
+               if passes.get(b.id, 0) >= max_passes]
+    if starved:
+        return min(starved, key=lambda i: seg[i].issued_at)
+    i = bisect_left([b.sector for b in seg], last_sector)
+    if i == len(seg):
+        i = 0
+    for skipped in seg[:i]:
+        passes[skipped.id] = passes.get(skipped.id, 0) + 1
+    return i
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_elevator_select_matches_reference(seed):
+    import random
+
+    rng = random.Random(seed)
+    eng = Engine()
+    sched = ElevatorScheduler(max_passes=rng.choice((1, 2, 8)))
+    ref_passes: dict[int, int] = {}
+    seg: list = []
+    last_sector, starved_picks = 0, 0
+    for step in range(600):
+        # Arrivals cluster ahead of the head (a forward stream), with the
+        # odd request parked behind it — the starvation recipe.
+        for _ in range(rng.randrange(0, 3)):
+            sector = (rng.randrange(0, 50) if rng.random() < 0.2
+                      else last_sector + rng.randrange(0, 40))
+            sched.insert(seg, rbuf(eng, sector, issued_at=float(step)))
+        if not seg:
+            continue
+        before = dict(sched._passes)
+        assert before == ref_passes
+        want = _reference_elevator_select(ref_passes, sched.max_passes,
+                                          seg, last_sector)
+        got = sched.select(seg, last_sector, now=float(step))
+        assert got == want
+        assert sched._passes == ref_passes
+        starved_picks += before.get(seg[got].id, 0) >= sched.max_passes
+        buf = seg.pop(got)
+        sched.forget(buf)
+        ref_passes.pop(buf.id, None)
+        last_sector = buf.end_sector
+    assert [b.sector for b in seg] == sorted(b.sector for b in seg)
+    assert starved_picks > 0, "the starvation path never ran"

@@ -16,13 +16,32 @@ class _StubVnode:
         self._next[0] += 1
 
 
-vm_op = st.one_of(
-    st.tuples(st.just("alloc"), st.integers(0, 15)),
-    st.tuples(st.just("lookup"), st.integers(0, 15)),
-    st.tuples(st.just("free"), st.integers(0, 15)),
-    st.tuples(st.just("free_front"), st.integers(0, 15)),
-    st.tuples(st.just("destroy"), st.integers(0, 15)),
-)
+_vm_slot = st.tuples(st.integers(0, 2), st.integers(0, 15))
+vm_op = st.one_of(*(
+    st.tuples(st.just(name), _vm_slot)
+    for name in ("alloc", "lookup", "dirty", "free", "free_front", "destroy")
+))
+
+
+def _assert_index_matches_frames(cache, vnodes, offset):
+    """The per-vnode index answers exactly what a scan of every frame
+    would: whole-vnode, dirty-only, all-dirty and windowed queries."""
+    psize = cache.page_size
+    for vnode in vnodes:
+        scan = sorted((p for p in cache.frames if p.vnode is vnode),
+                      key=lambda p: p.offset)
+        assert cache.vnode_pages(vnode) == scan
+        assert cache.dirty_pages(vnode) == [p for p in scan if p.dirty]
+        for start, end in ((offset, offset + psize),
+                           (offset - 100, offset + 4 * psize),
+                           (0, 16 * psize), (offset, offset)):
+            assert cache.vnode_range(vnode, start, end) == [
+                p for p in scan if start <= p.offset < end]
+    assert cache.dirty_pages() == sorted(
+        (p for p in cache.frames if p.named and p.dirty),
+        key=lambda p: (p.vnode.vnode_id, p.offset))
+    assert set(cache._vpages) == {p.vnode.vnode_id
+                                  for p in cache.frames if p.named}
 
 
 @settings(max_examples=80, deadline=None,
@@ -30,37 +49,47 @@ vm_op = st.one_of(
 @given(ops=st.lists(vm_op, min_size=1, max_size=60))
 def test_pagecache_frame_conservation(ops):
     """Frames are conserved: every frame is exactly once either free or in
-    use; named frames appear in the hash exactly once; lookup never lies."""
+    use; named frames appear in the hash exactly once; lookup never lies;
+    and the per-vnode index agrees with a brute-force scan of the frames.
+
+    Three vnodes share eight frames, so allocations steal identities
+    across vnodes."""
     engine = Engine()
     cache = PageCache(engine, memory_bytes=8 * 8 * KB, page_size=8 * KB)
-    vnode = _StubVnode()
-    live: dict[int, object] = {}  # offset -> page (in use)
+    vnodes = [_StubVnode() for _ in range(3)]
+    live: dict[tuple[int, int], object] = {}  # (vnode, offset) -> page in use
 
-    for op, slot in ops:
+    for op, (which, slot) in ops:
+        vnode = vnodes[which]
         offset = slot * 8 * KB
+        key = (which, offset)
         if op == "alloc":
-            if offset in live or cache.lookup(vnode, offset) is not None:
+            if key in live or cache.lookup(vnode, offset) is not None:
                 # Already cached: reclaim through lookup instead.
                 page = cache.lookup(vnode, offset)
-                if page is not None and offset not in live:
-                    live[offset] = page
+                if page is not None and key not in live:
+                    live[key] = page
                 continue
             page = cache.allocate(vnode, offset)
             if page is not None:
                 page.valid = True
                 page.unlock()
-                live[offset] = page
+                live[key] = page
         elif op == "lookup":
             page = cache.lookup(vnode, offset)
             if page is not None:
                 assert page.vnode is vnode and page.offset == offset
-                live.setdefault(offset, page)
+                live.setdefault(key, page)
+        elif op == "dirty":
+            if key in live:
+                live[key].dirty = True
         elif op in ("free", "free_front"):
-            page = live.pop(offset, None)
+            page = live.pop(key, None)
             if page is not None and not page.free:
+                page.dirty = False  # "written back"
                 cache.free(page, front=(op == "free_front"))
         elif op == "destroy":
-            page = live.pop(offset, None)
+            page = live.pop(key, None)
             if page is None:
                 page = cache.lookup(vnode, offset)
                 if page is None:
@@ -74,6 +103,7 @@ def test_pagecache_frame_conservation(ops):
         keys = {(p.vnode.vnode_id, p.offset) for p in named}
         assert len(keys) == len(named), "duplicate page identity"
         assert cache.named_pages == len(named)
+        _assert_index_matches_frames(cache, vnodes, offset)
 
 
 meta_op = st.one_of(

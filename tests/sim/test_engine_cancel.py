@@ -104,3 +104,66 @@ def test_fired_flag_set_by_step():
     assert not entry.fired
     eng.run()
     assert entry.fired
+
+
+def test_run_until_does_not_overshoot_past_a_cancelled_head():
+    # run(until=T) used to peek the cancelled head's time (<= T), call
+    # step(), and step() skipped the corpse and ran the *next* live entry
+    # however late it was: the clock ended at 10, not 5.
+    eng = Engine()
+    out = []
+    early = eng.schedule(1.0, out.append, "early")
+    eng.schedule(10.0, out.append, "late")
+    eng.cancel(early)
+    eng.run(until=5.0)
+    assert eng.now == 5.0
+    assert out == []
+    assert_consistent(eng)
+    eng.run()
+    assert eng.now == 10.0
+    assert out == ["late"]
+
+
+def test_run_until_with_only_cancelled_entries_lands_on_until():
+    eng = Engine()
+    eng.cancel(eng.schedule(1.0, lambda _: None))
+    eng.cancel(eng.schedule(2.0, lambda _: None))
+    eng.run(until=5.0)
+    assert eng.now == 5.0
+    assert eng.live_pending() == eng._live == 0
+
+
+def test_live_pending_counts_handle_free_entries():
+    # Event callbacks and process starts are posted without a Scheduled
+    # handle; they are live work all the same.
+    eng = Engine()
+
+    def proc():
+        yield eng.timeout(1.0)
+
+    eng.process(proc())  # handle-free start entry
+    done = eng.event()
+    done.succeed()
+    done.add_callback(lambda _ev: None)  # handle-free, already triggered
+    eng.timeout(3.0, daemon=True)
+    cancelled = eng.timeout(4.0)
+    cancelled.cancel()
+    assert eng._live == 2
+    while eng._live:
+        assert_consistent(eng)
+        eng.step()
+    assert_consistent(eng)
+    assert eng.now == 1.0
+
+
+def test_cancelled_timers_never_advance_time():
+    eng = Engine()
+    eng.timeout(2.0)
+    timer = eng.timeout(30.0)
+    ticker = eng.every(7.0, lambda: None, daemon=False)
+    timer.cancel()
+    ticker.cancel()
+    eng.run()
+    assert eng.now == 2.0
+    assert not timer.triggered and ticker.fires == 0
+    assert_consistent(eng)

@@ -208,6 +208,21 @@ def test_page_coherency_catches_corrupted_clean_page():
         system.sanitizer.checkpoint("test", idle=True)
 
 
+def test_page_index_catches_identity_change_behind_its_back():
+    system = make_system()
+    write_file(system)
+    pc = system.pagecache
+    system.sanitizer.checkpoint("test", idle=True)  # healthy: index == hash
+    (vnode_id, offset), page = next(iter(pc._hash.items()))
+    del pc._vpages[vnode_id][offset]  # a rename that forgot the index
+    with pytest.raises(SanitizerError, match="page_index"):
+        system.sanitizer.checkpoint("test", idle=False)
+    pc._vpages[vnode_id][offset] = page
+    pc._vpages[-7] = {}  # an emptied vnode left behind
+    with pytest.raises(SanitizerError, match="page_index"):
+        system.sanitizer.checkpoint("test", idle=False)
+
+
 # -- check 6: allocator ------------------------------------------------------
 
 def test_allocator_catches_counter_drift():

@@ -112,3 +112,39 @@ def test_mkfs_zoned_geometry():
     sb = mkfs(store, geom, FsParams(cpg=32))
     assert fsck(store).clean
     assert sb.ncg > 1
+
+
+def test_mkfs_image_is_byte_identical_to_the_recorded_one():
+    # Golden digests of freshly made file systems, recorded before
+    # _build_group switched from one set_frag/set_inode call per bit to
+    # byte-wide fills: bulk filling may not move a single on-disk bit.
+    from repro.kernel import System, SystemConfig
+
+    plain = System(SystemConfig.config_a())
+    plain.mkfs()
+    assert plain.store.digest() == (
+        "e058295f57998c9194ddc8ebb02cf47858a846f974399cee069fa80a267e6ae3")
+    striped = System(SystemConfig.config_a().with_(layout="stripe:4",
+                                                   checksums=True))
+    striped.mkfs()
+    assert [m.store.digest() for m in striped.volume.members] == [
+        "e017ff00333f6b001c9d334089f3cfe0a2046bae7aee99b62674b6adc7f4f5c4",
+        "faec32c295febbd7b13fc8e6a5364d75be828f687af3b982b7a5cae6d7bdda9a",
+        "61637c145ea0a583f5143922f6914c912741a5d892307093ef50ee64caf0cce8",
+        "ca45fe496df18b498fc5b69030ee3687c6a1337615d3b1047c2fb49571c6265b",
+    ]
+
+
+@pytest.mark.parametrize("nbits,start,end", [
+    (64, 0, 64), (64, 5, 6), (64, 5, 12), (70, 3, 70), (70, 8, 64),
+    (70, 9, 9), (13, 0, 13), (40, 7, 33),
+])
+def test_fill_free_equals_bit_by_bit(nbits, start, end):
+    from repro.ufs.ondisk import CylinderGroup
+
+    bulk = bytearray((nbits + 7) // 8)
+    CylinderGroup.fill_free(bulk, start, end)
+    single = bytearray(len(bulk))
+    for i in range(start, end):
+        CylinderGroup._set(single, i, True)
+    assert bulk == single

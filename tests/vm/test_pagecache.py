@@ -184,3 +184,52 @@ def test_low_water_fires_low_memory(engine, vnode):
     engine.process(allocator())
     engine.run()
     assert fired == [1]
+
+
+def test_vnode_range_probes_and_filters(cache, vnode):
+    psize = cache.page_size
+    pages = {slot: fill_page(cache, vnode, slot * psize) for slot in (0, 1, 3, 9)}
+    # Narrow window: probed offset by offset.
+    assert cache.vnode_range(vnode, psize, 4 * psize) == [pages[1], pages[3]]
+    # Window wider than the vnode's page count: filtered from the index.
+    assert cache.vnode_range(vnode, psize, 64 * psize) == [
+        pages[1], pages[3], pages[9]]
+    # An unaligned start rounds up to the next page; an empty window is empty.
+    assert cache.vnode_range(vnode, 1, 2 * psize) == [pages[1]]
+    assert cache.vnode_range(vnode, 5 * psize, 5 * psize) == []
+    unseen = type(vnode)(cache)
+    assert cache.vnode_range(unseen, 0, 64 * psize) == []
+
+
+def test_vnode_leaves_the_index_with_its_last_page(cache, vnode):
+    # Unlink/truncate churn must not leave one empty dict per dead vnode.
+    a = fill_page(cache, vnode, 0)
+    b = fill_page(cache, vnode, 8 * KB)
+    assert set(cache._vpages) == {vnode.vnode_id}
+    cache.destroy(a)
+    assert set(cache._vpages) == {vnode.vnode_id}
+    cache.destroy(b)
+    assert cache._vpages == {} and cache._hash == {}
+
+
+def test_stolen_identity_leaves_the_index(engine, vnode):
+    small = PageCache(engine, memory_bytes=2 * 8 * KB, page_size=8 * KB)
+    other = type(vnode)(small)
+    for offset in (0, 8 * KB):
+        small.free(fill_page(small, vnode, offset))
+    # Both frames are free but still named; a second vnode steals them.
+    fill_page(small, other, 0)
+    assert small.vnode_pages(vnode)[0].offset == 8 * KB
+    fill_page(small, other, 8 * KB)
+    assert set(small._vpages) == {other.vnode_id}
+    assert small.vnode_pages(vnode) == [] and small.dirty_pages(vnode) == []
+    assert small.stats["identity_steals"] == 2
+
+
+def test_create_unlink_churn_does_not_grow_the_index(cache, vnode):
+    for _ in range(200):
+        vn = type(vnode)(cache)
+        for slot in range(3):
+            fill_page(cache, vn, slot * 8 * KB)
+        assert cache.vnode_invalidate(vn) == 3
+    assert cache._vpages == {} and cache.named_pages == 0
