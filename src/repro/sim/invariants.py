@@ -372,18 +372,8 @@ class Sanitizer:
         sb = mount.sb
         total_nbfree = total_nffree = 0
         for cg in mount.cgs:
-            base = sb.cgbase(cg.cgx)
-            data_start = sb.cg_data_frag(cg.cgx) - base
-            end = sb.cg_end_frag(cg.cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = sum(
-                    cg.frag_is_free(block_rel + i) for i in range(sb.frag)
-                )
-                if free_here == sb.frag:
-                    nbfree += 1
-                else:
-                    nffree += free_here
+            nbfree, nffree = cg.free_counts(
+                *sb.cg_data_range(cg.cgx), sb.frag)
             if nbfree != cg.nbfree or nffree != cg.nffree:
                 self.fail(
                     "allocator",

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import NoSpaceError
-from repro.ufs.ondisk import CylinderGroup, IFDIR
+from repro.ufs.ondisk import IFDIR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
@@ -126,36 +126,23 @@ class Allocator:
         """Take a free block in group ``cgx``, preferring ``pref``."""
         sb = self.sb
         cg = self.mount.cgs[cgx]
-        base = sb.cgbase(cgx)
-        data_start = sb.cg_data_frag(cgx) - base
-        end = sb.cg_end_frag(cgx) - base
         if cg.nbfree <= 0:
             return None
+        base = sb.cgbase(cgx)
+        data_start, end = sb.cg_data_range(cgx)
         frag = sb.frag
-
-        def aligned(rel: int) -> int:
-            return (rel // frag) * frag
-
-        candidates: list[int] = []
+        # Scan forward from the preference (or the rotor), wrapping once.
+        start = -1
         if pref and sb.cg_of_frag(pref) == cgx:
-            rel = aligned(pref - base)
-            if rel >= data_start:
-                candidates.append(rel)
-        rotor = aligned(max(cg.frag_rotor, data_start))
-        if rotor + frag > end:
-            rotor = data_start
-        # Scan forward from the preference (or rotor), wrapping once.
-        rel = candidates[0] if candidates else rotor
-        nblocks = (end - data_start) // frag
-        for _ in range(nblocks + 1):
-            if rel + frag > end:
-                rel = data_start
-            if cg.block_is_free(rel, frag):
-                self._take_frags(cgx, rel, frag)
-                cg.frag_rotor = rel + frag
-                return base + rel
-            rel += frag
-        return None
+            start = (pref - base) // frag * frag
+        if start < data_start:
+            start = max(cg.frag_rotor, data_start) // frag * frag
+        rel = cg.find_free_block(start, data_start, end, frag)
+        if rel < 0:
+            return None
+        self._take_frags(cgx, rel, frag)
+        cg.frag_rotor = rel + frag
+        return base + rel
 
     def free_block(self, ip: "Inode | None", addr: int) -> None:
         """Free one full block."""
@@ -192,39 +179,16 @@ class Allocator:
         sb = self.sb
         cg = self.mount.cgs[cgx]
         base = sb.cgbase(cgx)
-        data_start = sb.cg_data_frag(cgx) - base
-        end = sb.cg_end_frag(cgx) - base
-        frag = sb.frag
-        best_rel, best_len = -1, frag + 1
-        for block_rel in range(data_start, end - frag + 1, frag):
-            free_here = sum(
-                1 for i in range(frag) if cg.frag_is_free(block_rel + i)
-            )
-            if free_here == frag or free_here < nfrags:
-                continue  # whole blocks are kept for block allocation
-            # Find the best run inside this block.
-            run = 0
-            for i in range(frag + 1):
-                if i < frag and cg.frag_is_free(block_rel + i):
-                    run += 1
-                    continue
-                if nfrags <= run < best_len:
-                    best_rel, best_len = block_rel + i - run, run
-                run = 0
-            if best_len == nfrags:
-                break
-        if best_rel >= 0:
-            self._take_frags(cgx, best_rel, nfrags)
-            return base + best_rel
-        # Break a free block.
-        if cg.nbfree > 0:
-            block_addr = self._alloc_block_cg(cgx, 0)
-            if block_addr is not None:
-                rel = block_addr - base
-                # Return the unused tail of the broken block.
-                self._release_frags(cgx, rel + nfrags, frag - nfrags)
-                return block_addr
-        return None
+        rel = cg.find_frag_run(nfrags, *sb.cg_data_range(cgx), sb.frag)
+        if rel >= 0:
+            self._take_frags(cgx, rel, nfrags)
+            return base + rel
+        # Break a free block, returning its unused tail.
+        block_addr = self._alloc_block_cg(cgx, 0)
+        if block_addr is not None:
+            self._release_frags(cgx, block_addr - base + nfrags,
+                                sb.frag - nfrags)
+        return block_addr
 
     def realloc_frags(self, ip: "Inode", old_addr: int, old_n: int,
                       new_n: int, pref: int) -> Generator[Any, Any, int]:
@@ -243,9 +207,7 @@ class Allocator:
         rel = old_addr - base
         same_block = (rel % sb.frag) + new_n <= sb.frag
         extra = new_n - old_n
-        if same_block and all(
-            cg.frag_is_free(rel + old_n + i) for i in range(extra)
-        ):
+        if same_block and cg.run_is_free(rel + old_n, extra):
             yield from self.mount.cpu.work(
                 "alloc", self.mount.cpu.costs.alloc_frag
             )
@@ -268,61 +230,31 @@ class Allocator:
             ip.mark_dirty()
 
     # -- bitmap bookkeeping --------------------------------------------------------------
-    def _block_free_frags(self, cg: CylinderGroup, block_rel: int) -> int:
-        return sum(1 for i in range(self.sb.frag) if cg.frag_is_free(block_rel + i))
-
-    def _adjust_counts(self, cgx: int, block_rel: int, before: int, after: int) -> None:
+    def _mark_frags(self, cgx: int, rel: int, n: int, free: bool) -> None:
+        """Flip ``n`` fragments from ``rel`` in the map and move each
+        touched block between the nbfree and nffree counters."""
         sb = self.sb
         cg = self.mount.cgs[cgx]
-        if before == sb.frag:
-            cg.nbfree -= 1
-            sb.cs_nbfree -= 1
-        else:
-            cg.nffree -= before
-            sb.cs_nffree -= before
-        if after == sb.frag:
-            cg.nbfree += 1
-            sb.cs_nbfree += 1
-        else:
-            cg.nffree += after
-            sb.cs_nffree += after
-        self.mount.mark_cg_dirty(cgx)
+        frag = sb.frag
+        for block_rel in range(rel // frag * frag, rel + n, frag):
+            low, high = max(rel, block_rel), min(rel + n, block_rel + frag)
+            before = cg.block_free_count(block_rel, frag)
+            cg.mark_frags(low, high - low, free, sb.cgbase(cgx))
+            after = before + (high - low if free else low - high)
+            for count, sign in ((before, -1), (after, 1)):
+                if count == frag:
+                    cg.nbfree += sign
+                    sb.cs_nbfree += sign
+                else:
+                    cg.nffree += sign * count
+                    sb.cs_nffree += sign * count
+            self.mount.mark_cg_dirty(cgx)
 
     def _take_frags(self, cgx: int, rel: int, n: int) -> None:
-        sb = self.sb
-        cg = self.mount.cgs[cgx]
-        frag = sb.frag
-        first_block = (rel // frag) * frag
-        last_block = ((rel + n - 1) // frag) * frag
-        for block_rel in range(first_block, last_block + 1, frag):
-            before = self._block_free_frags(cg, block_rel)
-            for i in range(max(rel, block_rel),
-                           min(rel + n, block_rel + frag)):
-                if not cg.frag_is_free(i):
-                    raise RuntimeError(
-                        f"double allocation of fragment {sb.cgbase(cgx) + i}"
-                    )
-                cg.set_frag(i, False)
-            after = self._block_free_frags(cg, block_rel)
-            self._adjust_counts(cgx, block_rel, before, after)
+        self._mark_frags(cgx, rel, n, free=False)
 
     def _release_frags(self, cgx: int, rel: int, n: int) -> None:
-        sb = self.sb
-        cg = self.mount.cgs[cgx]
-        frag = sb.frag
-        first_block = (rel // frag) * frag
-        last_block = ((rel + n - 1) // frag) * frag
-        for block_rel in range(first_block, last_block + 1, frag):
-            before = self._block_free_frags(cg, block_rel)
-            for i in range(max(rel, block_rel),
-                           min(rel + n, block_rel + frag)):
-                if cg.frag_is_free(i):
-                    raise RuntimeError(
-                        f"double free of fragment {sb.cgbase(cgx) + i}"
-                    )
-                cg.set_frag(i, True)
-            after = self._block_free_frags(cg, block_rel)
-            self._adjust_counts(cgx, block_rel, before, after)
+        self._mark_frags(cgx, rel, n, free=True)
 
     def _hash_groups(self, start: int, fn) -> int | None:
         """FFS group search: preferred, quadratic rehash, then brute scan."""
@@ -383,17 +315,15 @@ class Allocator:
         cg = self.mount.cgs[cgx]
         if cg.nifree <= 0:
             return None
-        start = cg.inode_rotor % sb.ipg
-        for i in range(sb.ipg):
-            rel = (start + i) % sb.ipg
-            if cg.inode_is_free(rel):
-                cg.set_inode(rel, False)
-                cg.nifree -= 1
-                sb.cs_nifree -= 1
-                cg.inode_rotor = rel + 1
-                self.mount.mark_cg_dirty(cgx)
-                return cgx * sb.ipg + rel
-        return None
+        rel = cg.find_free_inode(cg.inode_rotor % sb.ipg, sb.ipg)
+        if rel < 0:
+            return None
+        cg.set_inode(rel, False)
+        cg.nifree -= 1
+        sb.cs_nifree -= 1
+        cg.inode_rotor = rel + 1
+        self.mount.mark_cg_dirty(cgx)
+        return cgx * sb.ipg + rel
 
     def free_inode(self, ino: int, was_dir: bool) -> None:
         sb = self.sb

@@ -22,12 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.mount import UfsMount
 
 _HEAD = Dirent._HEAD
-_HEAD_SIZE = struct.calcsize(_HEAD)
+_HEAD_SIZE = _HEAD.size
 
 
 def _entry_span(block: "bytes | bytearray", offset: int) -> tuple[int, int, int]:
     """(ino, reclen, namelen) at ``offset``."""
-    return struct.unpack_from(_HEAD, block, offset)
+    return _HEAD.unpack_from(block, offset)
 
 
 def _dir_blocks(ip: "Inode") -> int:
@@ -130,7 +130,7 @@ def _try_insert(block: bytearray, name: str, ino: int, needed: int) -> bool:
 def _write_entry(block: bytearray, offset: int, ino: int, name: str,
                  reclen: int) -> None:
     encoded = name.encode()
-    struct.pack_into(_HEAD, block, offset, ino, reclen, len(encoded))
+    _HEAD.pack_into(block, offset, ino, reclen, len(encoded))
     block[offset + _HEAD_SIZE:offset + _HEAD_SIZE + len(encoded)] = encoded
 
 

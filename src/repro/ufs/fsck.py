@@ -16,15 +16,17 @@ disk (never the in-memory mount state) and runs the classic phases:
 
 from __future__ import annotations
 
+import functools
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
     CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, IFDIR, IFLNK, IFMT, IFREG, NDADDR,
-    ROOT_INO, CylinderGroup, Dinode, Superblock, empty_dirblock, iter_dirents,
-    pack_dirent,
+    ROOT_INO, CylinderGroup, Dinode, Superblock, empty_dirblock, iter_dinodes,
+    iter_dirents, pack_dirent,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,6 +59,16 @@ class FsckReport:
         return "\n".join(lines)
 
 
+def _differing_bits(found: bytes, expected: bytes) -> "Iterator[int]":
+    """Indices, ascending, of the bits on which two maps differ."""
+    diff = (int.from_bytes(found, "little")
+            ^ int.from_bytes(expected, "little"))
+    while diff:
+        low = diff & -diff
+        yield low.bit_length() - 1
+        diff ^= low
+
+
 class _Checker:
     def __init__(self, store: "DiskStore"):
         from repro.integrity.checksum import IntegrityRegion
@@ -86,7 +98,9 @@ class _Checker:
         self.frag_sectors = self.sb.fsize // 512
         self.claims: dict[int, int] = {}  # frag -> claiming inode
         self.link_counts: dict[int, int] = {}  # ino -> references seen
-        self.inode_modes: dict[int, int] = {}
+        #: Every allocated dinode, as read by the one pass over the inode
+        #: blocks; the later phases work from these, not from the disk.
+        self.dinodes: dict[int, Dinode] = {}
 
     def _read_frags_raw(self, sector: int, nsectors: int) -> bytes:
         return self.store.read(sector, nsectors)
@@ -115,11 +129,6 @@ class _Checker:
             self.claims[f] = ino
             self.report.frags_claimed += 1
 
-    def _read_dinode(self, ino: int) -> Dinode:
-        frag_addr, byte_off = self.sb.inode_location(ino)
-        block = self._read_frag_addr(frag_addr, self.sb.bsize)
-        return Dinode.unpack(block[byte_off:byte_off + DINODE_SIZE])
-
     def _file_frags(self, din: Dinode, lbn: int) -> int:
         """Fragments logical block ``lbn`` should hold, from the size."""
         sb = self.sb
@@ -131,64 +140,72 @@ class _Checker:
 
     def check_inodes(self) -> None:
         sb = self.sb
+        per_block = sb.bsize // DINODE_SIZE
+        for cgx in range(sb.ncg):
+            first_ino = cgx * sb.ipg
+            first_frag = sb.cg_inode_frag(cgx)
+            for index in range(sb.inode_blocks_per_group):
+                block = self._read_frag_addr(first_frag + index * sb.frag,
+                                             sb.bsize)
+                for slot, din in iter_dinodes(block):
+                    ino = first_ino + index * per_block + slot
+                    if ino not in (0, 1):  # reserved
+                        self._check_inode(ino, din)
+
+    def _check_inode(self, ino: int, din: Dinode) -> None:
+        sb = self.sb
+        self.report.inodes_checked += 1
+        self.dinodes[ino] = din
+        kind = din.mode & IFMT
+        if kind not in (IFREG, IFDIR, IFLNK):
+            self.report.problem(f"inode {ino}: unknown mode {din.mode:#o}")
+            self.actions.append(("clear_inode", ino))
+            return
+        fast_symlink_max = (NDADDR + 2) * 4 - 1
+        if kind == IFLNK:
+            if din.size <= fast_symlink_max:
+                # Fast symlink: the pointer words are target bytes.
+                if din.blocks != 0:
+                    self.report.problem(
+                        f"symlink {ino}: fast link claims blocks"
+                    )
+                    self.actions.append(("set_blocks", ino, 0))
+            else:
+                nfrags = max(1, -(-din.size // sb.fsize))
+                self._claim(ino, din.direct[0], nfrags)
+                if din.blocks != nfrags:
+                    self.report.problem(
+                        f"symlink {ino}: holds {nfrags} frags but "
+                        f"di_blocks says {din.blocks}"
+                    )
+                    self.actions.append(("set_blocks", ino, nfrags))
+            return
+        claimed = 0
+        last_lbn = (din.size - 1) // sb.bsize if din.size > 0 else -1
+        for lbn in range(min(last_lbn + 1, NDADDR)):
+            addr = din.direct[lbn]
+            if addr == 0:
+                continue
+            nfrags = self._file_frags(din, lbn)
+            self._claim(ino, addr, nfrags)
+            claimed += nfrags
+        # Blocks past the direct pointers are counted via the pointer
+        # blocks, never by iterating up to the (untrusted) size.
+        if din.indirect:
+            claimed += self._walk_pointer_block(ino, din.indirect, 1)
+        if din.dindirect:
+            claimed += self._walk_pointer_block(ino, din.dindirect, 2)
+        if claimed != din.blocks:
+            self.report.problem(
+                f"inode {ino}: holds {claimed} frags but di_blocks says "
+                f"{din.blocks}"
+            )
+            self.actions.append(("set_blocks", ino, claimed))
         nindir = sb.bsize // 4
-        for ino in range(sb.ncg * sb.ipg):
-            din = self._read_dinode(ino)
-            if not din.is_allocated:
-                continue
-            if ino in (0, 1):
-                continue  # reserved
-            self.report.inodes_checked += 1
-            self.inode_modes[ino] = din.mode
-            kind = din.mode & IFMT
-            if kind not in (IFREG, IFDIR, IFLNK):
-                self.report.problem(f"inode {ino}: unknown mode {din.mode:#o}")
-                self.actions.append(("clear_inode", ino))
-                continue
-            fast_symlink_max = (NDADDR + 2) * 4 - 1
-            if kind == IFLNK:
-                if din.size <= fast_symlink_max:
-                    # Fast symlink: the pointer words are target bytes.
-                    if din.blocks != 0:
-                        self.report.problem(
-                            f"symlink {ino}: fast link claims blocks"
-                        )
-                        self.actions.append(("set_blocks", ino, 0))
-                else:
-                    nfrags = max(1, -(-din.size // sb.fsize))
-                    self._claim(ino, din.direct[0], nfrags)
-                    if din.blocks != nfrags:
-                        self.report.problem(
-                            f"symlink {ino}: holds {nfrags} frags but "
-                            f"di_blocks says {din.blocks}"
-                        )
-                        self.actions.append(("set_blocks", ino, nfrags))
-                continue
-            claimed = 0
-            last_lbn = (din.size - 1) // sb.bsize if din.size > 0 else -1
-            for lbn in range(min(last_lbn + 1, NDADDR)):
-                addr = din.direct[lbn]
-                if addr == 0:
-                    continue
-                nfrags = self._file_frags(din, lbn)
-                self._claim(ino, addr, nfrags)
-                claimed += nfrags
-            for lbn in range(NDADDR, last_lbn + 1):
-                pass  # counted via the pointer blocks below
-            if din.indirect:
-                claimed += self._walk_pointer_block(ino, din.indirect, 1)
-            if din.dindirect:
-                claimed += self._walk_pointer_block(ino, din.dindirect, 2)
-            if claimed != din.blocks:
-                self.report.problem(
-                    f"inode {ino}: holds {claimed} frags but di_blocks says "
-                    f"{din.blocks}"
-                )
-                self.actions.append(("set_blocks", ino, claimed))
-            max_size = (NDADDR + nindir + nindir * nindir) * sb.bsize
-            if din.size > max_size:
-                self.report.problem(f"inode {ino}: impossible size {din.size}")
-                self.actions.append(("clear_inode", ino))
+        max_size = (NDADDR + nindir + nindir * nindir) * sb.bsize
+        if din.size > max_size:
+            self.report.problem(f"inode {ino}: impossible size {din.size}")
+            self.actions.append(("clear_inode", ino))
 
     def _walk_pointer_block(self, ino: int, addr: int, depth: int) -> int:
         sb = self.sb
@@ -197,8 +214,7 @@ class _Checker:
         if addr <= 0 or addr + sb.frag > sb.total_frags:
             return claimed  # _claim flagged it; nothing readable behind it
         block = self._read_frag_addr(addr, sb.bsize)
-        for i in range(sb.bsize // 4):
-            child = struct.unpack_from("<I", block, i * 4)[0]
+        for child in struct.unpack(f"<{sb.bsize // 4}I", block):
             if child == 0:
                 continue
             if depth > 1:
@@ -222,8 +238,8 @@ class _Checker:
                     self.actions.append(("zero_dirent",) + loc)
                 continue
             seen.add(ino)
-            din = self._read_dinode(ino)
-            if not din.is_dir:
+            din = self.dinodes.get(ino)
+            if din is None or not din.is_dir:
                 self.report.problem(f"inode {ino} expected directory")
                 if loc is not None:
                     self.actions.append(("zero_dirent",) + loc)
@@ -263,8 +279,8 @@ class _Checker:
                                 ("fix_dirent", addr, offset, parent))
                         self.link_counts[parent] = self.link_counts.get(parent, 0) + 1
                         continue
-                    mode = self.inode_modes.get(child_ino)
-                    if mode is None:
+                    child = self.dinodes.get(child_ino)
+                    if child is None:
                         self.report.problem(
                             f"directory {ino}: entry {name!r} -> unallocated "
                             f"inode {child_ino}"
@@ -272,7 +288,7 @@ class _Checker:
                         self.actions.append(("zero_dirent", addr, offset))
                         continue
                     self.link_counts[child_ino] = self.link_counts.get(child_ino, 0) + 1
-                    if (mode & IFMT) == IFDIR:
+                    if child.is_dir:
                         stack.append((child_ino, ino, (addr, offset)))
             if "." not in names or ".." not in names:
                 self.report.problem(f"directory {ino}: missing '.' or '..'")
@@ -288,10 +304,9 @@ class _Checker:
                     self.actions.append(("clear_inode", ino))
         # Note: the root's '..' entry points at itself and was counted in
         # the scan, standing in for the parent-directory entry it lacks.
-        for ino, mode in self.inode_modes.items():
-            din = self._read_dinode(ino)
+        for ino, din in self.dinodes.items():
             expected = self.link_counts.get(ino, 0)
-            if (mode & IFMT) == IFDIR:
+            if din.is_dir:
                 expected += 1  # its own '.'
                 if ino not in seen:
                     self.report.problem(f"directory {ino} unreachable from root")
@@ -309,6 +324,44 @@ class _Checker:
                     self.actions.append(("set_nlink", ino, expected))
 
     # -- phase 4: bitmaps and counters -----------------------------------------------
+    @functools.cached_property
+    def claimed_by_group(self) -> "dict[int, list[int]]":
+        """Group -> group-relative claimed fragments (after phase 1)."""
+        groups: dict[int, list[int]] = defaultdict(list)
+        for frag_addr in self.claims:
+            groups[frag_addr // self.sb.fpg].append(frag_addr % self.sb.fpg)
+        return groups
+
+    @functools.cached_property
+    def allocated_by_group(self) -> "dict[int, list[int]]":
+        """Group -> allocated inode numbers (after phase 1)."""
+        groups: dict[int, list[int]] = defaultdict(list)
+        for ino in self.dinodes:
+            groups[ino // self.sb.ipg].append(ino)
+        return groups
+
+    def expected_maps(self, cgx: int, cg: CylinderGroup
+                      ) -> tuple[bytearray, bytearray]:
+        """The fragment and inode maps group ``cgx`` should carry, given
+        what phase 1 saw: every data-block fragment free unless claimed,
+        every inode free unless allocated or reserved.  They start as copies
+        of ``cg``'s own maps, so the bits that describe no data block (the
+        group's metadata area) compare equal and are rewritten as found."""
+        sb = self.sb
+        data_start, end = sb.cg_data_range(cgx)
+        frags = bytearray(cg.frag_bitmap)
+        CylinderGroup.fill_free(frags, data_start, end)
+        for rel in self.claimed_by_group.get(cgx, ()):
+            if data_start <= rel < end:
+                frags[rel >> 3] &= ~(1 << (rel & 7))
+        inodes = bytearray(cg.inode_bitmap)
+        CylinderGroup.fill_free(inodes, 0, sb.ipg)
+        reserved = (0, 1) if cgx == 0 else ()
+        for ino in (*reserved, *self.allocated_by_group.get(cgx, ())):
+            rel = ino % sb.ipg
+            inodes[rel >> 3] &= ~(1 << (rel & 7))
+        return frags, inodes
+
     def check_bitmaps(self) -> None:
         sb = self.sb
         total_nbfree = total_nffree = total_nifree = total_ndir = 0
@@ -320,31 +373,22 @@ class _Checker:
                 self.report.problem(f"group {cgx}: {exc}")
                 continue
             base = sb.cgbase(cgx)
-            data_start = sb.cg_data_frag(cgx) - base
-            end = sb.cg_end_frag(cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = 0
-                for i in range(sb.frag):
-                    rel = block_rel + i
-                    frag_addr = base + rel
-                    is_free = cg.frag_is_free(rel)
-                    claimed = frag_addr in self.claims
-                    if is_free and claimed:
-                        self.report.problem(
-                            f"fragment {frag_addr} free in bitmap but claimed "
-                            f"by inode {self.claims[frag_addr]}"
-                        )
-                    if not is_free and not claimed:
-                        self.report.problem(
-                            f"fragment {frag_addr} allocated in bitmap but "
-                            f"unclaimed (leak)"
-                        )
-                    free_here += is_free
-                if free_here == sb.frag:
-                    nbfree += 1
+            frags, inodes = self.expected_maps(cgx, cg)
+            # Only where the map found differs from the map expected is
+            # there anything to say, one finding per bit in ascending order.
+            for rel in _differing_bits(cg.frag_bitmap, frags):
+                frag_addr = base + rel
+                if cg.frag_is_free(rel):
+                    self.report.problem(
+                        f"fragment {frag_addr} free in bitmap but claimed "
+                        f"by inode {self.claims[frag_addr]}"
+                    )
                 else:
-                    nffree += free_here
+                    self.report.problem(
+                        f"fragment {frag_addr} allocated in bitmap but "
+                        f"unclaimed (leak)"
+                    )
+            nbfree, nffree = cg.free_counts(*sb.cg_data_range(cgx), sb.frag)
             if nbfree != cg.nbfree:
                 self.report.problem(
                     f"group {cgx}: nbfree {cg.nbfree} but bitmap shows {nbfree}"
@@ -353,22 +397,19 @@ class _Checker:
                 self.report.problem(
                     f"group {cgx}: nffree {cg.nffree} but bitmap shows {nffree}"
                 )
-            nifree = sum(
-                1 for i in range(sb.ipg) if cg.inode_is_free(i)
-            )
+            nifree = cg.inodes_free(sb.ipg)
             if nifree != cg.nifree:
                 self.report.problem(
                     f"group {cgx}: nifree {cg.nifree} but bitmap shows {nifree}"
                 )
-            for i in range(sb.ipg):
-                ino = cgx * sb.ipg + i
-                allocated = ino in self.inode_modes or ino in (0, 1)
-                if cg.inode_is_free(i) and ino in self.inode_modes:
+            for rel in _differing_bits(cg.inode_bitmap, inodes):
+                ino = cgx * sb.ipg + rel
+                if not cg.inode_is_free(rel):
+                    self.report.problem(f"inode {ino} leaked in bitmap")
+                elif ino in self.dinodes:  # a reserved inode may read free
                     self.report.problem(
                         f"inode {ino} free in bitmap but allocated on disk"
                     )
-                if not cg.inode_is_free(i) and not allocated:
-                    self.report.problem(f"inode {ino} leaked in bitmap")
             total_nbfree += cg.nbfree
             total_nffree += cg.nffree
             total_nifree += cg.nifree
@@ -496,7 +537,6 @@ class _Repairer:
         scan = _Checker(self.store)
         scan.check_inodes()
         sb = scan.sb
-        claims = scan.claims
         total_nbfree = total_nffree = total_nifree = total_ndir = 0
         for cgx in range(sb.ncg):
             base = sb.cgbase(cgx)
@@ -506,42 +546,23 @@ class _Repairer:
             except CorruptionError:
                 # Header itself unreadable: rebuild it from scratch.  A
                 # zeroed bitmap means "allocated", which is correct for the
-                # metadata area; the loops below set the data-area bits.
+                # metadata area; expected_maps sets the data-area bits.
                 cg = CylinderGroup(
                     CG_MAGIC, cgx, sb.cg_end_frag(cgx) - base, 0, 0, 0, 0,
                     0, 0, bytearray((sb.fpg + 7) // 8),
                     bytearray((sb.ipg + 7) // 8),
                 )
-            data_start = sb.cg_data_frag(cgx) - base
-            end = sb.cg_end_frag(cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = 0
-                for i in range(sb.frag):
-                    rel = block_rel + i
-                    free = (base + rel) not in claims
-                    cg.set_frag(rel, free)
-                    free_here += free
-                if free_here == sb.frag:
-                    nbfree += 1
-                else:
-                    nffree += free_here
-            nifree = ndir = 0
-            for i in range(sb.ipg):
-                ino = cgx * sb.ipg + i
-                allocated = ino in scan.inode_modes or ino in (0, 1)
-                cg.set_inode(i, not allocated)
-                if not allocated:
-                    nifree += 1
-                elif (scan.inode_modes.get(ino, 0) & IFMT) == IFDIR:
-                    ndir += 1
-            cg.nbfree, cg.nffree = nbfree, nffree
-            cg.nifree, cg.ndir = nifree, ndir
+            cg.frag_bitmap, cg.inode_bitmap = scan.expected_maps(cgx, cg)
+            cg.nbfree, cg.nffree = cg.free_counts(
+                *sb.cg_data_range(cgx), sb.frag)
+            cg.nifree = cg.inodes_free(sb.ipg)
+            cg.ndir = sum(1 for ino in scan.allocated_by_group.get(cgx, ())
+                          if scan.dinodes[ino].is_dir)
             self._write_block(header, cg.pack(sb))
-            total_nbfree += nbfree
-            total_nffree += nffree
-            total_nifree += nifree
-            total_ndir += ndir
+            total_nbfree += cg.nbfree
+            total_nffree += cg.nffree
+            total_nifree += cg.nifree
+            total_ndir += cg.ndir
         sb.cs_nbfree, sb.cs_nffree = total_nbfree, total_nffree
         sb.cs_nifree, sb.cs_ndir = total_nifree, total_ndir
         packed = sb.pack()

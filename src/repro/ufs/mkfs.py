@@ -134,9 +134,7 @@ def mkfs(store: "DiskStore", geometry: "DiskGeometry",
     # Root directory: one block in group 0's data area.
     root_block = sb.cg_data_frag(0)
     cg0 = groups[0]
-    rel = root_block - sb.cgbase(0)
-    for i in range(sb.frag):
-        cg0.set_frag(rel + i, False)
+    cg0.mark_frags(root_block - sb.cgbase(0), sb.frag, free=False, base=0)
     cg0.nbfree -= 1
     cg0.set_inode(ROOT_INO, False)
     cg0.nifree -= 1

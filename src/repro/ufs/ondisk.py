@@ -38,11 +38,92 @@ IFLNK = 0o120000
 IFMT = 0o170000
 
 
-def _unpack_exact(fmt: str, data: bytes, what: str) -> tuple:
-    size = struct.calcsize(fmt)
-    if len(data) < size:
-        raise CorruptionError(f"short {what}: {len(data)} < {size} bytes")
-    return struct.unpack(fmt, data[:size])
+def _unpack_exact(layout: struct.Struct, data: bytes, what: str,
+                  offset: int = 0) -> tuple:
+    if len(data) - offset < layout.size:
+        raise CorruptionError(
+            f"short {what}: {len(data) - offset} < {layout.size} bytes")
+    return layout.unpack_from(data, offset)
+
+
+_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
+_LOWBIT = bytes((byte & -byte).bit_length() - 1 if byte else 0
+                for byte in range(256))
+
+
+class _MapTables:
+    """Byte tables for searching a free map ``frag`` bits to the block.
+
+    FFS's ``fragtbl``: since ``frag`` divides 8 a block never straddles a
+    map byte, so what one byte says about its ``8 // frag`` blocks can be
+    tabulated once and a whole map answered by ``translate`` + ``find`` /
+    ``sum`` at C speed.  Bit set = free; bit *i* of a byte is fragment *i*.
+    """
+
+    def __init__(self, frag: int):
+        full = (1 << frag) - 1
+        #: wholly free blocks in the byte / free bits in its other blocks
+        self.nbfree = bytearray(256)
+        self.nffree = bytearray(256)
+        #: bit offset of the byte's first wholly free block
+        self.first_block = bytearray(256)
+        #: ``has_run[n][byte]`` is 1 if some block of the byte holds a
+        #: maximal free run of exactly ``n < frag`` bits; ``first_run`` is
+        #: the bit offset of the lowest such run
+        self.has_run = [bytearray(256) for _ in range(frag)]
+        self.first_run = [bytearray(256) for _ in range(frag)]
+        for byte in range(256):
+            # Blocks and bits are walked downwards so that the lowest free
+            # block / lowest run of each length is the one left recorded.
+            for offset in range(8 - frag, -1, -frag):
+                bits = (byte >> offset) & full
+                if bits == full:
+                    self.nbfree[byte] += 1
+                    self.first_block[byte] = offset
+                    continue
+                self.nffree[byte] += _POPCOUNT[bits]
+                run = 0
+                for i in range(frag - 1, -1, -1):
+                    if (bits >> i) & 1:
+                        run += 1
+                    elif run:
+                        self.has_run[run][byte] = 1
+                        self.first_run[run][byte] = offset + i + 1
+                        run = 0
+                if run:
+                    self.has_run[run][byte] = 1
+                    self.first_run[run][byte] = offset
+        self.has_block = bytes(1 if n else 0 for n in self.nbfree)
+
+
+_MAP_TABLES = {frag: _MapTables(frag) for frag in (1, 2, 4, 8)}
+
+
+def _window(bitmap: bytearray, start: int, stop: int) -> tuple[bytearray, int]:
+    """A copy of the map bytes covering bits ``[start, stop)`` with every
+    bit outside that range cleared (= allocated, so no search can land on
+    it and no count includes it), and the index of the copy's first byte."""
+    first = start >> 3
+    if stop <= start:
+        return bytearray(), first
+    window = bytearray(bitmap[first:(stop + 7) >> 3])
+    window[0] &= (0xFF << (start & 7)) & 0xFF
+    if stop & 7:
+        window[-1] &= (1 << (stop & 7)) - 1
+    return window, first
+
+
+def _find_free_block(bitmap: bytearray, start: int, low: int, high: int,
+                     frag: int) -> int:
+    """The first wholly free block of ``[low, high)`` at or after ``start``
+    (block aligned), wrapping once from ``high`` to ``low``; -1 if none."""
+    tables = _MAP_TABLES[frag]
+    for lo, hi in ((start, high), (low, min(start, high))):
+        window, first = _window(bitmap, lo, hi)
+        index = window.translate(tables.has_block).find(1)
+        if index >= 0:
+            return ((first + index) << 3) + tables.first_block[window[index]]
+    return -1
 
 
 @dataclass
@@ -50,7 +131,7 @@ class Superblock:
     """The file system's description of itself."""
 
     # magic, 11 ints, rotdelay float, rps, 5 64-bit counters, clean flag
-    _FMT = "<I" + "i" * 11 + "f" + "i" + "Q" * 5 + "I"
+    _LAYOUT = struct.Struct("<I" + "i" * 11 + "f" + "i" + "Q" * 5 + "I")
 
     magic: int
     bsize: int
@@ -119,6 +200,15 @@ class Superblock:
         """One past the group's last fragment (last group may be short)."""
         return min(self.cgbase(cgx) + self.fpg, self.total_frags)
 
+    def cg_data_range(self, cgx: int) -> tuple[int, int]:
+        """``(data_start, end)`` of the group's data blocks, in fragments
+        from ``cgbase``: block aligned at both ends, because only blocks
+        lying wholly inside the group exist."""
+        base = self.cgbase(cgx)
+        data_start = self.cg_data_frag(cgx) - base
+        whole = max(0, self.cg_end_frag(cgx) - base - data_start) // self.frag
+        return data_start, data_start + whole * self.frag
+
     def cg_of_frag(self, frag_addr: int) -> int:
         return frag_addr // self.fpg
 
@@ -139,8 +229,8 @@ class Superblock:
         )
 
     def pack(self) -> bytes:
-        data = struct.pack(
-            self._FMT, self.magic, self.bsize, self.fsize, self.nsect,
+        data = self._LAYOUT.pack(
+            self.magic, self.bsize, self.fsize, self.nsect,
             self.ntrak, self.ncyl, self.cpg, self.fpg, self.ipg, self.ncg,
             self.minfree, self.maxcontig, self.rotdelay_ms, self.rps,
             self.total_frags, self.cs_ndir, self.cs_nbfree, self.cs_nifree,
@@ -150,11 +240,12 @@ class Superblock:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Superblock":
-        values = _unpack_exact(cls._FMT, data, "superblock")
+        values = _unpack_exact(cls._LAYOUT, data, "superblock")
         sb = cls(*values)
         if sb.magic != SUPERBLOCK_MAGIC:
             raise CorruptionError(f"bad superblock magic {sb.magic:#x}")
-        if sb.bsize <= 0 or sb.fsize <= 0 or sb.bsize % sb.fsize:
+        if (sb.bsize <= 0 or sb.fsize <= 0 or sb.bsize % sb.fsize
+                or sb.bsize // sb.fsize not in _MAP_TABLES):
             raise CorruptionError("superblock block/fragment sizes invalid")
         return sb
 
@@ -166,7 +257,7 @@ class CylinderGroup:
     Bitmaps are bytearrays, one bit per fragment / inode; bit set = free.
     """
 
-    _FMT = "<IIIIIIIII"
+    _LAYOUT = struct.Struct("<IIIIIIIII")
 
     magic: int
     cgx: int
@@ -183,10 +274,9 @@ class CylinderGroup:
     def pack(self, sb: Superblock) -> bytes:
         frag_bytes = (sb.fpg + 7) // 8
         inode_bytes = (sb.ipg + 7) // 8
-        head = struct.pack(
-            self._FMT, self.magic, self.cgx, self.ndblk, self.nbfree,
-            self.nffree, self.nifree, self.ndir, self.frag_rotor,
-            self.inode_rotor,
+        head = self._LAYOUT.pack(
+            self.magic, self.cgx, self.ndblk, self.nbfree, self.nffree,
+            self.nifree, self.ndir, self.frag_rotor, self.inode_rotor,
         )
         data = head + bytes(self.frag_bitmap.ljust(frag_bytes, b"\x00"))
         data += bytes(self.inode_bitmap.ljust(inode_bytes, b"\x00"))
@@ -196,11 +286,11 @@ class CylinderGroup:
 
     @classmethod
     def unpack(cls, data: bytes, sb: Superblock) -> "CylinderGroup":
-        values = _unpack_exact(cls._FMT, data, "cylinder group")
+        values = _unpack_exact(cls._LAYOUT, data, "cylinder group")
         cg = cls(*values)
         if cg.magic != CG_MAGIC:
             raise CorruptionError(f"bad cylinder group magic {cg.magic:#x}")
-        head = struct.calcsize(cls._FMT)
+        head = cls._LAYOUT.size
         frag_bytes = (sb.fpg + 7) // 8
         inode_bytes = (sb.ipg + 7) // 8
         cg.frag_bitmap = bytearray(data[head:head + frag_bytes])
@@ -243,17 +333,89 @@ class CylinderGroup:
     def set_inode(self, rel_ino: int, free: bool) -> None:
         self._set(self.inode_bitmap, rel_ino, free)
 
+    # -- map kernels: whole-map questions answered through _MapTables ---------
+    # ``[data_start, end)`` is ``Superblock.cg_data_range``: whole blocks.
+    def run_is_free(self, rel_frag: int, n: int) -> bool:
+        """True if the ``n`` fragments from ``rel_frag``, all inside one
+        block (hence one map byte), are free."""
+        run = (1 << n) - 1
+        return (self.frag_bitmap[rel_frag >> 3] >> (rel_frag & 7)) & run == run
+
     def block_is_free(self, rel_block_frag: int, frag: int) -> bool:
         """True if the whole (aligned) block starting at ``rel_block_frag``
         is free."""
-        return all(self.frag_is_free(rel_block_frag + i) for i in range(frag))
+        return self.run_is_free(rel_block_frag, frag)
+
+    def block_free_count(self, rel_block_frag: int, frag: int) -> int:
+        """Free fragments in the (aligned) block at ``rel_block_frag``."""
+        byte = self.frag_bitmap[rel_block_frag >> 3]
+        return _POPCOUNT[(byte >> (rel_block_frag & 7)) & ((1 << frag) - 1)]
+
+    def free_counts(self, data_start: int, end: int, frag: int
+                    ) -> tuple[int, int]:
+        """``(nbfree, nffree)`` as the map has them: wholly free blocks, and
+        free fragments inside partly-used blocks."""
+        tables = _MAP_TABLES[frag]
+        window, _ = _window(self.frag_bitmap, data_start, end)
+        return (sum(window.translate(tables.nbfree)),
+                sum(window.translate(tables.nffree)))
+
+    def inodes_free(self, ipg: int) -> int:
+        """Free inodes as the inode map has them."""
+        window, _ = _window(self.inode_bitmap, 0, ipg)
+        return sum(window.translate(_POPCOUNT))
+
+    def find_free_block(self, start: int, data_start: int, end: int,
+                        frag: int) -> int:
+        """The first wholly free block at or after ``start``, wrapping once
+        from ``end`` to ``data_start``; -1 if the group has none."""
+        return _find_free_block(self.frag_bitmap, start, data_start, end, frag)
+
+    def find_free_inode(self, start: int, ipg: int) -> int:
+        """The first free inode at or after ``start``, wrapping once; -1 if
+        the group has none."""
+        return _find_free_block(self.inode_bitmap, start, 0, ipg, 1)
+
+    def find_frag_run(self, nfrags: int, data_start: int, end: int,
+                      frag: int) -> int:
+        """Best fit for ``nfrags < frag`` fragments in a partly-used block:
+        the lowest free run whose maximal length is the smallest length
+        >= ``nfrags`` any partly-used block offers; -1 if none does.
+        Wholly free blocks are never broken here."""
+        tables = _MAP_TABLES[frag]
+        window, first = _window(self.frag_bitmap, data_start, end)
+        for want in range(nfrags, frag):
+            index = window.translate(tables.has_run[want]).find(1)
+            if index >= 0:
+                return (((first + index) << 3)
+                        + tables.first_run[want][window[index]])
+        return -1
+
+    def mark_frags(self, rel_frag: int, n: int, free: bool, base: int) -> None:
+        """Flip fragments ``[rel_frag, rel_frag + n)`` to free / allocated.
+        Every one must be in the opposite state: the first that is not is
+        named (as ``base`` + its index) in the error."""
+        bitmap = self.frag_bitmap
+        stop = rel_frag + n
+        while rel_frag < stop:
+            index, low = rel_frag >> 3, rel_frag & 7
+            high = min(8, low + stop - rel_frag)
+            span = ((1 << high) - 1) & ~((1 << low) - 1)
+            wrong = (bitmap[index] if free else ~bitmap[index]) & span
+            if wrong:
+                what = "free" if free else "allocation"
+                raise RuntimeError(
+                    f"double {what} of fragment "
+                    f"{base + (index << 3) + _LOWBIT[wrong]}")
+            bitmap[index] ^= span
+            rel_frag += high - low
 
 
 @dataclass
 class Dinode:
     """The on-disk inode: 128 bytes."""
 
-    _FMT = "<HHIQIII" + "I" * NDADDR + "IIII"
+    _LAYOUT = struct.Struct("<HHIQIII" + "I" * NDADDR + "IIII")
 
     mode: int = 0
     nlink: int = 0
@@ -286,8 +448,8 @@ class Dinode:
         return (self.mode & IFMT) == IFREG
 
     def pack(self) -> bytes:
-        data = struct.pack(
-            self._FMT, self.mode, self.nlink, self.uid, self.size,
+        data = self._LAYOUT.pack(
+            self.mode, self.nlink, self.uid, self.size,
             self.atime, self.mtime, self.ctime, *self.direct,
             self.indirect, self.dindirect, self.blocks, self.gen,
         )
@@ -295,13 +457,27 @@ class Dinode:
         return data.ljust(DINODE_SIZE, b"\x00")
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Dinode":
-        values = _unpack_exact(cls._FMT, data, "dinode")
+    def unpack(cls, data: bytes, offset: int = 0) -> "Dinode":
+        values = _unpack_exact(cls._LAYOUT, data, "dinode", offset)
         mode, nlink, uid, size, atime, mtime, ctime = values[:7]
         direct = values[7:7 + NDADDR]
         indirect, dindirect, blocks, gen = values[7 + NDADDR:]
         return cls(mode, nlink, uid, size, atime, mtime, ctime,
                    tuple(direct), indirect, dindirect, blocks, gen)
+
+
+def iter_dinodes(block: bytes) -> "list[tuple[int, Dinode]]":
+    """(slot, dinode) for every allocated slot of an inode block.
+
+    A free slot (mode 0 — the leading little-endian u16) is told from its
+    two mode bytes, and an all-zero block by one compare, so a scan of a
+    mostly-empty inode area unpacks only what is there.
+    """
+    if block == bytes(len(block)):
+        return []
+    return [(offset // DINODE_SIZE, Dinode.unpack(block, offset))
+            for offset in range(0, len(block), DINODE_SIZE)
+            if block[offset] or block[offset + 1]]
 
 
 @dataclass(frozen=True)
@@ -311,7 +487,7 @@ class Dirent:
     ino: int
     name: str
 
-    _HEAD = "<IHH"
+    _HEAD = struct.Struct("<IHH")  # ino, reclen, namelen
 
     def __post_init__(self) -> None:
         if not self.name or len(self.name) > MAX_NAMELEN:
@@ -322,14 +498,13 @@ class Dirent:
     @property
     def reclen_needed(self) -> int:
         """Bytes needed: header + name, rounded to 4."""
-        head = struct.calcsize(self._HEAD)
-        return (head + len(self.name.encode()) + 3) & ~3
+        return (self._HEAD.size + len(self.name.encode()) + 3) & ~3
 
 
 def pack_dirent(ino: int, name: str, reclen: int) -> bytes:
     """Pack one directory entry into exactly ``reclen`` bytes."""
     encoded = name.encode()
-    head = struct.pack(Dirent._HEAD, ino, reclen, len(encoded))
+    head = Dirent._HEAD.pack(ino, reclen, len(encoded))
     body = head + encoded
     if len(body) > reclen:
         raise ValueError("reclen too small for entry")
@@ -338,7 +513,7 @@ def pack_dirent(ino: int, name: str, reclen: int) -> bytes:
 
 def empty_dirblock(bsize: int) -> bytes:
     """A directory block of entirely free slots (one per DIRBLKSIZ chunk)."""
-    slot = struct.pack(Dirent._HEAD, 0, DIRBLKSIZ, 0).ljust(DIRBLKSIZ, b"\x00")
+    slot = Dirent._HEAD.pack(0, DIRBLKSIZ, 0).ljust(DIRBLKSIZ, b"\x00")
     return slot * (bsize // DIRBLKSIZ)
 
 
@@ -348,13 +523,14 @@ def iter_dirents(block: bytes) -> "list[tuple[int, int, str]]":
     Entries never cross DIRBLKSIZ boundaries; an entry with ino == 0 is a
     deleted slot whose reclen still consumes space.
     """
-    head_size = struct.calcsize(Dirent._HEAD)
+    head_size = Dirent._HEAD.size
+    unpack_head = Dirent._HEAD.unpack_from
     entries = []
     for chunk_start in range(0, len(block), DIRBLKSIZ):
         offset = chunk_start
         chunk_end = min(chunk_start + DIRBLKSIZ, len(block))
         while offset < chunk_end:
-            ino, reclen, namelen = struct.unpack_from(Dirent._HEAD, block, offset)
+            ino, reclen, namelen = unpack_head(block, offset)
             if reclen < head_size or offset + reclen > chunk_end or reclen % 4:
                 raise CorruptionError(
                     f"bad directory reclen {reclen} at offset {offset}"

@@ -125,6 +125,18 @@ def test_detects_out_of_range_pointer(fresh):
     assert any("out of range" in f for f in report.findings)
 
 
+def test_corrupt_huge_size_is_reported_not_iterated(fresh):
+    """di_size is 64 bits of untrusted disk: a dead loop once ran up to it
+    (1 << 44 took half a minute, 1 << 60 never came back)."""
+    store, sb = fresh
+    bogus = Dinode(mode=IFREG | 0o644, nlink=0, size=1 << 60)
+    write_dinode(store, sb, 5, bogus)
+    report = fsck(store, repair=True)
+    assert any("impossible size" in f for f in report.findings)
+    assert report.repairs
+    assert fsck(store).clean
+
+
 def test_report_str_format(fresh):
     store, _ = fresh
     text = str(fsck(store))
