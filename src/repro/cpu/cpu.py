@@ -9,7 +9,7 @@ went — the breakdown behind the paper's figure 12.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.cpu.costs import CostTable
 from repro.sim.events import Event
@@ -40,18 +40,23 @@ class Cpu:
         ) and self.costs.copy_bandwidth == float("inf")
 
     # -- process context ---------------------------------------------------
-    def work(self, tag: str, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy the CPU for ``seconds``, charged to ``tag``."""
+    def work(self, tag: str, seconds: float) -> Iterator[Event]:
+        """Occupy the CPU for ``seconds``, charged to ``tag``.
+
+        Not a generator itself: it books the charge and hands the caller's
+        ``yield from`` the resource's own generator, so a charge is one
+        generator frame deep, and a free one none.
+        """
         if seconds < 0:
             raise ValueError("CPU work duration must be >= 0")
         if seconds == 0:
-            return
+            return iter(())
         self.ledger.incr(tag, seconds)
-        yield from self.resource.use(seconds)
+        return self.resource.use(seconds)
 
-    def copy(self, tag: str, nbytes: int) -> Generator[Event, Any, None]:
+    def copy(self, tag: str, nbytes: int) -> Iterator[Event]:
         """Charge a kernel<->user copy of ``nbytes`` to ``tag``."""
-        yield from self.work(tag, self.costs.copy_cost(nbytes))
+        return self.work(tag, self.costs.copy_cost(nbytes))
 
     # -- interrupt context ---------------------------------------------------
     def interrupt_charge(self, tag: str, seconds: float) -> float:

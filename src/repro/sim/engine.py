@@ -6,11 +6,16 @@ timeouts, event callbacks, process resumptions, disk interrupts — flows
 through this single heap, so runs are fully deterministic for a given seed
 and workload.
 
-``handle`` is a :class:`Scheduled` for entries somebody may cancel (timeouts,
-recurring timers, public :meth:`Engine.schedule` callers) and ``None`` for
-the engine's own zero-delay posts (event callbacks, process starts), which
-nobody can.  Both shapes draw ``seq`` from one counter, so ``(time, seq)``
-— the order callbacks run in — does not depend on which shape an entry has.
+``handle`` carries the ``daemon``/``cancelled``/``fired`` flags of an entry
+somebody may cancel — a :class:`Scheduled` for recurring timers and public
+:meth:`Engine.schedule` callers, the :class:`~repro.sim.events.Timeout`
+itself for a timeout — and is ``None`` for the engine's own zero-delay posts
+(event callbacks, process starts), which nobody can.  All shapes draw ``seq``
+from one counter, so ``(time, seq)`` — the order callbacks run in — does not
+depend on which shape an entry has.
+
+A zero-delay hop may be skipped — its callback run by the step that would
+have pushed it — only under :meth:`Engine._quiet_now` (DESIGN.md §5.2).
 """
 
 from __future__ import annotations
@@ -137,10 +142,17 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         entry = Scheduled(daemon)
-        heappush(self._heap, (self._now + delay, next(self._seq), fn, arg, entry))
-        if not daemon:
-            self._live += 1
+        self._push(delay, fn, arg, entry)
         return entry
+
+    def _push(self, delay: float, fn: Callable[[Any], None], arg: Any,
+              handle: Any) -> None:
+        """Push ``fn(arg)`` under a caller-made ``handle``: any object with
+        ``daemon``, ``cancelled`` and ``fired`` attributes (a
+        :class:`Scheduled`, or a ``Timeout`` standing in for its own)."""
+        heappush(self._heap, (self._now + delay, next(self._seq), fn, arg, handle))
+        if not handle.daemon:
+            self._live += 1
 
     def _post(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` at the current time, after everything already
@@ -148,7 +160,19 @@ class Engine:
         heappush(self._heap, (self._now, next(self._seq), fn, arg, None))
         self._live += 1
 
-    def cancel(self, entry: Scheduled) -> None:
+    def _quiet_now(self) -> bool:
+        """True when no heap entry is due at the current instant.
+
+        The one condition under which a zero-delay hop may be elided: an
+        entry pushed now would be the next one popped, so running its
+        callback in the current step changes neither the order callback
+        bodies run in nor the clock they see.  A cancelled entry due now
+        counts as due — falling back is always safe.
+        """
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
+
+    def cancel(self, entry: "Scheduled | Timeout") -> None:
         """Cancel a scheduled entry; a no-op if already cancelled or fired.
 
         The heap slot stays behind but is skipped (without advancing time)

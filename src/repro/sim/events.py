@@ -134,11 +134,14 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
-    ``daemon=True`` marks the underlying heap entry as housekeeping that
-    must not keep :meth:`Engine.run` alive (see Engine.schedule).
+    ``daemon=True`` marks the heap entry as housekeeping that must not keep
+    :meth:`Engine.run` alive (see Engine.schedule).  The timeout is the
+    handle of its own heap entry (``daemon``/``cancelled``/``fired``, what
+    :meth:`Engine.cancel` and :meth:`Engine.step` read), so the hottest
+    event in the simulator costs one object, not two.
     """
 
-    __slots__ = ("delay", "_entry")
+    __slots__ = ("delay", "daemon", "cancelled", "fired")
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None,
                  daemon: bool = False):
@@ -146,7 +149,10 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay {delay}")
         super().__init__(engine, name=("timeout(%g)", delay))
         self.delay = delay
-        self._entry = engine.schedule(delay, self._expire, value, daemon=daemon)
+        self.daemon = daemon
+        self.cancelled = False
+        self.fired = False
+        engine._push(delay, self._expire, value, self)
 
     def cancel(self) -> None:
         """Abandon the timeout: it will never trigger (no-op if it has).
@@ -154,11 +160,25 @@ class Timeout(Event):
         Used by races like "reply versus retransmission timer" so the loser
         does not keep the engine busy or stretch simulated time.
         """
-        if not self.triggered:
-            self.engine.cancel(self._entry)
+        self.engine.cancel(self)
 
     def _expire(self, value: Any) -> None:
-        self.succeed(value)
+        """Trigger, and — when nothing else is due at this instant — run the
+        first waiter here instead of through a heap entry that would be the
+        very next one popped.  Later waiters are posted first, so they still
+        run after it and before anything it posts, and while it runs the
+        heap shows them due now: every elision guard inside it falls back.
+        """
+        engine = self.engine
+        callbacks = self._callbacks
+        if not callbacks or not engine._quiet_now():
+            self.succeed(value)
+            return
+        self._value = value
+        self._callbacks = None
+        for cb in callbacks[1:]:
+            engine._post(cb, self)
+        callbacks[0](self)
 
 
 ProcessGen = Generator[Event, Any, Any]

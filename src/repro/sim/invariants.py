@@ -124,7 +124,15 @@ class Sanitizer:
             fn(self, point, idle, deep)
 
     def attach_every(self, steps: int) -> None:
-        """Also run the non-idle-safe checks every ``steps`` engine steps."""
+        """Also run the non-idle-safe checks every ``steps`` engine steps.
+
+        A step is one popped heap entry plus whatever continuation ran in
+        it (DESIGN.md §5.2): a unit of host work, not of simulated work.
+        With hop elision a step covers ~2.4x the simulated work of one
+        callback, so pick ``steps`` that much lower than a per-callback
+        cadence would suggest.  Every step boundary is one an engine that
+        took every hop would also have.
+        """
         if steps <= 0:
             raise ValueError("steps must be positive")
         engine = self.system.engine

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -71,6 +71,19 @@ class Semaphore:
             self._value -= n
             return True
         return False
+
+    def abandon(self, ev: Event, n: int = 1) -> None:
+        """Give back an :meth:`acquire` of ``n`` whose waiter will never
+        consume it (it was interrupted, or failed, while waiting on ``ev``).
+
+        A still-queued request leaves the queue — the one behind it may now
+        fit; one granted in the meantime returns its units.
+        """
+        if ev.triggered:
+            self.release(n)
+        else:
+            self._waiters.remove((ev, n))
+            self._grant()
 
     def release(self, n: int = 1) -> None:
         """Return ``n`` units and wake FIFO waiters whose requests now fit."""
@@ -132,14 +145,24 @@ class Resource:
         """Acquire, hold for ``duration``, release.  Use with ``yield from``."""
         if duration < 0:
             raise ValueError("duration must be >= 0")
-        yield self._sem.acquire(1)
+        engine, sem = self.engine, self._sem
+        # A free slot is taken here, without the grant's heap hop, when that
+        # hop would be the next entry popped anyway (Engine._quiet_now); a
+        # contended request queues and keeps its FIFO grant hop.
+        if not (engine._quiet_now() and sem.try_acquire(1)):
+            grant = sem.acquire(1)
+            try:
+                yield grant
+            except BaseException:
+                sem.abandon(grant)
+                raise
         try:
             if duration > 0:
-                yield self.engine.timeout(duration)
+                yield Timeout(engine, duration)
             self.busy_time += duration
             self.service_count += 1
         finally:
-            self._sem.release(1)
+            sem.release(1)
 
     def utilization(self, elapsed: float | None = None) -> float:
         """Fraction of time busy, relative to ``elapsed`` (default: now)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import CostTable, Cpu
-from repro.sim import Engine
+from repro.sim import Engine, Interrupt
 from repro.units import MB, US
 
 
@@ -56,6 +56,28 @@ def test_cpu_contention_serializes():
     eng.run()
     assert finish == {"a": 1.0, "b": 2.0}
     assert cpu.utilization() == pytest.approx(1.0)
+
+
+def test_interrupt_while_queued_for_the_cpu_leaves_it_usable():
+    eng = Engine()
+    cpu = Cpu(eng)
+    finish = {}
+
+    def user(tag, arrive):
+        yield eng.timeout(arrive)
+        try:
+            yield from cpu.work(tag, 1.0)
+        except Interrupt:
+            tag += " (interrupted)"
+        finish[tag] = eng.now
+
+    eng.process(user("a", 0.0))
+    queued = eng.process(user("b", 0.25))
+    eng.process(user("c", 2.0))
+    eng.schedule(0.5, lambda _: queued.interrupt())
+    eng.run()
+    assert finish == {"b (interrupted)": 0.5, "a": 1.0, "c": 3.0}
+    assert (cpu.resource.in_use, cpu.resource.queue_length) == (0, 0)
 
 
 def test_copy_uses_bandwidth():

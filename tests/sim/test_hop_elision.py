@@ -1,0 +1,457 @@
+"""The hop-eliding engine against one that takes every hop (DESIGN.md §5.2).
+
+``Timeout._expire`` runs its first waiter, and an uncontended
+``Resource.use`` takes its slot, in the step that would otherwise have
+pushed a heap entry for it — but only when nothing else is due at that
+instant, so that entry would have been the next one popped.  The rule this
+file pins: callback bodies run in the same order and see the same clock as
+on an engine with no elision at all.
+
+``RefEngine`` is that engine, kept here and not in ``src/``: the parent
+commit's ``Timeout._expire`` and ``Resource.use`` verbatim (``use`` with the
+abandoned-waiter fix, which changes behaviour on purpose and is pinned in
+``test_resources.py``).  Random programs must log the same
+``(now, process, label)`` sequence on both; the hand cases below name the
+orders the guard exists for, and each fails under one of: guard removed
+from the timeout path, guard removed from the acquire path, waiters
+dispatched in reverse, every waiter run inline.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cpu import Cpu
+from repro.sim import (AllOf, AnyOf, Engine, EventFailed, Interrupt, Resource,
+                       Semaphore, Signal, Timeout)
+
+
+# -- the reference: every hop taken ------------------------------------------
+
+class RefTimeout(Timeout):
+    def _expire(self, value):
+        self.succeed(value)
+
+
+class RefResource(Resource):
+    def use(self, duration):
+        if duration < 0:
+            raise ValueError("duration must be >= 0")
+        grant = self._sem.acquire(1)
+        try:
+            yield grant
+        except BaseException:
+            self._sem.abandon(grant)
+            raise
+        try:
+            if duration > 0:
+                yield self.engine.timeout(duration)
+            self.busy_time += duration
+            self.service_count += 1
+        finally:
+            self._sem.release(1)
+
+
+class RefEngine(Engine):
+    def timeout(self, delay, value=None, daemon=False):
+        return RefTimeout(self, delay, value, daemon=daemon)
+
+
+def make_resource(eng, **kwargs):
+    """A resource of the kind that goes with ``eng``."""
+    cls = RefResource if isinstance(eng, RefEngine) else Resource
+    return cls(eng, **kwargs)
+
+
+def drain(eng, max_steps=20_000):
+    """Run to idle one step at a time, checking the liveness count at every
+    step boundary; returns the number of steps taken."""
+    steps = 0
+    while eng._heap and eng._live:
+        assert eng.step()
+        assert eng._live == eng.live_pending()
+        assert not eng._crashed, eng._crashed
+        steps += 1
+        assert steps < max_steps
+    return steps
+
+
+# -- random programs -----------------------------------------------------------
+
+DELAYS = st.sampled_from([0, 0.5, 1, 1, 1.5, 2])
+SMALL = st.integers(0, 1)
+PID = st.integers(0, 4)
+
+OPS = st.one_of(
+    st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.just("daemon_sleep"), DELAYS),
+    st.tuples(st.just("shared_sleep"), SMALL, DELAYS),
+    st.tuples(st.just("use"), SMALL, DELAYS),
+    st.tuples(st.just("work"), DELAYS),
+    st.tuples(st.just("acquire"), SMALL, st.integers(1, 2)),
+    st.tuples(st.just("release"), SMALL, st.integers(1, 2)),
+    st.tuples(st.just("wait"), SMALL),
+    st.tuples(st.just("fire"), SMALL),
+    st.tuples(st.just("race"), DELAYS, DELAYS),
+    st.tuples(st.just("all"), DELAYS, DELAYS),
+    st.tuples(st.just("wait_event"), st.integers(0, 2)),
+    st.tuples(st.just("trigger_at"), st.integers(0, 2), DELAYS, st.booleans()),
+    st.tuples(st.just("interrupt"), PID),
+    st.tuples(st.just("join"), PID),
+    st.tuples(st.just("every"), st.sampled_from([0.5, 1]), st.integers(1, 3),
+              st.booleans()),
+)
+PROGRAMS = st.lists(st.lists(OPS, max_size=8), min_size=1, max_size=5)
+
+
+class World:
+    """One engine plus the shared objects the programs' ops name by index."""
+
+    def __init__(self, eng, programs):
+        self.eng = eng
+        self.log = []
+        self.resources = [make_resource(eng, capacity=1), make_resource(eng, capacity=2)]
+        self.cpu = Cpu(eng)
+        self.cpu.resource = make_resource(eng, capacity=1, name="cpu")
+        self.sems = [Semaphore(eng, 0), Semaphore(eng, 1)]
+        self.signals = [Signal(eng), Signal(eng)]
+        self.events = [eng.event(f"e{i}") for i in range(3)]
+        self.timers = [None, None]
+        self.procs = [eng.process(self.body(pid, ops), name=f"p{pid}")
+                      for pid, ops in enumerate(programs)]
+
+    def note(self, who, label):
+        self.log.append((self.eng.now, who, label))
+
+    def body(self, pid, ops):
+        for index, op in enumerate(ops):
+            try:
+                yield from getattr(self, "op_" + op[0])(pid, *op[1:])
+                self.note(pid, f"{index}:{op[0]}")
+            except Interrupt:
+                self.note(pid, f"{index}:interrupted")
+            except EventFailed:
+                self.note(pid, f"{index}:failed")
+
+    def op_sleep(self, pid, delay):
+        yield self.eng.timeout(delay)
+
+    def op_daemon_sleep(self, pid, delay):
+        yield self.eng.timeout(delay, daemon=True)
+
+    def op_shared_sleep(self, pid, which, delay):
+        # Several processes on one Timeout: whoever finds none pending arms it.
+        timer = self.timers[which]
+        if timer is None or timer.triggered:
+            timer = self.timers[which] = self.eng.timeout(delay)
+        yield timer
+
+    def op_use(self, pid, which, delay):
+        yield from self.resources[which].use(delay)
+
+    def op_work(self, pid, delay):
+        yield from self.cpu.work("op", delay)
+
+    def op_acquire(self, pid, which, n):
+        yield self.sems[which].acquire(n)
+
+    def op_release(self, pid, which, n):
+        self.sems[which].release(n)
+        yield from ()
+
+    def op_wait(self, pid, which):
+        yield self.signals[which].wait()
+
+    def op_fire(self, pid, which):
+        self.signals[which].fire()
+        yield from ()
+
+    def op_race(self, pid, first, second):
+        timers = [self.eng.timeout(first), self.eng.timeout(second)]
+        winner = yield AnyOf(self.eng, timers)
+        for timer in timers:
+            if timer is not winner:
+                timer.cancel()
+        self.note(pid, f"won:{timers.index(winner)}")
+
+    def op_all(self, pid, first, second):
+        yield AllOf(self.eng, [self.eng.timeout(first), self.eng.timeout(second)])
+
+    def op_wait_event(self, pid, which):
+        yield self.events[which]
+
+    def op_trigger_at(self, pid, which, delay, fail):
+        event = self.events[which]
+
+        def trigger(_):
+            self.note("cb", f"trigger:{which}")
+            if not event.triggered:
+                if fail:
+                    event.fail(ValueError(which))
+                else:
+                    event.succeed()
+
+        self.eng.schedule(delay, trigger)
+        yield from ()
+
+    def op_interrupt(self, pid, target):
+        if target < len(self.procs):
+            self.procs[target].interrupt()
+        yield from ()
+
+    def op_join(self, pid, target):
+        if target < len(self.procs) and target != pid:
+            yield self.procs[target]
+
+    def op_every(self, pid, interval, fires, daemon):
+        def tick():
+            self.note("tick", f"{pid}:{timer.fires}")
+            if timer.fires == fires:
+                timer.cancel()
+
+        timer = self.eng.every(interval, tick, daemon=daemon)
+        yield from ()
+
+    def final_state(self):
+        return (
+            self.eng.now,
+            [(r.busy_time, r.service_count, r.in_use, r.queue_length)
+             for r in self.resources + [self.cpu.resource]],
+            self.cpu.breakdown(),
+            [(s.value, s.waiting) for s in self.sems],
+            [(g.waiting, g.fire_count) for g in self.signals],
+            [p.triggered for p in self.procs],
+        )
+
+
+def run_programs(engine_cls, programs):
+    world = World(engine_cls(), programs)
+    steps = drain(world.eng)
+    return world.log, world.final_state(), steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS)
+def test_random_programs_log_the_same_on_both_engines(programs):
+    ref_log, ref_state, ref_steps = run_programs(RefEngine, programs)
+    log, state, steps = run_programs(Engine, programs)
+    assert log == ref_log
+    assert state == ref_state
+    assert steps <= ref_steps
+
+
+# -- hand cases ------------------------------------------------------------------
+
+def both(scenario):
+    """Run ``scenario(eng, note)`` on both engines; return (lean, ref) as
+    ``(log, steps)`` pairs after checking the logs agree."""
+    results = []
+    for engine_cls in (Engine, RefEngine):
+        eng = engine_cls()
+        log = []
+        scenario(eng, lambda label: log.append((eng.now, label)))
+        results.append((log, drain(eng)))
+    assert results[0][0] == results[1][0]
+    return results
+
+
+def test_same_instant_timeouts_and_a_zero_delay_post_run_in_time_seq_order():
+    def scenario(eng, note):
+        def sleeper(tag, delay):
+            yield eng.timeout(delay)
+            note(tag)
+
+        def poster():
+            yield eng.timeout(1)
+            eng.event().succeed().add_callback(lambda _: note("post"))
+            note("c")
+
+        eng.process(sleeper("a", 1))
+        eng.process(sleeper("b", 1))
+        eng.process(poster())
+
+    (log, _), _ = both(scenario)
+    assert log == [(1, "a"), (1, "b"), (1, "c"), (1, "post")]
+
+
+def test_expiry_posts_its_waiter_while_another_entry_is_due():
+    def scenario(eng, note):
+        def sleeper(tag):
+            yield eng.timeout(1)
+            note(tag)
+
+        eng.process(sleeper("a"))
+        eng.process(sleeper("b"))
+
+    (log, steps), (_, ref_steps) = both(scenario)
+    assert log == [(1, "a"), (1, "b")]
+    # a's expiry sees b's timeout due and posts; b's sees that post and posts
+    # too: no hop saved, two process starts + two expiries + two resumes.
+    assert steps == ref_steps == 6
+
+
+def test_lone_expiry_resumes_its_waiter_in_the_same_step():
+    def scenario(eng, note):
+        def sleeper():
+            yield eng.timeout(1)
+            note("a")
+            yield eng.timeout(1)
+            note("b")
+
+        eng.process(sleeper())
+
+    (log, steps), (_, ref_steps) = both(scenario)
+    assert log == [(1, "a"), (2, "b")]
+    assert (steps, ref_steps) == (3, 5)
+
+
+def test_event_triggered_by_a_scheduled_callback_as_a_timeout_expires():
+    # At t=1 the schedule() callback runs first and posts e's waiter; the
+    # timeout expiring next must queue its own waiter behind that post.
+    def scenario(eng, note):
+        gate = eng.event("gate")
+
+        def on_gate():
+            yield gate
+            note("gate waiter")
+
+        def on_timer():
+            yield eng.timeout(1)
+            note("timer waiter")
+
+        eng.process(on_gate())
+        eng.schedule(1, lambda _: gate.succeed())
+        eng.process(on_timer())
+
+    (log, _), _ = both(scenario)
+    assert log == [(1, "gate waiter"), (1, "timer waiter")]
+
+
+def test_later_waiters_of_one_timeout_run_before_what_the_first_one_posts():
+    def scenario(eng, note):
+        timer = eng.timeout(1)
+        res = make_resource(eng, capacity=2)
+
+        def first():
+            yield timer
+            note("first")
+            yield from res.use(1)  # second is still due: keeps its hop
+            note("first done")
+
+        def later(tag):
+            yield timer
+            note(tag)
+            yield eng.timeout(1)
+            note(tag + " done")
+
+        eng.process(first())
+        eng.process(later("second"))
+        eng.process(later("third"))
+
+    (log, _), _ = both(scenario)
+    assert log == [(1, "first"), (1, "second"), (1, "third"),
+                   (2, "second done"), (2, "third done"), (2, "first done")]
+
+
+def test_charge_behind_a_wakeup_it_posted_keeps_its_acquire_hop():
+    def scenario(eng, note):
+        res = make_resource(eng, capacity=1)
+        sig = Signal(eng)
+
+        def sleeper():
+            yield sig.wait()
+            yield eng.timeout(1)
+            note("sleeper")
+
+        def charger():
+            yield eng.timeout(1)
+            sig.fire()          # sleeper's resume is now due ...
+            yield from res.use(1)  # ... so this timeout is armed after its
+            note("charger")
+
+        eng.process(sleeper())
+        eng.process(charger())
+
+    (log, _), _ = both(scenario)
+    assert log == [(2, "sleeper"), (2, "charger")]
+
+
+def test_uncontended_charge_is_one_step_contended_two_and_fifo():
+    def charges(users, each):
+        def scenario(eng, note):
+            cpu = Cpu(eng)
+            cpu.resource = make_resource(eng, capacity=1, name="cpu")
+
+            def user(tag):
+                for _ in range(each):
+                    yield from cpu.work(tag, 0.5)
+                    note(tag)
+
+            for tag in users:
+                eng.process(user(tag))
+        return scenario
+
+    (log, steps), (_, ref_steps) = both(charges("a", each=3))
+    assert log == [(0.5, "a"), (1.0, "a"), (1.5, "a")]
+    # The process start, then per charge: the timeout's own step, against
+    # acquire hop + timeout + resume hop.
+    assert (steps, ref_steps) == (1 + 3 * 1, 1 + 3 * 3)
+
+    (log, steps), (_, ref_steps) = both(charges("abc", each=1))
+    assert log == [(0.5, "a"), (1.0, "b"), (1.5, "c")]
+    # Three starts due at once, so every charge keeps its grant hop (a's
+    # because b and c are due, theirs because they queued) and saves only
+    # the resume hop: 2 steps each, against 3.
+    assert (steps, ref_steps) == (3 + 3 * 2, 3 + 3 * 3)
+
+
+def test_cancel_before_and_after_an_inline_expiry():
+    eng = Engine()
+    log = []
+
+    def sleeper(timer, tag):
+        yield timer
+        log.append((eng.now, tag))
+
+    doomed, kept = eng.timeout(1), eng.timeout(2)
+    eng.process(sleeper(doomed, "doomed"))
+    eng.process(sleeper(kept, "kept"))
+    eng.schedule(0.5, lambda _: doomed.cancel())
+    drain(eng)
+    assert log == [(2, "kept")]
+    assert (doomed.cancelled, doomed.fired, doomed.triggered) == (True, False, False)
+    assert (kept.cancelled, kept.fired, kept.ok) == (False, True, True)
+    kept.cancel()  # after it fired: a no-op that must not touch liveness
+    doomed.cancel()
+    assert eng._live == eng.live_pending() == 0
+    assert eng.now == 2  # the cancelled entry never advanced the clock
+
+
+def test_failed_event_still_throws_into_the_waiter():
+    def scenario(eng, note):
+        gate = eng.event("gate")
+
+        def waiter():
+            yield eng.timeout(1)  # resumed inline by the expiry ...
+            try:
+                yield gate        # ... and a failure still arrives as a throw
+            except EventFailed as failure:
+                note(f"failed: {failure.args[0]}")
+
+        eng.process(waiter())
+        eng.schedule(2, lambda _: gate.fail(ValueError("boom")))
+
+    (log, _), _ = both(scenario)
+    assert log == [(2, "failed: boom")]
+
+
+def test_crash_in_an_inline_waiter_surfaces_from_run():
+    eng = Engine()
+
+    def crasher():
+        yield eng.timeout(1)
+        raise KeyError("bug")
+
+    eng.process(crasher())
+    with pytest.raises(Exception, match="crashed at t=1"):
+        eng.run()

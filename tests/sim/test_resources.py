@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Resource, Semaphore, Signal
+from repro.sim import Engine, Interrupt, Resource, Semaphore, Signal
 
 
 def test_semaphore_immediate_grant():
@@ -171,6 +171,68 @@ def test_resource_zero_duration_use():
 
     assert eng.run_process(user()) == 0
     assert res.in_use == 0
+
+
+def test_interrupted_queued_waiter_does_not_leak_the_slot():
+    """holder uses [0, 1]; victim queues behind it and is interrupted at
+    t=0.5; a late user arriving at t=2 must still be served."""
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    log = []
+
+    def user(tag, arrive):
+        yield eng.timeout(arrive)
+        try:
+            yield from res.use(1.0)
+        except Interrupt:
+            log.append((tag, "interrupted", eng.now))
+        else:
+            log.append((tag, "served", eng.now))
+
+    eng.process(user("holder", 0.0))
+    victim = eng.process(user("victim", 0.25))
+    late = eng.process(user("late", 2.0))
+    eng.schedule(0.5, lambda _: victim.interrupt())
+    eng.run()
+    assert log == [("victim", "interrupted", 0.5), ("holder", "served", 1.0),
+                   ("late", "served", 3.0)]
+    assert late.triggered
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_waiter_interrupted_in_the_instant_of_its_grant_returns_the_slot():
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    log = []
+
+    def victim_body():
+        try:
+            yield from res.use(1.0)
+        except Interrupt:
+            log.append(("interrupted", eng.now))
+
+    def interrupt_then_release(_):
+        # The throw is posted first, so it lands on a wait that release()
+        # has granted in the meantime.
+        victim.interrupt()
+        res.release()
+
+    assert res.acquire().triggered
+    victim = eng.process(victim_body())
+    eng.schedule(1.0, interrupt_then_release)
+    eng.run()
+    assert log == [("interrupted", 1.0)]
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_abandoning_the_queue_head_lets_a_smaller_request_through():
+    eng = Engine()
+    sem = Semaphore(eng, 1)
+    big, small = sem.acquire(5), sem.acquire(1)
+    assert not small.triggered  # strict FIFO: stuck behind the big request
+    sem.abandon(big, 5)
+    assert small.triggered and not big.triggered
+    assert (sem.value, sem.waiting) == (0, 0)
 
 
 def test_signal_broadcast():
