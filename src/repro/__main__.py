@@ -7,25 +7,10 @@ Commands:
 * ``cpubench`` — the figure 12 CPU comparison;
 * ``musbus [--users 4]`` — the timesharing mix;
 * ``traces`` — print the figure 3/6/7 event-trace diagrams;
-* ``faultcampaign [--cuts 50] [--seed 0] [--json PATH]`` — seeded
-  power-cut crash-consistency sweep (fault injection + fsck repair);
-* ``netcampaign [--seeds 20] [--seed 0] [--json PATH]`` — seeded
-  network-fault sweep over NFS (drops/duplicates/corruption/partitions/
-  server reboots against the RPC hardening: no lost acknowledged writes,
-  exactly-once mutations);
-* ``memberkill [--seeds 10] [--seed 0] [--json PATH]`` — seeded
-  mirror-member-death sweep: kill one member of a mirror:2 volume
-  mid-workload, verify degraded reads serve every acknowledged byte,
-  then resync and demand byte-identical members;
-* ``crashpoints [--preset smoke] [--seed 0] [--json PATH]`` — exhaustive
-  crash-state exploration: record a workload over a volatile write cache,
-  enumerate every bounded-legal crash state (cache subsets × torn
-  destages), fsck-repair and remount each distinct image, and hold every
-  acknowledged durability point to its word;
-* ``scrubcampaign [--seed 0] [--json PATH]`` — seeded silent-corruption
-  sweep: inject bit rot / misdirected / torn / zeroed fragments into a
-  checksummed file system, run a scrub pass, and audit every outcome
-  (detect, repair-from-replica/cache, precise EIO, rehabilitation);
+* the five campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
+  from it at the end of this docstring — all take ``[--seed 0]
+  [--sanitize] [--json [PATH]]``, exit 0 when every invariant held, 1 on
+  a violated invariant or an inert injection, 2 on a bad argument;
 * ``simcheck [--file-mb 4] [--json PATH]`` — the determinism differ: run
   IObench twice with the sanitizer on and demand identical stable trace
   digests;
@@ -43,8 +28,8 @@ Commands:
   selected metrics namespaces (``series``);
 * ``demo`` — a short guided tour (quickstart + fsck).
 
-``iobench``, ``faultcampaign``, and ``netcampaign`` accept ``--sanitize``
-to run with the cross-layer invariant sanitizer enabled (see
+``iobench`` and every campaign accept ``--sanitize`` to run with the
+cross-layer invariant sanitizer enabled (see
 ``repro.sim.invariants``); the ``REPRO_SANITIZE`` environment variable
 sets the default.
 
@@ -57,6 +42,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
+from pathlib import Path
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 def _emit(args: argparse.Namespace):
@@ -171,12 +159,28 @@ def _cmd_musbus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checkout_file(command: str, *parts: str) -> "Path | None":
+    """A file of the checkout that holds this package (``src/repro`` sits
+    two levels below its root), whatever the working directory; an
+    installed package has no ``examples/`` or ``benchmarks/`` beside it."""
+    path = Path(__file__).resolve().parents[2].joinpath(*parts)
+    if path.is_file():
+        return path
+    print(f"{command}: needs a source checkout ({path} not found)",
+          file=sys.stderr)
+    return None
+
+
 def _cmd_traces(args: argparse.Namespace) -> int:
     import subprocess
 
+    bench = _checkout_file("traces", "benchmarks",
+                           "bench_fig03_06_07_traces.py")
+    if bench is None:
+        return 2
     return subprocess.call([
         sys.executable, "-m", "pytest", "-q", "-s", "--benchmark-only",
-        "benchmarks/bench_fig03_06_07_traces.py",
+        str(bench),
     ])
 
 
@@ -196,153 +200,132 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_json(path: str, document: dict, say=print) -> None:
-    import json
+class CampaignCommand(NamedTuple):
+    """One campaign subcommand: a row of :data:`CAMPAIGNS`.
 
-    if path == "-":
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    say(f"wrote {path}")
+    ``cls`` is ``module:Class``, imported at use so ``--help`` never pays
+    for the simulator.  ``flags`` are ``(parameter, default, help)``: each
+    constructor parameter named becomes a ``--flag`` beside ``--seed`` /
+    ``--sanitize`` / ``--json``; the seed goes in as ``seed_arg``, and a
+    ``ValueError`` from the constructor is a bad argument.  ``inert(stats)`` is true when a sweep
+    passed without exercising what it injects; ``notes(campaign)`` yields
+    extra human lines after the counters.
+    """
+
+    name: str
+    help: str
+    cls: str
+    flags: "tuple[tuple[str, Any, str], ...]"
+    failure: str
+    seed_arg: str = "seed"
+    inert: "Callable[[Any], bool] | None" = None
+    notes: "Callable[[Any], Iterable[str]] | None" = None
 
 
-def _cmd_faultcampaign(args: argparse.Namespace) -> int:
-    from repro.faults import CrashCampaign
+def _crashpoint_notes(explorer: Any) -> Iterable[str]:
+    if explorer.stats.states_truncated:
+        yield (f"NOTE: enumeration truncated at --max-states="
+               f"{explorer.max_states}; coverage is partial")
+    for v in explorer.records[:10]:
+        yield (f"  [{v['category']}] {v['detail']} (crash point "
+               f"{v['event_index']}, torn={v['torn']})")
+        for span in v["spans"][:1]:
+            yield "    " + span.replace("\n", "\n    ")
 
+
+CAMPAIGNS = (
+    CampaignCommand(
+        "faultcampaign",
+        "seeded power cuts over a write/fsync workload (torn writes, fsck "
+        "repair, fsync read-back)",
+        "repro.faults:CrashCampaign",
+        (("cuts", 50, "number of seeded power-cut points"),
+         ("trace", False, "print a per-cut trace summary")),
+        "corruption or unrepaired damage detected",
+        notes=lambda c: (r.describe() for r in c.trace_records
+                         if r.tag == "power_cut")),
+    CampaignCommand(
+        "netcampaign",
+        "seeded network faults over an NFS workload (drops, duplicates, "
+        "corruption, partitions, server reboots: no lost acknowledged "
+        "write, exactly-once mutations)",
+        "repro.faults:NetCampaign",
+        (("seeds", 20, "number of seeded fault schedules"),),
+        "an RPC-hardening invariant was violated",
+        seed_arg="base_seed",
+        inert=lambda s: s.retransmits == 0 or s.drc_hits == 0),
+    CampaignCommand(
+        "memberkill",
+        "seeded mirror-member deaths: degraded reads serve every "
+        "acknowledged byte, the survivor alone is complete, resync ends "
+        "byte-identical",
+        "repro.faults:MirrorKillCampaign",
+        (("seeds", 10, "number of seeded member kills"),),
+        "a mirror-redundancy invariant was violated",
+        seed_arg="base_seed"),
+    CampaignCommand(
+        "crashpoints",
+        "every bounded-legal crash state of a workload recorded over a "
+        "volatile write cache (cache subsets x torn destages): fsck-repair, "
+        "remount, hold each durability point to its word",
+        "repro.faults:CrashpointExplorer",
+        (("preset", "smoke", "workload preset (see "
+                             "repro.faults.crashpoints.PRESETS)"),
+         ("max_states", 20000, "raw crash-state budget")),
+        "a distinct crash state broke its durability contract",
+        notes=_crashpoint_notes),
+    CampaignCommand(
+        "scrubcampaign",
+        "seeded silent corruption (bit rot, misdirected, torn and zeroed "
+        "fragments), then scrubbing: detect, repair, precise EIO, "
+        "rehabilitation",
+        "repro.integrity:ScrubCampaign",
+        (),
+        "a corruption went undetected, misrepaired, or surfaced without "
+        "EIO semantics"),
+)
+
+__doc__ = (__doc__ or "") + (
+    "\nCampaign commands (from ``CAMPAIGNS``):\n\n" + "".join(
+        f"* ``{row.name}`` — {row.help};\n" for row in CAMPAIGNS))
+
+
+def build_campaign(args: argparse.Namespace) -> Any:
+    """The campaign a parsed campaign command line asks for."""
+    row: CampaignCommand = args.campaign
+    module, _, cls = row.cls.partition(":")
+    kwargs = {name: getattr(args, name) for name, _, _ in row.flags}
+    kwargs[row.seed_arg] = args.seed
+    return getattr(import_module(module), cls)(
+        sanitize=True if args.sanitize else None, **kwargs)
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.faults.harness import write_json
+
+    row: CampaignCommand = args.campaign
     say = _emit(args)
-    if args.cuts < 1:
-        print("faultcampaign: --cuts must be >= 1", file=sys.stderr)
+    try:
+        campaign = build_campaign(args)
+    except ValueError as exc:
+        print(f"{row.name}: {exc}", file=sys.stderr)
         return 2
-    campaign = CrashCampaign(cuts=args.cuts, seed=args.seed,
-                             trace=args.trace,
-                             sanitize=True if args.sanitize else None)
-    say(f"running {args.cuts} seeded power cuts (seed={args.seed})...")
+    say(f"{row.name} (seed={args.seed}): {row.help}...")
     stats = campaign.run()
     say(stats)
-    if args.trace:
-        for record in campaign.trace_records:
-            if record.tag == "power_cut":
-                say(record.describe())
+    say(f"{'digest':26} {campaign.digest}")
+    for line in (row.notes(campaign) if row.notes else ()):
+        say(line)
     if args.json:
-        _write_json(args.json, campaign.to_json(), say)
-    failed = (stats.silent_corruptions > 0
-              or stats.clean_after_repair < stats.cuts)
-    if failed:
-        say("FAILED: corruption or unrepaired damage detected")
-    return 1 if failed else 0
-
-
-def _cmd_netcampaign(args: argparse.Namespace) -> int:
-    from repro.faults import NetCampaign
-
-    say = _emit(args)
-    if args.seeds < 1:
-        print("netcampaign: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    campaign = NetCampaign(seeds=args.seeds, base_seed=args.seed,
-                           sanitize=True if args.sanitize else None)
-    say(f"running {args.seeds} seeded network-fault schedules "
-        f"(base seed={args.seed}) over an NFS workload...")
-    stats = campaign.run()
-    say(stats)
-    if args.json:
-        _write_json(args.json, campaign.to_json(), say)
+        write_json(args.json, campaign.to_json(), say)
     if not stats.ok:
-        say("FAILED: an RPC-hardening invariant was violated")
+        say(f"FAILED: {row.failure}")
         return 1
-    if stats.retransmits == 0 or stats.drc_hits == 0:
-        say("FAILED: the sweep never exercised retransmission / the "
-            "duplicate-request cache (fault injection inert?)")
+    if row.inert is not None and row.inert(stats):
+        say("FAILED: the sweep never exercised what it injects (fault "
+            "injection inert?)")
         return 1
-    return 0
-
-
-def _cmd_memberkill(args: argparse.Namespace) -> int:
-    from repro.faults import MirrorKillCampaign
-
-    say = _emit(args)
-    if args.seeds < 1:
-        print("memberkill: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    campaign = MirrorKillCampaign(seeds=args.seeds, base_seed=args.seed,
-                                  sanitize=True if args.sanitize else None)
-    say(f"killing one mirror member per seed ({args.seeds} seeds, "
-        f"base seed={args.seed}): degraded reads, zero acknowledged "
-        "loss, resync back to byte-identical members...")
-    stats = campaign.run()
-    say(stats)
-    if args.json:
-        _write_json(args.json, campaign.to_json(), say)
-    if not stats.ok:
-        say("FAILED: a mirror-redundancy invariant was violated")
-        return 1
-    return 0
-
-
-def _cmd_crashpoints(args: argparse.Namespace) -> int:
-    from repro.faults import PRESETS, run_crashpoints
-
-    say = _emit(args)
-    preset = PRESETS.get(args.preset)
-    if preset is None:
-        print(f"crashpoints: unknown preset {args.preset!r} "
-              f"(have {', '.join(sorted(PRESETS))})", file=sys.stderr)
-        return 2
-    say(f"exploring crash states of preset {preset.name!r} "
-        f"(seed={args.seed}): {preset.description}...")
-    report = run_crashpoints(
-        preset=args.preset, seed=args.seed,
-        sanitize=True if args.sanitize else None,
-        max_states=args.max_states,
-        json_path=args.json if args.json not in ("", "-") else None)
-    d = report.to_json()
-    for key in ("journal_events", "contract_events", "durability_points",
-                "crash_points", "raw_states", "distinct_states",
-                "fsck_repairs"):
-        say(f"{key:22} {d[key]}")
-    say(f"{'digest':22} {report.digest}")
-    if report.states_truncated:
-        say(f"NOTE: enumeration truncated at --max-states="
-            f"{args.max_states}; coverage is partial")
-    if args.json == "-":
-        _write_json("-", d, say)
-    elif args.json:
-        say(f"wrote {args.json}")
-    if not report.ok:
-        say(f"FAILED: {len(report.violations)} durability-contract "
-            "violation(s)")
-        for v in report.violations[:10]:
-            say(f"  [{v.category}] {v.detail} (crash point "
-                f"{v.event_index}, torn={v.torn})")
-            for span in v.spans[:1]:
-                say("    " + span.replace("\n", "\n    "))
-        return 1
-    say("OK: every distinct crash state repaired, remounted, and kept "
-        "its durability promises")
-    return 0
-
-
-def _cmd_scrubcampaign(args: argparse.Namespace) -> int:
-    from repro.integrity import run_scrubcampaign
-
-    say = _emit(args)
-    say(f"injecting seeded silent corruption and scrubbing "
-        f"(seed={args.seed})...")
-    campaign = run_scrubcampaign(
-        seed=args.seed, sanitize=True if args.sanitize else None,
-        json_path=args.json if args.json not in ("", "-") else None,
-        out=say)
-    if args.json == "-":
-        _write_json("-", campaign.to_json(), say)
-    if not campaign.stats.ok:
-        say("FAILED: a corruption went undetected, misrepaired, or "
-            "surfaced without EIO semantics")
-        return 1
-    say("OK: every injected corruption detected; repairable ones "
-        "repaired byte-exact, the rest surfaced as precise EIO")
+    say("OK: every invariant the sweep checks held")
     return 0
 
 
@@ -358,6 +341,7 @@ def _cmd_simcheck(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
+    from repro.faults.harness import write_text
     from repro.obs.bench import canonical_json, diff_documents, run_bench
     from repro.obs.gate import check_gate
 
@@ -370,12 +354,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                          scheduler=args.scheduler or None,
                          layout=args.layout or None, out=say)
     say(f"bench id {document['id']}")
-    if args.json == "-":
-        sys.stdout.write(canonical_json(document))
-    elif args.json:
-        with open(args.json, "w") as fh:
-            fh.write(canonical_json(document))
-        say(f"wrote {args.json}")
+    if args.json:
+        write_text(args.json, canonical_json(document), say)
     if not args.baseline:
         return 0
     with open(args.baseline) as fh:
@@ -430,6 +410,7 @@ def _trace_source(args: argparse.Namespace, say):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.faults.harness import write_json, write_text
     from repro.obs.critpath import (
         critical_paths, verify_against_attribution, verify_conservation,
     )
@@ -456,7 +437,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for key in recorder.keys(ns):
                 say("  " + recorder.render(ns, key))
         if args.json:
-            _write_json(args.json, recorder.to_json(), say)
+            write_json(args.json, recorder.to_json(), say)
         return 0
 
     tracer = _trace_source(args, say)
@@ -469,7 +450,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.json:
             document = report.to_json()
             document["violations"] = problems
-            _write_json(args.json, document, say)
+            write_json(args.json, document, say)
         if problems:
             say(f"FAILED: {len(problems)} conservation/attribution "
                 "violation(s)")
@@ -489,24 +470,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if report.open_roots or report.open_spans:
         say(f"WARNING: {report.open_roots} open request(s) excluded, "
             f"{report.open_spans} open span(s) clamped")
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        say(f"wrote {args.out} ({len(text.splitlines())} lines, "
-            f"{len(report.paths)} requests)")
+    write_text(args.out, text, say)
+    if args.out != "-":
+        say(f"{len(text.splitlines())} lines, {len(report.paths)} requests")
     return 0
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from examples.quickstart import main as quickstart_main  # type: ignore
+    import runpy
 
-    quickstart_main()
+    quickstart = _checkout_file("demo", "examples", "quickstart.py")
+    if quickstart is None:
+        return 2
+    runpy.run_path(str(quickstart), run_name="__main__")
     return 0
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of McVoy & Kleiman, USENIX 1991.",
@@ -547,66 +527,24 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--output", default="")
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("faultcampaign",
-                       help="seeded power-cut crash-consistency sweep")
-    p.add_argument("--cuts", type=int, default=50,
-                   help="number of seeded power-cut points (default 50)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", action="store_true",
-                   help="print a per-cut trace summary")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-cut outcomes and repair actions to PATH")
-    p.set_defaults(fn=_cmd_faultcampaign)
-
-    p = sub.add_parser("netcampaign",
-                       help="seeded network-fault sweep over NFS")
-    p.add_argument("--seeds", type=int, default=20,
-                   help="number of seeded fault schedules (default 20)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed (schedules use seed..seed+seeds-1)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-seed outcomes to PATH")
-    p.set_defaults(fn=_cmd_netcampaign)
-
-    p = sub.add_parser("memberkill",
-                       help="seeded mirror-member-death sweep: degraded "
-                            "operation, zero acknowledged loss, resync")
-    p.add_argument("--seeds", type=int, default=10,
-                   help="number of seeded member kills (default 10)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed (kills use seed..seed+seeds-1)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-seed outcomes to PATH")
-    p.set_defaults(fn=_cmd_memberkill)
-
-    p = sub.add_parser("crashpoints",
-                       help="exhaustive crash-state exploration over a "
-                            "volatile write cache")
-    p.add_argument("--preset", default="smoke",
-                   help="workload preset (default smoke; see "
-                        "repro.faults.crashpoints.PRESETS)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="payload seed (default 0)")
-    p.add_argument("--max-states", type=int, default=20000,
-                   help="raw crash-state budget (default 20000)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on "
-                        "(recording and every survivor)")
-    _add_json_flag(p, "write the full report (violations included) to PATH")
-    p.set_defaults(fn=_cmd_crashpoints)
-
-    p = sub.add_parser("scrubcampaign",
-                       help="seeded silent-corruption injection + scrub/"
-                            "repair audit")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-injection outcomes and the seed-stable "
-                      "digest to PATH")
-    p.set_defaults(fn=_cmd_scrubcampaign)
+    for row in CAMPAIGNS:
+        p = sub.add_parser(row.name, help=row.help)
+        for name, default, text in row.flags:
+            flag = "--" + name.replace("_", "-")
+            if default is False:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=type(default), default=default,
+                               help=f"{text} (default {default})")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed (default 0); a sweep over --seeds uses "
+                            "seed..seed+seeds-1")
+        p.add_argument("--sanitize", action="store_true",
+                       help="run with the cross-layer invariant sanitizer "
+                            "on, on every machine of the sweep")
+        _add_json_flag(p, "write the report (stats, per-record outcomes, "
+                          "seed-stable digest) to PATH")
+        p.set_defaults(fn=_cmd_campaign, campaign=row)
 
     p = sub.add_parser("simcheck",
                        help="determinism differ + sanitized benchmark run")
@@ -690,7 +628,11 @@ def main(argv: "list[str] | None" = None) -> int:
     p = sub.add_parser("demo", help="guided quickstart")
     p.set_defaults(fn=_cmd_demo)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -43,24 +43,17 @@ class DiskQueue:
     The queue owns the barrier structure (bufs with B_ORDER set may never be
     reordered around); the order *within* a sweep is delegated to a pluggable
     :class:`~repro.disk.sched.Scheduler` — the elevator (``disksort``) by
-    default, FIFO when ``use_disksort=False``, or any policy passed in.
+    default, or any policy passed in (by name or as an instance).
     """
 
-    def __init__(self, use_disksort: bool = True, max_passes: int = 8,
-                 scheduler: "Scheduler | str | None" = None):
-        if scheduler is None:
-            scheduler = "elevator" if use_disksort else "fifo"
+    def __init__(self, max_passes: int = 8,
+                 scheduler: "Scheduler | str" = "elevator"):
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, max_passes=max_passes)
         self.scheduler = scheduler
         self.max_passes = max_passes
         self._segments: list[tuple[str, list[Buf]]] = []
         self._length = 0
-
-    @property
-    def use_disksort(self) -> bool:
-        """True when the active scheduler keeps sweeps sector-sorted."""
-        return self.scheduler.sorts
 
     @property
     def _passes(self) -> dict[int, int]:
@@ -177,13 +170,12 @@ class DiskDriver:
 
     def __init__(self, engine: "Engine", disk: RotationalDisk,
                  cpu: "Cpu | None" = None,
-                 use_disksort: bool = True,
                  coalesce: bool = False,
                  coalesce_limit: int = 56 * KB,
                  max_retries: int = 4,
                  retry_backoff: float = 2 * MS,
                  remap_penalty: float = 5 * MS,
-                 scheduler: "Scheduler | str | None" = None,
+                 scheduler: "Scheduler | str" = "elevator",
                  name: str = "sd0"):
         self.engine = engine
         self.disk = disk
@@ -202,7 +194,7 @@ class DiskDriver:
         #: keeps its logical address; the table exists for introspection
         #: and mirrors a real drive's grown-defect list.
         self.remap_table: dict[int, int] = {}
-        self.queue = DiskQueue(use_disksort=use_disksort, scheduler=scheduler)
+        self.queue = DiskQueue(scheduler=scheduler)
         #: Bufs accepted by strategy() whose completion has not run yet,
         #: by buf id.  Coalesced parents are internal (never registered);
         #: their children stay outstanding until they individually

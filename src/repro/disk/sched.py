@@ -49,8 +49,6 @@ class Scheduler:
     """The within-sweep policy interface (base class = FIFO behaviour)."""
 
     name = "base"
-    #: True when insert keeps the sweep sector-sorted (disksort semantics).
-    sorts = False
 
     def insert(self, seg: "list[Buf]", buf: "Buf") -> None:
         """Place ``buf`` into the (open) sweep ``seg``."""
@@ -94,7 +92,6 @@ class ElevatorScheduler(Scheduler):
     """
 
     name = "elevator"
-    sorts = True
 
     def __init__(self, max_passes: int = 8):
         self.max_passes = max_passes

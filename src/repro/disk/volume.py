@@ -184,13 +184,9 @@ class VolumeMember:
                                    track_buffer=cfg.track_buffer,
                                    fault_plan=fault_plan,
                                    write_cache=write_cache)
-        sched = cfg.scheduler
-        if sched == "elevator" and not cfg.use_disksort:
-            sched = "fifo"  # legacy switch: disksort off = FIFO queue
         self.driver = DiskDriver(engine, self.disk, cpu=cpu,
-                                 use_disksort=cfg.use_disksort,
                                  coalesce=cfg.driver_coalesce,
-                                 scheduler=sched, name=self.name)
+                                 scheduler=cfg.scheduler, name=self.name)
         #: Consecutive-failure state machine; ``degraded`` (or a
         #: MemberDeadError) fails the member out of a mirror.
         self.health = ClusterHealth(threshold=2)

@@ -27,17 +27,17 @@ The fault model lives in two layers per medium:
   records a workload over a volatile write cache, then enumerates every
   bounded-legal crash state (cache subsets × torn destages) and verifies
   the durability contract on each distinct image.
+
+The five sweeps (the four above and :mod:`repro.integrity.campaign`'s
+scrub campaign) share one shell, :mod:`repro.faults.harness`.
 """
 
-from repro.faults.campaign import (
-    CampaignStats, CrashCampaign, default_campaign_config,
-)
+from repro.faults.campaign import CampaignStats, CrashCampaign
 from repro.faults.crashpoints import (
-    CrashpointExplorer, CrashpointReport, PRESETS, run_crashpoints,
+    CrashpointExplorer, CrashpointReport, PRESETS,
 )
-from repro.faults.memberkill import (
-    MemberKillStats, MirrorKillCampaign, default_memberkill_config,
-)
+from repro.faults.harness import Campaign, SweepStats, small_config
+from repro.faults.memberkill import MemberKillStats, MirrorKillCampaign
 from repro.faults.netcampaign import NetCampaign, NetCampaignStats
 from repro.faults.netplan import NetDecision, NetFaultPlan
 from repro.faults.plan import (
@@ -49,21 +49,21 @@ __all__ = [
     "CORRUPT_KINDS",
     "SILENT_KINDS",
     "corrupt_frag",
+    "Campaign",
     "CampaignStats",
     "CrashCampaign",
     "CrashpointExplorer",
     "CrashpointReport",
     "PRESETS",
-    "run_crashpoints",
     "FaultDecision",
     "FaultKind",
     "FaultPlan",
     "MemberKillStats",
     "MirrorKillCampaign",
-    "default_memberkill_config",
     "NetCampaign",
     "NetCampaignStats",
     "NetDecision",
     "NetFaultPlan",
-    "default_campaign_config",
+    "SweepStats",
+    "small_config",
 ]

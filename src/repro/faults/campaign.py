@@ -25,11 +25,13 @@ The accounting contract:
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.disk.geometry import DiskGeometry
 from repro.errors import ReproError
+from repro.faults.harness import (
+    Campaign, SweepStats, force_sanitizer, read_file,
+)
 from repro.faults.plan import FaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
@@ -37,22 +39,16 @@ from repro.kernel.system import System
 from repro.sim.engine import SimulationError
 from repro.sim.events import EventFailed
 from repro.sim.invariants import SanitizerError
-from repro.sim.stats import StatSet
 from repro.sim.trace import TraceRecord
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
 
-def default_campaign_config() -> SystemConfig:
-    """A small-disk configuration so dozens of boot/crash cycles stay fast."""
-    return SystemConfig.config_a().with_(
-        geometry=DiskGeometry.uniform(cylinders=120, heads=2,
-                                      sectors_per_track=32))
-
-
 @dataclass
-class CampaignStats:
+class CampaignStats(SweepStats):
     """Aggregated results of one sweep; byte-identical for a given seed."""
+
+    MUST_BE_ZERO = ("silent_corruptions",)
 
     cuts: int = 0
     faults_injected: int = 0
@@ -64,16 +60,15 @@ class CampaignStats:
     silent_corruptions: int = 0
     data_bytes_lost: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
-
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
+    def holds(self) -> bool:
+        return self.clean_after_repair == self.cuts
 
 
-class CrashCampaign:
+class CrashCampaign(Campaign):
     """Run the workload, cut power at ``cuts`` seeded instants, and make
     fsck answer for every inconsistency the torn writes produced."""
+
+    name = "faultcampaign"
 
     def __init__(self, cuts: int = 50, seed: int = 0, nfiles: int = 10,
                  file_bytes: int = 48 * KB,
@@ -81,22 +76,12 @@ class CrashCampaign:
                  sanitize: "bool | None" = None):
         if cuts < 1:
             raise ValueError("cuts must be >= 1")
+        super().__init__(CampaignStats(), seed, config, sanitize)
         self.cuts = cuts
-        self.seed = seed
         self.nfiles = nfiles
         self.file_bytes = file_bytes
-        self.config = config if config is not None else default_campaign_config()
         self.trace = trace
-        #: Force the invariant sanitizer on/off; None keeps the
-        #: REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
-        self.stats = CampaignStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("campaign")
         self.trace_records: "list[TraceRecord]" = []
-        #: One dict per cut (seeded outcome + fsck repair actions),
-        #: JSON-ready; filled by :meth:`run`.
-        self.records: "list[dict]" = []
 
     # -- the doomed workload -------------------------------------------------
     def _payload(self, i: int) -> bytes:
@@ -134,8 +119,7 @@ class CrashCampaign:
                 if cut_time is not None else None)
         state = {"durable": {}, "written": 0, "unlinked": 0, "booted_at": 0.0}
         system = System(self.config, fault_plan=plan)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, system)
         system.mkfs()
         try:
             system.run(system.mount_fs())
@@ -156,14 +140,6 @@ class CrashCampaign:
             # holds exactly the sectors that became durable before the cut.
             pass
         return system, plan, state
-
-    @staticmethod
-    def _read_file(proc: Proc, path: str, length: int
-                   ) -> Generator[Any, Any, bytes]:
-        fd = yield from proc.open(path)
-        data = yield from proc.read(fd, length)
-        yield from proc.close(fd)
-        return data
 
     # -- the sweep ---------------------------------------------------------
     def run(self) -> CampaignStats:
@@ -196,15 +172,14 @@ class CrashCampaign:
             # Remount the repaired bytes and hold fsync to its word.
             durable = state["durable"]
             survivor = System.remounted(store, self.config)
-            if self.sanitize is not None:
-                survivor.sanitizer.enabled = self.sanitize
+            force_sanitizer(self.sanitize, survivor)
             proc = Proc(survivor)
             cut_corruptions = 0
             for path in sorted(durable):
                 expect = durable[path]
                 try:
                     got = survivor.run(
-                        self._read_file(proc, path, len(expect)),
+                        read_file(proc, path, len(expect)),
                         name="campaign-verify")
                 except SanitizerError:
                     raise
@@ -240,17 +215,4 @@ class CrashCampaign:
                      "repairs": len(report.repairs),
                      "clean_after_repair": verify.clean},
                 ))
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, value)
         return s
-
-    def to_json(self) -> dict:
-        """The sweep as one JSON-ready document (stats + per-cut records)."""
-        s = self.stats
-        return {
-            "seed": self.seed,
-            "stats": s.as_dict(),
-            "cuts": self.records,
-            "ok": (s.silent_corruptions == 0
-                   and s.clean_after_repair == s.cuts),
-        }

@@ -39,14 +39,15 @@ or torn, so a contract breach points at the guilty code path.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.disk.store import DiskStore
 from repro.errors import ReproError
+from repro.faults.harness import (
+    Campaign, SweepStats, force_sanitizer, read_file,
+)
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -376,33 +377,11 @@ _WORKLOADS = {
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Violation:
-    """One contract breach on one distinct crash state."""
+class CrashpointReport(SweepStats):
+    """Counters of one exploration (deterministic per preset and seed)."""
 
-    state: str                    # canonical image hash (short)
-    category: str                 # fsck_nonconvergent | remount_failed |
-                                  # durable_file_missing | durable_data_lost |
-                                  # sanitizer
-    detail: str
-    event_index: int              # crash point (journal index)
-    dropped: list[str] = field(default_factory=list)
-    torn: "str | None" = None
-    spans: list[str] = field(default_factory=list)
+    MUST_BE_ZERO = ("violations",)
 
-    def to_json(self) -> dict:
-        return {
-            "state": self.state, "category": self.category,
-            "detail": self.detail, "event_index": self.event_index,
-            "dropped": self.dropped, "torn": self.torn, "spans": self.spans,
-        }
-
-
-@dataclass
-class CrashpointReport:
-    """Everything one exploration produced (JSON-ready, deterministic)."""
-
-    preset: str
-    seed: int
     journal_events: int = 0
     contract_events: int = 0
     durability_points: int = 0
@@ -411,30 +390,15 @@ class CrashpointReport:
     distinct_states: int = 0
     fsck_repairs: int = 0
     states_truncated: bool = False
-    violations: list[Violation] = field(default_factory=list)
-    #: simcheck-style digest over the sorted (state hash, verdict) pairs:
-    #: two runs explored the same space iff the digests match.
-    digest: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "preset": self.preset, "seed": self.seed,
-            "journal_events": self.journal_events,
-            "contract_events": self.contract_events,
-            "durability_points": self.durability_points,
-            "crash_points": self.crash_points,
-            "raw_states": self.raw_states,
-            "distinct_states": self.distinct_states,
-            "fsck_repairs": self.fsck_repairs,
-            "states_truncated": self.states_truncated,
-            "violations": [v.to_json() for v in self.violations],
-            "digest": self.digest,
-            "ok": self.ok,
-        }
+    def __post_init__(self) -> None:
+        #: One dict per contract breach on one distinct crash state — the
+        #: explorer's ``records``, not a counter, so not a dataclass field:
+        #: ``state`` (short image hash), ``category`` (fsck_nonconvergent |
+        #: remount_failed | durable_file_missing | durable_data_lost |
+        #: sanitizer), ``detail``, ``event_index`` (the crash point),
+        #: ``dropped``, ``torn``, ``spans``.
+        self.violations: "list[dict]" = []
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +438,11 @@ class _Slot:
         self.may_be_absent = False
 
 
-class CrashpointExplorer:
+class CrashpointExplorer(Campaign):
     """Record one preset workload, then enumerate and verify every
     bounded-legal crash state of it."""
+
+    name = "crashpoints"
 
     def __init__(self, preset: "str | Preset" = "smoke", seed: int = 0,
                  sanitize: "bool | None" = None,
@@ -491,39 +457,37 @@ class CrashpointExplorer:
                 raise ValueError(
                     f"unknown preset {preset!r} (have {sorted(PRESETS)})"
                 ) from None
+        super().__init__(CrashpointReport(), seed, config, sanitize)
+        self.records = self.stats.violations  # a record *is* a violation
         self.preset = preset
-        self.seed = seed
-        self.sanitize = sanitize
         self.max_states = max_states
         self.window = window if window is not None else preset.window
         self.torn_limit = (torn_limit if torn_limit is not None
                            else preset.torn_limit)
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        base = config if config is not None else self._default_config()
-        self.record_config = base.with_(
+        self.record_config = self.config.with_(
             write_cache=True, write_cache_bytes=preset.cache_bytes,
             ordered_metadata=preset.ordered_metadata)
         #: Survivors remount write-through: the crash image is durable by
         #: construction, and verification must not add volatility of its own.
-        self.verify_config = base.with_(write_cache=False,
-                                        ordered_metadata=False)
+        self.verify_config = self.config.with_(write_cache=False,
+                                               ordered_metadata=False)
         #: The recording machine, kept after :meth:`run` so tests can
         #: assert on what the workload actually exercised (e.g. that the
         #: relocate preset really took the relocation-barrier path).
         self.recorded: "System | None" = None
+        #: "<image hash> <verdict>" per distinct state: what the digest
+        #: hashes, so two runs explored the same space iff digests match.
+        self._state_lines: "list[str]" = []
 
-    @staticmethod
-    def _default_config() -> SystemConfig:
-        from repro.faults.campaign import default_campaign_config
-
-        return default_campaign_config()
+    def digest_lines(self) -> "list[str]":
+        return self._state_lines
 
     # -- recording ---------------------------------------------------------
     def _record(self):
         system = System(self.record_config)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, system)
         system.mkfs()
         system.run(system.mount_fs(), name="crashpoints-mount")
         system.sync()  # quiesce: the base image below is fully durable
@@ -718,8 +682,7 @@ class CrashpointExplorer:
             return problems, len(report.repairs)
         try:
             survivor = System.remounted(img, self.verify_config)
-            if self.sanitize is not None:
-                survivor.sanitizer.enabled = self.sanitize
+            force_sanitizer(self.sanitize, survivor)
             proc = Proc(survivor, name="crashpoints-verify")
             for path in sorted(slots):
                 problems.extend(self._check_slot(survivor, proc, path,
@@ -754,7 +717,7 @@ class CrashpointExplorer:
                 return []
             return [("durable_file_missing",
                      f"{path}: no candidate of {slot.alts} survives")]
-        data = survivor.run(self._read_file(proc, found, size),
+        data = survivor.run(read_file(proc, found, size),
                             name="crashpoints-read")
         n = len(slot.promised)
         if size < n:
@@ -778,23 +741,13 @@ class CrashpointExplorer:
                 break  # one bad sector proves the loss; keep output short
         return problems
 
-    @staticmethod
-    def _read_file(proc: Proc, path: str, length: int
-                   ) -> Generator[Any, Any, bytes]:
-        fd = yield from proc.open(path)
-        data = b""
-        if length:
-            data = yield from proc.read(fd, length)
-        yield from proc.close(fd)
-        return data
-
     # -- the sweep ---------------------------------------------------------
     def run(self) -> CrashpointReport:
         system, rec, base = self._record()
         self.recorded = system
         journal = rec.journal
         flushes = [i for i, ev in enumerate(journal) if ev.kind == "flush"]
-        report = CrashpointReport(preset=self.preset.name, seed=self.seed)
+        report = self.stats
         report.journal_events = len(journal)
         report.contract_events = len(rec.events)
         report.durability_points = len(rec.durability_points)
@@ -802,7 +755,6 @@ class CrashpointExplorer:
         durable = base.clone()
         pending: list[_Pending] = []
         seen: dict[str, str] = {}      # image hash -> verdict
-        lines: list[str] = []
 
         def explore_point(index: int, next_ev: Any) -> bool:
             """Enumerate crash states at journal index ``index``; returns
@@ -836,7 +788,7 @@ class CrashpointExplorer:
                     verdict = ("ok" if not problems else
                                "+".join(sorted({c for c, _ in problems})))
                     seen[digest] = verdict
-                    lines.append(f"{digest} {verdict}")
+                    self._state_lines.append(f"{digest} {verdict}")
                     if problems:
                         kept = {e.seq for e in subset}
                         dropped = [e.describe() for e in pending
@@ -855,11 +807,11 @@ class CrashpointExplorer:
                             torn_desc = (f"{torn[0].describe()} "
                                          f"torn at {torn[1]} sectors")
                         for category, detail in problems:
-                            report.violations.append(Violation(
-                                state=digest[:16], category=category,
-                                detail=detail, event_index=index,
-                                dropped=dropped, torn=torn_desc,
-                                spans=spans))
+                            self.records.append({
+                                "state": digest[:16], "category": category,
+                                "detail": detail, "event_index": index,
+                                "dropped": dropped, "torn": torn_desc,
+                                "spans": spans})
             return True
 
         budget_ok = True
@@ -871,21 +823,4 @@ class CrashpointExplorer:
         if budget_ok:
             explore_point(len(journal), None)
 
-        digest = hashlib.sha256("\n".join(sorted(lines)).encode())
-        report.digest = digest.hexdigest()
         return report
-
-
-def run_crashpoints(preset: str = "smoke", seed: int = 0,
-                    sanitize: "bool | None" = None,
-                    max_states: "int | None" = 20000,
-                    json_path: "str | None" = None) -> CrashpointReport:
-    """One-call entry point (the ``python -m repro crashpoints`` core)."""
-    explorer = CrashpointExplorer(preset=preset, seed=seed, sanitize=sanitize,
-                                  max_states=max_states)
-    report = explorer.run()
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report

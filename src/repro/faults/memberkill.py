@@ -31,30 +31,39 @@ produces the same kill and the same verdict every time.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Generator
 
-from repro.disk.geometry import DiskGeometry
+from repro.faults.harness import Campaign, SweepStats, force_sanitizer
 from repro.faults.plan import FaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
-from repro.sim.stats import StatSet
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
 
-def default_memberkill_config() -> SystemConfig:
-    """A small mirrored machine so dozens of kill/resync cycles stay fast."""
-    return SystemConfig.config_a().with_(
-        geometry=DiskGeometry.uniform(cylinders=120, heads=2,
-                                      sectors_per_track=32),
-        layout="mirror:2", write_cache=True, checksums=True)
+def _read_chunked(proc: Proc, path: str) -> Generator[Any, Any, bytes]:
+    """Open, read to EOF 32 KB at a time, close."""
+    fd = yield from proc.open(path)
+    data = b""
+    while True:
+        chunk = yield from proc.read(fd, 32 * KB)
+        if not chunk:
+            break
+        data += chunk
+    yield from proc.close(fd)
+    return data
 
 
 @dataclass
-class MemberKillStats:
+class MemberKillStats(SweepStats):
     """Aggregated results of one sweep; byte-identical for a given seed."""
+
+    MUST_BE_ZERO = ("inert_kills", "lost_acked_files",
+                    "degraded_read_failures", "health_misattributions",
+                    "survivor_fsck_failures", "resync_mismatches",
+                    "post_resync_failures")
 
     runs: int = 0
     kills: int = 0
@@ -71,27 +80,12 @@ class MemberKillStats:
     resync_mismatches: int = 0
     post_resync_failures: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
 
-    @property
-    def ok(self) -> bool:
-        """True when every redundancy invariant held across the sweep."""
-        return (self.inert_kills == 0
-                and self.lost_acked_files == 0
-                and self.degraded_read_failures == 0
-                and self.health_misattributions == 0
-                and self.survivor_fsck_failures == 0
-                and self.resync_mismatches == 0
-                and self.post_resync_failures == 0)
-
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
-
-
-class MirrorKillCampaign:
+class MirrorKillCampaign(Campaign):
     """Sweep seeded mirror-member deaths and make the redundancy answer
     for every acknowledged byte."""
+
+    name = "memberkill"
 
     def __init__(self, seeds: int = 10, base_seed: int = 0,
                  max_files: int = 24,
@@ -99,21 +93,12 @@ class MirrorKillCampaign:
                  sanitize: "bool | None" = None):
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
-        self.seeds = seeds
-        self.base_seed = base_seed
-        self.max_files = max_files
-        self.config = (config if config is not None
-                       else default_memberkill_config())
+        super().__init__(MemberKillStats(), base_seed, config, sanitize,
+                         layout="mirror:2", write_cache=True, checksums=True)
         if not self.config.layout.startswith("mirror"):
             raise ValueError("memberkill needs a mirror layout")
-        #: Force the invariant sanitizer on/off for every machine of the
-        #: sweep; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
-        self.stats = MemberKillStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("memberkill")
-        #: One dict per seeded run (kill schedule + verdict), JSON-ready.
-        self.records: list[dict[str, Any]] = []
+        self.seeds = seeds
+        self.max_files = max_files
 
     # -- one seeded run ----------------------------------------------------
     def _run_one(self, seed: int) -> dict[str, Any]:
@@ -123,8 +108,7 @@ class MirrorKillCampaign:
         plans = [None, None]
         plans[victim_idx] = FaultPlan(seed=seed, die_at=die_at)
         system = System.booted(self.config, fault_plan=plans)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, system)
         proc = Proc(system, name=f"kill{seed}")
         volume = system.volume
         victim = volume.members[victim_idx]
@@ -174,20 +158,9 @@ class MirrorKillCampaign:
                                 survivor.health.failures)
 
         # Degraded reads: every acknowledged byte through the live mirror.
-        def get(path: str) -> "Any":
-            fd = yield from proc.open(path)
-            data = b""
-            while True:
-                chunk = yield from proc.read(fd, 32 * KB)
-                if not chunk:
-                    break
-                data += chunk
-            yield from proc.close(fd)
-            return data
-
         bad_reads = 0
         for path, payload in acked.items():
-            back = system.run(get(path), name=f"get{path}")
+            back = system.run(_read_chunked(proc, path), name=f"get{path}")
             if back != payload:
                 bad_reads += 1
         if bad_reads:
@@ -203,24 +176,11 @@ class MirrorKillCampaign:
             record["survivor_fsck"] = "dirty"
         solo = System.remounted(
             clone, self.config.with_(layout="single", write_cache=False))
-        if self.sanitize is not None:
-            solo.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, solo)
         sproc = Proc(solo, name="survivor")
         lost = 0
         for path, payload in acked.items():
-            fd = solo.run(sproc.open(path), name="open")
-
-            def read_all(fd=fd):
-                data = b""
-                while True:
-                    chunk = yield from sproc.read(fd, 32 * KB)
-                    if not chunk:
-                        break
-                    data += chunk
-                yield from sproc.close(fd)
-                return data
-
-            if solo.run(read_all(), name="read") != payload:
+            if solo.run(_read_chunked(sproc, path), name="read") != payload:
                 lost += 1
         if lost:
             self.stats.lost_acked_files += lost
@@ -248,18 +208,7 @@ class MirrorKillCampaign:
 
     # -- the sweep ---------------------------------------------------------
     def run(self) -> MemberKillStats:
-        for seed in range(self.base_seed, self.base_seed + self.seeds):
+        for seed in range(self.seed, self.seed + self.seeds):
             self.stats.runs += 1
             self.records.append(self._run_one(seed))
-        for key, value in self.stats.as_dict().items():
-            self.statset.incr(key, value)
         return self.stats
-
-    def to_json(self) -> dict:
-        """The sweep as one JSON-ready document (stats + per-seed records)."""
-        return {
-            "base_seed": self.base_seed,
-            "stats": self.stats.as_dict(),
-            "runs": self.records,
-            "ok": self.stats.ok,
-        }

@@ -33,23 +33,26 @@ same fault history and the same verdict, every time.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import FileNotFoundError_, ReproError, RpcTimeoutError
-from repro.faults.campaign import default_campaign_config
+from repro.faults.harness import Campaign, SweepStats, force_sanitizer
 from repro.faults.netplan import NetFaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.nfs.world import build_world
-from repro.sim.stats import StatSet
 from repro.units import KB
 from repro.vfs.vnode import RW
 
 
 @dataclass
-class NetCampaignStats:
+class NetCampaignStats(SweepStats):
     """Aggregated results of one sweep; byte-identical for a given seed."""
+
+    MUST_BE_ZERO = ("lost_acked_writes", "corrupt_cache_serves",
+                    "duplicate_side_effects", "remove_violations",
+                    "soft_timeout_failures", "determinism_failures")
 
     runs: int = 0
     rpcs: int = 0
@@ -76,26 +79,12 @@ class NetCampaignStats:
     soft_timeout_failures: int = 0
     determinism_failures: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
 
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held across the sweep."""
-        return (self.lost_acked_writes == 0
-                and self.corrupt_cache_serves == 0
-                and self.duplicate_side_effects == 0
-                and self.remove_violations == 0
-                and self.soft_timeout_failures == 0
-                and self.determinism_failures == 0)
-
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
-
-
-class NetCampaign:
+class NetCampaign(Campaign):
     """Sweep seeded network-fault schedules over an NFS workload and make
     the RPC hardening answer for every acknowledged byte."""
+
+    name = "netcampaign"
 
     def __init__(self, seeds: int = 20, base_seed: int = 0, nfiles: int = 5,
                  file_bytes: int = 16 * KB,
@@ -105,21 +94,11 @@ class NetCampaign:
             raise ValueError("seeds must be >= 1")
         if nfiles < 2:
             raise ValueError("nfiles must be >= 2")
+        super().__init__(NetCampaignStats(), base_seed, config, sanitize)
         self.seeds = seeds
-        self.base_seed = base_seed
         self.nfiles = nfiles
         self.file_bytes = file_bytes
-        self.config = config if config is not None else default_campaign_config()
-        #: Force the invariant sanitizer on/off for both machines of every
-        #: world; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
-        self.stats = NetCampaignStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("netcampaign")
         self._window: "tuple[float, float] | None" = None
-        #: One dict per seeded run (fault schedule + verdict), JSON-ready;
-        #: filled by :meth:`run`.
-        self.records: "list[dict]" = []
 
     # -- the workload --------------------------------------------------------
     def _payload(self, i: int) -> bytes:
@@ -176,9 +155,7 @@ class NetCampaign:
         """Build a world, run the doomed workload, verify, fingerprint."""
         client, server_sys, mount = build_world(
             server_config=self.config, fault_plan=plan, timeo=0.3)
-        if self.sanitize is not None:
-            client.sanitizer.enabled = self.sanitize
-            server_sys.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, client, server_sys)
         # The client machine has no UFS mount; its write throttles live on
         # the NFS vnodes.  Teach its sanitizer where to find them.
         client.sanitizer.throttle_sources.append(
@@ -271,7 +248,7 @@ class NetCampaign:
         self._window = rehearsal["window"]
 
         s = self.stats
-        seeds = [self.base_seed + i for i in range(self.seeds)]
+        seeds = [self.seed + i for i in range(self.seeds)]
         for i, seed in enumerate(seeds):
             result = self._one_run(self._plan_for(seed))
             if i == 0:
@@ -327,15 +304,4 @@ class NetCampaign:
             })
         if not self._soft_probe():
             s.soft_timeout_failures += 1
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, value)
         return s
-
-    def to_json(self) -> dict:
-        """The sweep as one JSON-ready document (stats + per-seed records)."""
-        return {
-            "base_seed": self.base_seed,
-            "stats": self.stats.as_dict(),
-            "runs": self.records,
-            "ok": self.stats.ok,
-        }

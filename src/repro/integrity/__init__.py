@@ -19,11 +19,7 @@ from repro.integrity.checksum import (
     Record,
 )
 from repro.integrity.scrub import ScrubDaemon, Scrubber, ScrubReport
-from repro.integrity.campaign import (
-    ScrubCampaign,
-    default_scrub_config,
-    run_scrubcampaign,
-)
+from repro.integrity.campaign import ScrubCampaign
 
 __all__ = [
     "INTEGRITY_MAGIC",
@@ -34,6 +30,4 @@ __all__ = [
     "ScrubDaemon",
     "ScrubReport",
     "ScrubCampaign",
-    "default_scrub_config",
-    "run_scrubcampaign",
 ]

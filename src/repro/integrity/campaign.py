@@ -25,14 +25,12 @@ same seed yields a byte-identical report (and digest) on every run.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.disk.geometry import DiskGeometry
 from repro.errors import ReproError
+from repro.faults.harness import Campaign, SweepStats, force_sanitizer
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
 from repro.kernel.config import SystemConfig
@@ -40,7 +38,6 @@ from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.sim.engine import SimulationError
 from repro.sim.invariants import SanitizerError
-from repro.sim.stats import StatSet
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
@@ -50,18 +47,12 @@ from repro.units import KB
 _CACHED_KINDS = ("bitrot", "zero", "torn")
 
 
-def default_scrub_config() -> SystemConfig:
-    """A small checksummed disk, so scrub passes over the whole device
-    stay fast (the same geometry the crash campaign uses)."""
-    return SystemConfig.config_a().with_(
-        geometry=DiskGeometry.uniform(cylinders=120, heads=2,
-                                      sectors_per_track=32),
-        checksums=True)
-
-
 @dataclass
-class ScrubCampaignStats:
+class ScrubCampaignStats(SweepStats):
     """Aggregated results; byte-identical for a given seed."""
+
+    MUST_BE_ZERO = ("detect_misses", "outcome_mismatches", "verify_failures",
+                    "eio_misses", "residual_detected")
 
     injected: int = 0
     detected: int = 0
@@ -82,25 +73,14 @@ class ScrubCampaignStats:
     residual_detected: int = 0
     fsck_clean: bool = False
 
-    def as_dict(self) -> "dict[str, Any]":
-        return asdict(self)
-
-    @property
-    def ok(self) -> bool:
-        return (self.detected >= self.injected
-                and self.detect_misses == 0
-                and self.outcome_mismatches == 0
-                and self.verify_failures == 0
-                and self.eio_misses == 0
-                and self.residual_detected == 0
-                and self.fsck_clean)
-
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:24} {v}" for k, v in self.as_dict().items())
+    def holds(self) -> bool:
+        return self.detected >= self.injected and self.fsck_clean
 
 
-class ScrubCampaign:
+class ScrubCampaign(Campaign):
     """Inject seeded silent corruption, scrub, and audit every outcome."""
+
+    name = "scrubcampaign"
 
     def __init__(self, seed: int = 0, nfiles: int = 8,
                  file_bytes: int = 24 * KB,
@@ -108,19 +88,12 @@ class ScrubCampaign:
                  sanitize: "bool | None" = None):
         if nfiles < 2 or nfiles % 2:
             raise ValueError("nfiles must be even and >= 2")
-        self.seed = seed
-        self.nfiles = nfiles
-        self.file_bytes = file_bytes
-        self.config = config if config is not None else default_scrub_config()
+        super().__init__(ScrubCampaignStats(), seed, config, sanitize,
+                         checksums=True)
         if not self.config.checksums:
             raise ValueError("scrub campaign requires a checksummed config")
-        self.sanitize = sanitize
-        self.stats = ScrubCampaignStats()
-        self.statset = StatSet("scrubcampaign")
-        #: One dict per injection (target, kind, expected and actual
-        #: outcome), JSON-ready; filled by :meth:`run`.
-        self.records: "list[dict]" = []
-        self.digest = ""
+        self.nfiles = nfiles
+        self.file_bytes = file_bytes
 
     # -- workload ----------------------------------------------------------
     def _payload(self, i: int) -> bytes:
@@ -144,11 +117,6 @@ class ScrubCampaign:
         data = yield from proc.read(fd, length)
         return fd, data
 
-    @staticmethod
-    def _read_chunk(proc: Proc, fd: int, length: int
-                    ) -> Generator[Any, Any, bytes]:
-        return (yield from proc.read(fd, length))
-
     # -- the sweep ---------------------------------------------------------
     def run(self) -> ScrubCampaignStats:
         cfg = self.config
@@ -158,8 +126,7 @@ class ScrubCampaign:
 
         # Phase 1: build the population and push it durable.
         builder = System(cfg)
-        if self.sanitize is not None:
-            builder.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, builder)
         builder.mkfs()
         builder.run(builder.mount_fs())
         builder.run(self._build(Proc(builder)), name="scrub-build")
@@ -169,8 +136,7 @@ class ScrubCampaign:
         # Phase 2: a fresh machine over the same bytes.  Reading the first
         # half populates its page cache — the repair source for those files.
         survivor = System.remounted(store, cfg)
-        if self.sanitize is not None:
-            survivor.sanitizer.enabled = self.sanitize
+        force_sanitizer(self.sanitize, survivor)
         region = survivor.disk.integrity
         assert region is not None
         sb = survivor.mount.sb if survivor.mount is not None else None
@@ -277,9 +243,8 @@ class ScrubCampaign:
         # ... and the cached files read back whole, through the stack.
         for i in range(half):
             survivor.run(proc.lseek(fds[i], 0), name="scrub-verify")
-            got = survivor.run(
-                self._read_chunk(proc, fds[i], self.file_bytes),
-                name="scrub-verify")
+            got = survivor.run(proc.read(fds[i], self.file_bytes),
+                               name="scrub-verify")
             if got != self._payload(i):
                 s.verify_failures += 1
             survivor.run(proc.close(fds[i]), name="scrub-verify")
@@ -313,12 +278,6 @@ class ScrubCampaign:
                                       deep=True)
 
         self.records = injected
-        lines = sorted(
-            json.dumps(r, sort_keys=True, default=str) for r in injected)
-        self.digest = hashlib.sha256(
-            "\n".join(lines).encode()).hexdigest()[:16]
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, int(value))
         return s
 
     def _rewrite(self, proc: Proc, i: int) -> Generator[Any, Any, None]:
@@ -341,8 +300,7 @@ class ScrubCampaign:
         ok = True
         for lbn in range(nblocks):
             try:
-                got = survivor.run(self._read_chunk(proc, fd, bsize),
-                                   name="scrub-eio")
+                got = survivor.run(proc.read(fd, bsize), name="scrub-eio")
             except SanitizerError:
                 raise
             except (ReproError, SimulationError):
@@ -356,31 +314,3 @@ class ScrubCampaign:
                 break
         survivor.run(proc.close(fd), name="scrub-eio")
         return ok
-
-    def to_json(self) -> dict:
-        """The sweep as one JSON-ready document (stats + per-injection
-        records + seed-stable digest)."""
-        return {
-            "seed": self.seed,
-            "stats": self.stats.as_dict(),
-            "injections": self.records,
-            "digest": self.digest,
-            "ok": self.stats.ok,
-        }
-
-
-def run_scrubcampaign(seed: int = 0, sanitize: "bool | None" = None,
-                      json_path: "str | None" = None,
-                      out=print) -> ScrubCampaign:
-    """Run one campaign; optionally write the JSON document.  Returns the
-    campaign (``campaign.stats.ok`` is the pass/fail verdict)."""
-    campaign = ScrubCampaign(seed=seed, sanitize=sanitize)
-    stats = campaign.run()
-    out(stats)
-    out(f"{'digest':24} {campaign.digest}")
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(campaign.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out(f"wrote {json_path}")
-    return campaign

@@ -37,11 +37,8 @@ class SystemConfig:
     page_size: int = 8 * KB
     geometry: DiskGeometry = field(default_factory=DiskGeometry.ibm_400mb)
     track_buffer: bool = True
-    use_disksort: bool = True
     driver_coalesce: bool = False  # the rejected driver-clustering approach
     #: Disk queue policy: "elevator" (disksort), "fifo", or "deadline".
-    #: ``use_disksort=False`` downgrades the default "elevator" to "fifo"
-    #: for backward compatibility with the pre-scheduler configs.
     scheduler: str = "elevator"
     fs_params: FsParams = field(default_factory=FsParams)
     tuning: ClusterTuning = field(default_factory=ClusterTuning.new_system)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from typing import Any, Callable
 
 from repro.units import MB
@@ -117,7 +116,9 @@ def run_simcheck(config_name: str = "C", file_mb: int = 4,
             failures.append(key)
             out(f"  MISMATCH {key}: run1={first[key]!r} run2={second[key]!r}")
     if json_path:
-        document = {
+        from repro.faults.harness import write_json
+
+        write_json(json_path, {
             "config": config_name,
             "file_mb": file_mb,
             "random_ops": random_ops,
@@ -126,16 +127,7 @@ def run_simcheck(config_name: str = "C", file_mb: int = 4,
             "runs": [first, second],
             "mismatched_keys": failures,
             "ok": not failures,
-        }
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        if json_path == "-":
-            # The CLI's --json-to-stdout mode: the document owns stdout
-            # (human lines already routed to stderr by the caller's out).
-            sys.stdout.write(text)
-        else:
-            with open(json_path, "w") as fh:
-                fh.write(text)
-            out(f"wrote {json_path}")
+        }, out)
     if failures:
         out(f"simcheck FAILED: runs diverged on {', '.join(failures)}")
         return 1

@@ -11,7 +11,7 @@ def wbuf(engine, sector, nsectors=2):
 
 def test_pass_limit_rescues_starved_request():
     eng = Engine()
-    queue = DiskQueue(use_disksort=True, max_passes=3)
+    queue = DiskQueue(max_passes=3)
     victim = Buf(eng, BufOp.READ, 5, 2)
     queue.insert(victim)
     last = 500
@@ -33,7 +33,7 @@ def test_pass_limit_rescues_starved_request():
 def test_forced_request_counts_as_pass_for_others():
     """Several starved requests are served oldest-first."""
     eng = Engine()
-    queue = DiskQueue(use_disksort=True, max_passes=2)
+    queue = DiskQueue(max_passes=2)
     old = Buf(eng, BufOp.READ, 5, 2)
     queue.insert(old)
     newer = Buf(eng, BufOp.READ, 10, 2)
@@ -55,7 +55,7 @@ def test_forced_request_counts_as_pass_for_others():
 def test_no_passes_without_skipping():
     """Pure ascending traffic never triggers the starvation path."""
     eng = Engine()
-    queue = DiskQueue(use_disksort=True, max_passes=1)
+    queue = DiskQueue(max_passes=1)
     for sector in (10, 20, 30):
         queue.insert(wbuf(eng, sector))
     order = []

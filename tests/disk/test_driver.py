@@ -45,7 +45,7 @@ def test_async_write_persists():
 
 def test_driver_services_fifo_when_disksort_off():
     eng = Engine()
-    _, driver = make_stack(eng, use_disksort=False)
+    _, driver = make_stack(eng, scheduler="fifo")
     order = []
     for sector in (40, 8, 24):
         buf = wbuf(eng, sector, async_=True)
@@ -57,7 +57,7 @@ def test_driver_services_fifo_when_disksort_off():
 
 def test_disksort_orders_by_elevator():
     eng = Engine()
-    _, driver = make_stack(eng, use_disksort=True)
+    _, driver = make_stack(eng)
     order = []
     # Insert in scrambled order while the disk is busy with the first.
     first = wbuf(eng, 0)
@@ -73,7 +73,7 @@ def test_disksort_orders_by_elevator():
 
 def test_disksort_wraps_around():
     """C-LOOK: requests behind the head are served on the next sweep."""
-    queue = DiskQueue(use_disksort=True)
+    queue = DiskQueue()
     eng = Engine()
     for sector in (10, 50, 90):
         queue.insert(wbuf(eng, sector))
@@ -84,7 +84,7 @@ def test_disksort_wraps_around():
 
 
 def test_ordered_buf_is_a_barrier():
-    queue = DiskQueue(use_disksort=True)
+    queue = DiskQueue()
     eng = Engine()
     queue.insert(wbuf(eng, 100))
     barrier = wbuf(eng, 500, ordered=True)

@@ -188,7 +188,7 @@ def test_complete_children_propagates_error_without_slicing():
 
 def test_queue_remove_drops_starvation_counter():
     eng = Engine()
-    queue = DiskQueue(use_disksort=True)
+    queue = DiskQueue()
     behind = wbuf(eng, 10)
     ahead = wbuf(eng, 50)
     queue.insert(behind)

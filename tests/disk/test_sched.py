@@ -128,16 +128,6 @@ def test_peek_all_leaves_elevator_pass_counts_alone():
     assert queue._passes == before
 
 
-def test_fifo_queue_via_use_disksort_false():
-    eng = Engine()
-    queue = DiskQueue(use_disksort=False)
-    assert queue.scheduler.name == "fifo"
-    assert not queue.use_disksort
-    for sector in (40, 10, 30):
-        queue.insert(rbuf(eng, sector))
-    assert [b.sector for b in drain(queue)] == [40, 10, 30]
-
-
 def test_remove_forgets_scheduler_state():
     eng = Engine()
     queue = DiskQueue(scheduler="elevator")

@@ -4,7 +4,13 @@ determinism, and the pinning test for the relocation durability bug.
 
 import pytest
 
-from repro.faults import CrashpointExplorer, PRESETS, run_crashpoints
+from repro.faults import CrashpointExplorer, PRESETS
+
+
+def explore(preset, seed):
+    explorer = CrashpointExplorer(preset, seed=seed)
+    explorer.run()
+    return explorer
 
 
 def test_presets_are_wired():
@@ -20,8 +26,8 @@ def test_explorer_rejects_bad_window():
 
 
 @pytest.fixture(scope="module")
-def smoke_report():
-    return run_crashpoints(preset="smoke", seed=0, sanitize=True)
+def smoke_report(smoke_explorer):
+    return smoke_explorer.stats
 
 
 def test_smoke_meets_the_coverage_floor(smoke_report):
@@ -38,28 +44,28 @@ def test_smoke_meets_the_coverage_floor(smoke_report):
     assert r.durability_points > 0
 
 
-def test_smoke_report_is_json_ready(smoke_report, tmp_path):
+def test_smoke_report_is_json_ready(smoke_explorer, smoke_report):
     import json
 
-    d = smoke_report.to_json()
+    d = smoke_explorer.to_json()
     text = json.dumps(d, sort_keys=True)
-    assert json.loads(text)["distinct_states"] == smoke_report.distinct_states
+    assert (json.loads(text)["stats"]["distinct_states"]
+            == smoke_report.distinct_states)
     assert json.loads(text)["ok"] is True
 
 
 def test_same_seed_same_digest():
     """Determinism: the full exploration (state hashes + verdicts) is a
     pure function of (preset, seed)."""
-    a = run_crashpoints(preset="relocate", seed=7)
-    b = run_crashpoints(preset="relocate", seed=7)
+    a = explore("relocate", seed=7)
+    b = explore("relocate", seed=7)
     assert a.digest == b.digest
-    assert a.distinct_states == b.distinct_states
-    assert (a.raw_states, a.crash_points) == (b.raw_states, b.crash_points)
+    assert a.stats == b.stats
 
 
 def test_different_seed_different_payloads():
-    a = run_crashpoints(preset="relocate", seed=0)
-    b = run_crashpoints(preset="relocate", seed=1)
+    a = explore("relocate", seed=0)
+    b = explore("relocate", seed=1)
     # Payloads differ, so the crash-state images (and their digest) do too.
     assert a.digest != b.digest
 
@@ -91,6 +97,6 @@ def test_relocation_bug_stays_fixed():
 def test_ordered_metadata_preset_holds():
     """B_ORDER metadata mode: barriers (not FUA) order the metadata; the
     contract folding treats namespace ops as uncertain until a flush."""
-    report = run_crashpoints(preset="ordered", seed=0)
+    report = explore("ordered", seed=0).stats
     assert report.violations == [] and report.ok
     assert report.distinct_states > 0

@@ -9,8 +9,7 @@ alone, and a resync that converges to byte-identical members.
 
 import pytest
 
-from repro.faults import FaultPlan, MirrorKillCampaign
-from repro.faults.memberkill import default_memberkill_config
+from repro.faults import FaultPlan, MirrorKillCampaign, small_config
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -132,10 +131,9 @@ def test_campaign_single_seed():
     assert record["killed"]
     assert record["resync"]["identical"]
     doc = campaign.to_json()
-    assert doc["ok"] and len(doc["runs"]) == 1
+    assert doc["ok"] and len(doc["records"]) == 1
 
 
 def test_campaign_rejects_non_mirror_config():
     with pytest.raises(ValueError):
-        MirrorKillCampaign(config=default_memberkill_config().with_(
-            layout="stripe:2"))
+        MirrorKillCampaign(config=small_config(layout="stripe:2"))

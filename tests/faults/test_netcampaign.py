@@ -16,9 +16,8 @@ def test_small_sweep_holds_every_invariant():
     assert stats.retransmits > 0
     assert stats.drops_injected > 0
     assert stats.drc_hits > 0
-    # The statset mirror carries the same numbers.
-    assert campaign.statset["retransmits"] == stats.retransmits
-    assert campaign.statset["lost_acked_writes"] == 0
+    assert campaign.stats is stats
+    assert campaign.stats.lost_acked_writes == 0
 
 
 def test_same_base_seed_reproduces_the_sweep():

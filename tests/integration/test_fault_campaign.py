@@ -68,8 +68,3 @@ def test_campaign_is_deterministic_per_seed():
     assert a.as_dict() == b.as_dict()  # byte-identical stats, same seed
     assert a.as_dict() != c.as_dict()  # and the seed genuinely matters
 
-
-def test_campaign_statset_mirrors_stats():
-    campaign = CrashCampaign(cuts=3, seed=0)
-    stats = campaign.run()
-    assert campaign.statset.as_dict() == stats.as_dict()

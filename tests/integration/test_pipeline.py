@@ -106,7 +106,3 @@ def test_schedulers_selectable_and_byte_identical():
         payloads[name] = read_all(system, proc)
     assert payloads["elevator"] == payloads["fifo"] == payloads["deadline"]
 
-
-def test_use_disksort_false_downgrades_to_fifo():
-    system = System.booted(small_config(use_disksort=False))
-    assert system.driver.scheduler_name == "fifo"

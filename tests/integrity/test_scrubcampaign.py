@@ -44,7 +44,7 @@ def test_campaign_json_document_is_complete():
     assert doc["seed"] == 5
     assert doc["ok"] is True
     assert doc["digest"] == campaign.digest
-    assert len(doc["injections"]) == doc["stats"]["injected"]
-    for inj in doc["injections"]:
+    assert len(doc["records"]) == doc["stats"]["injected"]
+    for inj in doc["records"]:
         assert inj["outcome"] in ("repaired:cache", "repaired:replica",
                                   "unrepairable")

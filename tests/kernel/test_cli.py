@@ -1,16 +1,20 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import CAMPAIGNS
 
-def run_cli(*args, timeout=300):
+
+def run_cli(*args, timeout=300, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, **kwargs,
     )
 
 
@@ -69,6 +73,49 @@ def test_cli_scrubcampaign_json_stdout_parses():
     assert "scrubbing" in result.stderr
 
 
+#: Per campaign: toy arguments that pass, and a bad count/preset.
+CAMPAIGN_ARGS = {
+    "faultcampaign": (["--cuts", "2"], ["--cuts", "0"]),
+    "netcampaign": (["--seeds", "1"], ["--seeds", "0"]),
+    "memberkill": (["--seeds", "1"], ["--seeds", "0"]),
+    "crashpoints": (["--preset", "smoke", "--max-states", "200"],
+                    ["--preset", "nope"]),
+    "scrubcampaign": ([], None),  # takes no count to get wrong
+}
+
+
+@pytest.mark.parametrize("row", CAMPAIGNS, ids=lambda row: row.name)
+def test_cli_every_campaign_speaks_the_one_envelope(row):
+    toy, bad = CAMPAIGN_ARGS[row.name]
+    result = run_cli(row.name, *toy, "--json", "-")
+    assert result.returncode == 0, result.stderr
+    document = json.loads(result.stdout)  # the whole of stdout is JSON
+    assert document["schema"] == "repro-campaign/v1"
+    assert document["campaign"] == row.name
+    assert document["ok"] is True
+    assert len(document["digest"]) == 64
+    assert "digest" in result.stderr and "OK:" in result.stderr
+    if bad is not None:
+        refused = run_cli(row.name, *bad)
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr.startswith(f"{row.name}: ")
+        assert "Traceback" not in refused.stderr
+
+
+def test_cli_demo_and_traces_run_outside_the_checkout(tmp_path):
+    """Both resolve their file against the checkout that holds the
+    package, not against the working directory."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    demo = run_cli("demo", cwd=tmp_path, env=env)
+    assert demo.returncode == 0, demo.stderr
+    assert "fsck: CLEAN" in demo.stdout
+    traces = run_cli("traces", cwd=tmp_path, env=env)
+    assert traces.returncode == 0, traces.stdout + traces.stderr
+    assert "not found" not in traces.stdout + traces.stderr
+
+
 def test_cli_json_to_path_keeps_stdout_human(tmp_path):
     path = tmp_path / "out.json"
     result = run_cli("faultcampaign", "--cuts", "2", "--json", str(path))
@@ -125,6 +172,8 @@ def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path):
     assert folded.returncode == 0
     assert any(";" in line and line.rsplit(" ", 1)[1].isdigit()
                for line in folded.stdout.splitlines())
+    # --out - hands stdout to the export: no "wrote ..." / line-count tail.
+    assert "wrote" not in folded.stdout and " lines, " not in folded.stdout
 
 
 def test_cli_trace_ingests_exported_jsonl(tmp_path):

@@ -7,7 +7,7 @@ journal hooks) would turn one crash's debris into the next state's
 false verdict.
 """
 
-from repro.faults.campaign import default_campaign_config
+from repro.faults import small_config
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 
@@ -17,8 +17,7 @@ from tests.integrity.conftest import checksum_config
 def crashedlike_system():
     """A machine with plenty of used state: requests served, sanitizer
     checkpoints taken, a journalling write cache with entries pending."""
-    config = default_campaign_config().with_(write_cache=True,
-                                             write_cache_bytes=64 * 1024)
+    config = small_config(write_cache=True, write_cache_bytes=64 * 1024)
     system = System.booted(config)
     system.sanitizer.enabled = True
     system.tracer.enabled = True

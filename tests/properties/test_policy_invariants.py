@@ -77,7 +77,7 @@ def test_readahead_never_reissues_a_cluster(jumps, cluster):
 )
 def test_disksort_serves_everything_once(sectors, barrier_at):
     eng = Engine()
-    queue = DiskQueue(use_disksort=True)
+    queue = DiskQueue()
     bufs = []
     for i, sector in enumerate(sectors):
         buf = Buf(eng, BufOp.WRITE, sector, 2, data=bytes(1024),
@@ -109,7 +109,7 @@ def test_disksort_is_mostly_ascending(sectors):
     """C-LOOK serves in ascending runs: the number of descending steps is
     bounded by the number of sweeps (wraps) plus anti-starvation picks."""
     eng = Engine()
-    queue = DiskQueue(use_disksort=True)
+    queue = DiskQueue()
     for sector in sectors:
         queue.insert(Buf(eng, BufOp.WRITE, sector, 2, data=bytes(1024)))
     order = []
@@ -130,7 +130,7 @@ def test_disksort_starvation_bounded(data):
     """A request behind the head is served within max_passes pops even if
     forward traffic keeps arriving."""
     eng = Engine()
-    queue = DiskQueue(use_disksort=True, max_passes=5)
+    queue = DiskQueue(max_passes=5)
     victim = Buf(eng, BufOp.READ, 10, 2)
     queue.insert(victim)
     last = 1000  # head is already past the victim
