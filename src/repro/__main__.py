@@ -395,12 +395,17 @@ def _trace_bench(args: argparse.Namespace, say,
 
 def _trace_source(args: argparse.Namespace, say):
     """The tracer to analyze: an ingested ``--trace-jsonl`` file, or a
-    fresh seeded iobench run."""
+    fresh seeded iobench run.  None (after one stderr line) when the file
+    is unreadable or not a complete trace."""
     from repro.sim.trace import load_jsonl
 
     if args.trace_jsonl:
-        with open(args.trace_jsonl) as fh:
-            tracer = load_jsonl(fh.read())
+        try:
+            with open(args.trace_jsonl) as fh:
+                tracer = load_jsonl(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"trace: {exc}", file=sys.stderr)
+            return None
         say(f"loaded {len(tracer.spans)} spans and "
             f"{len(tracer.records)} records from {args.trace_jsonl}")
         return tracer
@@ -441,6 +446,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     tracer = _trace_source(args, say)
+    if tracer is None:
+        return 2
     report = critical_paths(tracer)
 
     if args.mode == "analyze":

@@ -34,7 +34,7 @@ seconds per category, ready for ``BENCH.json`` and the perf gate's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Span, Tracer
@@ -65,15 +65,6 @@ _SPAN_CATEGORY: dict[str, tuple[str, int]] = {
 }
 
 _CATEGORY_RANK = {name: i for i, name in enumerate(ATTRIBUTION_CATEGORIES)}
-
-
-def _children_index(spans: Iterable["Span"]) -> dict[int, list["Span"]]:
-    """parent id -> children, built once (Tracer.span_children is O(n))."""
-    index: dict[int, list["Span"]] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            index.setdefault(span.parent_id, []).append(span)
-    return index
 
 
 def _descendants(root: "Span",
@@ -138,10 +129,10 @@ def attribution_table(tracer: "Tracer") -> dict[str, dict[str, object]]:
     root spans count; an open root (request still in flight at snapshot
     time) is skipped rather than guessed at.
     """
-    children = _children_index(tracer.spans)
+    children = tracer.children_index()
     table: dict[str, dict[str, object]] = {}
-    for root in tracer.spans:
-        if root.parent_id is not None or root.end is None:
+    for root in tracer.span_roots():
+        if root.end is None:
             continue
         row = table.get(root.name)
         if row is None:

@@ -2,7 +2,7 @@
 
 Two standard offline formats for the tracer's span trees:
 
-* :func:`chrome_trace` — the Chrome trace-event JSON format (load the
+* :func:`chrome_trace_json` — the Chrome trace-event JSON format (load the
   file in ``chrome://tracing`` or https://ui.perfetto.dev).  The whole
   machine is one process (``pid=1``, named ``system``); each traced
   request is its own thread track (``tid`` = request id), so one
@@ -32,6 +32,7 @@ metadata.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.obs.critpath import CritReport, critical_paths, span_category
@@ -55,17 +56,47 @@ def _usec(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def chrome_trace(tracer: "Tracer") -> dict:
-    """The trace as a Chrome trace-event document (JSON-ready dict).
+#: Every value below ``traceEvents`` is rendered by this one stdlib encoder.
+#: Its item separator carries the newline and the depth-4 indent of an
+#: ``args`` member, so an ``args`` object comes out in canonical form but
+#: for its outer braces — and with no ``indent`` the C encoder runs.
+_ITEM_BREAK = ",\n    "
+_encode = json.JSONEncoder(sort_keys=True,
+                           separators=(_ITEM_BREAK, ": ")).encode
+
+_SORT_KEY = itemgetter(0, 1, 2)  # (ts, tid, span id)
+
+_HEAD = ('{\n "displayTimeUnit": "ms",\n "otherData": {\n'
+         '  "open_roots": %d,\n  "open_spans": %d,\n  "schema": %s\n },\n'
+         ' "traceEvents": [\n')
+_META_EVENT = ('  {\n   "args": {\n    "name": %s\n   },\n   "name": "%s",\n'
+               '   "ph": "M",\n   "pid": %d%s\n  }')
+_SPAN_EVENT = ('  {\n   "args": {\n    %s\n   },\n   "cat": %s,\n'
+               '   "dur": %s,\n   "name": %s,\n   "ph": "X",\n   "pid": %d,\n'
+               '   "tid": %d,\n   "ts": %s\n  }')
+_TAIL = "\n ]\n}\n"
+
+
+def chrome_trace_json(tracer: "Tracer") -> str:
+    """The trace as a Chrome trace-event document, in its one byte form.
 
     Every closed span becomes one complete (``ph="X"``) event carrying
     its span/parent ids and fields in ``args`` and its attribution
     category in ``cat``.  See the module docstring for the track layout
     and the open-span policy.
+
+    The canonical bytes are by definition the stdlib's one-space-indent,
+    sorted-keys rendering of the document plus a newline; they are written
+    here directly (an ``indent`` would put the stdlib on its pure-Python
+    encoder), which ``tests/obs/test_export_bytes.py`` holds to the
+    dict-building writer this replaced.
     """
     children = tracer.children_index()
-    events: list[tuple] = []
+    # One (ts, tid, span id, dur, args, "cat" text, "name" text) per event.
+    rows: list[tuple] = []
     named_tracks: dict[str, int] = {}
+    # span name -> (its disk[mN] track or None, "cat" text, "name" text)
+    by_name: dict[str, tuple] = {}
     open_roots = 0
     open_spans = 0
 
@@ -75,76 +106,70 @@ def chrome_trace(tracer: "Tracer") -> dict:
             tid = named_tracks[name] = _NAMED_TRACK_BASE + len(named_tracks)
         return tid
 
-    def emit(span: "Span", tid: int, clamp: float) -> None:
-        nonlocal open_spans
-        end = span.end
-        if end is None:
-            open_spans += 1
-            end = clamp
-        begin = min(span.begin, end)
-        args = {"span": span.id, "parent": span.parent_id}
-        for key, value in span.fields.items():
-            args[key] = (value if isinstance(value, (int, float, str, bool))
-                         or value is None else str(value))
-        events.append((_usec(begin), tid, span.id, {
-            "name": span.name,
-            "cat": span_category(span.name),
-            "ph": "X",
-            "ts": _usec(begin),
-            "dur": _usec(end - begin),
-            "pid": _PID,
-            "tid": tid,
-            "args": args,
-        }))
-
-    def walk(span: "Span", tid: int, clamp: float) -> None:
-        # A member-tagged I/O span drags its whole subtree onto the
-        # member's track; everything else inherits the parent's.
-        if span.name.startswith("disk_io[") and span.name.endswith("]"):
-            tid = track_for("disk" + span.name[len("disk_io"):])
-        emit(span, tid, clamp)
-        for child in children.get(span.id, ()):
-            walk(child, tid, clamp)
-
     for root in tracer.span_roots():
-        if root.end is None:
+        clamp = root.end
+        if clamp is None:
             open_roots += 1
             continue
         request = root.fields.get("request")
-        tid = int(request) if request is not None else track_for(root.name)
-        walk(root, tid, root.end)
+        # Preorder, so named tracks are numbered in first-visit order.
+        stack = [(root, int(request) if request is not None
+                  else track_for(root.name))]
+        while stack:
+            span, tid = stack.pop()
+            name = span.name
+            memo = by_name.get(name)
+            if memo is None:
+                member = name.startswith("disk_io[") and name.endswith("]")
+                memo = by_name[name] = (
+                    "disk" + name[len("disk_io"):] if member else None,
+                    json.dumps(span_category(name)), json.dumps(name))
+            track, cat_text, name_text = memo
+            # A member-tagged I/O span drags its whole subtree onto the
+            # member's track; everything else inherits the parent's.
+            if track is not None:
+                tid = track_for(track)
+            end = span.end
+            if end is None:
+                open_spans += 1
+                end = clamp
+            begin = min(span.begin, end)
+            fields = span.fields
+            args = {"span": span.id, "parent": span.parent_id, **fields}
+            for key, value in fields.items():
+                if not (value is None
+                        or isinstance(value, (int, float, str))):
+                    args[key] = str(value)
+            rows.append((_usec(begin), tid, span.id, _usec(end - begin),
+                         args, cat_text, name_text))
+            kids = children.get(span.id)
+            if kids:
+                stack.extend([(kid, tid) for kid in reversed(kids)])
 
-    meta_events = [{
-        "name": "process_name",
-        "ph": "M",
-        "pid": _PID,
-        "args": {"name": "system"},
-    }]
-    meta_events.extend(
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": tid,
-            "args": {"name": name},
-        }
-        for name, tid in sorted(named_tracks.items(), key=lambda kv: kv[1])
-    )
-    events.sort(key=lambda item: (item[0], item[1], item[2]))
-    return {
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schema": CHROME_SCHEMA,
-            "open_roots": open_roots,
-            "open_spans": open_spans,
-        },
-        "traceEvents": meta_events + [event for _, _, _, event in events],
-    }
+    rows.sort(key=_SORT_KEY)
+    events = [_META_EVENT % ('"system"', "process_name", _PID, "")]
+    events += [_META_EVENT % (json.dumps(name), "thread_name", _PID,
+                              f',\n   "tid": {tid}')
+               for name, tid in named_tracks.items()]  # in tid order
+    # Three encoder calls render every span value.  A raw newline cannot
+    # occur inside a JSON token, so the item break occurs only between list
+    # items and, args objects being flat, "}" + break + "{" only between two
+    # of them — which leaves each args text without its outer braces.
+    events += [
+        _SPAN_EVENT % (args, cat_text, dur, name_text, _PID, tid, ts)
+        for args, dur, ts, (_, tid, _, _, _, cat_text, name_text) in zip(
+            _encode([row[4] for row in rows])[2:-2].split(
+                "}" + _ITEM_BREAK + "{"),
+            _encode([row[3] for row in rows])[1:-1].split(_ITEM_BREAK),
+            _encode([row[0] for row in rows])[1:-1].split(_ITEM_BREAK),
+            rows)]
+    return (_HEAD % (open_roots, open_spans, json.dumps(CHROME_SCHEMA))
+            + ",\n".join(events) + _TAIL)
 
 
-def chrome_trace_json(tracer: "Tracer") -> str:
-    """:func:`chrome_trace` in its one canonical byte form."""
-    return json.dumps(chrome_trace(tracer), indent=1, sort_keys=True) + "\n"
+def chrome_trace(tracer: "Tracer") -> dict:
+    """:func:`chrome_trace_json`, parsed: the document as a dict."""
+    return json.loads(chrome_trace_json(tracer))
 
 
 def folded_stacks(tracer: "Tracer",

@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: from an incompatible writer instead of mis-parsing them.
 TRACE_SCHEMA = "repro-trace/v1"
 
+#: One JSONL line.  ``json.dumps(..., default=str)`` would build this same
+#: encoder afresh for every line.
+_encode_line = json.JSONEncoder(default=str).encode
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -250,23 +254,24 @@ class Tracer:
         """One meta line, then records, then spans, as JSON lines.
 
         The meta line carries the schema tag (:data:`TRACE_SCHEMA`) and the
-        record/span counts; :func:`load_jsonl` checks it on the way back in.
+        record/span counts; :func:`load_jsonl` checks both on the way back
+        in, so a file cut short at a line boundary is refused.
         With per-tracer span ids (and per-registry request / per-engine buf
         ids) two same-seed runs export byte-identically, with no
         renumbering step.
         """
-        lines = [json.dumps({"type": "meta", "schema": TRACE_SCHEMA,
-                             "records": len(self.records),
-                             "spans": len(self.spans)})]
+        lines = [_encode_line({"type": "meta", "schema": TRACE_SCHEMA,
+                               "records": len(self.records),
+                               "spans": len(self.spans)})]
         lines.extend(
-            json.dumps({"type": "record", "time": r.time, "tag": r.tag,
-                        **r.fields}, default=str)
+            _encode_line({"type": "record", "time": r.time, "tag": r.tag,
+                          **r.fields})
             for r in self.records
         )
         lines.extend(
-            json.dumps({"type": "span", "id": s.id, "parent": s.parent_id,
-                        "name": s.name, "begin": s.begin, "end": s.end,
-                        **s.fields}, default=str)
+            _encode_line({"type": "span", "id": s.id, "parent": s.parent_id,
+                          "name": s.name, "begin": s.begin, "end": s.end,
+                          **s.fields})
             for s in sorted(self.spans, key=lambda s: (s.begin, s.id))
         )
         return "\n".join(lines)
@@ -315,22 +320,34 @@ def load_jsonl(text: str) -> Tracer:
     counts), and exists so every analyzer — critical path, exporters,
     attribution — works identically on a live tracer and a file.
 
-    Raises ``ValueError`` on a missing/incompatible schema line or a span
-    whose parent never appears.
+    Raises ``ValueError`` on a missing/incompatible schema line, on record
+    or span counts that differ from the ones the schema line declares (a
+    truncated file), or on a span whose parent never appears.
     """
     from repro.sim.engine import Engine
 
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty trace document")
-    meta = json.loads(lines[0])
+
+    def parse(line: str) -> dict:
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # e.g. a file cut mid-line
+            raise ValueError(
+                f"unparseable trace line {line[:60]!r}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"trace line {line[:60]!r} is not an object")
+        return obj
+
+    meta = parse(lines[0])
     if meta.get("type") != "meta" or meta.get("schema") != TRACE_SCHEMA:
         raise ValueError(
             f"not a {TRACE_SCHEMA} trace (first line: {lines[0][:80]!r})")
     tracer = Tracer(Engine(), enabled=False)
     max_id = 0
     for line in lines[1:]:
-        obj = json.loads(line)
+        obj = parse(line)
         kind = obj.pop("type", None)
         if kind == "record":
             tracer.records.append(
@@ -342,6 +359,12 @@ def load_jsonl(text: str) -> Tracer:
             tracer._add_span(span)
         else:
             raise ValueError(f"unknown trace line type {kind!r}")
+    for kind, found in (("records", len(tracer.records)),
+                        ("spans", len(tracer.spans))):
+        if meta.get(kind) != found:
+            raise ValueError(
+                f"truncated or padded trace: schema line declares "
+                f"{meta.get(kind)} {kind}, found {found}")
     for span in tracer.spans:
         if span.parent_id is not None and span.parent_id not in tracer._by_id:
             raise ValueError(f"span {span.id} has unknown parent "

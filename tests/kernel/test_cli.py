@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import CAMPAIGNS
+from repro.__main__ import CAMPAIGNS, main
 
 
 def run_cli(*args, timeout=300, **kwargs):
@@ -176,21 +176,49 @@ def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path):
     assert "wrote" not in folded.stdout and " lines, " not in folded.stdout
 
 
+GOOD_TRACE = [
+    '{"type": "meta", "schema": "repro-trace/v1", "records": 0, "spans": 3}',
+    '{"type": "span", "id": 1, "parent": null, "name": "read",'
+    ' "begin": 0.0, "end": 0.01, "request": 1}',
+    '{"type": "span", "id": 2, "parent": 1, "name": "queue_wait",'
+    ' "begin": 0.001, "end": 0.004}',
+    '{"type": "span", "id": 3, "parent": 1, "name": "transfer",'
+    ' "begin": 0.004, "end": 0.009}',
+]
+
+
 def test_cli_trace_ingests_exported_jsonl(tmp_path):
     jsonl = tmp_path / "trace.jsonl"
-    jsonl.write_text(
-        '{"type": "meta", "schema": "repro-trace/v1", "records": 0,'
-        ' "spans": 2}\n'
-        '{"type": "span", "id": 1, "parent": null, "name": "read",'
-        ' "begin": 0.0, "end": 0.01, "request": 1}\n'
-        '{"type": "span", "id": 2, "parent": 1, "name": "queue_wait",'
-        ' "begin": 0.001, "end": 0.004}\n')
+    jsonl.write_text("\n".join(GOOD_TRACE) + "\n")
     result = run_cli("trace", "analyze", "--trace-jsonl", str(jsonl))
     assert result.returncode == 0
     assert "queue_wait" in result.stdout
     # series needs a live run; an offline trace has no metrics registry.
     refused = run_cli("trace", "series", "--trace-jsonl", str(jsonl))
     assert refused.returncode == 2
+
+
+@pytest.mark.parametrize("content, complaint", [
+    ("", "empty trace document"),
+    ("\n".join(GOOD_TRACE).replace("repro-trace/v1", "other/v9") + "\n",
+     "not a repro-trace/v1 trace"),
+    ("\n".join(GOOD_TRACE[:-1]) + "\n", "declares 3 spans, found 2"),
+    ("\n".join(GOOD_TRACE)[:-20], "unparseable trace line"),
+    (None, "No such file"),
+], ids=["empty", "wrong-schema", "cut-at-a-line", "cut-mid-line", "missing"])
+@pytest.mark.parametrize("mode", ["analyze", "chrome"])
+def test_cli_trace_bad_jsonl_is_one_stderr_line_and_exit_2(
+        tmp_path, capsys, mode, content, complaint):
+    path = tmp_path / "bad.jsonl"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out.json"
+    assert main(["trace", mode, "--trace-jsonl", str(path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("trace: ") and complaint in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_trace_series_renders_sparklines():

@@ -136,3 +136,19 @@ def test_load_jsonl_rejects_bad_documents():
     ])
     with pytest.raises(ValueError):
         load_jsonl(orphan)
+
+
+def test_load_jsonl_refuses_a_trace_cut_at_a_line_boundary():
+    _, tr = make_tracer()
+    root = tr.record_span("read", 0.0, 0.010, request=7)
+    tr.record_span("queue_wait", 0.001, 0.004, parent=root)
+    tr.record_span("transfer", 0.004, 0.009, parent=root)
+    tr.emit("getpage_sync", offset=0)
+    lines = tr.to_jsonl().splitlines()
+    assert len(load_jsonl("\n".join(lines)).spans) == 3
+    # Every remaining line parses and every parent exists: only the schema
+    # line's counts say a span is missing.
+    with pytest.raises(ValueError, match="declares 3 spans, found 2"):
+        load_jsonl("\n".join(lines[:-1]))
+    with pytest.raises(ValueError, match="declares 1 records, found 0"):
+        load_jsonl("\n".join(lines[:1] + lines[2:]))
