@@ -38,9 +38,7 @@ def seq_rates(rotdelay_ms, track_buffer):
     write_rate = FILE_SIZE / (system.now - t0) / 1024
 
     vn = system.run(system.mount.namei("/f"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     def read_phase():

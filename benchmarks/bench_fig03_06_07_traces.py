@@ -63,8 +63,7 @@ def test_fig6_clustered_read_trace(once):
 
     fd = system.run(setup())
     vn = system.run(system.mount.namei("/traced"))
-    for page in system.pagecache.vnode_pages(vn):
-        system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
     system.tracer.clear()
 
@@ -106,8 +105,7 @@ def test_fig3_block_read_trace(once):
 
     fd = system.run(setup())
     vn = system.run(system.mount.namei("/traced"))
-    for page in system.pagecache.vnode_pages(vn):
-        system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
     system.tracer.clear()
 

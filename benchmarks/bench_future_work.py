@@ -48,9 +48,7 @@ def test_bmap_cache_reduces_bmap_cpu(once):
 
             fd = system.run(setup())
             vn = system.run(system.mount.namei("/big"))
-            for page in system.pagecache.vnode_pages(vn):
-                if not page.locked and not page.dirty:
-                    system.pagecache.destroy(page)
+            system.pagecache.vnode_drop_clean(vn)
             vn.inode.readahead.reset()
             system.cpu.reset_ledger()
 
@@ -95,9 +93,7 @@ def test_random_clustering_hint(once):
 
             fd = system.run(setup())
             vn = system.run(system.mount.namei("/seg"))
-            for page in system.pagecache.vnode_pages(vn):
-                if not page.locked and not page.dirty:
-                    system.pagecache.destroy(page)
+            system.pagecache.vnode_drop_clean(vn)
             vn.inode.readahead.reset()
 
             rng = random.Random(5)

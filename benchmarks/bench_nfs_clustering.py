@@ -34,14 +34,10 @@ def stream(config_name, bandwidth):
 
     vn = client.run(setup())
     # Cold caches on both machines.
-    for page in client.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            client.pagecache.destroy(page)
+    client.pagecache.vnode_drop_clean(vn)
     vn.readahead.reset()
     server_vn = server.run(server.mount.namei("/stream"))
-    for page in server.pagecache.vnode_pages(server_vn):
-        if not page.locked and not page.dirty:
-            server.pagecache.destroy(page)
+    server.pagecache.vnode_drop_clean(server_vn)
     server_vn.inode.readahead.reset()
 
     t0 = client.now

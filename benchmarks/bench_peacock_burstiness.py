@@ -40,9 +40,7 @@ def run_cell(lazy):
 
     system.run(setup())
     vn = system.run(system.mount.namei("/bystander"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
 
     read_latencies = []
 
@@ -64,9 +62,7 @@ def run_cell(lazy):
             read_latencies.append(system.now - t0)
             # Drop it again for the next cold read.
             vn2 = yield from system.mount.namei("/bystander")
-            for page in system.pagecache.vnode_pages(vn2):
-                if not page.locked and not page.dirty:
-                    system.pagecache.destroy(page)
+            system.pagecache.vnode_drop_clean(vn2)
 
     system.run_all([steady_writer(), bystander()])
     return {

@@ -96,9 +96,7 @@ def ufs_cell():
 
     system.run(build())
     vn = system.run(system.mount.namei("/victim"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
     proc2 = Proc(system)
 

@@ -87,9 +87,7 @@ def _seq_read_rate(daemon_interval):
 
     system.run(write_phase())
     vn = system.run(system.mount.namei("/f"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     digest = hashlib.sha256()

@@ -54,9 +54,7 @@ def zone_rate(zone_cyl):
         return vn
 
     vn = system.run(work())
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     def read_phase():

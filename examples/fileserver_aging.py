@@ -42,9 +42,7 @@ def write_and_read(system: System, size: int) -> float:
 
     system.run(writer())
     vn = system.run(system.mount.namei("/bigfile"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     def reader():

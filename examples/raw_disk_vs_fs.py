@@ -47,9 +47,7 @@ def fs_scan(config_name: str) -> float:
 
     system.run(build())
     vn = system.run(system.mount.namei("/table.db"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     def scan():

@@ -39,9 +39,7 @@ def run(limit: int) -> dict:
     system.run(build_files())
     for i in range(READS):
         vn = system.run(system.mount.namei(f"/doc{i:02d}"))
-        for page in system.pagecache.vnode_pages(vn):
-            if not page.locked and not page.dirty:
-                system.pagecache.destroy(page)
+        system.pagecache.vnode_drop_clean(vn)
 
     latencies: list[float] = []
     done = {"dump": None}

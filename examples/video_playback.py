@@ -34,9 +34,7 @@ def play(config_name: str) -> dict:
 
     system.run(record_video())
     vn = system.run(system.mount.namei("/video.mjpg"))
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     nframes = VIDEO_SIZE // FRAME_SIZE

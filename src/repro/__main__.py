@@ -66,33 +66,22 @@ def _add_json_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
 
 
 def _cmd_iobench(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.bench.iobench import IObench, format_member_table
     from repro.bench.report import PAPER_FIGURE_10, compare_to_paper, ratio_table
     from repro.kernel import SystemConfig
     from repro.units import MB
 
     names = list(args.configs.upper())
-    scheduler = args.scheduler or None
-    layout = args.layout or None
     tracing = bool(args.trace_jsonl)
-    where = f" on layout {layout}" if layout else ""
+    where = f" on layout {args.layout}" if args.layout else ""
     print(f"running IObench on configurations {', '.join(names)}{where} "
           f"({args.file_mb} MB file; this simulates a few minutes of 1991)...")
     results = {}
     benches = []
     pipelines = []
     for name in names:
-        config = SystemConfig.by_name(name)
-        overrides = {}
-        if scheduler is not None:
-            overrides["scheduler"] = scheduler
-        if layout is not None:
-            overrides["layout"] = layout
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        bench = IObench(config, file_size=args.file_mb * MB,
+        bench = IObench(SystemConfig.preset(name, args.scheduler, args.layout),
+                        file_size=args.file_mb * MB,
                         trace_phase="FSR" if tracing and not benches else None,
                         sanitize=True if args.sanitize else None)
         full = bench.run()

@@ -46,9 +46,7 @@ def run_cpu_bench(config: SystemConfig, file_size: int = 16 * MB,
 
     fd = system.run(setup(), name="cpubench-setup")
     vn = system.run(system.mount.namei(path), name="lookup")
-    for page in system.pagecache.vnode_pages(vn):
-        if not page.locked and not page.dirty:
-            system.pagecache.destroy(page)
+    system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
     system.cpu.reset_ledger()

@@ -194,9 +194,7 @@ class IObench:
 
     def _drop_file_cache(self, system: System):
         vn = system.run(system.mount.namei(self.path), name="lookup")
-        for page in system.pagecache.vnode_pages(vn):
-            if not page.locked and not page.dirty:
-                system.pagecache.destroy(page)
+        system.pagecache.vnode_drop_clean(vn)
         vn.inode.readahead.reset()
 
     # -- the full run ------------------------------------------------------------
@@ -263,18 +261,6 @@ def run_configs(names: "list[str]" = list("ABCD"),
     overrides the block-device layout (e.g. ``stripe:4:chunk=64k``); None
     keeps the default single disk.
     """
-    import dataclasses
-
-    results = []
-    for name in names:
-        config = SystemConfig.by_name(name)
-        overrides = {}
-        if scheduler is not None:
-            overrides["scheduler"] = scheduler
-        if layout is not None:
-            overrides["layout"] = layout
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        bench = IObench(config, **kwargs)
-        results.append(bench.run())
-    return results
+    return [IObench(SystemConfig.preset(name, scheduler, layout),
+                    **kwargs).run()
+            for name in names]

@@ -104,6 +104,15 @@ class SystemConfig:
         )
 
     @classmethod
+    def preset(cls, name: str, scheduler: "str | None" = None,
+               layout: "str | None" = None) -> "SystemConfig":
+        """Figure-9 row ``name`` with the disk-queue scheduler and/or the
+        block-device layout overridden; None or "" keeps the row's own."""
+        overrides = {"scheduler": scheduler, "layout": layout}
+        return cls.by_name(name).with_(
+            **{key: value for key, value in overrides.items() if value})
+
+    @classmethod
     def by_name(cls, name: str) -> "SystemConfig":
         presets = {
             "A": cls.config_a, "B": cls.config_b,

@@ -171,7 +171,14 @@ class NfsServer:
         if trace.enabled:
             span = trace.span_begin("nfs_server", op=op.lower())
         try:
-            yield self._nfsds.acquire()
+            grant = self._nfsds.acquire()
+            try:
+                yield grant
+            except BaseException:
+                # Interrupted in the queue: the slot (granted meanwhile or
+                # not) must not stay charged to a call that will never run.
+                self._nfsds.abandon(grant)
+                raise
             try:
                 yield from self.mount.cpu.work("nfsd", self.per_rpc_cpu)
                 handler = getattr(self, f"_op_{op.lower()}", None)

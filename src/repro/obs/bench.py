@@ -50,8 +50,6 @@ def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
     None to run silently.  The returned document is deterministic for a
     given parameter set — see the module docstring.
     """
-    import dataclasses
-
     from repro.bench.iobench import IObench
     from repro.kernel.config import SystemConfig
     from repro.obs.attrib import attribution_table
@@ -61,15 +59,8 @@ def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
     names = [name.upper() for name in configs]
     results: dict[str, Any] = {}
     for name in names:
-        config = SystemConfig.by_name(name)
-        overrides: dict[str, Any] = {}
-        if scheduler:
-            overrides["scheduler"] = scheduler
-        if layout:
-            overrides["layout"] = layout
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        bench = IObench(config, file_size=file_mb * MB,
+        bench = IObench(SystemConfig.preset(name, scheduler, layout),
+                        file_size=file_mb * MB,
                         random_ops=random_ops, seed=seed, trace_phase="*")
         result = bench.run()
         system = bench.system

@@ -17,10 +17,9 @@ comparison needs a real (if reduced) S5FS:
   happens to have allocated them contiguously.
 """
 
-from repro.s5fs.bufcache import BufferCache
 from repro.s5fs.check import S5CheckReport, s5check
 from repro.s5fs.fs import S5FileSystem, s5_mkfs
 from repro.s5fs.ondisk import S5Params, S5Superblock
 
-__all__ = ["BufferCache", "S5CheckReport", "S5FileSystem", "S5Params",
-           "S5Superblock", "s5_mkfs", "s5check"]
+__all__ = ["S5CheckReport", "S5FileSystem", "S5Params", "S5Superblock",
+           "s5_mkfs", "s5check"]

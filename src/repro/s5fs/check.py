@@ -8,13 +8,12 @@ at allocated inodes, and the superblock's ``tfree`` matches the chain.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.s5fs.ondisk import (
     S5_NDIRECT, S5_ROOT_INO, S5Dinode, S5Superblock,
-    iter_s5_dirents, unpack_free_chain_block,
+    iter_ptrs, iter_s5_dirents, unpack_free_chain_block,
 )
 from repro.ufs.ondisk import IFDIR, IFMT
 
@@ -79,7 +78,6 @@ def s5check(store: "DiskStore") -> S5CheckReport:
     # -- walk the inodes ---------------------------------------------------------
     claims: dict[int, int] = {}
     modes: dict[int, int] = {}
-    nindir = bsize // 4
 
     def claim(ino: int, blk: int) -> None:
         if not sb.data_start <= blk < sb.fsize:
@@ -94,6 +92,15 @@ def s5check(store: "DiskStore") -> S5CheckReport:
         claims[blk] = ino
         report.claimed_blocks += 1
 
+    def claim_tree(ino: int, blk: int, depth: int) -> None:
+        """Block ``blk`` and everything it names through ``depth`` levels
+        of pointer blocks (0: a data block)."""
+        claim(ino, blk)
+        if depth:
+            for child in iter_ptrs(read_block(blk)):
+                if child:
+                    claim_tree(ino, child, depth - 1)
+
     for ino in range(sb.inodes):
         blk_addr, off = sb.inode_location(ino)
         din = S5Dinode.unpack(read_block(blk_addr)[off:off + 64])
@@ -105,28 +112,9 @@ def s5check(store: "DiskStore") -> S5CheckReport:
         for lbn in range(min(nblocks, S5_NDIRECT)):
             if din.addrs[lbn]:
                 claim(ino, din.addrs[lbn])
-        if din.addrs[S5_NDIRECT]:
-            indirect = din.addrs[S5_NDIRECT]
-            claim(ino, indirect)
-            block = read_block(indirect)
-            for i in range(nindir):
-                (child,) = struct.unpack_from("<I", block, i * 4)
-                if child:
-                    claim(ino, child)
-        if din.addrs[S5_NDIRECT + 1]:
-            douter = din.addrs[S5_NDIRECT + 1]
-            claim(ino, douter)
-            outer = read_block(douter)
-            for i in range(nindir):
-                (mid,) = struct.unpack_from("<I", outer, i * 4)
-                if not mid:
-                    continue
-                claim(ino, mid)
-                inner = read_block(mid)
-                for j in range(nindir):
-                    (child,) = struct.unpack_from("<I", inner, j * 4)
-                    if child:
-                        claim(ino, child)
+        for depth, slot in enumerate((S5_NDIRECT, S5_NDIRECT + 1), start=1):
+            if din.addrs[slot]:
+                claim_tree(ino, din.addrs[slot], depth)
 
     # -- the flat root directory -----------------------------------------------------
     root_blk, root_off = sb.inode_location(S5_ROOT_INO)

@@ -10,19 +10,19 @@ scrambled as the file system ages").
 
 from __future__ import annotations
 
-import struct
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import (
     FileExistsError_, FileNotFoundError_, InvalidArgumentError, NoSpaceError,
 )
-from repro.s5fs.bufcache import BufferCache
 from repro.s5fs.ondisk import (
     NICFREE, S5_DIRENT_SIZE, S5_MAGIC, S5_NADDR, S5_NDIRECT, S5_ROOT_INO,
-    S5Dinode, S5Params, S5Superblock, iter_s5_dirents, pack_free_chain_block,
-    pack_s5_dirent, unpack_free_chain_block,
+    S5Dinode, S5Params, S5Superblock, get_ptr, iter_ptrs, iter_s5_dirents,
+    pack_free_chain_block, pack_s5_dirent, s5_dirent_ino, s5_lbn_path,
+    set_ptr, set_s5_dirent_ino, unpack_free_chain_block,
 )
 from repro.sim.stats import StatSet
+from repro.ufs.metacache import MetaCache
 from repro.ufs.ondisk import IFDIR, IFREG
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,7 +141,12 @@ class S5FileSystem:
         )
         if self.sb.bsize % 512:
             raise InvalidArgumentError("bad S5 block size")
-        self.cache = BufferCache(engine, driver, cpu, self.sb.bsize, nbufs)
+        #: The old-style fixed buffer cache: everything, data included,
+        #: moves through it.  One "fragment" per block, so buffer
+        #: addresses are S5 block numbers.
+        self.cache = MetaCache(engine, driver, cpu, self.sb.bsize,
+                               frag_sectors=self.sb.bsize // 512,
+                               capacity=nbufs)
         self.stats = StatSet("s5fs")
         self._icache: dict[int, S5Inode] = {}
 
@@ -217,38 +222,20 @@ class S5FileSystem:
     # -- bmap -------------------------------------------------------------------------
     def bmap(self, ip: S5Inode, lbn: int, alloc: bool = False
              ) -> Generator[Any, Any, int]:
-        nindir = self.sb.bsize // 4
         yield from self.cpu.work("bmap", self.cpu.costs.bmap)
-        if lbn < 0:
-            raise InvalidArgumentError("negative lbn")
-        if lbn < S5_NDIRECT:
-            if ip.addrs[lbn] == 0 and alloc:
-                ip.addrs[lbn] = yield from self.alloc_block()
-                ip.dirty = True
-            return ip.addrs[lbn]
-        lbn -= S5_NDIRECT
-        if lbn < nindir:
-            slot = S5_NDIRECT
-            if ip.addrs[slot] == 0:
-                if not alloc:
-                    return 0
-                ip.addrs[slot] = yield from self._new_pointer_block()
-                ip.dirty = True
-            return (yield from self._pointer(ip.addrs[slot], lbn, alloc))
-        lbn -= nindir
-        if lbn < nindir * nindir:
-            slot = S5_NDIRECT + 1
-            if ip.addrs[slot] == 0:
-                if not alloc:
-                    return 0
-                ip.addrs[slot] = yield from self._new_pointer_block()
-                ip.dirty = True
-            outer = yield from self._pointer(ip.addrs[slot], lbn // nindir,
-                                             alloc, pointer_block=True)
-            if outer == 0:
+        slot, indices = s5_lbn_path(lbn, self.sb.bsize)
+        blk = ip.addrs[slot]
+        if blk == 0 and alloc:
+            blk = yield from (self._new_pointer_block() if indices
+                              else self.alloc_block())
+            ip.addrs[slot] = blk
+            ip.dirty = True
+        for depth, index in enumerate(indices, start=1):
+            if blk == 0:
                 return 0
-            return (yield from self._pointer(outer, lbn % nindir, alloc))
-        raise InvalidArgumentError("file too large for S5FS")
+            blk = yield from self._pointer(blk, index, alloc,
+                                           pointer_block=depth < len(indices))
+        return blk
 
     def _new_pointer_block(self) -> Generator[Any, Any, int]:
         blk = yield from self.alloc_block()
@@ -260,13 +247,13 @@ class S5FileSystem:
     def _pointer(self, block: int, index: int, alloc: bool,
                  pointer_block: bool = False) -> Generator[Any, Any, int]:
         buf = yield from self.cache.bread(block)
-        (value,) = struct.unpack_from("<I", buf.data, index * 4)
+        value = get_ptr(buf.data, index)
         if value == 0 and alloc:
             if pointer_block:
                 value = yield from self._new_pointer_block()
             else:
                 value = yield from self.alloc_block()
-            struct.pack_into("<I", buf.data, index * 4, value)
+            set_ptr(buf.data, index, value)
             self.cache.bdwrite(buf)
         return value
 
@@ -315,8 +302,7 @@ class S5FileSystem:
             buf = yield from self.cache.bread(blk)
             for off in range(0, self.sb.bsize, S5_DIRENT_SIZE):
                 in_file = lbn * self.sb.bsize + off
-                (slot_ino,) = struct.unpack_from("<H", buf.data, off)
-                if slot_ino != 0:
+                if s5_dirent_ino(buf.data, off) != 0:
                     continue
                 # A free slot (deleted entry, or virgin space at the tail).
                 if in_file >= root.size:
@@ -343,7 +329,7 @@ class S5FileSystem:
             for off, ino, entry in iter_s5_dirents(bytes(buf.data)):
                 if entry != name:
                     continue
-                struct.pack_into("<H", buf.data, off, 0)
+                set_s5_dirent_ino(buf.data, off, 0)
                 yield from self.cache.bwrite(buf)
                 yield from self._truncate_and_free(ino)
                 self.stats.incr("unlinks")
@@ -352,24 +338,22 @@ class S5FileSystem:
 
     def _truncate_and_free(self, ino: int) -> Generator[Any, Any, None]:
         ip = yield from self.iget(ino)
-        nindir = self.sb.bsize // 4
         nblocks = (ip.size + self.sb.bsize - 1) // self.sb.bsize
         for lbn in range(nblocks):
             blk = yield from self.bmap(ip, lbn)
             if blk:
-                self.cache.invalidate(blk)
+                self.cache.drop(blk)
                 yield from self.free_block(blk)
         for slot in (S5_NDIRECT, S5_NDIRECT + 1):
             if ip.addrs[slot]:
                 # Free pointer blocks (double-indirect inner blocks too).
                 if slot == S5_NDIRECT + 1:
                     buf = yield from self.cache.bread(ip.addrs[slot])
-                    for i in range(nindir):
-                        (inner,) = struct.unpack_from("<I", buf.data, i * 4)
+                    for inner in iter_ptrs(buf.data):
                         if inner:
-                            self.cache.invalidate(inner)
+                            self.cache.drop(inner)
                             yield from self.free_block(inner)
-                self.cache.invalidate(ip.addrs[slot])
+                self.cache.drop(ip.addrs[slot])
                 yield from self.free_block(ip.addrs[slot])
         ip.mode = 0
         ip.nlink = 0
@@ -396,7 +380,7 @@ class S5FileSystem:
             blk = yield from self.bmap(ip, lbn)
             if blk == 0:
                 buf = None
-            elif self.clustering and not self.cache.contains(blk):
+            elif self.clustering and self.cache.peek(blk) is None:
                 # Probe contiguity only on a cache miss (the probe itself
                 # costs bmap work; cached blocks need none of it).
                 run = yield from self._contig_run(ip, lbn, self.cluster_blocks)
@@ -433,7 +417,7 @@ class S5FileSystem:
             buf.data[in_block:in_block + chunk] = data[written:written + chunk]
             if self.clustering:
                 buf.dirty = True
-                if pending and buf.blkno != pending[-1].blkno + 1:
+                if pending and buf.frag_addr != pending[-1].frag_addr + 1:
                     yield from self.cache.mbwrite(pending)
                     pending = []
                 pending.append(buf)
@@ -455,7 +439,7 @@ class S5FileSystem:
         for ip in list(self._icache.values()):
             if ip.dirty:
                 yield from self.iput(ip)
-        yield from self.cache.sync()
+        yield from self.cache.flush()
         buf = yield from self.cache.getblk(1)
         buf.data[:] = self.sb.pack()
         yield from self.cache.bwrite(buf)

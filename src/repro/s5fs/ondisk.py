@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidArgumentError
 
 S5_MAGIC = 0xFD187E20
 NICFREE = 50  # free block numbers cached in the superblock
@@ -124,21 +124,70 @@ class S5Dinode:
                    tuple(values[3:3 + S5_NADDR]), values[3 + S5_NADDR])
 
 
+# -- block pointers ----------------------------------------------------------
+# A pointer is a little-endian u32 block number, 0 for a hole; a pointer
+# block is ``bsize // 4`` of them.
+_PTR = struct.Struct("<I")
+
+
+def get_ptr(block: "bytes | bytearray", index: int) -> int:
+    return _PTR.unpack_from(block, index * _PTR.size)[0]
+
+
+def set_ptr(block: bytearray, index: int, value: int) -> None:
+    _PTR.pack_into(block, index * _PTR.size, value)
+
+
+def iter_ptrs(block: "bytes | bytearray") -> list[int]:
+    """Every pointer of a pointer block, holes included."""
+    return [ptr for (ptr,) in _PTR.iter_unpack(block)]
+
+
+def s5_lbn_path(lbn: int, bsize: int) -> tuple[int, tuple[int, ...]]:
+    """``(slot, indices)`` of logical block ``lbn``'s pointer: ``addrs[slot]``
+    is the data block itself (no indices), the indirect block (one index)
+    or the double-indirect block (two: one per pointer block going down)."""
+    if lbn < 0:
+        raise InvalidArgumentError("negative lbn")
+    if lbn < S5_NDIRECT:
+        return lbn, ()
+    nindir = bsize // _PTR.size
+    rel = lbn - S5_NDIRECT
+    if rel < nindir:
+        return S5_NDIRECT, (rel,)
+    rel -= nindir
+    if rel < nindir * nindir:
+        return S5_NDIRECT + 1, (rel // nindir, rel % nindir)
+    raise InvalidArgumentError("file too large for S5FS")
+
+
+# -- directory entries: a u16 inode number (0 = free slot) + 14 name bytes ----
+_DIRENT_INO = struct.Struct("<H")
+
+
+def s5_dirent_ino(block: "bytes | bytearray", offset: int) -> int:
+    return _DIRENT_INO.unpack_from(block, offset)[0]
+
+
+def set_s5_dirent_ino(block: bytearray, offset: int, ino: int) -> None:
+    _DIRENT_INO.pack_into(block, offset, ino)
+
+
 def pack_s5_dirent(ino: int, name: str) -> bytes:
     encoded = name.encode()
     if not 0 < len(encoded) <= S5_DIRSIZ:
         raise ValueError(f"name {name!r} too long for S5FS (max {S5_DIRSIZ})")
-    return struct.pack("<H", ino) + encoded.ljust(S5_DIRSIZ, b"\x00")
+    return _DIRENT_INO.pack(ino) + encoded.ljust(S5_DIRSIZ, b"\x00")
 
 
 def iter_s5_dirents(block: bytes) -> list[tuple[int, int, str]]:
     """(offset, ino, name) for each live entry; ino 0 = free slot."""
     entries = []
     for offset in range(0, len(block) - S5_DIRENT_SIZE + 1, S5_DIRENT_SIZE):
-        (ino,) = struct.unpack_from("<H", block, offset)
+        ino = s5_dirent_ino(block, offset)
         if ino == 0:
             continue
-        raw = block[offset + 2:offset + 2 + S5_DIRSIZ]
+        raw = block[offset + _DIRENT_INO.size:offset + S5_DIRENT_SIZE]
         entries.append((offset, ino, raw.rstrip(b"\x00").decode()))
     return entries
 

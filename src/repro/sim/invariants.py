@@ -55,7 +55,6 @@ set if it only holds when the engine has drained.
 from __future__ import annotations
 
 import os
-import struct
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.sim.engine import SimulationError
@@ -276,45 +275,10 @@ class Sanitizer:
             )
 
     # -- check 5: page-cache / on-disk coherency ---------------------------
-    def _resolve_lbn(self, mount: Any, ip: Any, lbn: int) -> int:
-        """Block pointer for ``lbn`` without simulated I/O: in-memory inode
-        pointers, then the metacache's cached copy, then the raw store —
-        the same bytes bmap would read, in the same precedence."""
-        from repro.ufs.bmap import HOLE, nindir
-        from repro.ufs.ondisk import NDADDR
-
-        if lbn < NDADDR:
-            return ip.direct[lbn]
-        n = nindir(mount.sb.bsize)
-        rel = lbn - NDADDR
-        if rel < n:
-            if ip.indirect == HOLE:
-                return HOLE
-            return self._read_ptr_raw(mount, ip.indirect, rel)
-        rel -= n
-        if ip.dindirect == HOLE:
-            return HOLE
-        outer = self._read_ptr_raw(mount, ip.dindirect, rel // n)
-        if outer == HOLE:
-            return HOLE
-        return self._read_ptr_raw(mount, outer, rel % n)
-
-    @staticmethod
-    def _read_ptr_raw(mount: Any, addr_block: int, index: int) -> int:
-        meta = mount.metacache._bufs.get(addr_block)
-        if meta is not None:
-            return struct.unpack_from("<I", meta.data, index * 4)[0]
-        # read_through: the drive-visible bytes — on a disk with a volatile
-        # write cache the authoritative copy may still sit in its buffer.
-        disk = mount.driver.disk
-        frag_sectors = mount.sb.fsize // 512
-        data = disk.read_through(addr_block * frag_sectors,
-                                 mount.sb.bsize // 512)
-        return struct.unpack_from("<I", data, index * 4)[0]
-
     def _check_page_coherency(self, point: str, idle: bool,
                               deep: bool) -> None:
         from repro.ufs.bmap import HOLE
+        from repro.ufs.ondisk import resolve_lbn
 
         mount = self.system.mount
         if mount is None:
@@ -322,6 +286,19 @@ class Sanitizer:
         pc = self.system.pagecache
         disk = mount.driver.disk
         sb = mount.sb
+
+        def pointer_block(addr_block: int) -> "bytes | bytearray":
+            # Resolving a pointer costs no simulated I/O and moves nothing
+            # in the LRU: the buffer cache's copy if it has one (``peek``),
+            # else the raw store — the bytes bmap would read, in the same
+            # precedence.  read_through: on a disk with a volatile write
+            # cache the authoritative copy may still sit in its buffer.
+            meta = mount.metacache.peek(addr_block)
+            if meta is not None:
+                return meta.data
+            return disk.read_through(sb.fsb_to_sector(addr_block),
+                                     sb.bsize // 512)
+
         for vn in list(mount._vnodes.values()):
             ip = vn.inode
             if not ip.is_reg:
@@ -333,7 +310,7 @@ class Sanitizer:
                     continue
                 lbn = page.offset // sb.bsize
                 nbytes = min(ip.blksize(lbn), ip.size - page.offset)
-                addr = self._resolve_lbn(mount, ip, lbn)
+                addr = resolve_lbn(ip, lbn, sb.bsize, pointer_block)
                 if addr == HOLE:
                     if any(page.data[:nbytes]):
                         self.fail(

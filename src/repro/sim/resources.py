@@ -141,6 +141,11 @@ class Resource:
         """Release one slot."""
         self._sem.release(1)
 
+    def abandon(self, grant: Event) -> None:
+        """Give back an :meth:`acquire` whose waiter was interrupted while
+        waiting on ``grant`` (see :meth:`Semaphore.abandon`)."""
+        self._sem.abandon(grant)
+
     def use(self, duration: float) -> Generator[Event, Any, None]:
         """Acquire, hold for ``duration``, release.  Use with ``yield from``."""
         if duration < 0:
@@ -154,7 +159,7 @@ class Resource:
             try:
                 yield grant
             except BaseException:
-                sem.abandon(grant)
+                self.abandon(grant)
                 raise
         try:
             if duration > 0:

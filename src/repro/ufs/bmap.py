@@ -13,28 +13,16 @@ and fragment handling for small-file tails.  A hole translates to address 0
 
 from __future__ import annotations
 
-import struct
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import InvalidArgumentError
-from repro.ufs.ondisk import NDADDR
+from repro.ufs.ondisk import NDADDR, get_ptr, iter_ptrs, lbn_path, set_ptr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
     from repro.ufs.mount import UfsMount
 
 HOLE = 0
-
-
-def nindir(bsize: int) -> int:
-    """Pointers per indirect block."""
-    return bsize // 4
-
-
-def max_lbn(bsize: int) -> int:
-    """One past the largest addressable logical block."""
-    n = nindir(bsize)
-    return NDADDR + n + n * n
 
 
 def _charge(mount: "UfsMount", indirect: bool) -> Generator[Any, Any, None]:
@@ -46,71 +34,53 @@ def _charge(mount: "UfsMount", indirect: bool) -> Generator[Any, Any, None]:
 def _read_ptr(mount: "UfsMount", addr_block: int, index: int
               ) -> Generator[Any, Any, int]:
     meta = yield from mount.metacache.bread(addr_block)
-    return struct.unpack_from("<I", meta.data, index * 4)[0]
+    return get_ptr(meta.data, index)
 
 
 def _write_ptr(mount: "UfsMount", addr_block: int, index: int, value: int
                ) -> Generator[Any, Any, None]:
     meta = yield from mount.metacache.bread(addr_block)
-    struct.pack_into("<I", meta.data, index * 4, value)
+    set_ptr(meta.data, index, value)
     mount.metacache.bdwrite(meta)
 
 
 def get_pointer(mount: "UfsMount", ip: "Inode", lbn: int
                 ) -> Generator[Any, Any, int]:
     """The raw block pointer for ``lbn`` (0 = hole / unallocated)."""
-    if lbn < 0:
-        raise InvalidArgumentError(f"negative lbn {lbn}")
-    n = nindir(mount.sb.bsize)
-    if lbn < NDADDR:
-        return ip.direct[lbn]
-    lbn -= NDADDR
-    if lbn < n:
-        if ip.indirect == HOLE:
+    level, indices = lbn_path(lbn, mount.sb.bsize)
+    if level == 0:
+        return ip.direct[indices[0]]
+    addr = ip.indirect if level == 1 else ip.dindirect
+    bread = mount.metacache.bread
+    for index in indices:
+        if addr == HOLE:
             return HOLE
-        return (yield from _read_ptr(mount, ip.indirect, lbn))
-    lbn -= n
-    if lbn < n * n:
-        if ip.dindirect == HOLE:
-            return HOLE
-        outer = yield from _read_ptr(mount, ip.dindirect, lbn // n)
-        if outer == HOLE:
-            return HOLE
-        return (yield from _read_ptr(mount, outer, lbn % n))
-    raise InvalidArgumentError(f"lbn {lbn + NDADDR + n} beyond maximum file size")
+        addr = get_ptr((yield from bread(addr)).data, index)
+    return addr
 
 
 def set_pointer(mount: "UfsMount", ip: "Inode", lbn: int, value: int
                 ) -> Generator[Any, Any, None]:
     """Install a block pointer, allocating indirect blocks as needed."""
-    if lbn < 0:
-        raise InvalidArgumentError(f"negative lbn {lbn}")
+    level, indices = lbn_path(lbn, mount.sb.bsize)
     ip.invalidate_translations()
-    n = nindir(mount.sb.bsize)
-    if lbn < NDADDR:
-        ip.direct[lbn] = value
+    if level == 0:
+        ip.direct[indices[0]] = value
         ip.mark_dirty()
         return
-    lbn -= NDADDR
-    if lbn < n:
-        if ip.indirect == HOLE:
-            ip.indirect = yield from _alloc_meta_block(mount, ip)
-            ip.mark_dirty()
-        yield from _write_ptr(mount, ip.indirect, lbn, value)
-        return
-    lbn -= n
-    if lbn < n * n:
-        if ip.dindirect == HOLE:
-            ip.dindirect = yield from _alloc_meta_block(mount, ip)
-            ip.mark_dirty()
-        outer_index = lbn // n
-        outer = yield from _read_ptr(mount, ip.dindirect, outer_index)
-        if outer == HOLE:
-            outer = yield from _alloc_meta_block(mount, ip)
-            yield from _write_ptr(mount, ip.dindirect, outer_index, outer)
-        yield from _write_ptr(mount, outer, lbn % n, value)
-        return
-    raise InvalidArgumentError("lbn beyond maximum file size")
+    root = "indirect" if level == 1 else "dindirect"
+    addr = getattr(ip, root)
+    if addr == HOLE:
+        addr = yield from _alloc_meta_block(mount, ip)
+        setattr(ip, root, addr)
+        ip.mark_dirty()
+    for index in indices[:-1]:
+        inner = yield from _read_ptr(mount, addr, index)
+        if inner == HOLE:
+            inner = yield from _alloc_meta_block(mount, ip)
+            yield from _write_ptr(mount, addr, index, inner)
+        addr = inner
+    yield from _write_ptr(mount, addr, indices[-1], value)
 
 
 def _alloc_meta_block(mount: "UfsMount", ip: "Inode") -> Generator[Any, Any, int]:
@@ -243,8 +213,7 @@ def _free_pointer_block(mount: "UfsMount", ip: "Inode", addr: int, depth: int
     sb = mount.sb
     meta = yield from mount.metacache.bread(addr)
     freed = 0
-    for i in range(nindir(sb.bsize)):
-        child = struct.unpack_from("<I", meta.data, i * 4)[0]
+    for child in iter_ptrs(meta.data):
         if child == HOLE:
             continue
         if depth > 1:

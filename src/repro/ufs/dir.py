@@ -10,12 +10,14 @@ discipline whose cost motivates the paper's B_ORDER proposal.
 
 from __future__ import annotations
 
-import struct
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import FileExistsError_, FilesystemError
 from repro.ufs import bmap
-from repro.ufs.ondisk import DIRBLKSIZ, Dirent, empty_dirblock, iter_dirents
+from repro.ufs.ondisk import (
+    DIRBLKSIZ, Dirent, empty_dirblock, iter_dirents, set_dirent_ino,
+    set_dirent_reclen,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
@@ -120,7 +122,7 @@ def _try_insert(block: bytearray, name: str, ino: int, needed: int) -> bool:
                 spare = reclen - used
                 if spare >= needed:
                     # Shrink this entry; the new one takes the tail space.
-                    struct.pack_into("<H", block, offset + 4, used)
+                    set_dirent_reclen(block, offset, used)
                     _write_entry(block, offset + used, ino, name, spare)
                     return True
             offset += reclen
@@ -149,10 +151,9 @@ def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
             # Merge into the predecessor's record length.
             _, prev_reclen, _ = _entry_span(meta.data, prev_offset)
             _, reclen, _ = _entry_span(meta.data, offset)
-            struct.pack_into("<H", meta.data, prev_offset + 4,
-                             prev_reclen + reclen)
+            set_dirent_reclen(meta.data, prev_offset, prev_reclen + reclen)
         else:
-            struct.pack_into("<I", meta.data, offset, 0)  # ino = 0: free slot
+            set_dirent_ino(meta.data, offset, 0)  # ino = 0: free slot
         yield from mount.meta_write(meta)
         dp.mark_dirty()
         return ino

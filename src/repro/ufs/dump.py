@@ -4,7 +4,8 @@ protects.
 "A change in on-disk file system format would require changes to many
 system utilities, such as dump, restore, and fsck."  Those utilities exist
 here so the contract is testable: ``ufsdump`` walks the raw disk image
-offline (sharing no code with the mounted file system), and ``restore``
+offline (sharing only the format, ``ondisk.py``, with the mounted file
+system), and ``restore``
 replays an archive through the normal mount API.  A dump of a clustered
 file system restores onto an unclustered one and vice versa, because the
 format is one and the same.
@@ -12,14 +13,13 @@ format is one and the same.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
     DINODE_SIZE, IFDIR, IFLNK, IFMT, IFREG, NDADDR, ROOT_INO, Dinode,
-    Superblock, iter_dirents,
+    Superblock, iter_dirents, resolve_lbn,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,25 +81,8 @@ class _OfflineReader:
         return Dinode.unpack(block[off:off + DINODE_SIZE])
 
     def _pointer(self, din: Dinode, lbn: int) -> int:
-        sb = self.sb
-        n = sb.bsize // 4
-        if lbn < NDADDR:
-            return din.direct[lbn]
-        lbn -= NDADDR
-        if lbn < n:
-            if not din.indirect:
-                return 0
-            block = self._read_frags(din.indirect, sb.bsize)
-            return struct.unpack_from("<I", block, lbn * 4)[0]
-        lbn -= n
-        if not din.dindirect:
-            return 0
-        outer_block = self._read_frags(din.dindirect, sb.bsize)
-        outer = struct.unpack_from("<I", outer_block, (lbn // n) * 4)[0]
-        if not outer:
-            return 0
-        inner = self._read_frags(outer, sb.bsize)
-        return struct.unpack_from("<I", inner, (lbn % n) * 4)[0]
+        return resolve_lbn(din, lbn, self.sb.bsize,
+                           lambda addr: self._read_frags(addr, self.sb.bsize))
 
     def read_file(self, din: Dinode) -> bytes:
         sb = self.sb

@@ -17,7 +17,6 @@ disk (never the in-memory mount state) and runs the classic phases:
 from __future__ import annotations
 
 import functools
-import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -26,7 +25,7 @@ from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
     CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, IFDIR, IFLNK, IFMT, IFREG, NDADDR,
     ROOT_INO, CylinderGroup, Dinode, Superblock, empty_dirblock, iter_dinodes,
-    iter_dirents, pack_dirent,
+    iter_dirents, iter_ptrs, max_lbn, pack_dirent, set_dirent_ino,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -201,9 +200,7 @@ class _Checker:
                 f"{din.blocks}"
             )
             self.actions.append(("set_blocks", ino, claimed))
-        nindir = sb.bsize // 4
-        max_size = (NDADDR + nindir + nindir * nindir) * sb.bsize
-        if din.size > max_size:
+        if din.size > max_lbn(sb.bsize) * sb.bsize:
             self.report.problem(f"inode {ino}: impossible size {din.size}")
             self.actions.append(("clear_inode", ino))
 
@@ -214,7 +211,7 @@ class _Checker:
         if addr <= 0 or addr + sb.frag > sb.total_frags:
             return claimed  # _claim flagged it; nothing readable behind it
         block = self._read_frag_addr(addr, sb.bsize)
-        for child in struct.unpack(f"<{sb.bsize // 4}I", block):
+        for child in iter_ptrs(block):
             if child == 0:
                 continue
             if depth > 1:
@@ -469,6 +466,11 @@ class _Repairer:
         block[offset:offset + len(payload)] = payload
         self._write_block(frag_addr, bytes(block))
 
+    def _repoint_dirent(self, frag_addr: int, offset: int, ino: int) -> None:
+        block = self._read_block(frag_addr)
+        set_dirent_ino(block, offset, ino)
+        self._write_block(frag_addr, bytes(block))
+
     def _rewrite_dinode(self, ino: int, mutate) -> None:
         frag_addr, offset = self.sb.inode_location(ino)
         block = self._read_block(frag_addr)
@@ -508,11 +510,11 @@ class _Repairer:
                 log.append(f"inode {ino}: di_blocks set to {blocks}")
             elif kind == "zero_dirent":
                 _, frag_addr, offset = action
-                self._patch(frag_addr, offset, struct.pack("<I", 0))
+                self._repoint_dirent(frag_addr, offset, 0)
                 log.append(f"zeroed dirent at frag {frag_addr}+{offset}")
             elif kind == "fix_dirent":
                 _, frag_addr, offset, ino = action
-                self._patch(frag_addr, offset, struct.pack("<I", ino))
+                self._repoint_dirent(frag_addr, offset, ino)
                 log.append(f"dirent at frag {frag_addr}+{offset} -> inode {ino}")
             elif kind == "clear_dirblock":
                 _, frag_addr = action

@@ -165,10 +165,8 @@ class UfsMount(Vfs):
         meta.data[byte_off:byte_off + DINODE_SIZE] = ip.to_dinode().pack()
         ip.dirty = False
         yield from self.cpu.work("inode", self.cpu.costs.inode_update)
-        if sync and self.ordered_metadata:
-            yield from self._ordered_write(meta)
-        elif sync:
-            yield from self.metacache.bwrite(meta)
+        if sync:
+            yield from self.meta_write(meta)
         else:
             self.metacache.bdwrite(meta)
 
@@ -177,19 +175,9 @@ class UfsMount(Vfs):
         asynchronous B_ORDER barrier write when ``ordered_metadata`` is on
         (the paper's future-work proposal)."""
         if self.ordered_metadata:
-            yield from self._ordered_write(meta)
+            yield from self.metacache.bowrite(meta)
         else:
             yield from self.metacache.bwrite(meta)
-
-    def _ordered_write(self, meta) -> Generator[Any, Any, None]:
-        """B_ORDER: asynchronous but unreorderable metadata write."""
-        frag_sectors = self.sb.fsize // 512
-        buf = Buf(self.engine, BufOp.WRITE, meta.frag_addr * frag_sectors,
-                  self.sb.bsize // 512, data=bytes(meta.data),
-                  async_=True, ordered=True)
-        meta.dirty = False
-        yield from self.cpu.work("driver", self.cpu.costs.driver_strategy)
-        self.driver.strategy(buf)
 
     def mark_cg_dirty(self, cgx: int) -> None:
         self._dirty_cgs.add(cgx)

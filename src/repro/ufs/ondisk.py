@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidArgumentError
 
 SUPERBLOCK_MAGIC = 0x011954  # FS_MAGIC, as a tip of the hat
 CG_MAGIC = 0x090255
@@ -466,6 +467,72 @@ class Dinode:
                    tuple(direct), indirect, dindirect, blocks, gen)
 
 
+# -- block pointers ----------------------------------------------------------
+# A pointer is a little-endian u32 fragment address, 0 for a hole; an
+# indirect block is ``bsize // 4`` of them.
+_PTR = struct.Struct("<I")
+
+
+def nindir(bsize: int) -> int:
+    """Pointers per indirect block."""
+    return bsize // _PTR.size
+
+
+def max_lbn(bsize: int) -> int:
+    """One past the largest addressable logical block."""
+    n = nindir(bsize)
+    return NDADDR + n + n * n
+
+
+def get_ptr(block: "bytes | bytearray", index: int) -> int:
+    return _PTR.unpack_from(block, index * _PTR.size)[0]
+
+
+def set_ptr(block: bytearray, index: int, value: int) -> None:
+    _PTR.pack_into(block, index * _PTR.size, value)
+
+
+def iter_ptrs(block: "bytes | bytearray") -> list[int]:
+    """Every pointer of a pointer block, holes included."""
+    return [ptr for (ptr,) in _PTR.iter_unpack(block)]
+
+
+def lbn_path(lbn: int, bsize: int) -> tuple[int, tuple[int, ...]]:
+    """``(level, indices)`` of logical block ``lbn``'s pointer: level 0 is
+    ``direct[indices[0]]``; level 1 starts at the inode's ``indirect``
+    block and level 2 at ``dindirect``, with one index per pointer block
+    on the way down."""
+    if lbn < 0:
+        raise InvalidArgumentError(f"negative lbn {lbn}")
+    if lbn < NDADDR:
+        return 0, (lbn,)
+    n = bsize // _PTR.size
+    rel = lbn - NDADDR
+    if rel < n:
+        return 1, (rel,)
+    rel -= n
+    if rel < n * n:
+        return 2, (rel // n, rel % n)
+    raise InvalidArgumentError(f"lbn {lbn} beyond maximum file size")
+
+
+def resolve_lbn(ip: "Any", lbn: int, bsize: int,
+                fetch: "Callable[[int], bytes | bytearray]") -> int:
+    """The block pointer for ``lbn`` (0 = hole) of ``ip`` — a
+    :class:`Dinode` or anything else carrying its three pointer fields —
+    with no simulated I/O: ``fetch(addr)`` hands over the pointer block at
+    ``addr``, which is all the offline readers differ in."""
+    level, indices = lbn_path(lbn, bsize)
+    if level == 0:
+        return ip.direct[indices[0]]
+    addr = ip.indirect if level == 1 else ip.dindirect
+    for index in indices:
+        if addr == 0:
+            return 0
+        addr = get_ptr(fetch(addr), index)
+    return addr
+
+
 def iter_dinodes(block: bytes) -> "list[tuple[int, Dinode]]":
     """(slot, dinode) for every allocated slot of an inode block.
 
@@ -509,6 +576,18 @@ def pack_dirent(ino: int, name: str, reclen: int) -> bytes:
     if len(body) > reclen:
         raise ValueError("reclen too small for entry")
     return body.ljust(reclen, b"\x00")
+
+
+def set_dirent_ino(block: bytearray, offset: int, ino: int) -> None:
+    """Repoint the entry at ``offset`` (``ino`` 0 frees the slot)."""
+    _, reclen, namelen = Dirent._HEAD.unpack_from(block, offset)
+    Dirent._HEAD.pack_into(block, offset, ino, reclen, namelen)
+
+
+def set_dirent_reclen(block: bytearray, offset: int, reclen: int) -> None:
+    """Change how much of its chunk the entry at ``offset`` spans."""
+    ino, _, namelen = Dirent._HEAD.unpack_from(block, offset)
+    Dirent._HEAD.pack_into(block, offset, ino, reclen, namelen)
 
 
 def empty_dirblock(bsize: int) -> bytes:

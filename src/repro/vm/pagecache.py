@@ -248,6 +248,19 @@ class PageCache:
             count += 1
         return count
 
+    def vnode_drop_clean(self, vnode: "Vnode") -> int:
+        """Destroy a vnode's clean, unlocked pages; returns count destroyed.
+
+        The stand-in for a remount between benchmark phases: the next read
+        of the file comes from the disk.  Dirty and in-flight pages stay.
+        """
+        count = 0
+        for page in self.vnode_pages(vnode):
+            if not page.locked and not page.dirty:
+                self.destroy(page)
+                count += 1
+        return count
+
     def dirty_pages(self, vnode: "Vnode" | None = None) -> list[Page]:
         """Dirty pages (of one vnode, or all), sorted by (vnode, offset)."""
         vnode_ids = sorted(self._vpages) if vnode is None else (vnode.vnode_id,)

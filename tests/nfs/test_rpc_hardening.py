@@ -391,3 +391,35 @@ def test_write_fsync_read_back_over_lossy_wire():
     assert client.run(read_back()) == payload
     assert mount.stats["retransmits"] > 0  # the wire really was lossy
     assert mount.server.stats["duplicate_executions"] == 0
+
+
+# -- the nfsd pool under interruption -------------------------------------------
+
+def test_interrupted_queued_call_gives_its_nfsd_slot_back():
+    """One nfsd: ``holder`` runs, ``victim`` queues behind it and is
+    interrupted there.  The slot must not stay charged to the call that
+    will never run — at idle none is in use and a later call is served."""
+    from repro.sim import Interrupt
+
+    client, _server, mount = small_world(nfsd_threads=1)
+    _prepare_file(client, mount)
+    engine, server = client.engine, mount.server
+    log = []
+
+    def caller(tag):
+        try:
+            result = yield from server.call("LOOKUP", path="/f")
+        except Interrupt:
+            log.append((tag, "interrupted"))
+        else:
+            log.append((tag, result.value[1]))
+
+    engine.process(caller("holder"))
+    victim = engine.process(caller("victim"))
+    engine.schedule(0.0, lambda _: victim.interrupt())
+    engine.run()
+    assert log == [("victim", "interrupted"), ("holder", 8 * KB)]
+    assert (server._nfsds.in_use, server._nfsds.queue_length) == (0, 0)
+    late = engine.process(caller("late"))
+    engine.run()
+    assert late.triggered and log[-1] == ("late", 8 * KB)

@@ -106,20 +106,30 @@ def test_pagecache_frame_conservation(ops):
         _assert_index_matches_frames(cache, vnodes, offset)
 
 
+_block = st.integers(0, 11)
+_run = st.tuples(st.integers(0, 8), st.integers(1, 4))  # first block, length
 meta_op = st.one_of(
-    st.tuples(st.just("read"), st.integers(0, 11)),
-    st.tuples(st.just("dirty"), st.integers(0, 11)),
-    st.tuples(st.just("sync_one"), st.integers(0, 11)),
+    *(st.tuples(st.just(name), _block)
+      for name in ("read", "dirty", "sync_one", "getblk", "bawrite", "peek",
+                   "two_readers")),
+    *(st.tuples(st.just(name), _run) for name in ("mbread", "mbwrite")),
     st.tuples(st.just("flush")),
 )
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ops=st.lists(meta_op, min_size=1, max_size=30), data=st.data())
-def test_metacache_matches_disk_model(ops, data):
-    """The metadata cache behaves like a write-back dict over the disk:
-    after a flush, the disk holds the latest content for every block."""
+@given(ops=st.lists(meta_op, min_size=1, max_size=30))
+def test_metacache_matches_disk_model(ops):
+    """The buffer cache behaves like a write-back dict over the disk, with
+    an LRU of ``capacity`` blocks in front: every buffer handed out holds
+    the latest content of its block, exactly the blocks a reference LRU
+    holds are resident after every operation (seen through ``peek``, which
+    therefore must not disturb the order), no operation reads the disk more
+    than the reference says, and after a flush the disk holds the latest
+    content for every block."""
+    from collections import OrderedDict
+
     from repro.cpu import CostTable, Cpu
     from repro.disk import DiskDriver, DiskGeometry, RotationalDisk
     from repro.ufs.metacache import MetaCache
@@ -130,34 +140,108 @@ def test_metacache_matches_disk_model(ops, data):
     cpu = Cpu(engine, CostTable.free())
     cache = MetaCache(engine, DiskDriver(engine, disk, cpu=cpu), cpu,
                       bsize=8192, frag_sectors=2, capacity=4)
+    addrs = [8 + k * 8 for k in range(12)]  # block aligned, 8 frags apart
     model: dict[int, bytes] = {}  # block addr -> latest content
+    resident: "OrderedDict[int, None]" = OrderedDict()  # the reference LRU
     counter = [0]
+
+    def touch(addr):
+        """The reference's bread/getblk: most recently used, evicting the
+        least recently used block when a new one needs the room."""
+        if addr not in resident:
+            while len(resident) >= cache.capacity:
+                resident.popitem(last=False)
+        resident[addr] = None
+        resident.move_to_end(addr)
+
+    def touch_run(run):
+        """The reference's mbread: cached members first, then everything
+        uncached from the first missing block to the last, in order."""
+        missing = [a for a in run if a not in resident]
+        for addr in [a for a in run if a in resident]:
+            touch(addr)
+        if missing:
+            for addr in range(missing[0], missing[-1] + 8, 8):
+                if addr not in resident:
+                    touch(addr)
+        for addr in run:
+            touch(addr)
+        return bool(missing)
+
+    def fresh():
+        counter[0] += 1
+        return bytes([counter[0] % 251 + 1]) * 8192
+
+    def overwrite(meta):
+        meta.data[:] = model[meta.frag_addr] = fresh()
+
+    def latest(meta):
+        assert bytes(meta.data) == model.get(meta.frag_addr, bytes(8192)), (
+            f"stale buffer for {meta.frag_addr}")
+        return meta
+
+    def reader(addr, got):
+        got.append((yield from cache.bread(addr)))
 
     def run_ops():
         for op in ops:
-            if op[0] == "read":
-                addr = 8 + op[1] * 8
-                meta = yield from cache.bread(addr)
-                expect = model.get(addr, bytes(8192))
-                assert bytes(meta.data) == expect, f"stale read at {addr}"
-            elif op[0] == "dirty":
-                addr = 8 + op[1] * 8
-                meta = yield from cache.bread(addr)
-                counter[0] += 1
-                content = bytes([counter[0] % 256]) * 8192
-                meta.data[:] = content
-                cache.bdwrite(meta)
-                model[addr] = content
-            elif op[0] == "sync_one":
-                addr = 8 + op[1] * 8
-                meta = yield from cache.bread(addr)
-                yield from cache.bwrite(meta)
-            else:
+            kind = op[0]
+            reads = disk.stats["reads"]
+            expect_reads = 0
+            if kind in ("mbread", "mbwrite"):
+                run = addrs[op[1][0]:op[1][0] + op[1][1]]
+                expect_reads = int(touch_run(run))
+                metas = yield from cache.mbread(run)
+                assert [latest(m).frag_addr for m in metas] == run
+                if kind == "mbwrite":
+                    for meta in metas:
+                        overwrite(meta)
+                    yield from cache.mbwrite(metas)
+            elif kind == "flush":
                 yield from cache.flush()
+                assert cache.dirty_count == 0
+            elif kind == "peek":
+                meta = cache.peek(addrs[op[1]])
+                assert (meta is not None) == (addrs[op[1]] in resident)
+            elif kind == "two_readers":
+                addr, got = addrs[op[1]], []
+                expect_reads = int(addr not in resident)
+                touch(addr)
+                pair = [engine.process(reader(addr, got)) for _ in range(2)]
+                yield pair[0]
+                yield pair[1]
+                assert latest(got[0]) is got[1]
+            elif kind == "getblk":
+                # No read even on a miss: the caller overwrites it all.
+                addr = addrs[op[1]]
+                meta = yield from cache.getblk(addr)
+                assert addr in resident or not any(meta.data)
+                touch(addr)
+                overwrite(meta)
+                cache.bdwrite(meta)
+            else:
+                addr = addrs[op[1]]
+                expect_reads = int(addr not in resident)
+                touch(addr)
+                meta = latest((yield from cache.bread(addr)))
+                if kind == "dirty":
+                    overwrite(meta)
+                    cache.bdwrite(meta)
+                elif kind == "bawrite":
+                    overwrite(meta)
+                    yield from cache.bawrite(meta)
+                elif kind == "sync_one":
+                    yield from cache.bwrite(meta)
+            assert disk.stats["reads"] - reads == expect_reads, op
+            cached = [a for a in addrs if cache.peek(a) is not None]
+            assert sorted(cached) == sorted(resident), op
+            for addr in cached:
+                latest(cache.peek(addr))
 
         yield from cache.flush()
 
     engine.run_process(run_ops())
+    engine.run()  # let the asynchronous writes land
     # After the final flush the disk agrees with the model everywhere.
     for addr, content in model.items():
         assert disk.store.read(addr * 2, 16) == content

@@ -151,6 +151,40 @@ def test_sync_persists_to_disk():
     assert engine.run_process(verify()) == payload
 
 
+def test_two_processes_missing_on_one_block_share_one_buffer():
+    """Two inodes in one (uncached) inode block, updated by two processes
+    at once: one disk read, one buffer, and both delayed writes reach the
+    disk.  A cache without an in-flight table reads the block twice and
+    silently drops the first writer's update with its orphaned buffer."""
+    from repro.s5fs.ondisk import S5Dinode
+
+    engine, fs = make_fs()
+
+    def setup():
+        a = yield from fs.create("a")
+        b = yield from fs.create("b")
+        yield from fs.sync()
+        return a, b
+
+    a, b = engine.run_process(setup())
+    blk, off_a = fs.sb.inode_location(a.ino)
+    assert fs.sb.inode_location(b.ino)[0] == blk
+    cold = S5FileSystem(engine, fs.cpu, fs.driver)  # a cold cache
+    disk = fs.driver.disk
+    disk.stats.reset()
+    a.size, b.size = 111, 222
+    engine.process(cold.iput(a))
+    engine.process(cold.iput(b))
+    engine.run()
+    reads = disk.stats["reads"]
+    engine.run_process(cold.sync())
+    block = disk.store.read(blk * 2, 2)
+    _, off_b = fs.sb.inode_location(b.ino)
+    assert S5Dinode.unpack(block[off_a:off_a + 64]).size == 111
+    assert S5Dinode.unpack(block[off_b:off_b + 64]).size == 222
+    assert reads == 1
+
+
 def test_aging_scrambles_free_list():
     """Create/delete churn destroys free-list ordering."""
     import random

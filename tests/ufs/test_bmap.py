@@ -6,7 +6,7 @@ import pytest
 from repro.errors import InvalidArgumentError
 from repro.ufs import bmap
 from repro.ufs.inode import Inode
-from repro.ufs.ondisk import Dinode, IFREG, NDADDR
+from repro.ufs.ondisk import Dinode, IFREG, NDADDR, max_lbn, nindir
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def test_indirect_blocks(system, mount, ip):
 
 def test_double_indirect_blocks(system, mount, ip):
     sb = mount.sb
-    n = bmap.nindir(sb.bsize)
+    n = nindir(sb.bsize)
     lbn = NDADDR + n + 5
     ip.size = (lbn + 1) * sb.bsize
     addr = system.run(bmap.bmap_alloc(mount, ip, lbn, sb.frag))
@@ -151,7 +151,7 @@ def test_frags_rejected_beyond_direct_blocks(system, mount, ip):
 def test_truncate_frees_everything(system, mount, ip):
     sb = mount.sb
     free_before = (sb.cs_nbfree, sb.cs_nffree)
-    lbns = list(range(3)) + [NDADDR + 1, NDADDR + bmap.nindir(sb.bsize) + 1]
+    lbns = list(range(3)) + [NDADDR + 1, NDADDR + nindir(sb.bsize) + 1]
     ip.size = (max(lbns) + 1) * sb.bsize
     alloc_lbns(system, mount, ip, lbns)
     assert ip.blocks > 0
@@ -169,6 +169,6 @@ def test_validation(system, mount, ip):
         system.run(bmap.bmap_read(mount, ip, 0, 0))
     with pytest.raises(InvalidArgumentError):
         system.run(bmap.bmap_alloc(mount, ip, 0, 0))
-    huge = bmap.max_lbn(mount.sb.bsize)
+    huge = max_lbn(mount.sb.bsize)
     with pytest.raises(InvalidArgumentError):
         system.run(bmap.bmap_read(mount, ip, huge, 1))

@@ -155,6 +155,16 @@ def test_vnode_pages_sorted_and_invalidate(cache, vnode):
     assert cache.named_pages == 0
 
 
+def test_vnode_drop_clean_keeps_dirty_and_locked_pages(cache, vnode):
+    clean, dirty, busy = (fill_page(cache, vnode, off)
+                          for off in (0, 8192, 2 * 8192))
+    dirty.dirty = True
+    busy.lock()
+    assert cache.vnode_drop_clean(vnode) == 1
+    assert cache.vnode_pages(vnode) == [dirty, busy]
+    assert cache.lookup(vnode, clean.offset) is None
+
+
 def test_dirty_pages_listing(cache, vnode):
     a = fill_page(cache, vnode, 0)
     b = fill_page(cache, vnode, 8192)
