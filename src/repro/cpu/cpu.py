@@ -9,7 +9,7 @@ went — the breakdown behind the paper's figure 12.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.cpu.costs import CostTable
 from repro.sim.events import Event
@@ -40,21 +40,22 @@ class Cpu:
         ) and self.costs.copy_bandwidth == float("inf")
 
     # -- process context ---------------------------------------------------
-    def work(self, tag: str, seconds: float) -> Iterator[Event]:
+    def work(self, tag: str, seconds: float) -> Iterable[Event]:
         """Occupy the CPU for ``seconds``, charged to ``tag``.
 
         Not a generator itself: it books the charge and hands the caller's
-        ``yield from`` the resource's own generator, so a charge is one
-        generator frame deep, and a free one none.
+        ``yield from`` whatever the resource returns — its generator, one
+        frame deep, or nothing at all when the charge needed no waiting
+        (:meth:`Resource.use`) or was free.
         """
         if seconds < 0:
             raise ValueError("CPU work duration must be >= 0")
         if seconds == 0:
-            return iter(())
+            return ()
         self.ledger.incr(tag, seconds)
         return self.resource.use(seconds)
 
-    def copy(self, tag: str, nbytes: int) -> Iterator[Event]:
+    def copy(self, tag: str, nbytes: int) -> Iterable[Event]:
         """Charge a kernel<->user copy of ``nbytes`` to ``tag``."""
         return self.work(tag, self.costs.copy_cost(nbytes))
 

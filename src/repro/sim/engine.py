@@ -14,14 +14,17 @@ itself for a timeout — and is ``None`` for the engine's own zero-delay posts
 from one counter, so ``(time, seq)`` — the order callbacks run in — does not
 depend on which shape an entry has.
 
-A zero-delay hop may be skipped — its callback run by the step that would
-have pushed it — only under :meth:`Engine._quiet_now` (DESIGN.md §5.2).
+A hop may be skipped only when its entry would be the very next one popped
+(DESIGN.md §5.2): a zero-delay one — its callback run by the step that would
+have pushed it — under :meth:`Engine._quiet_now`, a timed one nobody but its
+creator can see — the clock moved in place — under :meth:`Engine._run_ahead`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
+from math import inf
 from typing import Any, Callable
 
 from repro.sim.events import Event, Process, ProcessGen, Timeout
@@ -111,10 +114,9 @@ class Engine:
         self._live = 0  # non-daemon heap entries
         self._crashed: list[tuple[Process, BaseException]] = []
         self._running = False
-        #: Optional hook run every ``step_hook_every`` executed steps (the
-        #: invariant sanitizer's periodic mode); None disables it.
-        self.step_hook: "Callable[[], None] | None" = None
-        self.step_hook_every = 0
+        #: Where the :meth:`run` in progress stops the clock; nothing to stop
+        #: at under ``run()`` or a bare :meth:`step`.
+        self._until = inf
         self._steps = 0
         #: Buf ids are allocated here (one counter per simulated world, not
         #: per process) so same-seed runs number their bufs identically and
@@ -171,6 +173,26 @@ class Engine:
         """
         heap = self._heap
         return not heap or heap[0][0] > self._now
+
+    def _run_ahead(self, delay: float) -> bool:
+        """Advance the clock by ``delay`` in place of a private timeout,
+        if that timeout would be the very next entry popped.
+
+        :meth:`_quiet_now` stretched from an instant to an interval: for a
+        timeout armed now that only its creator can wait on or cancel, no
+        callback can run, cancel it or read the clock before it expires
+        when every heap entry is *strictly* later than ``now + delay`` — one
+        at ``now + delay`` was pushed earlier and wins the tie on ``seq``; a
+        cancelled one counts, as falling back is always safe — and the
+        :meth:`run` in progress does not stop short of it.  Returns False,
+        the clock untouched, when the hop has to be taken.
+        """
+        end = self._now + delay
+        heap = self._heap
+        if end > self._until or (heap and heap[0][0] <= end):
+            return False
+        self._now = end
+        return True
 
     def cancel(self, entry: "Scheduled | Timeout") -> None:
         """Cancel a scheduled entry; a no-op if already cancelled or fired.
@@ -239,9 +261,6 @@ class Engine:
             self._now = when
             fn(arg)
             self._steps += 1
-            if (self.step_hook is not None and self.step_hook_every > 0
-                    and self._steps % self.step_hook_every == 0):
-                self.step_hook()
             return True
         return False
 
@@ -257,7 +276,8 @@ class Engine:
         )
 
     def run(self, until: float | None = None) -> None:
-        """Run until the heap drains or simulated time reaches ``until``.
+        """Run until the heap drains or simulated time reaches ``until``
+        (which may not lie in the past: the clock never runs backwards).
 
         If a process crashed with an uncaught exception and nothing was
         waiting on it, the exception is re-raised here — errors should never
@@ -265,6 +285,11 @@ class Engine:
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None:
+            if until < self._now:
+                raise SimulationError(f"cannot run into the past "
+                                      f"(until={until}, now={self._now})")
+            self._until = until
         self._running = True
         try:
             heap = self._heap
@@ -294,6 +319,7 @@ class Engine:
                     self._now = until
         finally:
             self._running = False
+            self._until = inf
 
     def run_process(self, gen: ProcessGen, name: str = "") -> Any:
         """Spawn ``gen``, run to completion, and return its result.

@@ -12,7 +12,7 @@ is the registry of such invariants, checked at *quiesce points*:
 * inside ``fsync`` (not idle — other processes may be mid-I/O — so only the
   always-true subset runs);
 * at campaign ends and benchmark phase boundaries;
-* optionally every N engine steps (:meth:`Sanitizer.attach_every`).
+* optionally every N simulated seconds (:meth:`Sanitizer.attach_every`).
 
 The shipped checks:
 
@@ -62,6 +62,7 @@ from repro.sim.engine import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.throttle import WriteThrottle
     from repro.kernel.system import System
+    from repro.sim.engine import Recurring
 
 #: Environment switch: ``REPRO_SANITIZE=1`` turns the sanitizer on for
 #: every :class:`~repro.kernel.system.System` built afterwards (the test
@@ -122,25 +123,18 @@ class Sanitizer:
             self.checks_run += 1
             fn(self, point, idle, deep)
 
-    def attach_every(self, steps: int) -> None:
-        """Also run the non-idle-safe checks every ``steps`` engine steps.
+    def attach_every(self, seconds: float) -> "Recurring":
+        """Also run the non-idle-safe checks every ``seconds`` of simulated
+        time, until the returned timer is cancelled.
 
-        A step is one popped heap entry plus whatever continuation ran in
-        it (DESIGN.md §5.2): a unit of host work, not of simulated work.
-        With hop elision a step covers ~2.4x the simulated work of one
-        callback, so pick ``steps`` that much lower than a per-callback
-        cadence would suggest.  Every step boundary is one an engine that
-        took every hop would also have.
+        The cadence is simulated work, not host work, so an engine that
+        takes fewer steps to the same clock checks exactly as often.  The
+        checkpoint is a heap entry of its own (a daemon one: it fires while
+        real work runs and never holds a run open), so it falls on a step
+        boundary, and no clock run-ahead (DESIGN.md §5.2) can pass it.
         """
-        if steps <= 0:
-            raise ValueError("steps must be positive")
-        engine = self.system.engine
-
-        def hook() -> None:
-            self.checkpoint("step", idle=False)
-
-        engine.step_hook = hook
-        engine.step_hook_every = steps
+        return self.system.engine.every(
+            seconds, lambda: self.checkpoint("timer", idle=False))
 
     def fail(self, check: str, message: str, request: Any = None) -> None:
         """Raise a :class:`SanitizerError`, attaching ``request``'s span

@@ -14,7 +14,7 @@ These mirror the kernel primitives the paper's code depends on:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from repro.sim.events import Event, Timeout
 
@@ -146,10 +146,27 @@ class Resource:
         waiting on ``grant`` (see :meth:`Semaphore.abandon`)."""
         self._sem.abandon(grant)
 
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Acquire, hold for ``duration``, release.  Use with ``yield from``."""
+    def use(self, duration: float) -> Iterable[Event]:
+        """Acquire, hold for ``duration``, release.  Use with ``yield from``.
+
+        Not a generator itself.  The hold's timeout is private — nobody but
+        this call could wait on it or cancel it — so when the slot is free
+        with nobody queued and :meth:`Engine._run_ahead` finds that timeout
+        would be the next heap entry popped, the whole charge happens here:
+        the clock moves, the books are kept, and there is nothing to yield.
+        """
         if duration < 0:
             raise ValueError("duration must be >= 0")
+        sem = self._sem
+        if (sem._value > 0 and not sem._waiters
+                and self.engine._run_ahead(duration)):
+            self.busy_time += duration
+            self.service_count += 1
+            return ()
+        return self._use(duration)
+
+    def _use(self, duration: float) -> Generator[Event, Any, None]:
+        """:meth:`use` when the hold has to be waited out on the heap."""
         engine, sem = self.engine, self._sem
         # A free slot is taken here, without the grant's heap hop, when that
         # hop would be the next entry popped anyway (Engine._quiet_now); a

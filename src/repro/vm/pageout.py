@@ -110,15 +110,22 @@ class PageoutDaemon:
         cache = self.cache
         frames = cache.frames
         n = len(frames)
+        # Read once what no frame of the burst can change: the loop below is
+        # the simulator's most-run body outside the engine.
+        params = self.params
+        handspread = params.handspread
+        target = params.lotsfree + params.hysteresis
+        incr = self.stats.incr
+        work = self.cpu.work
+        scan_cost = 2 * self.cpu.costs.pagedaemon_scan
+        hand = self._front
         progress = False
-        for _ in range(self.params.scan_batch):
-            front = frames[self._front]
-            back = frames[(self._front - self.params.handspread) % n]
-            self._front = (self._front + 1) % n
-            self.stats.incr("examined", 2)
-            yield from self.cpu.work(
-                "pagedaemon", 2 * self.cpu.costs.pagedaemon_scan
-            )
+        for _ in range(params.scan_batch):
+            front = frames[hand]
+            back = frames[(hand - handspread) % n]
+            hand = self._front = (hand + 1) % n
+            incr("examined", 2)
+            yield from work("pagedaemon", scan_cost)
             # Front hand: clear the reference bit.
             if not front.free and not front.locked:
                 front.referenced = False
@@ -127,7 +134,7 @@ class PageoutDaemon:
                 continue
             if back.dirty:
                 progress = True
-                self.stats.incr("pushed_dirty")
+                incr("pushed_dirty")
                 flags = PutFlags(async_=True, free=True)
                 if self.registry is None:
                     # No registry (unit-test daemons over bare fakes): plain
@@ -148,8 +155,8 @@ class PageoutDaemon:
                     req.complete()
             else:
                 progress = True
-                self.stats.incr("freed")
+                incr("freed")
                 cache.free(back)
-            if self._target_reached:
+            if cache.freemem >= target:
                 break
         return progress

@@ -59,6 +59,19 @@ def test_run_until_advances_time_even_when_idle():
     assert eng.now == 7.0
 
 
+def test_run_until_in_the_past_is_rejected_and_leaves_the_clock_alone():
+    eng = Engine()
+    fired = []
+    eng.schedule(10.0, fired.append, "late")
+    eng.run(until=5.0)
+    with pytest.raises(SimulationError, match="into the past"):
+        eng.run(until=3.0)  # used to set now = 3: the clock ran backwards
+    assert eng.now == 5.0
+    eng.run(until=5.0)  # the present is not the past
+    eng.run()           # and a refused run leaves the engine runnable
+    assert (eng.now, fired) == (10.0, ["late"])
+
+
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):

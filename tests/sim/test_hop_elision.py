@@ -3,18 +3,24 @@
 ``Timeout._expire`` runs its first waiter, and an uncontended
 ``Resource.use`` takes its slot, in the step that would otherwise have
 pushed a heap entry for it — but only when nothing else is due at that
-instant, so that entry would have been the next one popped.  The rule this
+instant, so that entry would have been the next one popped.  A ``use`` whose
+hold would *also* be the next entry popped — slot free, every heap entry
+strictly later than its end, and that end not past the ``run(until=)`` in
+progress — takes no hop at all: the clock moves in place.  The rule this
 file pins: callback bodies run in the same order and see the same clock as
-on an engine with no elision at all.
+on an engine with no elision at all, and a ``run(until=T)`` stops both at
+``T`` with the same charges booked.
 
-``RefEngine`` is that engine, kept here and not in ``src/``: the parent
-commit's ``Timeout._expire`` and ``Resource.use`` verbatim (``use`` with the
-abandoned-waiter fix, which changes behaviour on purpose and is pinned in
-``test_resources.py``).  Random programs must log the same
-``(now, process, label)`` sequence on both; the hand cases below name the
-orders the guard exists for, and each fails under one of: guard removed
-from the timeout path, guard removed from the acquire path, waiters
-dispatched in reverse, every waiter run inline.
+``RefEngine`` is that engine, kept here and not in ``src/``: ``Timeout.
+_expire`` and ``Resource.use`` as they were before any elision (``use`` with
+the abandoned-waiter fix, which changes behaviour on purpose and is pinned
+in ``test_resources.py``).  Random programs must log the same
+``(now, process, label)`` sequence on both, through the same ``run(until=)``
+stops; the hand cases below name the orders the guards exist for, and each
+fails under one of: guard removed from the timeout path, guard removed from
+the acquire path, waiters dispatched in reverse, every waiter run inline,
+``>=`` for ``>`` in the run-ahead horizon, its ``until`` bound dropped, its
+free-slot test dropped, ``busy_time`` not booked when it runs ahead.
 """
 
 import pytest
@@ -87,7 +93,7 @@ OPS = st.one_of(
     st.tuples(st.just("daemon_sleep"), DELAYS),
     st.tuples(st.just("shared_sleep"), SMALL, DELAYS),
     st.tuples(st.just("use"), SMALL, DELAYS),
-    st.tuples(st.just("work"), DELAYS),
+    st.tuples(st.just("work"), SMALL, DELAYS),
     st.tuples(st.just("acquire"), SMALL, st.integers(1, 2)),
     st.tuples(st.just("release"), SMALL, st.integers(1, 2)),
     st.tuples(st.just("wait"), SMALL),
@@ -102,6 +108,9 @@ OPS = st.one_of(
               st.booleans()),
 )
 PROGRAMS = st.lists(st.lists(OPS, max_size=8), min_size=1, max_size=5)
+#: Gaps between successive ``run(until=)`` stops: the delay grid, so a stop
+#: lands on an expiry or between two, plus a quarter to land off the grid.
+STOP_GAPS = st.lists(st.sampled_from([0, 0.25, 0.5, 1, 1.5, 2]), max_size=6)
 
 
 class World:
@@ -111,8 +120,10 @@ class World:
         self.eng = eng
         self.log = []
         self.resources = [make_resource(eng, capacity=1), make_resource(eng, capacity=2)]
-        self.cpu = Cpu(eng)
-        self.cpu.resource = make_resource(eng, capacity=1, name="cpu")
+        self.cpus = [Cpu(eng), Cpu(eng, ncpus=2)]
+        for cpu in self.cpus:
+            cpu.resource = make_resource(eng, capacity=cpu.resource.capacity,
+                                         name="cpu")
         self.sems = [Semaphore(eng, 0), Semaphore(eng, 1)]
         self.signals = [Signal(eng), Signal(eng)]
         self.events = [eng.event(f"e{i}") for i in range(3)]
@@ -149,8 +160,8 @@ class World:
     def op_use(self, pid, which, delay):
         yield from self.resources[which].use(delay)
 
-    def op_work(self, pid, delay):
-        yield from self.cpu.work("op", delay)
+    def op_work(self, pid, which, delay):
+        yield from self.cpus[which].work("op", delay)
 
     def op_acquire(self, pid, which, n):
         yield self.sems[which].acquire(n)
@@ -212,30 +223,46 @@ class World:
         timer = self.eng.every(interval, tick, daemon=daemon)
         yield from ()
 
+    def charges(self):
+        return [(r.busy_time, r.service_count, r.in_use, r.queue_length)
+                for r in self.resources + [cpu.resource for cpu in self.cpus]]
+
     def final_state(self):
         return (
             self.eng.now,
-            [(r.busy_time, r.service_count, r.in_use, r.queue_length)
-             for r in self.resources + [self.cpu.resource]],
-            self.cpu.breakdown(),
+            self.charges(),
+            [cpu.breakdown() for cpu in self.cpus],
             [(s.value, s.waiting) for s in self.sems],
             [(g.waiting, g.fire_count) for g in self.signals],
             [p.triggered for p in self.procs],
         )
 
 
-def run_programs(engine_cls, programs):
+def run_programs(engine_cls, programs, stop_gaps=()):
+    """Run through each ``run(until=)`` stop, then to idle; returns the log,
+    what every stop saw, the final state and the steps taken."""
     world = World(engine_cls(), programs)
-    steps = drain(world.eng)
-    return world.log, world.final_state(), steps
+    eng = world.eng
+    stops = []
+    until = 0
+    for gap in stop_gaps:
+        until += gap
+        eng.run(until=until)
+        assert eng.now == until
+        assert eng._live == eng.live_pending()
+        stops.append((len(world.log), world.charges()))
+    drain(eng)
+    return world.log, stops, world.final_state(), eng._steps
 
 
 @settings(max_examples=300, deadline=None)
-@given(PROGRAMS)
-def test_random_programs_log_the_same_on_both_engines(programs):
-    ref_log, ref_state, ref_steps = run_programs(RefEngine, programs)
-    log, state, steps = run_programs(Engine, programs)
+@given(PROGRAMS, STOP_GAPS)
+def test_random_programs_log_the_same_on_both_engines(programs, stop_gaps):
+    ref_log, ref_stops, ref_state, ref_steps = run_programs(
+        RefEngine, programs, stop_gaps)
+    log, stops, state, steps = run_programs(Engine, programs, stop_gaps)
     assert log == ref_log
+    assert stops == ref_stops
     assert state == ref_state
     assert steps <= ref_steps
 
@@ -393,16 +420,116 @@ def test_uncontended_charge_is_one_step_contended_two_and_fifo():
 
     (log, steps), (_, ref_steps) = both(charges("a", each=3))
     assert log == [(0.5, "a"), (1.0, "a"), (1.5, "a")]
-    # The process start, then per charge: the timeout's own step, against
-    # acquire hop + timeout + resume hop.
-    assert (steps, ref_steps) == (1 + 3 * 1, 1 + 3 * 3)
+    # The process start and nothing per charge — each runs the clock ahead
+    # inside that one step — against acquire hop + timeout + resume hop.
+    assert (steps, ref_steps) == (1 + 3 * 0, 1 + 3 * 3)
 
     (log, steps), (_, ref_steps) = both(charges("abc", each=1))
     assert log == [(0.5, "a"), (1.0, "b"), (1.5, "c")]
     # Three starts due at once, so every charge keeps its grant hop (a's
-    # because b and c are due, theirs because they queued) and saves only
-    # the resume hop: 2 steps each, against 3.
+    # because b and c are due, theirs because they queued), waits its hold
+    # out on the heap and saves only the resume hop: 2 steps each, against 3.
     assert (steps, ref_steps) == (3 + 3 * 2, 3 + 3 * 3)
+
+
+def test_charge_ending_as_another_entry_falls_due_runs_after_it():
+    # The entry at t=1 was pushed before the charge's timeout would have
+    # been, so it wins the tie on seq: the horizon test is strict.
+    def scenario(eng, note):
+        res = make_resource(eng)
+        eng.schedule(1, lambda _: note("due"))
+
+        def charger():
+            yield from res.use(1)
+            note("charger")
+
+        eng.process(charger())
+
+    (log, steps), _ = both(scenario)
+    assert log == [(1, "due"), (1, "charger")]
+    assert steps == 3  # start, the callback, the hold's own timeout
+
+
+def test_run_until_inside_a_run_of_charges_stops_the_clock_there():
+    steps = []
+    for engine_cls in (Engine, RefEngine):
+        eng = engine_cls()
+        res = make_resource(eng)
+        done = []
+
+        def charger():
+            for _ in range(5):
+                yield from res.use(1)
+                done.append(eng.now)
+
+        eng.process(charger())
+        eng.run(until=2.5)  # inside the third charge
+        assert eng.now == 2.5
+        assert done == [1, 2]
+        assert (res.busy_time, res.service_count, res.in_use) == (2, 2, 1)
+        eng.run(until=3)    # a charge ending exactly at ``until`` is booked
+        assert (eng.now, done, res.service_count) == (3, [1, 2, 3], 3)
+        eng.run()
+        assert (eng.now, res.busy_time, res.service_count) == (5, 5, 5)
+        steps.append(eng._steps)
+    # The start; the third and fourth holds, which would have passed the
+    # ``until`` of the run they began in and so waited on the heap.  The
+    # other three ran ahead — the fifth because run() has no stop.
+    assert steps == [1 + 2, 1 + 5 * 3]
+
+
+def test_charge_behind_a_cancelled_entry_falls_back():
+    def scenario(eng, note):
+        res = make_resource(eng)
+        eng.timeout(0.5).cancel()  # a corpse on the heap, ahead of the hold
+
+        def charger():
+            yield from res.use(1)
+            note("first")
+            yield from res.use(1)
+            note("second")
+
+        eng.process(charger())
+
+    (log, steps), _ = both(scenario)
+    assert log == [(1, "first"), (2, "second")]
+    # The first hold takes its hop (the corpse counts as due: falling back
+    # is always safe) and the step that pops it discards the corpse; the
+    # second runs ahead.
+    assert steps == 2
+
+
+def test_use_on_a_held_slot_queues_fifo_however_quiet_the_heap():
+    def scenario(eng, note):
+        res = make_resource(eng)
+
+        def holder():
+            yield res.acquire()
+            yield eng.timeout(10)
+            res.release()
+
+        def user(tag, start):
+            yield eng.timeout(start)
+            yield from res.use(0.25)  # nothing else due before it would end
+            note(tag)
+
+        eng.process(holder())
+        eng.process(user("a", 1))
+        eng.process(user("b", 2))
+
+    (log, _), _ = both(scenario)
+    assert log == [(10.25, "a"), (10.5, "b")]
+
+
+def test_negative_duration_raises_at_the_call():
+    eng = Engine()
+    res = Resource(eng)
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        res.use(-1)  # not iterated: use() is not a generator
+    with pytest.raises(ValueError, match="must be >= 0"):
+        Cpu(eng).work("bad", -1)
+    assert (eng.now, res.service_count, res.in_use) == (0, 0, 0)
+    assert not eng._heap
 
 
 def test_cancel_before_and_after_an_inline_expiry():

@@ -66,10 +66,15 @@ def test_checkpoints_fire_at_quiesce_points():
 
 def test_attach_every_runs_step_checkpoints():
     system = make_system()
-    system.sanitizer.attach_every(10)
+    timer = system.sanitizer.attach_every(0.010)
     before = system.sanitizer.checkpoints
-    write_file(system)
-    assert system.sanitizer.checkpoints - before > 5  # many engine steps
+    write_file(system)  # ~0.18 simulated seconds
+    assert system.sanitizer.checkpoints - before > 5
+    assert timer.fires > 5
+    timer.cancel()
+    before = system.sanitizer.checkpoints
+    write_file(system, path="/g")
+    assert system.sanitizer.checkpoints - before == 2  # fsync + idle only
 
 
 def test_healthy_workload_passes_deep_checkpoint():

@@ -7,10 +7,10 @@ the final simulated clock, and every counter, gauge and histogram in
 reproduce them bit for bit.
 
 The engine step count beside them is a **budget, not an oracle**: it is a
-host cost (DESIGN.md §5.2 lets a heap hop go when nothing else is due at
-that instant), so lower is better and only a rise needs explaining.  The
-counts here are those of the hop-eliding engine; PR 11's tree took 13362 /
-17808 / 4077 steps to the same clocks and hashes.
+host cost (DESIGN.md §5.2 lets a heap hop go when its entry would be the
+next one popped anyway), so lower is better and only a rise needs
+explaining.  The counts here are those of the hop-eliding engine; PR 11's
+tree took 13362 / 17808 / 4077 steps to the same clocks and hashes.
 
 ``TRACE_GOLDEN`` pins order where the elision guard actually falls back —
 several processes, nfsd threads and cancelled retransmit timers, mirror
@@ -73,11 +73,11 @@ def _churn():
 
 
 GOLDEN = {
-    "iobench_A": (4841, "4.686977142857143",
+    "iobench_A": (1069, "4.686977142857143",
                   "6ef4b0b5abf37619951fc345104177125ea19aa8165e5a29d104ba7b71d4ec54"),
-    "iobench_D": (6954, "6.157262857142857",
+    "iobench_D": (2760, "6.157262857142857",
                   "11699c5a0e1c07d8c5c4752a6911ffb6b84b83e76b31edf3daf70290498b22c7"),
-    "churn": (1706, "3.40012",
+    "churn": (885, "3.40012",
               "7ce1b701b8aa41ddd8474171ba0a1b36e28048d14c2865429177dd4b18675d39"),
 }
 
