@@ -50,7 +50,7 @@ def run_musbus(config: SystemConfig, users: int = 4, iterations: int = 8,
         yield from proc.mkdir(f"/u{index}")
         for it in range(iterations):
             # Think.
-            yield system.engine.timeout(think_time * rng.uniform(0.5, 1.5))
+            yield from system.engine.sleep(think_time * rng.uniform(0.5, 1.5))
             # Run a small program (fork/exec + a little computation).
             yield from cpu.work("exec", cpu.costs.context_switch * 4)
             yield from cpu.work("user", 0.005)

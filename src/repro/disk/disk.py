@@ -195,7 +195,7 @@ class RotationalDisk:
                 yield from self._fail(buf, decision)
 
         if buf.is_flush:
-            yield engine.timeout(self.controller_overhead)
+            yield from engine.sleep(self.controller_overhead)
             yield from self._service_flush(buf)
             return
 
@@ -209,7 +209,7 @@ class RotationalDisk:
             self.track_buffer.invalidate()
 
         # Per-request controller/command overhead.
-        yield engine.timeout(self.controller_overhead)
+        yield from engine.sleep(self.controller_overhead)
 
         sector = buf.sector
         remaining = buf.nsectors
@@ -226,7 +226,7 @@ class RotationalDisk:
                 )
             # The forbidden fast ack: bus transfer only, no media time.
             buf.xfer_time += buf.nbytes / self.bus_rate
-            yield engine.timeout(buf.nbytes / self.bus_rate)
+            yield from engine.sleep(buf.nbytes / self.bus_rate)
             plan = self.fault_plan
             if plan is not None and plan.cuts_power_during(buf.started_at,
                                                            engine.now):
@@ -434,15 +434,15 @@ class RotationalDisk:
             # The controller goes silent; the request hangs before the
             # driver sees the failure.
             if decision.hang > 0:
-                yield engine.timeout(decision.hang)
+                yield from engine.sleep(decision.hang)
             raise decision.error
         if decision.kind is FaultKind.MEDIA:
             # The drive retried internally (a rotation's worth) and gave up.
-            yield engine.timeout(self.controller_overhead
-                                 + self.geometry.rotation_time)
+            yield from engine.sleep(self.controller_overhead
+                                    + self.geometry.rotation_time)
             raise decision.error
         # Transient: the command was issued and failed quickly.
-        yield engine.timeout(self.controller_overhead)
+        yield from engine.sleep(self.controller_overhead)
         raise decision.error
 
     def _buffer_read(self, buf: Buf, sector: int, run: int,
@@ -466,7 +466,7 @@ class RotationalDisk:
         buf.seek_rot_time += fill_wait
         tb.consume(sector + run)
         if wait > 0:
-            yield engine.timeout(wait)
+            yield from engine.sleep(wait)
 
     def _media_access(self, buf: Buf, cyl: int, head: int, idx: int,
                       run: int) -> Generator[Event, Any, None]:
@@ -480,16 +480,16 @@ class RotationalDisk:
             self.stats.incr("seeks")
             self.stats.incr("seek_time", seek)
             buf.seek_rot_time += seek
-            yield engine.timeout(seek)
+            yield from engine.sleep(seek)
         elif head != self._head:
             self.stats.incr("head_switches")
             buf.seek_rot_time += geom.head_switch_time
-            yield engine.timeout(geom.head_switch_time)
+            yield from engine.sleep(geom.head_switch_time)
         wait = geom.rotational_wait(engine.now, cyl, head, idx)
         self.stats.incr("rotational_wait", wait)
         transfer = run * geom.sector_time(cyl)
         self.stats.incr("transfer_time", transfer)
         buf.seek_rot_time += wait
         buf.xfer_time += transfer
-        yield engine.timeout(wait + transfer)
+        yield from engine.sleep(wait + transfer)
         # (The service loop restarts the look-ahead fill for reads.)

@@ -333,7 +333,7 @@ class DiskDriver:
                     intr += self.cpu.interrupt_charge(
                         "checksum", nfrags * self.cpu.costs.checksum_frag)
                 if intr > 0:
-                    yield self.engine.timeout(intr)
+                    yield from self.engine.sleep(intr)
             if error is not None and len(buf.children) > 1:
                 # A coalesced cluster failed as a whole: dissolve it and
                 # retry the original requests individually, so one bad
@@ -370,7 +370,7 @@ class DiskDriver:
                     return exc  # unremappable: hard failure
                 self.remap_table[exc.sector] = spare
                 self.stats.incr("remaps")
-                yield self.engine.timeout(self.remap_penalty)
+                yield from self.engine.sleep(self.remap_penalty)
             except (TransientDiskError, DiskTimeoutError) as exc:
                 if isinstance(exc, DiskTimeoutError):
                     self.stats.incr("timeouts_detected")
@@ -381,7 +381,8 @@ class DiskDriver:
                     self.stats.incr("retries_exhausted")
                     return exc
                 self.stats.incr("retries")
-                yield self.engine.timeout(self.retry_backoff * (2 ** (attempt - 1)))
+                yield from self.engine.sleep(
+                    self.retry_backoff * (2 ** (attempt - 1)))
             except ChecksumError as exc:
                 # A verification failure is worth exactly one re-read: the
                 # first read may have tripped on a marginal transfer, but a
@@ -392,7 +393,7 @@ class DiskDriver:
                 if cs_attempts > 1:
                     return exc
                 self.stats.incr("checksum_retries")
-                yield self.engine.timeout(self.retry_backoff)
+                yield from self.engine.sleep(self.retry_backoff)
             except DiskError as exc:
                 return exc  # power loss and anything else unrecoverable
 

@@ -32,13 +32,13 @@ volume does not serialize unrelated members against each other.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 from repro.disk.buf import Buf, BufOp
 from repro.disk.disk import RotationalDisk
 from repro.disk.driver import DiskDriver
 from repro.disk.geometry import DiskGeometry, Zone
-from repro.disk.store import DiskStore
+from repro.disk.store import DiskStore, SectorImage
 from repro.core.health import ClusterHealth
 from repro.errors import InvalidArgumentError, MemberDeadError
 from repro.sim.events import Event
@@ -259,7 +259,7 @@ class SingleVolume:
 # logical views: store, cache, integrity
 
 
-class VolumeStore:
+class VolumeStore(SectorImage):
     """Data-plane view of a multi-member volume as one sparse sector array.
 
     Mirrors write every member and read the first live one; stripes and
@@ -272,15 +272,6 @@ class VolumeStore:
         self.total_sectors = volume.logical_sectors
         self.sector_size = volume.members[0].store.sector_size
 
-    def _check_range(self, sector: int, count: int) -> None:
-        if count <= 0:
-            raise ValueError("sector count must be positive")
-        if sector < 0 or sector + count > self.total_sectors:
-            raise ValueError(
-                f"sector range [{sector}, {sector + count}) outside device "
-                f"of {self.total_sectors} sectors"
-            )
-
     def read(self, sector: int, count: int) -> bytes:
         self._check_range(sector, count)
         vol = self.volume
@@ -289,48 +280,30 @@ class VolumeStore:
         return b"".join(parts)
 
     def write(self, sector: int, data: bytes) -> None:
-        if len(data) % self.sector_size != 0:
-            raise ValueError(
-                f"write length {len(data)} is not a multiple of sector size "
-                f"{self.sector_size}"
-            )
-        count = len(data) // self.sector_size
-        self._check_range(sector, count)
+        self._check_write(sector, data)
         ss = self.sector_size
-        for mi, msec, cnt, off in self.volume.data_write_pieces(sector, count):
+        for mi, msec, cnt, off in self.volume.data_write_pieces(
+                sector, len(data) // ss):
             self.volume.members[mi].store.write(
                 msec, data[off * ss:(off + cnt) * ss])
 
     def clone(self) -> DiskStore:
         """An independent single-store snapshot of the logical bytes."""
         dup = DiskStore(self.total_sectors, self.sector_size)
-        for sector in self.nonzero_sectors():
-            dup.write(sector, self.read(sector, 1))
+        for sector, data in self.iter_nonzero():
+            dup.write(sector, data)
         return dup
 
-    def digest(self) -> str:
-        """Canonical content hash of the logical image (same form as
-        :meth:`DiskStore.digest`, so equal logical bytes hash equal)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(f"{self.total_sectors}:{self.sector_size}".encode())
-        for sector in self.nonzero_sectors():
-            h.update(f"|{sector}:".encode())
-            h.update(self.read(sector, 1))
-        return h.hexdigest()
-
-    def nonzero_sectors(self) -> "list[int]":
+    def iter_nonzero(self) -> "Iterator[tuple[int, bytes]]":
+        """The members' non-zero sectors at their logical addresses (same
+        form as :meth:`DiskStore.iter_nonzero`, so equal logical bytes hash
+        equal); where mirror members overlap, the one reads go to wins."""
         vol = self.volume
-        out: set[int] = set()
-        for member in vol.data_source_members():
-            for msec in member.store.nonzero_sectors():
-                out.add(vol.logical_of(member.index, msec))
-        return sorted(out)
-
-    @property
-    def written_sectors(self) -> int:
-        return len(self.nonzero_sectors())
+        image: dict[int, bytes] = {}
+        for member in reversed(vol.data_source_members()):
+            for msec, data in member.store.iter_nonzero():
+                image[vol.logical_of(member.index, msec)] = data
+        return iter(sorted(image.items()))
 
 
 class VolumeCacheView:

@@ -168,7 +168,7 @@ class Scrubber:
     def _throttle(self) -> Generator[Any, Any, None]:
         while self.system.requests.inflight.value > self.inflight_limit:
             self.stats.incr("throttle_waits")
-            yield self.engine.timeout(self.pace)
+            yield from self.engine.sleep(self.pace)
 
     def _scan_batch(self, batch: "list[int]") -> Generator[Any, Any, None]:
         """Read one batch through the stack, verify offline, repair."""

@@ -242,7 +242,7 @@ class NfsMount(Vfs):
         """Hand one arrived request datagram to the server, then carry the
         reply (if any) back over the wire and complete the xid's event."""
         if extra_delay > 0:
-            yield self.engine.timeout(extra_delay)
+            yield from self.engine.sleep(extra_delay)
         outcome = yield from self.server.receive(xid, op, corrupted=corrupted,
                                                 **args)
         if outcome is None:

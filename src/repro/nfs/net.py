@@ -79,7 +79,7 @@ class Network:
         wire_time = nbytes / self.bandwidth
         yield from direction.use(wire_time)
         if self.latency > 0:
-            yield self.engine.timeout(self.latency)
+            yield from self.engine.sleep(self.latency)
         self.stats.incr("messages")
         self.stats.incr("bytes", nbytes)
         plan = self.fault_plan
@@ -94,7 +94,7 @@ class Network:
         if decision.delay > 0:
             # Held after releasing the wire, so later sends overtake it.
             self.stats.incr("delayed")
-            yield self.engine.timeout(decision.delay)
+            yield from self.engine.sleep(decision.delay)
         if decision.corrupt:
             self.stats.incr("corrupted")
         if decision.duplicate:

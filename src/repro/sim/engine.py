@@ -17,7 +17,8 @@ depend on which shape an entry has.
 A hop may be skipped only when its entry would be the very next one popped
 (DESIGN.md §5.2): a zero-delay one — its callback run by the step that would
 have pushed it — under :meth:`Engine._quiet_now`, a timed one nobody but its
-creator can see — the clock moved in place — under :meth:`Engine._run_ahead`.
+creator can see (:meth:`Engine.sleep`, the hold of a ``Resource.use``) — the
+clock moved in place — under :meth:`Engine._run_ahead`.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class Engine:
 
         Returns a :class:`Scheduled` handle accepted by :meth:`cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # negative, or NaN: an unordered heap key
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         entry = Scheduled(daemon)
         self._push(delay, fn, arg, entry)
@@ -235,6 +236,25 @@ class Engine:
         A ``daemon`` timeout does not keep :meth:`run` alive on its own.
         """
         return Timeout(self, delay, value, daemon=daemon)
+
+    def sleep(self, delay: float) -> "tuple[Timeout, ...]":
+        """Let ``delay`` seconds pass: ``yield from engine.sleep(delay)``.
+
+        The private timeout of DESIGN.md §5.2 — made, waited on once and
+        dropped, so nobody but the caller could wait on it or cancel it.
+        Returns ``()`` with the clock already moved when :meth:`_run_ahead`
+        finds it would be the next entry popped, and the one
+        :class:`Timeout` to wait out otherwise.  It carries no value, so a
+        tuple will do for ``yield from``: the resume's ``send(None)`` is
+        ``next``, and an interrupt thrown in surfaces at the caller's
+        ``yield from``.  Never a daemon: a daemon entry does not hold
+        :meth:`run` open, a moved clock would have.
+        """
+        if not delay >= 0:
+            raise ValueError(f"sleep delay must be >= 0 (got {delay})")
+        if self._run_ahead(delay):
+            return ()
+        return (Timeout(self, delay),)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Spawn a process from a generator; it starts at the current time."""

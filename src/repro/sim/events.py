@@ -145,8 +145,8 @@ class Timeout(Event):
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None,
                  daemon: bool = False):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
+        if not delay >= 0:  # negative, or NaN: an unordered heap key
+            raise ValueError(f"timeout delay must be >= 0 (got {delay})")
         super().__init__(engine, name=("timeout(%g)", delay))
         self.delay = delay
         self.daemon = daemon

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Generator, Iterable
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -155,8 +155,8 @@ class Resource:
         would be the next heap entry popped, the whole charge happens here:
         the clock moves, the books are kept, and there is nothing to yield.
         """
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not duration >= 0:  # negative, or NaN: it would poison the clock
+            raise ValueError(f"duration must be >= 0 (got {duration})")
         sem = self._sem
         if (sem._value > 0 and not sem._waiters
                 and self.engine._run_ahead(duration)):
@@ -166,7 +166,11 @@ class Resource:
         return self._use(duration)
 
     def _use(self, duration: float) -> Generator[Event, Any, None]:
-        """:meth:`use` when the hold has to be waited out on the heap."""
+        """:meth:`use` when the slot has to be waited for, or its hold
+        waited out.  Once the slot is held the hold is as private as an
+        uncontended one — a queued waiter is not a heap entry, and
+        ``release`` grants it at the same clock and in the same order either
+        way — so it is an :meth:`Engine.sleep`."""
         engine, sem = self.engine, self._sem
         # A free slot is taken here, without the grant's heap hop, when that
         # hop would be the next entry popped anyway (Engine._quiet_now); a
@@ -180,7 +184,7 @@ class Resource:
                 raise
         try:
             if duration > 0:
-                yield Timeout(engine, duration)
+                yield from engine.sleep(duration)
             self.busy_time += duration
             self.service_count += 1
         finally:

@@ -94,7 +94,7 @@ class PageoutDaemon:
             while not self._target_reached:
                 progress = yield from self._scan_batch()
                 if self.params.breath > 0:
-                    yield self.engine.timeout(self.params.breath)
+                    yield from self.engine.sleep(self.params.breath)
                 if not progress:
                     # Nothing freeable this revolution segment: wait for
                     # in-flight writebacks or new frees rather than spin.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, SimulationError
+from repro.sim import Engine, Resource, SimulationError
 
 
 def test_time_starts_at_zero():
@@ -76,6 +76,26 @@ def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):
         eng.schedule(-1.0, lambda _: None)
+
+
+@pytest.mark.parametrize("call", ["timeout", "schedule", "sleep", "use"])
+def test_nan_and_negative_delays_raise_at_the_call_naming_the_value(call):
+    # NaN passes ``delay < 0``.  ``use`` and ``sleep`` then set ``now = nan``,
+    # ``timeout`` and ``schedule`` pushed an unordered heap key; either way it
+    # surfaced a step later, far from the call, as a bare "event heap went
+    # backwards" assert (and not at all under ``python -O``).
+    eng = Engine()
+    make = {"timeout": eng.timeout,
+            "schedule": lambda delay: eng.schedule(delay, lambda _: None),
+            "sleep": eng.sleep,
+            "use": Resource(eng).use}[call]
+    for bad in (float("nan"), -1):
+        with pytest.raises((ValueError, SimulationError), match=f"{bad}\\)$"):
+            make(bad)
+    assert eng.now == 0 and not eng._heap
+    make(-0.0)  # minus zero is zero, not the past
+    eng.run()
+    assert eng.now == 0
 
 
 def test_process_return_value():

@@ -9,18 +9,23 @@ strictly later than its end, and that end not past the ``run(until=)`` in
 progress — takes no hop at all: the clock moves in place.  The rule this
 file pins: callback bodies run in the same order and see the same clock as
 on an engine with no elision at all, and a ``run(until=T)`` stops both at
-``T`` with the same charges booked.
+``T`` with the same charges booked.  ``Engine.sleep`` is that same private
+timeout under its own name, for every wait made and yielded in one breath —
+the hold of a ``use`` that had to queue for its slot included.
 
 ``RefEngine`` is that engine, kept here and not in ``src/``: ``Timeout.
 _expire`` and ``Resource.use`` as they were before any elision (``use`` with
 the abandoned-waiter fix, which changes behaviour on purpose and is pinned
-in ``test_resources.py``).  Random programs must log the same
-``(now, process, label)`` sequence on both, through the same ``run(until=)``
-stops; the hand cases below name the orders the guards exist for, and each
-fails under one of: guard removed from the timeout path, guard removed from
-the acquire path, waiters dispatched in reverse, every waiter run inline,
-``>=`` for ``>`` in the run-ahead horizon, its ``until`` bound dropped, its
-free-slot test dropped, ``busy_time`` not booked when it runs ahead.
+in ``test_resources.py``), and a ``sleep`` that always hands back its
+timeout.  Random programs must log the same ``(now, process, label)``
+sequence on both, through the same ``run(until=)`` stops; the hand cases
+below name the orders the guards exist for, and each fails under one of:
+guard removed from the timeout path, guard removed from the acquire path,
+waiters dispatched in reverse, every waiter run inline, ``<`` for ``<=`` in
+the run-ahead horizon, its ``until`` bound dropped (in ``_run_ahead``, or by
+a ``sleep`` that moves the clock without asking it), its free-slot test
+dropped, ``busy_time`` not booked when it runs ahead, ``_use`` sleeping its
+hold out before it holds the slot.
 """
 
 import pytest
@@ -62,6 +67,9 @@ class RefEngine(Engine):
     def timeout(self, delay, value=None, daemon=False):
         return RefTimeout(self, delay, value, daemon=daemon)
 
+    def sleep(self, delay):
+        return (self.timeout(delay),)
+
 
 def make_resource(eng, **kwargs):
     """A resource of the kind that goes with ``eng``."""
@@ -90,6 +98,7 @@ PID = st.integers(0, 4)
 
 OPS = st.one_of(
     st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.just("timeout"), DELAYS),
     st.tuples(st.just("daemon_sleep"), DELAYS),
     st.tuples(st.just("shared_sleep"), SMALL, DELAYS),
     st.tuples(st.just("use"), SMALL, DELAYS),
@@ -145,6 +154,9 @@ class World:
                 self.note(pid, f"{index}:failed")
 
     def op_sleep(self, pid, delay):
+        yield from self.eng.sleep(delay)
+
+    def op_timeout(self, pid, delay):
         yield self.eng.timeout(delay)
 
     def op_daemon_sleep(self, pid, delay):
@@ -427,9 +439,10 @@ def test_uncontended_charge_is_one_step_contended_two_and_fifo():
     (log, steps), (_, ref_steps) = both(charges("abc", each=1))
     assert log == [(0.5, "a"), (1.0, "b"), (1.5, "c")]
     # Three starts due at once, so every charge keeps its grant hop (a's
-    # because b and c are due, theirs because they queued), waits its hold
-    # out on the heap and saves only the resume hop: 2 steps each, against 3.
-    assert (steps, ref_steps) == (3 + 3 * 2, 3 + 3 * 3)
+    # because b and c are due, theirs because they queued) — and nothing
+    # else: once it holds the slot nothing is due before its hold ends, so
+    # the hold is slept out in place.  1 step each, against 3.
+    assert (steps, ref_steps) == (3 + 3 * 1, 3 + 3 * 3)
 
 
 def test_charge_ending_as_another_entry_falls_due_runs_after_it():
@@ -519,6 +532,104 @@ def test_use_on_a_held_slot_queues_fifo_however_quiet_the_heap():
 
     (log, _), _ = both(scenario)
     assert log == [(10.25, "a"), (10.5, "b")]
+
+
+def test_sleep_ending_as_another_entry_falls_due_runs_after_it():
+    def scenario(eng, note):
+        eng.schedule(1, lambda _: note("due"))
+
+        def sleeper():
+            yield from eng.sleep(1)
+            note("sleeper")
+
+        eng.process(sleeper())
+
+    (log, steps), _ = both(scenario)
+    assert log == [(1, "due"), (1, "sleeper")]
+    assert steps == 3  # start, the callback, the sleep's own timeout
+
+
+def test_run_until_inside_a_run_of_sleeps_stops_the_clock_there():
+    steps = []
+    for engine_cls in (Engine, RefEngine):
+        eng = engine_cls()
+        woke = []
+
+        def sleeper():
+            for _ in range(5):
+                yield from eng.sleep(1)
+                woke.append(eng.now)
+
+        eng.process(sleeper())
+        eng.run(until=2.5)  # inside the third sleep
+        assert (eng.now, woke) == (2.5, [1, 2])
+        eng.run(until=3)    # a sleep ending exactly at ``until`` is over
+        assert (eng.now, woke) == (3, [1, 2, 3])
+        eng.run()
+        assert (eng.now, woke) == (5, [1, 2, 3, 4, 5])
+        steps.append(eng._steps)
+    # The start, and the third and fourth sleeps: each would have passed the
+    # ``until`` of the run it began in.  Against expiry + resume for each.
+    assert steps == [1 + 2, 1 + 5 * 2]
+
+
+def test_sleep_behind_a_cancelled_entry_falls_back():
+    def scenario(eng, note):
+        eng.timeout(0.5).cancel()  # a corpse on the heap, ahead of the sleep
+
+        def sleeper():
+            yield from eng.sleep(1)
+            note("first")
+            yield from eng.sleep(1)
+            note("second")
+
+        eng.process(sleeper())
+
+    (log, steps), _ = both(scenario)
+    assert log == [(1, "first"), (2, "second")]
+    assert steps == 2  # the start, the first sleep's timeout; the second ran ahead
+
+
+def test_holder_of_a_contended_slot_sleeps_its_hold_out_in_place():
+    def scenario(eng, note):
+        res = make_resource(eng)
+
+        def user(tag, start, hold):
+            yield eng.timeout(start)
+            yield from res.use(hold)
+            note(tag)
+
+        eng.process(user("h", 0, 3))  # b and c fall due inside its hold ...
+        eng.process(user("b", 1, 1))  # ... and queue behind it, in this order
+        eng.process(user("c", 2, 1))
+        eng.schedule(2.5, lambda _: note(f"queued: {res.queue_length}"))
+
+    (log, steps), (_, ref_steps) = both(scenario)
+    assert log == [(2.5, "queued: 2"), (3, "h"), (4, "b"), (5, "c")]
+    # b is granted the slot at t=3 with c still queued: a waiter is not a
+    # heap entry, nothing is due before t=4, and b's hold takes no step; the
+    # release at its end grants c at t=4, as the timeout's expiry would have.
+    # Three starts, three arrivals and the observer; h's hold, which the
+    # arrivals fall due inside; one grant hop each for b and c.
+    assert (steps, ref_steps) == (3 + 3 + 1 + 1 + 2, 3 + 3 * 2 + 1 + 3 * 3)
+
+
+def test_interrupt_in_a_fallen_back_sleep_raises_at_the_yield_from():
+    def scenario(eng, note):
+        def sleeper():
+            try:
+                yield from eng.sleep(2)
+                note("slept")
+            except Interrupt as intr:
+                note(f"interrupted: {intr.cause}")
+            yield from eng.sleep(1)  # behind the abandoned timeout, still due
+            note("after")
+
+        eng.schedule(1, lambda _: proc.interrupt("wake"))
+        proc = eng.process(sleeper())
+
+    (log, _), _ = both(scenario)
+    assert log == [(1, "interrupted: wake"), (2, "after")]
 
 
 def test_negative_duration_raises_at_the_call():

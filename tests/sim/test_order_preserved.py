@@ -73,11 +73,11 @@ def _churn():
 
 
 GOLDEN = {
-    "iobench_A": (1069, "4.686977142857143",
+    "iobench_A": (430, "4.686977142857143",
                   "6ef4b0b5abf37619951fc345104177125ea19aa8165e5a29d104ba7b71d4ec54"),
-    "iobench_D": (2760, "6.157262857142857",
+    "iobench_D": (1377, "6.157262857142857",
                   "11699c5a0e1c07d8c5c4752a6911ffb6b84b83e76b31edf3daf70290498b22c7"),
-    "churn": (885, "3.40012",
+    "churn": (450, "3.40012",
               "7ce1b701b8aa41ddd8474171ba0a1b36e28048d14c2865429177dd4b18675d39"),
 }
 
