@@ -13,32 +13,15 @@ lifetime into cpu / queue_wait / rotation_seek / transfer / throttle_wait
   on rotation+seek than config A's — exactly the per-block rotational
   latency clustering amortizes away.
 
-Emits ``BENCH_attribution.json`` at the repo root: the full per-kind
-table for both configs, the same shape ``python -m repro bench`` embeds.
+Writes nothing: this is the run ``BENCH_baseline.json`` commits
+(``python -m repro bench --configs AC --file-mb 2 --ops 128``), and the
+per-kind tables are its ``attribution`` sections.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.bench.iobench import IObench
-from repro.kernel import SystemConfig
-from repro.obs.attrib import attribution_table, render_attribution
-from repro.units import MB
-
-FILE_SIZE = 2 * MB
-RANDOM_OPS = 128
-
-
-def _run_config(name):
-    bench = IObench(SystemConfig.by_name(name), file_size=FILE_SIZE,
-                    random_ops=RANDOM_OPS, trace_phase="*")
-    result = bench.run()
-    return {
-        "rates": result.rates,
-        "attribution": attribution_table(bench.system.tracer),
-    }
+from repro.obs.attrib import render_attribution
+from repro.obs.bench import run_bench
 
 
 def _mech_share(row):
@@ -49,10 +32,7 @@ def _mech_share(row):
 
 
 def test_attribution_a_vs_c(once):
-    def run():
-        return {name: _run_config(name) for name in ("A", "C")}
-
-    results = once(run)
+    results = once(lambda: run_bench("AC", 2, 128))["results"]
     print()
     for name, cell in results.items():
         print(f"config {name} (FSR {cell['rates']['FSR']:.0f} KB/s):")
@@ -70,7 +50,3 @@ def test_attribution_a_vs_c(once):
     # read's disk time is spent waiting on the platter.
     assert _mech_share(reads_c) > _mech_share(reads_a)
     assert results["A"]["rates"]["FSR"] > results["C"]["rates"]["FSR"]
-
-    out = Path(__file__).resolve().parent.parent / "BENCH_attribution.json"
-    out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out.name}")

@@ -9,97 +9,63 @@ Two claims the refactor must hold up:
   and the per-layer stats (queue wait, service, request latency) come out
   of the same run.
 
-Emits ``BENCH_pipeline.json`` at the repo root with the per-scheduler
-rates and pipeline reports.
+Emits ``BENCH_pipeline.json`` at the repo root: one ``run_bench`` cell
+per scheduler, plus the digest and rate of the cold re-read.
 """
 
-import hashlib
-import json
-from pathlib import Path
-
+from benchmarks.conftest import (
+    RECORD, ROOT, cold_sequential_read, write_patterned_file,
+)
 from repro.bench.iobench import IObench
 from repro.kernel import Proc, System, SystemConfig
-from repro.units import KB, MB
+from repro.obs.bench import run_bench, write_document
+from repro.units import MB
 
-FILE_SIZE = 4 * MB
-RECORD = 8 * KB
+#: ``python -m repro bench --configs A --file-mb 4 --ops 2048`` per scheduler.
+RUN = {"configs": "A", "file_mb": 4, "random_ops": 2048, "seed": 1991}
+FILE_SIZE = RUN["file_mb"] * MB
 SCHEDULERS = ("elevator", "fifo", "deadline")
 
 
 def _read_digest(scheduler):
     """Write then sequentially re-read a file; digest what came back."""
-    cfg = SystemConfig.config_a().with_(scheduler=scheduler)
-    system = System.booted(cfg)
+    system = System.booted(SystemConfig.config_a().with_(scheduler=scheduler))
+    assert system.driver.scheduler_name == scheduler
     proc = Proc(system)
-
-    def write_phase():
-        fd = yield from proc.creat("/f")
-        for i in range(FILE_SIZE // RECORD):
-            yield from proc.write(fd, bytes([i % 251]) * RECORD)
-        yield from proc.fsync(fd)
-        yield from proc.close(fd)
-
-    system.run(write_phase())
-    vn = system.run(system.mount.namei("/f"))
-    system.pagecache.vnode_drop_clean(vn)
-    vn.inode.readahead.reset()
-
-    digest = hashlib.sha256()
-
-    def read_phase():
-        fd = yield from proc.open("/f")
-        while True:
-            data = yield from proc.read(fd, RECORD)
-            if not data:
-                break
-            digest.update(data)
-
-    t0 = system.now
-    system.run(read_phase())
-    elapsed = system.now - t0
-    return digest.hexdigest(), FILE_SIZE / elapsed / 1024, system
+    write_patterned_file(system, proc, "/f", FILE_SIZE)
+    return cold_sequential_read(system, proc, "/f")
 
 
 def test_pipeline_schedulers(once):
     def run():
         out = {}
         for sched in SCHEDULERS:
-            digest, rate, system = _read_digest(sched)
-            bench = IObench(SystemConfig.config_a().with_(scheduler=sched),
-                            file_size=FILE_SIZE)
-            result = bench.run()
-            out[sched] = {
-                "digest": digest,
-                "seq_read_kbs": rate,
-                "rates": result.rates,
-                "pipeline": result.pipeline,
-            }
-            assert system.driver.scheduler_name == sched
+            digest, rate = _read_digest(sched)
+            cell = run_bench(**RUN, scheduler=sched)["results"]["A"]
+            assert cell["scheduler"] == sched
+            out[sched] = {**cell, "digest": digest, "seq_read_kbs": rate}
         return out
 
     results = once(run)
     print()
     for sched, cell in results.items():
-        pipe = cell["pipeline"]
+        metrics = cell["metrics"]
         print(f"{sched:9s} FSR={cell['rates']['FSR']:7.0f} KB/s  "
-              f"qdepth_avg={pipe['queue_depth']['avg']:.2f}  "
-              f"wait_p95={pipe['queue_wait']['p95'] * 1e3:.2f}ms")
+              f"qdepth_avg={metrics['disk.driver.queue_depth']['avg']:.2f}  "
+              f"wait_p95={metrics['disk.driver.wait']['p95'] * 1e3:.2f}ms")
 
     # Byte-identical data under every scheduler: ordering only.
     digests = {cell["digest"] for cell in results.values()}
     assert len(digests) == 1
     # Every run produced per-layer stats.
     for cell in results.values():
-        pipe = cell["pipeline"]
-        assert pipe["queue_wait"]["count"] > 0
-        assert pipe["service"]["count"] > 0
-        assert pipe["requests"]["latency"]["read"]["count"] > 0
+        metrics = cell["metrics"]
+        assert metrics["disk.driver.wait"]["count"] > 0
+        assert metrics["disk.driver.service"]["count"] > 0
+        assert metrics["requests.latency"]["read"]["count"] > 0
 
-    payload = {"benchmark": "pipeline", "file_size": FILE_SIZE,
-               "schedulers": results}
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_pipeline.json"
-    out_path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    print(f"wrote {out_path}")
+    write_document(ROOT / "BENCH_pipeline.json",
+                   {"benchmark": "pipeline", **RUN}, results)
 
 
 def test_traced_read_maps_to_cluster_io(once):

@@ -15,6 +15,7 @@ We measure sequential read throughput of a 2 MB file on:
 
 import random
 
+from benchmarks.conftest import cold_sequential_read
 from repro.bench.agefs import age_filesystem
 from repro.bench.report import Table
 from repro.cpu import Cpu
@@ -95,21 +96,7 @@ def ufs_cell():
         yield from proc.fsync(fd)
 
     system.run(build())
-    vn = system.run(system.mount.namei("/victim"))
-    system.pagecache.vnode_drop_clean(vn)
-    vn.inode.readahead.reset()
-    proc2 = Proc(system)
-
-    def read_back():
-        fd = yield from proc2.open("/victim")
-        while True:
-            data = yield from proc2.read(fd, 8 * KB)
-            if not data:
-                break
-
-    t0 = system.now
-    system.run(read_back())
-    return FILE_SIZE / (system.now - t0) / 1024
+    return cold_sequential_read(system, Proc(system), "/victim")[1]
 
 
 def test_s5fs_vs_ufs_clustering(once):

@@ -13,16 +13,14 @@ Two claims from the issue:
 Emits ``BENCH_scrub.json`` at the repo root.
 """
 
-import hashlib
-import json
-from pathlib import Path
-
+from benchmarks.conftest import cold_sequential_read, write_patterned_file
 from repro.bench.iobench import IObench
 from repro.kernel import Proc, System, SystemConfig
-from repro.units import KB, MB
+from repro.units import MB
 
-FILE_SIZE = 4 * MB
-RECORD = 8 * KB
+DOCUMENT = "BENCH_scrub.json"
+RUN = {"benchmark": "scrub", "configs": "A", "file_mb": 4}
+FILE_SIZE = RUN["file_mb"] * MB
 #: The acceptance bound: checksummed sequential reads keep >= 85% of the
 #: plain configuration's throughput.
 MIN_SEQ_READ_FRACTION = 0.85
@@ -34,7 +32,7 @@ def _iobench_rates(checksums):
     return bench.run().rates
 
 
-def test_checksum_overhead(once):
+def test_checksum_overhead(once, sections):
     def run():
         return {"off": _iobench_rates(False), "on": _iobench_rates(True)}
 
@@ -49,24 +47,13 @@ def test_checksum_overhead(once):
 
     assert rates["on"]["FSR"] >= MIN_SEQ_READ_FRACTION * rates["off"]["FSR"]
 
-    payload = {
-        "benchmark": "scrub",
-        "file_size": FILE_SIZE,
-        "checksum_overhead": {
-            "rates_off": rates["off"],
-            "rates_on": rates["on"],
-            "overhead_pct": overhead,
-            "seq_read_fraction": rates["on"]["FSR"] / rates["off"]["FSR"],
-            "bound": MIN_SEQ_READ_FRACTION,
-        },
+    sections["checksum_overhead"] = {
+        "rates_off": rates["off"],
+        "rates_on": rates["on"],
+        "overhead_pct": overhead,
+        "seq_read_fraction": rates["on"]["FSR"] / rates["off"]["FSR"],
+        "bound": MIN_SEQ_READ_FRACTION,
     }
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_scrub.json"
-    existing = {}
-    if out_path.exists():
-        existing = json.loads(out_path.read_text())
-    existing.update(payload)
-    out_path.write_text(json.dumps(existing, indent=2, default=str) + "\n")
-    print(f"wrote {out_path}")
 
 
 def _seq_read_rate(daemon_interval):
@@ -77,40 +64,16 @@ def _seq_read_rate(daemon_interval):
     if daemon_interval is not None:
         daemon = system.start_scrub(interval=daemon_interval, batch_frags=64)
     proc = Proc(system)
-
-    def write_phase():
-        fd = yield from proc.creat("/f")
-        for i in range(FILE_SIZE // RECORD):
-            yield from proc.write(fd, bytes([i % 251]) * RECORD)
-        yield from proc.fsync(fd)
-        yield from proc.close(fd)
-
-    system.run(write_phase())
-    vn = system.run(system.mount.namei("/f"))
-    system.pagecache.vnode_drop_clean(vn)
-    vn.inode.readahead.reset()
-
-    digest = hashlib.sha256()
-
-    def read_phase():
-        fd = yield from proc.open("/f")
-        while True:
-            data = yield from proc.read(fd, RECORD)
-            if not data:
-                break
-            digest.update(data)
-
-    t0 = system.now
-    system.run(read_phase())
-    rate = FILE_SIZE / (system.now - t0) / 1024
+    write_patterned_file(system, proc, "/f", FILE_SIZE)
+    digest, rate = cold_sequential_read(system, proc, "/f")
     scanned = daemon.report.frags_scanned if daemon is not None else 0
     detected = daemon.report.detected if daemon is not None else 0
     if daemon is not None:
         daemon.stop()
-    return digest.hexdigest(), rate, scanned, detected
+    return digest, rate, scanned, detected
 
 
-def test_scrub_daemon_interference(once):
+def test_scrub_daemon_interference(once, sections):
     def run():
         base_digest, base_rate, _, _ = _seq_read_rate(None)
         digest, rate, scanned, detected = _seq_read_rate(0.02)
@@ -131,10 +94,4 @@ def test_scrub_daemon_interference(once):
     assert cell["frags_scanned"] > 0
     assert cell["detected"] == 0
     assert cell["rate"] >= cell["base_rate"] / 2
-
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_scrub.json"
-    existing = json.loads(out_path.read_text()) if out_path.exists() else {}
-    existing["benchmark"] = "scrub"
-    existing["daemon_interference"] = cell
-    out_path.write_text(json.dumps(existing, indent=2, default=str) + "\n")
-    print(f"wrote {out_path}")
+    sections["daemon_interference"] = cell

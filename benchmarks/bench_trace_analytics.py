@@ -16,26 +16,16 @@ Two claims from the issue:
 Emits ``BENCH_trace.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
-
+from benchmarks.conftest import write_patterned_file
 from repro.bench.iobench import IObench
 from repro.kernel import Proc, System, SystemConfig
-from repro.units import KB, MB
+from repro.units import MB
 
-FILE_SIZE = 4 * MB
-RECORD = 8 * KB
+DOCUMENT = "BENCH_trace.json"
+RUN = {"benchmark": "trace_analytics", "file_mb": 4}
+FILE_SIZE = RUN["file_mb"] * MB
 #: The acceptance bound: 10 ms telemetry perturbs headline rates < 1%.
 MAX_PERTURBATION = 0.01
-
-
-def _write_payload(section, payload):
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_trace.json"
-    existing = json.loads(out_path.read_text()) if out_path.exists() else {}
-    existing["benchmark"] = "trace_analytics"
-    existing[section] = payload
-    out_path.write_text(json.dumps(existing, indent=2, default=str) + "\n")
-    print(f"wrote {out_path}")
 
 
 def _rates(telemetry_interval):
@@ -46,7 +36,7 @@ def _rates(telemetry_interval):
     return result.rates, samples
 
 
-def test_telemetry_overhead(once):
+def test_telemetry_overhead(once, sections):
     def run():
         off, _ = _rates(None)
         on, samples = _rates(0.010)
@@ -66,13 +56,13 @@ def test_telemetry_overhead(once):
     assert deltas["FSR"] < MAX_PERTURBATION
     assert deltas["FSW"] < MAX_PERTURBATION
 
-    _write_payload("telemetry_overhead", {
+    sections["telemetry_overhead"] = {
         "rates_off": cell["off"],
         "rates_on": cell["on"],
         "samples": cell["samples"],
         "perturbation": deltas,
         "bound": MAX_PERTURBATION,
-    })
+    }
 
 
 def _mean(values):
@@ -85,14 +75,6 @@ def _scrub_bracket():
     system = System.booted(SystemConfig.config_a().with_(checksums=True))
     recorder = system.start_telemetry(
         0.010, ["vm.freemem", "disk.driver.queue_depth"])
-    proc = Proc(system)
-
-    def write_phase():
-        fd = yield from proc.creat("/f")
-        for i in range(FILE_SIZE // RECORD):
-            yield from proc.write(fd, bytes([i % 251]) * RECORD)
-        yield from proc.fsync(fd)
-        yield from proc.close(fd)
 
     def idle(seconds):
         def anchor():
@@ -100,7 +82,7 @@ def _scrub_bracket():
 
         system.run(anchor(), name="idle")
 
-    system.run(write_phase())
+    write_patterned_file(system, Proc(system), "/f", FILE_SIZE)
     t_write_end = system.now
     idle(0.5)
     t_scrub_start = system.now
@@ -129,7 +111,7 @@ def _scrub_bracket():
     }
 
 
-def test_series_bracket_scrub_pass(once):
+def test_series_bracket_scrub_pass(once, sections):
     cell = once(_scrub_bracket)
     print()
     w = cell["queue_depth_windows"]
@@ -147,4 +129,4 @@ def test_series_bracket_scrub_pass(once):
     # And the write phase consumed pages the series can see.
     assert cell["freemem_min"] < cell["freemem_max"]
 
-    _write_payload("scrub_bracket", cell)
+    sections["scrub_bracket"] = cell

@@ -14,39 +14,25 @@ simulated 20 MHz SS1, FSR at stripe:4 runs >90% CPU-bound (checked and
 printed below), so its ceiling is the processor, not the disks; exactly
 the machine-balance argument the paper makes about its own hardware.
 
-Emits ``BENCH_volume.json`` at the repo root: KB/s per phase, p95
-request latencies, and per-member load balance for every layout.
+Emits ``BENCH_volume.json`` at the repo root: one ``run_bench`` cell per
+layout (rates, CPU, the whole metrics snapshot with every member's
+``disk.m<i>.*`` namespaces, layer attribution).
 """
 
-import json
-from pathlib import Path
+from benchmarks.conftest import ROOT
+from repro.obs.bench import run_bench, write_document
 
-from repro.bench.iobench import IObench
-from repro.kernel import SystemConfig
-from repro.units import MB
-
-FILE_SIZE = 4 * MB
+#: ``python -m repro bench --configs A --file-mb 4 --ops 2048`` per layout.
+RUN = {"configs": "A", "file_mb": 4, "random_ops": 2048, "seed": 1991}
 LAYOUTS = ("single", "concat:2", "stripe:2", "stripe:4", "mirror:2")
 #: Four spindles must at least double one spindle on sequential writes.
 STRIPE4_SEQ_FLOOR = 2.0
 
 
-def _run_layout(layout):
-    cfg = SystemConfig.config_a().with_(layout=layout)
-    result = IObench(cfg, file_size=FILE_SIZE).run()
-    latency = result.pipeline["requests"]["latency"]
-    return {
-        "rates": result.rates,
-        "cpu_util": result.cpu_util,
-        "p95_ms": {kind: cell["p95"] * 1e3 for kind, cell in latency.items()},
-        "queue_depth": result.pipeline["queue_depth"],
-        "members": result.pipeline.get("members", []),
-    }
-
-
 def test_volume_layout_sweep(once):
     def run():
-        return {layout: _run_layout(layout) for layout in LAYOUTS}
+        return {layout: run_bench(**RUN, layout=layout)["results"]["A"]
+                for layout in LAYOUTS}
 
     results = once(run)
     print()
@@ -86,14 +72,12 @@ def test_volume_layout_sweep(once):
 
     # Stripes spread the load: every member of stripe:4 did real work,
     # and no member hogged more than half the bytes.
-    members = results["stripe:4"]["members"]
-    assert len(members) == 4
-    total = sum(m["bytes"] for m in members)
-    for m in members:
-        assert 0 < m["bytes"] < total / 2
+    metrics = results["stripe:4"]["metrics"]
+    moved = [metrics[f"disk.m{i}.driver"]["bytes"] for i in range(4)]
+    assert "disk.m4.driver" not in metrics
+    for nbytes in moved:
+        assert 0 < nbytes < sum(moved) / 2
 
-    payload = {"benchmark": "volume", "file_size": FILE_SIZE,
-               "seq_floor": STRIPE4_SEQ_FLOOR, "layouts": results}
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_volume.json"
-    out_path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    print(f"wrote {out_path}")
+    write_document(ROOT / "BENCH_volume.json",
+                   {"benchmark": "volume", **RUN,
+                    "seq_floor": STRIPE4_SEQ_FLOOR}, results)

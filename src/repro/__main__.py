@@ -65,12 +65,31 @@ def _add_json_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
                          "output then goes to stderr)")
 
 
+def _presets(command: str, args: argparse.Namespace):
+    """The figure 9 rows ``--configs`` names, ``--scheduler`` / ``--layout``
+    applied; None (after one stderr line) when a row or the layout does
+    not exist, so the command can exit 2 before it simulates anything."""
+    from repro.disk.volume import VolumeSpec
+    from repro.errors import InvalidArgumentError
+    from repro.kernel import SystemConfig
+
+    try:
+        VolumeSpec.parse(args.layout)
+        return [SystemConfig.preset(name, args.scheduler, args.layout)
+                for name in args.configs.upper()]
+    except (ValueError, InvalidArgumentError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_iobench(args: argparse.Namespace) -> int:
     from repro.bench.iobench import IObench, format_member_table
     from repro.bench.report import PAPER_FIGURE_10, compare_to_paper, ratio_table
-    from repro.kernel import SystemConfig
     from repro.units import MB
 
+    presets = _presets("iobench", args)
+    if presets is None:
+        return 2
     names = list(args.configs.upper())
     tracing = bool(args.trace_jsonl)
     where = f" on layout {args.layout}" if args.layout else ""
@@ -79,9 +98,8 @@ def _cmd_iobench(args: argparse.Namespace) -> int:
     results = {}
     benches = []
     pipelines = []
-    for name in names:
-        bench = IObench(SystemConfig.preset(name, args.scheduler, args.layout),
-                        file_size=args.file_mb * MB,
+    for name, preset in zip(names, presets):
+        bench = IObench(preset, file_size=args.file_mb * MB,
                         trace_phase="FSR" if tracing and not benches else None,
                         sanitize=True if args.sanitize else None)
         full = bench.run()
@@ -290,7 +308,7 @@ def build_campaign(args: argparse.Namespace) -> Any:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.faults.harness import write_json
+    from repro.obs.bench import write_json
 
     row: CampaignCommand = args.campaign
     say = _emit(args)
@@ -330,10 +348,21 @@ def _cmd_simcheck(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.faults.harness import write_text
-    from repro.obs.bench import canonical_json, diff_documents, run_bench
+    from repro.obs.bench import diff_documents, run_bench, write_json
     from repro.obs.gate import check_gate
 
+    if _presets("bench", args) is None:
+        return 2
+    baseline = None
+    if args.baseline:
+        try:
+            with open(args.baseline) as fh:
+                baseline = json.load(fh)
+            if not isinstance(baseline, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print(f"bench: baseline {args.baseline}: {exc}", file=sys.stderr)
+            return 2
     say = _emit(args)
     say(f"running the unified bench on configurations "
         f"{', '.join(args.configs.upper())} ({args.file_mb} MB file, "
@@ -344,11 +373,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                          layout=args.layout or None, out=say)
     say(f"bench id {document['id']}")
     if args.json:
-        write_text(args.json, canonical_json(document), say)
-    if not args.baseline:
+        write_json(args.json, document, say)
+    if baseline is None:
         return 0
-    with open(args.baseline) as fh:
-        baseline = json.load(fh)
     if args.diff:
         lines = diff_documents(baseline, document)
         say(f"diff against {args.baseline} (baseline -> current):")
@@ -404,7 +431,7 @@ def _trace_source(args: argparse.Namespace, say):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.faults.harness import write_json, write_text
+    from repro.obs.bench import write_json, write_text
     from repro.obs.critpath import (
         critical_paths, verify_against_attribution, verify_conservation,
     )

@@ -34,14 +34,13 @@ from repro.disk.sched import (
 )
 from repro.disk.store import DiskStore
 from repro.disk.volume import (
-    ConcatVolume, MirrorVolume, MultiVolume, SingleVolume, StripeVolume,
+    MirrorVolume, MultiVolume, SingleVolume, StripeVolume,
     VolumeMember, VolumeSpec, build_volume,
 )
 
 __all__ = [
     "Buf",
     "BufOp",
-    "ConcatVolume",
     "DeadlineScheduler",
     "DiskDriver",
     "DiskQueue",

@@ -168,9 +168,7 @@ class RotationalDisk:
         """Attach (or discover on the store) an integrity region; from
         here on every read is verified and every media write stamped."""
         if region is None:
-            from repro.integrity.checksum import IntegrityRegion
-
-            region = IntegrityRegion.find(self.store)
+            region = self.store.integrity_region()
         self.integrity = region
         return region
 

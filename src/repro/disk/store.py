@@ -33,6 +33,16 @@ class SectorImage:
         ascending sector order."""
         raise NotImplementedError
 
+    def integrity_region(self):
+        """The :class:`~repro.integrity.checksum.IntegrityRegion` this image
+        carries, or None.  Its header is the device's last sector, so a
+        blank one settles it: a plain machine never loads ``repro.integrity``."""
+        if not any(self.read(self.total_sectors - 1, 1)):
+            return None
+        from repro.integrity.checksum import IntegrityRegion
+
+        return IntegrityRegion.find(self)
+
     def _check_range(self, sector: int, count: int) -> None:
         if count <= 0:
             raise ValueError("sector count must be positive")

@@ -7,10 +7,10 @@ several spindles:
 
 * :class:`SingleVolume` — today's one-disk stack, byte-identical (the
   member's :class:`~repro.disk.driver.DiskDriver` *is* the device);
-* :class:`ConcatVolume` — members appended end to end (JBOD);
 * :class:`StripeVolume` — RAID-0: logical space dealt round-robin in
   ``chunk``-sized stripes, so one clustered request fans out and the
-  member transfers overlap in simulated time;
+  member transfers overlap in simulated time; with the member as the
+  chunk it is ``concat``, members appended end to end (JBOD);
 * :class:`MirrorVolume` — RAID-1: every write goes to all live members,
   reads are balanced (round-robin or shortest-queue), a dead member
   degrades the volume instead of failing it, and :meth:`MirrorVolume.
@@ -445,17 +445,15 @@ class VolumeDisk:
         translated view on every member disk, so member-level reads verify
         and member-level writes stamp against the shared table."""
         if region is None:
-            from repro.integrity.checksum import IntegrityRegion
-
-            region = IntegrityRegion.find(self.store)
+            region = self.store.integrity_region()
         self.integrity = region
         for member in self.volume.members:
             member.disk.integrity = (
                 None if region is None
                 else MemberIntegrityView(region, self.volume, member.index))
-        if region is not None:
-            chunk = getattr(self.volume, "chunk_sectors", None)
-            if chunk is not None and chunk % region.frag_sectors != 0:
+        if region is not None and self.volume.kind == "stripe":
+            chunk = self.volume.chunk_sectors
+            if chunk % region.frag_sectors != 0:
                 raise InvalidArgumentError(
                     f"stripe chunk of {chunk} sectors does not align with "
                     f"{region.frag_sectors}-sector fragments")
@@ -805,61 +803,18 @@ class MultiVolume:
         parent.complete(error)
 
 
-class ConcatVolume(MultiVolume):
-    """Members appended end to end: address translation is an offset."""
-
-    kind = "concat"
-
-    def __init__(self, engine: "Engine", members: "list[VolumeMember]",
-                 spec: VolumeSpec, geometry: DiskGeometry):
-        self.member_sectors = members[0].store.total_sectors
-        super().__init__(engine, members, spec, geometry)
-
-    def _logical_sectors(self) -> int:
-        return self.member_sectors * len(self.members)
-
-    def extents(self, sector, nsectors, write):
-        out = []
-        size = self.member_sectors
-        while nsectors > 0:
-            mi, msec = divmod(sector, size)
-            run = min(nsectors, size - msec)
-            out.append((mi, msec, run))
-            sector += run
-            nsectors -= run
-        return out
-
-    def member_to_logical(self, index, msector, nsectors):
-        return [(index * self.member_sectors + msector, 0, nsectors)]
-
-    def logical_of(self, index, msector):
-        return index * self.member_sectors + msector
-
-    def member_sector_of(self, index, lsector):
-        return lsector - index * self.member_sectors
-
-    def data_read_pieces(self, sector, count):
-        return self.extents(sector, count, write=False)
-
-    def data_write_pieces(self, sector, count):
-        out = []
-        off = 0
-        for mi, msec, cnt in self.extents(sector, count, write=True):
-            out.append((mi, msec, cnt, off))
-            off += cnt
-        return out
-
-
 class StripeVolume(MultiVolume):
     """RAID-0: chunks dealt round-robin, adjacent same-member chunks merged
-    into one child transfer so each spindle streams its share."""
-
-    kind = "stripe"
+    into one child transfer so each spindle streams its share.  ``concat``
+    (members appended end to end) is the same map with one chunk per
+    member: the chunk is the member."""
 
     def __init__(self, engine: "Engine", members: "list[VolumeMember]",
                  spec: VolumeSpec, geometry: DiskGeometry):
-        sector_size = members[0].store.sector_size
-        self.chunk_sectors = spec.chunk_bytes // sector_size
+        self.kind = spec.kind
+        store = members[0].store
+        self.chunk_sectors = (spec.chunk_bytes // store.sector_size
+                              if spec.kind == "stripe" else store.total_sectors)
         if self.chunk_sectors <= 0:
             raise InvalidArgumentError("stripe chunk smaller than a sector")
         if members[0].store.total_sectors % self.chunk_sectors != 0:
@@ -1125,7 +1080,5 @@ def build_volume(engine: "Engine", config: "SystemConfig",
         return SingleVolume(members[0])
     if spec.kind == "mirror":
         return MirrorVolume(engine, members, spec, config.geometry)
-    geometry = concat_geometry(config.geometry, n)
-    if spec.kind == "concat":
-        return ConcatVolume(engine, members, spec, geometry)
-    return StripeVolume(engine, members, spec, geometry)
+    return StripeVolume(engine, members, spec,
+                        concat_geometry(config.geometry, n))

@@ -6,8 +6,9 @@ rehearsal, a replay leg and a soft-mount probe, an enumeration over one
 recording, a single six-phase run — so there is no phase protocol here
 for them to be bent into.  What they do share is a shell: a small-disk
 default machine, the "``None`` leaves the environment default" sanitizer
-rule, counters with a pass/fail verdict, a JSON envelope with a
-seed-stable digest, and a path-or-stdout writer.  A sweep subclasses
+rule, counters with a pass/fail verdict, and a JSON envelope with a
+seed-stable digest (written, like every document, by
+:func:`repro.obs.bench.write_json`).  A sweep subclasses
 :class:`Campaign`, declares a :class:`SweepStats`, and owns its ``run``.
 """
 
@@ -15,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, ClassVar, Generator
+from typing import Any, ClassVar, Generator
 
 from repro.disk.geometry import DiskGeometry
 from repro.kernel.config import SystemConfig
@@ -51,24 +51,6 @@ def read_file(proc: Proc, path: str, length: int
         data = yield from proc.read(fd, length)
     yield from proc.close(fd)
     return data
-
-
-def write_text(path: str, text: str,
-               say: Callable[[str], None] = print) -> None:
-    """Write ``text`` to ``path``; ``-`` means stdout, which the text then
-    owns (callers route human lines to stderr)."""
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
-    say(f"wrote {path}")
-
-
-def write_json(path: str, document: dict,
-               say: Callable[[str], None] = print) -> None:
-    write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n",
-               say)
 
 
 @dataclass

@@ -1,8 +1,7 @@
-"""``python -m repro bench``: one deterministic BENCH.json per run.
+"""Benchmark documents: ``python -m repro bench`` and every ``BENCH_*.json``.
 
-The orchestrator runs IObench over a set of figure 9 configurations with
-the tracer on for every phase, then folds three views into a single
-schema-versioned document:
+:func:`run_bench` runs IObench over a set of figure 9 configurations with
+the tracer on for every phase and folds three views into one cell each:
 
 * headline **rates** (KB/s per phase) and CPU utilization — the numbers
   the paper argues about;
@@ -12,18 +11,20 @@ schema-versioned document:
 * the **layer attribution** table from :mod:`repro.obs.attrib` — where
   simulated time went, per request kind.
 
-Everything in the document derives from the simulation, which is seeded
-and deterministic; nothing reads the wall clock.  Two runs with the same
-parameters therefore serialize byte-identically, and the document carries
-a content hash (``id``) over its canonical JSON form so "same bench" is
-one string comparison.  The CI perf gate (:mod:`repro.obs.gate`) diffs a
-fresh document against a committed baseline.
+A document is ``schema`` + ``run`` + ``results`` + ``id``, and this module
+is the only writer of one (:func:`write_document`) and of any other JSON
+or text the CLI emits (:func:`write_json`, :func:`write_text`).  Nothing in
+it reads the wall clock, so two runs with the same parameters serialize
+byte-identically, and the ``id`` — a content hash over the canonical JSON
+form — makes "same bench" one string comparison.  The CI perf gate
+(:mod:`repro.obs.gate`) diffs a fresh document against a committed one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any, Callable
 
 BENCH_SCHEMA = "repro-bench/v1"
@@ -38,6 +39,39 @@ def document_id(document: dict) -> str:
     """Content hash over the canonical form, ``id`` field excluded."""
     body = {k: v for k, v in document.items() if k != "id"}
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+
+
+def write_text(path: str, text: str,
+               say: Callable[[str], None] = print) -> None:
+    """Write ``text`` to ``path``; ``-`` means stdout, which the text then
+    owns (callers route human lines to stderr)."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+    say(f"wrote {path}")
+
+
+def write_json(path: str, document: dict,
+               say: Callable[[str], None] = print) -> None:
+    write_text(path, canonical_json(document), say)
+
+
+def bench_document(run: dict, results: dict) -> dict:
+    """``run`` (what was asked for) and ``results`` (one cell per config,
+    layout, scheduler or section) as a ``schema`` + ``id`` stamped
+    document."""
+    document = {"schema": BENCH_SCHEMA, "run": run, "results": results}
+    document["id"] = document_id(document)
+    return document
+
+
+def write_document(path: str, run: dict, results: dict,
+                   say: Callable[[str], None] = print) -> None:
+    """Write the whole of a ``BENCH_*.json``: what was there before goes,
+    so a section nobody passes any more does not live on in the file."""
+    write_json(path, bench_document(run, results), say)
 
 
 def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
@@ -77,20 +111,14 @@ def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
             + "  ".join(f"{phase}={rate:.0f}"
                         for phase, rate in sorted(result.rates.items()))
             + " KB/s")
-    document = {
-        "schema": BENCH_SCHEMA,
-        "run": {
-            "configs": "".join(names),
-            "file_mb": file_mb,
-            "random_ops": random_ops,
-            "seed": seed,
-            "scheduler": scheduler,
-            "layout": layout,
-        },
-        "results": results,
-    }
-    document["id"] = document_id(document)
-    return document
+    return bench_document({
+        "configs": "".join(names),
+        "file_mb": file_mb,
+        "random_ops": random_ops,
+        "seed": seed,
+        "scheduler": scheduler,
+        "layout": layout,
+    }, results)
 
 
 def _shares(result: dict) -> "dict[str, float]":
@@ -147,5 +175,6 @@ def diff_documents(a: dict, b: dict) -> "list[str]":
     return lines
 
 
-__all__ = ["BENCH_SCHEMA", "canonical_json", "diff_documents",
-           "document_id", "run_bench"]
+__all__ = ["BENCH_SCHEMA", "bench_document", "canonical_json",
+           "diff_documents", "document_id", "run_bench", "write_document",
+           "write_json", "write_text"]

@@ -116,7 +116,7 @@ def run_simcheck(config_name: str = "C", file_mb: int = 4,
             failures.append(key)
             out(f"  MISMATCH {key}: run1={first[key]!r} run2={second[key]!r}")
     if json_path:
-        from repro.faults.harness import write_json
+        from repro.obs.bench import write_json
 
         write_json(json_path, {
             "config": config_name,

@@ -70,14 +70,12 @@ def _differing_bits(found: bytes, expected: bytes) -> "Iterator[int]":
 
 class _Checker:
     def __init__(self, store: "DiskStore"):
-        from repro.integrity.checksum import IntegrityRegion
-
         self.store = store
         self.report = FsckReport()
         #: Structured repair hints gathered alongside the findings; applied
         #: by :class:`_Repairer` when fsck runs with ``repair=True``.
         self.actions: list[tuple] = []
-        self.region = IntegrityRegion.find(store)
+        self.region = store.integrity_region()
         raw = self._read_frags_raw(16, 16)
         if self.region is None:
             self.sb = Superblock.unpack(raw)
@@ -440,12 +438,10 @@ class _Repairer:
     """
 
     def __init__(self, store: "DiskStore", sb: Superblock):
-        from repro.integrity.checksum import IntegrityRegion
-
         self.store = store
         self.sb = sb
         self.frag_sectors = sb.fsize // 512
-        self.region = IntegrityRegion.find(store)
+        self.region = store.integrity_region()
 
     # -- raw byte access ----------------------------------------------------
     def _read_block(self, frag_addr: int) -> bytearray:

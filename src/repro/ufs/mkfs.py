@@ -165,15 +165,15 @@ def mkfs(store: "DiskStore", geometry: "DiskGeometry",
         _write_frags(store, params, sb.cg_header_frag(cgx), cg.pack(sb))
     _write_frags(store, params, sb.frag, sb.pack())
 
-    from repro.integrity.checksum import IntegrityRegion
-
     if params.checksums:
+        from repro.integrity.checksum import IntegrityRegion
+
         region = IntegrityRegion.create(store, sb)
         region.stamp_all()
     else:
         # A reused store may carry a stale region from a previous life;
         # forget it, or its table would indict every fresh write.
-        stale = IntegrityRegion.find(store)
+        stale = store.integrity_region()
         if stale is not None:
             stale.erase()
     return sb

@@ -12,7 +12,7 @@ import pytest
 
 from repro.disk import DiskStore
 from repro.disk.volume import (
-    ConcatVolume, MirrorVolume, SingleVolume, StripeVolume, VolumeSpec,
+    MirrorVolume, SingleVolume, StripeVolume, VolumeSpec,
     build_volume, concat_geometry,
 )
 from repro.errors import InvalidArgumentError
@@ -168,9 +168,12 @@ def test_default_layout_is_the_classic_stack():
 
 
 def test_build_volume_kinds():
-    assert isinstance(_volume("concat:2"), ConcatVolume)
-    assert isinstance(_volume("stripe:2"), StripeVolume)
-    assert isinstance(_volume("mirror:2"), MirrorVolume)
+    for layout, cls in (("concat:2", StripeVolume), ("stripe:2", StripeVolume),
+                        ("mirror:2", MirrorVolume)):
+        volume = _volume(layout)
+        assert isinstance(volume, cls)
+        assert volume.kind == layout.split(":")[0]
+        assert volume.describe().startswith(layout)
 
 
 def test_members_have_independent_stacks():

@@ -1,7 +1,14 @@
-"""Smoke tests for the ``python -m repro`` command-line interface."""
+"""Smoke tests for the ``python -m repro`` command-line interface.
+
+They call :func:`repro.__main__.main` in-process and read ``capsys``: an
+interpreter per command line was 15 s of tier-1 in start-up alone.  Two
+tests keep their subprocess because the process is what they test: the
+working directory of ``demo`` / ``traces``, and what ``bench`` imports.
+"""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +18,11 @@ import pytest
 from repro.__main__ import CAMPAIGNS, main
 
 
+#: For a child started outside the checkout: the package by path only.
+OUTSIDE_ENV = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+
+
 def run_cli(*args, timeout=300, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
@@ -18,55 +30,71 @@ def run_cli(*args, timeout=300, **kwargs):
     )
 
 
-def test_cli_requires_command():
-    result = run_cli()
+@pytest.fixture
+def cli(capsys):
+    """``main([...])`` reported the way :func:`run_cli` reports a child."""
+
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse: --help, a bad command line
+            code = exc.code
+        captured = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, captured.out,
+                                           captured.err)
+
+    return run
+
+
+def test_cli_requires_command(cli):
+    result = cli()
     assert result.returncode != 0
 
 
-def test_cli_help():
-    result = run_cli("--help")
+def test_cli_help(cli):
+    result = cli("--help")
     assert result.returncode == 0
     assert "iobench" in result.stdout
 
 
-def test_cli_cpubench():
-    result = run_cli("cpubench")
+def test_cli_cpubench(cli):
+    result = cli("cpubench")
     assert result.returncode == 0
     assert "new:" in result.stdout and "old:" in result.stdout
 
 
-def test_cli_musbus():
-    result = run_cli("musbus", "--users", "2")
+def test_cli_musbus(cli):
+    result = cli("musbus", "--users", "2")
     assert result.returncode == 0
     assert "config A" in result.stdout
 
 
-def test_cli_faultcampaign_smoke():
-    result = run_cli("faultcampaign", "--cuts", "3")
+def test_cli_faultcampaign_smoke(cli):
+    result = cli("faultcampaign", "--cuts", "3")
     assert result.returncode == 0
     assert "clean_after_repair" in result.stdout
     assert "silent_corruptions" in result.stdout
 
 
 @pytest.mark.slow
-def test_cli_iobench_small():
-    result = run_cli("iobench", "--configs", "A", "--file-mb", "2")
+def test_cli_iobench_small(cli):
+    result = cli("iobench", "--configs", "A", "--file-mb", "2")
     assert result.returncode == 0
     assert "FSR" in result.stdout
 
 
-def test_cli_faultcampaign_json_stdout_parses():
+def test_cli_faultcampaign_json_stdout_parses(cli):
     """--json with no path writes the document to stdout and every human
     line to stderr, so ``python -m repro ... --json | jq .`` works."""
-    result = run_cli("faultcampaign", "--cuts", "2", "--json")
+    result = cli("faultcampaign", "--cuts", "2", "--json")
     assert result.returncode == 0
     document = json.loads(result.stdout)  # the whole of stdout is JSON
     assert isinstance(document, dict) and document
     assert "power cuts" in result.stderr  # progress moved to stderr
 
 
-def test_cli_scrubcampaign_json_stdout_parses():
-    result = run_cli("scrubcampaign", "--json")
+def test_cli_scrubcampaign_json_stdout_parses(cli):
+    result = cli("scrubcampaign", "--json")
     assert result.returncode == 0
     document = json.loads(result.stdout)
     assert "digest" in document
@@ -85,9 +113,9 @@ CAMPAIGN_ARGS = {
 
 
 @pytest.mark.parametrize("row", CAMPAIGNS, ids=lambda row: row.name)
-def test_cli_every_campaign_speaks_the_one_envelope(row):
+def test_cli_every_campaign_speaks_the_one_envelope(row, cli):
     toy, bad = CAMPAIGN_ARGS[row.name]
-    result = run_cli(row.name, *toy, "--json", "-")
+    result = cli(row.name, *toy, "--json", "-")
     assert result.returncode == 0, result.stderr
     document = json.loads(result.stdout)  # the whole of stdout is JSON
     assert document["schema"] == "repro-campaign/v1"
@@ -96,7 +124,7 @@ def test_cli_every_campaign_speaks_the_one_envelope(row):
     assert len(document["digest"]) == 64
     assert "digest" in result.stderr and "OK:" in result.stderr
     if bad is not None:
-        refused = run_cli(row.name, *bad)
+        refused = cli(row.name, *bad)
         assert refused.returncode == 2
         assert refused.stdout == ""
         assert refused.stderr.startswith(f"{row.name}: ")
@@ -106,27 +134,25 @@ def test_cli_every_campaign_speaks_the_one_envelope(row):
 def test_cli_demo_and_traces_run_outside_the_checkout(tmp_path):
     """Both resolve their file against the checkout that holds the
     package, not against the working directory."""
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    demo = run_cli("demo", cwd=tmp_path, env=env)
+    demo = run_cli("demo", cwd=tmp_path, env=OUTSIDE_ENV)
     assert demo.returncode == 0, demo.stderr
     assert "fsck: CLEAN" in demo.stdout
-    traces = run_cli("traces", cwd=tmp_path, env=env)
+    traces = run_cli("traces", cwd=tmp_path, env=OUTSIDE_ENV)
     assert traces.returncode == 0, traces.stdout + traces.stderr
     assert "not found" not in traces.stdout + traces.stderr
 
 
-def test_cli_json_to_path_keeps_stdout_human(tmp_path):
+def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
     path = tmp_path / "out.json"
-    result = run_cli("faultcampaign", "--cuts", "2", "--json", str(path))
+    result = cli("faultcampaign", "--cuts", "2", "--json", str(path))
     assert result.returncode == 0
     assert "power cuts" in result.stdout  # human mode unchanged
     json.loads(path.read_text())
 
 
-def test_cli_bench_json_stdout_parses():
-    result = run_cli("bench", "--configs", "A", "--file-mb", "1",
-                     "--ops", "32", "--json")
+def test_cli_bench_json_stdout_parses(cli):
+    result = cli("bench", "--configs", "A", "--file-mb", "1",
+                 "--ops", "32", "--json")
     assert result.returncode == 0
     document = json.loads(result.stdout)
     assert document["schema"] == "repro-bench/v1"
@@ -134,41 +160,95 @@ def test_cli_bench_json_stdout_parses():
     assert "bench id" in result.stderr
 
 
-def test_cli_bench_gate_against_self(tmp_path):
+def test_cli_bench_gate_against_self(tmp_path, cli):
     baseline = tmp_path / "BENCH_baseline.json"
-    first = run_cli("bench", "--configs", "A", "--file-mb", "1",
-                    "--ops", "32", "--json", str(baseline))
+    first = cli("bench", "--configs", "A", "--file-mb", "1",
+                "--ops", "32", "--json", str(baseline))
     assert first.returncode == 0
-    gated = run_cli("bench", "--configs", "A", "--file-mb", "1",
-                    "--ops", "32", "--baseline", str(baseline), "--diff")
+    gated = cli("bench", "--configs", "A", "--file-mb", "1",
+                "--ops", "32", "--baseline", str(baseline), "--diff")
     assert gated.returncode == 0
     assert "perf gate OK" in gated.stdout
     # A mismatched baseline (different parameters) must fail the gate.
-    mismatched = run_cli("bench", "--configs", "A", "--file-mb", "1",
-                         "--ops", "16", "--baseline", str(baseline))
+    mismatched = cli("bench", "--configs", "A", "--file-mb", "1",
+                     "--ops", "16", "--baseline", str(baseline))
     assert mismatched.returncode == 1
     assert "perf gate FAILED" in mismatched.stdout
 
 
-def test_cli_trace_analyze_verifies_and_exits_zero():
-    result = run_cli("trace", "analyze", "--config", "C",
-                     "--file-mb", "1", "--ops", "16")
+@pytest.fixture
+def never_simulates(monkeypatch):
+    from repro.bench.iobench import IObench
+
+    monkeypatch.setattr(IObench, "run", lambda self: pytest.fail("simulated"))
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["bench", "--configs", "Z"], "bench: unknown configuration 'Z'"),
+    (["bench", "--layout", "bogus"], "bench: unknown volume kind 'bogus'"),
+    (["iobench", "--configs", "Q"], "iobench: unknown configuration 'Q'"),
+    (["iobench", "--layout", "stripe:1"], "iobench: stripe layout needs"),
+], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout"])
+def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
+        cli, never_simulates, argv, complaint):
+    result = cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(complaint)
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (None, "No such file"),
+    ("wrote BENCH.json\n", "Expecting value"),
+    ("[]\n", "not a JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_cli_bench_bad_baseline_is_refused_before_simulating(
+        cli, never_simulates, tmp_path, content, complaint):
+    """It used to be opened only after the whole bench had run."""
+    path = tmp_path / "baseline.json"
+    if content is not None:
+        path.write_text(content)
+    result = cli("bench", "--baseline", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"bench: baseline {path}: ")
+    assert complaint in result.stderr and result.stderr.count("\n") == 1
+
+
+def test_cli_bench_imports_no_campaign(tmp_path):
+    """Writing a bench document needs no sweep: the writer lives in
+    ``obs/bench.py``, and a machine without checksums never looks at
+    ``repro.integrity``."""
+    result = run_cli("bench", "--configs", "A", "--file-mb", "1", "--ops", "8",
+                     cwd=tmp_path,
+                     env={**OUTSIDE_ENV, "PYTHONPROFILEIMPORTTIME": "1"})
+    assert result.returncode == 0, result.stderr
+    loaded = re.findall(r"\| +(repro[\w.]*)$", result.stderr, re.M)
+    assert "repro.obs.bench" in loaded
+    assert [name for name in loaded if name.startswith(
+        ("repro.faults", "repro.nfs", "repro.integrity"))] == []
+
+
+def test_cli_trace_analyze_verifies_and_exits_zero(cli):
+    result = cli("trace", "analyze", "--config", "C",
+                 "--file-mb", "1", "--ops", "16")
     assert result.returncode == 0
     assert "critical paths:" in result.stdout
     assert "OK: every critical path conserves" in result.stdout
 
 
-def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path):
+def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path, cli):
     chrome = tmp_path / "trace.json"
-    result = run_cli("trace", "chrome", "--config", "C", "--file-mb", "1",
-                     "--ops", "16", "--out", str(chrome))
+    result = cli("trace", "chrome", "--config", "C", "--file-mb", "1",
+                 "--ops", "16", "--out", str(chrome))
     assert result.returncode == 0
     document = json.loads(chrome.read_text())
     assert document["otherData"]["schema"] == "repro-chrome/v1"
     assert document["traceEvents"]
 
-    folded = run_cli("trace", "flamegraph", "--config", "C", "--file-mb", "1",
-                     "--ops", "16", "--out", "-")
+    folded = cli("trace", "flamegraph", "--config", "C", "--file-mb", "1",
+                 "--ops", "16", "--out", "-")
     assert folded.returncode == 0
     assert any(";" in line and line.rsplit(" ", 1)[1].isdigit()
                for line in folded.stdout.splitlines())
@@ -187,14 +267,14 @@ GOOD_TRACE = [
 ]
 
 
-def test_cli_trace_ingests_exported_jsonl(tmp_path):
+def test_cli_trace_ingests_exported_jsonl(tmp_path, cli):
     jsonl = tmp_path / "trace.jsonl"
     jsonl.write_text("\n".join(GOOD_TRACE) + "\n")
-    result = run_cli("trace", "analyze", "--trace-jsonl", str(jsonl))
+    result = cli("trace", "analyze", "--trace-jsonl", str(jsonl))
     assert result.returncode == 0
     assert "queue_wait" in result.stdout
     # series needs a live run; an offline trace has no metrics registry.
-    refused = run_cli("trace", "series", "--trace-jsonl", str(jsonl))
+    refused = cli("trace", "series", "--trace-jsonl", str(jsonl))
     assert refused.returncode == 2
 
 
@@ -221,10 +301,10 @@ def test_cli_trace_bad_jsonl_is_one_stderr_line_and_exit_2(
     assert captured.err.count("\n") == 1
 
 
-def test_cli_trace_series_renders_sparklines():
-    result = run_cli("trace", "series", "--config", "A", "--file-mb", "1",
-                     "--ops", "16", "--namespaces", "vm.freemem",
-                     "--interval-ms", "20")
+def test_cli_trace_series_renders_sparklines(cli):
+    result = cli("trace", "series", "--config", "A", "--file-mb", "1",
+                 "--ops", "16", "--namespaces", "vm.freemem",
+                 "--interval-ms", "20")
     assert result.returncode == 0
     assert "vm.freemem" in result.stdout
     assert "|" in result.stdout

@@ -11,7 +11,8 @@ import copy
 import pytest
 
 from repro.obs.bench import (
-    BENCH_SCHEMA, canonical_json, diff_documents, document_id, run_bench,
+    BENCH_SCHEMA, bench_document, canonical_json, diff_documents,
+    document_id, run_bench,
 )
 from repro.obs.gate import check_gate
 
@@ -119,3 +120,22 @@ def test_diff_documents(document):
     del missing["results"]["A"]
     assert any("present in only one" in line
                for line in diff_documents(document, missing))
+
+
+def test_diff_and_gate_read_a_sweep_document(document):
+    """``bench_volume`` / ``bench_pipeline`` key their cells by layout or
+    scheduler instead of by configuration; the differ and the gate read
+    them as they read the baseline."""
+    cell = document["results"]["A"]
+    run = {"benchmark": "volume", **document["run"]}
+    before = bench_document(run, {"single": cell,
+                                  "stripe:2": copy.deepcopy(cell)})
+    after = copy.deepcopy(before)
+    after["results"]["stripe:2"]["rates"]["FSW"] *= 0.8
+    assert diff_documents(before, copy.deepcopy(before)) == []
+    lines = diff_documents(before, after)
+    assert len(lines) == 1
+    assert "stripe:2/FSW" in lines[0] and "-20.0%" in lines[0]
+    assert check_gate(before, copy.deepcopy(before)).ok
+    (violation,) = check_gate(after, before).violations
+    assert violation.startswith("stripe:2/FSW: ")
