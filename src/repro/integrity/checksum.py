@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.errors import InvalidArgumentError
 from repro.sim.stats import StatSet
@@ -49,7 +48,11 @@ INTEGRITY_VERSION = 1
 
 #: crc32, self_frag, generation, owner_ino, owner_lbn, flags.
 RECORD_FMT = "<IIQIII"
-RECORD_SIZE = struct.calcsize(RECORD_FMT)
+_RECORD = struct.Struct(RECORD_FMT)
+RECORD_SIZE = _RECORD.size
+#: A cached table page: the shortest run of sectors no record straddles out of.
+PAGE_SECTORS = 7
+PAGE_RECORDS = PAGE_SECTORS * SECTOR_SIZE // RECORD_SIZE
 
 #: magic, version, nfrags, frag_sectors, frags_per_block, ncg,
 #: table_sector, cg_replica_sector, sb_replica_sector, generation.
@@ -62,8 +65,7 @@ FLAG_BAD = 0x1
 _OFF_SHIFT = 8
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One fragment's integrity record, decoded."""
 
     crc: int
@@ -86,9 +88,9 @@ class Record:
 class IntegrityRegion:
     """The on-disk record table + metadata replicas, cached in memory.
 
-    The table is held as a bytearray and written through to the store in
-    whole sectors on every stamp batch, so a crash snapshot (``clone``)
-    always carries a consistent table.
+    A table page is read from the store when one of its records is first
+    touched, and written through in whole sectors on every stamp batch: a
+    crash snapshot (``clone``) always carries a consistent table.
     """
 
     def __init__(self, store: "DiskStore", sb: Superblock,
@@ -108,7 +110,7 @@ class IntegrityRegion:
         self.header_sector = header_sector
         self.generation = generation
         self.table_sectors = self.table_sectors_for(self.nfrags)
-        self._table = bytearray(store.read(table_sector, self.table_sectors))
+        self._pages: dict[int, bytearray] = {}
         self.stats = StatSet("integrity")
         # Fragment -> replica slot sector, for the sb block and every cg
         # header block: restamping one of these fragments refreshes its
@@ -162,7 +164,9 @@ class IntegrityRegion:
         header_sector = total - 1
         fs = sb.fsize // SECTOR_SIZE
         # Clear any stale table bytes (tunefs re-enable over old slack).
-        store.write(table_sector, bytes(table_sectors * SECTOR_SIZE))
+        for sector in store.nonzero_sectors():
+            if table_sector <= sector < cg_replica_sector:
+                store.write(sector, bytes(SECTOR_SIZE))
         store.write(sb_replica_sector,
                     store.read(sb.frags_per_block * fs, bs))
         for cgx in range(sb.ncg):
@@ -201,21 +205,40 @@ class IntegrityRegion:
         self.store.write(self.header_sector, head.ljust(SECTOR_SIZE, b"\x00"))
 
     # -- records -----------------------------------------------------------
+    @property
+    def pages_loaded(self) -> int:
+        """Number of table pages read from the store since attach."""
+        return len(self._pages)
+
+    def _load(self, index: int) -> bytearray:
+        """Read table page ``index`` from the store into the cache."""
+        first = index * PAGE_SECTORS
+        page = self._pages[index] = bytearray(self.store.read(
+            self.table_sector + first,
+            min(PAGE_SECTORS, self.table_sectors - first)))
+        return page
+
     def record(self, frag: int) -> Record:
-        off = frag * RECORD_SIZE
-        return Record(*struct.unpack_from(RECORD_FMT, self._table, off))
+        index, slot = divmod(frag, PAGE_RECORDS)
+        page = self._pages.get(index) or self._load(index)
+        return Record(*_RECORD.unpack_from(page, slot * RECORD_SIZE))
 
-    def _put(self, frag: int, rec: Record, dirty: set[int]) -> None:
-        struct.pack_into(RECORD_FMT, self._table, frag * RECORD_SIZE,
-                         rec.crc, rec.self_frag, rec.gen, rec.owner_ino,
-                         rec.owner_lbn, rec.flags)
-        dirty.add(frag * RECORD_SIZE // SECTOR_SIZE)
+    def _put(self, frag: int, rec: Record) -> None:
+        index, slot = divmod(frag, PAGE_RECORDS)
+        page = self._pages.get(index) or self._load(index)
+        _RECORD.pack_into(page, slot * RECORD_SIZE, rec.crc, rec.self_frag,
+                          rec.gen, rec.owner_ino, rec.owner_lbn, rec.flags)
 
-    def _flush(self, dirty: Iterable[int]) -> None:
+    def _flush(self, frags: Iterable[int]) -> None:
+        """Write through every table sector the records of ``frags`` cover —
+        both, for the one record in 21 that straddles a boundary."""
+        dirty = {byte // SECTOR_SIZE for frag in frags
+                 for byte in (frag * RECORD_SIZE, (frag + 1) * RECORD_SIZE - 1)}
         for ts in sorted(dirty):
-            start = ts * SECTOR_SIZE
-            self.store.write(self.table_sector + ts,
-                             bytes(self._table[start:start + SECTOR_SIZE]))
+            index, sector = divmod(ts, PAGE_SECTORS)
+            start = sector * SECTOR_SIZE
+            self.store.write(self.table_sector + ts, bytes(
+                self._pages[index][start:start + SECTOR_SIZE]))
         self.generation += 1
         self._write_header()
 
@@ -225,18 +248,19 @@ class IntegrityRegion:
 
     def stamped_frags(self) -> "list[int]":
         """All fragments with a live record (generation > 0), sorted."""
-        out = []
-        for frag in range(self.nfrags):
-            gen, = struct.unpack_from("<Q", self._table,
-                                      frag * RECORD_SIZE + 8)
-            if gen:
-                out.append(frag)
-        return out
+        # Write-through: a page the store holds no bytes for has no live record.
+        lo = self.table_sector
+        pages = sorted({(sector - lo) // PAGE_SECTORS
+                        for sector in self.store.nonzero_sectors()
+                        if lo <= sector < lo + self.table_sectors})
+        return [frag for page in pages
+                for frag in range(page * PAGE_RECORDS,
+                                  min((page + 1) * PAGE_RECORDS, self.nfrags))
+                if self.record(frag).gen]
 
     # -- stamping (write path) ---------------------------------------------
     def _stamp_one(self, frag: int, chunk: bytes,
-                   owner: "tuple[int, int, int] | None",
-                   dirty: set[int]) -> None:
+                   owner: "tuple[int, int, int] | None") -> None:
         old = self.record(frag)
         if owner is not None:
             ino, lbn, off = owner
@@ -248,7 +272,7 @@ class IntegrityRegion:
             ino, lbn, off = 0, 0, 0
         rec = Record(zlib.crc32(chunk), frag, old.gen + 1, ino, lbn,
                      off << _OFF_SHIFT)  # any restamp clears FLAG_BAD
-        self._put(frag, rec, dirty)
+        self._put(frag, rec)
         slot = self._replica_slots.get(frag)
         if slot is not None:
             self.store.write(slot, chunk)
@@ -268,7 +292,6 @@ class IntegrityRegion:
         nsectors = len(data) // SECTOR_SIZE
         first = -(-sector // fs)
         last = (sector + nsectors) // fs
-        dirty: set[int] = set()
         stamped = 0
         aligned = sector % fs == 0
         for frag in range(first, min(last, self.nfrags)):
@@ -280,11 +303,11 @@ class IntegrityRegion:
                 frag_owner = (owner[0],
                               owner[1] + idx // self.frags_per_block,
                               idx % self.frags_per_block)
-            self._stamp_one(frag, chunk, frag_owner, dirty)
+            self._stamp_one(frag, chunk, frag_owner)
             stamped += 1
-        if dirty:
+        if stamped:
             self.stats.incr("stamps", stamped)
-            self._flush(dirty)
+            self._flush(range(first, first + stamped))
         return stamped
 
     def stamp_all(self) -> int:
@@ -293,13 +316,12 @@ class IntegrityRegion:
         data_sectors = self.nfrags * fs
         frags = sorted({s // fs for s in self.store.nonzero_sectors()
                         if s < data_sectors})
-        dirty: set[int] = set()
         for frag in frags:
             chunk = self.store.read(frag * fs, fs)
-            self._stamp_one(frag, chunk, None, dirty)
-        if dirty:
+            self._stamp_one(frag, chunk, None)
+        if frags:
             self.stats.incr("stamps", len(frags))
-            self._flush(dirty)
+            self._flush(frags)
         return len(frags)
 
     def mark_bad(self, frag: int) -> None:
@@ -307,12 +329,11 @@ class IntegrityRegion:
         sanitizer and later passes don't re-report it.  Any full rewrite
         of the fragment clears the flag (rehabilitation)."""
         rec = self.record(frag)
-        dirty: set[int] = set()
         self._put(frag, Record(rec.crc, rec.self_frag, rec.gen,
                                rec.owner_ino, rec.owner_lbn,
-                               rec.flags | FLAG_BAD), dirty)
+                               rec.flags | FLAG_BAD))
         self.stats.incr("marked_bad")
-        self._flush(dirty)
+        self._flush((frag,))
 
     def forge_misdirect(self, frag: int, data: bytes) -> None:
         """Model the record stream of a misdirected write: ``data`` (now
@@ -321,11 +342,10 @@ class IntegrityRegion:
         address check can catch it.  Fault-injection helper."""
         rec = self.record(frag)
         wrong = (frag + 1) % self.nfrags
-        dirty: set[int] = set()
         self._put(frag, Record(zlib.crc32(data), wrong, max(rec.gen, 1),
                                rec.owner_ino, rec.owner_lbn,
-                               rec.flags & ~FLAG_BAD), dirty)
-        self._flush(dirty)
+                               rec.flags & ~FLAG_BAD))
+        self._flush((frag,))
 
     # -- verification (read path) ------------------------------------------
     def verify_range(self, sector: int, data: bytes,

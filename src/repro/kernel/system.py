@@ -13,7 +13,7 @@ from repro.sim.engine import Engine
 from repro.sim.invariants import Sanitizer
 from repro.sim.request import RequestRegistry
 from repro.sim.trace import Tracer
-from repro.ufs.mkfs import mkfs
+from repro.ufs.mkfs import mkfs_region
 from repro.ufs.mount import UfsMount
 from repro.ufs.params import FsParams
 from repro.vfs.specfs import RawDiskVnode
@@ -97,8 +97,8 @@ class System:
             from dataclasses import replace
 
             params = replace(params, checksums=True)
-        sb = mkfs(self.store, self.volume.geometry, params)
-        self.disk.attach_integrity()
+        sb, region = mkfs_region(self.store, self.volume.geometry, params)
+        self.disk.attach_integrity(region)
         return sb
 
     def mount_fs(self) -> Generator[Any, Any, UfsMount]:

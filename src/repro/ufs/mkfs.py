@@ -109,7 +109,13 @@ def _build_group(sb: Superblock, cgx: int) -> CylinderGroup:
 
 def mkfs(store: "DiskStore", geometry: "DiskGeometry",
          params: FsParams | None = None) -> Superblock:
-    """Create the file system; returns the superblock as written.
+    """Create the file system; returns the superblock as written."""
+    return mkfs_region(store, geometry, params)[0]
+
+
+def mkfs_region(store: "DiskStore", geometry: "DiskGeometry",
+                params: FsParams | None = None):
+    """:func:`mkfs`, returning ``(superblock, integrity region or None)``.
 
     The root directory (inode 2) is created with ``.`` and ``..`` entries
     in the first data block of group 0.
@@ -165,6 +171,7 @@ def mkfs(store: "DiskStore", geometry: "DiskGeometry",
         _write_frags(store, params, sb.cg_header_frag(cgx), cg.pack(sb))
     _write_frags(store, params, sb.frag, sb.pack())
 
+    region = None
     if params.checksums:
         from repro.integrity.checksum import IntegrityRegion
 
@@ -176,4 +183,4 @@ def mkfs(store: "DiskStore", geometry: "DiskGeometry",
         stale = store.integrity_region()
         if stale is not None:
             stale.erase()
-    return sb
+    return sb, region

@@ -2,9 +2,10 @@
 
 Frames are created once (machine memory / page size of them) and recycled
 forever.  A frame may be *named* by a ``<vnode, offset>`` identity, hold real
-data bytes, and carry the usual flags: valid, dirty, locked, referenced, and
-free.  A page can be simultaneously free and named — that is what makes the
-free list a cache (reclaim) rather than a garbage pile.
+data bytes (in a buffer that exists from its first ``name()`` on: no kernel
+zeroes memory at boot), and carry the usual flags: valid, dirty, locked,
+referenced, and free.  A page can be simultaneously free and named — that is
+what makes the free list a cache (reclaim) rather than a garbage pile.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Page:
         self.engine = engine
         self.frame = frame
         self.size = size
-        self.data = bytearray(size)
+        self.data: "bytearray | None" = None
         self.vnode: "Vnode | None" = None
         self.offset = -1
         self.valid = False
@@ -55,6 +56,8 @@ class Page:
             raise ValueError(f"offset {offset} not page aligned")
         self.vnode = vnode
         self.offset = offset
+        if self.data is None:
+            self.data = bytearray(self.size)
 
     def unname(self) -> None:
         """Strip identity and contents (frame becomes anonymous)."""
@@ -98,6 +101,8 @@ class Page:
     # -- data plane -----------------------------------------------------------
     def fill(self, data: bytes) -> None:
         """Install page contents (pads short data with zeros)."""
+        if self.data is None:
+            raise RuntimeError(f"frame {self.frame} was never named: no buffer")
         if len(data) > self.size:
             raise ValueError(f"data length {len(data)} exceeds page size {self.size}")
         self.data[: len(data)] = data
@@ -106,7 +111,7 @@ class Page:
 
     def zero(self) -> None:
         """Zero-fill (used for holes in files)."""
-        self.data[:] = bytes(self.size)
+        self.fill(b"")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

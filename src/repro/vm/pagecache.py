@@ -85,6 +85,11 @@ class PageCache:
         """Number of frames holding a cached vnode page."""
         return len(self._hash)
 
+    @property
+    def frames_backed(self) -> int:
+        """Number of frames that were ever named, and so hold a buffer."""
+        return sum(p.data is not None for p in self.frames)
+
     def _key(self, vnode: "Vnode", offset: int) -> tuple[int, int]:
         return (vnode.vnode_id, offset)
 

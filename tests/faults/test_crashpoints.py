@@ -44,6 +44,14 @@ def test_smoke_meets_the_coverage_floor(smoke_report):
     assert r.durability_points > 0
 
 
+def test_smoke_backs_only_the_frames_its_workloads_name(smoke_explorer):
+    """425 machines — most of them a remount-and-fsck probe of one crash
+    state, which names no page — used to zero 768 8 KB buffers each.
+    Exact for the seed."""
+    assert smoke_explorer.page_ledger == {"machines": 425, "buffers": 1165}
+    assert 1165 * 10 <= 425 * 768
+
+
 def test_smoke_report_is_json_ready(smoke_explorer, smoke_report):
     import json
 

@@ -37,12 +37,13 @@ def _drop_pages(system, path="/f"):
             system.pagecache.destroy(page)
 
 
-def _find_payload_frag(system, marker):
+def _find_payload_frag(system, marker, store=None):
+    if store is None:
+        store = system.volume.members[0].disk.store
     region = system.disk.integrity
     fs = region.frag_sectors
-    for frag in sorted(region._table):
-        data = system.volume.members[0].disk.store.read(frag * fs, fs)
-        if data[:len(marker)] == marker:
+    for frag in region.stamped_frags():
+        if store.read(frag * fs, fs)[:len(marker)] == marker:
             return frag, fs
     raise AssertionError("payload fragment not found")
 
@@ -88,13 +89,7 @@ def test_single_layout_has_no_mirror_rung():
     system = System.booted(checksum_config())
     _write_file(system, b"\xee" * (32 * KB))
     _drop_pages(system)
-    region = system.disk.integrity
-    fs = region.frag_sectors
-    for frag in sorted(region._table):
-        if system.store.read(frag * fs, fs)[:4] == b"\xee\xee\xee\xee":
-            break
-    else:
-        raise AssertionError("payload fragment not found")
+    frag, fs = _find_payload_frag(system, b"\xee\xee\xee\xee", system.store)
     system.store.write(frag * fs, b"\x33" * (fs * 512))
     report = system.run(Scrubber(system, batch_frags=4096).scrub_now(),
                         name="scrub")

@@ -8,8 +8,10 @@ false verdict.
 """
 
 from repro.faults import small_config
+from repro.kernel import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
+from repro.ufs import fsck
 
 from tests.integrity.conftest import checksum_config
 
@@ -51,6 +53,36 @@ def test_remounted_machine_shares_nothing_but_the_store():
     assert survivor.sanitizer is not crashed.sanitizer
     assert survivor.sanitizer.system is survivor
     assert survivor.write_cache is not crashed.write_cache
+
+
+def test_remounted_machine_shares_no_page_buffer_and_backs_none():
+    """A power cut loses memory: the survivor's frames start without
+    buffers, and a remount-and-fsck probe never gives them any."""
+    crashed, config = crashedlike_system()
+    assert crashed.pagecache.frames_backed > 0
+    survivor = System.remounted(crashed.store, config)
+    assert fsck(survivor.store).clean
+    assert survivor.pagecache.frames_backed == 0
+
+    proc = Proc(survivor)
+
+    def read(proc):
+        fd = yield from proc.open("/f")
+        yield from proc.read(fd, 8192)
+        yield from proc.close(fd)
+
+    survivor.run(read(proc), name="read-back")
+    mine = {id(p.data) for p in survivor.pagecache.frames if p.data is not None}
+    theirs = {id(p.data) for p in crashed.pagecache.frames if p.data is not None}
+    assert mine and not mine & theirs
+
+
+def test_a_booted_machine_backs_no_frame():
+    """mkfs is offline and mount reads through the buffer cache, not the
+    page cache: exactly zero of config A's 768 frames hold a buffer."""
+    system = System.booted(SystemConfig.config_a())
+    assert system.pagecache.total_pages == 768
+    assert system.pagecache.frames_backed == 0
 
 
 def test_remounted_registry_and_sanitizer_start_clean():

@@ -10,7 +10,7 @@ def test_new_frame_is_anonymous_and_free():
     eng = Engine()
     page = Page(eng, frame=0, size=8192)
     assert page.free and not page.named and not page.valid
-    assert bytes(page.data) == bytes(8192)
+    assert page.data is None  # never named: no buffer behind it yet
 
 
 def test_name_and_unname(engine, vnode):
@@ -21,6 +21,27 @@ def test_name_and_unname(engine, vnode):
         page.name(vnode, 0)
     page.unname()
     assert not page.named and page.offset == -1
+
+
+def test_buffer_exists_from_first_name_and_is_kept(engine, vnode):
+    page = Page(engine, 0, 8192)
+    page.name(vnode, 0)
+    assert bytes(page.data) == bytes(8192)  # reads as zeros until filled
+    page.fill(b"abc")
+    buffer = page.data
+    page.unname()
+    page.name(vnode, 8192)
+    # A recycled frame keeps its buffer (and, as on the parent, its stale
+    # bytes: whoever names it fills or zeroes it before marking it valid).
+    assert page.data is buffer and bytes(page.data[:3]) == b"abc"
+
+
+def test_fill_and_zero_on_a_never_named_frame_raise(engine):
+    page = Page(engine, 0, 8192)
+    with pytest.raises(RuntimeError, match="never named"):
+        page.fill(b"abc")
+    with pytest.raises(RuntimeError, match="never named"):
+        page.zero()
 
 
 def test_name_requires_alignment(engine, vnode):
@@ -106,8 +127,9 @@ def test_wait_unlocked_does_not_take_lock(engine):
     assert proc.value is False
 
 
-def test_fill_pads_and_validates(engine):
+def test_fill_pads_and_validates(engine, vnode):
     page = Page(engine, 0, 8192)
+    page.name(vnode, 0)
     page.fill(b"abc")
     assert bytes(page.data[:3]) == b"abc"
     assert bytes(page.data[3:]) == bytes(8189)

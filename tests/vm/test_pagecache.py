@@ -32,6 +32,22 @@ def test_reserved_pages_shrink_pool(engine):
     assert cache.freemem == 48
 
 
+def test_frames_are_backed_on_first_name_only(cache, vnode):
+    assert cache.frames_backed == 0
+    assert all(page.data is None for page in cache.frames)
+    first = fill_page(cache, vnode, 0)
+    fill_page(cache, vnode, 8 * KB)
+    assert cache.frames_backed == 2
+    # Recycling a frame reuses its buffer: destroy puts frame 0 behind the
+    # 62 never-used frames, so 62 more allocations come before it returns.
+    cache.destroy(first)
+    for index in range(2, 64):
+        fill_page(cache, vnode, index * 8 * KB)
+    assert cache.frames_backed == 64
+    assert fill_page(cache, vnode, 64 * 8 * KB) is first
+    assert cache.frames_backed == 64
+
+
 def test_lookup_miss_returns_none(cache, vnode):
     assert cache.lookup(vnode, 0) is None
     assert cache.stats["misses"] == 1
