@@ -165,36 +165,14 @@ class DiskQueue:
         raise ValueError("buf not in queue")
 
 
-class DiskDriver:
-    """Queue + service process + completion interrupts for one disk."""
+class BlockDevice:
+    """The books of anything the kernel calls ``strategy(buf)`` on — one
+    disk's driver or a whole volume: what was accepted and has not
+    completed, the request counters, and the queue gauges/histograms."""
 
-    def __init__(self, engine: "Engine", disk: RotationalDisk,
-                 cpu: "Cpu | None" = None,
-                 coalesce: bool = False,
-                 coalesce_limit: int = 56 * KB,
-                 max_retries: int = 4,
-                 retry_backoff: float = 2 * MS,
-                 remap_penalty: float = 5 * MS,
-                 scheduler: "Scheduler | str" = "elevator",
-                 name: str = "sd0"):
+    def __init__(self, engine: "Engine", name: str):
         self.engine = engine
-        self.disk = disk
-        self.cpu = cpu
         self.name = name
-        self.coalesce = coalesce
-        self.coalesce_limit_sectors = coalesce_limit // disk.geometry.sector_size
-        #: Bounded retries for transient errors and detected timeouts;
-        #: attempt n backs off for retry_backoff * 2**(n-1).
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: Settle time charged when a bad sector is revectored to a spare.
-        self.remap_penalty = remap_penalty
-        #: Bad sectors this driver has revectored: sector -> spare slot.
-        #: The drive substitutes the spare transparently, so the sector
-        #: keeps its logical address; the table exists for introspection
-        #: and mirrors a real drive's grown-defect list.
-        self.remap_table: dict[int, int] = {}
-        self.queue = DiskQueue(scheduler=scheduler)
         #: Bufs accepted by strategy() whose completion has not run yet,
         #: by buf id.  Coalesced parents are internal (never registered);
         #: their children stay outstanding until they individually
@@ -210,19 +188,9 @@ class DiskDriver:
         #: Bytes of buffered data sitting in the queue or in service —
         #: for writes, this is memory pinned by in-flight I/O.
         self.queue_bytes = TimeWeighted(engine, 0)
-        self._work = Signal(engine, name=f"{name}.work")
-        self._drain_waiters: list[Event] = []
-        self._busy = False
-        self._last_sector = 0
-        engine.process(self._run(), name=f"{name}.driver")
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active queue scheduler (for reports)."""
-        return self.queue.scheduler.name
 
     def register_metrics(self, registry, ns: str) -> None:
-        """Report this driver's instruments into a MetricsRegistry:
+        """Report this device's instruments into a MetricsRegistry:
         counters at ``ns``, gauges/histograms at ``ns.*``."""
         registry.register(ns, self.stats)
         registry.register(f"{ns}.queue_depth", self.queue_depth)
@@ -230,25 +198,22 @@ class DiskDriver:
         registry.register(f"{ns}.wait", self.wait_hist)
         registry.register(f"{ns}.service", self.service_hist)
 
-    # -- kernel-facing API ---------------------------------------------------
-    def strategy(self, buf: Buf) -> Buf:
-        """Enqueue a request.  Returns the buf actually queued (which may be
-        a coalesced parent absorbing this one)."""
+    def _accept(self, buf: Buf) -> None:
+        """Book a buf into the outstanding table as strategy() takes it."""
         self.stats.incr("requests")
         self.stats.incr("bytes", buf.nbytes)
         self.stats.incr("tracked_issued")
         self.outstanding[buf.id] = buf
         self.queue_bytes.add(buf.nbytes)
-        if self.coalesce and not buf.ordered:
-            merged = self._try_coalesce(buf)
-            if merged is not None:
-                self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
-                self._work.fire()
-                return merged
-        self.queue.insert(buf)
-        self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
-        self._work.fire()
-        return buf
+
+    def _settle(self, buf: Buf) -> None:
+        """Retire a buf from the outstanding table exactly once.
+
+        Coalesced parents were never registered (strategy saw only their
+        children), so only tracked bufs count toward the balance.
+        """
+        if self.outstanding.pop(buf.id, None) is not None:
+            self.stats.incr("tracked_completed")
 
     def issue_flush(self, owner: str = "flush",
                     request: "Any | None" = None) -> Buf | None:
@@ -267,6 +232,63 @@ class DiskDriver:
             buf.parent_span = getattr(request, "current_span", None)
         self.stats.incr("flushes")
         return self.strategy(buf)
+
+
+class DiskDriver(BlockDevice):
+    """Queue + service process + completion interrupts for one disk."""
+
+    def __init__(self, engine: "Engine", disk: RotationalDisk,
+                 cpu: "Cpu | None" = None,
+                 coalesce: bool = False,
+                 coalesce_limit: int = 56 * KB,
+                 max_retries: int = 4,
+                 retry_backoff: float = 2 * MS,
+                 remap_penalty: float = 5 * MS,
+                 scheduler: "Scheduler | str" = "elevator",
+                 name: str = "sd0"):
+        super().__init__(engine, name)
+        self.disk = disk
+        self.cpu = cpu
+        self.coalesce = coalesce
+        self.coalesce_limit_sectors = coalesce_limit // disk.geometry.sector_size
+        #: Bounded retries for transient errors and detected timeouts;
+        #: attempt n backs off for retry_backoff * 2**(n-1).
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        #: Settle time charged when a bad sector is revectored to a spare.
+        self.remap_penalty = remap_penalty
+        #: Bad sectors this driver has revectored: sector -> spare slot.
+        #: The drive substitutes the spare transparently, so the sector
+        #: keeps its logical address; the table exists for introspection
+        #: and mirrors a real drive's grown-defect list.
+        self.remap_table: dict[int, int] = {}
+        self.queue = DiskQueue(scheduler=scheduler)
+        self._work = Signal(engine, name=f"{name}.work")
+        self._drain_waiters: list[Event] = []
+        self._busy = False
+        self._last_sector = 0
+        engine.process(self._run(), name=f"{name}.driver")
+
+    @property
+    def scheduler_name(self) -> str:
+        """Name of the active queue scheduler (for reports)."""
+        return self.queue.scheduler.name
+
+    # -- kernel-facing API ---------------------------------------------------
+    def strategy(self, buf: Buf) -> Buf:
+        """Enqueue a request.  Returns the buf actually queued (which may be
+        a coalesced parent absorbing this one)."""
+        self._accept(buf)
+        if self.coalesce and not buf.ordered:
+            merged = self._try_coalesce(buf)
+            if merged is not None:
+                self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
+                self._work.fire()
+                return merged
+        self.queue.insert(buf)
+        self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
+        self._work.fire()
+        return buf
 
     @property
     def idle(self) -> bool:
@@ -427,12 +449,3 @@ class DiskDriver:
                 offset += child.nbytes
             self._settle(child)
             child.complete(error)
-
-    def _settle(self, buf: Buf) -> None:
-        """Retire a buf from the outstanding table exactly once.
-
-        Coalesced parents were never registered (strategy saw only their
-        children), so only tracked bufs count toward the balance.
-        """
-        if self.outstanding.pop(buf.id, None) is not None:
-            self.stats.incr("tracked_completed")

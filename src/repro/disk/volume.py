@@ -32,17 +32,16 @@ volume does not serialize unrelated members against each other.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Generator, Iterator
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
 
 from repro.disk.buf import Buf, BufOp
 from repro.disk.disk import RotationalDisk
-from repro.disk.driver import DiskDriver
+from repro.disk.driver import BlockDevice, DiskDriver
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.store import DiskStore, SectorImage
 from repro.core.health import ClusterHealth
 from repro.errors import InvalidArgumentError, MemberDeadError
 from repro.sim.events import Event
-from repro.sim.stats import Histogram, StatSet, TimeWeighted
 from repro.units import KB, SECTOR_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,6 +67,10 @@ def _parse_size(text: str) -> int:
         return int(text) * mult
     except ValueError:
         raise InvalidArgumentError(f"bad size {text!r} in volume spec") from None
+
+
+#: The one option each kind takes (``single`` and ``concat`` take none).
+_KIND_OPTION = {"stripe": "chunk", "mirror": "read"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,15 +113,18 @@ class VolumeSpec:
         read_policy = "rr"
         for opt in rest:
             key, _, value = opt.partition("=")
+            if key not in _KIND_OPTION.values():
+                raise InvalidArgumentError(f"unknown volume option {key!r}")
+            if key != _KIND_OPTION.get(kind):
+                raise InvalidArgumentError(
+                    f"option {key!r} does not apply to a {kind} layout")
             if key == "chunk":
                 chunk_bytes = _parse_size(value)
-            elif key == "read":
-                if value not in ("rr", "shortest"):
-                    raise InvalidArgumentError(
-                        f"unknown mirror read policy {value!r}")
+            elif value in ("rr", "shortest"):
                 read_policy = value
             else:
-                raise InvalidArgumentError(f"unknown volume option {key!r}")
+                raise InvalidArgumentError(
+                    f"unknown mirror read policy {value!r}")
         if kind == "single":
             if nmembers != 1:
                 raise InvalidArgumentError("single layout has exactly 1 member")
@@ -135,7 +141,10 @@ class VolumeSpec:
             return "single"
         out = f"{self.kind}:{self.nmembers}"
         if self.kind == "stripe":
-            out += f":chunk={self.chunk_bytes // KB}k"
+            # Exact, so parse(describe()) is the same spec: ``k`` only for
+            # a whole number of KB.
+            kb, odd = divmod(self.chunk_bytes, KB)
+            out += f":chunk={self.chunk_bytes}" if odd else f":chunk={kb}k"
         if self.kind == "mirror":
             out += f":read={self.read_policy}"
         return out
@@ -199,6 +208,14 @@ class VolumeMember:
     def live(self) -> bool:
         return not self.failed
 
+    def register_metrics(self, registry, prefix: str) -> None:
+        """Report this spindle's stack into a MetricsRegistry: its driver,
+        mechanism and (if any) write cache under ``prefix``."""
+        self.driver.register_metrics(registry, f"{prefix}.driver")
+        registry.register(f"{prefix}.mech", self.disk.stats)
+        if self.write_cache is not None:
+            self.write_cache.register_metrics(registry, f"{prefix}.wcache")
+
 
 # ---------------------------------------------------------------------------
 # the single-disk facade (the default — today's stack, unchanged)
@@ -235,24 +252,12 @@ class SingleVolume:
     def device(self) -> DiskDriver:
         return self.members[0].driver
 
-    @property
-    def cache_view(self):
-        return self.members[0].write_cache
-
-    def write_caches(self) -> "list[tuple[str, Any]]":
-        cache = self.members[0].write_cache
-        return [(self.members[0].name, cache)] if cache is not None else []
-
     def describe(self) -> str:
         return "single"
 
     def register_metrics(self, registry) -> None:
         """Report the one-disk stack into a system MetricsRegistry."""
-        member = self.members[0]
-        member.driver.register_metrics(registry, "disk.driver")
-        registry.register("disk.mech", member.disk.stats)
-        if member.write_cache is not None:
-            member.write_cache.register_metrics(registry, "disk.wcache")
+        self.members[0].register_metrics(registry, "disk")
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +281,18 @@ class VolumeStore(SectorImage):
         self._check_range(sector, count)
         vol = self.volume
         parts = [vol.members[mi].store.read(msec, cnt)
-                 for mi, msec, cnt in vol.data_read_pieces(sector, count)]
+                 for mi, msec, cnt in vol.pieces(sector, count)]
         return b"".join(parts)
 
     def write(self, sector: int, data: bytes) -> None:
         self._check_write(sector, data)
+        vol = self.volume
         ss = self.sector_size
-        for mi, msec, cnt, off in self.volume.data_write_pieces(
-                sector, len(data) // ss):
-            self.volume.members[mi].store.write(
-                msec, data[off * ss:(off + cnt) * ss])
+        off = 0
+        for mi, msec, cnt in vol.pieces(sector, len(data) // ss):
+            for copy in vol.copies(mi):
+                vol.members[copy].store.write(msec, data[off:off + cnt * ss])
+            off += cnt * ss
 
     def clone(self) -> DiskStore:
         """An independent single-store snapshot of the logical bytes."""
@@ -313,47 +320,31 @@ class VolumeCacheView:
 
     def __init__(self, volume: "MultiVolume"):
         self.volume = volume
-        self.sector_size = volume.members[0].store.sector_size
-        #: Crash-point journaling is a single-layout feature; the attribute
-        #: exists so recorder hooks fail soft rather than with AttributeError.
-        self.journal = None
-
-    @property
-    def entries(self) -> list:
-        out: list = []
-        for member in self.volume.members:
-            if member.write_cache is not None:
-                out.extend(member.write_cache.entries)
-        return out
-
-    @property
-    def bytes(self) -> int:
-        return sum(m.write_cache.bytes for m in self.volume.members
-                   if m.write_cache is not None)
 
     def covers(self, sector: int, nsectors: int) -> bool:
-        for mi, msec, cnt in self.volume.data_read_pieces(sector, nsectors):
-            for member in self.volume.data_source_members():
-                if self.volume.kind != "mirror" and member.index != mi:
-                    continue
+        vol = self.volume
+        sources = vol.data_source_members()
+        for mi, msec, cnt in vol.pieces(sector, nsectors):
+            holders = vol.copies(mi)
+            for member in sources:
                 cache = member.write_cache
-                if cache is not None and cache.covers(msec, cnt):
+                if (member.index in holders and cache is not None
+                        and cache.covers(msec, cnt)):
                     return True
         return False
 
 
 class _MemberCacheAdapter:
     """Translates the integrity region's *logical* ``covers`` probes back
-    into one member's cache addresses (used during member read verify)."""
+    into one member's cache addresses (used during member read verify):
+    within one piece of the map the two differ by a constant ``shift``."""
 
-    def __init__(self, volume: "MultiVolume", index: int, cache):
-        self.volume = volume
-        self.index = index
+    def __init__(self, cache, shift: int):
         self.cache = cache
+        self.shift = shift
 
     def covers(self, sector: int, nsectors: int) -> bool:
-        return self.cache.covers(
-            self.volume.member_sector_of(self.index, sector), nsectors)
+        return self.cache.covers(sector + self.shift, nsectors)
 
 
 class MemberIntegrityView:
@@ -398,66 +389,14 @@ class MemberIntegrityView:
     def verify_range(self, sector: int, data: bytes,
                      cache=None) -> "list[tuple[int, str]]":
         ss = SECTOR_SIZE
-        wrapped = None if cache is None else _MemberCacheAdapter(
-            self.volume, self.index, cache)
         bad: list[tuple[int, str]] = []
         for lsec, off, cnt in self.volume.member_to_logical(
                 self.index, sector, len(data) // ss):
+            wrapped = None if cache is None else _MemberCacheAdapter(
+                cache, sector + off - lsec)
             bad.extend(self.region.verify_range(
                 lsec, data[off * ss:(off + cnt) * ss], cache=wrapped))
         return bad
-
-
-class VolumeDisk:
-    """The logical "disk" a multi-member volume presents upward: geometry
-    spanning the members, the logical store, the shared integrity region,
-    and a drive-visible ``read_through`` assembled from the members."""
-
-    def __init__(self, volume: "MultiVolume", geometry: DiskGeometry):
-        self.volume = volume
-        self.geometry = geometry
-        self.store = volume.store
-        self.integrity: "IntegrityRegion | None" = None
-        self.stats = StatSet("disk")
-
-    @property
-    def write_cache(self):
-        """A logical cache view when any member caches writes, else None —
-        the truthiness contract ``ufs.io`` keys its flush decisions on."""
-        if any(m.write_cache is not None for m in self.volume.members):
-            return self.volume.cache_view
-        return None
-
-    @property
-    def fault_plan(self):
-        """Per-member plans live on the member disks; the logical device
-        has none (driver-level remap consults members individually)."""
-        return None
-
-    def read_through(self, sector: int, nsectors: int) -> bytes:
-        vol = self.volume
-        parts = [vol.members[mi].disk.read_through(msec, cnt)
-                 for mi, msec, cnt in vol.data_read_pieces(sector, nsectors)]
-        return b"".join(parts)
-
-    def attach_integrity(self, region: "IntegrityRegion | None" = None):
-        """Find (or accept) the region on the *logical* store and install a
-        translated view on every member disk, so member-level reads verify
-        and member-level writes stamp against the shared table."""
-        if region is None:
-            region = self.store.integrity_region()
-        self.integrity = region
-        for member in self.volume.members:
-            member.disk.integrity = (
-                None if region is None
-                else MemberIntegrityView(region, self.volume, member.index))
-        if region is not None and self.volume.kind == "stripe":
-            chunk = self.volume.chunk_sectors
-            if chunk % region.frag_sectors != 0:
-                raise InvalidArgumentError(
-                    f"stripe chunk of {chunk} sectors does not align with "
-                    f"{region.frag_sectors}-sector fragments")
-        return region
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +430,11 @@ class _JoinState:
             bytearray(parent.nbytes) if parent.is_read else None)
 
 
-class MultiVolume:
-    """Shared machinery of concat/stripe/mirror: the driver-shaped device
-    that splits parent bufs into member children and joins completions.
+class MultiVolume(BlockDevice):
+    """Shared machinery of concat/stripe/mirror: the block device that
+    splits parent bufs into member children and joins completions, and the
+    logical disk behind it — geometry spanning the members, the logical
+    store, the shared integrity region.
 
     The volume has no service process of its own — ``strategy`` fans out
     synchronously and the join runs in the children's completion hooks, so
@@ -503,77 +444,106 @@ class MultiVolume:
     kind = "multi"
     #: Redundant volumes (mirrors) survive member write/flush failures.
     redundant = False
+    #: Per-member plans live on the member disks; the logical device has
+    #: none (driver-level remap consults members individually).
+    fault_plan = None
 
     def __init__(self, engine: "Engine", members: "list[VolumeMember]",
                  spec: VolumeSpec, geometry: DiskGeometry,
                  name: str = "vol0"):
-        self.engine = engine
+        super().__init__(engine, name)
         self.members = members
         self.spec = spec
-        self.name = name
         self.geometry = geometry
         self.logical_sectors = self._logical_sectors()
         self.store = VolumeStore(self)
-        self.disk = VolumeDisk(self, geometry)
+        #: The kernel talks to the volume itself, as device and as disk.
+        self.device = self.disk = self
+        self.integrity: "IntegrityRegion | None" = None
         self._cache_view = VolumeCacheView(self)
-        #: The device the kernel talks to is the volume itself.
-        self.device = self
-        self.stats = StatSet(f"{name}.driver")
-        self.outstanding: dict[int, Buf] = {}
-        self.queue_depth = TimeWeighted(engine, 0)
-        self.queue_bytes = TimeWeighted(engine, 0)
-        self.wait_hist = Histogram(f"{name}.queue_wait")
-        self.service_hist = Histogram(f"{name}.service")
         self.queue = _VolumeQueueView(self)
 
-    # -- mapping hooks (subclasses) ----------------------------------------
+    # -- the address map (subclasses) --------------------------------------
     def _logical_sectors(self) -> int:
         raise NotImplementedError
 
-    def extents(self, sector: int, nsectors: int,
-                write: bool) -> "list[tuple[int, int, int]]":
-        """Timed-path mapping: ``(member, member_sector, count)`` per child
-        buf.  Mirror policy (read balancing, all-live-member writes) and
-        same-member merging live here."""
+    def pieces(self, sector: int,
+               nsectors: int) -> "list[tuple[int, int, int]]":
+        """``(member, member_sector, count)`` pieces of a logical range, in
+        logical order, unmerged; a mirror names the member reads go to."""
         raise NotImplementedError
 
     def member_to_logical(self, index: int, msector: int,
                           nsectors: int) -> "list[tuple[int, int, int]]":
-        """``(logical_sector, offset_in_member_range, count)`` pieces of a
-        member range, in ascending member order."""
+        """The inverse: ``(logical_sector, offset_in_member_range, count)``
+        pieces of a member range, in ascending member order."""
         raise NotImplementedError
 
-    def logical_of(self, index: int, msector: int) -> int:
-        """The logical address of one member sector."""
-        raise NotImplementedError
-
-    def member_sector_of(self, index: int, lsector: int) -> int:
-        """Inverse of :meth:`logical_of` for a sector that lives on
-        ``index`` (callers guarantee it does)."""
-        raise NotImplementedError
-
-    def data_read_pieces(self, sector: int,
-                         count: int) -> "list[tuple[int, int, int]]":
-        """Untimed data-plane read mapping, logical order, unmerged."""
-        raise NotImplementedError
-
-    def data_write_pieces(self, sector: int,
-                          count: int) -> "list[tuple[int, int, int, int]]":
-        """Untimed data-plane write mapping: ``(member, member_sector,
-        count, offset_in_range)``; mirrors repeat the range per member."""
-        raise NotImplementedError
+    def copies(self, index: int) -> "Iterable[int]":
+        """The members holding what member ``index`` holds (itself
+        included): every data-plane write to one goes to all of them."""
+        return (index,)
 
     def data_source_members(self) -> "list[VolumeMember]":
         """Members whose stores define the logical contents."""
         return self.members
 
-    # -- driver-shaped surface ---------------------------------------------
+    # -- derived from the map ----------------------------------------------
+    def logical_of(self, index: int, msector: int) -> int:
+        """The logical address of one member sector."""
+        return self.member_to_logical(index, msector, 1)[0][0]
+
+    def extents(self, sector: int, nsectors: int,
+                write: bool) -> "list[tuple[int, int, int]]":
+        """Timed-path mapping: ``(member, member_sector, count)`` per child
+        buf — each member's adjacent pieces merged into one transfer, so a
+        spindle streams its share.  (A mirror overrides this with its
+        read-balancing / all-live-member-writes policy.)"""
+        per_member: dict[int, list[list[int]]] = {}
+        for mi, msec, cnt in self.pieces(sector, nsectors):
+            runs = per_member.setdefault(mi, [])
+            if runs and runs[-1][0] + runs[-1][1] == msec:
+                runs[-1][1] += cnt
+            else:
+                runs.append([msec, cnt])
+        return [(mi, msec, cnt)
+                for mi, runs in per_member.items() for msec, cnt in runs]
+
+    # -- disk-shaped surface -----------------------------------------------
     @property
-    def cache_view(self) -> "VolumeCacheView | None":
+    def write_cache(self) -> "VolumeCacheView | None":
+        """A logical cache view when any member caches writes, else None —
+        the truthiness contract ``ufs.io`` keys its flush decisions on."""
         if any(m.write_cache is not None for m in self.members):
             return self._cache_view
         return None
 
+    def read_through(self, sector: int, nsectors: int) -> bytes:
+        """The drive-visible bytes (volatile cache entries overlaid),
+        assembled from the members."""
+        parts = [self.members[mi].disk.read_through(msec, cnt)
+                 for mi, msec, cnt in self.pieces(sector, nsectors)]
+        return b"".join(parts)
+
+    def attach_integrity(self, region: "IntegrityRegion | None" = None):
+        """Find (or accept) the region on the *logical* store and install a
+        translated view on every member disk, so member-level reads verify
+        and member-level writes stamp against the shared table."""
+        if region is None:
+            region = self.store.integrity_region()
+        self.integrity = region
+        for member in self.members:
+            member.disk.integrity = (
+                None if region is None
+                else MemberIntegrityView(region, self, member.index))
+        if (region is not None and self.kind == "stripe"
+                and self.chunk_sectors % region.frag_sectors != 0):
+            raise InvalidArgumentError(
+                f"stripe chunk of {self.chunk_sectors} sectors does not "
+                f"align with {region.frag_sectors}-sector fragments")
+        return region
+
+    # -- driver-shaped surface ---------------------------------------------
     @property
     def scheduler_name(self) -> str:
         return self.members[0].driver.scheduler_name
@@ -590,50 +560,22 @@ class MultiVolume:
     def describe(self) -> str:
         return self.spec.describe()
 
-    def write_caches(self) -> "list[tuple[str, Any]]":
-        return [(m.name, m.write_cache) for m in self.members
-                if m.write_cache is not None]
-
     def register_metrics(self, registry) -> None:
         """Report the volume and every member spindle into a system
         MetricsRegistry: the fan-out/join layer at ``volume``, member
         ``i``'s stack under ``disk.m{i}``."""
-        registry.register("volume", self.stats)
-        registry.register("volume.queue_depth", self.queue_depth)
-        registry.register("volume.queue_bytes", self.queue_bytes)
-        registry.register("volume.wait", self.wait_hist)
-        registry.register("volume.service", self.service_hist)
+        super().register_metrics(registry, "volume")
         for member in self.members:
-            prefix = f"disk.m{member.index}"
-            member.driver.register_metrics(registry, f"{prefix}.driver")
-            registry.register(f"{prefix}.mech", member.disk.stats)
-            if member.write_cache is not None:
-                member.write_cache.register_metrics(registry,
-                                                    f"{prefix}.wcache")
+            member.register_metrics(registry, f"disk.m{member.index}")
 
     def strategy(self, buf: Buf) -> Buf:
-        self.stats.incr("requests")
-        self.stats.incr("bytes", buf.nbytes)
-        self.stats.incr("tracked_issued")
-        self.outstanding[buf.id] = buf
-        self.queue_bytes.add(buf.nbytes)
+        self._accept(buf)
         self.queue_depth.set(len(self.outstanding))
         if buf.is_flush:
             self._fan_flush(buf)
         else:
             self._fan_out(buf)
         return buf
-
-    def issue_flush(self, owner: str = "flush",
-                    request: "Any | None" = None) -> "Buf | None":
-        if self.disk.write_cache is None:
-            return None
-        buf = Buf.flush(self.engine, owner=owner)
-        if request is not None:
-            buf.request = request
-            buf.parent_span = getattr(request, "current_span", None)
-        self.stats.incr("flushes")
-        return self.strategy(buf)
 
     def drain(self) -> Event:
         """An event that triggers once the whole volume goes idle."""
@@ -698,7 +640,7 @@ class MultiVolume:
 
     def _child_owner(self, parent: Buf, mi: int, msec: int):
         owner = parent.integrity_owner
-        region = self.disk.integrity
+        region = self.integrity
         if owner is None or region is None:
             return None
         first_lsec = self.logical_of(mi, msec)
@@ -796,8 +738,7 @@ class MultiVolume:
         self.stats.incr("completions")
         if error is not None:
             self.stats.incr("errors")
-        if self.outstanding.pop(parent.id, None) is not None:
-            self.stats.incr("tracked_completed")
+        self._settle(parent)
         self.queue_bytes.add(-parent.nbytes)
         self.queue_depth.set(len(self.outstanding))
         parent.complete(error)
@@ -826,8 +767,7 @@ class StripeVolume(MultiVolume):
     def _logical_sectors(self) -> int:
         return self.members[0].store.total_sectors * len(self.members)
 
-    def _pieces(self, sector, nsectors):
-        """Unmerged ``(member, member_sector, count)``, logical order."""
+    def pieces(self, sector, nsectors):
         chunk = self.chunk_sectors
         n = len(self.members)
         out = []
@@ -838,20 +778,6 @@ class StripeVolume(MultiVolume):
             sector += run
             nsectors -= run
         return out
-
-    def extents(self, sector, nsectors, write):
-        per_member: dict[int, list[list[int]]] = {}
-        order: list[int] = []
-        for mi, msec, cnt in self._pieces(sector, nsectors):
-            runs = per_member.setdefault(mi, [])
-            if not runs:
-                order.append(mi)
-            if runs and runs[-1][0] + runs[-1][1] == msec:
-                runs[-1][1] += cnt
-            else:
-                runs.append([msec, cnt])
-        return [(mi, msec, cnt)
-                for mi in order for msec, cnt in per_member[mi]]
 
     def member_to_logical(self, index, msector, nsectors):
         chunk = self.chunk_sectors
@@ -865,27 +791,6 @@ class StripeVolume(MultiVolume):
             msector += run
             off += run
             nsectors -= run
-        return out
-
-    def logical_of(self, index, msector):
-        chunk = self.chunk_sectors
-        mc, off = divmod(msector, chunk)
-        return (mc * len(self.members) + index) * chunk + off
-
-    def member_sector_of(self, index, lsector):
-        chunk = self.chunk_sectors
-        c, off = divmod(lsector, chunk)
-        return (c // len(self.members)) * chunk + off
-
-    def data_read_pieces(self, sector, count):
-        return self._pieces(sector, count)
-
-    def data_write_pieces(self, sector, count):
-        out = []
-        off = 0
-        for mi, msec, cnt in self._pieces(sector, count):
-            out.append((mi, msec, cnt, off))
-            off += cnt
         return out
 
 
@@ -926,25 +831,16 @@ class MirrorVolume(MultiVolume):
         member = self._pick_reader(set())
         return [] if member is None else [(member.index, sector, nsectors)]
 
+    def pieces(self, sector, nsectors):
+        return [(self.data_source_members()[0].index, sector, nsectors)]
+
     def member_to_logical(self, index, msector, nsectors):
         return [(msector, 0, nsectors)]
 
-    def logical_of(self, index, msector):
-        return msector
-
-    def member_sector_of(self, index, lsector):
-        return lsector
-
-    def data_read_pieces(self, sector, count):
-        for member in self.members:
-            if member.live and not member.resyncing:
-                return [(member.index, sector, count)]
-        return [(self.members[0].index, sector, count)]
-
-    def data_write_pieces(self, sector, count):
-        # Data plane writes every member (dead ones included: offline tools
-        # and the shared integrity table address the mirror as one image).
-        return [(m.index, sector, count, 0) for m in self.members]
+    def copies(self, index):
+        # Every member, dead ones included: offline tools and the shared
+        # integrity table address the mirror as one image.
+        return range(len(self.members))
 
     def data_source_members(self):
         live = [m for m in self.members if m.live and not m.resyncing]
@@ -1009,7 +905,7 @@ class MirrorVolume(MultiVolume):
                 yield wbuf.done
                 copied += count
             bad_frags: list[int] = []
-            region = self.disk.integrity
+            region = self.integrity
             if region is not None and diff:
                 fs = region.frag_sectors
                 frags = sorted({s // fs for s in diff
@@ -1039,17 +935,15 @@ class MirrorVolume(MultiVolume):
 
 def build_volume(engine: "Engine", config: "SystemConfig",
                  cpu: "Cpu | None" = None,
-                 layout: "str | VolumeSpec | None" = None,
                  store: "DiskStore | list[DiskStore] | None" = None,
                  fault_plan=None):
-    """Build the volume ``config``/``layout`` describe.
+    """Build the volume ``config.layout`` describes.
 
     ``store`` boots against existing bytes: one :class:`DiskStore` for the
     single layout, a list (one per member) for multi-member layouts.
     ``fault_plan`` is one plan (member 0) or a per-member list.
     """
-    spec = VolumeSpec.parse(layout if layout is not None
-                            else getattr(config, "layout", "single"))
+    spec = VolumeSpec.parse(config.layout)
     n = spec.nmembers
     if store is None:
         stores: "list[DiskStore | None]" = [None] * n

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.disk.store import DiskStore
+from repro.disk.volume import VolumeSpec
 from repro.errors import ReproError
 from repro.faults.harness import (
     Campaign, SweepStats, force_sanitizer, read_file,
@@ -466,6 +467,11 @@ class CrashpointExplorer(Campaign):
                            else preset.torn_limit)
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        layout = VolumeSpec.parse(self.config.layout)
+        if layout.kind != "single":
+            raise ValueError(
+                f"layout {layout.describe()}: crash-point journaling "
+                "records one drive's write cache")
         self.record_config = self.config.with_(
             write_cache=True, write_cache_bytes=preset.cache_bytes,
             ordered_metadata=preset.ordered_metadata)

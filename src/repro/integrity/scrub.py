@@ -267,8 +267,8 @@ class Scrubber:
         the fragment, accepted only if its CRC matches the record.  The
         repair write then goes back through the volume, overwriting the
         rotten copy on every live member."""
-        volume = getattr(self.system, "volume", None)
-        if volume is None or getattr(volume, "kind", "") != "mirror":
+        volume = self.system.volume
+        if volume.kind != "mirror":
             return None
         fs = self.region.frag_sectors
         for member in volume.members:

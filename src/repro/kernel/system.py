@@ -51,9 +51,9 @@ class System:
         self.volume = build_volume(self.engine, cfg, cpu=self.cpu,
                                    store=store, fault_plan=fault_plan)
         self.store = self.volume.store
-        self.write_cache = self.volume.cache_view
         self.disk = self.volume.disk
         self.driver = self.volume.device
+        self.write_cache = self.disk.write_cache
         reserved_pages = cfg.reserved_memory_bytes // cfg.page_size
         self.pagecache = PageCache(self.engine, cfg.memory_bytes,
                                    page_size=cfg.page_size,

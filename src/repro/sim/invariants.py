@@ -164,9 +164,9 @@ class Sanitizer:
         """The kernel-facing device plus, for multi-member volumes, every
         member driver — buf balance must hold at each layer."""
         drivers: "list[tuple[str, Any]]" = [("driver", self.system.driver)]
-        volume = getattr(self.system, "volume", None)
-        if volume is not None and len(volume.members) > 1:
-            drivers.extend((m.name, m.driver) for m in volume.members)
+        members = self.system.volume.members
+        if len(members) > 1:
+            drivers.extend((m.name, m.driver) for m in members)
         return drivers
 
     def _check_buf_balance(self, point: str, idle: bool, deep: bool) -> None:
@@ -409,13 +409,10 @@ class Sanitizer:
 
     # -- check 7: volatile write-cache accounting ---------------------------
     def _check_write_cache(self, point: str, idle: bool, deep: bool) -> None:
-        volume = getattr(self.system, "volume", None)
-        if volume is not None:
-            caches = volume.write_caches()
-        else:
-            cache = getattr(self.system, "write_cache", None)
-            caches = [("cache", cache)] if cache is not None else []
-        for label, cache in caches:
+        for member in self.system.volume.members:
+            label, cache = member.name, member.write_cache
+            if cache is None:
+                continue
             actual = sum(e.nbytes for e in cache.entries)
             if cache.bytes != actual:
                 self.fail(
@@ -454,11 +451,11 @@ class Sanitizer:
         """
         if not deep:
             return
-        region = getattr(self.system.disk, "integrity", None)
+        region = self.system.disk.integrity
         if region is None:
             return
         fs = region.frag_sectors
-        cache = getattr(self.system, "write_cache", None)
+        cache = self.system.write_cache
         for frag in region.stamped_frags():
             if region.record(frag).bad:
                 continue

@@ -9,6 +9,8 @@ to every member that needs them.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.disk import DiskStore
 from repro.disk.volume import (
@@ -61,10 +63,36 @@ def test_spec_parse_options():
     "stripe:2:chunk=100",   # chunk must be sector multiple
     "stripe:2:foo=1",       # unknown option
     "mirror:2:read=fastest",  # unknown read policy
+    "concat:2:chunk=16k",   # an option the kind does not take ...
+    "mirror:2:chunk=8k",
+    "stripe:2:read=shortest",
+    "single:chunk=64k",     # ... used to be accepted and dropped
 ])
 def test_spec_parse_rejects(text):
     with pytest.raises(InvalidArgumentError):
         VolumeSpec.parse(text)
+
+
+@pytest.mark.parametrize("text, described", [
+    ("stripe:2:chunk=512", "stripe:2:chunk=512"),    # was chunk=0k
+    ("stripe:2:chunk=1536", "stripe:2:chunk=1536"),  # was chunk=1k
+    ("stripe:2:chunk=2048", "stripe:2:chunk=2k"),
+])
+def test_spec_describe_renders_the_chunk_exactly(text, described):
+    assert VolumeSpec.parse(text).describe() == described
+
+
+@given(st.one_of(
+    st.just(VolumeSpec()),
+    st.builds(VolumeSpec, kind=st.just("concat"), nmembers=st.integers(2, 9)),
+    st.builds(VolumeSpec, kind=st.just("stripe"), nmembers=st.integers(2, 9),
+              chunk_bytes=st.integers(1, 4096).map(lambda n: n * 512)),
+    st.builds(VolumeSpec, kind=st.just("mirror"), nmembers=st.integers(2, 9),
+              read_policy=st.sampled_from(["rr", "shortest"]))))
+def test_spec_describe_parses_back_to_the_same_spec(spec):
+    """``describe()`` is the ``layout`` of every bench cell: a run must be
+    re-runnable from its own record."""
+    assert VolumeSpec.parse(spec.describe()) == spec
 
 
 # -- address translation ---------------------------------------------------
@@ -82,11 +110,10 @@ def test_translation_round_trip(layout):
     rng = random.Random(7)
     for _ in range(200):
         lsec = rng.randrange(vol.logical_sectors)
-        pieces = vol.data_read_pieces(lsec, 1)
+        pieces = vol.pieces(lsec, 1)
         mi, msec, cnt = pieces[0]
         assert cnt == 1
         assert vol.logical_of(mi, msec) == lsec
-        assert vol.member_sector_of(mi, lsec) == msec
         # member_to_logical is the inverse of the piece mapping.
         assert vol.member_to_logical(mi, msec, 1)[0][0] == lsec
 
@@ -99,7 +126,7 @@ def test_pieces_cover_range_exactly(layout):
         count = rng.randrange(1, 300)
         sector = rng.randrange(vol.logical_sectors - count)
         covered = []
-        for mi, msec, cnt in vol.data_read_pieces(sector, count):
+        for mi, msec, cnt in vol.pieces(sector, count):
             for lsec, off, n in vol.member_to_logical(mi, msec, cnt):
                 covered.extend(range(lsec, lsec + n))
         assert sorted(covered) == list(range(sector, sector + count))

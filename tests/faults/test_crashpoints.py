@@ -5,6 +5,7 @@ determinism, and the pinning test for the relocation durability bug.
 import pytest
 
 from repro.faults import CrashpointExplorer, PRESETS
+from repro.faults.harness import small_config
 
 
 def explore(preset, seed):
@@ -23,6 +24,14 @@ def test_presets_are_wired():
 def test_explorer_rejects_bad_window():
     with pytest.raises(ValueError):
         CrashpointExplorer(PRESETS["smoke"], window=0)
+
+
+@pytest.mark.parametrize("layout", ["mirror:2", "stripe:2"])
+def test_explorer_rejects_multi_member_layouts(layout):
+    """The journal is one drive's write cache; a volume used to die in the
+    recorder's self-check ("journal/data-plane incoherence") instead."""
+    with pytest.raises(ValueError, match=f"layout {layout}.*one drive"):
+        CrashpointExplorer("smoke", config=small_config(layout=layout))
 
 
 @pytest.fixture(scope="module")

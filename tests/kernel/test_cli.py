@@ -188,7 +188,12 @@ def never_simulates(monkeypatch):
     (["bench", "--layout", "bogus"], "bench: unknown volume kind 'bogus'"),
     (["iobench", "--configs", "Q"], "iobench: unknown configuration 'Q'"),
     (["iobench", "--layout", "stripe:1"], "iobench: stripe layout needs"),
-], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout"])
+    (["bench", "--layout", "concat:2:chunk=16k"],
+     "bench: option 'chunk' does not apply to a concat layout"),
+    (["iobench", "--layout", "stripe:2:read=shortest"],
+     "iobench: option 'read' does not apply to a stripe layout"),
+], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
+        "bench-stray-option", "iobench-stray-option"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
