@@ -13,6 +13,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.events import Event
+from repro.units import SECTOR_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -103,8 +104,6 @@ class Buf:
 
     @property
     def nbytes(self) -> int:
-        from repro.units import SECTOR_SIZE
-
         return self.nsectors * SECTOR_SIZE
 
     @property

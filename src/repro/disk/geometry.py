@@ -60,7 +60,15 @@ class DiskGeometry:
     seek_sqrt: float = 0.5 * MS
     seek_linear: float = 0.002 * MS
 
+    # Derived once (every disk request asks for them, and they never change).
+    cylinders: int = field(init=False, repr=False, compare=False)
+    #: Seconds per revolution.
+    rotation_time: float = field(init=False, repr=False, compare=False)
+    total_sectors: int = field(init=False, repr=False, compare=False)
     _zone_first_sector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _zone_sectors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Sectors per track of every cylinder, by cylinder number.
+    _spt_of_cyl: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.heads <= 0:
@@ -71,14 +79,24 @@ class DiskGeometry:
             raise ValueError("at least one zone required")
         expected = 0
         firsts = []
+        sizes = []
+        spt_of_cyl: list[int] = []
         total = 0
         for zone in self.zones:
             if zone.first_cyl != expected:
                 raise ValueError("zones must tile the cylinder range contiguously")
             firsts.append(total)
-            total += zone.cylinders * self.heads * zone.sectors_per_track
+            sizes.append(zone.cylinders * self.heads * zone.sectors_per_track)
+            spt_of_cyl += [zone.sectors_per_track] * zone.cylinders
+            total += sizes[-1]
             expected = zone.last_cyl + 1
-        object.__setattr__(self, "_zone_first_sector", tuple(firsts))
+        derived = {
+            "cylinders": expected, "rotation_time": 60.0 / self.rpm,
+            "total_sectors": total, "_zone_first_sector": tuple(firsts),
+            "_zone_sectors": tuple(sizes), "_spt_of_cyl": tuple(spt_of_cyl),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # -- construction helpers ---------------------------------------------
     @classmethod
@@ -110,21 +128,6 @@ class DiskGeometry:
 
     # -- basic quantities --------------------------------------------------
     @property
-    def cylinders(self) -> int:
-        return self.zones[-1].last_cyl + 1
-
-    @property
-    def rotation_time(self) -> float:
-        """Seconds per revolution."""
-        return 60.0 / self.rpm
-
-    @property
-    def total_sectors(self) -> int:
-        return self._zone_first_sector[-1] + (
-            self.zones[-1].cylinders * self.heads * self.zones[-1].sectors_per_track
-        )
-
-    @property
     def capacity_bytes(self) -> int:
         return self.total_sectors * self.sector_size
 
@@ -138,7 +141,9 @@ class DiskGeometry:
         raise AssertionError("zones are contiguous; unreachable")
 
     def sectors_per_track_at(self, cyl: int) -> int:
-        return self.zone_of_cyl(cyl).sectors_per_track
+        if not 0 <= cyl < self.cylinders:
+            raise ValueError(f"cylinder {cyl} out of range")
+        return self._spt_of_cyl[cyl]
 
     def sector_time(self, cyl: int) -> float:
         """Seconds for one sector to pass under the head at ``cyl``."""
@@ -153,8 +158,8 @@ class DiskGeometry:
         """Linear sector -> (cylinder, head, sector index within track)."""
         if not 0 <= sector < self.total_sectors:
             raise ValueError(f"sector {sector} out of range (0..{self.total_sectors - 1})")
-        for zone, first in zip(self.zones, self._zone_first_sector):
-            zone_sectors = zone.cylinders * self.heads * zone.sectors_per_track
+        for zone, first, zone_sectors in zip(self.zones, self._zone_first_sector,
+                                             self._zone_sectors):
             if sector < first + zone_sectors:
                 rel = sector - first
                 spt = zone.sectors_per_track

@@ -185,10 +185,9 @@ class NfsMount(Vfs):
                 if transmissions > 1:
                     self.stats.incr("retransmits")
                 sent_at = self.engine.now
-                attempt = self.engine.process(
+                self.engine.process(
                     self._transmit(xid, op, request_bytes, args, reply),
                     name=f"rpc-{op.lower()}-x{xid}t{transmissions}")
-                attempt.add_callback(lambda _ev: None)
                 timer = self.engine.timeout(rto)
                 yield AnyOf(self.engine, [reply, timer])
                 if reply.triggered:
@@ -229,11 +228,10 @@ class NfsMount(Vfs):
         if d.duplicated:
             # The copy arrives separately, a little later; the server's DRC
             # is what keeps it from re-executing anything.
-            dup = self.engine.process(
+            self.engine.process(
                 self._serve(xid, op, args, reply, corrupted=d.corrupted,
                             extra_delay=self.network.latency),
                 name=f"rpc-dup-x{xid}")
-            dup.add_callback(lambda _ev: None)
         yield from self._serve(xid, op, args, reply, corrupted=d.corrupted)
 
     def _serve(self, xid: int, op: str, args: "dict[str, Any]", reply: Event,
@@ -448,9 +446,8 @@ class NfsVnode(Vnode):
                     if next_off >= self.remote_size:
                         break
                     if self.mount.pagecache.lookup(self, next_off) is None:
-                        proc = self.mount.engine.process(
+                        self.mount.engine.process(
                             self._fetch_ahead(next_off), name="biod-read")
-                        proc.add_callback(lambda _ev: None)
             page = yield from self._fetch_page(page_off, req=req)
             yield from cpu.copy("copyout", chunk)
             parts.append(bytes(page.data[offset - page_off:
@@ -509,10 +506,9 @@ class NfsVnode(Vnode):
             written += chunk
             # Push the page write-behind, throttled.
             self.throttle.take(psize)
-            proc_done = self.mount.engine.process(
+            self.mount.engine.process(
                 self._push_one(page_off), name="biod-write",
             )
-            proc_done.add_callback(lambda _ev: None)
             span = None
             if req is not None and self.throttle.value < 0:
                 span = req.begin("throttle_wait", over_by=-self.throttle.value)

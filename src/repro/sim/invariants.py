@@ -34,7 +34,9 @@ The shipped checks:
 ``page_coherency``
     Every clean, valid, unlocked page of a mounted UFS file is
     byte-identical to its backing store, resolved through the same block
-    pointers bmap uses.
+    pointers bmap uses.  The same entry holds the buffer cache's decoded
+    directory blocks to their bytes (``dir_views``, below), so the number
+    of checks a run reports does not depend on which caches exist.
 ``page_index``
     The page cache's per-vnode index (``v_pages``) holds exactly the pages
     its name hash holds, with no emptied vnode left behind.
@@ -43,6 +45,11 @@ The shipped checks:
     superblock totals, and every block an active inode points at is marked
     allocated; ``deep=True`` additionally runs fsck's walkers read-only
     over the on-disk bytes.
+``dir_views`` (run by ``page_coherency``)
+    Every directory view a cached buffer carries lists exactly what
+    ``iter_dirents`` decodes from the bytes it was built on, with a
+    first-wins name index — so the incremental updates of create and
+    unlink are checked against the reference decoder at every quiesce.
 
 A violation raises :class:`SanitizerError`, which carries the offending
 request's rendered span tree when one is attributable.
@@ -277,6 +284,7 @@ class Sanitizer:
         mount = self.system.mount
         if mount is None:
             return
+        self._check_dir_views(point)
         pc = self.system.pagecache
         disk = mount.driver.disk
         sb = mount.sb
@@ -323,6 +331,25 @@ class Sanitizer:
                         f"clean page differs from disk at fragment {addr} "
                         "(a write was lost or mis-addressed)",
                     )
+
+    def _check_dir_views(self, point: str) -> None:
+        from repro.ufs.ondisk import iter_dirents
+
+        for meta in self.system.mount.metacache._bufs.values():
+            view = meta.view
+            if view is None:
+                continue
+            decoded = iter_dirents(view.image)
+            first: dict[str, int] = {}
+            for _, ino, name in decoded:
+                first.setdefault(name, ino)
+            if view.entries != decoded or view.index != first:
+                self.fail(
+                    "dir_views",
+                    f"at {point}: the directory view of block "
+                    f"{meta.frag_addr} disagrees with a decode of the bytes "
+                    "it was built on (an incremental update went wrong)",
+                )
 
     def _check_page_index(self, point: str, idle: bool, deep: bool) -> None:
         pc = self.system.pagecache

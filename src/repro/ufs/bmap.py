@@ -193,6 +193,7 @@ def truncate_blocks(mount: "UfsMount", ip: "Inode") -> Generator[Any, Any, int]:
         if addr == HOLE:
             continue
         nfrags = ip.blksize(lbn) // sb.fsize
+        _forget_dir_block(mount, ip, addr)
         mount.allocator.free_frags(ip, addr, nfrags)
         freed += nfrags
         ip.direct[lbn] = HOLE
@@ -208,6 +209,15 @@ def truncate_blocks(mount: "UfsMount", ip: "Inode") -> Generator[Any, Any, int]:
     return freed
 
 
+def _forget_dir_block(mount: "UfsMount", ip: "Inode", addr: int) -> None:
+    """A directory's blocks live in the buffer cache (a file's live in the
+    page cache, which the caller empties): a freed one must leave it, or
+    the block's next owner meets the dead buffer — ``install_new`` of a
+    new directory's block refuses a cached one."""
+    if ip.is_dir:
+        mount.metacache.drop(addr)
+
+
 def _free_pointer_block(mount: "UfsMount", ip: "Inode", addr: int, depth: int
                         ) -> Generator[Any, Any, int]:
     sb = mount.sb
@@ -219,6 +229,7 @@ def _free_pointer_block(mount: "UfsMount", ip: "Inode", addr: int, depth: int
         if depth > 1:
             freed += yield from _free_pointer_block(mount, ip, child, depth - 1)
         else:
+            _forget_dir_block(mount, ip, child)
             mount.allocator.free_frags(ip, child, sb.frag)
             freed += sb.frag
     mount.metacache.drop(addr)

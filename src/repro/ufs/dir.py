@@ -5,11 +5,15 @@ DIRBLKSIZ (512-byte) boundary.  Deletion merges an entry's record length
 into its predecessor (classic FFS compaction); insertion claims the first
 sufficient free span.  Directory blocks move through the metadata buffer
 cache, and directory *updates* are written synchronously — the consistency
-discipline whose cost motivates the paper's B_ORDER proposal.
+discipline whose cost motivates the paper's B_ORDER proposal.  A block's
+buffer keeps its decoded entries (:class:`DirView`), so a block is decoded
+once per content rather than once per lookup; the simulated scan is still
+charged entry by entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import FileExistsError_, FilesystemError
@@ -21,6 +25,7 @@ from repro.ufs.ondisk import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
+    from repro.ufs.metacache import MetaBuf
     from repro.ufs.mount import UfsMount
 
 _HEAD = Dirent._HEAD
@@ -39,6 +44,32 @@ def _dir_blocks(ip: "Inode") -> int:
     return ip.size // bsize
 
 
+class DirView:
+    """A directory block decoded once per content: its live entries as
+    :func:`iter_dirents` lists them, and a first-wins ``name -> ino``
+    index (what a scan from the top finds first).  It describes ``image``
+    and is trusted only while the buffer's bytes still equal it."""
+
+    __slots__ = ("image", "entries", "index")
+
+    def __init__(self, image: bytes):
+        self.image = image
+        self.entries = iter_dirents(image)
+        self.reindex()
+
+    def reindex(self) -> None:
+        self.index = {name: ino for _, ino, name in reversed(self.entries)}
+
+
+def _view(meta: "MetaBuf") -> DirView:
+    """The buffer's directory view, decoded again only if its bytes moved
+    since the last decode (a corrupt block raises and caches nothing)."""
+    view = meta.view
+    if view is None or meta.data != view.image:
+        view = meta.view = DirView(bytes(meta.data))
+    return view
+
+
 def _charge_scan(mount: "UfsMount", entries: int) -> Generator[Any, Any, None]:
     yield from mount.cpu.work(
         "dirscan", entries * mount.cpu.costs.dirscan_entry
@@ -52,11 +83,12 @@ def lookup(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
         if addr == bmap.HOLE:
             raise FilesystemError(f"hole in directory {dp.ino}")
         meta = yield from mount.metacache.bread(addr)
-        entries = iter_dirents(bytes(meta.data))
-        yield from _charge_scan(mount, max(1, len(entries)))
-        for _, ino, entry_name in entries:
-            if entry_name == name:
-                return ino
+        view = _view(meta)
+        # Read before the charge yields: what the block held when read.
+        ino = view.index.get(name)
+        yield from _charge_scan(mount, max(1, len(view.entries)))
+        if ino is not None:
+            return ino
     return None
 
 
@@ -66,9 +98,9 @@ def entries(mount: "UfsMount", dp: "Inode") -> Generator[Any, Any, list[tuple[st
     for blkno in range(_dir_blocks(dp)):
         addr = yield from bmap.get_pointer(mount, dp, blkno)
         meta = yield from mount.metacache.bread(addr)
-        listed = iter_dirents(bytes(meta.data))
-        yield from _charge_scan(mount, max(1, len(listed)))
+        listed = _view(meta).entries
         found.extend((name, ino) for _, ino, name in listed)
+        yield from _charge_scan(mount, max(1, len(listed)))
     return found
 
 
@@ -88,7 +120,7 @@ def enter(mount: "UfsMount", dp: "Inode", name: str, ino: int
     for blkno in range(_dir_blocks(dp)):
         addr = yield from bmap.get_pointer(mount, dp, blkno)
         meta = yield from mount.metacache.bread(addr)
-        if _try_insert(meta.data, name, ino, needed):
+        if _insert(meta, name, ino, needed):
             yield from mount.meta_write(meta)
             dp.mark_dirty()
             return
@@ -100,14 +132,32 @@ def enter(mount: "UfsMount", dp: "Inode", name: str, ino: int
     )
     dp.size += mount.sb.bsize
     dp.mark_dirty()
-    if not _try_insert(meta.data, name, ino, needed):
+    if not _insert(meta, name, ino, needed):
         raise FilesystemError("fresh directory block cannot hold entry")
     yield from mount.meta_write(meta)
     yield from mount.write_inode(dp, sync=True)
 
 
-def _try_insert(block: bytearray, name: str, ino: int, needed: int) -> bool:
-    """Claim space for the entry in any DIRBLKSIZ chunk of ``block``."""
+def _insert(meta: "MetaBuf", name: str, ino: int, needed: int) -> bool:
+    """Add the entry to ``meta``'s block if it fits, and the view with it:
+    one entry placed in offset order, not a re-decode."""
+    view = _view(meta)
+    offset = _try_insert(meta.data, name, ino, needed)
+    if offset is None:
+        return False
+    insort(view.entries, (offset, ino, name))
+    if name in view.index:
+        view.reindex()  # a duplicate (corrupt block): the first must win
+    else:
+        view.index[name] = ino
+    view.image = bytes(meta.data)
+    return True
+
+
+def _try_insert(block: bytearray, name: str, ino: int, needed: int
+                ) -> int | None:
+    """Claim space for the entry in any DIRBLKSIZ chunk of ``block``;
+    returns the offset it was written at, None if no span is large enough."""
     for chunk in range(0, len(block), DIRBLKSIZ):
         offset = chunk
         while offset < chunk + DIRBLKSIZ:
@@ -116,7 +166,7 @@ def _try_insert(block: bytearray, name: str, ino: int, needed: int) -> bool:
                 # A fully free slot.
                 if reclen >= needed:
                     _write_entry(block, offset, ino, name, reclen)
-                    return True
+                    return offset
             else:
                 used = (_HEAD_SIZE + namelen + 3) & ~3
                 spare = reclen - used
@@ -124,9 +174,9 @@ def _try_insert(block: bytearray, name: str, ino: int, needed: int) -> bool:
                     # Shrink this entry; the new one takes the tail space.
                     set_dirent_reclen(block, offset, used)
                     _write_entry(block, offset + used, ino, name, spare)
-                    return True
+                    return offset + used
             offset += reclen
-    return False
+    return None
 
 
 def _write_entry(block: bytearray, offset: int, ino: int, name: str,
@@ -147,6 +197,7 @@ def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
         if hit is None:
             continue
         offset, prev_offset, ino = hit
+        view = _view(meta)
         if prev_offset is not None:
             # Merge into the predecessor's record length.
             _, prev_reclen, _ = _entry_span(meta.data, prev_offset)
@@ -154,6 +205,16 @@ def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
             set_dirent_reclen(meta.data, prev_offset, prev_reclen + reclen)
         else:
             set_dirent_ino(meta.data, offset, 0)  # ino = 0: free slot
+        # The entry found is the block's first of its name.  With one index
+        # key per entry (no name held twice) it simply leaves the index;
+        # otherwise the next entry of that name takes over.
+        entries = view.entries
+        del entries[bisect_left(entries, (offset,))]
+        if len(view.index) > len(entries):
+            del view.index[name]
+        else:
+            view.reindex()
+        view.image = bytes(meta.data)
         yield from mount.meta_write(meta)
         dp.mark_dirty()
         return ino

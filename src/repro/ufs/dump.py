@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
-    DINODE_SIZE, IFDIR, IFLNK, IFMT, IFREG, NDADDR, ROOT_INO, Dinode,
-    Superblock, iter_dirents, resolve_lbn,
+    DINODE_SIZE, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFMT, IFREG, ROOT_INO,
+    SBLOCK, SBLOCK_SECTORS, Dinode, Superblock, iter_dirents, resolve_lbn,
+    unpack_fast_symlink,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +69,7 @@ class _OfflineReader:
 
     def __init__(self, store: "DiskStore"):
         self.store = store
-        self.sb = Superblock.unpack(store.read(16, 16))
+        self.sb = Superblock.unpack(store.read(SBLOCK, SBLOCK_SECTORS))
         self.frag_sectors = self.sb.fsize // 512
 
     def _read_frags(self, frag_addr: int, nbytes: int) -> bytes:
@@ -132,11 +133,8 @@ def ufsdump(store: "DiskStore") -> DumpArchive:
                 DumpEntry(prefix, "file", reader.read_file(din))
             )
         elif kind == IFLNK:
-            fast_max = (NDADDR + 2) * 4 - 1
-            if din.size <= fast_max:
-                words = list(din.direct) + [din.indirect, din.dindirect]
-                raw = b"".join(w.to_bytes(4, "little") for w in words)
-                target = raw[:din.size]
+            if din.size <= FAST_SYMLINK_MAX:
+                target = unpack_fast_symlink(din)
             else:
                 target = reader._read_frags(din.direct[0], din.size)
             archive.entries.append(DumpEntry(prefix, "symlink", target))

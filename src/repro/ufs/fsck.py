@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
-    CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, IFDIR, IFLNK, IFMT, IFREG, NDADDR,
-    ROOT_INO, CylinderGroup, Dinode, Superblock, empty_dirblock, iter_dinodes,
-    iter_dirents, iter_ptrs, max_lbn, pack_dirent, set_dirent_ino,
+    CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFMT,
+    IFREG, NDADDR, ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Dinode,
+    Superblock, differing_bits, empty_dirblock, iter_dinodes, iter_dirents,
+    iter_ptrs, max_lbn, pack_dirent, set_dirent_ino,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,16 +59,6 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _differing_bits(found: bytes, expected: bytes) -> "Iterator[int]":
-    """Indices, ascending, of the bits on which two maps differ."""
-    diff = (int.from_bytes(found, "little")
-            ^ int.from_bytes(expected, "little"))
-    while diff:
-        low = diff & -diff
-        yield low.bit_length() - 1
-        diff ^= low
-
-
 class _Checker:
     def __init__(self, store: "DiskStore"):
         self.store = store
@@ -76,12 +67,12 @@ class _Checker:
         #: by :class:`_Repairer` when fsck runs with ``repair=True``.
         self.actions: list[tuple] = []
         self.region = store.integrity_region()
-        raw = self._read_frags_raw(16, 16)
+        raw = self._read_frags_raw(SBLOCK, SBLOCK_SECTORS)
         if self.region is None:
             self.sb = Superblock.unpack(raw)
         else:
             try:
-                if self.region.verify_range(16, raw):
+                if self.region.verify_range(SBLOCK, raw):
                     raise CorruptionError(
                         "primary superblock failed integrity check")
                 self.sb = Superblock.unpack(raw)
@@ -158,9 +149,8 @@ class _Checker:
             self.report.problem(f"inode {ino}: unknown mode {din.mode:#o}")
             self.actions.append(("clear_inode", ino))
             return
-        fast_symlink_max = (NDADDR + 2) * 4 - 1
         if kind == IFLNK:
-            if din.size <= fast_symlink_max:
+            if din.size <= FAST_SYMLINK_MAX:
                 # Fast symlink: the pointer words are target bytes.
                 if din.blocks != 0:
                     self.report.problem(
@@ -371,7 +361,7 @@ class _Checker:
             frags, inodes = self.expected_maps(cgx, cg)
             # Only where the map found differs from the map expected is
             # there anything to say, one finding per bit in ascending order.
-            for rel in _differing_bits(cg.frag_bitmap, frags):
+            for rel in differing_bits(cg.frag_bitmap, frags):
                 frag_addr = base + rel
                 if cg.frag_is_free(rel):
                     self.report.problem(
@@ -397,7 +387,7 @@ class _Checker:
                 self.report.problem(
                     f"group {cgx}: nifree {cg.nifree} but bitmap shows {nifree}"
                 )
-            for rel in _differing_bits(cg.inode_bitmap, inodes):
+            for rel in differing_bits(cg.inode_bitmap, inodes):
                 ino = cgx * sb.ipg + rel
                 if not cg.inode_is_free(rel):
                     self.report.problem(f"inode {ino} leaked in bitmap")
@@ -525,8 +515,8 @@ class _Repairer:
             elif kind == "rewrite_superblock":
                 assert self.region is not None
                 replica = self.region.sb_replica()
-                self.store.write(16, replica)
-                self.region.stamp_range(16, replica)
+                self.store.write(SBLOCK, replica)
+                self.region.stamp_range(SBLOCK, replica)
                 log.append("rewrote primary superblock from integrity replica")
         self._rebuild_maps(log)
 
@@ -564,9 +554,9 @@ class _Repairer:
         sb.cs_nbfree, sb.cs_nffree = total_nbfree, total_nffree
         sb.cs_nifree, sb.cs_ndir = total_nifree, total_ndir
         packed = sb.pack()
-        self.store.write(16, packed)
+        self.store.write(SBLOCK, packed)
         if self.region is not None:
-            self.region.stamp_range(16, packed)
+            self.region.stamp_range(SBLOCK, packed)
         log.append("rebuilt bitmaps, group counters, and superblock summary")
 
 

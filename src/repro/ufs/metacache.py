@@ -35,14 +35,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class MetaBuf:
-    """One cached block."""
+    """One cached block.
 
-    __slots__ = ("frag_addr", "data", "dirty")
+    ``view`` is a decoded form of ``data`` left by whoever decoded it (a
+    directory block's entries, :class:`repro.ufs.dir.DirView`); it carries
+    the bytes it was decoded from and is trusted only while ``data`` still
+    equals them, so no writer has to know it exists.
+    """
+
+    __slots__ = ("frag_addr", "data", "dirty", "view")
 
     def __init__(self, frag_addr: int, data: bytearray):
         self.frag_addr = frag_addr
         self.data = data
         self.dirty = False
+        self.view: Any = None
 
 
 class MetaCache:

@@ -30,8 +30,10 @@ from repro.ufs.alloc import Allocator
 from repro.ufs.inode import Inode
 from repro.ufs.metacache import MetaCache
 from repro.ufs.ondisk import (
-    DINODE_SIZE, Dinode, IFDIR, IFLNK, IFREG, NDADDR, ROOT_INO,
-    CylinderGroup, Superblock, empty_dirblock, pack_dirent, DIRBLKSIZ,
+    DINODE_SIZE, Dinode, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFREG, NDADDR,
+    ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Superblock,
+    empty_dirblock, pack_dirent, DIRBLKSIZ, pack_fast_symlink,
+    unpack_fast_symlink,
 )
 from repro.ufs.vnode import UfsVnode
 from repro.vfs.vnode import Vfs
@@ -72,12 +74,12 @@ class UfsMount(Vfs):
         #: True if the primary superblock failed its integrity check and
         #: the mount came up from the region's replica.
         self.sb_recovered = False
-        raw = store.read(16, 16)
+        raw = store.read(SBLOCK, SBLOCK_SECTORS)
         if region is None:
             self.sb = Superblock.unpack(raw)
         else:
             try:
-                if region.verify_range(16, raw):
+                if region.verify_range(SBLOCK, raw):
                     raise CorruptionError(
                         "primary superblock failed integrity check")
                 self.sb = Superblock.unpack(raw)
@@ -227,11 +229,6 @@ class UfsMount(Vfs):
         # drain whatever the drive still holds volatile.
         yield from self.flush_disk()
 
-    #: The fast-symlink capacity: the byte space of the block pointer
-    #: array in the dinode ("the space normally used for block pointers is
-    #: filled with the symlink data").
-    FAST_SYMLINK_MAX = (NDADDR + 2) * 4 - 1
-
     # -- name lookup ----------------------------------------------------------------------
     def namei(self, path: str, follow: bool = True,
               _depth: int = 0) -> Generator[Any, Any, UfsVnode]:
@@ -282,14 +279,9 @@ class UfsMount(Vfs):
         self._vnodes[ino] = vn
         encoded = target.encode()
         ip.size = len(encoded)
-        if len(encoded) <= self.FAST_SYMLINK_MAX:
+        if len(encoded) <= FAST_SYMLINK_MAX:
             # Fast symlink: pack the target into the pointer words.
-            padded = encoded.ljust((NDADDR + 2) * 4, b"\x00")
-            words = [int.from_bytes(padded[j:j + 4], "little")
-                     for j in range(0, len(padded), 4)]
-            ip.direct = words[:NDADDR]
-            ip.indirect = words[NDADDR]
-            ip.dindirect = words[NDADDR + 1]
+            ip.direct, ip.indirect, ip.dindirect = pack_fast_symlink(encoded)
             self.stats.incr("fast_symlinks")
         else:
             # Slow symlink: the target lives in a data block.
@@ -309,10 +301,8 @@ class UfsMount(Vfs):
         """The symlink's target string."""
         if not ip.is_symlink:
             raise InvalidArgumentError("not a symlink")
-        if ip.size <= self.FAST_SYMLINK_MAX:
-            words = list(ip.direct) + [ip.indirect, ip.dindirect]
-            raw = b"".join(w.to_bytes(4, "little") for w in words)
-            return raw[:ip.size].decode()
+        if ip.size <= FAST_SYMLINK_MAX:
+            return unpack_fast_symlink(ip).decode()
         meta = yield from self.metacache.bread(ip.direct[0])
         return bytes(meta.data[:ip.size]).decode()
 
@@ -481,7 +471,7 @@ class UfsMount(Vfs):
         """Free an inode's blocks; a fast symlink's "pointers" are target
         bytes and must not be fed to the allocator."""
         if ip.is_symlink:
-            if ip.size > self.FAST_SYMLINK_MAX:
+            if ip.size > FAST_SYMLINK_MAX:
                 nfrags = max(1, -(-ip.size // self.sb.fsize))
                 self.metacache.drop(ip.direct[0])
                 self.allocator.free_frags(ip, ip.direct[0], nfrags)

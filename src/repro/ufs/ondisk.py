@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import CorruptionError, InvalidArgumentError
 
@@ -31,6 +31,11 @@ NDADDR = 12  # direct block pointers per dinode
 DIRBLKSIZ = 512  # directory entries never span a 512-byte boundary
 MAX_NAMELEN = 59
 ROOT_INO = 2  # inode 0 unused, inode 1 historically bad-blocks
+#: The superblock's place: block 1 of an 8 KB-block file system (past the
+#: boot block), sector 16, one block long.  Only 8 KB blocks mount, so an
+#: offline reader finds it here before it knows the block size.
+SBLOCK = 16
+SBLOCK_SECTORS = 16
 
 # File type bits (stored in dinode.mode).
 IFREG = 0o100000
@@ -112,6 +117,17 @@ def _window(bitmap: bytearray, start: int, stop: int) -> tuple[bytearray, int]:
     if stop & 7:
         window[-1] &= (1 << (stop & 7)) - 1
     return window, first
+
+
+def differing_bits(found: bytes, expected: bytes) -> Iterator[int]:
+    """Indices, ascending, of the bits on which two maps differ (bit *i*
+    is bit ``i & 7`` of byte ``i >> 3``, as everywhere in a map)."""
+    diff = (int.from_bytes(found, "little")
+            ^ int.from_bytes(expected, "little"))
+    while diff:
+        low = diff & -diff
+        yield low.bit_length() - 1
+        diff ^= low
 
 
 def _find_free_block(bitmap: bytearray, start: int, low: int, high: int,
@@ -495,6 +511,28 @@ def set_ptr(block: bytearray, index: int, value: int) -> None:
 def iter_ptrs(block: "bytes | bytearray") -> list[int]:
     """Every pointer of a pointer block, holes included."""
     return [ptr for (ptr,) in _PTR.iter_unpack(block)]
+
+
+# A fast symlink keeps its target in the dinode's pointer words ("the space
+# normally used for block pointers is filled with the symlink data"):
+# direct[0..NDADDR), indirect, dindirect, each a little-endian u32.
+_FAST_LINK = struct.Struct("<" + "I" * (NDADDR + 2))
+#: The longest target a fast symlink holds.
+FAST_SYMLINK_MAX = _FAST_LINK.size - 1
+
+
+def pack_fast_symlink(target: bytes) -> tuple[list[int], int, int]:
+    """The pointer fields ``(direct, indirect, dindirect)`` holding
+    ``target`` (at most :data:`FAST_SYMLINK_MAX` bytes)."""
+    *direct, indirect, dindirect = _FAST_LINK.unpack(
+        target.ljust(_FAST_LINK.size, b"\x00"))
+    return direct, indirect, dindirect
+
+
+def unpack_fast_symlink(ip: "Any") -> bytes:
+    """The target of a fast symlink ``ip`` — a :class:`Dinode` or anything
+    else carrying the three pointer fields and ``size``."""
+    return _FAST_LINK.pack(*ip.direct, ip.indirect, ip.dindirect)[:ip.size]
 
 
 def lbn_path(lbn: int, bsize: int) -> tuple[int, tuple[int, ...]]:

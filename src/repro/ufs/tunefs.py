@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import InvalidArgumentError
-from repro.ufs.ondisk import Superblock
+from repro.ufs.ondisk import SBLOCK, SBLOCK_SECTORS, Superblock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.store import DiskStore
@@ -33,7 +33,7 @@ def tunefs(store: "DiskStore", rotdelay_ms: float | None = None,
     """
     from repro.integrity.checksum import IntegrityRegion
 
-    sb = Superblock.unpack(store.read(16, 16))
+    sb = Superblock.unpack(store.read(SBLOCK, SBLOCK_SECTORS))
     if rotdelay_ms is not None:
         if rotdelay_ms < 0:
             raise InvalidArgumentError("rotdelay must be >= 0")
@@ -46,7 +46,7 @@ def tunefs(store: "DiskStore", rotdelay_ms: float | None = None,
         if not 0 <= minfree_pct < 50:
             raise InvalidArgumentError("minfree must be in [0, 50)")
         sb.minfree = minfree_pct
-    store.write(16, sb.pack())
+    store.write(SBLOCK, sb.pack())
     region = IntegrityRegion.find(store)
     if checksums is True and region is None:
         # create() raises InvalidArgumentError if the slack is too small.
@@ -57,5 +57,5 @@ def tunefs(store: "DiskStore", rotdelay_ms: float | None = None,
         region = None
     elif region is not None:
         # The superblock rewrite above must keep its record fresh.
-        region.stamp_range(16, sb.pack())
+        region.stamp_range(SBLOCK, sb.pack())
     return sb

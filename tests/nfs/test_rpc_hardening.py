@@ -10,6 +10,7 @@ from repro.faults import NetFaultPlan
 from repro.faults.netplan import DOWN, UP
 from repro.kernel import Proc, SystemConfig
 from repro.nfs import RttEstimator, build_world
+from repro.sim.engine import SimulationError
 from repro.units import KB
 
 
@@ -273,6 +274,29 @@ def test_hard_mount_survives_a_finite_partition():
     assert client.now > 1.6  # it really waited the partition out
     assert mount.stats["retransmits"] >= 1
     assert plan.stats["partition_drops"] >= 1
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_server_bug_is_not_a_lost_packet(soft):
+    """A handler that crashes is a simulation bug, not a lost reply: the
+    run stops on it, naming the transmission, instead of a hard mount
+    retransmitting forever or a soft one reporting ETIMEDOUT."""
+    client, _server, mount = small_world(soft=soft, timeo=0.2, retrans=5)
+    proc, fd = _prepare_file(client, mount)
+    client.pagecache.vnode_invalidate(client.run(mount.namei("/f")))
+
+    def buggy_read(**_args):
+        raise RuntimeError("server bug")
+        yield  # a generator, like the handler it replaces
+
+    mount.server._op_read = buggy_read
+    engine = client.engine
+    engine.process(proc.pread(fd, 8 * KB, 0), name="reader")
+    with pytest.raises(SimulationError, match=r"'rpc-read-x\d+t1' crashed"
+                       ) as caught:
+        engine.run(until=engine.now + 60)  # bounds the hard mount's loop
+    assert isinstance(caught.value.__cause__, RuntimeError)
+    assert mount.stats["retransmits"] == 0
 
 
 def test_server_crash_reboot_drops_calls_and_cold_starts_drc():

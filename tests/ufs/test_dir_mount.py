@@ -112,6 +112,21 @@ def test_mkdir_rmdir_link_counts(system, proc):
     assert root.nlink == 2
 
 
+def test_mkdir_after_rmdir_reuses_the_freed_block(system, proc):
+    """rmdir frees the directory's block; the next mkdir is handed the same
+    block and installs a fresh buffer for it, which the buffer cache
+    refused while the dead directory's buffer was still cached."""
+    def work():
+        yield from proc.mkdir("/sub")
+        yield from proc.rmdir("/sub")
+        yield from proc.mkdir("/sub")
+        return (yield from proc.readdir("/sub"))
+
+    assert [name for name, _ in system.run(work())] == [".", ".."]
+    system.sync()
+    assert fsck(system.store).clean
+
+
 def test_rmdir_nonempty_rejected(system, proc):
     def work():
         yield from proc.mkdir("/d")
