@@ -4,9 +4,12 @@ Commands:
 
 * ``iobench [--configs ABCD] [--file-mb 16]`` — run the paper's figure 10
   benchmark and print the measured-vs-paper tables;
-* ``cpubench`` — the figure 12 CPU comparison;
-* ``musbus [--users 4]`` — the timesharing mix;
-* ``traces`` — print the figure 3/6/7 event-trace diagrams;
+* ``report [--id ID ...]`` — the experiment table
+  (``repro.bench.experiments``): run every row, print each with a verdict
+  per cell, exit 1 on a cell outside its band, and write
+  ``BENCH_experiments.json``, the documents rows own, RESULTS.md and
+  EXPERIMENTS.md's generated blocks; ``--id`` runs only the named rows and
+  writes nothing;
 * the five campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
   from it at the end of this docstring — all take ``[--seed 0]
   [--sanitize] [--json [PATH]]``, exit 0 when every invariant held, 1 on
@@ -141,35 +144,11 @@ def _cmd_iobench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cpubench(args: argparse.Namespace) -> int:
-    from repro.bench import run_cpu_bench
-    from repro.bench.report import PAPER_FIGURE_12
-    from repro.kernel import SystemConfig
-
-    for label, cfg in (("new", SystemConfig.config_a()),
-                       ("old", SystemConfig.config_d())):
-        r = run_cpu_bench(cfg)
-        print(f"{label}: {r.cpu_seconds:.2f} CPU s "
-              f"(paper: {PAPER_FIGURE_12[label]}) over {r.elapsed:.1f} s "
-              f"elapsed")
-    return 0
-
-
-def _cmd_musbus(args: argparse.Namespace) -> int:
-    from repro.bench import run_musbus
-    from repro.kernel import SystemConfig
-
-    for name in ("A", "D"):
-        r = run_musbus(SystemConfig.by_name(name), users=args.users)
-        print(f"config {name}: {r.elapsed:.2f} s elapsed, "
-              f"{r.throughput:.2f} scripts/s")
-    return 0
-
-
 def _checkout_file(command: str, *parts: str) -> "Path | None":
     """A file of the checkout that holds this package (``src/repro`` sits
     two levels below its root), whatever the working directory; an
-    installed package has no ``examples/`` or ``benchmarks/`` beside it."""
+    installed package has no ``examples/`` or ``EXPERIMENTS.md`` beside
+    it."""
     path = Path(__file__).resolve().parents[2].joinpath(*parts)
     if path.is_file():
         return path
@@ -178,33 +157,30 @@ def _checkout_file(command: str, *parts: str) -> "Path | None":
     return None
 
 
-def _cmd_traces(args: argparse.Namespace) -> int:
-    import subprocess
-
-    bench = _checkout_file("traces", "benchmarks",
-                           "bench_fig03_06_07_traces.py")
-    if bench is None:
-        return 2
-    return subprocess.call([
-        sys.executable, "-m", "pytest", "-q", "-s", "--benchmark-only",
-        str(bench),
-    ])
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.bench.collect import collect_results
-    from repro.units import MB
+    from repro.bench import report
+    from repro.bench.experiments import EXPERIMENTS
 
-    results = collect_results(list(args.configs.upper()),
-                              file_size=args.file_mb * MB)
-    text = results.to_markdown()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 0
+    unknown = [i for i in args.id if i not in EXPERIMENTS]
+    if unknown:
+        print(f"report: unknown experiment {unknown[0]!r} (one of "
+              f"{', '.join(EXPERIMENTS)})", file=sys.stderr)
+        return 2
+    target = None
+    if not args.id:  # a full run rewrites the checkout's documents
+        target = _checkout_file("report", "EXPERIMENTS.md")
+        if target is None:
+            return 2
+    document, owned = report.run_experiments(
+        [EXPERIMENTS[i] for i in args.id or EXPERIMENTS])
+    if target is not None:
+        report.publish(target.parent, document, owned)
+    problems = report.failures(document)
+    for line in problems:
+        print(f"FAILED: {line}")
+    if not problems:
+        print("OK: every cell inside its band")
+    return 1 if problems else 0
 
 
 class CampaignCommand(NamedTuple):
@@ -534,20 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run with the cross-layer invariant sanitizer on")
     p.set_defaults(fn=_cmd_iobench)
 
-    p = sub.add_parser("cpubench", help="figure 12 CPU comparison")
-    p.set_defaults(fn=_cmd_cpubench)
-
-    p = sub.add_parser("musbus", help="timesharing mix")
-    p.add_argument("--users", type=int, default=4)
-    p.set_defaults(fn=_cmd_musbus)
-
-    p = sub.add_parser("traces", help="figure 3/6/7 trace diagrams")
-    p.set_defaults(fn=_cmd_traces)
-
-    p = sub.add_parser("report", help="regenerate RESULTS.md")
-    p.add_argument("--configs", default="ABCD")
-    p.add_argument("--file-mb", type=int, default=16)
-    p.add_argument("--output", default="")
+    p = sub.add_parser("report",
+                       help="run the experiment table; regenerate "
+                            "BENCH_experiments.json, RESULTS.md and "
+                            "EXPERIMENTS.md's numbers")
+    p.add_argument("--id", action="append", default=[], metavar="ID",
+                   help="run only this row (repeatable); prints, writes "
+                        "nothing")
     p.set_defaults(fn=_cmd_report)
 
     for row in CAMPAIGNS:

@@ -1,5 +1,8 @@
 """Benchmark harnesses reproducing the paper's evaluation.
 
+* :mod:`experiments` — the experiment table: one row per experiment, every
+  published number with the paper's value and a two-sided band
+  (``python -m repro report``);
 * :mod:`iobench` — the IObench workload (figure 10's FSR/FSU/FSW/FRR/FRU
   columns) over the figure 9 configurations;
 * :mod:`cpubench` — the mmap-interface CPU comparison (figure 12);
@@ -12,7 +15,6 @@
 """
 
 from repro.bench.agefs import age_filesystem, measure_extents
-from repro.bench.collect import Results, collect_results
 from repro.bench.cpubench import CpuBenchResult, run_cpu_bench
 from repro.bench.iobench import IObench, IObenchResult
 from repro.bench.musbus import MusbusResult, run_musbus
@@ -20,8 +22,6 @@ from repro.bench.report import Table, ratio_table
 
 __all__ = [
     "CpuBenchResult",
-    "Results",
-    "collect_results",
     "IObench",
     "IObenchResult",
     "MusbusResult",

@@ -1,8 +1,28 @@
-"""Paper-style tables and paper-vs-measured comparison helpers."""
+"""Paper-style tables and paper-vs-measured comparison helpers, and the
+report of the experiment table (``python -m repro report``).
+
+:func:`run_experiments` runs rows of :mod:`repro.bench.experiments` into
+one ``repro-bench/v1`` document, ``BENCH_experiments.json``, and
+:func:`publish` writes it with the documents those rows own.  Everything
+else here is a pure function of that document: a verdict per cell
+(:func:`holds`, :func:`failures`), a row as markdown (:func:`render_block`),
+RESULTS.md (:func:`render_results`) and EXPERIMENTS.md's generated blocks
+(:func:`splice`) — so tier-1 checks the docs against the committed JSON
+without simulating anything."""
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Callable
+
+from repro.obs.bench import (
+    bench_document, canonical_json, write_document, write_text,
+)
+
+DOCUMENT = "BENCH_experiments.json"
 
 #: The paper's figure 10, for side-by-side comparison (KB/second).
 PAPER_FIGURE_10 = {
@@ -85,3 +105,115 @@ def compare_to_paper(measured: dict, paper: dict, label: str) -> Table:
                           [measured[row][c] for c in columns])
         table.add_row(f"{row} (paper)", [paper_vals[c] for c in columns])
     return table
+
+
+# -- the experiments document ---------------------------------------------------
+
+def fmt(value: Any) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.0f}" if abs(value) >= 100 else f"{value:.3g}"
+    return str(value)
+
+
+def holds(cell: dict) -> bool:
+    lo, hi = cell["band"]
+    try:
+        return lo <= cell["value"] <= hi
+    except TypeError:  # a string where a number belongs, or the reverse
+        return False
+
+
+def band_text(band) -> str:
+    lo, hi = band
+    return "exact" if lo == hi else f"{fmt(lo)} – {fmt(hi)}"
+
+
+def failures(document: dict) -> "list[str]":
+    """One line per cell outside its band: row, cell, value, band, reason."""
+    return [f"{row_id} / {c['name']}: {fmt(c['value'])} outside "
+            f"{band_text(c['band'])} ({c['reason']})"
+            for row_id, entry in document["results"].items()
+            for c in entry["cells"] if not holds(c)]
+
+
+def render_block(entry: dict, verdicts: bool = False) -> str:
+    """A row as a markdown table under its workload; with ``verdicts`` a
+    last column says whether each cell holds its band."""
+    head = "| cell | ours | paper | band |" + (" verdict |" if verdicts else "")
+    lines = [f"*{entry['workload']}*", "", head,
+             "|---" * (5 if verdicts else 4) + "|"]
+    for c in entry["cells"]:
+        lines.append(f"| {c['name']} | {fmt(c['value'])} | {fmt(c['paper'])} "
+                     f"| {band_text(c['band'])} |"
+                     + (f" {'ok' if holds(c) else 'OUT'} |" if verdicts
+                        else ""))
+    return "\n".join(lines) + "\n"
+
+
+def render_results(document: dict) -> str:
+    """RESULTS.md: every row of the document, in the order it ran."""
+    parts = ["# RESULTS (generated)\n\n"
+             "Every measured number of the reproduction, one table per "
+             "experiment, rendered by `python -m repro report` from "
+             "`BENCH_experiments.json`. EXPERIMENTS.md reads them against "
+             "the paper.\n"]
+    for row_id in document["run"]["rows"]:
+        entry = document["results"][row_id]
+        parts.append(f"\n## {row_id} — {entry['paper_section']}\n\n"
+                     + render_block(entry))
+    return "".join(parts)
+
+
+BLOCK = re.compile(r"(<!-- experiment (\S+) -->\n).*?(<!-- /experiment -->)",
+                   re.S)
+
+
+def splice(text: str, document: dict) -> str:
+    """``text`` with every generated block re-rendered from ``document``."""
+    return BLOCK.sub(lambda m: m.group(1) + render_block(
+        document["results"][m.group(2)]) + m.group(3), text)
+
+
+def measure(row, sections: dict) -> dict:
+    """Run one :class:`~repro.bench.experiments.Experiment`: its entry in
+    the experiments document."""
+    values = row.run(sections)
+    if set(values) != {cell.name for cell in row.cells}:
+        raise ValueError(f"{row.id}: run measured {sorted(values)}, the row "
+                         f"declares {[cell.name for cell in row.cells]}")
+    return {"paper_section": row.paper_section, "workload": row.workload,
+            "cells": [{"name": c.name, "value": values[c.name],
+                       "paper": c.paper, "band": list(c.band),
+                       "reason": c.reason} for c in row.cells]}
+
+
+def run_experiments(rows, say: Callable[[str], None] = print):
+    """Run ``rows`` in order, printing each with its verdicts: the
+    experiments document, and ``{file: (run, results)}`` of the documents
+    those rows own."""
+    results, owned = {}, {}
+    for row in rows:
+        sections: dict = {}
+        results[row.id] = measure(row, sections)
+        say(f"{row.id} — {row.paper_section}\n"
+            + render_block(results[row.id], verdicts=True))
+        if row.document:
+            owned[row.document[0]] = (row.document[1], sections)
+    return bench_document(
+        {"benchmark": "experiments", "rows": [row.id for row in rows]},
+        results), owned
+
+
+def publish(root: Path, document: dict, owned: dict,
+            say: Callable[[str], None] = print) -> None:
+    """Write the experiments document, the documents its rows own,
+    RESULTS.md and EXPERIMENTS.md's blocks under ``root``."""
+    write_document(root / DOCUMENT, document["run"], document["results"], say)
+    for name, (run, results) in owned.items():
+        write_document(root / name, run, results, say)
+    committed = json.loads(canonical_json(document))
+    write_text(root / "RESULTS.md", render_results(committed), say)
+    experiments = root / "EXPERIMENTS.md"
+    write_text(experiments, splice(experiments.read_text(), committed), say)

@@ -124,16 +124,3 @@ def test_musbus_small_run():
     assert result.elapsed > 0
     assert result.throughput > 0
     assert 0 < result.cpu_util < 1
-
-
-# -- results collection -----------------------------------------------------------
-
-def test_collect_results_small():
-    from repro.bench import collect_results
-
-    results = collect_results(configs=["A"], file_size=1 * MB)
-    assert "A" in results.figure10
-    assert set(results.figure10["A"]) == set(PHASES)
-    assert results.figure12["new"] > 0 and results.figure12["old"] > 0
-    text = results.to_markdown()
-    assert "Figure 10" in text and "Figure 12" in text and "MusBus" in text

@@ -1,0 +1,76 @@
+"""The experiment table against its committed document.
+
+``python -m repro report`` runs every row of
+:mod:`repro.bench.experiments` into ``BENCH_experiments.json`` and renders
+RESULTS.md and EXPERIMENTS.md's generated blocks from it.  All but the last
+test here read files only: the docs must be that rendering byte for byte,
+every committed value must sit in its band, and the committed cells must be
+the registry's — so a hand-edited digit, a band changed without a re-run or
+a stale document fails without a simulated second.  The last one shows a
+band catching a model change: a doubled page-fault cost fails figure 12.
+"""
+
+import json
+from pathlib import Path
+
+from repro.bench import report
+from repro.bench.experiments import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parents[2]
+DOCUMENT = json.loads((ROOT / report.DOCUMENT).read_text())
+
+
+def test_results_and_experiments_md_are_the_documents_rendering():
+    assert report.render_results(DOCUMENT) == (
+        ROOT / "RESULTS.md").read_text()
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    assert report.splice(text, DOCUMENT) == text
+    rendered = {m.group(2) for m in report.BLOCK.finditer(text)}
+    assert rendered == set(EXPERIMENTS), "every row has one block"
+
+
+def test_every_committed_cell_is_inside_its_band():
+    assert report.failures(DOCUMENT) == []
+
+
+def test_the_committed_rows_are_the_registrys():
+    assert DOCUMENT["run"]["rows"] == list(EXPERIMENTS)
+    for row_id, row in EXPERIMENTS.items():
+        entry = DOCUMENT["results"][row_id]
+        assert (entry["paper_section"], entry["workload"]) == (
+            row.paper_section, row.workload), row_id
+        assert [(c["name"], c["paper"], c["band"], c["reason"])
+                for c in entry["cells"]] == [
+            (c.name, c.paper, list(c.band), c.reason) for c in row.cells], (
+            f"{row_id}: re-run python -m repro report")
+
+
+def test_every_band_is_two_sided_with_a_reason_and_catches_a_30pct_drift():
+    for row_id, entry in DOCUMENT["results"].items():
+        for c in entry["cells"]:
+            where, (lo, hi), value = (row_id, c["name"]), c["band"], c["value"]
+            assert c["reason"], where
+            if lo == hi:  # a trace, a digest, or a count that must be zero
+                assert isinstance(value, str) or value in (0, 1), where
+                continue
+            assert lo < hi, where
+            for drifted in (value * 0.7, value * 1.3):
+                assert not lo <= drifted <= hi, where
+
+
+def test_a_doubled_fault_cost_fails_figure_12_by_row_and_cell(
+        monkeypatch, capsys):
+    from repro.__main__ import main
+    from repro.cpu.costs import CostTable
+
+    init = CostTable.__init__
+
+    def doubled_fault(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.fault *= 2
+
+    monkeypatch.setattr(CostTable, "__init__", doubled_fault)
+    assert main(["report", "--id", "fig12"]) == 1
+    out = capsys.readouterr().out
+    assert "| new CPU (s) | 4 | 2.6 | 2.4 – 2.95 | OUT |" in out
+    assert "FAILED: fig12 / new CPU (s): 4 outside 2.4 – 2.95 (" in out

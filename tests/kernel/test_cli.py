@@ -3,7 +3,7 @@
 They call :func:`repro.__main__.main` in-process and read ``capsys``: an
 interpreter per command line was 15 s of tier-1 in start-up alone.  Two
 tests keep their subprocess because the process is what they test: the
-working directory of ``demo`` / ``traces``, and what ``bench`` imports.
+working directory of ``demo`` / ``report --id``, and what ``bench`` imports.
 """
 
 import json
@@ -58,15 +58,21 @@ def test_cli_help(cli):
 
 
 def test_cli_cpubench(cli):
-    result = cli("cpubench")
-    assert result.returncode == 0
-    assert "new:" in result.stdout and "old:" in result.stdout
+    """Figure 12 through ``report --id``: every cell inside its band (the
+    same row fails with a doubled fault cost:
+    ``tests/bench/test_experiments.py``), printed, nothing written."""
+    result = cli("report", "--id", "fig12")
+    assert result.returncode == 0, result.stdout
+    assert "fig12 — Fig. 12" in result.stdout
+    assert "| new CPU (s) | 2.67 | 2.6 |" in result.stdout
+    assert result.stdout.endswith("OK: every cell inside its band\n")
+    assert "wrote" not in result.stdout
 
 
 def test_cli_musbus(cli):
-    result = cli("musbus", "--users", "2")
-    assert result.returncode == 0
-    assert "config A" in result.stdout
+    result = cli("report", "--id", "musbus")
+    assert result.returncode == 0, result.stdout
+    assert "| D/A elapsed | 0.997 |" in result.stdout
 
 
 def test_cli_faultcampaign_smoke(cli):
@@ -132,14 +138,18 @@ def test_cli_every_campaign_speaks_the_one_envelope(row, cli):
 
 
 def test_cli_demo_and_traces_run_outside_the_checkout(tmp_path):
-    """Both resolve their file against the checkout that holds the
-    package, not against the working directory."""
+    """``demo`` resolves its file against the checkout that holds the
+    package, not the working directory; ``report --id`` (the figure 3/6/7
+    traces here) needs no checkout and writes nothing where it runs."""
     demo = run_cli("demo", cwd=tmp_path, env=OUTSIDE_ENV)
     assert demo.returncode == 0, demo.stderr
     assert "fsck: CLEAN" in demo.stdout
-    traces = run_cli("traces", cwd=tmp_path, env=OUTSIDE_ENV)
+    traces = run_cli("report", "--id", "fig3_6_7", cwd=tmp_path,
+                     env=OUTSIDE_ENV)
     assert traces.returncode == 0, traces.stdout + traces.stderr
-    assert "not found" not in traces.stdout + traces.stderr
+    assert ("| fig. 7 writes | lie / lie / push 0,..,2 / lie / lie / push "
+            "3,..,5 |") in traces.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
@@ -192,8 +202,10 @@ def never_simulates(monkeypatch):
      "bench: option 'chunk' does not apply to a concat layout"),
     (["iobench", "--layout", "stripe:2:read=shortest"],
      "iobench: option 'read' does not apply to a stripe layout"),
+    (["report", "--id", "fig12", "--id", "fig99"],
+     "report: unknown experiment 'fig99'"),
 ], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
-        "bench-stray-option", "iobench-stray-option"])
+        "bench-stray-option", "iobench-stray-option", "report-unknown-id"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)

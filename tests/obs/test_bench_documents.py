@@ -4,8 +4,9 @@ Before ``write_document`` five benchmarks hand-wrote five shapes with no
 schema and no id, so when later PRs added fields nobody re-recorded and
 nothing could notice.  The id is a content hash: a document edited by hand,
 or written by anything but :mod:`repro.obs.bench`, fails here without a
-single simulated second.  (CI re-runs the emitters and diffs the files;
-that is the check that the numbers are still today's.)
+single simulated second.  (CI re-runs ``python -m repro report`` and
+``repro bench`` and diffs the files; that is the check that the numbers are
+still today's.)
 """
 
 import json
@@ -24,10 +25,10 @@ DOCUMENTS = sorted(ROOT.glob("BENCH_*.json"))
 RUN = {"benchmark": "toy", "file_mb": 1}
 
 
-def test_the_committed_documents_are_the_five_known():
+def test_the_committed_documents_are_the_six_known():
     assert [p.name for p in DOCUMENTS] == [
-        "BENCH_baseline.json", "BENCH_pipeline.json", "BENCH_scrub.json",
-        "BENCH_trace.json", "BENCH_volume.json"]
+        "BENCH_baseline.json", "BENCH_experiments.json", "BENCH_pipeline.json",
+        "BENCH_scrub.json", "BENCH_trace.json", "BENCH_volume.json"]
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.name)

@@ -15,20 +15,35 @@ def test_top_level_files_exist(name):
     assert (ROOT / name).is_file(), f"missing {name}"
 
 
-def test_design_references_real_benchmarks():
+def design_index_ids():
+    """The experiment ids in the first column of DESIGN.md's §4 index."""
     text = (ROOT / "DESIGN.md").read_text()
-    for match in set(re.findall(r"bench_[a-z0-9_]+\.py", text)):
-        assert (ROOT / "benchmarks" / match).is_file(), (
-            f"DESIGN.md references missing benchmark {match}"
-        )
+    index = text.split("## 4. Per-experiment index")[1].split("\n## ")[0]
+    return re.findall(r"^\| `([a-z0-9_]+)` \|", index, re.M)
+
+
+def test_design_references_real_benchmarks():
+    """Every experiment DESIGN.md's index names is a registry row."""
+    from repro.bench.experiments import EXPERIMENTS
+
+    ids = design_index_ids()
+    assert ids, "DESIGN.md's experiment index names no experiment"
+    for row_id in ids:
+        assert row_id in EXPERIMENTS, (
+            f"DESIGN.md indexes unknown experiment {row_id}")
 
 
 def test_experiments_references_real_benchmarks():
-    text = (ROOT / "EXPERIMENTS.md").read_text()
-    for match in set(re.findall(r"bench_[a-z0-9_]+\.py", text)):
-        assert (ROOT / "benchmarks" / match).is_file(), (
-            f"EXPERIMENTS.md references missing benchmark {match}"
-        )
+    """Every generated block of EXPERIMENTS.md names a registry row."""
+    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.report import BLOCK
+
+    ids = [m.group(2) for m in BLOCK.finditer(
+        (ROOT / "EXPERIMENTS.md").read_text())]
+    assert ids, "EXPERIMENTS.md has no generated block"
+    for row_id in ids:
+        assert row_id in EXPERIMENTS, (
+            f"EXPERIMENTS.md renders unknown experiment {row_id}")
 
 
 def test_readme_references_real_examples():
@@ -40,12 +55,12 @@ def test_readme_references_real_examples():
 
 
 def test_every_benchmark_is_indexed_in_design():
-    design = (ROOT / "DESIGN.md").read_text()
-    experiments = (ROOT / "EXPERIMENTS.md").read_text()
-    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-        assert bench.name in design or bench.name in experiments, (
-            f"{bench.name} is not indexed in DESIGN.md or EXPERIMENTS.md"
-        )
+    """Every registry row has a line in DESIGN.md's experiment index."""
+    from repro.bench.experiments import EXPERIMENTS
+
+    indexed = set(design_index_ids())
+    for row_id in EXPERIMENTS:
+        assert row_id in indexed, f"{row_id} is not indexed in DESIGN.md"
 
 
 def test_every_example_is_listed_in_readme():
