@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``iobench [--configs ABCD] [--file-mb 16]`` — run the paper's figure 10
-  benchmark and print the measured-vs-paper tables;
+* ``iobench [--configs AD] [--file-mb 16]`` — run the paper's figure 10
+  benchmark and print its figure 10/11 cells beside the paper's values
+  and the ``fig10_11`` row's bands, then the run's request latencies;
 * ``report [--id ID ...]`` — the experiment table
   (``repro.bench.experiments``): run every row, print each with a verdict
   per cell, exit 1 on a cell outside its band, and write
@@ -22,13 +23,15 @@ Commands:
   snapshot + layer time attribution), byte-identical across same-seed
   runs, optionally gated against a committed baseline (exit 1 on a >10%
   headline regression or attribution blowup);
-* ``trace {analyze|chrome|flamegraph|series}`` — trace analytics: run a
-  seeded iobench phase (or ingest an existing ``--trace-jsonl`` file)
-  and either print the critical-path report with per-layer blame
+* ``trace {analyze|chrome|flamegraph|jsonl|series}`` — trace analytics:
+  run a seeded iobench phase (or ingest an existing ``--trace-jsonl``
+  file) and either print the critical-path report with per-layer blame
   (``analyze``), export Chrome trace-event JSON for ``chrome://tracing``
   / Perfetto (``chrome``), export collapsed folded stacks for flamegraph
-  tools (``flamegraph``), or record simulated-time telemetry series of
-  selected metrics namespaces (``series``);
+  tools (``flamegraph``), export the records and spans as JSON lines and
+  print one traced read as a span tree (``jsonl``), or record
+  simulated-time telemetry series of selected metrics namespaces
+  (``series``);
 * ``demo`` — a short guided tour (quickstart + fsck).
 
 ``iobench`` and every campaign accept ``--sanitize`` to run with the
@@ -38,7 +41,8 @@ sets the default.
 
 Every command with ``--json`` accepts it bare (or as ``--json -``) to
 write the JSON document to **stdout** with all human progress routed to
-stderr, so ``python -m repro <cmd> --json | jq .`` just works.
+stderr, so ``python -m repro <cmd> --json | jq .`` just works; ``trace
+--out -`` does the same for an export.
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 
 def _emit(args: argparse.Namespace):
-    """The human-output printer for commands that take ``--json``.
+    """The human-output printer for commands that can write a document.
 
-    When the JSON document itself goes to stdout (``--json -``), every
-    progress/verdict line moves to stderr so stdout stays parseable.
+    When the document itself goes to stdout (``--json -``, ``--out -``),
+    every progress/verdict line moves to stderr so stdout stays parseable.
     """
-    if getattr(args, "json", "") == "-":
+    if "-" in (getattr(args, "json", ""), getattr(args, "out", "")):
         return lambda *a, **k: print(*a, file=sys.stderr, **k)
     return print
 
@@ -68,79 +72,54 @@ def _add_json_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
                          "output then goes to stderr)")
 
 
-def _presets(command: str, args: argparse.Namespace):
-    """The figure 9 rows ``--configs`` names, ``--scheduler`` / ``--layout``
-    applied; None (after one stderr line) when a row or the layout does
-    not exist, so the command can exit 2 before it simulates anything."""
+def _benches(command: str, args: argparse.Namespace, configs, **kwargs):
+    """One IObench of ``--file-mb`` MB per figure 9 row ``configs`` names,
+    ``--scheduler`` / ``--layout`` applied where the command has them;
+    None (after one stderr line) when a row, the layout or a size is bad,
+    so the command can exit 2 before it simulates anything."""
+    from repro.bench.iobench import IObench
     from repro.disk.volume import VolumeSpec
     from repro.errors import InvalidArgumentError
     from repro.kernel import SystemConfig
+    from repro.units import MB
 
+    scheduler = getattr(args, "scheduler", "")
+    layout = getattr(args, "layout", "")
     try:
-        VolumeSpec.parse(args.layout)
-        return [SystemConfig.preset(name, args.scheduler, args.layout)
-                for name in args.configs.upper()]
+        VolumeSpec.parse(layout)
+        return [IObench(SystemConfig.preset(name, scheduler, layout),
+                        file_size=args.file_mb * MB, **kwargs)
+                for name in configs]
     except (ValueError, InvalidArgumentError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_iobench(args: argparse.Namespace) -> int:
-    from repro.bench.iobench import IObench, format_member_table
-    from repro.bench.report import PAPER_FIGURE_10, compare_to_paper, ratio_table
-    from repro.units import MB
+    from repro.bench.experiments import EXPERIMENTS, fig10_11_cells
+    from repro.bench.iobench import pipeline_lines
+    from repro.bench.report import entry, render_block
 
-    presets = _presets("iobench", args)
-    if presets is None:
+    benches = _benches("iobench", args, args.configs,
+                       sanitize=True if args.sanitize else None)
+    if benches is None:
         return 2
-    names = list(args.configs.upper())
-    tracing = bool(args.trace_jsonl)
+    names = args.configs.upper()
     where = f" on layout {args.layout}" if args.layout else ""
     print(f"running IObench on configurations {', '.join(names)}{where} "
           f"({args.file_mb} MB file; this simulates a few minutes of 1991)...")
-    results = {}
-    benches = []
-    pipelines = []
-    for name, preset in zip(names, presets):
-        bench = IObench(preset, file_size=args.file_mb * MB,
-                        trace_phase="FSR" if tracing and not benches else None,
-                        sanitize=True if args.sanitize else None)
-        full = bench.run()
-        results[name] = full.rates
-        benches.append(bench)
-        if not pipelines:
-            pipelines.append(full.pipeline)
-    print()
-    print(compare_to_paper(results, PAPER_FIGURE_10, "Figure 10 (KB/s)"))
-    if len(results) > 1 and "A" in results:
-        print()
-        print(ratio_table(results))
+    runs = {name: bench.run() for name, bench in zip(names, benches)}
     first = benches[0]
-    assert first.system is not None
-    report = first.system.requests.report()
+    block = entry(EXPERIMENTS["fig10_11"], fig10_11_cells(runs)) | {
+        "workload": f"IObench on {', '.join(runs)}{where}: {args.file_mb} MB "
+                    f"file, {first.random_ops} random 8 KB ops, "
+                    f"seed {first.seed}"}
     print()
-    print(f"pipeline (config {names[0]}, "
-          f"layout={first.system.volume.describe()}, "
-          f"scheduler={first.system.driver.scheduler_name}):")
-    for kind, summary in report["latency"].items():
-        print(f"  {kind:10s} n={summary['count']:<6.0f} "
-              f"mean={summary['mean'] * 1e3:8.3f}ms "
-              f"p95={summary['p95'] * 1e3:8.3f}ms "
-              f"p99={summary['p99'] * 1e3:8.3f}ms")
-    members = pipelines[0].get("members") if pipelines else None
-    if members:
-        print(f"\nper-member pipeline (config {names[0]}):")
-        print(format_member_table(members))
-    if tracing:
-        tracer = first.system.tracer
-        lines = tracer.export_jsonl(args.trace_jsonl)
-        print(f"\nwrote {lines} trace lines to {args.trace_jsonl}")
-        # Show the first traced read that actually went to the disk.
-        for root in tracer.span_roots():
-            if root.name == "read" and root.fields.get("ios"):
-                print("\none traced read, as a span tree:")
-                print(tracer.render_spans(root))
-                break
+    print(render_block(block))
+    system = first.system
+    print(f"pipeline (config {names[0]}, layout={system.volume.describe()}, "
+          f"scheduler={system.driver.scheduler_name}):")
+    print("\n".join(pipeline_lines(system.metrics.snapshot())))
     return 0
 
 
@@ -315,6 +294,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_simcheck(args: argparse.Namespace) -> int:
     from repro.sim.simcheck import run_simcheck
 
+    if _benches("simcheck", args, [args.config], random_ops=args.ops) is None:
+        return 2
     return run_simcheck(config_name=args.config.upper(),
                         file_mb=args.file_mb, random_ops=args.ops,
                         trace_phase=args.trace_phase, seed=args.seed,
@@ -327,7 +308,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.bench import diff_documents, run_bench, write_json
     from repro.obs.gate import check_gate
 
-    if _presets("bench", args) is None:
+    if _benches("bench", args, args.configs, random_ops=args.ops) is None:
         return 2
     baseline = None
     if args.baseline:
@@ -364,31 +345,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if gate.ok else 1
 
 
-def _trace_bench(args: argparse.Namespace, say,
-                 telemetry_interval: "float | None" = None,
-                 telemetry_namespaces: "list[str] | None" = None):
+def _trace_bench(args: argparse.Namespace, say, **telemetry):
     """Run the seeded iobench the trace subcommands analyze; returns the
-    bench (its system carries the tracer and any telemetry recorder)."""
-    from repro.bench.iobench import IObench
-    from repro.kernel import SystemConfig
-    from repro.units import MB
-
+    bench (its system carries the tracer and any telemetry recorder), or
+    None after one stderr line when a size is bad."""
+    benches = _benches("trace", args, [args.config], random_ops=args.ops,
+                       seed=args.seed, trace_phase=args.phase, **telemetry)
+    if benches is None:
+        return None
     say(f"running IObench config {args.config.upper()} "
         f"({args.file_mb} MB file, {args.ops} random ops, "
         f"seed {args.seed}; tracing phase {args.phase})...")
-    bench = IObench(SystemConfig.by_name(args.config.upper()),
-                    file_size=args.file_mb * MB, random_ops=args.ops,
-                    seed=args.seed, trace_phase=args.phase,
-                    telemetry_interval=telemetry_interval,
-                    telemetry_namespaces=telemetry_namespaces)
-    bench.run()
-    return bench
+    benches[0].run()
+    return benches[0]
 
 
 def _trace_source(args: argparse.Namespace, say):
     """The tracer to analyze: an ingested ``--trace-jsonl`` file, or a
     fresh seeded iobench run.  None (after one stderr line) when the file
-    is unreadable or not a complete trace."""
+    is unreadable or not a complete trace, or the run's sizes are bad."""
     from repro.sim.trace import load_jsonl
 
     if args.trace_jsonl:
@@ -402,8 +377,7 @@ def _trace_source(args: argparse.Namespace, say):
             f"{len(tracer.records)} records from {args.trace_jsonl}")
         return tracer
     bench = _trace_bench(args, say)
-    assert bench.system is not None
-    return bench.system.tracer
+    return None if bench is None else bench.system.tracer
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -426,6 +400,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         bench = _trace_bench(args, say,
                              telemetry_interval=args.interval_ms / 1e3,
                              telemetry_namespaces=namespaces)
+        if bench is None:
+            return 2
         recorder = bench.telemetry
         assert recorder is not None
         say(f"sampled {recorder.samples_taken} ticks at "
@@ -440,6 +416,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = _trace_source(args, say)
     if tracer is None:
         return 2
+    if args.mode == "jsonl":
+        write_text(args.out or "trace.jsonl", tracer.to_jsonl() + "\n", say)
+        # The first traced read that went to the disk.
+        for root in tracer.span_roots():
+            if root.name == "read" and root.fields.get("ios"):
+                say("one traced read, as a span tree:")
+                say(tracer.render_spans(root))
+                break
+        return 0
     report = critical_paths(tracer)
 
     if args.mode == "analyze":
@@ -503,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the block-device layout for every config "
                         "(single, concat:N, stripe:N[:chunk=SIZE], "
                         "mirror:N[:read=rr|shortest])")
-    p.add_argument("--trace-jsonl", default="", metavar="PATH",
-                   help="trace the sequential-read phase of the first "
-                        "config; write records+spans as JSON lines to PATH")
     p.add_argument("--sanitize", action="store_true",
                    help="run with the cross-layer invariant sanitizer on")
     p.set_defaults(fn=_cmd_iobench)
@@ -581,12 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace",
                        help="trace analytics: critical paths, Chrome/"
-                            "flamegraph exports, telemetry series")
+                            "flamegraph/JSONL exports, telemetry series")
     p.add_argument("mode",
-                   choices=["analyze", "chrome", "flamegraph", "series"],
+                   choices=["analyze", "chrome", "flamegraph", "jsonl",
+                            "series"],
                    help="analyze = critical-path report; chrome = trace-"
                         "event JSON for chrome://tracing / Perfetto; "
-                        "flamegraph = collapsed folded stacks; series = "
+                        "flamegraph = collapsed folded stacks; jsonl = "
+                        "records and spans as JSON lines; series = "
                         "simulated-time telemetry samples")
     p.add_argument("--config", default="C",
                    help="figure 9 configuration to run (default C)")
@@ -600,11 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "* = all five)")
     p.add_argument("--trace-jsonl", default="", metavar="PATH",
                    help="ingest this spans/records JSONL export instead "
-                        "of running a benchmark (analyze/chrome/"
-                        "flamegraph only)")
+                        "of running a benchmark (not series)")
     p.add_argument("--out", default="", metavar="PATH",
-                   help="output file for chrome/flamegraph (default "
-                        "trace-chrome.json / trace.folded; - = stdout)")
+                   help="output file for chrome/flamegraph/jsonl (default "
+                        "trace-chrome.json / trace.folded / trace.jsonl; "
+                        "- = stdout)")
     p.add_argument("--top", type=int, default=5,
                    help="slowest requests to print in analyze (default 5)")
     p.add_argument("--interval-ms", type=float, default=10.0,

@@ -10,25 +10,23 @@
   move any substantial amount of data");
 * :mod:`agefs` — file system aging (create/delete churn) and extent-size
   measurement, reproducing the allocator-contiguity observations;
-* :mod:`report` — paper-style table formatting and paper-vs-measured
-  comparison helpers.
+* :mod:`report` — the paper's figures 10-12 and the report of the
+  experiment table: one markdown block per row, which ``python -m repro
+  iobench`` also prints figures 10/11 through.
 """
 
 from repro.bench.agefs import age_filesystem, measure_extents
 from repro.bench.cpubench import CpuBenchResult, run_cpu_bench
 from repro.bench.iobench import IObench, IObenchResult
 from repro.bench.musbus import MusbusResult, run_musbus
-from repro.bench.report import Table, ratio_table
 
 __all__ = [
     "CpuBenchResult",
     "IObench",
     "IObenchResult",
     "MusbusResult",
-    "Table",
     "age_filesystem",
     "measure_extents",
-    "ratio_table",
     "run_cpu_bench",
     "run_musbus",
 ]

@@ -20,7 +20,7 @@ from typing import Any, Callable
 from repro.bench import (
     IObench, age_filesystem, measure_extents, run_cpu_bench, run_musbus,
 )
-from repro.bench.iobench import PHASES, run_configs
+from repro.bench.iobench import PHASES
 from repro.bench.report import PAPER_FIGURE_10, PAPER_FIGURE_11, PAPER_FIGURE_12
 from repro.core import ClusterTuning
 from repro.cpu import Cpu
@@ -302,14 +302,25 @@ FIG11 = {"FSR": ((1.7, 2.2), "clustering about doubles sequential reads"),
        Cell("A/D FSR CPU per byte", None, (0.8, 0.98),
             "clustering moves twice the data without twice the CPU")])
 def _fig10_11(_sections):
-    runs = {r.config: r for r in run_configs(list("ABCD"))}
-    a, d = runs["A"], runs["D"]
-    values = {f"{c} {p}": runs[c].rates[p] for c in "ABCD" for p in PHASES}
-    values.update({f"A/{c} {p}": a.rates[p] / runs[c].rates[p]
-                   for c in "BCD" for p in PHASES})
-    values["D FSR CPU utilisation"] = d.cpu_util["FSR"]
-    values["A/D FSR CPU per byte"] = (a.cpu_util["FSR"] / a.rates["FSR"]) / (
-        d.cpu_util["FSR"] / d.rates["FSR"])
+    return fig10_11_cells({c: IObench(SystemConfig.by_name(c)).run()
+                           for c in "ABCD"})
+
+
+def fig10_11_cells(runs: dict) -> dict:
+    """The fig. 10/11 cells of IObench results ``{config: result}``: each
+    config's rates, A's over every other config's, and the FSR CPU cells
+    of D, and of A against D, when those ran."""
+    values = {f"{c} {p}": r.rates[p] for c, r in runs.items() for p in PHASES}
+    a, d = runs.get("A"), runs.get("D")
+    if a is not None:
+        values.update({f"A/{c} {p}": a.rates[p] / r.rates[p]
+                       for c, r in runs.items() if c != "A" for p in PHASES})
+    if d is not None:
+        values["D FSR CPU utilisation"] = d.cpu_util["FSR"]
+    if a is not None and d is not None:
+        values["A/D FSR CPU per byte"] = (
+            a.cpu_util["FSR"] / a.rates["FSR"]) / (
+            d.cpu_util["FSR"] / d.rates["FSR"])
     return values
 
 

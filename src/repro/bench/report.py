@@ -1,5 +1,5 @@
-"""Paper-style tables and paper-vs-measured comparison helpers, and the
-report of the experiment table (``python -m repro report``).
+"""The paper's figures 10-12, and the report of the experiment table
+(``python -m repro report``).
 
 :func:`run_experiments` runs rows of :mod:`repro.bench.experiments` into
 one ``repro-bench/v1`` document, ``BENCH_experiments.json``, and
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -41,70 +40,6 @@ PAPER_FIGURE_11 = {
 
 #: The paper's figure 12 (CPU seconds, 16 MB mmap read).
 PAPER_FIGURE_12 = {"new": 2.6, "old": 3.4}
-
-
-@dataclass
-class Table:
-    """A small fixed-width table that prints like the paper's figures."""
-
-    title: str
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-    row_label: str = ""
-
-    def add_row(self, label: str, values: "list[float | str]") -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} values for {len(self.columns)} columns"
-            )
-        self.rows.append((label, values))
-
-    def render(self, fmt: str = "{:>8}") -> str:
-        width = max((len(r[0]) for r in self.rows), default=4)
-        width = max(width, len(self.row_label), 4)
-        header = " " * width + "".join(fmt.format(c) for c in self.columns)
-        lines = [self.title, header]
-        for label, values in self.rows:
-            cells = []
-            for v in values:
-                if isinstance(v, float):
-                    cells.append(fmt.format(f"{v:.2f}" if v < 50 else f"{v:.0f}"))
-                else:
-                    cells.append(fmt.format(v))
-            lines.append(label.ljust(width) + "".join(cells))
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def ratio_table(results: dict, base_config: str = "A",
-                phases: "list[str] | None" = None) -> Table:
-    """Figure 11: the base configuration's rates over each other's."""
-    from repro.bench.iobench import PHASES
-
-    phases = phases if phases is not None else list(PHASES)
-    table = Table(title=f"Transfer rate ratios ({base_config}/x)",
-                  columns=phases)
-    base = results[base_config]
-    for name, result in results.items():
-        if name == base_config:
-            continue
-        table.add_row(f"{base_config}/{name}",
-                      [base[p] / result[p] for p in phases])
-    return table
-
-
-def compare_to_paper(measured: dict, paper: dict, label: str) -> Table:
-    """Side-by-side measured-vs-paper table."""
-    columns = list(next(iter(paper.values())).keys())
-    table = Table(title=f"{label}: measured vs paper", columns=columns)
-    for row, paper_vals in paper.items():
-        if row in measured:
-            table.add_row(f"{row} (ours)",
-                          [measured[row][c] for c in columns])
-        table.add_row(f"{row} (paper)", [paper_vals[c] for c in columns])
-    return table
 
 
 # -- the experiments document ---------------------------------------------------
@@ -176,6 +111,16 @@ def splice(text: str, document: dict) -> str:
         document["results"][m.group(2)]) + m.group(3), text)
 
 
+def entry(row, values: dict) -> dict:
+    """Row ``row``'s entry in the experiments document: the cells of
+    ``values`` the row declares, in the row's order."""
+    return {"paper_section": row.paper_section, "workload": row.workload,
+            "cells": [{"name": c.name, "value": values[c.name],
+                       "paper": c.paper, "band": list(c.band),
+                       "reason": c.reason}
+                      for c in row.cells if c.name in values]}
+
+
 def measure(row, sections: dict) -> dict:
     """Run one :class:`~repro.bench.experiments.Experiment`: its entry in
     the experiments document."""
@@ -183,10 +128,7 @@ def measure(row, sections: dict) -> dict:
     if set(values) != {cell.name for cell in row.cells}:
         raise ValueError(f"{row.id}: run measured {sorted(values)}, the row "
                          f"declares {[cell.name for cell in row.cells]}")
-    return {"paper_section": row.paper_section, "workload": row.workload,
-            "cells": [{"name": c.name, "value": values[c.name],
-                       "paper": c.paper, "band": list(c.band),
-                       "reason": c.reason} for c in row.cells]}
+    return entry(row, values)
 
 
 def run_experiments(rows, say: Callable[[str], None] = print):

@@ -8,17 +8,18 @@ to the same standard.  This package gives it three legs:
   :class:`~repro.kernel.system.System`, consolidating the per-layer
   counters, gauges, and histograms (driver retries, page-cache hits,
   throttle waits, write-cache destages, checksum errors, scrub progress,
-  per-volume-member I/O) behind one namespaced ``snapshot()`` /
-  ``to_json()`` view;
+  per-volume-member I/O) behind one namespaced ``snapshot()``, the only
+  source of numbers the ``iobench`` pipeline lines and BENCH cells read;
 * :mod:`repro.obs.attrib` — per-layer *time attribution* computed from the
   request span trees: for any traced run, a table of where simulated time
   went (cpu / queue_wait / rotation_seek / transfer / throttle_wait /
   rpc) per request kind;
 * :mod:`repro.obs.bench` + :mod:`repro.obs.gate` — the ``python -m repro
   bench`` orchestrator emitting one schema-versioned ``BENCH.json``
-  (byte-identical across same-seed runs), a differ for two such
-  documents, and the CI perf gate that fails on headline-rate regressions
-  or attribution blowups against a committed baseline;
+  (byte-identical across same-seed runs), the only writer of any file or
+  stdout document the CLI emits, a differ for two BENCH documents, and
+  the CI perf gate that fails on headline-rate regressions or
+  attribution blowups against a committed baseline;
 * :mod:`repro.obs.critpath` — per-request critical-path extraction: for
   each completed request, the chain of child spans that determined its
   latency, with per-layer blame totals (conserving the request's elapsed

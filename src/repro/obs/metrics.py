@@ -7,8 +7,7 @@ every benchmark that wanted a cross-layer view had to know where each bag
 lived.  :class:`MetricsRegistry` is the single place they all report
 into: one instance per :class:`~repro.kernel.system.System`, holding
 *references* to the live instruments under stable dotted namespaces, so
-``snapshot()`` renders the whole machine as one plain dict and
-``to_json()`` exports it.
+``snapshot()`` renders the whole machine as one plain dict.
 
 Three instrument shapes are understood (all from :mod:`repro.sim.stats`,
 so the hot paths keep the exact objects they already had):
@@ -31,7 +30,6 @@ costs exactly what it cost before this module existed.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.stats import Histogram, StatSet, TimeWeighted
@@ -136,11 +134,6 @@ class MetricsRegistry:
         """
         return {ns: self._render(self._sources[ns])
                 for ns in sorted(self._sources)}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """:meth:`snapshot` as a JSON document (sorted keys)."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True,
-                          default=str)
 
 
 __all__ = ["MetricsRegistry"]

@@ -15,7 +15,7 @@ tie-break sequence number in the event heap.
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Interrupt, Process, Timeout
 from repro.sim.invariants import Sanitizer, SanitizerError
-from repro.sim.request import IORequest, RegistrySnapshot, RequestRegistry
+from repro.sim.request import IORequest, RequestRegistry
 from repro.sim.resources import Resource, Semaphore, Signal
 from repro.sim.simcheck import run_simcheck, stable_digest
 from repro.sim.stats import Histogram, HistogramSnapshot, StatSet, TimeWeighted
@@ -32,7 +32,6 @@ __all__ = [
     "IORequest",
     "Interrupt",
     "Process",
-    "RegistrySnapshot",
     "RequestRegistry",
     "Resource",
     "Sanitizer",

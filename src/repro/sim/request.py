@@ -249,49 +249,3 @@ class RequestRegistry:
         registry.register("requests.inflight", self.inflight)
         registry.register("requests.latency", lambda: {
             kind: h.summary() for kind, h in sorted(self.latency.items())})
-
-    def report(self) -> dict[str, Any]:
-        """A plain-dict snapshot for benchmark reports / JSON dumps."""
-        return {
-            "counts": self.stats.as_dict(),
-            "inflight_avg": self.inflight.average(),
-            "inflight_max": self.inflight.maximum,
-            "latency": {kind: h.summary() for kind, h in sorted(self.latency.items())},
-        }
-
-    # -- phase-delta reporting ----------------------------------------------
-    def snapshot(self) -> "RegistrySnapshot":
-        """Freeze counters and per-kind histograms at a phase boundary."""
-        return RegistrySnapshot(
-            counts=dict(self.stats.as_dict()),
-            latency={k: h.snapshot() for k, h in self.latency.items()},
-        )
-
-    def report_since(self, snap: "RegistrySnapshot") -> dict[str, Any]:
-        """Like :meth:`report`, but covering only activity after ``snap``.
-
-        Benchmark phase tables use this so each phase reports its own
-        samples instead of mixing in every prior phase's.
-        """
-        counts = {
-            k: v - snap.counts.get(k, 0)
-            for k, v in self.stats.as_dict().items()
-            if v - snap.counts.get(k, 0)
-        }
-        latency: dict[str, dict[str, float]] = {}
-        for kind, hist in sorted(self.latency.items()):
-            prior = snap.latency.get(kind)
-            delta = hist.since(prior) if prior is not None else hist
-            if delta.count:
-                latency[kind] = delta.summary()
-        return {"counts": counts, "latency": latency}
-
-
-class RegistrySnapshot:
-    """Frozen registry state for :meth:`RequestRegistry.report_since`."""
-
-    __slots__ = ("counts", "latency")
-
-    def __init__(self, counts: dict[str, float], latency: dict[str, Any]):
-        self.counts = counts
-        self.latency = latency

@@ -124,9 +124,9 @@ class Histogram:
     def snapshot(self) -> "HistogramSnapshot":
         """Freeze the current state, for later :meth:`since` deltas.
 
-        Benchmarks take a snapshot at a phase boundary and report
-        ``hist.since(snap)`` so one phase's table is not contaminated by
-        samples from all the phases before it.
+        The telemetry recorder (:mod:`repro.obs.timeseries`) takes one at
+        each window edge and reports ``hist.since(snap)``, so a window
+        holds only its own samples, not every earlier window's.
         """
         return HistogramSnapshot(
             count=self.count, total=self.total, zeros=self._zeros,

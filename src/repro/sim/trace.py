@@ -9,8 +9,8 @@ On top of the flat records the tracer also collects **spans**: timed,
 hierarchical intervals that let a completed I/O request show its whole
 lifecycle as one tree — syscall → getpage → cluster decision → queue wait →
 rotational service.  Spans carry a parent id, begin/end simulated times, and
-free-form fields; :meth:`Tracer.export_jsonl` writes both records and spans
-as JSON lines for offline analysis.
+free-form fields; :meth:`Tracer.to_jsonl` renders both records and spans
+as JSON lines for offline analysis (``python -m repro trace jsonl``).
 
 Hot-path discipline: the keyword dict for ``emit``/``span_begin`` is built
 by the *caller* before the tracer can decline it, so instrumentation on hot
@@ -275,14 +275,6 @@ class Tracer:
             for s in sorted(self.spans, key=lambda s: (s.begin, s.id))
         )
         return "\n".join(lines)
-
-    def export_jsonl(self, path: str) -> int:
-        """Write :meth:`to_jsonl` to ``path``; returns the line count."""
-        text = self.to_jsonl()
-        with open(path, "w") as f:
-            if text:
-                f.write(text + "\n")
-        return 0 if not text else text.count("\n") + 1
 
     def clear(self) -> None:
         """Drop all recorded history (records and spans); ids restart."""

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.bench import IObench, Table, ratio_table, run_musbus
+from repro.bench import IObench, run_musbus
 from repro.bench.agefs import ExtentReport, age_filesystem, measure_extents
 from repro.bench.iobench import PHASES
-from repro.bench.report import PAPER_FIGURE_10, compare_to_paper
 from repro.disk import DiskGeometry
 from repro.kernel import Proc, System, SystemConfig
 from repro.units import KB, MB
@@ -17,44 +16,18 @@ def small_config(name="A"):
                                       sectors_per_track=32))
 
 
-# -- tables -------------------------------------------------------------------
-
-def test_table_rendering():
-    table = Table(title="T", columns=["x", "y"])
-    table.add_row("row1", [1.5, 100])
-    text = table.render()
-    assert "T" in text and "row1" in text and "1.50" in text
-
-
-def test_table_row_validation():
-    table = Table(title="T", columns=["x", "y"])
-    with pytest.raises(ValueError):
-        table.add_row("bad", [1])
-
-
-def test_ratio_table_structure():
-    rates = {
-        "A": {p: 200.0 for p in PHASES},
-        "D": {p: 100.0 for p in PHASES},
-    }
-    table = ratio_table(rates)
-    assert any("A/D" in label for label, _ in table.rows)
-    label, values = table.rows[0]
-    assert all(v == pytest.approx(2.0) for v in values)
-
-
-def test_compare_to_paper_includes_both():
-    measured = {"A": dict(PAPER_FIGURE_10["A"])}
-    table = compare_to_paper(measured, PAPER_FIGURE_10, "fig10")
-    labels = [label for label, _ in table.rows]
-    assert "A (ours)" in labels and "A (paper)" in labels
-
-
 # -- iobench -------------------------------------------------------------------
 
 def test_iobench_validates_sizes():
-    with pytest.raises(ValueError):
-        IObench(small_config(), file_size=1000, record_size=8 * KB)
+    for sizes in ({"file_size": 1000},  # not a whole number of 8 KB records
+                  {"file_size": 0},  # randrange(0) died after three phases
+                  {"file_size": -1 * MB},
+                  {"file_size": 4 * KB},
+                  {"random_ops": 0},  # a phase of no operations has no rate
+                  {"random_ops": -5}):  # it printed FRR=-57554 KB/s
+        with pytest.raises(ValueError):
+            IObench(small_config(), **sizes)
+    IObench(small_config(), file_size=8 * KB, random_ops=1)  # the smallest
 
 
 def test_iobench_small_run_produces_all_phases():

@@ -14,7 +14,8 @@ import json
 from pathlib import Path
 
 from repro.bench import report
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENTS, fig10_11_cells
+from repro.bench.iobench import PHASES, IObenchResult
 
 ROOT = Path(__file__).resolve().parents[2]
 DOCUMENT = json.loads((ROOT / report.DOCUMENT).read_text())
@@ -43,6 +44,24 @@ def test_the_committed_rows_are_the_registrys():
                 for c in entry["cells"]] == [
             (c.name, c.paper, list(c.band), c.reason) for c in row.cells], (
             f"{row_id}: re-run python -m repro report")
+
+
+def test_iobench_prints_the_fig10_11_rows_cells_of_the_configs_it_ran():
+    """One cell function for the row and for ``iobench``: from the
+    committed rates it gives the row's cells and its committed ratios;
+    from config A alone, A's five rates and nothing else."""
+    cells = {c["name"]: c["value"]
+             for c in DOCUMENT["results"]["fig10_11"]["cells"]}
+    runs = {c: IObenchResult(c, {p: cells[f"{c} {p}"] for p in PHASES},
+                             {"FSR": 0.5}) for c in "ABCD"}
+    values = fig10_11_cells(runs)
+    row = EXPERIMENTS["fig10_11"]
+    assert set(values) == {cell.name for cell in row.cells}
+    for name, value in values.items():
+        if name.startswith("A/") and "CPU" not in name:
+            assert value == cells[name], name
+    only_a = report.entry(row, fig10_11_cells({"A": runs["A"]}))
+    assert [c["name"] for c in only_a["cells"]] == [f"A {p}" for p in PHASES]
 
 
 def test_every_band_is_two_sided_with_a_reason_and_catches_a_30pct_drift():

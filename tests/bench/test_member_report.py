@@ -1,54 +1,62 @@
-"""Per-member pipeline report: idle members must not divide by zero.
+"""The iobench command's pipeline lines, rendered from the metrics registry.
 
-Pins the fix: a volume member that served no I/O (a concat tail the
-workload never reached, a mirror member the read policy skipped) has an
-undefined average I/O size — the report carries None and the renderer
-shows ``-`` instead of raising ZeroDivisionError.
+A volume member that served no I/O (a concat tail the workload never
+reached, a mirror member the read policy skipped) has an undefined
+average I/O size: its line shows ``-`` instead of raising
+ZeroDivisionError.
 """
 
-from repro.bench.iobench import IObench, format_member_table
+from repro.bench.iobench import IObench, pipeline_lines
 from repro.kernel import System, SystemConfig
+from repro.units import KB
+
+
+def member_lines(metrics):
+    lines = pipeline_lines(metrics)
+    return lines[[line.split()[0] for line in lines].index("member") + 1:]
 
 
 def test_idle_member_reports_none_not_zero_division():
-    config = SystemConfig.config_a().with_(layout="concat:2")
-    system = System.booted(config)
-    bench = IObench(config)
-    report = bench._pipeline_report(system)
-
-    members = report["members"]
-    assert len(members) == 2
+    system = System.booted(SystemConfig.config_a().with_(layout="concat:2"))
+    metrics = system.metrics.snapshot()
     # Boot I/O (root inode) lands entirely on the first member; the
     # concat tail is untouched — exactly the zero-count case.
-    assert members[1]["requests"] == 0
-    assert members[1]["avg_io_bytes"] is None
-    assert members[0]["requests"] > 0
-    assert members[0]["avg_io_bytes"] == (
-        members[0]["bytes"] / members[0]["requests"])
+    assert metrics["disk.m1.driver"].get("requests", 0) == 0
+    busy, idle = member_lines(metrics)
+    requests = metrics["disk.m0.driver"]["requests"]
+    assert busy.split() == [
+        "m0", f"{requests:.0f}", f"{metrics['disk.m0.driver']['bytes']:.0f}",
+        f"{metrics['disk.m0.driver']['bytes'] / requests / KB:.1f}K",
+        f"{metrics['disk.m0.driver.queue_depth']['avg']:.2f}"]
+    assert idle.split() == ["m1", "0", "0", "-", "0.00"]
 
 
 def test_format_member_table_renders_dash_for_idle_member():
-    config = SystemConfig.config_a().with_(layout="concat:2")
-    system = System.booted(config)
-    report = IObench(config)._pipeline_report(system)
-
-    text = format_member_table(report["members"])
-    lines = text.splitlines()
-    assert len(lines) == 3  # header + two members
-    idle_line = next(line for line in lines
-                     if line.strip().startswith(report["members"][1]["name"]))
-    assert " - " in idle_line or idle_line.rstrip().split()[-2] == "-"
+    metrics = System.booted(
+        SystemConfig.config_a().with_(layout="concat:2")).metrics.snapshot()
+    lines = pipeline_lines(metrics)
+    header = [line.split()[0] for line in lines].index("member")
+    assert len(lines) - header == 3  # header + two members
+    assert lines[header].split() == [
+        "member", "requests", "bytes", "avg", "io", "qdepth"]
+    idle_line = next(line for line in lines[header + 1:]
+                     if line.split()[0] == "m1")
+    assert idle_line.split()[3] == "-"
 
 
 def test_busy_members_still_report_averages():
-    config = SystemConfig.config_a().with_(layout="mirror:2")
-    bench = IObench(config, file_size=256 * 1024, random_ops=16)
-    result = bench.run()
-    members = result.pipeline["members"]
-    # Mirror writes hit both members: averages defined on each.
-    for member in members:
-        assert member["requests"] > 0
-        assert member["avg_io_bytes"] > 0
-    text = format_member_table(members)
-    for member, line in zip(members, text.splitlines()[1:]):
-        assert f"{member['avg_io_bytes'] / 1024:.1f}K" in line
+    bench = IObench(SystemConfig.config_a().with_(layout="mirror:2"),
+                    file_size=256 * KB, random_ops=16)
+    bench.run()
+    metrics = bench.system.metrics.snapshot()
+    lines = member_lines(metrics)
+    assert [line.split()[0] for line in lines] == ["m0", "m1"]
+    for i, line in enumerate(lines):
+        # Mirror writes hit both members: averages defined on each.
+        driver = metrics[f"disk.m{i}.driver"]
+        assert driver["requests"] > 0
+        assert line.split()[3] == (
+            f"{driver['bytes'] / driver['requests'] / KB:.1f}K")
+    # The latency lines come first, one per request kind.
+    assert [line.split()[0] for line in pipeline_lines(metrics)[:3]] == [
+        "fsync", "read", "write"]

@@ -86,11 +86,13 @@ def test_request_accounting_without_tracing():
     assert len(data) == FILE_SIZE
 
     assert system.tracer.spans == []  # tracing stayed off
-    report = system.requests.report()
-    assert report["counts"]["read_started"] == FILE_SIZE // RECORD + 1
-    assert report["counts"]["write_started"] == FILE_SIZE // RECORD
-    assert report["latency"]["read"]["count"] == FILE_SIZE // RECORD + 1
-    assert report["counts"]["bytes"] > 0
+    metrics = system.metrics.snapshot()
+    counts = metrics["requests"]
+    assert counts["read_started"] == FILE_SIZE // RECORD + 1
+    assert counts["write_started"] == FILE_SIZE // RECORD
+    assert metrics["requests.latency"]["read"]["count"] == (
+        FILE_SIZE // RECORD + 1)
+    assert counts["bytes"] > 0
     # The driver kept per-layer histograms too.
     assert system.driver.wait_hist.summary()["count"] > 0
     assert system.driver.service_hist.summary()["count"] > 0

@@ -41,9 +41,9 @@ def straddles(frag):
 
 @pytest.mark.parametrize("frag", [2066, 2121])
 def test_a_lone_stamp_of_a_straddling_record_is_written_through(frag):
-    """Table offsets 57 848 and 59 388: 504 and 508 past a sector start, so
-    the generation (2066) and everything from ``self_frag`` on (2121) live
-    in the *next* sector."""
+    """Record-table offsets 57 848 and 59 388: 504 and 508 past a sector
+    start, so the generation (2066) and everything from ``self_frag`` on
+    (2121) live in the *next* sector."""
     assert straddles(frag)
     config = SystemConfig.config_a().with_(checksums=True)
     system = System.booted(config)

@@ -84,9 +84,15 @@ def test_cli_faultcampaign_smoke(cli):
 
 @pytest.mark.slow
 def test_cli_iobench_small(cli):
+    """Figs. 10/11 through the ``fig10_11`` row's cells and renderer: the
+    paper's value and the row's band beside ours, no verdict column."""
     result = cli("iobench", "--configs", "A", "--file-mb", "2")
     assert result.returncode == 0
-    assert "FSR" in result.stdout
+    assert "| cell | ours | paper | band |\n" in result.stdout
+    assert re.search(r"^\| A FSR \| \d+ \| 1610 \| 1345 – 1643 \|$",
+                     result.stdout, re.M)
+    assert "A/D" not in result.stdout  # no ratio without a second config
+    assert re.search(r"^  read +n=\d+ ", result.stdout, re.M)
 
 
 def test_cli_faultcampaign_json_stdout_parses(cli):
@@ -204,8 +210,17 @@ def never_simulates(monkeypatch):
      "iobench: option 'read' does not apply to a stripe layout"),
     (["report", "--id", "fig12", "--id", "fig99"],
      "report: unknown experiment 'fig99'"),
+    (["iobench", "--configs", "AD", "--file-mb", "0"],
+     "iobench: file size must be a positive multiple of 8 KB, not 0 bytes"),
+    (["bench", "--file-mb", "-1"], "bench: file size must be"),
+    (["bench", "--configs", "A", "--file-mb", "1", "--ops", "-5"],
+     "bench: random ops must be at least 1, not -5"),
+    (["simcheck", "--ops", "0"], "simcheck: random ops must be"),
+    (["trace", "jsonl", "--file-mb", "0"], "trace: file size must be"),
 ], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
-        "bench-stray-option", "iobench-stray-option", "report-unknown-id"])
+        "bench-stray-option", "iobench-stray-option", "report-unknown-id",
+        "iobench-empty-file", "bench-negative-file", "bench-negative-ops",
+        "simcheck-no-ops", "trace-empty-file"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
@@ -271,6 +286,29 @@ def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path, cli):
                for line in folded.stdout.splitlines())
     # --out - hands stdout to the export: no "wrote ..." / line-count tail.
     assert "wrote" not in folded.stdout and " lines, " not in folded.stdout
+
+
+def test_cli_trace_jsonl_exports_a_loadable_deterministic_trace(tmp_path, cli):
+    """``trace jsonl`` writes ``Tracer.to_jsonl`` through the one text
+    writer; ``load_jsonl`` reads back the same document, byte for byte."""
+    from repro.sim.trace import load_jsonl
+
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        result = cli("trace", "jsonl", "--config", "C", "--file-mb", "1",
+                     "--ops", "16", "--out", str(path))
+        assert result.returncode == 0, result.stderr
+        assert f"wrote {path}" in result.stdout
+        assert "one traced read, as a span tree:\nread [" in result.stdout
+    text = paths[0].read_text()
+    assert load_jsonl(text).to_jsonl() + "\n" == text
+    assert paths[1].read_text() == text  # same seed, same bytes
+
+    piped = cli("trace", "jsonl", "--config", "C", "--file-mb", "1",
+                "--ops", "16", "--out", "-")
+    assert piped.returncode == 0
+    assert piped.stdout == text  # the document alone; the rest on stderr
+    assert "one traced read" in piped.stderr
 
 
 GOOD_TRACE = [

@@ -1,6 +1,7 @@
 """Tests for IORequest and RequestRegistry: spans, accounting, lifecycle."""
 
 from repro.disk import Buf, BufOp
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine, IORequest, RequestRegistry, Tracer
 
 
@@ -103,13 +104,15 @@ def test_registry_latency_histograms_per_kind():
         r2.complete()
 
     eng.run_process(proc())
-    report = registry.report()
-    assert report["counts"]["started"] == 2
-    assert report["counts"]["read_started"] == 1
-    assert set(report["latency"]) == {"read", "write"}
-    assert report["latency"]["read"]["count"] == 1
-    assert report["latency"]["read"]["mean"] > 0
-    assert report["inflight_max"] == 1
+    metrics = MetricsRegistry(eng)
+    registry.register_metrics(metrics)
+    snap = metrics.snapshot()
+    assert snap["requests"]["started"] == 2
+    assert snap["requests"]["read_started"] == 1
+    assert set(snap["requests.latency"]) == {"read", "write"}
+    assert snap["requests.latency"]["read"]["count"] == 1
+    assert snap["requests.latency"]["read"]["mean"] > 0
+    assert snap["requests.inflight"]["max"] == 1
 
 
 def test_registry_counts_errors():

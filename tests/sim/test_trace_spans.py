@@ -75,7 +75,7 @@ def test_render_spans_indents_by_depth():
     assert lines[1].startswith("  getpage ")
 
 
-def test_to_jsonl_contains_records_then_spans(tmp_path):
+def test_to_jsonl_contains_records_then_spans():
     eng, tr = make_tracer()
     tr.emit("getpage_sync", offset=0)
     span = tr.span_begin("read", fd=3)
@@ -90,19 +90,13 @@ def test_to_jsonl_contains_records_then_spans(tmp_path):
     assert lines[2]["type"] == "span"
     assert lines[2]["name"] == "read"
     assert lines[2]["fd"] == 3
-
-    path = tmp_path / "out.jsonl"
-    count = tr.export_jsonl(str(path))
-    assert count == 3
-    assert len(path.read_text().splitlines()) == 3
+    assert len(lines) == 3
 
 
-def test_export_jsonl_empty_tracer(tmp_path):
+def test_to_jsonl_of_empty_tracer_is_its_meta_line():
     _, tr = make_tracer()
-    path = tmp_path / "empty.jsonl"
     # Even an empty trace carries its schema-versioned meta line.
-    assert tr.export_jsonl(str(path)) == 1
-    meta = json.loads(path.read_text())
+    meta = json.loads(tr.to_jsonl())
     assert meta["type"] == "meta"
     assert meta["spans"] == 0
 

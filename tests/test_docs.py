@@ -82,3 +82,19 @@ def test_paper_config_presets_match_figure9_table():
     d = SystemConfig.config_d()
     assert d.fs_params.rotdelay_ms == 4.0
     assert not d.tuning.freebehind and d.tuning.write_limit == 0
+
+
+def test_changes_entries_are_short_logs():
+    """Every top-level ``- `` entry of CHANGES.md is a log, not an essay:
+    at most 15 lines, none over 100 characters."""
+    entries = []
+    for line in (ROOT / "CHANGES.md").read_text().splitlines():
+        if line.startswith("- "):
+            entries.append([line])
+        elif entries:
+            entries[-1].append(line)
+    assert entries, "CHANGES.md has no entry"
+    for entry in entries:
+        assert len(entry) <= 15, f"{entry[0][:60]}: {len(entry)} lines"
+        for line in entry:
+            assert len(line) <= 100, f"{entry[0][:60]}: {line[:60]}..."
