@@ -9,20 +9,16 @@ Commands:
   (``repro.bench.experiments``): run every row, print each with a verdict
   per cell, exit 1 on a cell outside its band, and write
   ``BENCH_experiments.json``, the documents rows own, RESULTS.md and
-  EXPERIMENTS.md's generated blocks; ``--id`` runs only the named rows and
-  writes nothing;
+  EXPERIMENTS.md's generated blocks; ``--id`` runs only the named rows,
+  writes nothing, and exits 1 when a document they own is not the
+  committed file's bytes;
 * the five campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
   from it at the end of this docstring — all take ``[--seed 0]
   [--sanitize] [--json [PATH]]``, exit 0 when every invariant held, 1 on
   a violated invariant or an inert injection, 2 on a bad argument;
-* ``simcheck [--file-mb 4] [--json PATH]`` — the determinism differ: run
-  IObench twice with the sanitizer on and demand identical stable trace
-  digests;
-* ``bench [--configs AC] [--json [PATH]] [--baseline PATH]`` — the
-  unified perf bench: one schema-versioned BENCH.json (rates + metrics
-  snapshot + layer time attribution), byte-identical across same-seed
-  runs, optionally gated against a committed baseline (exit 1 on a >10%
-  headline regression or attribution blowup);
+* ``bench [--configs AC] [--json [PATH]]`` — the unified perf bench: one
+  schema-versioned BENCH.json (rates + metrics snapshot + layer time
+  attribution), byte-identical across same-seed runs;
 * ``trace {analyze|chrome|flamegraph|jsonl|series}`` — trace analytics:
   run a seeded iobench phase (or ingest an existing ``--trace-jsonl``
   file) and either print the critical-path report with per-layer blame
@@ -85,6 +81,9 @@ def _benches(command: str, args: argparse.Namespace, configs, **kwargs):
 
     scheduler = getattr(args, "scheduler", "")
     layout = getattr(args, "layout", "")
+    if not configs:
+        print(f"{command}: --configs names no configuration", file=sys.stderr)
+        return None
     try:
         VolumeSpec.parse(layout)
         return [IObench(SystemConfig.preset(name, scheduler, layout),
@@ -127,12 +126,13 @@ def _checkout_file(command: str, *parts: str) -> "Path | None":
     """A file of the checkout that holds this package (``src/repro`` sits
     two levels below its root), whatever the working directory; an
     installed package has no ``examples/`` or ``EXPERIMENTS.md`` beside
-    it."""
+    it.  With no ``command``, None says so without a word."""
     path = Path(__file__).resolve().parents[2].joinpath(*parts)
     if path.is_file():
         return path
-    print(f"{command}: needs a source checkout ({path} not found)",
-          file=sys.stderr)
+    if command:
+        print(f"{command}: needs a source checkout ({path} not found)",
+              file=sys.stderr)
     return None
 
 
@@ -145,16 +145,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"report: unknown experiment {unknown[0]!r} (one of "
               f"{', '.join(EXPERIMENTS)})", file=sys.stderr)
         return 2
-    target = None
-    if not args.id:  # a full run rewrites the checkout's documents
-        target = _checkout_file("report", "EXPERIMENTS.md")
-        if target is None:
-            return 2
+    # A full run rewrites the checkout's documents, so it needs one; --id
+    # compares with them when there is one.
+    target = _checkout_file("" if args.id else "report", "EXPERIMENTS.md")
+    if target is None and not args.id:
+        return 2
     document, owned = report.run_experiments(
         [EXPERIMENTS[i] for i in args.id or EXPERIMENTS])
-    if target is not None:
+    changed = report.changed_documents(target.parent, owned) if target else []
+    for line in changed:
+        print(f"CHANGED: {line}")
+    if not args.id:
         report.publish(target.parent, document, owned)
     problems = report.failures(document)
+    if args.id and changed:  # it writes nothing: the committed bytes gate it
+        problems.append("a document these rows own differs from the "
+                        "committed file")
     for line in problems:
         print(f"FAILED: {line}")
     if not problems:
@@ -291,35 +297,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simcheck(args: argparse.Namespace) -> int:
-    from repro.sim.simcheck import run_simcheck
-
-    if _benches("simcheck", args, [args.config], random_ops=args.ops) is None:
-        return 2
-    return run_simcheck(config_name=args.config.upper(),
-                        file_mb=args.file_mb, random_ops=args.ops,
-                        trace_phase=args.trace_phase, seed=args.seed,
-                        json_path=args.json or None, out=_emit(args))
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.bench import diff_documents, run_bench, write_json
-    from repro.obs.gate import check_gate
+    from repro.obs.bench import run_bench, write_json
 
     if _benches("bench", args, args.configs, random_ops=args.ops) is None:
         return 2
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-            if not isinstance(baseline, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            print(f"bench: baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
     say = _emit(args)
     say(f"running the unified bench on configurations "
         f"{', '.join(args.configs.upper())} ({args.file_mb} MB file, "
@@ -331,18 +313,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     say(f"bench id {document['id']}")
     if args.json:
         write_json(args.json, document, say)
-    if baseline is None:
-        return 0
-    if args.diff:
-        lines = diff_documents(baseline, document)
-        say(f"diff against {args.baseline} (baseline -> current):")
-        for line in lines or ["  (documents agree)"]:
-            say(f"  {line}" if not line.startswith("  ") else line)
-    gate = check_gate(document, baseline,
-                      rate_tolerance=args.rate_tolerance,
-                      share_tolerance=args.share_tolerance)
-    say(gate.render())
-    return 0 if gate.ok else 1
+    return 0
 
 
 def _trace_bench(args: argparse.Namespace, say, **telemetry):
@@ -397,9 +368,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 2
         namespaces = ([ns.strip() for ns in args.namespaces.split(",")
                        if ns.strip()] if args.namespaces else None)
-        bench = _trace_bench(args, say,
-                             telemetry_interval=args.interval_ms / 1e3,
-                             telemetry_namespaces=namespaces)
+        try:
+            bench = _trace_bench(args, say,
+                                 telemetry_interval=args.interval_ms / 1e3,
+                                 telemetry_namespaces=namespaces)
+        except ValueError as exc:  # a namespace the machine does not have
+            print(f"trace: {exc}", file=sys.stderr)
+            return 2
         if bench is None:
             return 2
         recorder = bench.telemetry
@@ -498,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "EXPERIMENTS.md's numbers")
     p.add_argument("--id", action="append", default=[], metavar="ID",
                    help="run only this row (repeatable); prints, writes "
-                        "nothing")
+                        "nothing, fails on a document it owns that is not "
+                        "the committed file")
     p.set_defaults(fn=_cmd_report)
 
     for row in CAMPAIGNS:
@@ -520,24 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "seed-stable digest) to PATH")
         p.set_defaults(fn=_cmd_campaign, campaign=row)
 
-    p = sub.add_parser("simcheck",
-                       help="determinism differ + sanitized benchmark run")
-    p.add_argument("--config", default="C",
-                   help="figure 9 configuration to run (default C)")
-    p.add_argument("--file-mb", type=int, default=4)
-    p.add_argument("--ops", type=int, default=256,
-                   help="random operations per random phase (default 256)")
-    p.add_argument("--trace-phase", default="FSW",
-                   choices=["FSR", "FSU", "FSW", "FRR", "FRU"],
-                   help="which phase to trace and digest (default FSW)")
-    p.add_argument("--seed", type=int, default=1991)
-    _add_json_flag(p, "write both runs' digests/rates/counts and the "
-                      "verdict to PATH")
-    p.set_defaults(fn=_cmd_simcheck)
-
     p = sub.add_parser("bench",
-                       help="unified perf bench: BENCH.json + optional "
-                            "gate against a committed baseline")
+                       help="unified perf bench: one BENCH.json of rates, "
+                            "metrics and time attribution")
     p.add_argument("--configs", default="AC",
                    help="figure 9 configurations to run (default AC)")
     p.add_argument("--file-mb", type=int, default=4)
@@ -549,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the disk scheduler for every config")
     p.add_argument("--layout", default="",
                    help="override the block-device layout for every config")
-    p.add_argument("--baseline", default="", metavar="PATH",
-                   help="gate against this committed BENCH.json; exit 1 "
-                        "on regression")
-    p.add_argument("--diff", action="store_true",
-                   help="print per-quantity deltas against the baseline")
-    p.add_argument("--rate-tolerance", type=float, default=0.10,
-                   help="allowed headline-rate drop (default 0.10)")
-    p.add_argument("--share-tolerance", type=float, default=0.10,
-                   help="allowed attribution-share growth (default 0.10)")
     _add_json_flag(p, "write the BENCH document to PATH")
     p.set_defaults(fn=_cmd_bench)
 

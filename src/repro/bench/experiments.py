@@ -1006,6 +1006,11 @@ def _scrub(sections):
         "reads differing": int(digest != base_digest)}
 
 
+#: ``run_bench``'s arguments for the baseline, and its document's ``run``.
+BASELINE_RUN = {"configs": "AC", "file_mb": 2, "layout": None,
+                "random_ops": 128, "scheduler": None, "seed": 1991}
+
+
 @experiment(
     "baseline", "Unified baseline: where the A/C gap lives",
     "repro bench --configs AC --file-mb 2 --ops 128 (the baseline)",
@@ -1016,9 +1021,11 @@ def _scrub(sections):
             "without clustering more of each read waits on the platter "
             "(the two bands do not overlap)")
     + [Cell("request kinds not conserved", None, exact(0),
-            "every kind's categories sum to its total")])
-def _baseline(_sections):
-    results = run_bench("AC", 2, 128)["results"]
+            "every kind's categories sum to its total")],
+    document=("BENCH_baseline.json", BASELINE_RUN))
+def _baseline(sections):
+    results = run_bench(**BASELINE_RUN)["results"]
+    sections.update(results)
     values = table({c: [results[c]["rates"][p] for p in PHASES]
                     for c in "AC"}, PHASES)
     values["request kinds not conserved"] = 0
@@ -1183,3 +1190,37 @@ def _nfs_loss(_sections):
             values["0% loss: major timeouts"] = stats["major_timeouts"]
             values["0% loss: RPC timeouts"] = stats["rpc_timeouts"]
     return values
+
+
+def _sanitized_run() -> tuple:
+    """IObench C, sanitized, FSW traced, then sync and a deep check: the
+    raw trace's sha256, rates, request counts, spans and checks run."""
+    bench = IObench(SystemConfig.config_c(), file_size=2 * MB,
+                    random_ops=128, trace_phase="FSW", sanitize=True)
+    rates = bench.run().rates
+    system = bench.system
+    system.sync()
+    system.sanitizer.checkpoint("determinism_end", idle=True, deep=True)
+    trace = hashlib.sha256(system.tracer.to_jsonl().encode()).hexdigest()
+    return (trace, rates, system.requests.stats.as_dict(),
+            len(system.tracer.spans), system.sanitizer.checks_run)
+
+
+@experiment(
+    "determinism", "Determinism: the same seed, the same history",
+    "IObench C twice in one process, sanitized: 2 MB file, 128 random ops, "
+    "FSW traced, then sync and a deep check",
+    [Cell(f"{what} differing", None, exact(0), why) for what, why in (
+        ("traces", "span, request and buf ids are per machine: the raw "
+                   "JSONL is byte-identical"),
+        ("rates", "same seed, same simulated time"),
+        ("request counts", "same seed, same requests"))]
+    + today({"spans per run": 2008, "sanitizer checks per run": 150}))
+def _determinism(_sections):
+    (trace, rates, counts, spans, checks), (trace2, rates2, counts2, *_) = (
+        _sanitized_run(), _sanitized_run())
+    return {"traces differing": int(trace != trace2),
+            "rates differing": sum(rates[p] != rates2[p] for p in PHASES),
+            "request counts differing": sum(
+                counts.get(k) != counts2.get(k) for k in counts | counts2),
+            "spans per run": spans, "sanitizer checks per run": checks}

@@ -3,7 +3,9 @@
 
 :func:`run_experiments` runs rows of :mod:`repro.bench.experiments` into
 one ``repro-bench/v1`` document, ``BENCH_experiments.json``, and
-:func:`publish` writes it with the documents those rows own.  Everything
+:func:`publish` writes it with the documents those rows own; the committed
+bytes of those are the gate, and :func:`changed_documents` says what moved
+in one that a run no longer reproduces.  Everything
 else here is a pure function of that document: a verdict per cell
 (:func:`holds`, :func:`failures`), a row as markdown (:func:`render_block`),
 RESULTS.md (:func:`render_results`) and EXPERIMENTS.md's generated blocks
@@ -18,7 +20,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.bench import (
-    bench_document, canonical_json, write_document, write_text,
+    bench_document, canonical_json, diff_documents, write_document,
+    write_text,
 )
 
 DOCUMENT = "BENCH_experiments.json"
@@ -146,6 +149,24 @@ def run_experiments(rows, say: Callable[[str], None] = print):
     return bench_document(
         {"benchmark": "experiments", "rows": [row.id for row in rows]},
         results), owned
+
+
+def changed_documents(root: Path, owned: dict) -> "list[str]":
+    """``diff_documents(committed, fresh)`` for each document of ``owned``
+    whose bytes are not its file's under ``root``, a line per difference
+    prefixed by the file name — or the two ids, when the bytes differ in
+    nothing that compares; empty when every file is byte-identical."""
+    lines = []
+    for name, (run, results) in owned.items():
+        fresh = bench_document(run, results)
+        path = root / name
+        text = path.read_text() if path.is_file() else "{}"
+        if text != canonical_json(fresh):
+            committed = json.loads(text)
+            lines += [f"{name}: {line}" for line in diff_documents(
+                committed, fresh) or [f"id {committed.get('id')} -> "
+                                      f"{fresh['id']}"]]
+    return lines
 
 
 def publish(root: Path, document: dict, owned: dict,

@@ -451,6 +451,8 @@ class CrashpointExplorer(Campaign):
                  window: "int | None" = None,
                  torn_limit: "int | None" = None,
                  config: "SystemConfig | None" = None):
+        if max_states is not None and max_states < 1:  # nothing checked
+            raise ValueError("max_states must be >= 1")
         if isinstance(preset, str):
             try:
                 preset = PRESETS[preset]

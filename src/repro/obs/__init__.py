@@ -1,4 +1,5 @@
-"""Performance observability: one registry, one attribution table, one gate.
+"""Performance observability: one registry, one attribution table, one
+benchmark document.
 
 The paper's whole argument is quantitative — figure-by-figure transfer
 rates and CPU-per-byte — so the reproduction's perf story has to be held
@@ -14,12 +15,11 @@ to the same standard.  This package gives it three legs:
   request span trees: for any traced run, a table of where simulated time
   went (cpu / queue_wait / rotation_seek / transfer / throttle_wait /
   rpc) per request kind;
-* :mod:`repro.obs.bench` + :mod:`repro.obs.gate` — the ``python -m repro
-  bench`` orchestrator emitting one schema-versioned ``BENCH.json``
-  (byte-identical across same-seed runs), the only writer of any file or
-  stdout document the CLI emits, a differ for two BENCH documents, and
-  the CI perf gate that fails on headline-rate regressions or
-  attribution blowups against a committed baseline;
+* :mod:`repro.obs.bench` — the ``python -m repro bench`` orchestrator
+  emitting one schema-versioned ``BENCH.json`` (byte-identical across
+  same-seed runs), the only writer of any file or stdout document the CLI
+  emits, and a differ for two BENCH documents that explains a committed
+  document ``python -m repro report`` no longer reproduces;
 * :mod:`repro.obs.critpath` — per-request critical-path extraction: for
   each completed request, the chain of child spans that determined its
   latency, with per-layer blame totals (conserving the request's elapsed
@@ -42,7 +42,6 @@ from repro.obs.critpath import (
     verify_conservation,
 )
 from repro.obs.export import chrome_trace, chrome_trace_json, folded_stacks
-from repro.obs.gate import GateResult, check_gate
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetryRecorder
 
@@ -50,11 +49,9 @@ __all__ = [
     "ATTRIBUTION_CATEGORIES",
     "BENCH_SCHEMA",
     "CritReport",
-    "GateResult",
     "MetricsRegistry",
     "TelemetryRecorder",
     "attribution_table",
-    "check_gate",
     "chrome_trace",
     "chrome_trace_json",
     "critical_path",

@@ -28,8 +28,8 @@ never double-count: each instant lands in exactly one bucket, so the
 categories of one request sum to its elapsed time.
 
 The output — :func:`attribution_table` — is a per-request-kind table of
-seconds per category, ready for ``BENCH.json`` and the perf gate's
-"attribution blowup" check.
+seconds per category, ready for ``BENCH.json``, where ``diff_documents``
+reads it as per-category time shares.
 """
 
 from __future__ import annotations

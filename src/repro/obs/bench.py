@@ -16,8 +16,10 @@ is the only writer of one (:func:`write_document`) and of any other JSON
 or text the CLI emits (:func:`write_json`, :func:`write_text`).  Nothing in
 it reads the wall clock, so two runs with the same parameters serialize
 byte-identically, and the ``id`` — a content hash over the canonical JSON
-form — makes "same bench" one string comparison.  The CI perf gate
-(:mod:`repro.obs.gate`) diffs a fresh document against a committed one.
+form — makes "same bench" one string comparison.  The committed bytes are
+the gate: ``python -m repro report`` rewrites every document its rows own,
+and :func:`diff_documents` says what moved when one is not the committed
+file.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def diff_documents(a: dict, b: dict) -> "list[str]":
 
     Returns one line per delta (rates as percentages, attribution as
     absolute share points); an empty list means the documents agree on
-    every compared quantity.  Used by ``python -m repro bench --diff`` and
-    as the explanation layer under the perf gate.
+    every compared quantity.  ``python -m repro report`` prints it for a
+    document whose bytes are not the committed file's.
     """
     lines: list[str] = []
     if a.get("schema") != b.get("schema"):

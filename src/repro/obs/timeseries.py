@@ -94,8 +94,12 @@ class TelemetryRecorder:
         registry = self.system.metrics
         names = (self._wanted if self._wanted is not None
                  else registry.namespaces())
+        unknown = [name for name in names if name not in registry]
+        if unknown:
+            raise ValueError(f"unknown metrics namespace {unknown[0]!r} (one "
+                             f"of {', '.join(registry.namespaces())})")
         for name in names:
-            self._sources[name] = registry.get(name)  # KeyError = typo
+            self._sources[name] = registry.get(name)
         for name, source in self._sources.items():
             self._prev[name] = self._baseline(source)
         self.running = True

@@ -17,7 +17,6 @@ from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Interrupt, Proces
 from repro.sim.invariants import Sanitizer, SanitizerError
 from repro.sim.request import IORequest, RequestRegistry
 from repro.sim.resources import Resource, Semaphore, Signal
-from repro.sim.simcheck import run_simcheck, stable_digest
 from repro.sim.stats import Histogram, HistogramSnapshot, StatSet, TimeWeighted
 from repro.sim.trace import Span, TraceRecord, Tracer
 
@@ -45,6 +44,4 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "run_simcheck",
-    "stable_digest",
 ]

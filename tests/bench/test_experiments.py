@@ -3,11 +3,13 @@
 ``python -m repro report`` runs every row of
 :mod:`repro.bench.experiments` into ``BENCH_experiments.json`` and renders
 RESULTS.md and EXPERIMENTS.md's generated blocks from it.  All but the last
-test here read files only: the docs must be that rendering byte for byte,
-every committed value must sit in its band, and the committed cells must be
-the registry's — so a hand-edited digit, a band changed without a re-run or
-a stale document fails without a simulated second.  The last one shows a
-band catching a model change: a doubled page-fault cost fails figure 12.
+two tests here read files only: the docs must be that rendering byte for
+byte, every committed value must sit in its band, and the committed cells
+must be the registry's — so a hand-edited digit, a band changed without a
+re-run or a stale document fails without a simulated second.  The last two
+show a band catching a model change: a doubled page-fault cost fails
+figure 12, and a tracer counting span ids across machines fails the
+``determinism`` row.
 """
 
 import json
@@ -93,3 +95,27 @@ def test_a_doubled_fault_cost_fails_figure_12_by_row_and_cell(
     out = capsys.readouterr().out
     assert "| new CPU (s) | 4 | 2.6 | 2.4 – 2.95 | OUT |" in out
     assert "FAILED: fig12 / new CPU (s): 4 outside 2.4 – 2.95 (" in out
+
+
+def test_a_tracer_sharing_span_ids_fails_the_determinism_row_by_cell(
+        monkeypatch, capsys):
+    """Span ids from one counter every tracer shares (how they once were):
+    the second run's trace numbers its spans on from the first's."""
+    from itertools import count
+
+    from repro.__main__ import main
+    from repro.sim.trace import Tracer
+
+    shared = count(1)
+    init = Tracer.__init__
+
+    def leaky(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._span_ids = shared
+
+    monkeypatch.setattr(Tracer, "__init__", leaky)
+    assert main(["report", "--id", "determinism"]) == 1
+    out = capsys.readouterr().out
+    assert "| traces differing | 1 | - | exact | OUT |" in out
+    assert "| rates differing | 0 | - | exact | ok |" in out
+    assert "FAILED: determinism / traces differing: 1 outside exact (" in out

@@ -18,9 +18,9 @@ import pytest
 from repro.__main__ import CAMPAIGNS, main
 
 
+ROOT = Path(__file__).resolve().parents[2]
 #: For a child started outside the checkout: the package by path only.
-OUTSIDE_ENV = {**os.environ,
-               "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+OUTSIDE_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_cli(*args, timeout=300, **kwargs):
@@ -73,6 +73,41 @@ def test_cli_musbus(cli):
     result = cli("report", "--id", "musbus")
     assert result.returncode == 0, result.stdout
     assert "| D/A elapsed | 0.997 |" in result.stdout
+
+
+def test_cli_report_determinism_holds(cli):
+    """Two sanitized same-seed runs in one process: the same raw trace
+    bytes, rates and request counts."""
+    result = cli("report", "--id", "determinism")
+    assert result.returncode == 0, result.stdout
+    assert "| traces differing | 0 | - | exact | ok |" in result.stdout
+
+
+def test_cli_report_id_gates_the_committed_bytes(tmp_path, monkeypatch, cli):
+    """``report --id`` writes nothing: it holds each document its rows own
+    to the committed file's bytes and explains a difference with
+    ``diff_documents``."""
+    import repro.__main__ as cli_main
+    from repro.obs.bench import write_document
+
+    clean = cli("report", "--id", "baseline")
+    assert clean.returncode == 0, clean.stdout
+    assert "CHANGED" not in clean.stdout
+    committed = json.loads((ROOT / "BENCH_baseline.json").read_text())
+    committed["results"]["A"]["rates"]["FSR"] /= 0.9  # the run: 10 % slower
+    path = tmp_path / "BENCH_baseline.json"
+    write_document(path, committed["run"], committed["results"],
+                   lambda _line: None)
+    doctored = path.read_text()
+    monkeypatch.setattr(cli_main, "_checkout_file",
+                        lambda _command, *parts: tmp_path.joinpath(*parts))
+    result = cli("report", "--id", "baseline")
+    assert result.returncode == 1
+    assert re.search(r"^CHANGED: BENCH_baseline\.json: A/FSR: 1638\.4 -> "
+                     r"1474\.5 KB/s \(-10\.0%\)$", result.stdout, re.M)
+    assert ("FAILED: a document these rows own differs from the committed "
+            "file\n") in result.stdout
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == doctored
 
 
 def test_cli_faultcampaign_smoke(cli):
@@ -176,22 +211,6 @@ def test_cli_bench_json_stdout_parses(cli):
     assert "bench id" in result.stderr
 
 
-def test_cli_bench_gate_against_self(tmp_path, cli):
-    baseline = tmp_path / "BENCH_baseline.json"
-    first = cli("bench", "--configs", "A", "--file-mb", "1",
-                "--ops", "32", "--json", str(baseline))
-    assert first.returncode == 0
-    gated = cli("bench", "--configs", "A", "--file-mb", "1",
-                "--ops", "32", "--baseline", str(baseline), "--diff")
-    assert gated.returncode == 0
-    assert "perf gate OK" in gated.stdout
-    # A mismatched baseline (different parameters) must fail the gate.
-    mismatched = cli("bench", "--configs", "A", "--file-mb", "1",
-                     "--ops", "16", "--baseline", str(baseline))
-    assert mismatched.returncode == 1
-    assert "perf gate FAILED" in mismatched.stdout
-
-
 @pytest.fixture
 def never_simulates(monkeypatch):
     from repro.bench.iobench import IObench
@@ -215,12 +234,18 @@ def never_simulates(monkeypatch):
     (["bench", "--file-mb", "-1"], "bench: file size must be"),
     (["bench", "--configs", "A", "--file-mb", "1", "--ops", "-5"],
      "bench: random ops must be at least 1, not -5"),
-    (["simcheck", "--ops", "0"], "simcheck: random ops must be"),
     (["trace", "jsonl", "--file-mb", "0"], "trace: file size must be"),
+    (["iobench", "--configs", ""], "iobench: --configs names no configuration"),
+    (["bench", "--configs", "", "--file-mb", "1", "--ops", "8"],
+     "bench: --configs names no configuration"),
+    (["trace", "series", "--interval-ms", "0"],
+     "trace: telemetry interval must be > 0, not 0 s"),
+    (["crashpoints", "--max-states", "0"], "crashpoints: max_states must be"),
 ], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
         "bench-stray-option", "iobench-stray-option", "report-unknown-id",
         "iobench-empty-file", "bench-negative-file", "bench-negative-ops",
-        "simcheck-no-ops", "trace-empty-file"])
+        "trace-empty-file", "iobench-no-configs", "bench-no-configs",
+        "trace-zero-interval", "crashpoints-no-states"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
@@ -228,24 +253,6 @@ def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
     assert result.stdout == ""
     assert result.stderr.startswith(complaint)
     assert result.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("content, complaint", [
-    (None, "No such file"),
-    ("wrote BENCH.json\n", "Expecting value"),
-    ("[]\n", "not a JSON object"),
-], ids=["missing", "not-json", "not-an-object"])
-def test_cli_bench_bad_baseline_is_refused_before_simulating(
-        cli, never_simulates, tmp_path, content, complaint):
-    """It used to be opened only after the whole bench had run."""
-    path = tmp_path / "baseline.json"
-    if content is not None:
-        path.write_text(content)
-    result = cli("bench", "--baseline", str(path))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"bench: baseline {path}: ")
-    assert complaint in result.stderr and result.stderr.count("\n") == 1
 
 
 def test_cli_bench_imports_no_campaign(tmp_path):
@@ -354,6 +361,15 @@ def test_cli_trace_bad_jsonl_is_one_stderr_line_and_exit_2(
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("trace: ") and complaint in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_cli_trace_series_refuses_an_unknown_namespace(cli):
+    result = cli("trace", "series", "--config", "A", "--file-mb", "1",
+                 "--ops", "16", "--namespaces", "vm.freemem,bogus")
+    assert result.returncode == 2
+    assert result.stderr.startswith("trace: unknown metrics namespace "
+                                    "'bogus' (one of cpu, disk.driver, ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_cli_trace_series_renders_sparklines(cli):

@@ -108,7 +108,7 @@ def test_namespace_selection_and_typo_raises():
     recorder = TelemetryRecorder(sys_, namespaces=["a"]).start()
     drive(sys_.engine, 0.010)
     assert recorder.rows[0].keys() == {"a"}
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"'typo' \(one of a, b\)"):
         TelemetryRecorder(sys_, namespaces=["a", "typo"]).start()
     with pytest.raises(ValueError):
         TelemetryRecorder(sys_, interval=0.0)
