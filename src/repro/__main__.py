@@ -12,7 +12,7 @@ Commands:
   EXPERIMENTS.md's generated blocks; ``--id`` runs only the named rows,
   writes nothing, and exits 1 when a document they own is not the
   committed file's bytes;
-* the five campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
+* the four campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
   from it at the end of this docstring — all take ``[--seed 0]
   [--sanitize] [--json [PATH]]``, exit 0 when every invariant held, 1 on
   a violated invariant or an inert injection, 2 on a bad argument;
@@ -203,16 +203,6 @@ def _crashpoint_notes(explorer: Any) -> Iterable[str]:
 
 CAMPAIGNS = (
     CampaignCommand(
-        "faultcampaign",
-        "seeded power cuts over a write/fsync workload (torn writes, fsck "
-        "repair, fsync read-back)",
-        "repro.faults:CrashCampaign",
-        (("cuts", 50, "number of seeded power-cut points"),
-         ("trace", False, "print a per-cut trace summary")),
-        "corruption or unrepaired damage detected",
-        notes=lambda c: (r.describe() for r in c.trace_records
-                         if r.tag == "power_cut")),
-    CampaignCommand(
         "netcampaign",
         "seeded network faults over an NFS workload (drops, duplicates, "
         "corruption, partitions, server reboots: no lost acknowledged "
@@ -233,9 +223,10 @@ CAMPAIGNS = (
         seed_arg="base_seed"),
     CampaignCommand(
         "crashpoints",
-        "every bounded-legal crash state of a workload recorded over a "
-        "volatile write cache (cache subsets x torn destages): fsck-repair, "
-        "remount, hold each durability point to its word",
+        "every bounded-legal crash state of a workload recorded on the "
+        "drive's journal (write-through, or volatile-cache subsets; x torn "
+        "writes): fsck-repair, remount, hold each durability point to its "
+        "word",
         "repro.faults:CrashpointExplorer",
         (("preset", "smoke", "workload preset (see "
                              "repro.faults.crashpoints.PRESETS)"),
@@ -359,6 +350,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import chrome_trace_json, folded_stacks
 
     say = _emit(args)
+    if args.top < 0:
+        print(f"trace: --top must be >= 0, not {args.top}", file=sys.stderr)
+        return 2
 
     if args.mode == "series":
         if args.trace_jsonl:
@@ -481,11 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(row.name, help=row.help)
         for name, default, text in row.flags:
             flag = "--" + name.replace("_", "-")
-            if default is False:
-                p.add_argument(flag, action="store_true", help=text)
-            else:
-                p.add_argument(flag, type=type(default), default=default,
-                               help=f"{text} (default {default})")
+            p.add_argument(flag, type=type(default), default=default,
+                           help=f"{text} (default {default})")
         p.add_argument("--seed", type=int, default=0,
                        help="seed (default 0); a sweep over --seeds uses "
                             "seed..seed+seeds-1")

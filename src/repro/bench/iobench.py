@@ -19,6 +19,7 @@ Methodology notes (documented deviations are in EXPERIMENTS.md):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import count
@@ -65,9 +66,10 @@ class IObench:
                              f"{random_ops}")
         if trace_phase is not None and trace_phase not in PHASES + ("*",):
             raise ValueError(f"trace_phase must be one of {PHASES} or '*'")
-        if telemetry_interval is not None and telemetry_interval <= 0:
-            raise ValueError(f"telemetry interval must be > 0, not "
-                             f"{telemetry_interval:g} s")
+        if telemetry_interval is not None and not (
+                0 < telemetry_interval < math.inf):
+            raise ValueError(f"telemetry interval must be finite and > 0, "
+                             f"not {telemetry_interval:g} s")
         self.config = config
         self.file_size = file_size
         self.random_ops = random_ops

@@ -26,7 +26,13 @@ instead models the drive footnote 5 warns about: non-FUA writes are
 acknowledged after the bus transfer and sit volatile until a FLUSH command,
 a force-unit-access write, or capacity pressure destages them (paying the
 real media time then).  Reads see the cache contents through an overlay.
-A power cut drops whatever is volatile.
+
+Either drive can keep a **journal**: the exact sequence of its
+durability-relevant events (:class:`JournalEvent`), each carrying the
+payload bytes and the originating request.  On a write-through drive every
+media write is a ``fua`` event, durable when it completes.  Replayed over
+the image the journal started from, it reproduces the store; the crash-point
+explorer (:mod:`repro.faults.crashpoints`) enumerates crash states from it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from repro.disk.buf import Buf
 from repro.disk.geometry import DiskGeometry
 from repro.disk.store import DiskStore
-from repro.errors import ChecksumError, PowerLossError
+from repro.errors import ChecksumError
 from repro.sim.events import Event
 from repro.sim.stats import StatSet
 from repro.units import MB, MS
@@ -45,6 +51,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.wcache import VolatileWriteCache
     from repro.faults.plan import FaultPlan
     from repro.sim.engine import Engine
+
+
+class JournalEvent:
+    """One durability-relevant event, in the order the drive saw it.
+
+    ``kind`` is one of:
+
+    * ``write``   — a write completed into the volatile cache;
+    * ``fua``     — a write went to the media (force unit access, or any
+      write on a write-through drive): durable when it completed;
+    * ``destage`` — the cache's head entry became durable;
+    * ``flush``   — a FLUSH command finished draining the cache;
+    * ``drop``    — the drive died and the volatile contents were lost.
+
+    ``seq`` names the cache entry a ``write`` created and a ``destage``
+    made durable; it is -1 on events that have no cache entry.
+    """
+
+    __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
+                 "owner", "request")
+
+    def __init__(self, kind: str, seq: int = -1, sector: int = 0,
+                 nsectors: int = 0, data: bytes = b"", ordered: bool = False,
+                 owner: str = "", request: "Any | None" = None):
+        self.kind = kind
+        self.seq = seq
+        self.sector = sector
+        self.nsectors = nsectors
+        self.data = data
+        self.ordered = ordered
+        self.owner = owner
+        self.request = request
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<JournalEvent {self.kind} seq={self.seq} "
+                f"sec={self.sector}+{self.nsectors}>")
 
 
 class TrackBuffer:
@@ -155,6 +197,9 @@ class RotationalDisk:
         #: Optional integrity region (repro.integrity.checksum): reads are
         #: verified and writes stamped against it.  See attach_integrity.
         self.integrity = None
+        #: When a list, every durability-relevant event is appended to it
+        #: (the crash-point explorer's recording hook); None = no journal.
+        self.journal: "list[JournalEvent] | None" = None
         self.stats = StatSet("disk")
         self._cyl = 0
         self._head = 0
@@ -225,12 +270,8 @@ class RotationalDisk:
             # The forbidden fast ack: bus transfer only, no media time.
             buf.xfer_time += buf.nbytes / self.bus_rate
             yield from engine.sleep(buf.nbytes / self.bus_rate)
-            plan = self.fault_plan
-            if plan is not None and plan.cuts_power_during(buf.started_at,
-                                                           engine.now):
-                # Cut during the host transfer: nothing reached the cache.
-                self._power_died(plan)
-            cache.write(buf)
+            entry = cache.write(buf)
+            self._journal("write", entry, entry.seq)
             self.stats.incr("cached_writes")
             # Capacity pressure destages oldest-first, charged to this
             # request (the drive stalls the host while it makes room).
@@ -264,28 +305,6 @@ class RotationalDisk:
             remaining -= run
             first_segment = False
 
-        # Power cut mid-request: tear an in-flight write at a sector
-        # boundary and freeze the durable state forever after.
-        plan = self.fault_plan
-        if plan is not None and plan.cuts_power_during(buf.started_at, engine.now):
-            if buf.is_write:
-                assert buf.data is not None
-                durable = plan.torn_prefix_sectors(buf, buf.started_at, engine.now)
-                if durable > 0:
-                    self.store.write(buf.sector,
-                                     buf.data[:durable * geom.sector_size])
-                    if self.integrity is not None:
-                        # Only the fully-durable fragments get records;
-                        # the torn remainder keeps its old ones and will
-                        # fail verification (as it should).
-                        self.integrity.stamp_range(
-                            buf.sector, buf.data[:durable * geom.sector_size],
-                            buf.integrity_owner)
-                self.stats.incr("torn_writes")
-                plan.stats.incr("torn_writes")
-                plan.stats.incr("torn_sectors_lost", buf.nsectors - durable)
-            self._power_died(plan)
-
         # Data plane: move the real bytes.
         if buf.is_read:
             buf.data = self.read_through(buf.sector, buf.nsectors)
@@ -306,6 +325,7 @@ class RotationalDisk:
                 raise ValueError(
                     f"write buf data length {len(buf.data)} != {buf.nbytes}"
                 )
+            plan = self.fault_plan
             silent = plan.decide_silent(buf, engine.now) if plan is not None \
                 else None
             if silent == "lost":
@@ -337,7 +357,8 @@ class RotationalDisk:
                 self.integrity.stamp_range(buf.sector, buf.data,
                                            buf.integrity_owner)
             if cache is not None:
-                cache.note_fua(buf)
+                cache.note_fua()
+            self._journal("fua", buf)
 
     def read_through(self, sector: int, nsectors: int) -> bytes:
         """The drive-visible bytes: durable store plus the volatile cache
@@ -349,26 +370,26 @@ class RotationalDisk:
         return data
 
     # -- internals ------------------------------------------------------------
-    def _power_died(self, plan: "FaultPlan") -> None:
-        """Power is gone: volatile contents die, durable state freezes."""
-        if self.write_cache is not None:
-            lost = self.write_cache.drop_all()
-            self.stats.incr("cache_dropped_bytes", lost)
-        plan.powered_off = True
-        plan.stats.incr("power_faults")
-        raise PowerLossError(
-            f"power lost at t={plan.power_cut_time:.6f} mid-request")
+    def _journal(self, kind: str, io: Any = None, seq: int = -1) -> None:
+        """Append one event to the journal, if one is being kept; ``io`` is
+        the buf or cache entry the event moves the bytes of."""
+        if self.journal is None:
+            return
+        if io is None:
+            self.journal.append(JournalEvent(kind))
+        else:
+            self.journal.append(JournalEvent(
+                kind, seq, io.sector, io.nsectors, bytes(io.data),
+                io.ordered, io.owner, io.request))
 
     def _destage_head(self, host_buf: Buf) -> Generator[Event, Any, None]:
         """Write the cache's oldest entry to the media (real media time,
         charged to ``host_buf``'s service), then commit it durable."""
         cache = self.write_cache
         assert cache is not None and cache.entries
-        engine = self.engine
         geom = self.geometry
         entry = cache.entries[0]
         self.track_buffer.invalidate()
-        start = engine.now
         sector = entry.sector
         remaining = entry.nsectors
         while remaining > 0:
@@ -379,23 +400,8 @@ class RotationalDisk:
             self._cyl, self._head = cyl, head
             sector += run
             remaining -= run
-        plan = self.fault_plan
-        if plan is not None and plan.cuts_power_during(start, engine.now):
-            # The destage itself tears at a sector boundary; every other
-            # volatile entry is simply gone.
-            durable = plan.torn_prefix_sectors(entry, start, engine.now)
-            if durable > 0:
-                self.store.write(entry.sector,
-                                 entry.data[:durable * geom.sector_size])
-                if self.integrity is not None:
-                    self.integrity.stamp_range(
-                        entry.sector, entry.data[:durable * geom.sector_size],
-                        entry.integrity_owner)
-            self.stats.incr("torn_writes")
-            plan.stats.incr("torn_writes")
-            plan.stats.incr("torn_sectors_lost", entry.nsectors - durable)
-            self._power_died(plan)
         cache.destage_head()
+        self._journal("destage", entry, entry.seq)
         if self.integrity is not None:
             # Volatile writes become checksummed reality only now: the
             # destage is the point the media (and the record table) see
@@ -409,12 +415,8 @@ class RotationalDisk:
         if cache is not None:
             while cache.entries:
                 yield from self._destage_head(buf)
-        plan = self.fault_plan
-        if plan is not None and plan.cuts_power_during(buf.started_at,
-                                                       self.engine.now):
-            self._power_died(plan)
-        if cache is not None:
             cache.note_flush()
+        self._journal("flush")
 
     def _fail(self, buf: Buf, decision: Any) -> Generator[Event, Any, None]:
         """Charge the time an injected failure costs, then raise its error."""
@@ -422,11 +424,12 @@ class RotationalDisk:
 
         engine = self.engine
         self.stats.incr("faulted_requests")
-        if decision.kind in (FaultKind.POWER, FaultKind.DEAD):
+        if decision.kind is FaultKind.DEAD:
             # The electronics are dead: instant failure, volatile cache gone.
             if self.write_cache is not None and self.write_cache.entries:
                 lost = self.write_cache.drop_all()
                 self.stats.incr("cache_dropped_bytes", lost)
+                self._journal("drop")
             raise decision.error
         if decision.kind is FaultKind.TIMEOUT:
             # The controller goes silent; the request hangs before the

@@ -417,7 +417,7 @@ class DiskDriver(BlockDevice):
                 self.stats.incr("checksum_retries")
                 yield from self.engine.sleep(self.retry_backoff)
             except DiskError as exc:
-                return exc  # power loss and anything else unrecoverable
+                return exc  # a dead device and anything else unrecoverable
 
     def _split_retry(self, parent: Buf) -> None:
         """Re-queue a failed coalesced parent's children individually.

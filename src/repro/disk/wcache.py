@@ -13,12 +13,8 @@ writes that become durable only when
 drive may reorder destaging freely *within* the stretch between two
 barriers, but never across one.  The crash-point explorer
 (:mod:`repro.faults.crashpoints`) turns exactly that rule into the set of
-legal crash states.
-
-The cache also keeps an optional **journal**: the exact sequence of
-write/fua/destage/flush events, each carrying the payload bytes and the
-originating request (for span attribution).  The journal is what makes a
-recorded workload replayable as an enumeration of crash images.
+legal crash states, from the journal the disk keeps of what this cache
+does (:class:`repro.disk.disk.JournalEvent`).
 """
 
 from __future__ import annotations
@@ -67,44 +63,12 @@ class CacheEntry:
                 f"{flag} {self.owner!r}>")
 
 
-class JournalEvent:
-    """One durability-relevant event, in cache order.
-
-    ``kind`` is one of:
-
-    * ``write``   — a write completed into the cache (volatile);
-    * ``fua``     — a force-unit-access write went straight to the media;
-    * ``destage`` — the head entry became durable (capacity or flush);
-    * ``flush``   — a FLUSH command finished draining the cache;
-    * ``drop``    — power died and the volatile contents were lost.
-    """
-
-    __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
-                 "owner", "request")
-
-    def __init__(self, kind: str, seq: int = -1, sector: int = 0,
-                 nsectors: int = 0, data: bytes = b"", ordered: bool = False,
-                 owner: str = "", request: "Any | None" = None):
-        self.kind = kind
-        self.seq = seq
-        self.sector = sector
-        self.nsectors = nsectors
-        self.data = data
-        self.ordered = ordered
-        self.owner = owner
-        self.request = request
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<JournalEvent {self.kind} seq={self.seq} "
-                f"sec={self.sector}+{self.nsectors}>")
-
-
 class VolatileWriteCache:
     """A bounded FIFO of volatile writes in front of a :class:`DiskStore`.
 
     The disk mechanism owns the timing (destaging charges real media
-    time); this object owns the data plane: entry order, the read
-    overlay, and the journal.
+    time) and the journal; this object owns the data plane: entry order
+    and the read overlay.
     """
 
     def __init__(self, store: "DiskStore", limit_bytes: int,
@@ -116,9 +80,6 @@ class VolatileWriteCache:
         self.sector_size = sector_size
         self.entries: list[CacheEntry] = []
         self.bytes = 0
-        #: When a list, every durability-relevant event is appended to it
-        #: (the crash-point explorer's recording hook); None = no journal.
-        self.journal: "list[JournalEvent] | None" = None
         self.stats = StatSet("wcache")
         self._seq = 0
 
@@ -138,10 +99,6 @@ class VolatileWriteCache:
         self.bytes += entry.nbytes
         self.stats.incr("writes")
         self.stats.incr("cached_bytes", entry.nbytes)
-        if self.journal is not None:
-            self.journal.append(JournalEvent(
-                "write", entry.seq, entry.sector, entry.nsectors, entry.data,
-                entry.ordered, entry.owner, entry.request))
         return entry
 
     @property
@@ -155,38 +112,25 @@ class VolatileWriteCache:
         self.bytes -= entry.nbytes
         self.store.write(entry.sector, entry.data)
         self.stats.incr("destages")
-        if self.journal is not None:
-            self.journal.append(JournalEvent(
-                "destage", entry.seq, entry.sector, entry.nsectors,
-                owner=entry.owner, request=entry.request))
         return entry
 
-    def note_fua(self, buf: "Buf") -> None:
-        """Record a force-unit-access write that bypassed the cache."""
+    def note_fua(self) -> None:
+        """Count a force-unit-access write that bypassed the cache."""
         self.stats.incr("fua_writes")
-        if self.journal is not None:
-            assert buf.data is not None
-            self._seq += 1
-            self.journal.append(JournalEvent(
-                "fua", self._seq, buf.sector, buf.nsectors, bytes(buf.data),
-                buf.ordered, buf.owner, buf.request))
 
     def note_flush(self) -> None:
-        """Record that a FLUSH finished (the cache is drained)."""
+        """Count a finished FLUSH (the cache is drained)."""
         assert not self.entries
         self.stats.incr("flushes")
-        if self.journal is not None:
-            self.journal.append(JournalEvent("flush"))
 
     def drop_all(self) -> int:
-        """Power died: the volatile contents are gone.  Returns bytes lost."""
+        """The drive died: the volatile contents are gone.  Returns bytes
+        lost."""
         lost = self.bytes
         self.entries.clear()
         self.bytes = 0
         self.stats.incr("drops")
         self.stats.incr("dropped_bytes", lost)
-        if self.journal is not None:
-            self.journal.append(JournalEvent("drop"))
         return lost
 
     # -- read plane --------------------------------------------------------

@@ -78,14 +78,6 @@ class DiskTimeoutError(DiskError):
     code = "ETIMEDOUT"
 
 
-class PowerLossError(DiskError):
-    """Power was cut while the request was queued or in flight.  An
-    in-flight multi-sector write may have been torn at a sector boundary;
-    the durable state is frozen from this instant on."""
-
-    code = "EIO"
-
-
 class NetworkError(ReproError):
     """Base class for network/RPC level errors (the NFS path)."""
 

@@ -3,13 +3,14 @@
 The fault model lives in two layers per medium:
 
 * :class:`FaultPlan` — a seeded schedule of disk faults (latent bad
-  sectors, transient failures, controller timeouts, power cuts) injected
-  into :class:`repro.disk.disk.RotationalDisk`; the driver's recovery
-  machinery (retries, backoff, bad-block remapping, split-retry of
-  coalesced clusters) is exercised against it.
-* :class:`CrashCampaign` — a seeded sweep of power-cut points over a write
-  workload, asserting that fsck detects and repairs every torn-write
-  inconsistency and that fsync's durability promise is never broken.
+  sectors, transient failures, controller timeouts, device death, silent
+  write faults) injected into :class:`repro.disk.disk.RotationalDisk`;
+  the driver's recovery machinery (retries, backoff, bad-block remapping,
+  split-retry of coalesced clusters) is exercised against it.
+* :class:`CrashpointExplorer` — records a workload on the disk's journal
+  (the paper's write-through drive, or a volatile write cache), then
+  enumerates every bounded-legal crash state (cache subsets × torn
+  writes) and verifies the durability contract on each distinct image.
 * :class:`MirrorKillCampaign` — a seeded sweep of mirror-member deaths
   over a ``mirror:2`` volume, asserting degraded service, zero
   acknowledged loss from the survivor alone, and byte-identical members
@@ -23,16 +24,11 @@ The fault model lives in two layers per medium:
   NFS create/write/fsync/remove workload, asserting no acknowledged write
   is ever lost, mutations stay exactly-once, and corrupt bytes never reach
   the client's page cache.
-* :class:`CrashpointExplorer` — the exhaustive sibling of CrashCampaign:
-  records a workload over a volatile write cache, then enumerates every
-  bounded-legal crash state (cache subsets × torn destages) and verifies
-  the durability contract on each distinct image.
 
-The five sweeps (the four above and :mod:`repro.integrity.campaign`'s
+The four sweeps (the three above and :mod:`repro.integrity.campaign`'s
 scrub campaign) share one shell, :mod:`repro.faults.harness`.
 """
 
-from repro.faults.campaign import CampaignStats, CrashCampaign
 from repro.faults.crashpoints import (
     CrashpointExplorer, CrashpointReport, PRESETS,
 )
@@ -50,8 +46,6 @@ __all__ = [
     "SILENT_KINDS",
     "corrupt_frag",
     "Campaign",
-    "CampaignStats",
-    "CrashCampaign",
     "CrashpointExplorer",
     "CrashpointReport",
     "PRESETS",

@@ -1,20 +1,21 @@
-"""Exhaustive crash-state exploration over a volatile write cache.
+"""Exhaustive crash-state exploration over a drive's journal.
 
-The PR-1 :class:`~repro.faults.campaign.CrashCampaign` samples crash
-instants with a seeded RNG; this module replaces luck with enumeration.
-A **recording run** executes a workload preset on a disk with a
-:class:`~repro.disk.wcache.VolatileWriteCache` whose journal captures
-every durability-relevant event (volatile write, FUA write, destage,
-flush).  The **explorer** then replays the journal and, at every event,
-enumerates the crash states a standards-conforming drive could leave
-behind:
+The one crash model: instead of sampling crash instants, enumerate them.
+A **recording run** executes a workload preset on a disk whose journal
+(:class:`~repro.disk.disk.JournalEvent`) captures every
+durability-relevant event (volatile write, media write, destage, flush).
+A preset with ``cache_bytes=0`` records the paper's write-through drive,
+where every media write is a ``fua`` event; any other records a drive
+with a :class:`~repro.disk.wcache.VolatileWriteCache`.  The **explorer**
+then replays the journal and, at every event, enumerates the crash states
+a standards-conforming drive could leave behind:
 
 * the durable image so far, plus
 * any *legal* subset of the cache contents — the drive may destage
   opportunistically in the background, reordering freely within a
   bounded window but never across a ``B_ORDER`` barrier entry — plus
-* optionally a torn prefix of the entry that was mid-destage when the
-  power died (sector-atomic, like the campaign's torn writes).
+* optionally a torn prefix of the entry that was mid-destage, or of the
+  media write in flight, when the power died (sector-atomic).
 
 Legal subsets of one barrier-free stretch are exactly the sets ``T``
 where every included entry has fewer than ``window`` earlier entries
@@ -69,7 +70,8 @@ class Preset:
 
     All write sizes are sector multiples: destaging and tearing are
     sector-atomic, so sector-aligned writes make "old or new, per
-    sector" the exact contract for unsynced data.
+    sector" the exact contract for unsynced data.  ``cache_bytes=0``
+    records on the paper's write-through drive (no volatile cache).
     """
 
     name: str
@@ -111,6 +113,11 @@ PRESETS: dict[str, Preset] = {
                "appends with B_ORDER metadata barriers instead of FUA",
                workload="append", files=2, chunks=4,
                ordered_metadata=True),
+        Preset("writethrough",
+               "the paper's write-through drive: 48 KB files, fsync every "
+               "other one, unlink a never-synced one every fourth",
+               workload="writethrough", files=10, chunk=48 * KB,
+               cache_bytes=0),
     )
 }
 
@@ -140,11 +147,9 @@ class ContractRecorder:
 
     def __init__(self, system: System):
         self.system = system
-        cache = system.write_cache
-        assert cache is not None, "crashpoints needs a volatile write cache"
-        if cache.journal is None:
-            cache.journal = []
-        self.journal = cache.journal
+        if system.disk.journal is None:
+            system.disk.journal = []
+        self.journal = system.disk.journal
         self.events: list[ContractEvent] = []
         #: (kind, ino, journal position) per acknowledged durability point,
         #: fed by the syscall layer's on_durability hook.
@@ -363,6 +368,29 @@ def _wl_smoke(proc: Proc, rec: ContractRecorder, rng: random.Random,
     rec.unlinked("/f0")
 
 
+def _wl_writethrough(proc: Proc, rec: ContractRecorder, rng: random.Random,
+                     p: Preset) -> Generator[Any, Any, None]:
+    # Create/write/fsync/unlink churn: every other file is fsynced, and
+    # every fourth step removes a never-fsynced earlier file, so the
+    # synchronous metadata order of unlink is under the crash points too.
+    yield from proc.mkdir("/work")
+    for i in range(p.files):
+        path = f"/work/f{i}"
+        data = rng.randbytes(p.chunk)
+        fd = yield from proc.creat(path)
+        rec.dirty(path, data)
+        yield from proc.write(fd, data)
+        if i % 2 == 0:
+            yield from proc.fsync(fd)
+            rec.promise(path, data)
+        yield from proc.close(fd)
+        if i % 4 == 3:
+            victim = f"/work/f{i - 2}"
+            rec.unlink_begin(victim)
+            yield from proc.unlink(victim)
+            rec.unlinked(victim)
+
+
 _WORKLOADS = {
     "append": _wl_append,
     "overwrite": _wl_overwrite,
@@ -370,6 +398,7 @@ _WORKLOADS = {
     "relocate": _wl_relocate,
     "spanning": _wl_spanning,
     "smoke": _wl_smoke,
+    "writethrough": _wl_writethrough,
 }
 
 
@@ -409,10 +438,11 @@ class CrashpointReport(SweepStats):
 class _Pending:
     """A journal write event replayed into the explorer's pending list."""
 
-    __slots__ = ("seq", "sector", "nsectors", "data", "ordered", "owner",
-                 "request")
+    __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
+                 "owner", "request")
 
     def __init__(self, ev: Any):
+        self.kind = ev.kind
         self.seq = ev.seq
         self.sector = ev.sector
         self.nsectors = ev.nsectors
@@ -422,8 +452,9 @@ class _Pending:
         self.request = ev.request
 
     def describe(self) -> str:
+        name = f"write#{self.seq}" if self.kind == "write" else self.kind
         flag = " B_ORDER" if self.ordered else ""
-        return (f"write#{self.seq} sec={self.sector}+{self.nsectors}"
+        return (f"{name} sec={self.sector}+{self.nsectors}"
                 f"{flag} owner={self.owner!r}")
 
 
@@ -473,9 +504,10 @@ class CrashpointExplorer(Campaign):
         if layout.kind != "single":
             raise ValueError(
                 f"layout {layout.describe()}: crash-point journaling "
-                "records one drive's write cache")
+                "records one drive's journal")
         self.record_config = self.config.with_(
-            write_cache=True, write_cache_bytes=preset.cache_bytes,
+            write_cache=preset.cache_bytes > 0,
+            write_cache_bytes=preset.cache_bytes,
             ordered_metadata=preset.ordered_metadata)
         #: Survivors remount write-through: the crash image is durable by
         #: construction, and verification must not add volatility of its own.
@@ -516,8 +548,8 @@ class CrashpointExplorer(Campaign):
             self._apply_event(replay, pending, ev)
         if pending or replay.digest() != system.store.digest():
             raise SimulationError(
-                "write-cache journal does not reproduce the recorded "
-                "store (journal/data-plane incoherence)")
+                "disk journal does not reproduce the recorded store "
+                "(journal/data-plane incoherence)")
         return system, rec, base
 
     @staticmethod
@@ -533,7 +565,7 @@ class CrashpointExplorer(Campaign):
             store.write(head.sector, head.data)
         elif ev.kind == "flush":
             assert not pending, "flush with entries still pending"
-        elif ev.kind == "drop":  # pragma: no cover - recording never cuts
+        elif ev.kind == "drop":  # pragma: no cover - recording never dies
             pending.clear()
 
     # -- legal subsets -----------------------------------------------------

@@ -1,9 +1,9 @@
-"""The campaign shell: what the five sweeps share, written once.
+"""The campaign shell: what the four sweeps share, written once.
 
-``faultcampaign``, ``netcampaign``, ``memberkill``, ``crashpoints`` and
-``scrubcampaign`` have different bodies — one seed and many cuts after a
-rehearsal, a replay leg and a soft-mount probe, an enumeration over one
-recording, a single six-phase run — so there is no phase protocol here
+``netcampaign``, ``memberkill``, ``crashpoints`` and ``scrubcampaign``
+have different bodies — a replay leg and a soft-mount probe, one kill per
+seed, an enumeration over one recording, a single six-phase run — so
+there is no phase protocol here
 for them to be bent into.  What they do share is a shell: a small-disk
 default machine, the "``None`` leaves the environment default" sanitizer
 rule, counters with a pass/fail verdict, and a JSON envelope with a

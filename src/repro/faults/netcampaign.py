@@ -1,7 +1,7 @@
 """Lost-write campaigns: seeded sweeps of network faults over NFS.
 
-The disk-side :class:`~repro.faults.campaign.CrashCampaign` makes fsck
-answer for torn writes; the network campaign makes the hardened RPC layer
+The disk-side :class:`~repro.faults.crashpoints.CrashpointExplorer` makes
+fsck answer for torn writes; the network campaign makes the hardened RPC layer
 answer for a lossy wire.  Each seeded run builds a client/server world
 whose network drops, duplicates, corrupts, reorders, and delays messages
 (and may partition the link or crash/reboot the server), drives a

@@ -17,17 +17,19 @@ The fault taxonomy:
   (unless the dice fail it again);
 * **controller timeouts** — a request hangs for ``timeout_hang`` seconds
   and then fails with :class:`~repro.errors.DiskTimeoutError`;
-* **power cuts** — at ``power_cut_time`` the machine loses power: a write
-  in flight is torn at a sector boundary (the durable prefix is kept, the
-  rest is lost), and from that instant the durable state is frozen — every
-  later request fails with :class:`~repro.errors.PowerLossError` and
-  nothing further reaches the backing store;
+* **device death** — from ``die_at`` on every request fails instantly
+  with :class:`~repro.errors.MemberDeadError` and the volatile cache is
+  lost (a volume member's electronics failing);
 * **silent faults** — failures the interface reports as success: *lost
   writes* (acknowledged, never reach the media), *misdirected writes*
   (the bytes land at the wrong LBA), *torn tails* (a clustered write's
   tail sectors are dropped), and scheduled *bit rot* developing in place.
   None of these raise; only the integrity layer
   (:mod:`repro.integrity.checksum`) can turn them into detected events.
+
+Crashes are not a fault plan's job: the crash-point explorer
+(:mod:`repro.faults.crashpoints`) enumerates every crash state of a
+recorded disk journal instead of sampling cut instants.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import (
-    DiskTimeoutError, MediaError, MemberDeadError, PowerLossError,
-    TransientDiskError,
+    DiskTimeoutError, MediaError, MemberDeadError, TransientDiskError,
 )
 from repro.sim.stats import StatSet
 
@@ -54,7 +55,6 @@ class FaultKind(enum.Enum):
     TRANSIENT = "transient"
     MEDIA = "media"
     TIMEOUT = "timeout"
-    POWER = "power"
     #: Whole-device death (a volume member's electronics fail): every
     #: request from ``die_at`` on fails instantly, volatile cache lost.
     DEAD = "dead"
@@ -85,7 +85,6 @@ class FaultPlan:
                  transient_at: Iterable[float] = (),
                  timeout_at: Iterable[float] = (),
                  timeout_hang: float = 0.25,
-                 power_cut_time: "float | None" = None,
                  die_at: "float | None" = None,
                  silent_write_p: float = 0.0,
                  silent_write_at: "Iterable[tuple[float, str]]" = (),
@@ -113,8 +112,6 @@ class FaultPlan:
         self._transient_at = sorted(transient_at)
         self._timeout_at = sorted(timeout_at)
         self.timeout_hang = timeout_hang
-        self.power_cut_time = power_cut_time
-        self.powered_off = False
         self.die_at = die_at
         self.dead = False
         self.silent_write_p = silent_write_p
@@ -136,14 +133,6 @@ class FaultPlan:
             return FaultDecision(
                 FaultKind.DEAD,
                 MemberDeadError(f"device died at t={self.die_at:.6f}"))
-        if self.powered_off or (
-            self.power_cut_time is not None and now >= self.power_cut_time
-        ):
-            if not self.powered_off:
-                self.powered_off = True
-                self.stats.incr("power_faults")
-            return FaultDecision(
-                FaultKind.POWER, PowerLossError("power lost; disk is dead"))
         # Scheduled one-shot faults fire on the first attempt at/after their
         # trigger time.
         if self._timeout_at and now >= self._timeout_at[0]:
@@ -191,26 +180,6 @@ class FaultPlan:
         self.remapped[sector] = spare
         self.stats.incr("remaps")
         return spare
-
-    # -- power-cut tearing ----------------------------------------------------
-    def torn_prefix_sectors(self, buf: "Buf", started: float, now: float) -> int:
-        """Sectors of an in-flight write durable when the power died.
-
-        The transfer is modelled as linear between its start and its would-be
-        completion; the cut tears it at the sector boundary reached by then.
-        """
-        cut = self.power_cut_time
-        assert cut is not None
-        if now <= started:
-            return 0
-        frac = (cut - started) / (now - started)
-        return max(0, min(buf.nsectors, int(buf.nsectors * frac)))
-
-    def cuts_power_during(self, started: float, now: float) -> bool:
-        """True if the power cut falls inside [started, now)."""
-        cut = self.power_cut_time
-        return (cut is not None and not self.powered_off
-                and started <= cut < now)
 
     # -- silent faults --------------------------------------------------------
     def decide_silent(self, buf: "Buf", now: float) -> "str | None":

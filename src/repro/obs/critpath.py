@@ -261,6 +261,8 @@ class CritReport:
 
     def top(self, n: int = 10) -> "list[CriticalPath]":
         """The ``n`` slowest requests, slowest first (id breaks ties)."""
+        if n < 0:
+            raise ValueError(f"top needs n >= 0, not {n}")
         return sorted(self.paths,
                       key=lambda p: (-p.latency, p.root.id))[:n]
 

@@ -30,6 +30,28 @@ def test_write_then_read_round_trip_data():
     assert rbuf.data == payload
 
 
+def test_write_through_journal_is_one_fua_per_media_write():
+    """On the paper's write-through drive every media write is durable
+    when it completes: one ``fua`` event each, and replaying them over
+    the image the journal started from reproduces the store."""
+    eng = Engine()
+    disk = make_disk(eng)
+    disk.store.write(0, bytes([0x5A]) * (4 * 512))
+    base = disk.store.clone()
+    disk.journal = []
+    writes = [(8, 4, 0x11), (30, 10, 0x22), (9, 2, 0x33)]  # one spans tracks
+    for sector, nsectors, fill in writes:
+        service(eng, disk, Buf(eng, BufOp.WRITE, sector=sector,
+                               nsectors=nsectors,
+                               data=bytes([fill]) * (nsectors * 512)))
+    service(eng, disk, Buf(eng, BufOp.READ, sector=0, nsectors=4))
+    assert [(ev.kind, ev.sector, ev.nsectors) for ev in disk.journal] == [
+        ("fua", sector, nsectors) for sector, nsectors, _ in writes]
+    for ev in disk.journal:
+        base.write(ev.sector, ev.data)
+    assert base.digest() == disk.store.digest()
+
+
 def test_read_timing_includes_rotation_and_transfer():
     eng = Engine()
     disk = make_disk(eng, track_buffer=False)

@@ -1,7 +1,7 @@
 """Driver-level fault recovery: retries, remapping, split-retry, propagation."""
 
 from repro.disk import Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, RotationalDisk
-from repro.errors import PowerLossError, TransientDiskError
+from repro.errors import MemberDeadError, TransientDiskError
 from repro.faults import FaultPlan
 from repro.sim import Engine
 from repro.sim.events import EventFailed
@@ -126,14 +126,14 @@ def test_timeout_detected_and_recovered():
     assert driver.stats["errors"] == 0
 
 
-def test_power_loss_is_not_retried():
+def test_dead_disk_is_not_retried():
     eng = Engine()
-    plan = FaultPlan(power_cut_time=0.0)
+    plan = FaultPlan(die_at=0.0)
     _, driver = make_stack(eng, plan)
     buf = wbuf(eng, 8, async_=True)
     driver.strategy(buf)
     eng.run()
-    assert isinstance(buf.error, PowerLossError)
+    assert isinstance(buf.error, MemberDeadError)
     assert driver.stats["retries"] == 0  # dead electronics: no point
     assert driver.stats["errors"] == 1
 

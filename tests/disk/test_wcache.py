@@ -1,10 +1,13 @@
-"""Unit tests for the volatile write cache (data plane + journal)."""
+"""Unit tests for the volatile write cache (data plane + the disk's
+journal of it)."""
 
 import pytest
 
-from repro.disk import Buf, BufOp
+from repro.disk import Buf, BufOp, DiskGeometry, RotationalDisk
 from repro.disk.store import DiskStore
 from repro.disk.wcache import VolatileWriteCache
+from repro.errors import MemberDeadError
+from repro.faults import FaultPlan
 from repro.sim import Engine
 
 
@@ -93,25 +96,32 @@ def test_drop_all_loses_everything():
 
 
 def test_journal_records_every_event_kind():
-    engine, store, cache = make_cache()
-    cache.journal = []
-    cache.write(wbuf(engine, 1, ordered=True))
-    cache.destage_head()
-    cache.note_fua(wbuf(engine, 2, fill=0x77, fua=True))
-    cache.note_flush()
-    cache.write(wbuf(engine, 3))
-    cache.drop_all()
-    kinds = [ev.kind for ev in cache.journal]
-    assert kinds == ["write", "destage", "fua", "flush", "write", "drop"]
-    write, destage, fua = cache.journal[0], cache.journal[1], cache.journal[2]
+    """The disk journals what its cache does: a cached write, the FLUSH
+    that destages it, a FUA write, and the drop when the drive dies."""
+    engine = Engine()
+    geom = DiskGeometry.uniform(cylinders=20, heads=2, sectors_per_track=16)
+    store = DiskStore(geom.total_sectors, SS)
+    disk = RotationalDisk(engine, geom, store,
+                          write_cache=VolatileWriteCache(store, 4 * SS))
+    disk.journal = []
+
+    def service(buf):
+        engine.run_process(disk.service(buf))
+
+    service(wbuf(engine, 1, ordered=True))
+    service(Buf.flush(engine))
+    service(wbuf(engine, 2, fill=0x77, fua=True))
+    service(wbuf(engine, 3))
+    disk.fault_plan = FaultPlan(die_at=0.0)
+    with pytest.raises(MemberDeadError):
+        service(Buf(engine, BufOp.READ, 3, 1))
+    kinds = [ev.kind for ev in disk.journal]
+    assert kinds == ["write", "destage", "flush", "fua", "write", "drop"]
+    write, destage, _, fua, second, _ = disk.journal
     assert write.ordered and write.sector == 1
-    assert destage.seq == write.seq
-    assert fua.data == bytes([0x77]) * SS
-    # Seq numbers are unique and monotone across writes and FUAs (a
-    # destage reuses the seq of the write it makes durable).
-    seqs = [ev.seq for ev in cache.journal
-            if ev.kind in ("write", "fua")]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+    assert destage.seq == write.seq  # the entry it made durable
+    assert fua.data == bytes([0x77]) * SS and fua.seq == -1
+    assert second.seq > write.seq
 
 
 def test_note_flush_requires_drained_cache():

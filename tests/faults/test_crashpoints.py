@@ -6,6 +6,9 @@ import pytest
 
 from repro.faults import CrashpointExplorer, PRESETS
 from repro.faults.harness import small_config
+from repro.ufs import io as ufs_io
+from repro.ufs.vnode import UfsVnode
+from repro.vfs.vnode import PutFlags
 
 
 def explore(preset, seed):
@@ -28,7 +31,7 @@ def test_explorer_rejects_bad_window():
 
 @pytest.mark.parametrize("layout", ["mirror:2", "stripe:2"])
 def test_explorer_rejects_multi_member_layouts(layout):
-    """The journal is one drive's write cache; a volume used to die in the
+    """The journal is one drive's; a volume used to die in the
     recorder's self-check ("journal/data-plane incoherence") instead."""
     with pytest.raises(ValueError, match=f"layout {layout}.*one drive"):
         CrashpointExplorer("smoke", config=small_config(layout=layout))
@@ -109,6 +112,55 @@ def test_relocation_bug_stays_fixed():
     # bytes to fragment reuse.
     assert report.violations == [] and report.ok
     assert report.distinct_states > 0
+
+
+@pytest.fixture(scope="module")
+def writethrough():
+    """The sanitized exploration of the paper's write-through drive."""
+    explorer = CrashpointExplorer("writethrough", seed=0, sanitize=True)
+    explorer.run()
+    return explorer
+
+
+def test_writethrough_preset_holds_on_the_papers_drive(writethrough):
+    """No cache: every media write is one ``fua`` journal event, so each
+    event is one crash point (no flush markers to skip), each with its
+    torn variants; every distinct state keeps every fsync's promise."""
+    r = writethrough.stats
+    assert writethrough.recorded.write_cache is None
+    assert {ev.kind for ev in writethrough.recorded.disk.journal} == {"fua"}
+    assert r.violations == [] and r.ok
+    assert not r.states_truncated
+    assert r.crash_points == r.journal_events + 1
+    assert r.distinct_states >= 70
+    assert r.raw_states > r.distinct_states
+    assert r.fsck_repairs > 0 and r.durability_points == 5
+
+
+def _fsync_async_inode(self, req=None):
+    if self.inode.size > 0:
+        yield from ufs_io.ufs_putpage(self, 0, self.inode.size, PutFlags(),
+                                      req=req)
+        yield from self.mount.flush_disk(req=req)
+    yield from self.mount.write_inode(self.inode, sync=False)
+    yield from self.mount.flush_disk(req=req)
+
+
+def _fsync_without_putpage(self, req=None):
+    yield from self.mount.write_inode(self.inode, sync=True)
+    yield from self.mount.flush_disk(req=req)
+
+
+@pytest.mark.parametrize("mutant", [_fsync_async_inode,
+                                    _fsync_without_putpage],
+                         ids=["async-inode", "no-putpage"])
+def test_writethrough_preset_catches_broken_fsyncs(monkeypatch, mutant):
+    """An fsync that leaves the inode delayed, or never pushes the data
+    pages, acknowledges bytes the write-through drive does not hold."""
+    monkeypatch.setattr(UfsVnode, "fsync", mutant)
+    report = CrashpointExplorer("writethrough", seed=0).run()
+    assert not report.ok
+    assert "durable_data_lost" in {v["category"] for v in report.violations}
 
 
 def test_ordered_metadata_preset_holds():

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.disk import Buf, BufOp
-from repro.errors import (
-    DiskTimeoutError, MediaError, PowerLossError, TransientDiskError,
-)
+from repro.errors import DiskTimeoutError, MediaError, TransientDiskError
 from repro.faults import FaultKind, FaultPlan
 from repro.sim import Engine
 
@@ -94,32 +92,7 @@ def test_bad_sector_faults_until_remapped():
     assert plan.decide(rbuf(eng, sector=8, nsectors=4), now=0.0) is None
 
 
-def test_power_cut_freezes_and_counts_once():
-    eng = Engine()
-    plan = FaultPlan(power_cut_time=1.0)
-    assert plan.decide(rbuf(eng), now=0.5) is None
-    for _ in range(3):
-        d = plan.decide(rbuf(eng), now=1.5)
-        assert d is not None and d.kind is FaultKind.POWER
-        assert isinstance(d.error, PowerLossError)
-    assert plan.powered_off
-    assert plan.stats["power_faults"] == 1
-
-
-def test_torn_prefix_is_a_sector_boundary_fraction():
-    eng = Engine()
-    plan = FaultPlan(power_cut_time=4.0)
-    buf = wbuf(eng, sector=0, nsectors=8)
-    # Cut halfway through an 8-sector transfer: 4 sectors made it.
-    assert plan.torn_prefix_sectors(buf, started=0.0, now=8.0) == 4
-    # Cut after the start instant but a zero-length transfer: nothing did.
-    assert plan.torn_prefix_sectors(buf, started=4.0, now=4.0) == 0
-    assert plan.cuts_power_during(0.0, 8.0)
-    assert not plan.cuts_power_during(5.0, 8.0)
-
-
 def test_error_codes_are_errno_style():
     assert TransientDiskError("x").code == "EIO"
     assert MediaError("x", sector=3).code == "EIO"
     assert DiskTimeoutError("x").code == "ETIMEDOUT"
-    assert PowerLossError("x").code == "EIO"

@@ -110,11 +110,12 @@ def test_cli_report_id_gates_the_committed_bytes(tmp_path, monkeypatch, cli):
     assert list(tmp_path.iterdir()) == [path] and path.read_text() == doctored
 
 
-def test_cli_faultcampaign_smoke(cli):
-    result = cli("faultcampaign", "--cuts", "3")
-    assert result.returncode == 0
-    assert "clean_after_repair" in result.stdout
-    assert "silent_corruptions" in result.stdout
+def test_cli_crashpoints_writethrough_smoke(cli):
+    """The paper's write-through drive, every crash state of its journal."""
+    result = cli("crashpoints", "--preset", "writethrough")
+    assert result.returncode == 0, result.stdout
+    assert re.search(r"^distinct_states +75$", result.stdout, re.M)
+    assert re.search(r"^states_truncated +False$", result.stdout, re.M)
 
 
 @pytest.mark.slow
@@ -130,14 +131,15 @@ def test_cli_iobench_small(cli):
     assert re.search(r"^  read +n=\d+ ", result.stdout, re.M)
 
 
-def test_cli_faultcampaign_json_stdout_parses(cli):
+def test_cli_crashpoints_json_stdout_parses(cli):
     """--json with no path writes the document to stdout and every human
     line to stderr, so ``python -m repro ... --json | jq .`` works."""
-    result = cli("faultcampaign", "--cuts", "2", "--json")
+    result = cli("crashpoints", "--preset", "writethrough",
+                 "--max-states", "40", "--json")
     assert result.returncode == 0
     document = json.loads(result.stdout)  # the whole of stdout is JSON
     assert isinstance(document, dict) and document
-    assert "power cuts" in result.stderr  # progress moved to stderr
+    assert "crash state" in result.stderr  # progress moved to stderr
 
 
 def test_cli_scrubcampaign_json_stdout_parses(cli):
@@ -150,10 +152,9 @@ def test_cli_scrubcampaign_json_stdout_parses(cli):
 
 #: Per campaign: toy arguments that pass, and a bad count/preset.
 CAMPAIGN_ARGS = {
-    "faultcampaign": (["--cuts", "2"], ["--cuts", "0"]),
     "netcampaign": (["--seeds", "1"], ["--seeds", "0"]),
     "memberkill": (["--seeds", "1"], ["--seeds", "0"]),
-    "crashpoints": (["--preset", "smoke", "--max-states", "200"],
+    "crashpoints": (["--preset", "writethrough", "--max-states", "60"],
                     ["--preset", "nope"]),
     "scrubcampaign": ([], None),  # takes no count to get wrong
 }
@@ -195,9 +196,10 @@ def test_cli_demo_and_traces_run_outside_the_checkout(tmp_path):
 
 def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
     path = tmp_path / "out.json"
-    result = cli("faultcampaign", "--cuts", "2", "--json", str(path))
+    result = cli("crashpoints", "--preset", "writethrough",
+                 "--max-states", "40", "--json", str(path))
     assert result.returncode == 0
-    assert "power cuts" in result.stdout  # human mode unchanged
+    assert "crash state" in result.stdout  # human mode unchanged
     json.loads(path.read_text())
 
 
@@ -239,13 +241,19 @@ def never_simulates(monkeypatch):
     (["bench", "--configs", "", "--file-mb", "1", "--ops", "8"],
      "bench: --configs names no configuration"),
     (["trace", "series", "--interval-ms", "0"],
-     "trace: telemetry interval must be > 0, not 0 s"),
+     "trace: telemetry interval must be finite and > 0, not 0 s"),
+    (["trace", "series", "--interval-ms", "nan"],
+     "trace: telemetry interval must be finite and > 0, not nan s"),
+    (["trace", "series", "--interval-ms", "inf"],
+     "trace: telemetry interval must be finite and > 0, not inf s"),
+    (["trace", "analyze", "--top", "-1"], "trace: --top must be >= 0, not -1"),
     (["crashpoints", "--max-states", "0"], "crashpoints: max_states must be"),
 ], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
         "bench-stray-option", "iobench-stray-option", "report-unknown-id",
         "iobench-empty-file", "bench-negative-file", "bench-negative-ops",
         "trace-empty-file", "iobench-no-configs", "bench-no-configs",
-        "trace-zero-interval", "crashpoints-no-states"])
+        "trace-zero-interval", "trace-nan-interval", "trace-inf-interval",
+        "trace-negative-top", "crashpoints-no-states"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
@@ -274,7 +282,13 @@ def test_cli_trace_analyze_verifies_and_exits_zero(cli):
                  "--file-mb", "1", "--ops", "16")
     assert result.returncode == 0
     assert "critical paths:" in result.stdout
+    assert "slowest 5 requests:" in result.stdout
     assert "OK: every critical path conserves" in result.stdout
+    # --top 0 is valid and prints no list.
+    none = cli("trace", "analyze", "--config", "C",
+               "--file-mb", "1", "--ops", "16", "--top", "0")
+    assert none.returncode == 0
+    assert "slowest" not in none.stdout
 
 
 def test_cli_trace_chrome_and_flamegraph_round_trip(tmp_path, cli):

@@ -24,7 +24,7 @@ def crashedlike_system():
     system.sanitizer.enabled = True
     system.tracer.enabled = True
     assert system.write_cache is not None
-    system.write_cache.journal = []
+    system.disk.journal = []
 
     def workload(proc):
         fd = yield from proc.creat("/f")
@@ -42,7 +42,7 @@ def test_remounted_machine_shares_nothing_but_the_store():
     crashed, config = crashedlike_system()
     assert crashed.requests.stats["started"] > 0
     assert crashed.sanitizer.checkpoints > 0
-    assert crashed.write_cache.journal  # the recording hook was active
+    assert crashed.disk.journal  # the recording hook was active
 
     survivor = System.remounted(crashed.store, config)
 
@@ -99,7 +99,7 @@ def test_remounted_registry_and_sanitizer_start_clean():
     # volatile entries and recording hook must not resurface.
     assert survivor.write_cache.entries == []
     assert survivor.write_cache.bytes == 0
-    assert survivor.write_cache.journal is None
+    assert survivor.disk.journal is None
     # A full-depth checkpoint on the fresh machine passes: the survivor is
     # quiesced and its state is coherent from the first instant.
     survivor.sanitizer.enabled = True
