@@ -14,8 +14,9 @@ Commands:
   committed file's bytes;
 * the four campaign sweeps, one row of :data:`CAMPAIGNS` each and listed
   from it at the end of this docstring — all take ``[--seed 0]
-  [--sanitize] [--json [PATH]]``, exit 0 when every invariant held, 1 on
-  a violated invariant or an inert injection, 2 on a bad argument;
+  [--sanitize] [--json [PATH]]`` and print the cells of their row of the
+  experiment table; exit 0 when every invariant held, 1 on an ``exact(0)``
+  cell that is not 0, 2 on a bad argument;
 * ``bench [--configs AC] [--json [PATH]]`` — the unified perf bench: one
   schema-versioned BENCH.json (rates + metrics snapshot + layer time
   attribution), byte-identical across same-seed runs;
@@ -169,24 +170,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 class CampaignCommand(NamedTuple):
-    """One campaign subcommand: a row of :data:`CAMPAIGNS`.
-
-    ``cls`` is ``module:Class``, imported at use so ``--help`` never pays
-    for the simulator.  ``flags`` are ``(parameter, default, help)``: each
-    constructor parameter named becomes a ``--flag`` beside ``--seed`` /
-    ``--sanitize`` / ``--json``; the seed goes in as ``seed_arg``, and a
-    ``ValueError`` from the constructor is a bad argument.  ``inert(stats)`` is true when a sweep
-    passed without exercising what it injects; ``notes(campaign)`` yields
-    extra human lines after the counters.
+    """One campaign subcommand: ``cls`` is ``module:Class``, imported at
+    use so ``--help`` never pays for the simulator; each ``(parameter,
+    default, help)`` of ``flags`` becomes a ``--flag`` beside ``--seed`` /
+    ``--sanitize`` / ``--json`` (a ``ValueError`` from the constructor is a
+    bad argument); ``notes(campaign)`` yields human lines after the cells.
     """
 
     name: str
     help: str
     cls: str
     flags: "tuple[tuple[str, Any, str], ...]"
-    failure: str
-    seed_arg: str = "seed"
-    inert: "Callable[[Any], bool] | None" = None
     notes: "Callable[[Any], Iterable[str]] | None" = None
 
 
@@ -208,19 +202,14 @@ CAMPAIGNS = (
         "corruption, partitions, server reboots: no lost acknowledged "
         "write, exactly-once mutations)",
         "repro.faults:NetCampaign",
-        (("seeds", 20, "number of seeded fault schedules"),),
-        "an RPC-hardening invariant was violated",
-        seed_arg="base_seed",
-        inert=lambda s: s.retransmits == 0 or s.drc_hits == 0),
+        (("seeds", 20, "number of seeded fault schedules"),)),
     CampaignCommand(
         "memberkill",
         "seeded mirror-member deaths: degraded reads serve every "
         "acknowledged byte, the survivor alone is complete, resync ends "
         "byte-identical",
         "repro.faults:MirrorKillCampaign",
-        (("seeds", 10, "number of seeded member kills"),),
-        "a mirror-redundancy invariant was violated",
-        seed_arg="base_seed"),
+        (("seeds", 10, "number of seeded member kills"),)),
     CampaignCommand(
         "crashpoints",
         "every bounded-legal crash state of a workload recorded on the "
@@ -231,7 +220,6 @@ CAMPAIGNS = (
         (("preset", "smoke", "workload preset (see "
                              "repro.faults.crashpoints.PRESETS)"),
          ("max_states", 20000, "raw crash-state budget")),
-        "a distinct crash state broke its durability contract",
         notes=_crashpoint_notes),
     CampaignCommand(
         "scrubcampaign",
@@ -239,9 +227,7 @@ CAMPAIGNS = (
         "fragments), then scrubbing: detect, repair, precise EIO, "
         "rehabilitation",
         "repro.integrity:ScrubCampaign",
-        (),
-        "a corruption went undetected, misrepaired, or surfaced without "
-        "EIO semantics"),
+        ()),
 )
 
 __doc__ = (__doc__ or "") + (
@@ -249,43 +235,41 @@ __doc__ = (__doc__ or "") + (
         f"* ``{row.name}`` — {row.help};\n" for row in CAMPAIGNS))
 
 
-def build_campaign(args: argparse.Namespace) -> Any:
-    """The campaign a parsed campaign command line asks for."""
-    row: CampaignCommand = args.campaign
-    module, _, cls = row.cls.partition(":")
-    kwargs = {name: getattr(args, name) for name, _, _ in row.flags}
-    kwargs[row.seed_arg] = args.seed
-    return getattr(import_module(module), cls)(
-        sanitize=True if args.sanitize else None, **kwargs)
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.obs.bench import write_json
+    from repro.bench.experiments import sweep_cells, sweep_row
+    from repro.bench.report import entry, failures, render_block
+    from repro.obs.bench import write_document
 
     row: CampaignCommand = args.campaign
     say = _emit(args)
+    module, _, cls = row.cls.partition(":")
+    flags = {name: getattr(args, name) for name, _, _ in row.flags}
     try:
-        campaign = build_campaign(args)
+        campaign = getattr(import_module(module), cls)(
+            seed=args.seed, sanitize=True if args.sanitize else None, **flags)
     except ValueError as exc:
         print(f"{row.name}: {exc}", file=sys.stderr)
         return 2
     say(f"{row.name} (seed={args.seed}): {row.help}...")
-    stats = campaign.run()
-    say(stats)
-    say(f"{'digest':26} {campaign.digest}")
+    campaign.run()
+    run = {"seed": args.seed} | flags
+    block = entry(sweep_row(campaign), sweep_cells(campaign)) | {"workload": (
+        f"{row.name}: " + ", ".join(f"{k} {v}" for k, v in run.items())
+        + ", sanitized" * args.sanitize)}
+    say(render_block(block))
     for line in (row.notes(campaign) if row.notes else ()):
         say(line)
     if args.json:
-        write_json(args.json, campaign.to_json(), say)
-    if not stats.ok:
-        say(f"FAILED: {row.failure}")
-        return 1
-    if row.inert is not None and row.inert(stats):
-        say("FAILED: the sweep never exercised what it injects (fault "
-            "injection inert?)")
-        return 1
-    say("OK: every invariant the sweep checks held")
-    return 0
+        write_document(args.json, {"benchmark": row.name,
+                                   "sanitize": args.sanitize} | run, {
+            "cells": block["cells"], "records": campaign.records}, say)
+    violated = failures({"results": {row.name: {"cells": [
+        c for c in block["cells"] if c["band"] == [0, 0]]}}})
+    for line in violated:
+        say(f"FAILED: {line}")
+    if not violated:
+        say("OK: every invariant the sweep checks held")
+    return 1 if violated else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -552,6 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    # An output path that cannot be written is a bad argument, refused
+    # before anything simulates.
+    for path in {getattr(args, flag, "") for flag in ("json", "out")} - {
+            "-", ""}:
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            print(f"{args.command}: cannot write {path}: " + (
+                "it is a directory" if Path(path).is_dir() else
+                f"{Path(path).parent} is not a directory"), file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

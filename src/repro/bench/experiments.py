@@ -7,14 +7,17 @@ two-sided: exact for traces, digests and zero counts, otherwise around
 today's value, tighter than a 30 % drift.  A comparison of two cells is a
 third, their ratio: two bands can each hold while the comparison fails.
 ``python -m repro report`` runs the rows; a row that drives NFS or fault
-injection imports that layer inside ``run``.
+injection imports that layer inside ``run``.  A sweep's verdict is its
+row: an ``exact(0)`` cell per invariant (:func:`sweep_cells`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from importlib import import_module
 from typing import Any, Callable
 
 from repro.bench import (
@@ -1224,3 +1227,142 @@ def _determinism(_sections):
             "request counts differing": sum(
                 counts.get(k) != counts2.get(k) for k in counts | counts2),
             "spans per run": spans, "sanitizer checks per run": checks}
+
+
+# -- the sweeps: durability, robustness and integrity campaigns ---------------
+
+#: Per sweep, the invariants its stats imply: each cell is 0 when it held.
+IMPLIED = {
+    "crashpoints": {"violations": lambda c: len(c.records)},
+    "netcampaign": {"injection inert": lambda c: int(
+        c.stats.retransmits == 0 or c.stats.drc_hits == 0)},
+    "scrubcampaign": {
+        "detected short of injected": lambda c: int(
+            c.stats.detected < c.stats.injected),
+        "fsck not clean": lambda c: int(not c.stats.fsck_clean)},
+}
+
+
+def sweep_cells(campaign) -> dict:
+    """A finished sweep's cells: each counter (``_`` read as a space), the
+    :data:`IMPLIED` invariants, the sha256 of its canonical ``[stats,
+    records]`` ("outcome sha256") and its ``digest``."""
+    stats = asdict(campaign.stats)
+    outcome = json.dumps([stats, campaign.records], sort_keys=True,
+                         separators=(",", ":"))
+    return {name.replace("_", " "): value for name, value in stats.items()} | {
+        name: implied(campaign)
+        for name, implied in IMPLIED.get(campaign.name, {}).items()} | {
+        "outcome sha256": hashlib.sha256(outcome.encode()).hexdigest(),
+        "digest": campaign.digest}
+
+
+def sweep_row(campaign) -> Experiment:
+    """The row a sweep reports: its preset's, else its kind's first."""
+    preset = getattr(getattr(campaign, "preset", None), "name", "")
+    return EXPERIMENTS.get(f"{campaign.name}_{preset}") or next(
+        row for id, row in EXPERIMENTS.items() if id.startswith(campaign.name))
+
+
+def sweep(id: str, paper_section: str, workload: str, cls: str, kwargs: dict,
+          invariants: dict, outcome: tuple, coverage: dict) -> None:
+    """Row ``id``: ``module:Class(**kwargs)`` swept sanitized (and, to hold
+    "outcome differs unsanitized", again without), each invariant exact 0,
+    the ``outcome`` fingerprints exact and the ``coverage`` counters banded."""
+    cells = ([Cell(name, None, exact(0), reason)
+              for name, reason in invariants.items()]
+             + [Cell(name, None, exact(value), reason) for name, value, reason
+                in zip(("outcome sha256", "digest"), outcome, (
+                    "every counter and record, byte for byte",
+                    "the sorted per-record (per-state) outcome lines"))]
+             + today(coverage, "coverage: what the sweep exercised"))
+
+    def swept(sanitize: bool) -> dict:
+        module, _, name = cls.partition(":")
+        campaign = getattr(import_module(module), name)(sanitize=sanitize,
+                                                        **kwargs)
+        campaign.run()
+        return sweep_cells(campaign)
+
+    def run(_sections: dict) -> dict:
+        values = swept(True)
+        if "outcome differs unsanitized" in invariants:
+            values["outcome differs unsanitized"] = int(
+                swept(False)["outcome sha256"] != values["outcome sha256"])
+        return {cell.name: values[cell.name] for cell in cells}
+
+    EXPERIMENTS[id] = Experiment(id, paper_section, workload, run, tuple(cells))
+
+
+def _crashpoints(preset: str, what: str, outcome: tuple, states: int,
+                 repairs: int) -> None:
+    sweep(f"crashpoints_{preset}",
+          "Footnote 5: an acknowledged write is durable, in every crash "
+          "state", f"crashpoints --preset {preset} --seed 0, sanitized: "
+          f"{what}", "repro.faults:CrashpointExplorer", {"preset": preset},
+          {"violations": "every distinct crash state repairs, remounts and "
+                         "keeps every fsync's promise"}, outcome,
+          {"distinct states": states, "fsck repairs": repairs})
+
+
+_crashpoints(
+    "smoke", "appends, an overwrite, a rename, an unlink; 48 KB cache",
+    ("49c6a34328d8e98bb77007218d2304819dac6bed9355d09cefbc8b21d0be2612",
+     "315f8f0fd92f045462de4fb9a43348270da234a83f37e891b7e9280961c6bf33"),
+    424, 438)
+_crashpoints(
+    "relocate", "a fragment tail relocated, its old fragments reused",
+    ("6efcb810a269e21000557dbccf3549141f9b0421c0b8aa080f2979b498b00f89",
+     "23cdc6bc8e800661e1554d5f6a731956a69a15beb561323b58368460f17273ab"),
+    26, 27)
+_crashpoints(
+    "writethrough", "10 x 48 KB files, half fsynced, on the paper's drive",
+    ("1aa215b6f03c3f03d4aa909cef944bcbde95605cd2d27952c0de1d62ffe98881",
+     "0d651bfced28b92c0fd5d9eea7197436d386fa9a42e4f1e6cb0a90374cf3d69f"),
+    75, 83)
+
+sweep("netcampaign", "Robustness: acknowledged writes over a faulty wire",
+      "netcampaign --seeds 5 --seed 0, sanitized, then unsanitized: NFS "
+      "create/write/fsync/remove through drops, duplicates, corruption, "
+      "partitions and server reboots",
+      "repro.faults:NetCampaign", {"seeds": 5},
+      {"lost acked writes": "every byte a returned fsync covered reads back",
+       "corrupt cache serves": "a damaged reply dies at the checksum",
+       "duplicate side effects": "a retransmitted mutation runs once",
+       "remove violations": "every removed path is ENOENT afterwards",
+       "soft timeout failures": "a partitioned soft mount fails fast",
+       "determinism failures": "the first seed, replayed, is the same",
+       "injection inert": "it retransmitted and hit the DRC: faults fired",
+       "outcome differs unsanitized": "the sanitizer observes, never steers"},
+      ("da09dc4096b95388881293c3965c06727c417f57a2895da4959ad4d84f4626bd",),
+      {"retransmits": 39, "drc hits": 19, "corruptions injected": 15})
+
+sweep("memberkill", "Robustness: a mirror member dies mid-write",
+      "memberkill --seeds 3 --seed 0, sanitized: fsynced files on a "
+      "mirror:2 volume with a write cache and checksums, one leg killed",
+      "repro.faults:MirrorKillCampaign", {"seeds": 3},
+      {"inert kills": "every scheduled member death fires",
+       "lost acked files": "the survivor alone serves every acked byte",
+       "degraded read failures": "degraded reads serve every acked byte",
+       "health misattributions": "the victim's health takes the failures",
+       "survivor fsck failures": "the survivor alone is fsck-clean",
+       "resync mismatches": "resync ends with byte-identical members",
+       "post resync failures": "fsck and a deep sanitizer pass after"},
+      ("2399d8aa23d93ed05573e4b4b885d7238516a718e579c1d1e882d8d08bdacdfb",),
+      {"kills": 3, "resync sectors": 463})
+
+sweep("scrubcampaign", "Integrity: seeded silent corruption, scrubbed",
+      "scrubcampaign --seed 0, sanitized: 10 corruptions (bit rot, "
+      "misdirected, torn, zeroed) in 8 files and the metadata, one scrub "
+      "pass, a rewrite, a second pass",
+      "repro.integrity:ScrubCampaign", {},
+      {"detect misses": "every injected corruption is detected",
+       "outcome mismatches": "repaired from the source expected, or not",
+       "verify failures": "a repaired fragment holds the original bytes",
+       "eio misses": "an unrepairable read gives the clean prefix, then EIO",
+       "residual detected": "a rewrite rehabilitates: a second pass is clean",
+       "detected short of injected": "the scrub reports every injection",
+       "fsck not clean": "fsck is clean after rehabilitation"},
+      ("aa37c7d08c88a74ad499e66e15fba1cff602bb5b3de1aca637f4be829cac4784",
+       "521c7e0abe2a64a1b1b815b3a32a61ce81f1cd2ae092e65337389903daf9a2ac"),
+      {"injected": 10, "repaired from cache": 4, "repaired from replica": 2})

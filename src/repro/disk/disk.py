@@ -204,11 +204,6 @@ class RotationalDisk:
         self._cyl = 0
         self._head = 0
 
-    # -- convenience -------------------------------------------------------
-    @property
-    def current_cylinder(self) -> int:
-        return self._cyl
-
     def attach_integrity(self, region: "Any | None" = None) -> "Any | None":
         """Attach (or discover on the store) an integrity region; from
         here on every read is verified and every media write stamped."""

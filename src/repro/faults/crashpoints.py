@@ -47,9 +47,7 @@ from typing import Any, Generator
 from repro.disk.store import DiskStore
 from repro.disk.volume import VolumeSpec
 from repro.errors import ReproError
-from repro.faults.harness import (
-    Campaign, SweepStats, force_sanitizer, read_file,
-)
+from repro.faults.harness import Campaign, force_sanitizer
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -202,6 +200,14 @@ class ContractRecorder:
 # ---------------------------------------------------------------------------
 # workloads
 # ---------------------------------------------------------------------------
+
+def _read(proc: Proc, path: str, length: int) -> Generator[Any, Any, bytes]:
+    """Open, read ``length`` bytes in one call (none when empty), close."""
+    fd = yield from proc.open(path)
+    data = (yield from proc.read(fd, length)) if length else b""
+    yield from proc.close(fd)
+    return data
+
 
 def _writeback(proc: Proc, path: str) -> Generator[Any, Any, None]:
     """Write-behind, as the update daemon would: push the file's dirty
@@ -407,10 +413,8 @@ _WORKLOADS = {
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CrashpointReport(SweepStats):
+class CrashpointReport:
     """Counters of one exploration (deterministic per preset and seed)."""
-
-    MUST_BE_ZERO = ("violations",)
 
     journal_events: int = 0
     contract_events: int = 0
@@ -420,15 +424,6 @@ class CrashpointReport(SweepStats):
     distinct_states: int = 0
     fsck_repairs: int = 0
     states_truncated: bool = False
-
-    def __post_init__(self) -> None:
-        #: One dict per contract breach on one distinct crash state — the
-        #: explorer's ``records``, not a counter, so not a dataclass field:
-        #: ``state`` (short image hash), ``category`` (fsck_nonconvergent |
-        #: remount_failed | durable_file_missing | durable_data_lost |
-        #: sanitizer), ``detail``, ``event_index`` (the crash point),
-        #: ``dropped``, ``torn``, ``spans``.
-        self.violations: "list[dict]" = []
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +487,6 @@ class CrashpointExplorer(Campaign):
                     f"unknown preset {preset!r} (have {sorted(PRESETS)})"
                 ) from None
         super().__init__(CrashpointReport(), seed, config, sanitize)
-        self.records = self.stats.violations  # a record *is* a violation
         self.preset = preset
         self.max_states = max_states
         self.window = window if window is not None else preset.window
@@ -622,14 +616,12 @@ class CrashpointExplorer(Campaign):
                 break
         return out
 
-    @staticmethod
-    def _subset_legal_window(pending: list[_Pending], chosen: set,
-                             window: int) -> bool:
+    def _subset_legal(self, pending: list[_Pending], chosen: set) -> bool:
         holes = 0
         barrier_blocked = False
         for e in pending:
             if e.seq in chosen:
-                if barrier_blocked or holes >= window:
+                if barrier_blocked or holes >= self.window:
                     return False
                 if e.ordered and holes > 0:
                     return False
@@ -638,9 +630,6 @@ class CrashpointExplorer(Campaign):
                 if e.ordered:
                     barrier_blocked = True
         return True
-
-    def _subset_legal(self, pending: list[_Pending], chosen: set) -> bool:
-        return self._subset_legal_window(pending, chosen, self.window)
 
     # -- materialization ---------------------------------------------------
     @staticmethod
@@ -757,8 +746,7 @@ class CrashpointExplorer(Campaign):
                 return []
             return [("durable_file_missing",
                      f"{path}: no candidate of {slot.alts} survives")]
-        data = survivor.run(read_file(proc, found, size),
-                            name="crashpoints-read")
+        data = survivor.run(_read(proc, found, size), name="crashpoints-read")
         n = len(slot.promised)
         if size < n:
             return [("durable_data_lost",
@@ -846,6 +834,9 @@ class CrashpointExplorer(Campaign):
                         if torn is not None:
                             torn_desc = (f"{torn[0].describe()} "
                                          f"torn at {torn[1]} sectors")
+                        # A record is a violation: fsck_nonconvergent,
+                        # remount_failed, durable_file_missing,
+                        # durable_data_lost or sanitizer.
                         for category, detail in problems:
                             self.records.append({
                                 "state": digest[:16], "category": category,

@@ -3,27 +3,21 @@
 ``netcampaign``, ``memberkill``, ``crashpoints`` and ``scrubcampaign``
 have different bodies — a replay leg and a soft-mount probe, one kill per
 seed, an enumeration over one recording, a single six-phase run — so
-there is no phase protocol here
-for them to be bent into.  What they do share is a shell: a small-disk
-default machine, the "``None`` leaves the environment default" sanitizer
-rule, counters with a pass/fail verdict, and a JSON envelope with a
-seed-stable digest (written, like every document, by
-:func:`repro.obs.bench.write_json`).  A sweep subclasses
-:class:`Campaign`, declares a :class:`SweepStats`, and owns its ``run``.
+there is no phase protocol here for them to be bent into.  They share a
+shell: a small-disk default machine, the "``None`` leaves the environment
+default" sanitizer rule, a dataclass of counters, per-record outcomes and
+a seed-stable digest.  Their verdicts are rows of the experiment table
+(:func:`repro.bench.experiments.sweep_cells`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Generator
+from typing import Any
 
 from repro.disk.geometry import DiskGeometry
 from repro.kernel.config import SystemConfig
-from repro.kernel.syscalls import Proc
-
-SCHEMA = "repro-campaign/v1"
 
 
 def small_config(**overrides: object) -> SystemConfig:
@@ -42,48 +36,13 @@ def force_sanitizer(sanitize: "bool | None", *systems: Any) -> None:
             system.sanitizer.enabled = sanitize
 
 
-def read_file(proc: Proc, path: str, length: int
-              ) -> Generator[Any, Any, bytes]:
-    """Open, read ``length`` bytes in one call (none when empty), close."""
-    fd = yield from proc.open(path)
-    data = b""
-    if length:
-        data = yield from proc.read(fd, length)
-    yield from proc.close(fd)
-    return data
-
-
-@dataclass
-class SweepStats:
-    """Counters of one sweep; byte-identical for a given seed."""
-
-    #: Fields (or attributes) that must be zero/empty for the sweep to pass.
-    MUST_BE_ZERO: ClassVar["tuple[str, ...]"] = ()
-
-    def as_dict(self) -> "dict[str, Any]":
-        return asdict(self)
-
-    def holds(self) -> bool:
-        """What the verdict needs beyond :attr:`MUST_BE_ZERO`."""
-        return True
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held across the sweep."""
-        return (not any(getattr(self, name) for name in self.MUST_BE_ZERO)
-                and self.holds())
-
-    def __str__(self) -> str:
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
-
-
 class Campaign:
-    """The shell of a sweep: seed, machine, stats, records, report."""
+    """The shell of a sweep: seed, machine, stats, records, digest."""
 
-    #: The ``python -m repro`` subcommand, and the envelope's ``campaign``.
+    #: The ``python -m repro`` subcommand.
     name = ""
 
-    def __init__(self, stats: SweepStats, seed: int,
+    def __init__(self, stats: Any, seed: int,
                  config: "SystemConfig | None", sanitize: "bool | None",
                  **small: object):
         self.stats = stats
@@ -105,15 +64,3 @@ class Campaign:
         """Seed-stable fingerprint of the sweep's per-record outcomes."""
         return hashlib.sha256(
             "\n".join(sorted(self.digest_lines())).encode()).hexdigest()
-
-    def to_json(self) -> dict:
-        """The sweep as one JSON-ready document."""
-        return {
-            "schema": SCHEMA,
-            "campaign": self.name,
-            "seed": self.seed,
-            "stats": self.stats.as_dict(),
-            "records": self.records,
-            "digest": self.digest,
-            "ok": self.stats.ok,
-        }

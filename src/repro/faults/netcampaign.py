@@ -6,23 +6,15 @@ answer for a lossy wire.  Each seeded run builds a client/server world
 whose network drops, duplicates, corrupts, reorders, and delays messages
 (and may partition the link or crash/reboot the server), drives a
 create/write/fsync/remove workload from the client, then stops the faults
-and verifies the invariants that make NFS serving trustworthy:
-
-* **no lost acknowledged writes** — every byte a returned fsync covered
-  reads back intact after the faults clear (WRITE is v2-stable, COMMIT is
-  the barrier; a hard mount may retry for a long time but may not lie);
-* **exactly-once mutations** — retransmitted CREATE/WRITE/REMOVE must be
-  answered from the server's duplicate-request cache, never re-executed
-  (checked against the server's execution accounting; runs whose plan
-  crashes the server are exempt, since a cold DRC is exactly the exposure
-  the REMOVE heuristic exists for);
-* **no corrupted bytes served** — a damaged READ reply must die at the
-  checksum, never in the client's page cache (checked by content);
-* **removed means removed** — every REMOVEd path is ENOENT afterwards;
-* **soft mounts fail fast** — under a full partition a soft mount raises
-  ETIMEDOUT (mirrored in ``proc.errno``) instead of hanging;
-* **determinism** — the base seed is run twice and must produce an
-  identical stats fingerprint, fault schedule included.
+and verifies the invariants that make NFS serving trustworthy — each an
+``exact(0)`` cell of the ``netcampaign`` experiment row: no lost
+acknowledged write (WRITE is v2-stable, COMMIT the barrier: a hard mount
+may retry long but may not lie), exactly-once mutations behind the
+duplicate-request cache (runs whose plan crashes the server are exempt: a
+cold DRC is the exposure the REMOVE heuristic exists for), no corrupted
+byte in the client's page cache, removed means ENOENT, a soft mount fails
+fast with ETIMEDOUT under a full partition, and the base seed replays to
+an identical fingerprint, fault schedule included.
 
 Determinism: each run's fault intensities and windows derive from
 ``random.Random(seed)``, the plan's per-message draws are consumed in send
@@ -37,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import FileNotFoundError_, ReproError, RpcTimeoutError
-from repro.faults.harness import Campaign, SweepStats, force_sanitizer
+from repro.faults.harness import Campaign, force_sanitizer
 from repro.faults.netplan import NetFaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
@@ -47,12 +39,8 @@ from repro.vfs.vnode import RW
 
 
 @dataclass
-class NetCampaignStats(SweepStats):
+class NetCampaignStats:
     """Aggregated results of one sweep; byte-identical for a given seed."""
-
-    MUST_BE_ZERO = ("lost_acked_writes", "corrupt_cache_serves",
-                    "duplicate_side_effects", "remove_violations",
-                    "soft_timeout_failures", "determinism_failures")
 
     runs: int = 0
     rpcs: int = 0
@@ -71,7 +59,7 @@ class NetCampaignStats(SweepStats):
     acked_files: int = 0
     acked_bytes: int = 0
     removes: int = 0
-    # -- invariant violations (all must stay zero) -------------------------
+    # -- invariants: the netcampaign row's exact(0) cells ------------------
     lost_acked_writes: int = 0
     corrupt_cache_serves: int = 0
     duplicate_side_effects: int = 0
@@ -86,7 +74,7 @@ class NetCampaign(Campaign):
 
     name = "netcampaign"
 
-    def __init__(self, seeds: int = 20, base_seed: int = 0, nfiles: int = 5,
+    def __init__(self, seeds: int = 20, seed: int = 0, nfiles: int = 5,
                  file_bytes: int = 16 * KB,
                  config: "SystemConfig | None" = None,
                  sanitize: "bool | None" = None):
@@ -94,7 +82,7 @@ class NetCampaign(Campaign):
             raise ValueError("seeds must be >= 1")
         if nfiles < 2:
             raise ValueError("nfiles must be >= 2")
-        super().__init__(NetCampaignStats(), base_seed, config, sanitize)
+        super().__init__(NetCampaignStats(), seed, config, sanitize)
         self.seeds = seeds
         self.nfiles = nfiles
         self.file_bytes = file_bytes

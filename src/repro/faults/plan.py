@@ -225,13 +225,12 @@ CORRUPT_KINDS = ("bitrot", "zero", "torn", "misdirect")
 
 
 def corrupt_frag(store: "DiskStore", region, frag: int, kind: str,
-                 rng: random.Random) -> dict:
+                 rng: random.Random) -> None:
     """Corrupt one fragment in place, offline (between runs) — the latent
     errors a scrub exists to find.  ``region`` is the disk's
     :class:`~repro.integrity.checksum.IntegrityRegion` (needed only for
     geometry and, for ``"misdirect"``, to forge the record a misdirected
     write would have left: a valid CRC naming the *wrong* fragment).
-    Returns a description dict for campaign reports.
     """
     from repro.units import SECTOR_SIZE
 
@@ -256,4 +255,3 @@ def corrupt_frag(store: "DiskStore", region, frag: int, kind: str,
         garbage = bytes(rng.randrange(256) for _ in range(size))
         store.write(sector, garbage)
         region.forge_misdirect(frag, garbage)
-    return {"frag": frag, "kind": kind}

@@ -3,20 +3,14 @@
 The campaign answers the integrity layer's accountability question the
 way the crash campaign answers fsck's: inject a *known*, seeded set of
 silent corruptions into a live file system, run one scrub pass, and make
-the report answer for every single one:
-
-* every injected corruption must be **detected** (checksum or address
-  mismatch) — silent corruption surviving a scrub is a model bug;
-* corruptions with a clean source must be **repaired** from it — the
-  integrity region's metadata replicas for superblock / cg-header
-  fragments, the page cache for data fragments whose owner file is
-  cached — and the repaired bytes must compare equal to the original;
-* corruptions with no clean source must surface as **EIO with precise
-  partial-read semantics**: bytes before the bad fragment are returned,
-  nothing after it is, and ``proc.errno`` says ``"EIO"``;
-* rewriting an unrepairable file must rehabilitate it: a second scrub
-  pass detects nothing, fsck is clean, and the deep sanitizer sweep
-  passes.
+the report answer for every single one — each outcome an ``exact(0)``
+cell of the ``scrubcampaign`` experiment row: every corruption is
+detected; one with a clean source (the region's replicas for superblock
+and cg-header fragments, the page cache for a cached file's data) is
+repaired from it to the original bytes; one without surfaces as EIO with
+precise partial-read semantics (the bytes before the bad fragment, nothing
+after, ``proc.errno == "EIO"``); and rewriting it rehabilitates: a second
+pass detects nothing, fsck is clean, the deep sanitizer sweep passes.
 
 Determinism: all targets and corruption payloads come from
 ``random.Random(seed)``, and the simulation is deterministic, so the
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import ReproError
-from repro.faults.harness import Campaign, SweepStats, force_sanitizer
+from repro.faults.harness import Campaign, force_sanitizer
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
 from repro.kernel.config import SystemConfig
@@ -48,11 +42,8 @@ _CACHED_KINDS = ("bitrot", "zero", "torn")
 
 
 @dataclass
-class ScrubCampaignStats(SweepStats):
+class ScrubCampaignStats:
     """Aggregated results; byte-identical for a given seed."""
-
-    MUST_BE_ZERO = ("detect_misses", "outcome_mismatches", "verify_failures",
-                    "eio_misses", "residual_detected")
 
     injected: int = 0
     detected: int = 0
@@ -60,21 +51,13 @@ class ScrubCampaignStats(SweepStats):
     repaired_from_cache: int = 0
     repaired_from_replica: int = 0
     unrepairable: int = 0
-    #: Injected corruptions the scrub never reported: must be zero.
+    # -- invariants: the scrubcampaign row's exact(0) cells ------------------
     detect_misses: int = 0
-    #: Detections whose outcome/source differed from the injection's
-    #: expectation (e.g. a cached target that went unrepairable).
     outcome_mismatches: int = 0
-    #: Repaired fragments whose on-disk bytes differ from the original.
     verify_failures: int = 0
-    #: Latent-file reads that did not honour EIO / partial-read semantics.
     eio_misses: int = 0
-    #: Detections by the second pass after rehabilitation: must be zero.
     residual_detected: int = 0
     fsck_clean: bool = False
-
-    def holds(self) -> bool:
-        return self.detected >= self.injected and self.fsck_clean
 
 
 class ScrubCampaign(Campaign):

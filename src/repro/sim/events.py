@@ -203,11 +203,6 @@ class Process(Event):
         self._started = False
         engine._post(self._resume, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

@@ -530,10 +530,6 @@ class UfsMount(Vfs):
         yield from self.write_inode(ip, sync=True)
 
     # -- reporting ---------------------------------------------------------------
-    def free_space(self) -> tuple[int, int]:
-        """(free blocks, free fragments) from the superblock summary."""
-        return self.sb.cs_nbfree, self.sb.cs_nffree
-
     def register_metrics(self, registry) -> None:
         """Report the mount's instruments into a system MetricsRegistry."""
         registry.register("ufs", self.stats)

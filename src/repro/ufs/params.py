@@ -60,10 +60,6 @@ class FsParams:
         """Fragments per block."""
         return self.bsize // self.fsize
 
-    @property
-    def frags_per_sector_shift(self) -> int:
-        return self.fsize // 512
-
     def fsb_to_sector(self, frag_addr: int) -> int:
         """Convert a fragment address to a disk sector (fsbtodb)."""
         return frag_addr * (self.fsize // 512)

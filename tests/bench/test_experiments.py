@@ -6,9 +6,10 @@ RESULTS.md and EXPERIMENTS.md's generated blocks from it.  All but the last
 two tests here read files only: the docs must be that rendering byte for
 byte, every committed value must sit in its band, and the committed cells
 must be the registry's — so a hand-edited digit, a band changed without a
-re-run or a stale document fails without a simulated second.  The last two
-show a band catching a model change: a doubled page-fault cost fails
-figure 12, and a tracer counting span ids across machines fails the
+re-run or a stale document fails without a simulated second.  The last
+three show a band catching a model change: a doubled page-fault cost fails
+figure 12, an fsync leaving its inode delayed fails the write-through
+crash points, and a tracer counting span ids across machines fails the
 ``determinism`` row.
 """
 
@@ -95,6 +96,21 @@ def test_a_doubled_fault_cost_fails_figure_12_by_row_and_cell(
     out = capsys.readouterr().out
     assert "| new CPU (s) | 4 | 2.6 | 2.4 – 2.95 | OUT |" in out
     assert "FAILED: fig12 / new CPU (s): 4 outside 2.4 – 2.95 (" in out
+
+
+def test_a_delayed_fsync_inode_fails_the_writethrough_row_by_cell(
+        monkeypatch, capsys):
+    """An fsync that leaves the inode delayed acknowledges bytes the
+    paper's write-through drive does not hold: crash states lose them."""
+    from repro.__main__ import main
+    from repro.ufs.vnode import UfsVnode
+    from tests.faults.test_crashpoints import _fsync_async_inode
+
+    monkeypatch.setattr(UfsVnode, "fsync", _fsync_async_inode)
+    assert main(["report", "--id", "crashpoints_writethrough"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nFAILED: crashpoints_writethrough / violations: 5 outside exact "
+            "(every distinct crash state repairs") in out
 
 
 def test_a_tracer_sharing_span_ids_fails_the_determinism_row_by_cell(

@@ -10,4 +10,17 @@ deliberately broken machine) set ``system.sanitizer.enabled = False``.
 
 import os
 
+import pytest
+
 os.environ.setdefault("REPRO_SANITIZE", "1")
+
+
+@pytest.fixture
+def invariant_cells():
+    """``cells(campaign)``: a finished sweep's ``exact(0)`` cells, measured."""
+    from repro.bench.experiments import sweep_cells, sweep_row
+
+    return lambda campaign: {
+        c.name: values[c.name] for values in [sweep_cells(campaign)]
+        for c in sweep_row(campaign).cells
+        if c.band == (0, 0) and c.name in values}

@@ -35,3 +35,12 @@ def smoke_explorer():
         explorer.page_ledger = count_page_buffers(patch)
         explorer.run()
     return explorer
+
+
+@pytest.fixture(scope="session")
+def writethrough_explorer():
+    """The sanitized exploration of the paper's write-through drive, read
+    by the crash-point tests and by the campaign goldens."""
+    explorer = CrashpointExplorer("writethrough", seed=0, sanitize=True)
+    explorer.run()
+    return explorer

@@ -1,63 +1,49 @@
-"""The five sweeps' per-seed outcomes are a contract.
+"""The sweeps' outcomes, golden in the one committed document.
 
-For each campaign invocation CI runs, ``golden/campaigns.json`` holds the
-sha256 of the canonical JSON of ``[stats, records]`` and, where the parent
-commit printed one, the first 16 hex digits of the digest.  The goldens
-were recorded from ``--json -`` at the commit *before* the sweeps moved
-onto the shared shell (``repro.faults.harness``), with the old envelopes'
-record keys (``cuts`` / ``runs`` / ``injections`` / ``violations``) read
-as ``records`` — so a refactor of the shell that changes one simulated
-outcome fails here.  Re-record (only when an outcome is *meant* to
-change) with::
-
-    PYTHONPATH=src python -m tests.faults.test_campaign_golden
+Each campaign row pins its sweep's outcome sha256 and digest, every
+invariant ``exact(0)`` and its coverage in bands.  Each row's cells from a
+fresh sanitized run must equal the committed ``BENCH_experiments.json``
+cells, so a refactor that changes one simulated outcome fails in tier-1.
+The smoke and write-through rows read their session fixtures' runs.
 """
 
-import hashlib
 import json
-import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_campaign, build_parser
+from repro.bench import report
+from repro.bench.experiments import EXPERIMENTS, sweep_cells
 
-GOLDEN = Path(__file__).parent / "golden" / "campaigns.json"
-SMOKE = "crashpoints --preset smoke --seed 0 --sanitize"
-
-
-def run_campaign(command: str):
-    """Build the campaign ``python -m repro <command>`` would, and run it."""
-    campaign = build_campaign(build_parser().parse_args(shlex.split(command)))
-    campaign.run()
-    return campaign
-
-
-def fingerprint(campaign, with_digest: bool) -> dict:
-    doc = campaign.to_json()
-    text = json.dumps([doc["stats"], doc["records"]], sort_keys=True,
-                      separators=(",", ":"))
-    entry = {"sha256": hashlib.sha256(text.encode()).hexdigest()}
-    if with_digest:
-        entry["digest"] = doc["digest"][:16]
-    return entry
+ROOT = Path(__file__).resolve().parents[2]
+COMMITTED = json.loads((ROOT / report.DOCUMENT).read_text())["results"]
+#: The invocation each campaign row runs (the netcampaign row runs it once
+#: more unsanitized), and the row.
+ROWS = {
+    "crashpoints --preset smoke --seed 0 --sanitize": "crashpoints_smoke",
+    "crashpoints --preset relocate --seed 0 --sanitize":
+        "crashpoints_relocate",
+    "crashpoints --preset writethrough --seed 0 --sanitize":
+        "crashpoints_writethrough",
+    "netcampaign --seeds 5 --seed 0 --sanitize": "netcampaign",
+    "memberkill --seeds 3 --seed 0 --sanitize": "memberkill",
+    "scrubcampaign --seed 0 --sanitize": "scrubcampaign",
+}
 
 
-GOLDENS = json.loads(GOLDEN.read_text())
+FIXTURES = {"crashpoints_smoke": "smoke_explorer",
+            "crashpoints_writethrough": "writethrough_explorer"}
 
 
-@pytest.mark.parametrize("command", sorted(GOLDENS))
+@pytest.mark.parametrize("command", sorted(ROWS))
 def test_campaign_outcomes_match_the_golden(command, request):
-    campaign = (request.getfixturevalue("smoke_explorer")
-                if command == SMOKE else run_campaign(command))
-    want = GOLDENS[command]
-    assert campaign.stats.ok
-    assert fingerprint(campaign, "digest" in want) == want
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {command: fingerprint(run_campaign(command), "digest" in entry)
-         for command, entry in GOLDENS.items()},
-        indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    row_id = ROWS[command]
+    row = EXPERIMENTS[row_id]
+    if row_id in FIXTURES:
+        values = sweep_cells(request.getfixturevalue(FIXTURES[row_id]))
+        values = {cell.name: values[cell.name] for cell in row.cells}
+    else:
+        values = row.run({})
+    fresh = report.entry(row, values)
+    assert fresh == COMMITTED[row_id]
+    assert report.failures({"results": {row_id: fresh}}) == []

@@ -42,13 +42,14 @@ def smoke_report(smoke_explorer):
     return smoke_explorer.stats
 
 
-def test_smoke_meets_the_coverage_floor(smoke_report):
+def test_smoke_meets_the_coverage_floor(smoke_explorer, smoke_report,
+                                        invariant_cells):
     """The acceptance bar: >= 200 distinct crash states, all held to
     their durability contracts after fsck repair."""
     r = smoke_report
     assert r.distinct_states >= 200
     assert not r.states_truncated
-    assert r.violations == [] and r.ok
+    assert set(invariant_cells(smoke_explorer).values()) == {0}
     # The enumeration actually exercised the interesting machinery:
     # volatile states, torn variants, and fsck repairs on crash images.
     assert r.raw_states > r.distinct_states
@@ -65,13 +66,15 @@ def test_smoke_backs_only_the_frames_its_workloads_name(smoke_explorer):
 
 
 def test_smoke_report_is_json_ready(smoke_explorer, smoke_report):
+    """What ``crashpoints --json`` carries survives a JSON round trip."""
     import json
 
-    d = smoke_explorer.to_json()
-    text = json.dumps(d, sort_keys=True)
-    assert (json.loads(text)["stats"]["distinct_states"]
-            == smoke_report.distinct_states)
-    assert json.loads(text)["ok"] is True
+    from repro.bench.experiments import sweep_cells
+
+    cells = json.loads(json.dumps(sweep_cells(smoke_explorer)))
+    assert cells["distinct states"] == smoke_report.distinct_states
+    assert cells["digest"] == smoke_explorer.digest
+    assert json.loads(json.dumps(smoke_explorer.records)) == []
 
 
 def test_same_seed_same_digest():
@@ -90,7 +93,7 @@ def test_different_seed_different_payloads():
     assert a.digest != b.digest
 
 
-def test_relocation_bug_stays_fixed():
+def test_relocation_bug_stays_fixed(invariant_cells):
     """Pinning test for the real bug this engine surfaced.
 
     Growing a fragment-tail relocates the run: the allocator frees the old
@@ -110,26 +113,20 @@ def test_relocation_bug_stays_fixed():
     assert explorer.recorded.mount.stats["relocation_barriers"] > 0
     # ... and with the barriers in place no crash state can lose promised
     # bytes to fragment reuse.
-    assert report.violations == [] and report.ok
+    assert set(invariant_cells(explorer).values()) == {0}
     assert report.distinct_states > 0
 
 
-@pytest.fixture(scope="module")
-def writethrough():
-    """The sanitized exploration of the paper's write-through drive."""
-    explorer = CrashpointExplorer("writethrough", seed=0, sanitize=True)
-    explorer.run()
-    return explorer
-
-
-def test_writethrough_preset_holds_on_the_papers_drive(writethrough):
+def test_writethrough_preset_holds_on_the_papers_drive(writethrough_explorer,
+                                                       invariant_cells):
     """No cache: every media write is one ``fua`` journal event, so each
     event is one crash point (no flush markers to skip), each with its
     torn variants; every distinct state keeps every fsync's promise."""
+    writethrough = writethrough_explorer
     r = writethrough.stats
     assert writethrough.recorded.write_cache is None
     assert {ev.kind for ev in writethrough.recorded.disk.journal} == {"fua"}
-    assert r.violations == [] and r.ok
+    assert set(invariant_cells(writethrough).values()) == {0}
     assert not r.states_truncated
     assert r.crash_points == r.journal_events + 1
     assert r.distinct_states >= 70
@@ -154,18 +151,20 @@ def _fsync_without_putpage(self, req=None):
 @pytest.mark.parametrize("mutant", [_fsync_async_inode,
                                     _fsync_without_putpage],
                          ids=["async-inode", "no-putpage"])
-def test_writethrough_preset_catches_broken_fsyncs(monkeypatch, mutant):
+def test_writethrough_preset_catches_broken_fsyncs(monkeypatch, mutant,
+                                                   invariant_cells):
     """An fsync that leaves the inode delayed, or never pushes the data
     pages, acknowledges bytes the write-through drive does not hold."""
     monkeypatch.setattr(UfsVnode, "fsync", mutant)
-    report = CrashpointExplorer("writethrough", seed=0).run()
-    assert not report.ok
-    assert "durable_data_lost" in {v["category"] for v in report.violations}
+    explorer = CrashpointExplorer("writethrough", seed=0)
+    explorer.run()
+    assert invariant_cells(explorer)["violations"] > 0
+    assert "durable_data_lost" in {v["category"] for v in explorer.records}
 
 
-def test_ordered_metadata_preset_holds():
+def test_ordered_metadata_preset_holds(invariant_cells):
     """B_ORDER metadata mode: barriers (not FUA) order the metadata; the
     contract folding treats namespace ops as uncertain until a flush."""
-    report = explore("ordered", seed=0).stats
-    assert report.violations == [] and report.ok
-    assert report.distinct_states > 0
+    explorer = explore("ordered", seed=0)
+    assert set(invariant_cells(explorer).values()) == {0}
+    assert explorer.stats.distinct_states > 0

@@ -120,18 +120,17 @@ def test_resync_requires_a_live_source():
         system.run(system.volume.resync(0), name="resync")
 
 
-def test_campaign_single_seed():
-    campaign = MirrorKillCampaign(seeds=1, base_seed=0, sanitize=True)
+def test_campaign_single_seed(invariant_cells):
+    campaign = MirrorKillCampaign(seeds=1, seed=0, sanitize=True)
     stats = campaign.run()
-    assert stats.ok, stats.as_dict()
+    assert set(invariant_cells(campaign).values()) == {0}, stats
     assert stats.kills == 1
     assert stats.acked_files > 0
     assert stats.degraded_files > 0
     record = campaign.records[0]
     assert record["killed"]
     assert record["resync"]["identical"]
-    doc = campaign.to_json()
-    assert doc["ok"] and len(doc["records"]) == 1
+    assert len(campaign.records) == 1
 
 
 def test_campaign_rejects_non_mirror_config():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import CAMPAIGNS, main
+from repro.bench.experiments import EXPERIMENTS
 
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -111,11 +112,13 @@ def test_cli_report_id_gates_the_committed_bytes(tmp_path, monkeypatch, cli):
 
 
 def test_cli_crashpoints_writethrough_smoke(cli):
-    """The paper's write-through drive, every crash state of its journal."""
+    """The paper's write-through drive, every crash state of its journal:
+    the cells of its row, bands and no verdicts."""
     result = cli("crashpoints", "--preset", "writethrough")
     assert result.returncode == 0, result.stdout
-    assert re.search(r"^distinct_states +75$", result.stdout, re.M)
-    assert re.search(r"^states_truncated +False$", result.stdout, re.M)
+    assert "| distinct states | 75 | - | 67.5 – 82.5 |\n" in result.stdout
+    assert "| violations | 0 | - | exact |\n" in result.stdout
+    assert "NOTE" not in result.stdout  # not truncated
 
 
 @pytest.mark.slow
@@ -146,31 +149,38 @@ def test_cli_scrubcampaign_json_stdout_parses(cli):
     result = cli("scrubcampaign", "--json")
     assert result.returncode == 0
     document = json.loads(result.stdout)
-    assert "digest" in document
+    assert "digest" in {c["name"] for c in document["results"]["cells"]}
     assert "scrubbing" in result.stderr
 
 
-#: Per campaign: toy arguments that pass, and a bad count/preset.
+#: Per campaign: toy arguments that pass, a bad count/preset, and the row
+#: whose cells it prints.
 CAMPAIGN_ARGS = {
-    "netcampaign": (["--seeds", "1"], ["--seeds", "0"]),
-    "memberkill": (["--seeds", "1"], ["--seeds", "0"]),
+    "netcampaign": (["--seeds", "1"], ["--seeds", "0"], "netcampaign"),
+    "memberkill": (["--seeds", "1"], ["--seeds", "0"], "memberkill"),
     "crashpoints": (["--preset", "writethrough", "--max-states", "60"],
-                    ["--preset", "nope"]),
-    "scrubcampaign": ([], None),  # takes no count to get wrong
+                    ["--preset", "nope"], "crashpoints_writethrough"),
+    "scrubcampaign": ([], None, "scrubcampaign"),  # no count to get wrong
 }
 
 
 @pytest.mark.parametrize("row", CAMPAIGNS, ids=lambda row: row.name)
 def test_cli_every_campaign_speaks_the_one_envelope(row, cli):
-    toy, bad = CAMPAIGN_ARGS[row.name]
+    """Every sweep writes ``repro-bench/v1``: the cells of its row it
+    measured, in the row's order, and its records."""
+    toy, bad, row_id = CAMPAIGN_ARGS[row.name]
     result = cli(row.name, *toy, "--json", "-")
     assert result.returncode == 0, result.stderr
     document = json.loads(result.stdout)  # the whole of stdout is JSON
-    assert document["schema"] == "repro-campaign/v1"
-    assert document["campaign"] == row.name
-    assert document["ok"] is True
-    assert len(document["digest"]) == 64
-    assert "digest" in result.stderr and "OK:" in result.stderr
+    assert document["schema"] == "repro-bench/v1"
+    assert document["run"]["benchmark"] == row.name
+    cells = document["results"]["cells"]
+    assert [c["name"] for c in cells] == [  # one row run measures this
+        c.name for c in EXPERIMENTS[row_id].cells
+        if c.name != "outcome differs unsanitized"]
+    assert {c["value"] for c in cells if c["band"] == [0, 0]} == {0}
+    assert isinstance(document["results"]["records"], list)
+    assert "| outcome sha256 |" in result.stderr and "OK:" in result.stderr
     if bad is not None:
         refused = cli(row.name, *bad)
         assert refused.returncode == 2
@@ -192,6 +202,21 @@ def test_cli_demo_and_traces_run_outside_the_checkout(tmp_path):
     assert ("| fig. 7 writes | lie / lie / push 0,..,2 / lie / lie / push "
             "3,..,5 |") in traces.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_inert_network_injection_fails_by_cell(monkeypatch, cli):
+    """A plan that injects nothing passes every invariant vacuously: the
+    "injection inert" cell fails the sweep."""
+    from repro.faults import NetCampaign, NetFaultPlan
+
+    monkeypatch.setattr(NetCampaign, "_plan_for",
+                        lambda self, seed: NetFaultPlan(seed=seed))
+    result = cli("netcampaign", "--seeds", "2")
+    assert result.returncode == 1
+    assert "| injection inert | 1 | - | exact |\n" in result.stdout
+    assert ("FAILED: netcampaign / injection inert: 1 outside exact (it "
+            "retransmitted") in result.stdout
+    assert "| lost acked writes | 0 |" in result.stdout
 
 
 def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
@@ -216,8 +241,10 @@ def test_cli_bench_json_stdout_parses(cli):
 @pytest.fixture
 def never_simulates(monkeypatch):
     from repro.bench.iobench import IObench
+    from repro.faults import MirrorKillCampaign
 
-    monkeypatch.setattr(IObench, "run", lambda self: pytest.fail("simulated"))
+    for cls in (IObench, MirrorKillCampaign):
+        monkeypatch.setattr(cls, "run", lambda self: pytest.fail("simulated"))
 
 
 @pytest.mark.parametrize("argv, complaint", [
@@ -248,12 +275,22 @@ def never_simulates(monkeypatch):
      "trace: telemetry interval must be finite and > 0, not inf s"),
     (["trace", "analyze", "--top", "-1"], "trace: --top must be >= 0, not -1"),
     (["crashpoints", "--max-states", "0"], "crashpoints: max_states must be"),
+    (["memberkill", "--seeds", "1", "--json", "/nonexistent/x.json"],
+     "memberkill: cannot write /nonexistent/x.json: /nonexistent is not a "
+     "directory"),
+    (["bench", "--configs", "A", "--file-mb", "1", "--ops", "8", "--json",
+      "/nonexistent/b.json"], "bench: cannot write /nonexistent/b.json: "),
+    (["trace", "jsonl", "--file-mb", "1", "--out", "/nonexistent/t.jsonl"],
+     "trace: cannot write /nonexistent/t.jsonl: "),
+    (["trace", "chrome", "--out", "."], "trace: cannot write .: it is a "
+                                        "directory"),
 ], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
         "bench-stray-option", "iobench-stray-option", "report-unknown-id",
         "iobench-empty-file", "bench-negative-file", "bench-negative-ops",
         "trace-empty-file", "iobench-no-configs", "bench-no-configs",
         "trace-zero-interval", "trace-nan-interval", "trace-inf-interval",
-        "trace-negative-top", "crashpoints-no-states"])
+        "trace-negative-top", "crashpoints-no-states", "campaign-json-dir",
+        "bench-json-dir", "trace-out-dir", "trace-out-is-dir"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
