@@ -1257,11 +1257,19 @@ def sweep_cells(campaign) -> dict:
         "digest": campaign.digest}
 
 
-def sweep_row(campaign) -> Experiment:
-    """The row a sweep reports: its preset's, else its kind's first."""
-    preset = getattr(getattr(campaign, "preset", None), "name", "")
-    return EXPERIMENTS.get(f"{campaign.name}_{preset}") or next(
-        row for id, row in EXPERIMENTS.items() if id.startswith(campaign.name))
+#: Per sweep row, the keyword arguments its campaign runs with (seed 0).
+SWEEPS: dict[str, dict] = {}
+
+
+def sweep_row(name: str, run: dict, defaults: dict
+              ) -> "tuple[Experiment, bool]":
+    """The row a run of sweep ``name`` reports — its preset's, else the
+    kind's first — and whether ``run`` is that row's own invocation:
+    ``defaults`` with the keyword arguments the row sets."""
+    ids = [id for id in SWEEPS if id.partition("_")[0] == name]
+    id = next((id for id in ids
+               if SWEEPS[id].get("preset") == run.get("preset")), ids[0])
+    return EXPERIMENTS[id], run == defaults | SWEEPS[id]
 
 
 def sweep(id: str, paper_section: str, workload: str, cls: str, kwargs: dict,
@@ -1292,6 +1300,7 @@ def sweep(id: str, paper_section: str, workload: str, cls: str, kwargs: dict,
         return {cell.name: values[cell.name] for cell in cells}
 
     EXPERIMENTS[id] = Experiment(id, paper_section, workload, run, tuple(cells))
+    SWEEPS[id] = kwargs
 
 
 def _crashpoints(preset: str, what: str, outcome: tuple, states: int,
@@ -1320,11 +1329,17 @@ _crashpoints(
     ("1aa215b6f03c3f03d4aa909cef944bcbde95605cd2d27952c0de1d62ffe98881",
      "0d651bfced28b92c0fd5d9eea7197436d386fa9a42e4f1e6cb0a90374cf3d69f"),
     75, 83)
+_crashpoints(
+    "nfs", "4 x 16 KB files from an NFS client, half fsynced (biod WRITEs "
+    "and a COMMIT), one removed; the server's drive, 16 KB cache",
+    ("9415c8bb63dbface97a31e11322ed5efcc2e7c649cd45e7cc80979ce8e88234f",
+     "8ca1b838afe9e90c07381347245909fe81828d72e2cc84b6192049b7ab4868a7"),
+    191, 209)
 
 sweep("netcampaign", "Robustness: acknowledged writes over a faulty wire",
       "netcampaign --seeds 5 --seed 0, sanitized, then unsanitized: NFS "
-      "create/write/fsync/remove through drops, duplicates, corruption, "
-      "partitions and server reboots",
+      "create/write/fsync/remove through drops, duplicates, corruption "
+      "and partitions",
       "repro.faults:NetCampaign", {"seeds": 5},
       {"lost acked writes": "every byte a returned fsync covered reads back",
        "corrupt cache serves": "a damaged reply dies at the checksum",
@@ -1334,8 +1349,8 @@ sweep("netcampaign", "Robustness: acknowledged writes over a faulty wire",
        "determinism failures": "the first seed, replayed, is the same",
        "injection inert": "it retransmitted and hit the DRC: faults fired",
        "outcome differs unsanitized": "the sanitizer observes, never steers"},
-      ("da09dc4096b95388881293c3965c06727c417f57a2895da4959ad4d84f4626bd",),
-      {"retransmits": 39, "drc hits": 19, "corruptions injected": 15})
+      ("21c187e8ab62464f123ea9772fe1d152dbc854216075b0eb730bba21462e0421",),
+      {"retransmits": 29, "drc hits": 19, "corruptions injected": 5})
 
 sweep("memberkill", "Robustness: a mirror member dies mid-write",
       "memberkill --seeds 3 --seed 0, sanitized: fsynced files on a "

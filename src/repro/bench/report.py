@@ -64,6 +64,8 @@ def holds(cell: dict) -> bool:
 
 
 def band_text(band) -> str:
+    if band is None:  # a sweep run that is not its row's own invocation
+        return "-"
     lo, hi = band
     return "exact" if lo == hi else f"{fmt(lo)} – {fmt(hi)}"
 

@@ -8,14 +8,15 @@ The fault model lives in two layers per medium:
   the driver's recovery machinery (retries, backoff, bad-block remapping,
   split-retry of coalesced clusters) is exercised against it.
 * :class:`NetFaultPlan` — the network twin: a seeded schedule of datagram
-  drops, duplicates, corruption, reordering, latency spikes, link
-  partitions, and server crash/reboot windows injected into
-  :class:`repro.nfs.net.Network`; the NFS client's retransmission and the
-  server's duplicate-request cache are exercised against it.
+  drops, duplicates, corruption, reordering, latency spikes and link
+  partitions injected into :class:`repro.nfs.net.Network`; the NFS
+  client's retransmission and the server's duplicate-request cache are
+  exercised against it.
 
 Three sweeps hold the stack to its promises: :class:`CrashpointExplorer`
-(every bounded-legal crash state of a workload recorded on the disk's
-journal), :class:`MirrorKillCampaign` (seeded mirror-member deaths) and
+(every bounded-legal crash state of a workload recorded on a drive's
+journal — a local one, or an NFS server's), :class:`MirrorKillCampaign`
+(seeded mirror-member deaths) and
 :class:`NetCampaign` (seeded network faults over NFS).  With the scrub
 campaign (:mod:`repro.integrity.campaign`) they share one shell,
 :mod:`repro.faults.harness`; each is a row of the experiment table.

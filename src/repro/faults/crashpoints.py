@@ -6,7 +6,10 @@ A **recording run** executes a workload preset on a disk whose journal
 durability-relevant event (volatile write, media write, destage, flush).
 A preset with ``cache_bytes=0`` records the paper's write-through drive,
 where every media write is a ``fua`` event; any other records a drive
-with a :class:`~repro.disk.wcache.VolatileWriteCache`.  The **explorer**
+with a :class:`~repro.disk.wcache.VolatileWriteCache`.  The ``nfs``
+workload records the server machine of :func:`~repro.nfs.world.build_world`
+while a client drives it over the wire: the journal is the server drive's,
+the promises are the client's fsync returns.  The **explorer**
 then replays the journal and, at every event, enumerates the crash states
 a standards-conforming drive could leave behind:
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generator
 
 from repro.disk.store import DiskStore
@@ -51,6 +55,7 @@ from repro.faults.harness import Campaign, force_sanitizer
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
+from repro.nfs.world import build_world
 from repro.sim.engine import SimulationError
 from repro.sim.invariants import SanitizerError, render_request
 from repro.ufs.fsck import fsck
@@ -116,6 +121,10 @@ PRESETS: dict[str, Preset] = {
                "other one, unlink a never-synced one every fourth",
                workload="writethrough", files=10, chunk=48 * KB,
                cache_bytes=0),
+        Preset("nfs",
+               "the writethrough churn from an NFS client, on the server's "
+               "drive: 16 KB files, a 16 KB cache",
+               workload="nfs", files=4, chunk=16 * KB, cache_bytes=16 * KB),
     )
 }
 
@@ -141,9 +150,13 @@ class ContractEvent:
 
 
 class ContractRecorder:
-    """Workload-side recorder: declared-durable snapshots + namespace ops."""
+    """Workload-side recorder: declared-durable snapshots + namespace ops.
 
-    def __init__(self, system: System):
+    The journal is ``system``'s drive's; the durability points are the ones
+    ``proc``'s machine acknowledges — over NFS, the client's.
+    """
+
+    def __init__(self, system: System, proc: Proc):
         self.system = system
         if system.disk.journal is None:
             system.disk.journal = []
@@ -152,7 +165,7 @@ class ContractRecorder:
         #: (kind, ino, journal position) per acknowledged durability point,
         #: fed by the syscall layer's on_durability hook.
         self.durability_points: list[tuple[str, int, int]] = []
-        system.on_durability.append(self._on_durability)
+        proc.system.on_durability.append(self._on_durability)
 
     @property
     def pos(self) -> int:
@@ -375,13 +388,16 @@ def _wl_smoke(proc: Proc, rec: ContractRecorder, rng: random.Random,
 
 
 def _wl_writethrough(proc: Proc, rec: ContractRecorder, rng: random.Random,
-                     p: Preset) -> Generator[Any, Any, None]:
+                     p: Preset, root: str = "/work"
+                     ) -> Generator[Any, Any, None]:
     # Create/write/fsync/unlink churn: every other file is fsynced, and
     # every fourth step removes a never-fsynced earlier file, so the
     # synchronous metadata order of unlink is under the crash points too.
-    yield from proc.mkdir("/work")
+    # An NFS client has no MKDIR: there the files go in the root.
+    if root:
+        yield from proc.mkdir(root)
     for i in range(p.files):
-        path = f"/work/f{i}"
+        path = f"{root}/f{i}"
         data = rng.randbytes(p.chunk)
         fd = yield from proc.creat(path)
         rec.dirty(path, data)
@@ -391,7 +407,7 @@ def _wl_writethrough(proc: Proc, rec: ContractRecorder, rng: random.Random,
             rec.promise(path, data)
         yield from proc.close(fd)
         if i % 4 == 3:
-            victim = f"/work/f{i - 2}"
+            victim = f"{root}/f{i - 2}"
             rec.unlink_begin(victim)
             yield from proc.unlink(victim)
             rec.unlinked(victim)
@@ -405,6 +421,7 @@ _WORKLOADS = {
     "spanning": _wl_spanning,
     "smoke": _wl_smoke,
     "writethrough": _wl_writethrough,
+    "nfs": partial(_wl_writethrough, root=""),
 }
 
 
@@ -520,15 +537,19 @@ class CrashpointExplorer(Campaign):
 
     # -- recording ---------------------------------------------------------
     def _record(self):
-        system = System(self.record_config)
-        force_sanitizer(self.sanitize, system)
-        system.mkfs()
-        system.run(system.mount_fs(), name="crashpoints-mount")
+        if self.preset.workload == "nfs":
+            # The server's drive is recorded; a client drives it by RPC.
+            client, system, mount = build_world(
+                server_config=self.record_config)
+            proc = Proc(client, name="crashpoints", mount=mount)
+        else:
+            system = System.booted(self.record_config)
+            proc = Proc(system, name="crashpoints")
+        force_sanitizer(self.sanitize, system, proc.system)
         system.sync()  # quiesce: the base image below is fully durable
         system.tracer.enabled = True  # violations carry request span trees
         base = system.store.clone()   # durable image at journal start
-        rec = ContractRecorder(system)
-        proc = Proc(system, name="crashpoints")
+        rec = ContractRecorder(system, proc)
         rng = random.Random(self.seed)
         workload = _WORKLOADS[self.preset.workload]
         system.run(workload(proc, rec, rng, self.preset),

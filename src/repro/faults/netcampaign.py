@@ -4,17 +4,16 @@ The disk-side :class:`~repro.faults.crashpoints.CrashpointExplorer` makes
 fsck answer for torn writes; the network campaign makes the hardened RPC layer
 answer for a lossy wire.  Each seeded run builds a client/server world
 whose network drops, duplicates, corrupts, reorders, and delays messages
-(and may partition the link or crash/reboot the server), drives a
-create/write/fsync/remove workload from the client, then stops the faults
-and verifies the invariants that make NFS serving trustworthy — each an
-``exact(0)`` cell of the ``netcampaign`` experiment row: no lost
-acknowledged write (WRITE is v2-stable, COMMIT the barrier: a hard mount
-may retry long but may not lie), exactly-once mutations behind the
-duplicate-request cache (runs whose plan crashes the server are exempt: a
-cold DRC is the exposure the REMOVE heuristic exists for), no corrupted
+(and may partition the link), drives a create/write/fsync/remove workload
+from the client, then stops the faults and verifies the invariants that
+make NFS serving trustworthy — each an ``exact(0)`` cell of the
+``netcampaign`` experiment row: no lost acknowledged write (COMMIT is the
+barrier: a hard mount may retry long but may not lie), exactly-once
+mutations behind the duplicate-request cache on every seed, no corrupted
 byte in the client's page cache, removed means ENOENT, a soft mount fails
 fast with ETIMEDOUT under a full partition, and the base seed replays to
-an identical fingerprint, fault schedule included.
+an identical fingerprint, fault schedule included.  The server's power
+cuts are the ``crashpoints`` preset ``nfs``.
 
 Determinism: each run's fault intensities and windows derive from
 ``random.Random(seed)``, the plan's per-message draws are consumed in send
@@ -52,7 +51,6 @@ class NetCampaignStats:
     corruptions_injected: int = 0
     reorders_injected: int = 0
     partition_drops: int = 0
-    server_reboots: int = 0
     drc_hits: int = 0
     corrupt_replies_dropped: int = 0
     corrupt_requests_rejected: int = 0
@@ -96,8 +94,8 @@ class NetCampaign(Campaign):
         """Create/write/fsync/remove churn over the wire.
 
         ``state['durable']`` holds path -> content for every file whose
-        fsync *returned*: v2-stable WRITEs plus a COMMIT barrier mean those
-        bytes are on the server's disk whatever the wire does next.
+        fsync *returned*: the COMMIT barrier means those bytes are on the
+        server's disk whatever the wire does next.
         """
         for i in range(self.nfiles):
             path = f"/r{i}"
@@ -124,9 +122,6 @@ class NetCampaign(Campaign):
         if rng.random() < 0.5:
             start = rng.uniform(t0, t1)
             partitions.append((start, start + rng.uniform(0.05, 0.3)))
-        crashes = []
-        if rng.random() < 0.3:
-            crashes.append(rng.uniform(t0, t1))
         return NetFaultPlan(
             seed=seed,
             drop_p=rng.uniform(0.02, 0.15),
@@ -135,8 +130,6 @@ class NetCampaign(Campaign):
             reorder_p=rng.uniform(0.0, 0.10),
             spike_p=rng.uniform(0.0, 0.03),
             partitions=partitions,
-            server_crash_at=crashes,
-            server_reboot_delay=rng.uniform(0.1, 0.3),
         )
 
     def _one_run(self, plan: "NetFaultPlan | None") -> dict:
@@ -230,8 +223,8 @@ class NetCampaign(Campaign):
 
     # -- the sweep ---------------------------------------------------------
     def run(self) -> NetCampaignStats:
-        # Rehearsal: learn the workload's fault-free span so partitions and
-        # crash windows land inside the interesting region.
+        # Rehearsal: learn the workload's fault-free span so partitions
+        # land inside the interesting region.
         rehearsal = self._one_run(None)
         self._window = rehearsal["window"]
 
@@ -258,7 +251,6 @@ class NetCampaign(Campaign):
             s.corruptions_injected += int(plan.stats["corrupts"])
             s.reorders_injected += int(plan.stats["reorders"])
             s.partition_drops += int(plan.stats["partition_drops"])
-            s.server_reboots += int(srv["reboots"])
             s.drc_hits += int(srv["drc_hits"])
             s.corrupt_requests_rejected += int(srv["corrupt_requests_rejected"])
             state = result["state"]
@@ -268,11 +260,7 @@ class NetCampaign(Campaign):
             s.lost_acked_writes += result["lost"]
             s.corrupt_cache_serves += result["corrupt_serves"]
             s.remove_violations += result["remove_violations"]
-            if not plan.server_crash_at:
-                # With no reboot the DRC must make every retransmitted
-                # mutation exactly-once; after a cold start re-execution is
-                # possible by design (content checks above still apply).
-                s.duplicate_side_effects += int(srv["duplicate_executions"])
+            s.duplicate_side_effects += int(srv["duplicate_executions"])
             self.records.append({
                 "seed": seed,
                 "drops": int(plan.stats["drops"]),
@@ -280,7 +268,6 @@ class NetCampaign(Campaign):
                 "corruptions": int(plan.stats["corrupts"]),
                 "reorders": int(plan.stats["reorders"]),
                 "partition_drops": int(plan.stats["partition_drops"]),
-                "server_reboots": int(srv["reboots"]),
                 "retransmits": int(mstats["retransmits"]),
                 "rpc_timeouts": int(mstats["rpc_timeouts"]),
                 "drc_hits": int(srv["drc_hits"]),

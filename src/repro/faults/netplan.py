@@ -22,12 +22,10 @@ The fault taxonomy (all per-message unless noted):
 * **latency spikes** — a long hold (a congested router), stressing the
   adaptive retransmission timeout;
 * **link partitions** — scheduled ``(start, end)`` windows during which
-  every message in both directions is dropped;
-* **server crash/reboot windows** — at each scheduled crash instant the
-  server loses its volatile state: in-flight RPCs are dropped and the
-  duplicate-request cache cold-starts; the server answers again once the
-  reboot delay has passed.  (The server's disk is write-through, so only
-  volatile RPC state dies — the disk-side plan models storage loss.)
+  every message in both directions is dropped.
+
+A server that loses power is not a wire fault: the ``crashpoints`` preset
+``nfs`` enumerates the crash states of the server's drive instead.
 
 Scheduled one-shot faults (``scheduled=[(time, direction, kind), ...]``)
 fire on the first matching message at/after their trigger time, mirroring
@@ -84,8 +82,6 @@ class NetFaultPlan:
                  spike_p: float = 0.0,
                  spike_delay: float = 0.25,
                  partitions: Iterable[tuple[float, float]] = (),
-                 server_crash_at: Iterable[float] = (),
-                 server_reboot_delay: float = 0.2,
                  scheduled: Iterable[tuple[float, str, str]] = ()):
         for name, p in (("drop_p", drop_p), ("duplicate_p", duplicate_p),
                         ("corrupt_p", corrupt_p), ("reorder_p", reorder_p),
@@ -96,8 +92,6 @@ class NetFaultPlan:
             raise ValueError("fault probabilities must sum to <= 1")
         if reorder_delay < 0 or spike_delay < 0:
             raise ValueError("delays must be >= 0")
-        if server_reboot_delay < 0:
-            raise ValueError("server_reboot_delay must be >= 0")
         self.seed = seed
         self._rng = random.Random(seed)
         self.drop_p = drop_p
@@ -111,8 +105,6 @@ class NetFaultPlan:
         for start, end in self.partitions:
             if end <= start:
                 raise ValueError(f"empty partition window ({start}, {end})")
-        self.server_crash_at = sorted(server_crash_at)
-        self.server_reboot_delay = server_reboot_delay
         self._scheduled = sorted(scheduled)
         for _, direction, kind in self._scheduled:
             if direction not in (UP, DOWN, ANY):
@@ -172,17 +164,3 @@ class NetFaultPlan:
     def link_down(self, now: float) -> bool:
         """True while ``now`` falls inside a partition window."""
         return any(start <= now < end for start, end in self.partitions)
-
-    # -- server crash/reboot windows -----------------------------------------
-    def server_down(self, now: float) -> bool:
-        """True while the server is crashed and not yet rebooted."""
-        return any(t <= now < t + self.server_reboot_delay
-                   for t in self.server_crash_at)
-
-    def server_crash_epoch(self, now: float) -> int:
-        """How many crash instants have passed by ``now``.
-
-        The server compares this against the epoch it last saw to know it
-        has "rebooted" (and must cold-start its duplicate-request cache).
-        """
-        return sum(1 for t in self.server_crash_at if t <= now)

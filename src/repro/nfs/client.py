@@ -295,8 +295,8 @@ class NfsMount(Vfs):
         """REMOVE, with the classic retransmission heuristic: ENOENT on a
         call we had to retransmit is swallowed, because the likeliest cause
         is our own earlier copy succeeding and its reply getting lost (the
-        server's DRC covers the common case; this covers a DRC cold-start
-        after a crash)."""
+        server's DRC covers the common case; this covers an evicted DRC
+        entry, or a server without a DRC)."""
         request = RPC_HEADER + len(path)
         try:
             yield from self.rpc("REMOVE", request_bytes=request, path=path)

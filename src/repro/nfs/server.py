@@ -9,18 +9,15 @@ into the classic spurious-ENOENT/EEXIST bug.  :meth:`NfsServer.receive`
 answers retransmissions from the cache instead of re-executing them, and
 drops retransmissions of calls still in progress.
 
-WRITEs are committed to stable storage before the reply, v2-style — which
-makes remote writes painfully synchronous and is half the reason biod
-write-behind exists on the client.
+A WRITE pushes its pages to the server's disk before the reply, but
+waits for no drive-cache flush and leaves the inode's new size and block
+pointers delayed: the reply is not v2-stable.  A client's durability rests
+on COMMIT, which fsyncs the file; the ``crashpoints`` preset ``nfs`` holds
+every COMMIT to its word in every crash state of the server's drive.
 
 The server is its own "machine": its own CPU and its own disk stack; only
 the network couples it to the client.  ``nfsd_threads`` requests are
-served concurrently, as the real nfsd pool did.  When the attached
-:class:`~repro.faults.netplan.NetFaultPlan` schedules a crash, the server
-loses its volatile state: requests during the outage are dropped, replies
-to calls caught mid-flight are lost, and the DRC cold-starts — the disk
-itself is write-through, so durable bytes survive (the disk-side
-``FaultPlan`` is where storage loss lives).
+served concurrently, as the real nfsd pool did.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.units import US
 from repro.vfs.vnode import PutFlags, RW
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.netplan import NetFaultPlan
     from repro.sim.engine import Engine
     from repro.ufs.mount import UfsMount
 
@@ -77,18 +73,14 @@ class NfsServer:
 
     def __init__(self, engine: "Engine", mount: "UfsMount",
                  nfsd_threads: int = 2, per_rpc_cpu: float = 300 * US,
-                 drc_size: int = 256,
-                 fault_plan: "NetFaultPlan | None" = None):
+                 drc_size: int = 256):
         if drc_size < 0:
             raise ValueError("drc_size must be >= 0")
-        self.engine = engine
         self.mount = mount
         self.per_rpc_cpu = per_rpc_cpu
         self.drc_size = drc_size
-        self.fault_plan = fault_plan
         self._nfsds = Resource(engine, capacity=nfsd_threads, name="nfsd")
         self._drc: "OrderedDict[int, RpcReply]" = OrderedDict()
-        self._crash_epoch = 0
         #: xids of mutating ops already executed once — accounting only (a
         #: real server has no such table; campaigns use it to prove the DRC
         #: made retransmitted mutations effectively exactly-once).
@@ -102,20 +94,8 @@ class NfsServer:
 
         The checksum is verified first (a corrupted request is discarded,
         never executed — a garbage WRITE must not reach the disk), then the
-        crash window, then the DRC, and only then the real handler.
+        DRC, and only then the real handler.
         """
-        now = self.engine.now
-        plan = self.fault_plan
-        if plan is not None:
-            epoch = plan.server_crash_epoch(now)
-            if epoch > self._crash_epoch:
-                # The machine went down and came back: volatile state gone.
-                self._crash_epoch = epoch
-                self._drc.clear()
-                self.stats.incr("reboots")
-            if plan.server_down(now):
-                self.stats.incr("dropped_while_down")
-                return None
         if corrupted:
             self.stats.incr("corrupt_requests_rejected")
             return None
@@ -142,13 +122,6 @@ class NfsServer:
             reply = RpcReply("ok", result.value, result.wire_bytes)
         except ReproError as exc:
             reply = RpcReply("err", exc)
-        if plan is not None and plan.server_crash_epoch(self.engine.now) > self._crash_epoch:
-            # The server crashed while this call was executing: its reply
-            # dies with the machine (the disk may already hold the side
-            # effects — write-through), and the DRC entry never forms.
-            self._drc.pop(xid, None)
-            self.stats.incr("replies_lost_to_crash")
-            return None
         if self.drc_size > 0:
             self._drc[xid] = reply
             self._drc.move_to_end(xid)
@@ -222,10 +195,10 @@ class NfsServer:
 
     def _op_write(self, handle: int, offset: int, data: bytes
                   ) -> Generator[Any, Any, RpcResult]:
-        """v2 semantics: stable before the reply."""
+        """Push the written pages to the disk before the reply; no drive
+        flush, and the inode stays delayed (COMMIT makes both durable)."""
         vn = yield from self.mount.iget(handle)
         n = yield from vn.rdwr(RW.WRITE, offset, data)
-        # Commit this write's pages before replying.
         psize = self.mount.pagecache.page_size
         start = (offset // psize) * psize
         length = offset + len(data) - start

@@ -30,9 +30,10 @@ def build_world(server_config: SystemConfig | None = None,
     ``(client_system, server_system, nfs_mount)``.
 
     ``fault_plan`` (a :class:`~repro.faults.netplan.NetFaultPlan`) makes the
-    wire lossy and schedules server crash windows; ``soft``/``timeo``/
-    ``retrans`` pick the client's mount semantics and ``drc_size`` the
-    server's duplicate-request cache capacity.
+    wire lossy; ``soft``/``timeo``/``retrans`` pick the client's mount
+    semantics and ``drc_size`` the server's duplicate-request cache
+    capacity.  The server's own crashes are the ``crashpoints`` preset
+    ``nfs``, which records this world's server drive.
     """
     server_system = System.booted(
         server_config if server_config is not None else SystemConfig.config_a()
@@ -44,8 +45,7 @@ def build_world(server_config: SystemConfig | None = None,
     network = Network(server_system.engine, bandwidth=bandwidth,
                       latency=latency, fault_plan=fault_plan)
     server = NfsServer(server_system.engine, server_system.mount,
-                       nfsd_threads=nfsd_threads, drc_size=drc_size,
-                       fault_plan=fault_plan)
+                       nfsd_threads=nfsd_threads, drc_size=drc_size)
     mount = NfsMount(server_system.engine, client_system.cpu,
                      client_system.pagecache, network, server,
                      soft=soft, timeo=timeo, retrans=retrans)

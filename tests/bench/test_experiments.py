@@ -3,14 +3,15 @@
 ``python -m repro report`` runs every row of
 :mod:`repro.bench.experiments` into ``BENCH_experiments.json`` and renders
 RESULTS.md and EXPERIMENTS.md's generated blocks from it.  All but the last
-two tests here read files only: the docs must be that rendering byte for
+five tests here read files only: the docs must be that rendering byte for
 byte, every committed value must sit in its band, and the committed cells
 must be the registry's — so a hand-edited digit, a band changed without a
 re-run or a stale document fails without a simulated second.  The last
-three show a band catching a model change: a doubled page-fault cost fails
+five show a band catching a model change: a doubled page-fault cost fails
 figure 12, an fsync leaving its inode delayed fails the write-through
-crash points, and a tracer counting span ids across machines fails the
-``determinism`` row.
+crash points, a COMMIT that does not fsync and a WRITE that does not push
+its pages fail the NFS server's crash points, and a tracer counting span
+ids across machines fails the ``determinism`` row.
 """
 
 import json
@@ -111,6 +112,39 @@ def test_a_delayed_fsync_inode_fails_the_writethrough_row_by_cell(
     out = capsys.readouterr().out
     assert ("\nFAILED: crashpoints_writethrough / violations: 5 outside exact "
             "(every distinct crash state repairs") in out
+
+
+def test_a_commit_without_fsync_fails_the_nfs_row_by_cell(monkeypatch,
+                                                          capsys):
+    """A COMMIT that pushes the pages but never fsyncs leaves the inode
+    delayed and the server drive's cache unflushed: crash states of that
+    drive lose bytes the client's fsync acknowledged."""
+    from repro.__main__ import main
+    from repro.nfs.server import NfsServer
+    from tests.faults.test_crashpoints import _commit_without_fsync
+
+    monkeypatch.setattr(NfsServer, "_op_commit", _commit_without_fsync)
+    assert main(["report", "--id", "crashpoints_nfs"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nFAILED: crashpoints_nfs / violations: 351 outside exact "
+            "(every distinct crash state repairs") in out
+
+
+def test_a_write_without_putpage_fails_the_nfs_row_by_coverage(monkeypatch,
+                                                               capsys):
+    """A WRITE that leaves its pages dirty breaks no promise, since COMMIT
+    pushes them, but the server's drive then sees one burst per fsync:
+    the crash states it explores collapse below the row's band."""
+    from repro.__main__ import main
+    from repro.nfs.server import NfsServer
+    from tests.faults.test_crashpoints import _write_without_putpage
+
+    monkeypatch.setattr(NfsServer, "_op_write", _write_without_putpage)
+    assert main(["report", "--id", "crashpoints_nfs"]) == 1
+    out = capsys.readouterr().out
+    assert "| violations | 0 | - | exact | ok |" in out
+    assert ("\nFAILED: crashpoints_nfs / distinct states: 28 outside "
+            "172 – 210 (") in out
 
 
 def test_a_tracer_sharing_span_ids_fails_the_determinism_row_by_cell(

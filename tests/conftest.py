@@ -22,5 +22,5 @@ def invariant_cells():
 
     return lambda campaign: {
         c.name: values[c.name] for values in [sweep_cells(campaign)]
-        for c in sweep_row(campaign).cells
+        for c in sweep_row(campaign.name, {}, {})[0].cells
         if c.band == (0, 0) and c.name in values}

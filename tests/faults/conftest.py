@@ -44,3 +44,12 @@ def writethrough_explorer():
     explorer = CrashpointExplorer("writethrough", seed=0, sanitize=True)
     explorer.run()
     return explorer
+
+
+@pytest.fixture(scope="session")
+def nfs_explorer():
+    """The sanitized exploration of an NFS server's drive under a client's
+    fsyncs, read by the crash-point tests and by the campaign goldens."""
+    explorer = CrashpointExplorer("nfs", seed=0, sanitize=True)
+    explorer.run()
+    return explorer

@@ -4,7 +4,7 @@ Each campaign row pins its sweep's outcome sha256 and digest, every
 invariant ``exact(0)`` and its coverage in bands.  Each row's cells from a
 fresh sanitized run must equal the committed ``BENCH_experiments.json``
 cells, so a refactor that changes one simulated outcome fails in tier-1.
-The smoke and write-through rows read their session fixtures' runs.
+The smoke, write-through and nfs rows read their session fixtures' runs.
 """
 
 import json
@@ -25,6 +25,7 @@ ROWS = {
         "crashpoints_relocate",
     "crashpoints --preset writethrough --seed 0 --sanitize":
         "crashpoints_writethrough",
+    "crashpoints --preset nfs --seed 0 --sanitize": "crashpoints_nfs",
     "netcampaign --seeds 5 --seed 0 --sanitize": "netcampaign",
     "memberkill --seeds 3 --seed 0 --sanitize": "memberkill",
     "scrubcampaign --seed 0 --sanitize": "scrubcampaign",
@@ -32,7 +33,8 @@ ROWS = {
 
 
 FIXTURES = {"crashpoints_smoke": "smoke_explorer",
-            "crashpoints_writethrough": "writethrough_explorer"}
+            "crashpoints_writethrough": "writethrough_explorer",
+            "crashpoints_nfs": "nfs_explorer"}
 
 
 @pytest.mark.parametrize("command", sorted(ROWS))

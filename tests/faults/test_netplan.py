@@ -106,24 +106,6 @@ def test_link_down():
     assert plan.link_down(5.5)
 
 
-# -- server crash windows ------------------------------------------------------
-
-def test_server_down_window():
-    plan = NetFaultPlan(server_crash_at=[2.0], server_reboot_delay=0.5)
-    assert not plan.server_down(1.9)
-    assert plan.server_down(2.0)
-    assert plan.server_down(2.49)
-    assert not plan.server_down(2.5)  # rebooted
-
-
-def test_server_crash_epoch_counts_past_crashes():
-    plan = NetFaultPlan(server_crash_at=[1.0, 3.0])
-    assert plan.server_crash_epoch(0.5) == 0
-    assert plan.server_crash_epoch(1.0) == 1
-    assert plan.server_crash_epoch(2.9) == 1
-    assert plan.server_crash_epoch(3.1) == 2
-
-
 # -- validation ----------------------------------------------------------------
 
 def test_probabilities_validated():
@@ -133,8 +115,6 @@ def test_probabilities_validated():
         NetFaultPlan(drop_p=0.6, corrupt_p=0.6)  # sum > 1
     with pytest.raises(ValueError):
         NetFaultPlan(reorder_delay=-1)
-    with pytest.raises(ValueError):
-        NetFaultPlan(server_reboot_delay=-0.1)
     with pytest.raises(ValueError):
         NetFaultPlan(partitions=[(2.0, 1.0)])  # empty window
     with pytest.raises(ValueError):

@@ -121,6 +121,28 @@ def test_cli_crashpoints_writethrough_smoke(cli):
     assert "NOTE" not in result.stdout  # not truncated
 
 
+@pytest.mark.parametrize("args, invariant, fingerprint, coverage", [
+    (["crashpoints", "--preset", "ordered"], "violations", "digest",
+     "distinct states"),
+    (["netcampaign", "--seeds", "1", "--seed", "7"], "lost acked writes",
+     "outcome sha256", "retransmits"),
+], ids=["other-preset", "other-seeds"])
+def test_cli_campaign_prints_only_its_own_rows_bands(args, invariant,
+                                                     fingerprint, coverage,
+                                                     cli):
+    """A preset or seeds no row runs used to print the kind's first row's
+    bands beside its own counts (``ordered`` beside ``smoke``'s, like
+    ``append``, in a fifth of the time).  Those bands are now ``-``; the
+    invariants keep ``exact`` and alone set the exit code."""
+    result = cli(*args)
+    assert result.returncode == 0, result.stdout
+    assert f"| {invariant} | 0 | - | exact |\n" in result.stdout
+    assert re.search(rf"^\| {fingerprint} \| [0-9a-f]{{64}} \| - \| - \|$",
+                     result.stdout, re.M)
+    assert re.search(rf"^\| {coverage} \| \d+ \| - \| - \|$",
+                     result.stdout, re.M)
+
+
 @pytest.mark.slow
 def test_cli_iobench_small(cli):
     """Figs. 10/11 through the ``fig10_11`` row's cells and renderer: the

@@ -299,26 +299,6 @@ def test_server_bug_is_not_a_lost_packet(soft):
     assert mount.stats["retransmits"] == 0
 
 
-def test_server_crash_reboot_drops_calls_and_cold_starts_drc():
-    plan = NetFaultPlan(server_crash_at=[1.0], server_reboot_delay=0.2)
-    client, _server, mount = small_world(fault_plan=plan, timeo=0.3)
-    proc, fd = _prepare_file(client, mount)
-    server = mount.server
-    assert len(server._drc) > 0  # setup traffic populated the cache
-    client.pagecache.vnode_invalidate(client.run(mount.namei("/f")))
-
-    def read_into_outage():
-        yield from _settle(client.engine, 1.05)
-        return (yield from proc.pread(fd, 8 * KB, 0))
-
-    assert client.run(read_into_outage()) == CHUNK
-    assert server.stats["dropped_while_down"] >= 1
-    assert server.stats["reboots"] == 1
-    assert mount.stats["retransmits"] >= 1
-    # The DRC cold-started: only post-reboot entries remain.
-    assert len(server._drc) <= 2
-
-
 # -- write-behind failure propagation (satellite: deferred errors) ------------
 
 def test_write_behind_failure_raised_by_next_write():
