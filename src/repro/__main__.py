@@ -17,9 +17,6 @@ Commands:
   [--sanitize] [--json [PATH]]`` and print the cells of their row of the
   experiment table; exit 0 when every invariant held, 1 on an ``exact(0)``
   cell that is not 0, 2 on a bad argument;
-* ``bench [--configs AC] [--json [PATH]]`` — the unified perf bench: one
-  schema-versioned BENCH.json (rates + metrics snapshot + layer time
-  attribution), byte-identical across same-seed runs;
 * ``trace {analyze|chrome|flamegraph|jsonl|series}`` — trace analytics:
   run a seeded iobench phase (or ingest an existing ``--trace-jsonl``
   file) and either print the critical-path report with per-layer blame
@@ -278,25 +275,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import run_bench, write_json
-
-    if _benches("bench", args, args.configs, random_ops=args.ops) is None:
-        return 2
-    say = _emit(args)
-    say(f"running the unified bench on configurations "
-        f"{', '.join(args.configs.upper())} ({args.file_mb} MB file, "
-        f"{args.ops} random ops, seed {args.seed}; tracing every phase)...")
-    document = run_bench(configs=args.configs.upper(), file_mb=args.file_mb,
-                         random_ops=args.ops, seed=args.seed,
-                         scheduler=args.scheduler or None,
-                         layout=args.layout or None, out=say)
-    say(f"bench id {document['id']}")
-    if args.json:
-        write_json(args.json, document, say)
-    return 0
-
-
 def _trace_bench(args: argparse.Namespace, say, **telemetry):
     """Run the seeded iobench the trace subcommands analyze; returns the
     bench (its system carries the tracer and any telemetry recorder), or
@@ -476,23 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_json_flag(p, "write the report (stats, per-record outcomes, "
                           "seed-stable digest) to PATH")
         p.set_defaults(fn=_cmd_campaign, campaign=row)
-
-    p = sub.add_parser("bench",
-                       help="unified perf bench: one BENCH.json of rates, "
-                            "metrics and time attribution")
-    p.add_argument("--configs", default="AC",
-                   help="figure 9 configurations to run (default AC)")
-    p.add_argument("--file-mb", type=int, default=4)
-    p.add_argument("--ops", type=int, default=512,
-                   help="random operations per random phase (default 512)")
-    p.add_argument("--seed", type=int, default=1991)
-    p.add_argument("--scheduler", default="",
-                   choices=["", "elevator", "fifo", "deadline"],
-                   help="override the disk scheduler for every config")
-    p.add_argument("--layout", default="",
-                   help="override the block-device layout for every config")
-    _add_json_flag(p, "write the BENCH document to PATH")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("trace",
                        help="trace analytics: critical paths, Chrome/"

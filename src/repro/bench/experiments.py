@@ -26,13 +26,11 @@ from repro.bench import (
 from repro.bench.iobench import PHASES
 from repro.bench.report import PAPER_FIGURE_10, PAPER_FIGURE_11, PAPER_FIGURE_12
 from repro.core import ClusterTuning
-from repro.cpu import Cpu
-from repro.disk import DiskDriver, DiskGeometry, RotationalDisk
+from repro.disk import DiskGeometry
 from repro.kernel import Proc, System, SystemConfig
 from repro.kernel.update import UpdateDaemon
 from repro.obs.bench import run_bench
 from repro.s5fs import S5FileSystem, s5_mkfs
-from repro.sim import Engine
 from repro.ufs import FsParams, bmap
 from repro.units import KB, MB
 from repro.vfs import RW
@@ -499,40 +497,34 @@ def _abl_writelimit(_sections):
 
 def _s5fs_read(aged: bool):
     """A clustered S5FS, fresh or churned: cold 1 MB KB/s, contiguity."""
-    engine = Engine()
-    disk, cpu = RotationalDisk(engine, geometry(700)), Cpu(engine)
-    driver = DiskDriver(engine, disk, cpu=cpu)
-    s5_mkfs(disk.store)
-    fs = S5FileSystem(engine, cpu, driver, clustering=True, nbufs=128)
+    system = System(SystemConfig.config_a().with_(geometry=geometry(700)))
+    s5_mkfs(system.store)
+    fs = S5FileSystem(system, nbufs=128, clustering=True)
+    proc = Proc(system, mount=fs)
     rng = random.Random(11)
 
     def churn():
         live = []  # ~2 MB in circulation scrambles more than the victim needs
         for i in range(900):
-            ip = yield from fs.create(f"f{i}")
-            yield from fs.write(ip, 0, bytes(rng.randrange(8, 96) * KB))
-            live.append(f"f{i}")
+            fd = yield from proc.creat(f"/f{i}")
+            yield from proc.write(fd, bytes(rng.randrange(8, 96) * KB))
+            yield from proc.close(fd)
+            live.append(f"/f{i}")
             if len(live) > 30:
-                yield from fs.unlink(live.pop(rng.randrange(len(live))))
-
-    def build():
-        ip = yield from fs.create("victim")
-        yield from fs.write(ip, 0, bytes(MB))
-        yield from fs.sync()
-        return ip
+                yield from proc.unlink(live.pop(rng.randrange(len(live))))
 
     def purge():  # unrelated reads push the file out of the buffer cache
         for blk in range(fs.sb.data_start + 9000, fs.sb.data_start + 9128):
             yield from fs.cache.bread(blk)
 
     if aged:
-        engine.run_process(churn())
+        system.run(churn())
     contiguity = fs.free_list_contiguity()
-    ip = engine.run_process(build())
-    engine.run_process(purge())
-    t0 = engine.now
-    engine.run_process(fs.read(ip, 0, MB))
-    return MB / (engine.now - t0) / KB, contiguity
+    fd, _ = write_file(system, proc, "/victim", MB, chunk=MB)
+    system.run(purge())
+    t0 = system.now
+    system.run(proc.pread(fd, MB, 0))
+    return MB / (system.now - t0) / KB, contiguity
 
 
 @experiment(

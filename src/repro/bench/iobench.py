@@ -76,7 +76,7 @@ class IObench:
         self.seed = seed
         #: Enable the tracer (spans + records) for exactly this phase, so
         #: the trace stays bounded: one phase's span trees, not five.
-        #: ``"*"`` traces every phase — what ``python -m repro bench``
+        #: ``"*"`` traces every phase — what ``run_bench``
         #: needs to attribute the whole run's time, at ~5x trace volume.
         self.trace_phase = trace_phase
         #: Force the invariant sanitizer on (True) or off (False) for this

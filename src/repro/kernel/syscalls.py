@@ -67,9 +67,8 @@ class Proc:
 
     ``mount`` overrides the file system the process talks to — the vnode
     architecture's point being that any Vfs with the namespace surface
-    works, so a process on a diskless client can run against an
-    :class:`~repro.nfs.client.NfsMount` and still see errno semantics
-    (including ETIMEDOUT from a soft mount's major timeout).
+    works: an :class:`~repro.nfs.client.NfsMount` on a diskless client
+    (errnos include a soft mount's ETIMEDOUT), or an S5FileSystem.
     """
 
     def __init__(self, system: "System", name: str = "proc", mount=None):

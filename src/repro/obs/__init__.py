@@ -15,9 +15,9 @@ to the same standard.  This package gives it three legs:
   request span trees: for any traced run, a table of where simulated time
   went (cpu / queue_wait / rotation_seek / transfer / throttle_wait /
   rpc) per request kind;
-* :mod:`repro.obs.bench` — the ``python -m repro bench`` orchestrator
-  emitting one schema-versioned ``BENCH.json`` (byte-identical across
-  same-seed runs), the only writer of any file or stdout document the CLI
+* :mod:`repro.obs.bench` — :func:`run_bench`, the ``baseline`` row's
+  IObench matrix as one schema-versioned ``BENCH.json`` (byte-identical
+  across same-seed runs), the only writer of any file or stdout document the CLI
   emits, and a differ for two BENCH documents that explains a committed
   document ``python -m repro report`` no longer reproduces;
 * :mod:`repro.obs.critpath` — per-request critical-path extraction: for

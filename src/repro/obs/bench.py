@@ -1,4 +1,4 @@
-"""Benchmark documents: ``python -m repro bench`` and every ``BENCH_*.json``.
+"""Benchmark documents: every ``BENCH_*.json`` and the JSON the CLI writes.
 
 :func:`run_bench` runs IObench over a set of figure 9 configurations with
 the tracer on for every phase and folds three views into one cell each:
@@ -78,20 +78,13 @@ def write_document(path: str, run: dict, results: dict,
 
 def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
               seed: int = 1991, scheduler: "str | None" = None,
-              layout: "str | None" = None,
-              out: "Callable[[str], None] | None" = None) -> dict:
-    """Run the bench matrix; return the BENCH document (JSON-ready dict).
-
-    ``out`` receives human progress lines (one per configuration); pass
-    None to run silently.  The returned document is deterministic for a
-    given parameter set — see the module docstring.
-    """
+              layout: "str | None" = None) -> dict:
+    """Run the bench matrix; return its (deterministic) BENCH document."""
     from repro.bench.iobench import IObench
     from repro.kernel.config import SystemConfig
     from repro.obs.attrib import attribution_table
     from repro.units import MB
 
-    say = out if out is not None else (lambda _msg: None)
     names = [name.upper() for name in configs]
     results: dict[str, Any] = {}
     for name in names:
@@ -109,10 +102,6 @@ def run_bench(configs: str = "AC", file_mb: int = 4, random_ops: int = 512,
             "metrics": system.metrics.snapshot(),
             "attribution": attribution_table(system.tracer),
         }
-        say(f"bench: config {name} ({system.volume.describe()}): "
-            + "  ".join(f"{phase}={rate:.0f}"
-                        for phase, rate in sorted(result.rates.items()))
-            + " KB/s")
     return bench_document({
         "configs": "".join(names),
         "file_mb": file_mb,

@@ -15,6 +15,10 @@ comparison needs a real (if reduced) S5FS:
 * optional **mbread/mbwrite clustering** in the style Peacock added:
   contiguous runs are read/written as one request when the free-list order
   happens to have allocated them contiguously.
+
+It is a file system of the machine: ``s5_mkfs(system.store)`` on a
+``System`` built with no UFS, then ``Proc(system, mount=S5FileSystem(system))``;
+its counters are ``system.metrics``' ``s5fs`` and ``s5fs.metacache``.
 """
 
 from repro.s5fs.check import S5CheckReport, s5check

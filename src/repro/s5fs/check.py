@@ -3,7 +3,8 @@
 The System V analogue of fsck's core phases, used by the tests to show the
 baseline's on-disk state is sane too: every data block is either on the
 free-list chain or claimed by exactly one inode, directory entries point
-at allocated inodes, and the superblock's ``tfree`` matches the chain.
+at allocated inodes, every allocated inode has an entry, and the
+superblock's ``tfree`` matches the chain.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ def s5check(store: "DiskStore") -> S5CheckReport:
         report.problem("root inode is not a directory")
         return report
     nblocks = (root.size + bsize - 1) // bsize
+    named = {S5_ROOT_INO}
     for lbn in range(min(nblocks, S5_NDIRECT)):
         blk = root.addrs[lbn]
         if blk == 0:
@@ -131,8 +133,11 @@ def s5check(store: "DiskStore") -> S5CheckReport:
         for _, ino, name in iter_s5_dirents(read_block(blk)):
             if name in (".", ".."):
                 continue
+            named.add(ino)
             if ino not in modes:
                 report.problem(
                     f"entry {name!r} points at unallocated inode {ino}"
                 )
+    for ino in sorted(modes.keys() - named):
+        report.problem(f"inode {ino} is allocated but no entry names it")
     return report

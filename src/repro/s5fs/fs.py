@@ -1,5 +1,5 @@
 """The S5 file system proper: free list, inodes, a flat root directory,
-read/write paths with optional Peacock-style clustering.
+and the vnode read/write paths with optional Peacock-style clustering.
 
 The LIFO free-list allocator is the load-bearing part: ``s5_mkfs`` builds
 the chain in ascending block order, so a *fresh* file system hands out
@@ -17,19 +17,22 @@ from repro.errors import (
 )
 from repro.s5fs.ondisk import (
     NICFREE, S5_DIRENT_SIZE, S5_MAGIC, S5_NADDR, S5_NDIRECT, S5_ROOT_INO,
-    S5Dinode, S5Params, S5Superblock, get_ptr, iter_ptrs, iter_s5_dirents,
-    pack_free_chain_block, pack_s5_dirent, s5_dirent_ino, s5_lbn_path,
-    set_ptr, set_s5_dirent_ino, unpack_free_chain_block,
+    S5Dinode, S5Params, S5Superblock, check_s5_name, get_ptr, iter_ptrs,
+    iter_s5_dirents, pack_free_chain_block, pack_s5_dirent, s5_dirent_ino,
+    s5_lbn_path, set_ptr, set_s5_dirent_ino, unpack_free_chain_block,
 )
 from repro.sim.stats import StatSet
-from repro.ufs.metacache import MetaCache
-from repro.ufs.ondisk import IFDIR, IFREG
+from repro.ufs.metacache import MetaBuf, MetaCache
+from repro.ufs.ondisk import IFDIR, IFMT, IFREG
+from repro.vfs.vnode import RW, PutFlags, Vfs, Vnode, VnodeType
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cpu import Cpu
-    from repro.disk.driver import DiskDriver
     from repro.disk.store import DiskStore
-    from repro.sim.engine import Engine
+    from repro.kernel.system import System
+    from repro.vm.page import Page
+
+#: The longest run, in blocks, one mbread / mbwrite moves.
+CLUSTER_BLOCKS = 56
 
 
 def s5_mkfs(store: "DiskStore", params: S5Params | None = None,
@@ -103,10 +106,18 @@ def s5_mkfs(store: "DiskStore", params: S5Params | None = None,
     return sb
 
 
-class S5Inode:
-    """In-memory S5 inode."""
+class S5Inode(Vnode):
+    """An in-memory S5 inode, the vnode of its file.  No page cache: ``rdwr``
+    goes through the buffer cache (which carries no ``req``), ``getpage`` /
+    ``putpage`` are EINVAL and ``fsync`` is the file system's ``sync``."""
 
-    def __init__(self, ino: int, din: S5Dinode):
+    #: Bytes in the file: a plain attribute, which is ``Vnode.size``.
+    size = 0
+
+    def __init__(self, fs: "S5FileSystem", ino: int, din: S5Dinode):
+        super().__init__(VnodeType.DIRECTORY if din.mode & IFMT == IFDIR
+                         else VnodeType.REGULAR)
+        self.fs = fs
         self.ino = ino
         self.mode = din.mode
         self.nlink = din.nlink
@@ -118,9 +129,92 @@ class S5Inode:
         return S5Dinode(mode=self.mode, nlink=self.nlink, uid_gid=0,
                         addrs=tuple(self.addrs), size=self.size)
 
+    def rdwr(self, rw: RW, offset: int, payload: "bytes | int",
+             req: Any | None = None) -> Generator[Any, Any, "bytes | int"]:
+        fs = self.fs
+        bsize = fs.sb.bsize
+        cpu = fs.cpu
+        if rw is RW.READ:
+            if offset >= self.size:
+                return b""
+            remaining = min(int(payload), self.size - offset)
+            parts: list[bytes] = []
+            while remaining > 0:
+                yield from cpu.work("syscall", cpu.costs.syscall)
+                lbn = offset // bsize
+                in_block = offset - lbn * bsize
+                chunk = min(bsize - in_block, remaining)
+                blk = yield from fs.bmap(self, lbn)
+                if blk == 0:
+                    buf = None
+                elif fs.clustering and fs.cache.peek(blk) is None:
+                    # Probe contiguity only on a cache miss (the probe itself
+                    # costs bmap work; cached blocks need none of it).
+                    run = yield from fs._contig_run(self, lbn)
+                    bufs = yield from fs.cache.mbread(run)
+                    buf = bufs[0]
+                else:
+                    buf = yield from fs.cache.bread(blk)
+                if buf is None:
+                    parts.append(bytes(chunk))  # hole
+                else:
+                    yield from cpu.copy("copyout", chunk)
+                    parts.append(bytes(buf.data[in_block:in_block + chunk]))
+                offset += chunk
+                remaining -= chunk
+            return b"".join(parts)
+        data = bytes(payload)
+        written = 0
+        pending: list = []  # delayed buffers for mbwrite clustering
+        while written < len(data):
+            yield from cpu.work("syscall", cpu.costs.syscall)
+            lbn = (offset + written) // bsize
+            in_block = (offset + written) - lbn * bsize
+            chunk = min(bsize - in_block, len(data) - written)
+            blk = yield from fs.bmap(self, lbn, alloc=True)
+            if in_block == 0 and chunk == bsize:
+                buf = yield from fs.cache.getblk(blk)
+            else:
+                buf = yield from fs.cache.bread(blk)
+            yield from cpu.copy("copyin", chunk)
+            buf.data[in_block:in_block + chunk] = data[written:written + chunk]
+            if fs.clustering:
+                buf.dirty = True
+                if pending and buf.frag_addr != pending[-1].frag_addr + 1:
+                    yield from fs.cache.mbwrite(pending)
+                    pending = []
+                pending.append(buf)
+                if len(pending) >= CLUSTER_BLOCKS:
+                    yield from fs.cache.mbwrite(pending)
+                    pending = []
+            else:
+                yield from fs.cache.bawrite(buf)
+            written += chunk
+        if pending:
+            yield from fs.cache.mbwrite(pending)
+        new_end = offset + written
+        if new_end > self.size:
+            self.size = new_end
+            yield from fs.iput(self)
+        return written
 
-class S5FileSystem:
-    """A mounted S5FS with a flat root directory.
+    def getpage(self, offset: int, rw: RW = RW.READ,
+                req: Any | None = None) -> Generator[Any, Any, "Page"]:
+        raise InvalidArgumentError("S5FS files are not pageable")
+        yield  # pragma: no cover
+
+    def putpage(self, offset: int, length: int, flags: PutFlags,
+                req: Any | None = None) -> Generator[Any, Any, None]:
+        raise InvalidArgumentError("S5FS files are not pageable")
+        yield  # pragma: no cover
+
+    def fsync(self, req: Any | None = None) -> Generator[Any, Any, None]:
+        yield from self.fs.sync()
+
+
+class S5FileSystem(Vfs):
+    """A mounted S5FS with a flat root directory, on a machine built with
+    no UFS: ``Proc(system, mount=fs)`` drives it by ``/name`` paths.
 
     ``clustering=True`` enables the Peacock-style mbread/mbwrite paths:
     sequential reads probe how far the file continues physically
@@ -128,27 +222,31 @@ class S5FileSystem:
     flushed in contiguous runs.
     """
 
-    def __init__(self, engine: "Engine", cpu: "Cpu", driver: "DiskDriver",
-                 nbufs: int = 64, clustering: bool = False,
-                 cluster_blocks: int = 56):
-        self.engine = engine
-        self.cpu = cpu
-        self.driver = driver
+    def __init__(self, system: "System", nbufs: int = 64,
+                 clustering: bool = False):
+        super().__init__("s5fs")
+        self.cpu = system.cpu
         self.clustering = clustering
-        self.cluster_blocks = cluster_blocks
-        self.sb = S5Superblock.unpack(
-            driver.disk.store.read(1 * 2, 2)  # bsize must be 1024 for now
-        )
+        # Block 1, read as two sectors: bsize must be 1024 for now.
+        self.sb = S5Superblock.unpack(system.store.read(1 * 2, 2))
         if self.sb.bsize % 512:
             raise InvalidArgumentError("bad S5 block size")
         #: The old-style fixed buffer cache: everything, data included,
         #: moves through it.  One "fragment" per block, so buffer
         #: addresses are S5 block numbers.
-        self.cache = MetaCache(engine, driver, cpu, self.sb.bsize,
-                               frag_sectors=self.sb.bsize // 512,
+        self.cache = MetaCache(system.engine, system.driver, self.cpu,
+                               self.sb.bsize, frag_sectors=self.sb.bsize // 512,
                                capacity=nbufs)
         self.stats = StatSet("s5fs")
         self._icache: dict[int, S5Inode] = {}
+        # replace=True: a remount over the same machine takes the names.
+        system.metrics.register("s5fs", self.stats, replace=True)
+        system.metrics.register("s5fs.metacache", self.cache.stats,
+                                replace=True)
+
+    @property
+    def root(self) -> S5Inode:
+        return self._icache[S5_ROOT_INO]  # read in by the first lookup
 
     # -- free list (the aging mechanism) ------------------------------------------
     def alloc_block(self) -> Generator[Any, Any, int]:
@@ -195,7 +293,7 @@ class S5FileSystem:
             return cached
         blk, off = self.sb.inode_location(ino)
         buf = yield from self.cache.bread(blk)
-        ip = S5Inode(ino, S5Dinode.unpack(bytes(buf.data[off:off + 64])))
+        ip = S5Inode(self, ino, S5Dinode.unpack(bytes(buf.data[off:off + 64])))
         self._icache[ino] = ip
         return ip
 
@@ -213,7 +311,7 @@ class S5FileSystem:
             buf = yield from self.cache.bread(blk)
             din = S5Dinode.unpack(bytes(buf.data[off:off + 64]))
             if not din.is_allocated and ino not in self._icache:
-                ip = S5Inode(ino, S5Dinode(mode=mode, nlink=1))
+                ip = S5Inode(self, ino, S5Dinode(mode=mode, nlink=1))
                 self._icache[ino] = ip
                 yield from self.iput(ip)
                 return ip
@@ -249,15 +347,13 @@ class S5FileSystem:
         buf = yield from self.cache.bread(block)
         value = get_ptr(buf.data, index)
         if value == 0 and alloc:
-            if pointer_block:
-                value = yield from self._new_pointer_block()
-            else:
-                value = yield from self.alloc_block()
+            value = yield from (self._new_pointer_block() if pointer_block
+                                else self.alloc_block())
             set_ptr(buf.data, index, value)
             self.cache.bdwrite(buf)
         return value
 
-    def _contig_run(self, ip: S5Inode, lbn: int, limit: int
+    def _contig_run(self, ip: S5Inode, lbn: int
                     ) -> Generator[Any, Any, list[int]]:
         """Physical blocks for lbn, lbn+1, ... while consecutive."""
         first = yield from self.bmap(ip, lbn)
@@ -265,29 +361,50 @@ class S5FileSystem:
             return []
         run = [first]
         nblocks = (ip.size + self.sb.bsize - 1) // self.sb.bsize
-        while len(run) < limit and lbn + len(run) < nblocks:
+        while len(run) < CLUSTER_BLOCKS and lbn + len(run) < nblocks:
             nxt = yield from self.bmap(ip, lbn + len(run))
             if nxt != run[-1] + 1:
                 break
             run.append(nxt)
         return run
 
-    # -- directory (flat root) -----------------------------------------------------------
-    def lookup(self, name: str) -> Generator[Any, Any, int | None]:
+    # -- the namespace: a flat root directory, ``/name`` paths --------------------
+    @staticmethod
+    def _name(path: str) -> str:
+        if not path.startswith("/"):
+            raise InvalidArgumentError(f"path must be absolute: {path!r}")
+        return path[1:]
+
+    def namei(self, path: str) -> Generator[Any, Any, S5Inode]:
+        """The inode ``/name`` names; ``/`` is the root directory."""
+        name = self._name(path)
+        if not name:
+            return (yield from self.iget(S5_ROOT_INO))
+        found = yield from self._find(name)
+        if found is None:
+            raise FileNotFoundError_(path)
+        return (yield from self.iget(found[2]))
+
+    def _find(self, name: str
+              ) -> Generator[Any, Any, "tuple[MetaBuf, int, int] | None"]:
+        """``(buffer, offset, ino)`` of the root's entry ``name``, if any."""
         root = yield from self.iget(S5_ROOT_INO)
         nblocks = (root.size + self.sb.bsize - 1) // self.sb.bsize
         for lbn in range(nblocks):
             blk = yield from self.bmap(root, lbn)
             buf = yield from self.cache.bread(blk)
-            for _, ino, entry in iter_s5_dirents(bytes(buf.data)):
+            for off, ino, entry in iter_s5_dirents(bytes(buf.data)):
                 if entry == name:
-                    return ino
+                    return buf, off, ino
         return None
 
-    def create(self, name: str) -> Generator[Any, Any, S5Inode]:
-        existing = yield from self.lookup(name)
-        if existing is not None:
-            raise FileExistsError_(name)
+    def create(self, path: str) -> Generator[Any, Any, S5Inode]:
+        """A new empty regular file ``/name``.  The name is checked before
+        anything is allocated, so a bad one costs no inode."""
+        name = self._name(path)
+        check_s5_name(name)
+        if (yield from self._find(name)) is not None:
+            raise FileExistsError_(path)
         ip = yield from self._alloc_inode(IFREG | 0o644)
         yield from self._dir_enter(name, ip.ino)
         self.stats.incr("creates")
@@ -320,21 +437,15 @@ class S5FileSystem:
         root.size = nblocks * self.sb.bsize + S5_DIRENT_SIZE
         yield from self.iput(root)
 
-    def unlink(self, name: str) -> Generator[Any, Any, None]:
-        root = yield from self.iget(S5_ROOT_INO)
-        nblocks = (root.size + self.sb.bsize - 1) // self.sb.bsize
-        for lbn in range(nblocks):
-            blk = yield from self.bmap(root, lbn)
-            buf = yield from self.cache.bread(blk)
-            for off, ino, entry in iter_s5_dirents(bytes(buf.data)):
-                if entry != name:
-                    continue
-                set_s5_dirent_ino(buf.data, off, 0)
-                yield from self.cache.bwrite(buf)
-                yield from self._truncate_and_free(ino)
-                self.stats.incr("unlinks")
-                return
-        raise FileNotFoundError_(name)
+    def unlink(self, path: str) -> Generator[Any, Any, None]:
+        found = yield from self._find(self._name(path))
+        if found is None:
+            raise FileNotFoundError_(path)
+        buf, off, ino = found
+        set_s5_dirent_ino(buf.data, off, 0)
+        yield from self.cache.bwrite(buf)
+        yield from self._truncate_and_free(ino)
+        self.stats.incr("unlinks")
 
     def _truncate_and_free(self, ino: int) -> Generator[Any, Any, None]:
         ip = yield from self.iget(ino)
@@ -362,79 +473,6 @@ class S5FileSystem:
         yield from self.iput(ip)
         del self._icache[ino]
 
-    # -- read / write ---------------------------------------------------------------------------
-    def read(self, ip: S5Inode, offset: int, count: int
-             ) -> Generator[Any, Any, bytes]:
-        bsize = self.sb.bsize
-        cpu = self.cpu
-        if offset >= ip.size:
-            return b""
-        count = min(count, ip.size - offset)
-        parts: list[bytes] = []
-        remaining = count
-        while remaining > 0:
-            yield from cpu.work("syscall", cpu.costs.syscall)
-            lbn = offset // bsize
-            in_block = offset - lbn * bsize
-            chunk = min(bsize - in_block, remaining)
-            blk = yield from self.bmap(ip, lbn)
-            if blk == 0:
-                buf = None
-            elif self.clustering and self.cache.peek(blk) is None:
-                # Probe contiguity only on a cache miss (the probe itself
-                # costs bmap work; cached blocks need none of it).
-                run = yield from self._contig_run(ip, lbn, self.cluster_blocks)
-                bufs = yield from self.cache.mbread(run)
-                buf = bufs[0]
-            else:
-                buf = yield from self.cache.bread(blk)
-            if buf is None:
-                parts.append(bytes(chunk))  # hole
-            else:
-                yield from cpu.copy("copyout", chunk)
-                parts.append(bytes(buf.data[in_block:in_block + chunk]))
-            offset += chunk
-            remaining -= chunk
-        return b"".join(parts)
-
-    def write(self, ip: S5Inode, offset: int, data: bytes
-              ) -> Generator[Any, Any, int]:
-        bsize = self.sb.bsize
-        cpu = self.cpu
-        written = 0
-        pending: list = []  # delayed buffers for mbwrite clustering
-        while written < len(data):
-            yield from cpu.work("syscall", cpu.costs.syscall)
-            lbn = (offset + written) // bsize
-            in_block = (offset + written) - lbn * bsize
-            chunk = min(bsize - in_block, len(data) - written)
-            blk = yield from self.bmap(ip, lbn, alloc=True)
-            if in_block == 0 and chunk == bsize:
-                buf = yield from self.cache.getblk(blk)
-            else:
-                buf = yield from self.cache.bread(blk)
-            yield from cpu.copy("copyin", chunk)
-            buf.data[in_block:in_block + chunk] = data[written:written + chunk]
-            if self.clustering:
-                buf.dirty = True
-                if pending and buf.frag_addr != pending[-1].frag_addr + 1:
-                    yield from self.cache.mbwrite(pending)
-                    pending = []
-                pending.append(buf)
-                if len(pending) >= self.cluster_blocks:
-                    yield from self.cache.mbwrite(pending)
-                    pending = []
-            else:
-                yield from self.cache.bawrite(buf)
-            written += chunk
-        if pending:
-            yield from self.cache.mbwrite(pending)
-        new_end = offset + written
-        if new_end > ip.size:
-            ip.size = new_end
-            yield from self.iput(ip)
-        return written
-
     def sync(self) -> Generator[Any, Any, None]:
         for ip in list(self._icache.values()):
             if ip.dirty:
@@ -445,12 +483,11 @@ class S5FileSystem:
         yield from self.cache.bwrite(buf)
 
     # -- aging ------------------------------------------------------------------------------------
-    def free_list_contiguity(self, sample: int = 200) -> float:
+    def free_list_contiguity(self) -> float:
         """Fraction of adjacent pops in the cached free list that are
         physically consecutive — 1.0 on a fresh fs, ~0 when aged."""
         entries = [b for b in reversed(self.sb.free[:self.sb.nfree]) if b]
         if len(entries) < 2:
             return 1.0
-        entries = entries[:sample]
         consecutive = sum(1 for a, b in zip(entries, entries[1:]) if b == a + 1)
         return consecutive / (len(entries) - 1)

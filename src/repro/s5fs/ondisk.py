@@ -173,11 +173,16 @@ def set_s5_dirent_ino(block: bytearray, offset: int, ino: int) -> None:
     _DIRENT_INO.pack_into(block, offset, ino)
 
 
-def pack_s5_dirent(ino: int, name: str) -> bytes:
+def check_s5_name(name: str) -> bytes:
+    """``name`` encoded for the flat root: 1-14 bytes, no ``/`` (EINVAL)."""
     encoded = name.encode()
-    if not 0 < len(encoded) <= S5_DIRSIZ:
-        raise ValueError(f"name {name!r} too long for S5FS (max {S5_DIRSIZ})")
-    return _DIRENT_INO.pack(ino) + encoded.ljust(S5_DIRSIZ, b"\x00")
+    if not 0 < len(encoded) <= S5_DIRSIZ or "/" in name:
+        raise InvalidArgumentError(f"bad S5FS name {name!r}")
+    return encoded
+
+
+def pack_s5_dirent(ino: int, name: str) -> bytes:
+    return _DIRENT_INO.pack(ino) + check_s5_name(name).ljust(S5_DIRSIZ, b"\x00")
 
 
 def iter_s5_dirents(block: bytes) -> list[tuple[int, int, str]]:

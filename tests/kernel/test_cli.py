@@ -3,7 +3,8 @@
 They call :func:`repro.__main__.main` in-process and read ``capsys``: an
 interpreter per command line was 15 s of tier-1 in start-up alone.  Two
 tests keep their subprocess because the process is what they test: the
-working directory of ``demo`` / ``report --id``, and what ``bench`` imports.
+working directory of ``demo`` / ``report --id``, and what ``report --id
+baseline`` imports.
 """
 
 import json
@@ -250,16 +251,6 @@ def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
     json.loads(path.read_text())
 
 
-def test_cli_bench_json_stdout_parses(cli):
-    result = cli("bench", "--configs", "A", "--file-mb", "1",
-                 "--ops", "32", "--json")
-    assert result.returncode == 0
-    document = json.loads(result.stdout)
-    assert document["schema"] == "repro-bench/v1"
-    assert document["results"]["A"]["rates"]["FSR"] > 0
-    assert "bench id" in result.stderr
-
-
 @pytest.fixture
 def never_simulates(monkeypatch):
     from repro.bench.iobench import IObench
@@ -270,25 +261,18 @@ def never_simulates(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, complaint", [
-    (["bench", "--configs", "Z"], "bench: unknown configuration 'Z'"),
-    (["bench", "--layout", "bogus"], "bench: unknown volume kind 'bogus'"),
     (["iobench", "--configs", "Q"], "iobench: unknown configuration 'Q'"),
     (["iobench", "--layout", "stripe:1"], "iobench: stripe layout needs"),
-    (["bench", "--layout", "concat:2:chunk=16k"],
-     "bench: option 'chunk' does not apply to a concat layout"),
     (["iobench", "--layout", "stripe:2:read=shortest"],
      "iobench: option 'read' does not apply to a stripe layout"),
     (["report", "--id", "fig12", "--id", "fig99"],
      "report: unknown experiment 'fig99'"),
     (["iobench", "--configs", "AD", "--file-mb", "0"],
      "iobench: file size must be a positive multiple of 8 KB, not 0 bytes"),
-    (["bench", "--file-mb", "-1"], "bench: file size must be"),
-    (["bench", "--configs", "A", "--file-mb", "1", "--ops", "-5"],
-     "bench: random ops must be at least 1, not -5"),
+    (["trace", "analyze", "--file-mb", "1", "--ops", "-5"],
+     "trace: random ops must be at least 1, not -5"),
     (["trace", "jsonl", "--file-mb", "0"], "trace: file size must be"),
     (["iobench", "--configs", ""], "iobench: --configs names no configuration"),
-    (["bench", "--configs", "", "--file-mb", "1", "--ops", "8"],
-     "bench: --configs names no configuration"),
     (["trace", "series", "--interval-ms", "0"],
      "trace: telemetry interval must be finite and > 0, not 0 s"),
     (["trace", "series", "--interval-ms", "nan"],
@@ -300,19 +284,16 @@ def never_simulates(monkeypatch):
     (["memberkill", "--seeds", "1", "--json", "/nonexistent/x.json"],
      "memberkill: cannot write /nonexistent/x.json: /nonexistent is not a "
      "directory"),
-    (["bench", "--configs", "A", "--file-mb", "1", "--ops", "8", "--json",
-      "/nonexistent/b.json"], "bench: cannot write /nonexistent/b.json: "),
     (["trace", "jsonl", "--file-mb", "1", "--out", "/nonexistent/t.jsonl"],
      "trace: cannot write /nonexistent/t.jsonl: "),
     (["trace", "chrome", "--out", "."], "trace: cannot write .: it is a "
                                         "directory"),
-], ids=["bench-config", "bench-layout", "iobench-config", "iobench-layout",
-        "bench-stray-option", "iobench-stray-option", "report-unknown-id",
-        "iobench-empty-file", "bench-negative-file", "bench-negative-ops",
-        "trace-empty-file", "iobench-no-configs", "bench-no-configs",
-        "trace-zero-interval", "trace-nan-interval", "trace-inf-interval",
-        "trace-negative-top", "crashpoints-no-states", "campaign-json-dir",
-        "bench-json-dir", "trace-out-dir", "trace-out-is-dir"])
+], ids=["iobench-config", "iobench-layout", "iobench-stray-option",
+        "report-unknown-id", "iobench-empty-file", "trace-negative-ops",
+        "trace-empty-file", "iobench-no-configs", "trace-zero-interval",
+        "trace-nan-interval", "trace-inf-interval", "trace-negative-top",
+        "crashpoints-no-states", "campaign-json-dir", "trace-out-dir",
+        "trace-out-is-dir"])
 def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
         cli, never_simulates, argv, complaint):
     result = cli(*argv)
@@ -323,11 +304,10 @@ def test_cli_bad_config_or_layout_is_one_stderr_line_and_exit_2(
 
 
 def test_cli_bench_imports_no_campaign(tmp_path):
-    """Writing a bench document needs no sweep: the writer lives in
+    """The baseline bench needs no sweep: its writer lives in
     ``obs/bench.py``, and a machine without checksums never looks at
     ``repro.integrity``."""
-    result = run_cli("bench", "--configs", "A", "--file-mb", "1", "--ops", "8",
-                     cwd=tmp_path,
+    result = run_cli("report", "--id", "baseline", cwd=tmp_path,
                      env={**OUTSIDE_ENV, "PYTHONPROFILEIMPORTTIME": "1"})
     assert result.returncode == 0, result.stderr
     loaded = re.findall(r"\| +(repro[\w.]*)$", result.stderr, re.M)

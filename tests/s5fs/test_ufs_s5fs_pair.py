@@ -1,0 +1,84 @@
+"""One program, two file systems: the same ``Proc`` syscall sequence on a
+config-A UFS machine and on a config-A machine mounting S5FS must return
+the same bytes and the same errnos.  The seed of a ``{ufs, s5fs}`` model."""
+
+import pytest
+
+from repro.errors import InvalidArgumentError, ReproError
+from repro.kernel import Proc, System, SystemConfig
+from repro.kernel.syscalls import SEEK_END
+from repro.s5fs import S5FileSystem, s5_mkfs, s5check
+from repro.units import KB
+
+# 700 bytes, then 9 000 more: across the 1 KB block at 1024 and the 8 KB
+# page at 8192.  The overwrite crosses the block boundary at 1024 again.
+FIRST = bytes(i % 251 for i in range(700))
+SECOND = bytes(i % 241 for i in range(9000))
+OVERWRITE = b"\xee" * 100
+
+
+def transcript(proc: Proc) -> list:
+    """Run the program; each syscall's result, or its errno."""
+    system = proc.system
+    out = []
+
+    def call(gen):
+        try:
+            out.append(system.run(gen))
+        except ReproError:
+            out.append(proc.errno)
+        return out[-1]
+
+    fd = call(proc.creat("/f"))
+    call(proc.write(fd, FIRST))
+    call(proc.write(fd, SECOND))
+    call(proc.pwrite(fd, OVERWRITE, 1000))
+    call(proc.fsync(fd))
+    call(proc.close(fd))
+    fd = call(proc.open("/f"))
+    call(proc.pread(fd, 16 * KB, 0))
+    call(proc.lseek(fd, 0, SEEK_END))
+    call(proc.close(fd))
+    call(proc.unlink("/f"))
+    call(proc.open("/f"))
+    return out
+
+
+def s5_machine() -> "tuple[System, S5FileSystem]":
+    system = System(SystemConfig.config_a())
+    s5_mkfs(system.store)
+    return system, S5FileSystem(system)
+
+
+def test_ufs_and_s5fs_run_one_program_to_the_same_bytes_and_errnos():
+    ufs = transcript(Proc(System.booted(SystemConfig.config_a())))
+    system, fs = s5_machine()
+    s5 = transcript(Proc(system, mount=fs))
+    data = bytearray(FIRST + SECOND)
+    data[1000:1100] = OVERWRITE
+    assert ufs[7] == bytes(data)
+    assert ufs[8] == len(data)
+    assert ufs[-1] == "ENOENT"
+    assert s5 == ufs
+    system.run(fs.sync())
+    assert s5check(system.store).clean
+
+
+def test_s5fs_is_a_file_system_of_the_machine():
+    """No page cache under S5FS: mapping its file is EINVAL.  Its
+    syscalls are requests of the machine, its counters metrics of it."""
+    system, fs = s5_machine()
+    proc = Proc(system, mount=fs)
+    transcript(proc)
+    fd = system.run(proc.creat("/m"))
+    system.run(proc.write(fd, bytes(8 * KB)))
+    with pytest.raises(InvalidArgumentError):
+        system.run(proc.mmap_read(fd, 0, 8 * KB))
+    assert proc.errno == "EINVAL"
+    snapshot = system.metrics.snapshot()
+    assert snapshot["s5fs"]["creates"] == 2
+    assert snapshot["s5fs"]["unlinks"] == 1
+    assert snapshot["s5fs.metacache"]["hits"] > 0
+    # The program's 2 writes, pwrite, fsync and pread; a write, mmap_read.
+    assert system.requests.stats["started"] == 7
+    assert system.requests.stats["errors"] == 1  # the mmap_read
