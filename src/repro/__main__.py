@@ -201,17 +201,11 @@ CAMPAIGNS = (
         "repro.faults:NetCampaign",
         (("seeds", 20, "number of seeded fault schedules"),)),
     CampaignCommand(
-        "memberkill",
-        "seeded mirror-member deaths: degraded reads serve every "
-        "acknowledged byte, the survivor alone is complete, resync ends "
-        "byte-identical",
-        "repro.faults:MirrorKillCampaign",
-        (("seeds", 10, "number of seeded member kills"),)),
-    CampaignCommand(
         "crashpoints",
-        "every bounded-legal crash state of a workload recorded on the "
-        "drive's journal (write-through, or volatile-cache subsets; x torn "
-        "writes): fsck-repair, remount, hold each durability point to its "
+        "every bounded-legal crash state of a workload recorded on its "
+        "drives' journal (write-through, or volatile-cache subsets; x torn "
+        "writes; per member on a stripe, per leg and leg death on a "
+        "mirror): fsck-repair, remount, hold each durability point to its "
         "word",
         "repro.faults:CrashpointExplorer",
         (("preset", "smoke", "workload preset (see "

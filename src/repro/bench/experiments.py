@@ -1327,6 +1327,20 @@ _crashpoints(
     ("9415c8bb63dbface97a31e11322ed5efcc2e7c649cd45e7cc80979ce8e88234f",
      "8ca1b838afe9e90c07381347245909fe81828d72e2cc84b6192049b7ab4868a7"),
     191, 209)
+_crashpoints(
+    "mirror", "2 files x 4 appends, an overwrite, a rename, an unlink on "
+    "mirror:2, 48 KB cache per leg; each leg's crash states resynced from "
+    "it, each leg's death remounted degraded, then resynced",
+    ("39924366f96391d5f1182b741fa63cff59bbb53a6934265e7f536431868189b4",
+     "b3253abb7a3906c30b43d402156ee2636093eb8a79dbd15fa843bb38532deeb3"),
+    302, 234)
+_crashpoints(
+    "stripe", "2 files x 5 appends, an overwrite, a rename, an unlink on "
+    "stripe:2, 48 KB cache per member; the product of the members' crash "
+    "states",
+    ("d8e12e67bce8369f746e3efc89319750af02b06184bf984927aef05d5343c458",
+     "aab85b76649418f4182ceec36c7a5b863b8e20f208a336210e9ddc7a9640895f"),
+    211, 224)
 
 sweep("netcampaign", "Robustness: acknowledged writes over a faulty wire",
       "netcampaign --seeds 5 --seed 0, sanitized, then unsanitized: NFS "
@@ -1343,20 +1357,6 @@ sweep("netcampaign", "Robustness: acknowledged writes over a faulty wire",
        "outcome differs unsanitized": "the sanitizer observes, never steers"},
       ("21c187e8ab62464f123ea9772fe1d152dbc854216075b0eb730bba21462e0421",),
       {"retransmits": 29, "drc hits": 19, "corruptions injected": 5})
-
-sweep("memberkill", "Robustness: a mirror member dies mid-write",
-      "memberkill --seeds 3 --seed 0, sanitized: fsynced files on a "
-      "mirror:2 volume with a write cache and checksums, one leg killed",
-      "repro.faults:MirrorKillCampaign", {"seeds": 3},
-      {"inert kills": "every scheduled member death fires",
-       "lost acked files": "the survivor alone serves every acked byte",
-       "degraded read failures": "degraded reads serve every acked byte",
-       "health misattributions": "the victim's health takes the failures",
-       "survivor fsck failures": "the survivor alone is fsck-clean",
-       "resync mismatches": "resync ends with byte-identical members",
-       "post resync failures": "fsck and a deep sanitizer pass after"},
-      ("2399d8aa23d93ed05573e4b4b885d7238516a718e579c1d1e882d8d08bdacdfb",),
-      {"kills": 3, "resync sectors": 463})
 
 sweep("scrubcampaign", "Integrity: seeded silent corruption, scrubbed",
       "scrubcampaign --seed 0, sanitized: 10 corruptions (bit rot, "

@@ -29,10 +29,13 @@ real media time then).  Reads see the cache contents through an overlay.
 
 Either drive can keep a **journal**: the exact sequence of its
 durability-relevant events (:class:`JournalEvent`), each carrying the
-payload bytes and the originating request.  On a write-through drive every
-media write is a ``fua`` event, durable when it completes.  Replayed over
-the image the journal started from, it reproduces the store; the crash-point
-explorer (:mod:`repro.faults.crashpoints`) enumerates crash states from it.
+payload bytes, the originating request and the drive's index in its
+volume.  On a write-through drive every media write is a ``fua`` event,
+durable when it completes.  The members of a volume may share one list:
+events complete on one engine, so its order is the volume-wide order.
+Replayed member by member over the images the journal started from, it
+reproduces the stores; the crash-point explorer
+(:mod:`repro.faults.crashpoints`) enumerates crash states from it.
 """
 
 from __future__ import annotations
@@ -66,15 +69,19 @@ class JournalEvent:
     * ``drop``    — the drive died and the volatile contents were lost.
 
     ``seq`` names the cache entry a ``write`` created and a ``destage``
-    made durable; it is -1 on events that have no cache entry.
+    made durable; it is -1 on events that have no cache entry.  ``member``
+    is the index of the drive in its volume (0 on a single disk).
+    ``issued`` is the journal's length when the drive began the request:
+    a ``fua`` write is mid-transfer at every index from there to its own.
     """
 
     __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
-                 "owner", "request")
+                 "owner", "request", "member", "issued")
 
     def __init__(self, kind: str, seq: int = -1, sector: int = 0,
                  nsectors: int = 0, data: bytes = b"", ordered: bool = False,
-                 owner: str = "", request: "Any | None" = None):
+                 owner: str = "", request: "Any | None" = None,
+                 member: int = 0, issued: int = 0):
         self.kind = kind
         self.seq = seq
         self.sector = sector
@@ -83,9 +90,11 @@ class JournalEvent:
         self.ordered = ordered
         self.owner = owner
         self.request = request
+        self.member = member
+        self.issued = issued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<JournalEvent {self.kind} seq={self.seq} "
+        return (f"<JournalEvent m{self.member} {self.kind} seq={self.seq} "
                 f"sec={self.sector}+{self.nsectors}>")
 
 
@@ -176,7 +185,8 @@ class RotationalDisk:
                  controller_overhead: float = 0.7 * MS,
                  buffer_hit_overhead: float = 0.3 * MS,
                  fault_plan: "FaultPlan | None" = None,
-                 write_cache: "VolatileWriteCache | None" = None):
+                 write_cache: "VolatileWriteCache | None" = None,
+                 member: int = 0):
         self.engine = engine
         self.geometry = geometry if geometry is not None else DiskGeometry.ibm_400mb()
         self.store = store if store is not None else DiskStore(
@@ -200,6 +210,8 @@ class RotationalDisk:
         #: When a list, every durability-relevant event is appended to it
         #: (the crash-point explorer's recording hook); None = no journal.
         self.journal: "list[JournalEvent] | None" = None
+        #: This drive's index in its volume, stamped on its journal events.
+        self.member = member
         self.stats = StatSet("disk")
         self._cyl = 0
         self._head = 0
@@ -217,6 +229,7 @@ class RotationalDisk:
         engine = self.engine
         geom = self.geometry
         buf.started_at = engine.now
+        issued = len(self.journal) if self.journal is not None else 0
         self.stats.incr("requests")
         if buf.is_flush:
             self.stats.incr("flushes")
@@ -353,7 +366,7 @@ class RotationalDisk:
                                            buf.integrity_owner)
             if cache is not None:
                 cache.note_fua()
-            self._journal("fua", buf)
+            self._journal("fua", buf, issued=issued)
 
     def read_through(self, sector: int, nsectors: int) -> bytes:
         """The drive-visible bytes: durable store plus the volatile cache
@@ -365,17 +378,18 @@ class RotationalDisk:
         return data
 
     # -- internals ------------------------------------------------------------
-    def _journal(self, kind: str, io: Any = None, seq: int = -1) -> None:
+    def _journal(self, kind: str, io: Any = None, seq: int = -1,
+                 issued: int = 0) -> None:
         """Append one event to the journal, if one is being kept; ``io`` is
         the buf or cache entry the event moves the bytes of."""
         if self.journal is None:
             return
         if io is None:
-            self.journal.append(JournalEvent(kind))
+            self.journal.append(JournalEvent(kind, member=self.member))
         else:
             self.journal.append(JournalEvent(
                 kind, seq, io.sector, io.nsectors, bytes(io.data),
-                io.ordered, io.owner, io.request))
+                io.ordered, io.owner, io.request, self.member, issued))
 
     def _destage_head(self, host_buf: Buf) -> Generator[Event, Any, None]:
         """Write the cache's oldest entry to the media (real media time,

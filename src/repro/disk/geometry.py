@@ -170,18 +170,6 @@ class DiskGeometry:
                 return cyl, head, idx
         raise AssertionError("unreachable")
 
-    def from_chs(self, cyl: int, head: int, idx: int) -> int:
-        """(cylinder, head, sector index) -> linear sector."""
-        if not 0 <= head < self.heads:
-            raise ValueError(f"head {head} out of range")
-        zone = self.zone_of_cyl(cyl)
-        if not 0 <= idx < zone.sectors_per_track:
-            raise ValueError(f"sector index {idx} out of range for zone")
-        zone_index = self.zones.index(zone)
-        first = self._zone_first_sector[zone_index]
-        rel_cyl = cyl - zone.first_cyl
-        return first + (rel_cyl * self.heads + head) * zone.sectors_per_track + idx
-
     def track_first_sector(self, sector: int) -> int:
         """Linear sector of the first sector on ``sector``'s track."""
         cyl, head, idx = self.to_chs(sector)
@@ -223,7 +211,3 @@ class DiskGeometry:
         if distance == 0:
             return 0.0
         return self.seek_min + self.seek_sqrt * math.sqrt(distance) + self.seek_linear * distance
-
-    def average_seek_time(self) -> float:
-        """Seek time for a stroke of one third of the cylinders (convention)."""
-        return self.seek_time(0, max(1, self.cylinders // 3))

@@ -192,7 +192,7 @@ class VolumeMember:
         self.disk = RotationalDisk(engine, cfg.geometry, self.store,
                                    track_buffer=cfg.track_buffer,
                                    fault_plan=fault_plan,
-                                   write_cache=write_cache)
+                                   write_cache=write_cache, member=index)
         self.driver = DiskDriver(engine, self.disk, cpu=cpu,
                                  coalesce=cfg.driver_coalesce,
                                  scheduler=cfg.scheduler, name=self.name)

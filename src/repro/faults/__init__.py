@@ -13,20 +13,19 @@ The fault model lives in two layers per medium:
   client's retransmission and the server's duplicate-request cache are
   exercised against it.
 
-Three sweeps hold the stack to its promises: :class:`CrashpointExplorer`
-(every bounded-legal crash state of a workload recorded on a drive's
-journal — a local one, or an NFS server's), :class:`MirrorKillCampaign`
-(seeded mirror-member deaths) and
+Two sweeps hold the stack to its promises: :class:`CrashpointExplorer`
+(every bounded-legal crash state of a workload recorded on the journal its
+drives share — one local disk, the members of a stripe or mirror, or an
+NFS server's disk; on a mirror, every leg's death too) and
 :class:`NetCampaign` (seeded network faults over NFS).  With the scrub
 campaign (:mod:`repro.integrity.campaign`) they share one shell,
-:mod:`repro.faults.harness`; each is a row of the experiment table.
+:mod:`repro.faults.harness`; their runs are rows of the experiment table.
 """
 
 from repro.faults.crashpoints import (
     CrashpointExplorer, CrashpointReport, PRESETS,
 )
 from repro.faults.harness import Campaign, small_config
-from repro.faults.memberkill import MemberKillStats, MirrorKillCampaign
 from repro.faults.netcampaign import NetCampaign, NetCampaignStats
 from repro.faults.netplan import NetDecision, NetFaultPlan
 from repro.faults.plan import (
@@ -45,8 +44,6 @@ __all__ = [
     "FaultDecision",
     "FaultKind",
     "FaultPlan",
-    "MemberKillStats",
-    "MirrorKillCampaign",
     "NetCampaign",
     "NetCampaignStats",
     "NetDecision",

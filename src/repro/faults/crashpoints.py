@@ -1,4 +1,5 @@
-"""Exhaustive crash-state exploration over a drive's journal.
+"""Exhaustive crash-state exploration over the journal a machine's drives
+share.
 
 The one crash model: instead of sampling crash instants, enumerate them.
 A **recording run** executes a workload preset on a disk whose journal
@@ -9,9 +10,11 @@ where every media write is a ``fua`` event; any other records a drive
 with a :class:`~repro.disk.wcache.VolatileWriteCache`.  The ``nfs``
 workload records the server machine of :func:`~repro.nfs.world.build_world`
 while a client drives it over the wire: the journal is the server drive's,
-the promises are the client's fsync returns.  The **explorer**
-then replays the journal and, at every event, enumerates the crash states
-a standards-conforming drive could leave behind:
+the promises are the client's fsync returns.  On a volume (``mirror`` and
+``stripe`` presets) every member drive appends to the one journal, each
+event tagged with its member.  The **explorer** then replays the journal
+and, at every event, enumerates the crash states each standards-conforming
+drive could leave behind:
 
 * the durable image so far, plus
 * any *legal* subset of the cache contents — the drive may destage
@@ -19,6 +22,10 @@ a standards-conforming drive could leave behind:
   bounded window but never across a ``B_ORDER`` barrier entry — plus
 * optionally a torn prefix of the entry that was mid-destage, or of the
   media write in flight, when the power died (sector-atomic).
+
+A stripe's crash states are the product of its members' (one volume is
+read from all of them); a mirror's are each leg's alone, since recovery
+resyncs the other legs from one, plus each leg's death.
 
 Legal subsets of one barrier-free stretch are exactly the sets ``T``
 where every included entry has fewer than ``window`` earlier entries
@@ -46,10 +53,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, product
 from typing import Any, Generator
 
 from repro.disk.store import DiskStore
-from repro.disk.volume import VolumeSpec
 from repro.errors import ReproError
 from repro.faults.harness import Campaign, force_sanitizer
 from repro.kernel.config import SystemConfig
@@ -74,7 +81,8 @@ class Preset:
     All write sizes are sector multiples: destaging and tearing are
     sector-atomic, so sector-aligned writes make "old or new, per
     sector" the exact contract for unsynced data.  ``cache_bytes=0``
-    records on the paper's write-through drive (no volatile cache).
+    records on the paper's write-through drive (no volatile cache);
+    ``layout`` is the volume the default machine records on.
     """
 
     name: str
@@ -87,6 +95,7 @@ class Preset:
     window: int = 2               # destage reorder window (entries)
     torn_limit: int = 2           # torn candidates per crash subset
     ordered_metadata: bool = False
+    layout: str = "single"
 
 
 PRESETS: dict[str, Preset] = {
@@ -125,6 +134,16 @@ PRESETS: dict[str, Preset] = {
                "the writethrough churn from an NFS client, on the server's "
                "drive: 16 KB files, a 16 KB cache",
                workload="nfs", files=4, chunk=16 * KB, cache_bytes=16 * KB),
+        Preset("mirror",
+               "the smoke churn on a mirror:2 volume: each leg's crash "
+               "states, resynced from it, and each leg's death",
+               workload="smoke", files=2, chunks=4, window=3,
+               layout="mirror:2"),
+        Preset("stripe",
+               "the smoke churn on a stripe:2 volume: the product of the "
+               "members' crash states",
+               workload="smoke", files=2, chunks=5, window=3,
+               layout="stripe:2"),
     )
 }
 
@@ -152,15 +171,16 @@ class ContractEvent:
 class ContractRecorder:
     """Workload-side recorder: declared-durable snapshots + namespace ops.
 
-    The journal is ``system``'s drive's; the durability points are the ones
-    ``proc``'s machine acknowledges — over NFS, the client's.
+    Every member drive of ``system``'s volume journals into one list; the
+    durability points are the ones ``proc``'s machine acknowledges — over
+    NFS, the client's.
     """
 
     def __init__(self, system: System, proc: Proc):
         self.system = system
-        if system.disk.journal is None:
-            system.disk.journal = []
-        self.journal = system.disk.journal
+        self.journal: "list[Any]" = []
+        for member in system.volume.members:
+            member.disk.journal = self.journal
         self.events: list[ContractEvent] = []
         #: (kind, ino, journal position) per acknowledged durability point,
         #: fed by the syscall layer's on_durability hook.
@@ -451,7 +471,7 @@ class _Pending:
     """A journal write event replayed into the explorer's pending list."""
 
     __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
-                 "owner", "request")
+                 "owner", "request", "member")
 
     def __init__(self, ev: Any):
         self.kind = ev.kind
@@ -462,6 +482,7 @@ class _Pending:
         self.ordered = ev.ordered
         self.owner = ev.owner
         self.request = ev.request
+        self.member = ev.member
 
     def describe(self) -> str:
         name = f"write#{self.seq}" if self.kind == "write" else self.kind
@@ -480,6 +501,37 @@ class _Slot:
         self.versions: list[bytes] = []
         self.alts = [path]
         self.may_be_absent = False
+
+
+class _Choice:
+    """One member's crash image: its durable image plus a legal destage
+    ``subset`` of its ``pending`` entries, maybe with a ``torn`` prefix."""
+
+    __slots__ = ("pending", "subset", "torn", "image", "digest")
+
+    def __init__(self, pending: list[_Pending], subset: list[_Pending],
+                 torn: "tuple[_Pending, int] | None", image: DiskStore):
+        self.pending = pending
+        self.subset = subset
+        self.torn = torn
+        self.image = image
+        self.digest = image.digest()
+
+
+@dataclass
+class _State:
+    """One crash state of the machine: the member ``images`` it boots
+    from, and the ``choices`` (with a ``kind`` tag) that name what
+    verification reads — its key."""
+
+    images: list[DiskStore]
+    choices: tuple[_Choice, ...]
+    kind: str = ""                # "", "leg<i>:" or "kill<i>:"
+    leg: "int | None" = None      # mirror: the leg the others resync from
+    victim: "int | None" = None   # mirror: the leg that died
+
+    def key(self, width: "int | None" = None) -> str:
+        return self.kind + ",".join(c.digest[:width] for c in self.choices)
 
 
 class CrashpointExplorer(Campaign):
@@ -503,7 +555,8 @@ class CrashpointExplorer(Campaign):
                 raise ValueError(
                     f"unknown preset {preset!r} (have {sorted(PRESETS)})"
                 ) from None
-        super().__init__(CrashpointReport(), seed, config, sanitize)
+        super().__init__(CrashpointReport(), seed, config, sanitize,
+                         layout=preset.layout)
         self.preset = preset
         self.max_states = max_states
         self.window = window if window is not None else preset.window
@@ -511,11 +564,8 @@ class CrashpointExplorer(Campaign):
                            else preset.torn_limit)
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        layout = VolumeSpec.parse(self.config.layout)
-        if layout.kind != "single":
-            raise ValueError(
-                f"layout {layout.describe()}: crash-point journaling "
-                "records one drive's journal")
+        if self.torn_limit < 0:
+            raise ValueError("torn_limit must be >= 0")
         self.record_config = self.config.with_(
             write_cache=preset.cache_bytes > 0,
             write_cache_bytes=preset.cache_bytes,
@@ -528,7 +578,7 @@ class CrashpointExplorer(Campaign):
         #: assert on what the workload actually exercised (e.g. that the
         #: relocate preset really took the relocation-barrier path).
         self.recorded: "System | None" = None
-        #: "<image hash> <verdict>" per distinct state: what the digest
+        #: "<state key> <verdict>" per distinct state: what the digest
         #: hashes, so two runs explored the same space iff digests match.
         self._state_lines: "list[str]" = []
 
@@ -546,22 +596,24 @@ class CrashpointExplorer(Campaign):
             system = System.booted(self.record_config)
             proc = Proc(system, name="crashpoints")
         force_sanitizer(self.sanitize, system, proc.system)
-        system.sync()  # quiesce: the base image below is fully durable
+        system.sync()  # quiesce: the base images below are fully durable
         system.tracer.enabled = True  # violations carry request span trees
-        base = system.store.clone()   # durable image at journal start
+        stores = [member.store for member in system.volume.members]
+        base = [store.clone() for store in stores]  # at journal start
         rec = ContractRecorder(system, proc)
         rng = random.Random(self.seed)
         workload = _WORKLOADS[self.preset.workload]
         system.run(workload(proc, rec, rng, self.preset),
                    name="crashpoints-record")
         system.sync()  # ends with a FLUSH: the journal closes drained
-        # Journal/data-plane self-check: replaying every journal event over
-        # the base image must reproduce the final durable store exactly.
-        replay = base.clone()
-        pending: list[_Pending] = []
+        # Journal/data-plane self-check: replaying each member's events
+        # over its base image must reproduce its final durable store.
+        replay = [store.clone() for store in base]
+        pending: list[list[_Pending]] = [[] for _ in base]
         for ev in rec.journal:
-            self._apply_event(replay, pending, ev)
-        if pending or replay.digest() != system.store.digest():
+            self._apply_event(replay[ev.member], pending[ev.member], ev)
+        if any(pending) or [r.digest() for r in replay] != [
+                store.digest() for store in stores]:
             raise SimulationError(
                 "disk journal does not reproduce the recorded store "
                 "(journal/data-plane incoherence)")
@@ -570,6 +622,8 @@ class CrashpointExplorer(Campaign):
     @staticmethod
     def _apply_event(store: DiskStore, pending: list[_Pending],
                      ev: Any) -> None:
+        """Replay one event of the member whose ``store`` and ``pending``
+        list these are."""
         if ev.kind == "write":
             pending.append(_Pending(ev))
         elif ev.kind == "fua":
@@ -627,14 +681,13 @@ class CrashpointExplorer(Campaign):
                          subset: list[_Pending]) -> list[_Pending]:
         """Entries that could legally be mid-destage after ``subset``."""
         chosen = {e.seq for e in subset}
-        out = []
+        out: list[_Pending] = []
         for e in pending:
-            if e.seq in chosen:
-                continue
-            if self._subset_legal(pending, chosen | {e.seq}):
-                out.append(e)
             if len(out) >= self.torn_limit:
                 break
+            if e.seq not in chosen and self._subset_legal(
+                    pending, chosen | {e.seq}):
+                out.append(e)
         return out
 
     def _subset_legal(self, pending: list[_Pending], chosen: set) -> bool:
@@ -668,17 +721,64 @@ class CrashpointExplorer(Campaign):
         cuts = {1, nsectors // 2, nsectors - 1}
         return sorted(c for c in cuts if 0 < c < nsectors)
 
+    def _member_choices(self, durable: DiskStore, pending: list[_Pending],
+                        inflight: Any) -> list[_Choice]:
+        """Every legal crash image of one member, in enumeration order:
+        each legal destage subset, then its torn variants — of an entry
+        that could be mid-destage, or of ``inflight``, the member's next
+        journal event when it is a media write.  The first is the durable
+        image itself."""
+        torn_media = ([_Pending(inflight)] if inflight is not None
+                      and inflight.kind == "fua" and inflight.nsectors > 1
+                      else [])
+        out = []
+        for subset in self._legal_subsets(pending):
+            variants: list["tuple[_Pending, int] | None"] = [None]
+            for e in self._torn_candidates(pending, subset) + torn_media:
+                for nsec in self._torn_prefixes(e.nsectors):
+                    variants.append((e, nsec))
+            out.extend(_Choice(pending, subset, torn,
+                               self._materialize(durable, subset, torn))
+                       for torn in variants)
+        return out
+
+    def _states(self, choices: list[list[_Choice]], mirror: bool,
+                final: list[DiskStore]):
+        """The machine's crash states from its members' choices.
+
+        A stripe (or the single disk) is read from every member at once:
+        its states are the product of the members' choices.  A mirror
+        comes back by resyncing the other legs from one, so its states
+        are each leg's choices alone, then each leg's death — its durable
+        image, its cache lost, beside legs that ran to the end."""
+        if not mirror:
+            for combo in product(*choices):
+                yield _State([c.image for c in combo], combo)
+            return
+        members = range(len(choices))
+        for leg in members:
+            for c in choices[leg]:
+                yield _State([c.image if m == leg else choices[m][0].image
+                              for m in members], (c,), f"leg{leg}:", leg=leg)
+        for victim in members:
+            c = choices[victim][0]
+            yield _State([c.image if m == victim else final[m]
+                          for m in members], (c,), f"kill{victim}:",
+                         victim=victim)
+
     # -- contract folding --------------------------------------------------
     def _fold(self, events: list[ContractEvent], index: int,
-              flushes: list[int]) -> dict[str, _Slot]:
-        """The durability contract in effect at crash point ``index``."""
+              flushes: list[list[int]]) -> dict[str, _Slot]:
+        """The durability contract in effect at crash point ``index``;
+        ``flushes`` holds each member's flush positions."""
         fua_mode = not self.record_config.ordered_metadata
 
         def certain(pos: int) -> bool:
             # A namespace op's metadata is durable once FUA-written (at
-            # completion, so before the event was recorded) or once any
-            # later flush drained its barrier entries.
-            return fua_mode or any(pos <= f < index for f in flushes)
+            # completion, so before the event was recorded) or once every
+            # member has drained its barrier entries in a later flush.
+            return fua_mode or all(any(pos <= f < index for f in member)
+                                   for member in flushes)
 
         slots: dict[str, _Slot] = {}
         for ev in events:
@@ -715,38 +815,67 @@ class CrashpointExplorer(Campaign):
         return slots
 
     # -- verification ------------------------------------------------------
-    def _verify_state(self, img: DiskStore, index: int,
-                      slots: dict[str, _Slot]) -> tuple[list, int]:
-        """fsck-repair, remount, and check the contract on one image.
+    def _verify_state(self, images: list[DiskStore], slots: dict[str, _Slot],
+                      leg: "int | None" = None) -> tuple[list, int]:
+        """Boot the member ``images`` (a mirror resynced from ``leg``),
+        fsck-repair the logical image, remount it and check the contract.
 
         Returns (violations as (category, detail) pairs, repair count).
         """
-        problems: list[tuple[str, str]] = []
-        report = fsck(img, repair=True)
-        verify = fsck(img)
+        survivor = System(self.verify_config,
+                          store=[img.clone() for img in images])
+        for other in range(len(images) if leg is not None else 0):
+            if other != leg:  # md's recovery after an unclean shutdown
+                survivor.run(survivor.volume.resync(other),
+                             name="crashpoints-resync")
+        report = fsck(survivor.store, repair=True)
+        verify = fsck(survivor.store)
         if not verify.clean:
-            problems.append((
+            return [(
                 "fsck_nonconvergent",
                 f"{len(verify.findings)} finding(s) survive repair; "
-                f"first: {verify.findings[0]}"))
-            return problems, len(report.repairs)
+                f"first: {verify.findings[0]}")], len(report.repairs)
+        return (self._check_promises(survivor, slots, "crashpoint_survivor"),
+                len(report.repairs))
+
+    def _verify_kill(self, images: list[DiskStore], victim: int,
+                     slots: dict[str, _Slot]) -> tuple[list, int]:
+        """A mirror leg died: every promise must hold degraded, resync
+        must make the legs identical, and the result must verify whole."""
+        survivor = System(self.verify_config,
+                          store=[img.clone() for img in images])
+        volume = survivor.volume
+        volume.members[victim].failed = True
+        problems = self._check_promises(survivor, slots, "crashpoint_degraded")
+        survivor.sync()
+        survivor.run(volume.resync(victim), name="crashpoints-resync")
+        stores = [member.store for member in volume.members]
+        if len({store.digest() for store in stores}) > 1:
+            problems.append(("resync_mismatch",
+                             f"leg {victim} differs from the survivor "
+                             f"after resync"))
+        more, repairs = self._verify_state(stores, slots)
+        return problems + more, repairs
+
+    def _check_promises(self, survivor: System, slots: dict[str, _Slot],
+                        checkpoint: str) -> list[tuple[str, str]]:
+        """Mount ``survivor``, read back every slot, then run the deep
+        sanitizer sweep on the quiesced machine."""
+        problems: list[tuple[str, str]] = []
         try:
-            survivor = System.remounted(img, self.verify_config)
+            survivor.run(survivor.mount_fs())
             force_sanitizer(self.sanitize, survivor)
             proc = Proc(survivor, name="crashpoints-verify")
             for path in sorted(slots):
                 problems.extend(self._check_slot(survivor, proc, path,
                                                  slots[path]))
-            # Quiesced, repaired: the deep sweep must find the machine and
-            # the on-disk image consistent.
-            survivor.sanitizer.checkpoint("crashpoint_survivor", idle=True,
-                                          deep=True)
+            survivor.sanitizer.checkpoint(checkpoint, idle=True, deep=True)
         except SanitizerError as exc:
             problems.append(("sanitizer", str(exc).split("\n")[0]))
         except (ReproError, SimulationError) as exc:
             problems.append(("remount_failed",
                              f"{type(exc).__name__}: {exc}"))
-        return problems, len(report.repairs)
+        return problems
 
     def _check_slot(self, survivor: System, proc: Proc, path: str,
                     slot: _Slot) -> list[tuple[str, str]]:
@@ -795,84 +924,104 @@ class CrashpointExplorer(Campaign):
         system, rec, base = self._record()
         self.recorded = system
         journal = rec.journal
-        flushes = [i for i, ev in enumerate(journal) if ev.kind == "flush"]
+        members = range(len(base))
+        flushes = [[i for i, ev in enumerate(journal)
+                    if ev.kind == "flush" and ev.member == m]
+                   for m in members]
         report = self.stats
         report.journal_events = len(journal)
         report.contract_events = len(rec.events)
         report.durability_points = len(rec.durability_points)
 
-        durable = base.clone()
-        pending: list[_Pending] = []
-        seen: dict[str, str] = {}      # image hash -> verdict
+        mirror = system.volume.kind == "mirror"
+        final = [member.store for member in system.volume.members]
+        durable = [store.clone() for store in base]
+        pending: list[list[_Pending]] = [[] for _ in members]
+        seen: dict[str, str] = {}      # state key -> verdict
+        # A dead leg's mirror ran to the end: every promise counts.
+        promised = self._fold(rec.events, len(journal), flushes)
 
-        def explore_point(index: int, next_ev: Any) -> bool:
+        def explore_point(index: int) -> bool:
             """Enumerate crash states at journal index ``index``; returns
             False once the raw-state budget is exhausted."""
             report.crash_points += 1
             slots = None
-            for subset in self._legal_subsets(pending):
-                variants: list["tuple[_Pending, int] | None"] = [None]
-                torn_pool = list(self._torn_candidates(pending, subset))
-                if (next_ev is not None and next_ev.kind == "fua"
-                        and next_ev.nsectors > 1):
-                    torn_pool.append(_Pending(next_ev))
-                for e in torn_pool:
-                    for nsec in self._torn_prefixes(e.nsectors):
-                        variants.append((e, nsec))
-                for torn in variants:
-                    if (self.max_states is not None
-                            and report.raw_states >= self.max_states):
-                        report.states_truncated = True
-                        return False
-                    report.raw_states += 1
-                    img = self._materialize(durable, subset, torn)
-                    digest = img.digest()
-                    if digest in seen:
-                        continue
-                    report.distinct_states += 1
+            # Each member's next event, if its drive had begun it: the
+            # media write that may be mid-transfer when the power dies here.
+            inflight: dict[int, Any] = {}
+            for ev in islice(journal, index, None):
+                if len(inflight) == len(base):
+                    break
+                inflight.setdefault(ev.member,
+                                    ev if ev.issued <= index else None)
+            choices = [self._member_choices(durable[m], pending[m],
+                                            inflight.get(m))
+                       for m in members]
+            for state in self._states(choices, mirror, final):
+                if (self.max_states is not None
+                        and report.raw_states >= self.max_states):
+                    report.states_truncated = True
+                    return False
+                report.raw_states += 1
+                key = state.key()
+                if key in seen:
+                    continue
+                report.distinct_states += 1
+                if state.victim is not None:
+                    problems, repairs = self._verify_kill(
+                        state.images, state.victim, promised)
+                else:
                     if slots is None:
                         slots = self._fold(rec.events, index, flushes)
-                    problems, repairs = self._verify_state(img, index, slots)
-                    report.fsck_repairs += repairs
-                    verdict = ("ok" if not problems else
-                               "+".join(sorted({c for c, _ in problems})))
-                    seen[digest] = verdict
-                    self._state_lines.append(f"{digest} {verdict}")
-                    if problems:
-                        kept = {e.seq for e in subset}
-                        dropped = [e.describe() for e in pending
-                                   if e.seq not in kept]
-                        spans = []
-                        for e in pending:
-                            if e.seq in kept:
-                                continue
-                            tree = render_request(e.request)
-                            if tree is not None and tree not in spans:
-                                spans.append(tree)
-                            if len(spans) >= 3:
-                                break
-                        torn_desc = None
-                        if torn is not None:
-                            torn_desc = (f"{torn[0].describe()} "
-                                         f"torn at {torn[1]} sectors")
-                        # A record is a violation: fsck_nonconvergent,
-                        # remount_failed, durable_file_missing,
-                        # durable_data_lost or sanitizer.
-                        for category, detail in problems:
-                            self.records.append({
-                                "state": digest[:16], "category": category,
-                                "detail": detail, "event_index": index,
-                                "dropped": dropped, "torn": torn_desc,
-                                "spans": spans})
+                    problems, repairs = self._verify_state(
+                        state.images, slots, state.leg)
+                report.fsck_repairs += repairs
+                verdict = ("ok" if not problems else
+                           "+".join(sorted({c for c, _ in problems})))
+                seen[key] = verdict
+                self._state_lines.append(f"{key} {verdict}")
+                if problems:
+                    self._record_violations(state, index, problems,
+                                            len(base) > 1)
             return True
 
         budget_ok = True
         for i, ev in enumerate(journal):
             # A flush marker changes no state: the previous point covered it.
             if budget_ok and not (i > 0 and journal[i - 1].kind == "flush"):
-                budget_ok = explore_point(i, ev)
-            self._apply_event(durable, pending, ev)
+                budget_ok = explore_point(i)
+            self._apply_event(durable[ev.member], pending[ev.member], ev)
         if budget_ok:
-            explore_point(len(journal), None)
+            explore_point(len(journal))
 
         return report
+
+    def _record_violations(self, state: _State, index: int,
+                           problems: list[tuple[str, str]],
+                           tag: bool) -> None:
+        """One record per problem of a state, naming the entries it
+        dropped (member-tagged on a volume), what it tore, and up to three
+        span trees of the requests those entries served."""
+        dropped, spans, torn = [], [], []
+        for c in state.choices:
+            kept = {e.seq for e in c.subset}
+            for e in c.pending:
+                if e.seq in kept:
+                    continue
+                dropped.append((f"m{e.member} " if tag else "")
+                               + e.describe())
+                tree = render_request(e.request)
+                if len(spans) < 3 and tree is not None and tree not in spans:
+                    spans.append(tree)
+            if c.torn is not None:
+                torn.append(f"{c.torn[0].describe()} torn at {c.torn[1]} "
+                            f"sectors")
+        # A record is a violation: fsck_nonconvergent, remount_failed,
+        # durable_file_missing, durable_data_lost, resync_mismatch or
+        # sanitizer.
+        for category, detail in problems:
+            self.records.append({
+                "state": state.key(width=16), "category": category,
+                "detail": detail, "event_index": index,
+                "dropped": dropped, "torn": "; ".join(torn) or None,
+                "spans": spans})

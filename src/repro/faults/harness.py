@@ -1,12 +1,12 @@
-"""The campaign shell: what the four sweeps share, written once.
+"""The campaign shell: what the three sweeps share, written once.
 
-``netcampaign``, ``memberkill``, ``crashpoints`` and ``scrubcampaign``
-have different bodies — a replay leg and a soft-mount probe, one kill per
-seed, an enumeration over one recording, a single six-phase run — so
-there is no phase protocol here for them to be bent into.  They share a
-shell: a small-disk default machine, the "``None`` leaves the environment
-default" sanitizer rule, a dataclass of counters, per-record outcomes and
-a seed-stable digest.  Their verdicts are rows of the experiment table
+``netcampaign``, ``crashpoints`` and ``scrubcampaign`` have different
+bodies — a replay leg and a soft-mount probe, an enumeration over one
+recording, a single six-phase run — so there is no phase protocol here
+for them to be bent into.  They share a shell: a small-disk default
+machine, the "``None`` leaves the environment default" sanitizer rule, a
+dataclass of counters, per-record outcomes and a seed-stable digest.
+Their verdicts are rows of the experiment table
 (:func:`repro.bench.experiments.sweep_cells`).
 """
 

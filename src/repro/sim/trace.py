@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -104,7 +104,6 @@ class Tracer:
         self.enabled = enabled
         self.records: list[TraceRecord] = []
         self.spans: list[Span] = []
-        self._tag_filter: set[str] | None = None
         # Span ids are *per tracer* (they used to come from a module-global
         # counter, which leaked across System instances in one process and
         # made same-seed exports differ byte-for-byte until renumbered).
@@ -130,25 +129,15 @@ class Tracer:
         """The span with ``span_id`` (KeyError if absent)."""
         return self._by_id[span_id]
 
-    def limit_to(self, tags: Iterable[str] | None) -> None:
-        """Record only the given tags (None = record everything).
-
-        The filter applies to flat records only; spans are structural and
-        always recorded while enabled.
-        """
-        self._tag_filter = set(tags) if tags is not None else None
-
     def emit(self, tag: str, **fields: Any) -> None:
         """Record an occurrence at the current simulated time.
 
         The ``enabled`` check is the very first statement so a disabled
-        tracer returns before touching the filter or building the record —
+        tracer returns before building the record —
         but note the kwargs dict itself is built by the caller; guard hot
         call sites on :attr:`enabled` (module docstring).
         """
         if not self.enabled:
-            return
-        if self._tag_filter is not None and tag not in self._tag_filter:
             return
         self.records.append(TraceRecord(self.engine.now, tag, fields))
 

@@ -22,21 +22,3 @@ def kb_per_sec(nbytes: float, seconds: float) -> float:
     if seconds <= 0:
         raise ValueError("elapsed time must be positive")
     return nbytes / KB / seconds
-
-
-def fmt_bytes(nbytes: float) -> str:
-    """Render a byte count the way the paper does (KB/MB)."""
-    if nbytes >= MB:
-        return f"{nbytes / MB:.1f}MB"
-    if nbytes >= KB:
-        return f"{nbytes / KB:.0f}KB"
-    return f"{nbytes:.0f}B"
-
-
-def fmt_time(seconds: float) -> str:
-    """Render a duration with a sensible unit."""
-    if seconds >= 1:
-        return f"{seconds:.2f}s"
-    if seconds >= MS:
-        return f"{seconds / MS:.2f}ms"
-    return f"{seconds / US:.1f}us"

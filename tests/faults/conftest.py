@@ -53,3 +53,23 @@ def nfs_explorer():
     explorer = CrashpointExplorer("nfs", seed=0, sanitize=True)
     explorer.run()
     return explorer
+
+
+@pytest.fixture(scope="session")
+def mirror_explorer():
+    """The sanitized exploration of a mirror:2 volume (each leg's crash
+    states and each leg's death), read by the crash-point tests and by the
+    campaign goldens."""
+    explorer = CrashpointExplorer("mirror", seed=0, sanitize=True)
+    explorer.run()
+    return explorer
+
+
+@pytest.fixture(scope="session")
+def stripe_explorer():
+    """The sanitized exploration of a stripe:2 volume (the product of its
+    members' crash states), read by the crash-point tests and by the
+    campaign goldens."""
+    explorer = CrashpointExplorer("stripe", seed=0, sanitize=True)
+    explorer.run()
+    return explorer

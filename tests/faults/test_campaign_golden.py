@@ -4,7 +4,7 @@ Each campaign row pins its sweep's outcome sha256 and digest, every
 invariant ``exact(0)`` and its coverage in bands.  Each row's cells from a
 fresh sanitized run must equal the committed ``BENCH_experiments.json``
 cells, so a refactor that changes one simulated outcome fails in tier-1.
-The smoke, write-through and nfs rows read their session fixtures' runs.
+The crash-point rows but ``relocate`` read their session fixtures' runs.
 """
 
 import json
@@ -26,15 +26,18 @@ ROWS = {
     "crashpoints --preset writethrough --seed 0 --sanitize":
         "crashpoints_writethrough",
     "crashpoints --preset nfs --seed 0 --sanitize": "crashpoints_nfs",
+    "crashpoints --preset mirror --seed 0 --sanitize": "crashpoints_mirror",
+    "crashpoints --preset stripe --seed 0 --sanitize": "crashpoints_stripe",
     "netcampaign --seeds 5 --seed 0 --sanitize": "netcampaign",
-    "memberkill --seeds 3 --seed 0 --sanitize": "memberkill",
     "scrubcampaign --seed 0 --sanitize": "scrubcampaign",
 }
 
 
 FIXTURES = {"crashpoints_smoke": "smoke_explorer",
             "crashpoints_writethrough": "writethrough_explorer",
-            "crashpoints_nfs": "nfs_explorer"}
+            "crashpoints_nfs": "nfs_explorer",
+            "crashpoints_mirror": "mirror_explorer",
+            "crashpoints_stripe": "stripe_explorer"}
 
 
 @pytest.mark.parametrize("command", sorted(ROWS))

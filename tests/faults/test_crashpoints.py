@@ -1,11 +1,16 @@
 """The crash-point exploration engine: enumeration, verification,
-determinism, and the pinning test for the relocation durability bug.
+determinism, volumes, and the pinning tests for the bugs it found.
 """
+
+import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.disk.disk import JournalEvent
+from repro.disk.volume import MirrorVolume, MultiVolume
 from repro.faults import CrashpointExplorer, PRESETS
-from repro.faults.harness import small_config
+from repro.faults.crashpoints import ContractEvent, _Pending
 from repro.ufs import io as ufs_io
 from repro.ufs.vnode import UfsVnode
 from repro.nfs.server import RpcResult
@@ -30,12 +35,22 @@ def test_explorer_rejects_bad_window():
         CrashpointExplorer(PRESETS["smoke"], window=0)
 
 
-@pytest.mark.parametrize("layout", ["mirror:2", "stripe:2"])
-def test_explorer_rejects_multi_member_layouts(layout):
-    """The journal is one drive's; a volume used to die in the
-    recorder's self-check ("journal/data-plane incoherence") instead."""
-    with pytest.raises(ValueError, match=f"layout {layout}.*one drive"):
-        CrashpointExplorer("smoke", config=small_config(layout=layout))
+def test_explorer_rejects_a_negative_torn_limit():
+    with pytest.raises(ValueError, match="torn_limit"):
+        CrashpointExplorer(PRESETS["smoke"], torn_limit=-1)
+
+
+def test_torn_limit_zero_tears_nothing():
+    """``torn_limit=0`` used to tear one entry anyway — the helper took a
+    candidate before it tested the limit — so ``append`` explored exactly
+    the 822 raw states of ``torn_limit=1``."""
+    pending = [_Pending(JournalEvent("write", seq, 8 * seq, 4, bytes(2048)))
+               for seq in range(3)]
+    zero = CrashpointExplorer("append", torn_limit=0, sanitize=False)
+    one = CrashpointExplorer("append", torn_limit=1, sanitize=False)
+    assert zero._torn_candidates(pending, []) == []
+    assert one._torn_candidates(pending, []) == pending[:1]
+    assert zero.run().raw_states < one.run().raw_states
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +208,103 @@ def test_ordered_metadata_preset_holds(invariant_cells):
     explorer = explore("ordered", seed=0)
     assert set(invariant_cells(explorer).values()) == {0}
     assert explorer.stats.distinct_states > 0
+
+
+@pytest.mark.parametrize("preset", ["mirror", "stripe"])
+def test_volume_presets_meet_the_coverage_floor(preset, request,
+                                                invariant_cells):
+    """Every member of the volume journals into one list, and >= 200
+    distinct crash states of it keep every fsync's promise."""
+    explorer = request.getfixturevalue(f"{preset}_explorer")
+    r = explorer.stats
+    assert r.distinct_states >= 200
+    assert not r.states_truncated
+    assert set(invariant_cells(explorer).values()) == {0}
+    members = explorer.recorded.volume.members
+    journal = members[0].disk.journal
+    assert all(member.disk.journal is journal for member in members)
+    assert {ev.member for ev in journal} == {0, 1}
+
+
+def test_a_namespace_op_is_certain_once_every_member_flushed():
+    """B_ORDER metadata: a rename is settled only when every member has
+    flushed after it; until then the file may resolve under either name."""
+    explorer = CrashpointExplorer("ordered")
+    events = [ContractEvent("promise", "/a", 0, b"x"),
+              ContractEvent("rename", "/a", 5, new_path="/b")]
+    assert explorer._fold(events, 10, [[7], []])["/b"].alts == ["/a", "/b"]
+    assert explorer._fold(events, 10, [[7], [8]])["/b"].alts == ["/b"]
+
+
+def test_mirror_states_are_each_leg_and_each_leg_death(mirror_explorer):
+    """A mirror's state is one leg's image (the others are resynced from
+    it) or one leg's death: keyed by leg, never a product over legs."""
+    kinds = Counter(line.partition(":")[0]
+                    for line in mirror_explorer.digest_lines())
+    assert kinds == {"leg0": 104, "leg1": 104, "kill0": 47, "kill1": 47}
+
+
+def test_stripe_states_are_the_product_of_the_members(stripe_explorer):
+    keys = [line.split()[0] for line in stripe_explorer.digest_lines()]
+    assert all(len(key.split(",")) == 2 for key in keys)
+    # Member 0's image alone does not name a state: both members vary.
+    assert len({key.split(",")[0] for key in keys}) < len(keys)
+    assert len({key.split(",")[1] for key in keys}) < len(keys)
+
+
+def test_a_member_write_is_torn_only_once_its_drive_began_it():
+    """Pinning test for the explorer's first volume find.  Tearing each
+    member's next media write at every crash point tore writes no drive had
+    started: on this stripe, the inode write that follows a FLUSH, beside
+    the other member's still-volatile data, made four false violations."""
+    explorer = CrashpointExplorer(
+        dataclasses.replace(PRESETS["stripe"], chunks=4), sanitize=False)
+    explorer.run()
+    assert explorer.records == []
+
+
+def _flush_acked_by_one_member(real):
+    """A ``MultiVolume._join_hook`` that completes a FLUSH at the first
+    member's ack, leaving the other members' drains unawaited."""
+    def join_hook(self, state, member):
+        hook = real(self, state, member)
+
+        def first_ack(child):
+            if state.parent.is_flush and state.pending > 1:
+                state.pending = 1
+            hook(child)
+        return first_ack
+    return join_hook
+
+
+def _resync_skipped(self, index, clear_faults=True):
+    return {"member": index, "identical": True, "verify_failures": []}
+    yield  # pragma: no cover - a generator that does nothing
+
+
+def test_a_flush_acked_by_one_member_fails_the_stripe_row_by_cell(
+        monkeypatch, capsys):
+    """An fsync then returns while the other member still holds the data
+    in its volatile cache: crash states of that member lose it."""
+    from repro.__main__ import main
+
+    monkeypatch.setattr(MultiVolume, "_join_hook",
+                        _flush_acked_by_one_member(MultiVolume._join_hook))
+    assert main(["report", "--id", "crashpoints_stripe"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nFAILED: crashpoints_stripe / violations: 3 outside exact "
+            "(every distinct crash state repairs") in out
+
+
+def test_a_mirror_that_skips_resync_fails_its_row_by_cell(monkeypatch,
+                                                          capsys):
+    """Without resync the legs disagree: reads alternate between a leg
+    that kept the promise and one that did not, and a dead leg comes back
+    stale."""
+    from repro.__main__ import main
+
+    monkeypatch.setattr(MirrorVolume, "resync", _resync_skipped)
+    assert main(["report", "--id", "crashpoints_mirror"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nFAILED: crashpoints_mirror / violations: 219 outside exact "
+            "(every distinct crash state repairs") in out

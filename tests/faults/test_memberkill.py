@@ -1,15 +1,17 @@
-"""Degraded mirrors: member death, survivor service, resync, campaign.
+"""Degraded mirrors: live member death, survivor service, resync.
 
 A mirror's whole claim is that one dead member costs throughput, not
 bytes.  These tests kill a member mid-workload (FaultPlan ``die_at``) and
 hold the volume to that claim end to end: degraded reads and writes,
 blame on the right member, zero acknowledged loss from the survivor
-alone, and a resync that converges to byte-identical members.
+alone, and a resync that converges to byte-identical members.  (Every
+crash state of a leg's death is the ``crashpoints --preset mirror`` row;
+health blame and degraded writes need a live machine, so they live here.)
 """
 
 import pytest
 
-from repro.faults import FaultPlan, MirrorKillCampaign, small_config
+from repro.faults import FaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -118,21 +120,3 @@ def test_resync_requires_a_live_source():
         member.failed = True
     with pytest.raises(InvalidArgumentError):
         system.run(system.volume.resync(0), name="resync")
-
-
-def test_campaign_single_seed(invariant_cells):
-    campaign = MirrorKillCampaign(seeds=1, seed=0, sanitize=True)
-    stats = campaign.run()
-    assert set(invariant_cells(campaign).values()) == {0}, stats
-    assert stats.kills == 1
-    assert stats.acked_files > 0
-    assert stats.degraded_files > 0
-    record = campaign.records[0]
-    assert record["killed"]
-    assert record["resync"]["identical"]
-    assert len(campaign.records) == 1
-
-
-def test_campaign_rejects_non_mirror_config():
-    with pytest.raises(ValueError):
-        MirrorKillCampaign(config=small_config(layout="stripe:2"))

@@ -180,7 +180,6 @@ def test_cli_scrubcampaign_json_stdout_parses(cli):
 #: whose cells it prints.
 CAMPAIGN_ARGS = {
     "netcampaign": (["--seeds", "1"], ["--seeds", "0"], "netcampaign"),
-    "memberkill": (["--seeds", "1"], ["--seeds", "0"], "memberkill"),
     "crashpoints": (["--preset", "writethrough", "--max-states", "60"],
                     ["--preset", "nope"], "crashpoints_writethrough"),
     "scrubcampaign": ([], None, "scrubcampaign"),  # no count to get wrong
@@ -254,9 +253,9 @@ def test_cli_json_to_path_keeps_stdout_human(tmp_path, cli):
 @pytest.fixture
 def never_simulates(monkeypatch):
     from repro.bench.iobench import IObench
-    from repro.faults import MirrorKillCampaign
+    from repro.faults import NetCampaign
 
-    for cls in (IObench, MirrorKillCampaign):
+    for cls in (IObench, NetCampaign):
         monkeypatch.setattr(cls, "run", lambda self: pytest.fail("simulated"))
 
 
@@ -281,8 +280,8 @@ def never_simulates(monkeypatch):
      "trace: telemetry interval must be finite and > 0, not inf s"),
     (["trace", "analyze", "--top", "-1"], "trace: --top must be >= 0, not -1"),
     (["crashpoints", "--max-states", "0"], "crashpoints: max_states must be"),
-    (["memberkill", "--seeds", "1", "--json", "/nonexistent/x.json"],
-     "memberkill: cannot write /nonexistent/x.json: /nonexistent is not a "
+    (["netcampaign", "--seeds", "1", "--json", "/nonexistent/x.json"],
+     "netcampaign: cannot write /nonexistent/x.json: /nonexistent is not a "
      "directory"),
     (["trace", "jsonl", "--file-mb", "1", "--out", "/nonexistent/t.jsonl"],
      "trace: cannot write /nonexistent/t.jsonl: "),

@@ -101,20 +101,6 @@ def test_to_jsonl_of_empty_tracer_is_its_meta_line():
     assert meta["spans"] == 0
 
 
-def test_limit_to_filters_records_not_spans():
-    _, tr = make_tracer()
-    tr.limit_to(["wanted"])
-    tr.emit("wanted", n=1)
-    tr.emit("unwanted", n=2)
-    span = tr.span_begin("read")
-    tr.span_end(span)
-    assert [r.tag for r in tr.records] == ["wanted"]
-    assert len(tr.spans) == 1
-    tr.limit_to(None)
-    tr.emit("unwanted", n=3)
-    assert [r.tag for r in tr.records] == ["wanted", "unwanted"]
-
-
 def test_select_and_render_records():
     _, tr = make_tracer()
     tr.emit("a", n=1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.units import KB, MB, MS, US, fmt_bytes, fmt_time, kb_per_sec
+from repro.units import KB, MB, kb_per_sec
 
 
 def test_size_constants():
@@ -16,18 +16,6 @@ def test_kb_per_sec():
     assert kb_per_sec(512 * 1024, 0.5) == 1024
     with pytest.raises(ValueError):
         kb_per_sec(100, 0)
-
-
-def test_fmt_bytes():
-    assert fmt_bytes(100) == "100B"
-    assert fmt_bytes(56 * KB) == "56KB"
-    assert fmt_bytes(1.5 * MB) == "1.5MB"
-
-
-def test_fmt_time():
-    assert fmt_time(2.5) == "2.50s"
-    assert fmt_time(4 * MS) == "4.00ms"
-    assert fmt_time(150 * US) == "150.0us"
 
 
 def test_error_hierarchy():
