@@ -1308,37 +1308,37 @@ def _crashpoints(preset: str, what: str, outcome: tuple, states: int,
 
 _crashpoints(
     "smoke", "appends, an overwrite, a rename, an unlink; 48 KB cache",
-    ("49c6a34328d8e98bb77007218d2304819dac6bed9355d09cefbc8b21d0be2612",
+    ("af0f4233dff26d8da1b49fe21acbd862d13b99a02c84120c3683c53b653c1842",
      "315f8f0fd92f045462de4fb9a43348270da234a83f37e891b7e9280961c6bf33"),
     424, 438)
 _crashpoints(
     "relocate", "a fragment tail relocated, its old fragments reused",
-    ("6efcb810a269e21000557dbccf3549141f9b0421c0b8aa080f2979b498b00f89",
+    ("d65e2d795ae68371475071874993563a67dec051a9ee18c542a2caf471debe90",
      "23cdc6bc8e800661e1554d5f6a731956a69a15beb561323b58368460f17273ab"),
     26, 27)
 _crashpoints(
     "writethrough", "10 x 48 KB files, half fsynced, on the paper's drive",
-    ("1aa215b6f03c3f03d4aa909cef944bcbde95605cd2d27952c0de1d62ffe98881",
+    ("7bf61b964e336019985c5962675432dfebd42cb91e17e3b346c61ba3a54ce8a6",
      "0d651bfced28b92c0fd5d9eea7197436d386fa9a42e4f1e6cb0a90374cf3d69f"),
     75, 83)
 _crashpoints(
     "nfs", "4 x 16 KB files from an NFS client, half fsynced (biod WRITEs "
     "and a COMMIT), one removed; the server's drive, 16 KB cache",
-    ("9415c8bb63dbface97a31e11322ed5efcc2e7c649cd45e7cc80979ce8e88234f",
+    ("93af72fce4175fc3d9fe691a37726b2ce680c634e80ee0f8c4469c67e1dbfbfd",
      "8ca1b838afe9e90c07381347245909fe81828d72e2cc84b6192049b7ab4868a7"),
     191, 209)
 _crashpoints(
     "mirror", "2 files x 4 appends, an overwrite, a rename, an unlink on "
     "mirror:2, 48 KB cache per leg; each leg's crash states resynced from "
     "it, each leg's death remounted degraded, then resynced",
-    ("39924366f96391d5f1182b741fa63cff59bbb53a6934265e7f536431868189b4",
+    ("5d5aea6ffe7d440510732522170a1a44cc1c2c04ca99540255431431c766fe69",
      "b3253abb7a3906c30b43d402156ee2636093eb8a79dbd15fa843bb38532deeb3"),
     302, 234)
 _crashpoints(
     "stripe", "2 files x 5 appends, an overwrite, a rename, an unlink on "
     "stripe:2, 48 KB cache per member; the product of the members' crash "
     "states",
-    ("d8e12e67bce8369f746e3efc89319750af02b06184bf984927aef05d5343c458",
+    ("595c9b9a3a3b646587b6e60f1e9f137ab775e5637e467661e1cfb3d284e09006",
      "aab85b76649418f4182ceec36c7a5b863b8e20f208a336210e9ddc7a9640895f"),
     211, 224)
 

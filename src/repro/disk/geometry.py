@@ -131,15 +131,6 @@ class DiskGeometry:
     def capacity_bytes(self) -> int:
         return self.total_sectors * self.sector_size
 
-    def zone_of_cyl(self, cyl: int) -> Zone:
-        """The zone containing cylinder ``cyl``."""
-        if not 0 <= cyl < self.cylinders:
-            raise ValueError(f"cylinder {cyl} out of range")
-        for zone in self.zones:
-            if zone.first_cyl <= cyl <= zone.last_cyl:
-                return zone
-        raise AssertionError("zones are contiguous; unreachable")
-
     def sectors_per_track_at(self, cyl: int) -> int:
         if not 0 <= cyl < self.cylinders:
             raise ValueError(f"cylinder {cyl} out of range")
@@ -169,11 +160,6 @@ class DiskGeometry:
                 idx = rel % spt
                 return cyl, head, idx
         raise AssertionError("unreachable")
-
-    def track_first_sector(self, sector: int) -> int:
-        """Linear sector of the first sector on ``sector``'s track."""
-        cyl, head, idx = self.to_chs(sector)
-        return sector - idx
 
     # -- angular position ----------------------------------------------------
     def skew_sectors(self, cyl: int, head: int) -> int:

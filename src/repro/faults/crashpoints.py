@@ -33,14 +33,16 @@ missing (FIFO destaging with an out-of-order window); barrier entries
 are all-or-nothing and order the stretches around them.
 
 Each *distinct* materialized image (canonical content hash — the
-pruning strategy) is verified once against the **durability contract**
-folded from the workload's recorded events up to that crash point:
+pruning strategy) is verified once against the **durability contract**:
+the recording process's :class:`~repro.faults.ledger.Ledger`, stamped
+with journal positions, folded up to that crash point:
 
 1. ``fsck --repair`` converges (a second pass is clean);
 2. the repaired tree remounts;
-3. every file declared durable (fsync/O_SYNC acknowledged) is present
-   with its promised bytes intact — unsynced overwrites may leave any
-   per-sector mix of promised and later content, never anything else;
+3. :func:`~repro.faults.ledger.check` holds: every file declared durable
+   (fsync/O_SYNC acknowledged) is present with its promised bytes intact —
+   unsynced overwrites may leave any per-sector mix of promised and later
+   content, never anything else — and a removed path stays removed;
 4. the PR-4 sanitizer's deep sweep (allocator + coherency + fsck
    walkers) passes on the survivor.
 
@@ -54,11 +56,13 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
+from repro.disk.disk import JournalEvent
 from repro.disk.store import DiskStore
 from repro.errors import ReproError
 from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.ledger import Ledger, check
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -149,98 +153,8 @@ PRESETS: dict[str, Preset] = {
 
 
 # ---------------------------------------------------------------------------
-# contract events
+# workloads: the process's ledger records every promise and dirty version
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ContractEvent:
-    """One workload-level durability fact, pinned to a journal position.
-
-    ``pos`` is the journal length when the event was recorded: the event
-    is in effect at any crash point at or after index ``pos``.
-    """
-
-    kind: str                     # promise | dirty | forget |
-                                  # unlink_begin | unlink | rename_begin | rename
-    path: str
-    pos: int
-    content: bytes = b""
-    new_path: str = ""
-
-
-class ContractRecorder:
-    """Workload-side recorder: declared-durable snapshots + namespace ops.
-
-    Every member drive of ``system``'s volume journals into one list; the
-    durability points are the ones ``proc``'s machine acknowledges — over
-    NFS, the client's.
-    """
-
-    def __init__(self, system: System, proc: Proc):
-        self.system = system
-        self.journal: "list[Any]" = []
-        for member in system.volume.members:
-            member.disk.journal = self.journal
-        self.events: list[ContractEvent] = []
-        #: (kind, ino, journal position) per acknowledged durability point,
-        #: fed by the syscall layer's on_durability hook.
-        self.durability_points: list[tuple[str, int, int]] = []
-        proc.system.on_durability.append(self._on_durability)
-
-    @property
-    def pos(self) -> int:
-        return len(self.journal)
-
-    def _on_durability(self, kind: str, vnode: Any) -> None:
-        ino = getattr(getattr(vnode, "inode", None), "ino", -1)
-        self.durability_points.append((kind, ino, self.pos))
-
-    # -- workload-facing API ----------------------------------------------
-    def promise(self, path: str, content: bytes) -> None:
-        """``path`` was just acknowledged durable holding ``content``."""
-        self.events.append(ContractEvent("promise", path, self.pos,
-                                         bytes(content)))
-
-    def dirty(self, path: str, content: bytes) -> None:
-        """``path`` now logically holds ``content``, not yet synced."""
-        self.events.append(ContractEvent("dirty", path, self.pos,
-                                         bytes(content)))
-
-    def forget(self, path: str) -> None:
-        """Stop checking ``path`` (about to be displaced/rewritten)."""
-        self.events.append(ContractEvent("forget", path, self.pos))
-
-    def unlink_begin(self, path: str) -> None:
-        """An unlink is starting: its outcome is ambiguous from the
-        operation's first write until it is acknowledged."""
-        self.events.append(ContractEvent("unlink_begin", path, self.pos))
-
-    def unlinked(self, path: str) -> None:
-        self.events.append(ContractEvent("unlink", path, self.pos))
-
-    def rename_begin(self, old: str, new: str) -> None:
-        """A rename is starting: the file may resolve under either name
-        (link-then-unlink order guarantees at least one) until the op is
-        acknowledged durable."""
-        self.events.append(ContractEvent("rename_begin", old, self.pos,
-                                         new_path=new))
-
-    def renamed(self, old: str, new: str) -> None:
-        self.events.append(ContractEvent("rename", old, self.pos,
-                                         new_path=new))
-
-
-# ---------------------------------------------------------------------------
-# workloads
-# ---------------------------------------------------------------------------
-
-def _read(proc: Proc, path: str, length: int) -> Generator[Any, Any, bytes]:
-    """Open, read ``length`` bytes in one call (none when empty), close."""
-    fd = yield from proc.open(path)
-    data = (yield from proc.read(fd, length)) if length else b""
-    yield from proc.close(fd)
-    return data
-
 
 def _writeback(proc: Proc, path: str) -> Generator[Any, Any, None]:
     """Write-behind, as the update daemon would: push the file's dirty
@@ -251,99 +165,68 @@ def _writeback(proc: Proc, path: str) -> Generator[Any, Any, None]:
         yield from vn.putpage(0, vn.size, PutFlags(async_=True))
 
 
-def _wl_append(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_append(proc: Proc, rng: random.Random,
                p: Preset) -> Generator[Any, Any, None]:
     fds: dict[str, int] = {}
-    mirror: dict[str, bytearray] = {}
     for i in range(p.files):
         path = f"/f{i}"
         fds[path] = yield from proc.creat(path)
-        mirror[path] = bytearray()
     for c in range(p.chunks):
         for path in sorted(fds):
-            data = rng.randbytes(p.chunk)
-            # Declared dirty *before* the write issues: from this moment
-            # any sector of the new version may legally reach the platter.
-            mirror[path] += data
-            rec.dirty(path, bytes(mirror[path]))
-            yield from proc.write(fds[path], data)
+            yield from proc.write(fds[path], rng.randbytes(p.chunk))
             # fsync every third chunk: long enough between flushes for the
             # cache to accumulate a rich pending set, short enough that
             # promised state keeps advancing.
             if c % 3 == 2 or c == p.chunks - 1:
                 yield from proc.fsync(fds[path])
-                rec.promise(path, bytes(mirror[path]))
             else:
                 yield from _writeback(proc, path)
     for path in sorted(fds):
         yield from proc.close(fds[path])
 
 
-def _wl_overwrite(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_overwrite(proc: Proc, rng: random.Random,
                   p: Preset) -> Generator[Any, Any, None]:
     for i in range(p.files):
         path = f"/ow{i}"
         osync = i == p.files - 1  # the last file writes through O_SYNC
         fd = yield from proc.open(path, create=True, sync=osync)
-        mirror = bytearray(rng.randbytes(p.chunk * p.chunks))
-        yield from proc.write(fd, bytes(mirror))
-        if osync:
-            rec.promise(path, bytes(mirror))
-        else:
-            rec.dirty(path, bytes(mirror))
+        yield from proc.write(fd, rng.randbytes(p.chunk * p.chunks))
+        if not osync:
             yield from proc.fsync(fd)
-            rec.promise(path, bytes(mirror))
         for c in range(p.chunks - 1, 0, -1):  # rewrite interior chunks
-            off = c * p.chunk
-            data = rng.randbytes(p.chunk)
-            mirror[off:off + p.chunk] = data
-            rec.dirty(path, bytes(mirror))  # in flight: old or new, by sector
-            yield from proc.pwrite(fd, data, off)
-            if osync:
-                rec.promise(path, bytes(mirror))
-            else:
+            yield from proc.pwrite(fd, rng.randbytes(p.chunk), c * p.chunk)
+            if not osync:
                 yield from _writeback(proc, path)
         if not osync:
             yield from proc.fsync(fd)
-            rec.promise(path, bytes(mirror))
         yield from proc.close(fd)
 
 
-def _wl_rename(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_rename(proc: Proc, rng: random.Random,
                p: Preset) -> Generator[Any, Any, None]:
     for i in range(p.files):
-        final = f"/pub{i}"
         for gen in range(2):  # publish twice: second rename displaces
             tmp = f"/tmp{i}.{gen}"
             fd = yield from proc.creat(tmp)
-            content = rng.randbytes(p.chunk * (gen + 1))
-            yield from proc.write(fd, content)
+            yield from proc.write(fd, rng.randbytes(p.chunk * (gen + 1)))
             yield from proc.fsync(fd)
-            rec.promise(tmp, content)
             yield from proc.close(fd)
-            rec.forget(final)
-            rec.rename_begin(tmp, final)
-            yield from proc.rename(tmp, final)
-            rec.renamed(tmp, final)
+            yield from proc.rename(tmp, f"/pub{i}")
 
 
-def _wl_spanning(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_spanning(proc: Proc, rng: random.Random,
                  p: Preset) -> Generator[Any, Any, None]:
     path = "/big"
     fd = yield from proc.creat(path)
-    mirror = bytearray()
     for _ in range(p.chunks):
-        data = rng.randbytes(p.chunk)
-        mirror += data
-        rec.dirty(path, bytes(mirror))
-        yield from proc.write(fd, data)
+        yield from proc.write(fd, rng.randbytes(p.chunk))
         yield from _writeback(proc, path)
     yield from proc.fsync(fd)
-    rec.promise(path, bytes(mirror))
     yield from proc.close(fd)
 
 
-def _wl_relocate(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_relocate(proc: Proc, rng: random.Random,
                  p: Preset) -> Generator[Any, Any, None]:
     """The fragment-relocation durability trap, distilled.
 
@@ -355,61 +238,40 @@ def _wl_relocate(proc: Proc, rec: ContractRecorder, rng: random.Random,
     fragments f0's durable inode still points at.
     """
     fds: dict[str, int] = {}
-    mirror: dict[str, bytearray] = {}
     for name in ("/f0", "/f1"):
         fds[name] = yield from proc.creat(name)
-        data = rng.randbytes(p.chunk)
-        mirror[name] = bytearray(data)
-        rec.dirty(name, data)
-        yield from proc.write(fds[name], data)
+        yield from proc.write(fds[name], rng.randbytes(p.chunk))
         yield from proc.fsync(fds[name])
-        rec.promise(name, bytes(mirror[name]))
-    data = rng.randbytes(p.chunk)
-    mirror["/f0"] += data
-    rec.dirty("/f0", bytes(mirror["/f0"]))
-    yield from proc.write(fds["/f0"], data)
+    yield from proc.write(fds["/f0"], rng.randbytes(p.chunk))
     yield from _writeback(proc, "/f0")
     fd = yield from proc.creat("/g")
-    data = rng.randbytes(p.chunk)
-    rec.dirty("/g", data)
-    yield from proc.write(fd, data)
+    yield from proc.write(fd, rng.randbytes(p.chunk))
     yield from proc.fsync(fd)
-    rec.promise("/g", data)
     for name in ("/f0", "/f1"):
         yield from proc.close(fds[name])
     yield from proc.close(fd)
 
 
-def _wl_smoke(proc: Proc, rec: ContractRecorder, rng: random.Random,
+def _wl_smoke(proc: Proc, rng: random.Random,
               p: Preset) -> Generator[Any, Any, None]:
     # A little of everything, kept small: three append files, one
     # overwritten file, one rename publish, one unlink.
-    yield from _wl_append(proc, rec, rng,
+    yield from _wl_append(proc, rng,
                           Preset("smoke-append", "", "append", files=p.files,
                                  chunk=p.chunk, chunks=p.chunks))
-    path = "/ow"
-    fd = yield from proc.creat(path)
-    mirror = bytearray(rng.randbytes(p.chunk * 2))
-    yield from proc.write(fd, bytes(mirror))
-    rec.dirty(path, bytes(mirror))
+    fd = yield from proc.creat("/ow")
+    yield from proc.write(fd, rng.randbytes(p.chunk * 2))
     yield from proc.fsync(fd)
-    rec.promise(path, bytes(mirror))
-    data = rng.randbytes(p.chunk)
-    mirror[:p.chunk] = data
-    rec.dirty(path, bytes(mirror))
-    yield from proc.pwrite(fd, data, 0)
+    yield from proc.pwrite(fd, rng.randbytes(p.chunk), 0)
     yield from proc.close(fd)
-    yield from _wl_rename(proc, rec, rng,
+    yield from _wl_rename(proc, rng,
                           Preset("smoke-rename", "", "rename", files=1,
                                  chunk=p.chunk))
-    rec.unlink_begin("/f0")
     yield from proc.unlink("/f0")
-    rec.unlinked("/f0")
 
 
-def _wl_writethrough(proc: Proc, rec: ContractRecorder, rng: random.Random,
-                     p: Preset, root: str = "/work"
-                     ) -> Generator[Any, Any, None]:
+def _wl_writethrough(proc: Proc, rng: random.Random, p: Preset,
+                     root: str = "/work") -> Generator[Any, Any, None]:
     # Create/write/fsync/unlink churn: every other file is fsynced, and
     # every fourth step removes a never-fsynced earlier file, so the
     # synchronous metadata order of unlink is under the crash points too.
@@ -417,20 +279,14 @@ def _wl_writethrough(proc: Proc, rec: ContractRecorder, rng: random.Random,
     if root:
         yield from proc.mkdir(root)
     for i in range(p.files):
-        path = f"{root}/f{i}"
         data = rng.randbytes(p.chunk)
-        fd = yield from proc.creat(path)
-        rec.dirty(path, data)
+        fd = yield from proc.creat(f"{root}/f{i}")
         yield from proc.write(fd, data)
         if i % 2 == 0:
             yield from proc.fsync(fd)
-            rec.promise(path, data)
         yield from proc.close(fd)
         if i % 4 == 3:
-            victim = f"{root}/f{i - 2}"
-            rec.unlink_begin(victim)
-            yield from proc.unlink(victim)
-            rec.unlinked(victim)
+            yield from proc.unlink(f"{root}/f{i - 2}")
 
 
 _WORKLOADS = {
@@ -467,40 +323,11 @@ class CrashpointReport:
 # the explorer
 # ---------------------------------------------------------------------------
 
-class _Pending:
-    """A journal write event replayed into the explorer's pending list."""
-
-    __slots__ = ("kind", "seq", "sector", "nsectors", "data", "ordered",
-                 "owner", "request", "member")
-
-    def __init__(self, ev: Any):
-        self.kind = ev.kind
-        self.seq = ev.seq
-        self.sector = ev.sector
-        self.nsectors = ev.nsectors
-        self.data = ev.data
-        self.ordered = ev.ordered
-        self.owner = ev.owner
-        self.request = ev.request
-        self.member = ev.member
-
-    def describe(self) -> str:
-        name = f"write#{self.seq}" if self.kind == "write" else self.kind
-        flag = " B_ORDER" if self.ordered else ""
-        return (f"{name} sec={self.sector}+{self.nsectors}"
-                f"{flag} owner={self.owner!r}")
-
-
-class _Slot:
-    """Folded contract state for one declared-durable file."""
-
-    __slots__ = ("promised", "versions", "alts", "may_be_absent")
-
-    def __init__(self, promised: bytes, path: str):
-        self.promised = promised
-        self.versions: list[bytes] = []
-        self.alts = [path]
-        self.may_be_absent = False
+def _describe(e: JournalEvent) -> str:
+    """A write the explorer kept pending, as a violation record names it."""
+    name = f"write#{e.seq}" if e.kind == "write" else e.kind
+    flag = " B_ORDER" if e.ordered else ""
+    return f"{name} sec={e.sector}+{e.nsectors}{flag} owner={e.owner!r}"
 
 
 class _Choice:
@@ -509,8 +336,8 @@ class _Choice:
 
     __slots__ = ("pending", "subset", "torn", "image", "digest")
 
-    def __init__(self, pending: list[_Pending], subset: list[_Pending],
-                 torn: "tuple[_Pending, int] | None", image: DiskStore):
+    def __init__(self, pending: list[JournalEvent], subset: list[JournalEvent],
+                 torn: "tuple[JournalEvent, int] | None", image: DiskStore):
         self.pending = pending
         self.subset = subset
         self.torn = torn
@@ -532,6 +359,12 @@ class _State:
 
     def key(self, width: "int | None" = None) -> str:
         return self.kind + ",".join(c.digest[:width] for c in self.choices)
+
+
+def settled(flushes: "list[list[int]]", at: int, pos: int) -> bool:
+    """Whether every member flushed at or after ``pos`` and before crash
+    point ``at`` (``flushes``: each member's flush positions)."""
+    return all(any(pos <= f < at for f in member) for member in flushes)
 
 
 class CrashpointExplorer(Campaign):
@@ -581,51 +414,62 @@ class CrashpointExplorer(Campaign):
         #: "<state key> <verdict>" per distinct state: what the digest
         #: hashes, so two runs explored the same space iff digests match.
         self._state_lines: "list[str]" = []
+        #: The recording process's ledger, and each member's flush
+        #: positions in the journal (set by :meth:`run`).
+        self.ledger = Ledger()
+        self._flushes: "list[list[int]]" = []
 
     def digest_lines(self) -> "list[str]":
         return self._state_lines
 
     # -- recording ---------------------------------------------------------
     def _record(self):
+        """Run the workload with every member drive journalling into one
+        list and the process's ledger stamped with that list's length —
+        over NFS, the client's promises on the server's drive."""
+        journal: "list[JournalEvent]" = []
+        self.ledger = Ledger(lambda: len(journal))
         if self.preset.workload == "nfs":
             # The server's drive is recorded; a client drives it by RPC.
             client, system, mount = build_world(
                 server_config=self.record_config)
-            proc = Proc(client, name="crashpoints", mount=mount)
+            proc = Proc(client, name="crashpoints", mount=mount,
+                        ledger=self.ledger)
         else:
             system = System.booted(self.record_config)
-            proc = Proc(system, name="crashpoints")
+            proc = Proc(system, name="crashpoints", ledger=self.ledger)
         force_sanitizer(self.sanitize, system, proc.system)
         system.sync()  # quiesce: the base images below are fully durable
         system.tracer.enabled = True  # violations carry request span trees
         stores = [member.store for member in system.volume.members]
         base = [store.clone() for store in stores]  # at journal start
-        rec = ContractRecorder(system, proc)
+        for member in system.volume.members:
+            member.disk.journal = journal
         rng = random.Random(self.seed)
         workload = _WORKLOADS[self.preset.workload]
-        system.run(workload(proc, rec, rng, self.preset),
+        system.run(workload(proc, rng, self.preset),
                    name="crashpoints-record")
         system.sync()  # ends with a FLUSH: the journal closes drained
         # Journal/data-plane self-check: replaying each member's events
         # over its base image must reproduce its final durable store.
         replay = [store.clone() for store in base]
-        pending: list[list[_Pending]] = [[] for _ in base]
-        for ev in rec.journal:
+        pending: list[list[JournalEvent]] = [[] for _ in base]
+        for ev in journal:
             self._apply_event(replay[ev.member], pending[ev.member], ev)
         if any(pending) or [r.digest() for r in replay] != [
                 store.digest() for store in stores]:
             raise SimulationError(
                 "disk journal does not reproduce the recorded store "
                 "(journal/data-plane incoherence)")
-        return system, rec, base
+        return system, journal, base
 
     @staticmethod
-    def _apply_event(store: DiskStore, pending: list[_Pending],
-                     ev: Any) -> None:
+    def _apply_event(store: DiskStore, pending: list[JournalEvent],
+                     ev: JournalEvent) -> None:
         """Replay one event of the member whose ``store`` and ``pending``
         list these are."""
         if ev.kind == "write":
-            pending.append(_Pending(ev))
+            pending.append(ev)
         elif ev.kind == "fua":
             store.write(ev.sector, ev.data)
         elif ev.kind == "destage":
@@ -638,12 +482,12 @@ class CrashpointExplorer(Campaign):
             pending.clear()
 
     # -- legal subsets -----------------------------------------------------
-    def _legal_subsets(self, pending: list[_Pending]):
+    def _legal_subsets(self, pending: list[JournalEvent]):
         """Yield every legal destage subset as a list of entries (in cache
         order).  Epochs between B_ORDER entries allow FIFO-with-window
         reordering; barrier entries are all-or-nothing and strictly
         ordered against both sides."""
-        epochs: list[tuple[bool, list[_Pending]]] = []
+        epochs: list[tuple[bool, list[JournalEvent]]] = []
         for e in pending:
             if e.ordered:
                 epochs.append((True, [e]))
@@ -652,7 +496,7 @@ class CrashpointExplorer(Campaign):
             else:
                 epochs[-1][1].append(e)
         yield []
-        prefix: list[_Pending] = []
+        prefix: list[JournalEvent] = []
         for barrier, epoch in epochs:
             if not barrier:
                 m = len(epoch)
@@ -677,11 +521,11 @@ class CrashpointExplorer(Campaign):
             for combo in combinations(range(j_max), k):
                 yield frozenset(combo)
 
-    def _torn_candidates(self, pending: list[_Pending],
-                         subset: list[_Pending]) -> list[_Pending]:
+    def _torn_candidates(self, pending: list[JournalEvent],
+                         subset: list[JournalEvent]) -> list[JournalEvent]:
         """Entries that could legally be mid-destage after ``subset``."""
         chosen = {e.seq for e in subset}
-        out: list[_Pending] = []
+        out: list[JournalEvent] = []
         for e in pending:
             if len(out) >= self.torn_limit:
                 break
@@ -690,7 +534,7 @@ class CrashpointExplorer(Campaign):
                 out.append(e)
         return out
 
-    def _subset_legal(self, pending: list[_Pending], chosen: set) -> bool:
+    def _subset_legal(self, pending: list[JournalEvent], chosen: set) -> bool:
         holes = 0
         barrier_blocked = False
         for e in pending:
@@ -707,8 +551,8 @@ class CrashpointExplorer(Campaign):
 
     # -- materialization ---------------------------------------------------
     @staticmethod
-    def _materialize(base: DiskStore, subset: list[_Pending],
-                     torn: "tuple[_Pending, int] | None") -> DiskStore:
+    def _materialize(base: DiskStore, subset: list[JournalEvent],
+                     torn: "tuple[JournalEvent, int] | None") -> DiskStore:
         img = base.clone()
         for e in subset:
             img.write(e.sector, e.data)
@@ -721,19 +565,19 @@ class CrashpointExplorer(Campaign):
         cuts = {1, nsectors // 2, nsectors - 1}
         return sorted(c for c in cuts if 0 < c < nsectors)
 
-    def _member_choices(self, durable: DiskStore, pending: list[_Pending],
+    def _member_choices(self, durable: DiskStore, pending: list[JournalEvent],
                         inflight: Any) -> list[_Choice]:
         """Every legal crash image of one member, in enumeration order:
         each legal destage subset, then its torn variants — of an entry
         that could be mid-destage, or of ``inflight``, the member's next
         journal event when it is a media write.  The first is the durable
         image itself."""
-        torn_media = ([_Pending(inflight)] if inflight is not None
+        torn_media = ([inflight] if inflight is not None
                       and inflight.kind == "fua" and inflight.nsectors > 1
                       else [])
         out = []
         for subset in self._legal_subsets(pending):
-            variants: list["tuple[_Pending, int] | None"] = [None]
+            variants: list["tuple[JournalEvent, int] | None"] = [None]
             for e in self._torn_candidates(pending, subset) + torn_media:
                 for nsec in self._torn_prefixes(e.nsectors):
                     variants.append((e, nsec))
@@ -766,59 +610,21 @@ class CrashpointExplorer(Campaign):
                           for m in members], (c,), f"kill{victim}:",
                          victim=victim)
 
-    # -- contract folding --------------------------------------------------
-    def _fold(self, events: list[ContractEvent], index: int,
-              flushes: list[list[int]]) -> dict[str, _Slot]:
-        """The durability contract in effect at crash point ``index``;
-        ``flushes`` holds each member's flush positions."""
-        fua_mode = not self.record_config.ordered_metadata
-
-        def certain(pos: int) -> bool:
-            # A namespace op's metadata is durable once FUA-written (at
-            # completion, so before the event was recorded) or once every
-            # member has drained its barrier entries in a later flush.
-            return fua_mode or all(any(pos <= f < index for f in member)
-                                   for member in flushes)
-
-        slots: dict[str, _Slot] = {}
-        for ev in events:
-            if ev.pos > index:
-                break
-            if ev.kind == "promise":
-                slots[ev.path] = _Slot(ev.content, ev.path)
-            elif ev.kind == "dirty":
-                slot = slots.get(ev.path)
-                if slot is not None:
-                    slot.versions.append(ev.content)
-            elif ev.kind == "forget":
-                slots.pop(ev.path, None)
-            elif ev.kind == "unlink_begin":
-                slot = slots.get(ev.path)
-                if slot is not None:
-                    slot.may_be_absent = True
-            elif ev.kind == "unlink":
-                if certain(ev.pos):
-                    slots.pop(ev.path, None)
-                # else: may_be_absent since unlink_begin covers it
-            elif ev.kind == "rename_begin":
-                slot = slots.get(ev.path)
-                if slot is not None and ev.new_path not in slot.alts:
-                    slot.alts.append(ev.new_path)
-            elif ev.kind == "rename":
-                slot = slots.pop(ev.path, None)
-                if slot is not None:
-                    if certain(ev.pos):
-                        slot.alts = [ev.new_path]
-                    elif ev.new_path not in slot.alts:
-                        slot.alts.append(ev.new_path)
-                    slots[ev.new_path] = slot
-        return slots
-
     # -- verification ------------------------------------------------------
-    def _verify_state(self, images: list[DiskStore], slots: dict[str, _Slot],
+    def _certain(self, at: int) -> "Callable[[int], bool] | None":
+        """When a namespace op that ended at a position is durable by crash
+        point ``at``: at once when its metadata is FUA-written (None: at
+        completion, so before the event was recorded), else once every
+        member has drained its barrier entries in a later flush."""
+        if not self.record_config.ordered_metadata:
+            return None
+        return partial(settled, self._flushes, at)
+
+    def _verify_state(self, images: list[DiskStore], at: int,
                       leg: "int | None" = None) -> tuple[list, int]:
         """Boot the member ``images`` (a mirror resynced from ``leg``),
-        fsck-repair the logical image, remount it and check the contract.
+        fsck-repair the logical image, remount it and check the ledger
+        folded at crash point ``at``.
 
         Returns (violations as (category, detail) pairs, repair count).
         """
@@ -835,18 +641,18 @@ class CrashpointExplorer(Campaign):
                 "fsck_nonconvergent",
                 f"{len(verify.findings)} finding(s) survive repair; "
                 f"first: {verify.findings[0]}")], len(report.repairs)
-        return (self._check_promises(survivor, slots, "crashpoint_survivor"),
+        return (self._check_promises(survivor, at, "crashpoint_survivor"),
                 len(report.repairs))
 
     def _verify_kill(self, images: list[DiskStore], victim: int,
-                     slots: dict[str, _Slot]) -> tuple[list, int]:
+                     at: int) -> tuple[list, int]:
         """A mirror leg died: every promise must hold degraded, resync
         must make the legs identical, and the result must verify whole."""
         survivor = System(self.verify_config,
                           store=[img.clone() for img in images])
         volume = survivor.volume
         volume.members[victim].failed = True
-        problems = self._check_promises(survivor, slots, "crashpoint_degraded")
+        problems = self._check_promises(survivor, at, "crashpoint_degraded")
         survivor.sync()
         survivor.run(volume.resync(victim), name="crashpoints-resync")
         stores = [member.store for member in volume.members]
@@ -854,21 +660,19 @@ class CrashpointExplorer(Campaign):
             problems.append(("resync_mismatch",
                              f"leg {victim} differs from the survivor "
                              f"after resync"))
-        more, repairs = self._verify_state(stores, slots)
+        more, repairs = self._verify_state(stores, at)
         return problems + more, repairs
 
-    def _check_promises(self, survivor: System, slots: dict[str, _Slot],
+    def _check_promises(self, survivor: System, at: int,
                         checkpoint: str) -> list[tuple[str, str]]:
-        """Mount ``survivor``, read back every slot, then run the deep
-        sanitizer sweep on the quiesced machine."""
+        """Mount ``survivor``, :func:`check` the ledger on it, then run the
+        deep sanitizer sweep on the quiesced machine."""
         problems: list[tuple[str, str]] = []
         try:
             survivor.run(survivor.mount_fs())
             force_sanitizer(self.sanitize, survivor)
             proc = Proc(survivor, name="crashpoints-verify")
-            for path in sorted(slots):
-                problems.extend(self._check_slot(survivor, proc, path,
-                                                 slots[path]))
+            problems.extend(check(proc, self.ledger, at, self._certain(at)))
             survivor.sanitizer.checkpoint(checkpoint, idle=True, deep=True)
         except SanitizerError as exc:
             problems.append(("sanitizer", str(exc).split("\n")[0]))
@@ -877,75 +681,29 @@ class CrashpointExplorer(Campaign):
                              f"{type(exc).__name__}: {exc}"))
         return problems
 
-    def _check_slot(self, survivor: System, proc: Proc, path: str,
-                    slot: _Slot) -> list[tuple[str, str]]:
-        from repro.errors import FileNotFoundError_
-
-        found = None
-        size = 0
-        for cand in slot.alts:
-            try:
-                size = survivor.run(proc.stat_size(cand),
-                                    name="crashpoints-stat")
-            except FileNotFoundError_:
-                continue
-            found = cand
-            break
-        if found is None:
-            if slot.may_be_absent:
-                return []
-            return [("durable_file_missing",
-                     f"{path}: no candidate of {slot.alts} survives")]
-        data = survivor.run(_read(proc, found, size), name="crashpoints-read")
-        n = len(slot.promised)
-        if size < n:
-            return [("durable_data_lost",
-                     f"{found}: size {size} < promised {n} bytes")]
-        problems = []
-        for off in range(0, max(n, size), 512):
-            got = data[off:off + 512]
-            allowed = []
-            if off < n:
-                allowed.append(slot.promised[off:off + 512][:len(got)])
-            for v in slot.versions:
-                if off < len(v):
-                    allowed.append(v[off:off + 512][:len(got)])
-            if got not in allowed:
-                what = ("promised" if off < n else "unsynced")
-                problems.append((
-                    "durable_data_lost",
-                    f"{found}: sector at byte {off} matches no {what} "
-                    f"version ({len(allowed)} allowed)"))
-                break  # one bad sector proves the loss; keep output short
-        return problems
-
     # -- the sweep ---------------------------------------------------------
     def run(self) -> CrashpointReport:
-        system, rec, base = self._record()
+        system, journal, base = self._record()
         self.recorded = system
-        journal = rec.journal
         members = range(len(base))
-        flushes = [[i for i, ev in enumerate(journal)
-                    if ev.kind == "flush" and ev.member == m]
-                   for m in members]
+        self._flushes = [[i for i, ev in enumerate(journal)
+                          if ev.kind == "flush" and ev.member == m]
+                         for m in members]
         report = self.stats
         report.journal_events = len(journal)
-        report.contract_events = len(rec.events)
-        report.durability_points = len(rec.durability_points)
+        report.contract_events = len(self.ledger.events)
+        report.durability_points = self.ledger.promises
 
         mirror = system.volume.kind == "mirror"
         final = [member.store for member in system.volume.members]
         durable = [store.clone() for store in base]
-        pending: list[list[_Pending]] = [[] for _ in members]
+        pending: list[list[JournalEvent]] = [[] for _ in members]
         seen: dict[str, str] = {}      # state key -> verdict
-        # A dead leg's mirror ran to the end: every promise counts.
-        promised = self._fold(rec.events, len(journal), flushes)
 
         def explore_point(index: int) -> bool:
             """Enumerate crash states at journal index ``index``; returns
             False once the raw-state budget is exhausted."""
             report.crash_points += 1
-            slots = None
             # Each member's next event, if its drive had begun it: the
             # media write that may be mid-transfer when the power dies here.
             inflight: dict[int, Any] = {}
@@ -968,13 +726,13 @@ class CrashpointExplorer(Campaign):
                     continue
                 report.distinct_states += 1
                 if state.victim is not None:
+                    # A dead leg's mirror ran to the end: every promise
+                    # counts.
                     problems, repairs = self._verify_kill(
-                        state.images, state.victim, promised)
+                        state.images, state.victim, len(journal))
                 else:
-                    if slots is None:
-                        slots = self._fold(rec.events, index, flushes)
                     problems, repairs = self._verify_state(
-                        state.images, slots, state.leg)
+                        state.images, index, state.leg)
                 report.fsck_repairs += repairs
                 verdict = ("ok" if not problems else
                            "+".join(sorted({c for c, _ in problems})))
@@ -1009,16 +767,16 @@ class CrashpointExplorer(Campaign):
                 if e.seq in kept:
                     continue
                 dropped.append((f"m{e.member} " if tag else "")
-                               + e.describe())
+                               + _describe(e))
                 tree = render_request(e.request)
                 if len(spans) < 3 and tree is not None and tree not in spans:
                     spans.append(tree)
             if c.torn is not None:
-                torn.append(f"{c.torn[0].describe()} torn at {c.torn[1]} "
+                torn.append(f"{_describe(c.torn[0])} torn at {c.torn[1]} "
                             f"sectors")
         # A record is a violation: fsck_nonconvergent, remount_failed,
-        # durable_file_missing, durable_data_lost, resync_mismatch or
-        # sanitizer.
+        # one of check's kinds (missing, short, wrong_bytes, not_removed),
+        # resync_mismatch or sanitizer.
         for category, detail in problems:
             self.records.append({
                 "state": state.key(width=16), "category": category,

@@ -24,17 +24,18 @@ same fault history and the same verdict, every time.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.errors import FileNotFoundError_, ReproError, RpcTimeoutError
+from repro.errors import RpcTimeoutError
 from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.ledger import Ledger, check
 from repro.faults.netplan import NetFaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.nfs.world import build_world
 from repro.units import KB
-from repro.vfs.vnode import RW
 
 
 @dataclass
@@ -90,28 +91,20 @@ class NetCampaign(Campaign):
     def _payload(self, i: int) -> bytes:
         return bytes((i * 41 + j * 13) % 251 for j in range(self.file_bytes))
 
-    def _workload(self, proc: Proc, state: dict) -> Generator[Any, Any, None]:
-        """Create/write/fsync/remove churn over the wire.
-
-        ``state['durable']`` holds path -> content for every file whose
-        fsync *returned*: the COMMIT barrier means those bytes are on the
-        server's disk whatever the wire does next.
-        """
+    def _workload(self, proc: Proc) -> Generator[Any, Any, None]:
+        """Create/write/fsync/remove churn over the wire.  Every fsync that
+        *returned* is a promise in ``proc``'s ledger: the COMMIT barrier
+        means those bytes are on the server's disk whatever the wire does
+        next."""
         for i in range(self.nfiles):
-            path = f"/r{i}"
-            payload = self._payload(i)
-            fd = yield from proc.creat(path)
-            yield from proc.write(fd, payload)
+            fd = yield from proc.creat(f"/r{i}")
+            yield from proc.write(fd, self._payload(i))
             yield from proc.fsync(fd)
-            state["durable"][path] = payload
             yield from proc.close(fd)
             if i % 3 == 2:
                 # Remove an earlier (already durable) file: REMOVE is the
                 # non-idempotent op the duplicate-request cache exists for.
-                victim = f"/r{i - 1}"
-                yield from proc.unlink(victim)
-                state["durable"].pop(victim, None)
-                state["removed"].append(victim)
+                yield from proc.unlink(f"/r{i - 1}")
 
     # -- one seeded run ------------------------------------------------------
     def _plan_for(self, seed: int) -> NetFaultPlan:
@@ -137,23 +130,28 @@ class NetCampaign(Campaign):
         client, server_sys, mount = build_world(
             server_config=self.config, fault_plan=plan, timeo=0.3)
         force_sanitizer(self.sanitize, client, server_sys)
-        # The client machine has no UFS mount; its write throttles live on
-        # the NFS vnodes.  Teach its sanitizer where to find them.
-        client.sanitizer.throttle_sources.append(
-            lambda: ((f"nfs handle {h}", vn.throttle)
-                     for h, vn in mount._vnodes.items()))
-        state: dict = {"durable": {}, "removed": []}
-        proc = Proc(client, mount=mount)
+        ledger = Ledger()
+        proc = Proc(client, mount=mount, ledger=ledger)
         start = client.now
-        client.run(self._workload(proc, state), name="netcampaign-workload")
+        client.run(self._workload(proc), name="netcampaign-workload")
+        slots = ledger.slots().values()
         result = {
-            "state": state, "mount": mount, "server": mount.server,
+            "mount": mount, "server": mount.server,
             "plan": plan, "window": (start, client.now),
+            "acked": [s.promised for s in slots if s.promised is not None],
+            "removes": sum(s.promised is None for s in slots),
             "lost": 0, "corrupt_serves": 0, "remove_violations": 0,
         }
         if plan is not None:
             plan.disabled = True  # faults clear; now the promises come due
-            self._verify(client, mount, state, result)
+            # Purge the client cache so every read really crosses the wire
+            # (and would expose any corrupt bytes that snuck into it).
+            for vn in mount.vnodes():
+                client.pagecache.vnode_invalidate(vn)
+            kinds = Counter(kind for kind, _ in check(proc, ledger))
+            result["lost"] = kinds["missing"] + kinds["short"]
+            result["corrupt_serves"] = kinds["wrong_bytes"]
+            result["remove_violations"] = kinds["not_removed"]
         result["fingerprint"] = self._fingerprint(result)
         # End-of-run quiesce: both machines idle, the wire clean.  The
         # server syncs first so the deep pass can hold fsck to its word.
@@ -162,30 +160,6 @@ class NetCampaign(Campaign):
         server_sys.sanitizer.checkpoint("netcampaign_run", idle=True,
                                         deep=True)
         return result
-
-    def _verify(self, client, mount, state: dict, result: dict) -> None:
-        """Read every acknowledged byte back over the (now clean) wire."""
-        for path in sorted(state["durable"]):
-            expect = state["durable"][path]
-            try:
-                vn = client.run(mount.namei(path), name="netcampaign-verify")
-                # Purge the client cache so the read really crosses the wire
-                # (and would expose any corrupt bytes that snuck into it).
-                client.pagecache.vnode_invalidate(vn)
-                got = client.run(vn.rdwr(RW.READ, 0, len(expect)),
-                                 name="netcampaign-verify")
-            except ReproError:
-                got = None
-            if got is None or len(got) != len(expect):
-                result["lost"] += 1
-            elif got != expect:
-                result["corrupt_serves"] += 1
-        for path in state["removed"]:
-            try:
-                client.run(mount.namei(path), name="netcampaign-verify")
-                result["remove_violations"] += 1  # should have been ENOENT
-            except FileNotFoundError_:
-                pass
 
     @staticmethod
     def _fingerprint(result: dict) -> "tuple[Any, ...]":
@@ -253,10 +227,9 @@ class NetCampaign(Campaign):
             s.partition_drops += int(plan.stats["partition_drops"])
             s.drc_hits += int(srv["drc_hits"])
             s.corrupt_requests_rejected += int(srv["corrupt_requests_rejected"])
-            state = result["state"]
-            s.acked_files += len(state["durable"])
-            s.acked_bytes += sum(len(v) for v in state["durable"].values())
-            s.removes += len(state["removed"])
+            s.acked_files += len(result["acked"])
+            s.acked_bytes += sum(map(len, result["acked"]))
+            s.removes += result["removes"]
             s.lost_acked_writes += result["lost"]
             s.corrupt_cache_serves += result["corrupt_serves"]
             s.remove_violations += result["remove_violations"]
@@ -271,8 +244,8 @@ class NetCampaign(Campaign):
                 "retransmits": int(mstats["retransmits"]),
                 "rpc_timeouts": int(mstats["rpc_timeouts"]),
                 "drc_hits": int(srv["drc_hits"]),
-                "acked_files": len(state["durable"]),
-                "removes": len(state["removed"]),
+                "acked_files": len(result["acked"]),
+                "removes": result["removes"],
                 "lost_acked_writes": result["lost"],
                 "corrupt_cache_serves": result["corrupt_serves"],
                 "remove_violations": result["remove_violations"],

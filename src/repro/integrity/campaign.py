@@ -25,6 +25,7 @@ from typing import Any, Generator
 
 from repro.errors import ReproError
 from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.ledger import Ledger, check
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
 from repro.kernel.config import SystemConfig
@@ -112,7 +113,9 @@ class ScrubCampaign(Campaign):
         force_sanitizer(self.sanitize, builder)
         builder.mkfs()
         builder.run(builder.mount_fs())
-        builder.run(self._build(Proc(builder)), name="scrub-build")
+        ledger = Ledger()
+        builder.run(self._build(Proc(builder, ledger=ledger)),
+                    name="scrub-build")
         builder.sync()
         store = builder.store
 
@@ -135,15 +138,14 @@ class ScrubCampaign(Campaign):
             assert data == self._payload(i), "pre-injection read mismatch"
             fds[i] = fd
 
-        # Learn the latent files' block addresses up front: once injection
+        # Learn every file's block addresses up front: once injection
         # starts, any engine run would checkpoint the sanitizer against a
         # deliberately-corrupted disk.
-        latent_direct: "dict[int, list[int]]" = {}
-        for i in range(half, self.nfiles):
-            fd, _ = survivor.run(
-                self._open_read(proc, self._path(i), 0), name="scrub-stat")
-            latent_direct[i] = list(proc._files[fd].vnode.inode.direct)
-            survivor.run(proc.close(fd), name="scrub-stat")
+        direct: "dict[int, list[int]]" = {}
+        for i in range(self.nfiles):
+            vn = survivor.run(survivor.mount.namei(self._path(i)),
+                              name="scrub-stat")
+            direct[i] = list(vn.inode.direct)
 
         # Phase 3: seeded injection, offline (between engine runs), like
         # rot developing while the machine runs.
@@ -162,8 +164,7 @@ class ScrubCampaign(Campaign):
                     return blk, off, frag
 
         for i in range(half):
-            ip = proc._files[fds[i]].vnode.inode
-            lbn, off, frag = _pick(ip.direct, None)
+            lbn, off, frag = _pick(direct[i], None)
             kind = _CACHED_KINDS[i % len(_CACHED_KINDS)]
             corrupt_frag(store, region, frag, kind, rng)
             injected.append({"target": self._path(i), "file": i, "lbn": lbn,
@@ -178,7 +179,7 @@ class ScrubCampaign(Campaign):
                              "expect": "replica"})
         for j, i in enumerate(range(half, self.nfiles)):
             lbn = 0 if j % 2 == 0 else 1  # even: EIO at once; odd: partial
-            lbn, off, frag = _pick(latent_direct[i], lbn)
+            lbn, off, frag = _pick(direct[i], lbn)
             kind = CORRUPT_KINDS[j % len(CORRUPT_KINDS)]
             corrupt_frag(store, region, frag, kind, rng)
             injected.append({"target": self._path(i), "file": i, "lbn": lbn,
@@ -223,14 +224,12 @@ class ScrubCampaign(Campaign):
             expect = payload[lo:lo + region.fsize]
             if store.read(inj["frag"] * fs, fs) != expect:
                 s.verify_failures += 1
-        # ... and the cached files read back whole, through the stack.
-        for i in range(half):
-            survivor.run(proc.lseek(fds[i], 0), name="scrub-verify")
-            got = survivor.run(proc.read(fds[i], self.file_bytes),
-                               name="scrub-verify")
-            if got != self._payload(i):
-                s.verify_failures += 1
-            survivor.run(proc.close(fds[i]), name="scrub-verify")
+        # ... and the cached files keep the build's promises, read back
+        # through the stack.
+        s.verify_failures += len(check(
+            proc, ledger, paths={self._path(i) for i in range(half)}))
+        for fd in fds.values():
+            survivor.run(proc.close(fd), name="scrub-verify")
 
         # Phase 5b: unrepairable files fail with EIO, keeping every byte
         # before the bad fragment and surfacing nothing at/after it.

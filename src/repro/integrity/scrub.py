@@ -292,7 +292,7 @@ class Scrubber:
         mount = self.system.mount
         if mount is None or rec.owner_ino == 0:
             return None
-        vn = mount._vnodes.get(rec.owner_ino)
+        vn = mount.cached_vnode(rec.owner_ino)
         if vn is None:
             return None
         lbn = rec.owner_lbn

@@ -18,6 +18,7 @@ from repro.sim.events import EventFailed
 from repro.vfs.vnode import RW
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.ledger import Ledger
     from repro.kernel.system import System
     from repro.vfs.vnode import Vnode
 
@@ -53,10 +54,11 @@ def _syscall(method):
 
 
 class _OpenFile:
-    __slots__ = ("vnode", "offset", "sync")
+    __slots__ = ("vnode", "path", "offset", "sync")
 
-    def __init__(self, vnode: "Vnode", sync: bool = False):
+    def __init__(self, vnode: "Vnode", path: str, sync: bool = False):
         self.vnode = vnode
+        self.path = path
         self.offset = 0
         #: O_SYNC: every write is acknowledged only once durable.
         self.sync = sync
@@ -69,14 +71,20 @@ class Proc:
     architecture's point being that any Vfs with the namespace surface
     works: an :class:`~repro.nfs.client.NfsMount` on a diskless client
     (errnos include a soft mount's ETIMEDOUT), or an S5FileSystem.
+
+    ``ledger`` (a :class:`~repro.faults.ledger.Ledger`) records what the
+    process was promised where each syscall returns: writes, fsync and
+    O_SYNC returns, unlinks and renames.
     """
 
-    def __init__(self, system: "System", name: str = "proc", mount=None):
+    def __init__(self, system: "System", name: str = "proc", mount=None,
+                 ledger: "Ledger | None" = None):
         from repro.vm.addrspace import AddressSpace
 
         self.system = system
         self.name = name
         self._mount_override = mount
+        self.ledger = ledger
         self._files: dict[int, _OpenFile] = {}
         self._next_fd = 3  # 0-2 reserved, as tradition demands
         #: errno-style code ("EIO", "ENOSPC", ...) of the last failed
@@ -129,9 +137,11 @@ class Proc:
             if not create:
                 raise
             vnode = yield from mount.create(path)
+            if self.ledger is not None:
+                self.ledger.created(path)
         fd = self._next_fd
         self._next_fd += 1
-        self._files[fd] = _OpenFile(vnode, sync=sync)
+        self._files[fd] = _OpenFile(vnode, path, sync=sync)
         return fd
 
     def creat(self, path: str) -> Generator[Any, Any, int]:
@@ -165,6 +175,11 @@ class Proc:
         """Write at the fd's offset; returns bytes written."""
         yield from self._charge_syscall()
         f = self._file(fd)
+        ledger = self.ledger
+        if ledger is not None:
+            # Before the write issues: from here on any sector of the new
+            # version may legally reach the platter.
+            ledger.wrote(f.path, f.offset, data)
         req = self._request("write", fd=fd, offset=f.offset, count=len(data))
         try:
             n = yield from f.vnode.rdwr(RW.WRITE, f.offset, data, req=req)
@@ -175,8 +190,8 @@ class Proc:
             req.complete(error=exc)
             raise
         req.complete()
-        if f.sync:
-            self._durability_point("osync_write", f.vnode)
+        if f.sync and ledger is not None:
+            ledger.synced(f.path)
         assert isinstance(n, int)
         f.offset += n
         return n
@@ -207,12 +222,6 @@ class Proc:
         return new
         yield  # pragma: no cover - lseek does no I/O but stays a generator
 
-    def _durability_point(self, kind: str, vnode: "Vnode") -> None:
-        """An acknowledged durability point: notify listeners (the
-        crash-point recorder snapshots declared-durable state here)."""
-        for cb in self.system.on_durability:
-            cb(kind, vnode)
-
     @_syscall
     def fsync(self, fd: int) -> Generator[Any, Any, None]:
         yield from self._charge_syscall()
@@ -224,7 +233,8 @@ class Proc:
             req.complete(error=exc)
             raise
         req.complete()
-        self._durability_point("fsync", f.vnode)
+        if self.ledger is not None:
+            self.ledger.synced(f.path)
         # fsync is a quiesce point for *this file*, not the machine: other
         # processes may be mid-I/O, so only the always-true checks run.
         self.system.sanitizer.checkpoint("fsync", idle=False)
@@ -304,12 +314,22 @@ class Proc:
     @_syscall
     def unlink(self, path: str) -> Generator[Any, Any, None]:
         yield from self._charge_syscall()
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.unlinking(path)
         yield from self._mount.unlink(path)
+        if ledger is not None:
+            ledger.unlinked(path)
 
     @_syscall
     def rename(self, old_path: str, new_path: str) -> Generator[Any, Any, None]:
         yield from self._charge_syscall()
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.renaming(old_path, new_path)
         yield from self._mount.rename(old_path, new_path)
+        if ledger is not None:
+            ledger.renamed(old_path, new_path)
 
     @_syscall
     def mkdir(self, path: str) -> Generator[Any, Any, None]:

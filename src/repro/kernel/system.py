@@ -78,10 +78,6 @@ class System:
         self.daemons: list = []
         for member in self.volume.members:
             member.store.attach_epoch += 1
-        #: Durability-point listeners: called as ``cb(kind, vnode)`` after
-        #: every acknowledged durability point (fsync, O_SYNC write) — the
-        #: crash-point recorder snapshots declared-durable state here.
-        self.on_durability: list = []
         #: The cross-layer invariant sanitizer ("simsan"); enabled via the
         #: REPRO_SANITIZE environment variable or per-run --sanitize flags.
         self.sanitizer = Sanitizer(self)

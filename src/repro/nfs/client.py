@@ -38,7 +38,7 @@ the deferred-error semantics the disk path has in ``ufs/io.py``.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 from repro.core import ReadAheadState, WriteThrottle
 from repro.errors import (
@@ -138,6 +138,10 @@ class NfsMount(Vfs):
         if self._root is None:
             raise RuntimeError("call mount.activate() (a process) first")
         return self._root
+
+    def vnodes(self) -> Iterator["NfsVnode"]:
+        """Every vnode this mount has looked up (the root included)."""
+        return iter(self._vnodes.values())
 
     def activate(self) -> Generator[Any, Any, "NfsMount"]:
         handle, size = yield from self.rpc("LOOKUP", path="/")

@@ -49,5 +49,10 @@ def build_world(server_config: SystemConfig | None = None,
     mount = NfsMount(server_system.engine, client_system.cpu,
                      client_system.pagecache, network, server,
                      soft=soft, timeo=timeo, retrans=retrans)
+    # The client has no UFS mount: its write throttles live on the NFS
+    # vnodes, so its sanitizer learns them here, once for every client.
+    client_system.sanitizer.throttle_sources.append(
+        lambda: ((f"nfs handle {vn.handle}", vn.throttle)
+                 for vn in mount.vnodes()))
     client_system.run(mount.activate(), name="nfs-mount")
     return client_system, server_system, mount

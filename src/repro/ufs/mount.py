@@ -144,6 +144,10 @@ class UfsMount(Vfs):
         return self
 
     # -- inode management ----------------------------------------------------------
+    def cached_vnode(self, ino: int) -> "UfsVnode | None":
+        """The vnode of inode ``ino`` if it is in core (no I/O)."""
+        return self._vnodes.get(ino)
+
     def iget(self, ino: int) -> Generator[Any, Any, UfsVnode]:
         """Get (reading if necessary) the vnode for inode ``ino``."""
         vn = self._vnodes.get(ino)

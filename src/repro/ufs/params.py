@@ -64,10 +64,6 @@ class FsParams:
         """Convert a fragment address to a disk sector (fsbtodb)."""
         return frag_addr * (self.fsize // 512)
 
-    def sector_to_fsb(self, sector: int) -> int:
-        """Convert a disk sector to a fragment address (dbtofsb)."""
-        return sector // (self.fsize // 512)
-
     @classmethod
     def clustered(cls, cluster_bytes: int = 56 * KB, **kwargs: object) -> "FsParams":
         """The paper's tuning: rotdelay 0, maxcontig = cluster size.

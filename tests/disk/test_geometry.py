@@ -38,11 +38,6 @@ def test_sector_out_of_range(geom):
         geom.to_chs(-1)
 
 
-def test_track_first_sector(geom):
-    assert geom.track_first_sector(13) == 8
-    assert geom.track_first_sector(8) == 8
-
-
 def test_rotation_and_media_rate():
     geom = DiskGeometry.ibm_400mb()
     assert geom.rotation_time == pytest.approx(1 / 60)

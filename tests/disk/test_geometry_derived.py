@@ -32,7 +32,8 @@ def ref_total_sectors(g):
 
 
 def ref_sectors_per_track_at(g, cyl):
-    return g.zone_of_cyl(cyl).sectors_per_track
+    return next(zone.sectors_per_track for zone in g.zones
+                if zone.first_cyl <= cyl <= zone.last_cyl)
 
 
 def ref_to_chs(g, sector):

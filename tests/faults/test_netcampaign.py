@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import NetCampaign, NetFaultPlan
+from repro.nfs.server import NfsServer
 
 
 def test_small_sweep_holds_every_invariant(invariant_cells):
@@ -39,3 +40,24 @@ def test_validation():
         NetCampaign(seeds=0)
     with pytest.raises(ValueError):
         NetCampaign(nfiles=1)
+
+
+def test_a_file_that_grew_past_its_promise_is_a_corrupt_serve(
+        monkeypatch, invariant_cells):
+    """A server WRITE at a file's tail that also lands its data again
+    just past it leaves the file longer than its fsynced content, the
+    promised prefix intact.  The bytes past the promised end match no
+    version the client wrote: the check reads them, not only the prefix."""
+    real = NfsServer._op_write
+
+    def write_tail_twice(self, handle, offset, data):
+        n = yield from real(self, handle, offset, data)
+        vn = yield from self.mount.iget(handle)
+        if offset + len(data) >= vn.size:
+            yield from real(self, handle, offset + len(data), data)
+        return n
+
+    monkeypatch.setattr(NfsServer, "_op_write", write_tail_twice)
+    campaign = NetCampaign(seeds=1)
+    campaign.run()
+    assert invariant_cells(campaign)["corrupt cache serves"] > 0

@@ -173,9 +173,6 @@ def test_nfs_write_behind_error_returns_throttle_slot():
     client, server_sys, mount = build_world(fault_plan=plan, soft=True,
                                             timeo=0.1, retrans=2)
     client.sanitizer.enabled = True
-    client.sanitizer.throttle_sources.append(
-        lambda: ((f"nfs handle {h}", vn.throttle)
-                 for h, vn in mount._vnodes.items()))
     proc = Proc(client, mount=mount)
 
     def work():
@@ -190,6 +187,24 @@ def test_nfs_write_behind_error_returns_throttle_slot():
     client.engine.run()
     assert (mount.stats["write_behind_errors"] > 0
             or mount.stats["rpc_timeouts"] > 0)  # the error path really ran
-    for _handle, vn in mount._vnodes.items():
+    for vn in mount.vnodes():
         assert vn.throttle.in_flight == 0
     client.sanitizer.checkpoint("after_nfs_error", idle=True)
+
+
+def test_a_build_world_client_checks_its_nfs_throttles():
+    """``build_world`` registers the client's NFS vnodes with its
+    sanitizer, so every client of it (the ``crashpoints --preset nfs``
+    recording and the soft-mount probe too) holds its write throttles: a
+    slot taken and never credited fails the next idle checkpoint."""
+    from repro.nfs.world import build_world
+    from repro.sim.invariants import SanitizerError
+
+    client, _server, mount = build_world()
+    client.sanitizer.enabled = True
+    proc = Proc(client, mount=mount)
+    client.run(proc.creat("/f"), name="nfs-create")
+    vn = client.run(mount.namei("/f"), name="nfs-lookup")
+    vn.throttle.take(4 * KB)
+    with pytest.raises(SanitizerError, match="throttle_conservation"):
+        client.sanitizer.checkpoint("test", idle=True)

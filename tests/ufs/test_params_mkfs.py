@@ -43,7 +43,6 @@ def test_clustered_params():
 def test_fsb_sector_conversion():
     params = FsParams()
     assert params.fsb_to_sector(10) == 20
-    assert params.sector_to_fsb(21) == 10
 
 
 @pytest.fixture
