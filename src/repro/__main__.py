@@ -161,6 +161,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                         "committed file")
     for line in problems:
         print(f"FAILED: {line}")
+    print(report.fidelity_line(document))
     if not problems:
         print("OK: every cell inside its band")
     return 1 if problems else 0

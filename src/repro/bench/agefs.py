@@ -6,9 +6,11 @@ up the last 15% of a heavily fragmented /home partition.  In the best case,
 the average extent size was 1.5MB in a 13MB file.  In the worst case, the
 average extent size was 62KB in a 16MB file."
 
-``age_filesystem`` runs create/delete churn until a target utilisation;
-``measure_extents`` walks a file's bmap and reports its extents (a span of
-contiguous blocks followed by a gap — the paper's footnote 7 definition).
+``age_filesystem`` runs create/delete churn until a target utilisation
+(read from ``statfs``); ``measure_extents`` walks a file's ``bmap`` runs and
+reports its extents (a span of contiguous blocks followed by a gap — the
+paper's footnote 7 definition).  Both work on any mounted file system with
+a block map.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Any, Generator
 from repro.errors import NoSpaceError
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
-from repro.ufs import bmap
 from repro.units import KB
 
 
@@ -48,35 +49,34 @@ class ExtentReport:
 
 
 def measure_extents(system: System, path: str) -> ExtentReport:
-    """Walk the file's block pointers and collect contiguous extents."""
-    mount = system.mount
-    vn = system.run(mount.namei(path), name="measure")
-    ip = vn.inode
-    sb = mount.sb
-    nblocks = (ip.size + sb.bsize - 1) // sb.bsize
+    """Collect the file's contiguous extents from its vnode's ``bmap`` runs:
+    a run that starts where the previous one ended on the device extends
+    its extent.  Holes are in no extent; an extent's bytes are the file's,
+    so the extents of a file with no holes sum to its size."""
+    st = system.mount.statfs()
+    vn = system.run(system.mount.namei(path), name="measure")
+    size = vn.size
 
     def walk() -> Generator[Any, Any, list[int]]:
         extents: list[int] = []
-        run_frags = 0
-        prev = None
-        for lbn in range(nblocks):
-            addr = yield from bmap.get_pointer(mount, ip, lbn)
-            if addr == bmap.HOLE:
+        end = None  # device byte where the current extent stops
+        lbn = 0
+        while lbn * st.f_bsize < size:
+            addr, blocks = yield from vn.bmap(lbn)
+            nbytes = min(blocks * st.f_bsize, size - lbn * st.f_bsize)
+            lbn += blocks
+            if addr == 0:  # a hole: in no extent
                 continue
-            nfrags = ip.blksize(lbn) // sb.fsize
-            if prev is not None and addr == prev[0] + prev[1]:
-                run_frags += nfrags
+            start = addr * st.f_frsize
+            if start == end:
+                extents[-1] += nbytes
             else:
-                if run_frags:
-                    extents.append(run_frags * sb.fsize)
-                run_frags = nfrags
-            prev = (addr, nfrags)
-        if run_frags:
-            extents.append(run_frags * sb.fsize)
+                extents.append(nbytes)
+            end = start + nbytes
         return extents
 
     extents = system.run(walk(), name="measure-extents")
-    return ExtentReport(file_size=ip.size, extents=extents)
+    return ExtentReport(file_size=size, extents=extents)
 
 
 def age_filesystem(system: System, target_utilization: float = 0.75,
@@ -90,57 +90,48 @@ def age_filesystem(system: System, target_utilization: float = 0.75,
     if not 0 < target_utilization < 1:
         raise ValueError("target_utilization must be in (0, 1)")
     mount = system.mount
-    sb = mount.sb
     rng = random.Random(seed)
     proc = Proc(system, name="aging")
-    total_frags = sb.total_frags
-    usable = total_frags * (100 - sb.minfree) // 100
 
     def used_fraction() -> float:
-        free = sb.cs_nbfree * sb.frag + sb.cs_nffree
-        reserve = total_frags - usable
-        return 1.0 - max(0, free - reserve) / usable
+        """Of the space a writer may use (used + available), how much is
+        used: 1 - available / (used + available), as ``df`` has it."""
+        st = mount.statfs()
+        return 1.0 - st.f_bavail / (st.f_blocks - st.f_bfree + st.f_bavail)
 
-    live: list[tuple[str, int]] = []
-    counter = 0
-    created = 0
+    def make(path: str, size: int):
+        fd = yield from proc.creat(path)
+        yield from proc.write(fd, bytes(size))
+        yield from proc.fsync(fd)
+        yield from proc.close(fd)
+
+    def unlink_one() -> None:
+        system.run(proc.unlink(live.pop(rng.randrange(len(live)))),
+                   name="aging")
+
+    live: list[str] = []
+    counter = created = 0
     target_creates = None
-
-    def churn():
-        nonlocal counter, created, target_creates
-        system.run(proc.mkdir("/aged"), name="aging")
-        while True:
-            if used_fraction() >= target_utilization:
-                if target_creates is None:
-                    # Keep churning (delete+create) to scramble free space.
-                    target_creates = created * churn_factor
-                if created >= target_creates:
-                    return
-            over_target = used_fraction() >= target_utilization
-            delete = live and (over_target or rng.random() < 0.35)
-            if delete:
-                path, _ = live.pop(rng.randrange(len(live)))
-                system.run(proc.unlink(path), name="aging")
-                continue
-            size = max(1, int(rng.expovariate(1.0 / mean_file_kb))) * KB
-            path = f"/aged/f{counter}"
-            counter += 1
-
-            def make(path=path, size=size):
-                fd = yield from proc.creat(path)
-                yield from proc.write(fd, bytes(size))
-                yield from proc.fsync(fd)
-                yield from proc.close(fd)
-
-            try:
-                system.run(make(), name="aging")
-                live.append((path, size))
-                created += 1
-            except NoSpaceError:
-                # Too full to create: delete a few and keep going.
-                for _ in range(min(3, len(live))):
-                    path, _ = live.pop(rng.randrange(len(live)))
-                    system.run(proc.unlink(path), name="aging")
-
-    churn()
-    return len(live)
+    system.run(proc.mkdir("/aged"), name="aging")
+    while True:
+        if used_fraction() >= target_utilization:
+            if target_creates is None:
+                # Keep churning (delete+create) to scramble free space.
+                target_creates = created * churn_factor
+            if created >= target_creates:
+                return len(live)
+        over_target = used_fraction() >= target_utilization
+        if live and (over_target or rng.random() < 0.35):
+            unlink_one()
+            continue
+        size = max(1, int(rng.expovariate(1.0 / mean_file_kb))) * KB
+        path = f"/aged/f{counter}"
+        counter += 1
+        try:
+            system.run(make(path, size), name="aging")
+            live.append(path)
+            created += 1
+        except NoSpaceError:
+            # Too full to create: delete a few and keep going.
+            for _ in range(min(3, len(live))):
+                unlink_one()

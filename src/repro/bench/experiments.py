@@ -500,7 +500,7 @@ def _s5fs_read(aged: bool):
     system = System(SystemConfig.config_a().with_(geometry=geometry(700)))
     s5_mkfs(system.store)
     fs = S5FileSystem(system, nbufs=128, clustering=True)
-    proc = Proc(system, mount=fs)
+    proc = Proc(system)
     rng = random.Random(11)
 
     def churn():
@@ -1155,7 +1155,7 @@ def _lossy_transfer(drop_p: float):
     # on a 10 Mbit wire, so a short RTO would retransmit spuriously.
     client, _server, mount = build_world(
         fault_plan=NetFaultPlan(seed=11, drop_p=drop_p) if drop_p else None)
-    proc = Proc(client, mount=mount)
+    proc = Proc(client)
     _, write = write_file(client, proc, "/f", 256 * KB,
                           fill=lambda _i: PATTERN)
     client.pagecache.vnode_invalidate(client.run(mount.namei("/f")))

@@ -7,7 +7,8 @@ one ``repro-bench/v1`` document, ``BENCH_experiments.json``, and
 bytes of those are the gate, and :func:`changed_documents` says what moved
 in one that a run no longer reproduces.  Everything
 else here is a pure function of that document: a verdict per cell
-(:func:`holds`, :func:`failures`), a row as markdown (:func:`render_block`),
+(:func:`holds`, :func:`failures`, :func:`outside_paper`), a row as
+markdown (:func:`render_block`),
 RESULTS.md (:func:`render_results`) and EXPERIMENTS.md's generated blocks
 (:func:`splice`) — so tier-1 checks the docs against the committed JSON
 without simulating anything."""
@@ -78,6 +79,22 @@ def failures(document: dict) -> "list[str]":
             for c in entry["cells"] if not holds(c)]
 
 
+def outside_paper(document: dict) -> "list[tuple[str, str]]":
+    """``(row, cell)`` of each cell whose paper value lies outside its band
+    (bands are centred on ours: a gap to the paper no verdict reports)."""
+    return [(row_id, c["name"])
+            for row_id, entry in document["results"].items()
+            for c in entry["cells"]
+            if c["paper"] is not None and not holds({**c, "value": c["paper"]})]
+
+
+def fidelity_line(document: dict) -> str:
+    with_paper = sum(c["paper"] is not None for entry in
+                     document["results"].values() for c in entry["cells"])
+    return (f"paper values outside their band: "
+            f"{len(outside_paper(document))} of {with_paper}")
+
+
 def render_block(entry: dict, verdicts: bool = False) -> str:
     """A row as a markdown table under its workload; with ``verdicts`` a
     last column says whether each cell holds its band."""
@@ -98,7 +115,7 @@ def render_results(document: dict) -> str:
              "Every measured number of the reproduction, one table per "
              "experiment, rendered by `python -m repro report` from "
              "`BENCH_experiments.json`. EXPERIMENTS.md reads them against "
-             "the paper.\n"]
+             f"the paper.\n\n{fidelity_line(document)}.\n"]
     for row_id in document["run"]["rows"]:
         entry = document["results"][row_id]
         parts.append(f"\n## {row_id} — {entry['paper_section']}\n\n"

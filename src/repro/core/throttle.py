@@ -75,16 +75,6 @@ class WriteThrottle:
             self._waiters.append(ev)
             yield ev
 
-    def charge(self, nbytes: int) -> Generator[Event, Any, None]:
-        """take() then wait_ok(): the paper's decrement-then-maybe-sleep.
-
-        Only correct when the associated write has already been queued or
-        will be queued by another process; otherwise use take() before
-        issuing and wait_ok() after.
-        """
-        self.take(nbytes)
-        yield from self.wait_ok()
-
     def drain(self) -> Generator[Event, Any, None]:
         """Sleep until no bytes are in flight (the semaphore is full again).
 

@@ -85,24 +85,6 @@ class CostTable:
             raise ValueError("cannot copy a negative byte count")
         return nbytes / self.copy_bandwidth
 
-    def scaled(self, factor: float) -> "CostTable":
-        """A cost table with every per-operation cost scaled by ``factor``.
-
-        Copy bandwidth is divided by the factor (a slower CPU copies slower).
-        Used to model faster/slower CPUs in sensitivity benchmarks.
-        """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        values: dict[str, object] = {}
-        for f in fields(self):
-            if f.name == "extra":
-                values[f.name] = dict(self.extra)
-            elif f.name == "copy_bandwidth":
-                values[f.name] = self.copy_bandwidth / factor
-            else:
-                values[f.name] = getattr(self, f.name) * factor
-        return CostTable(**values)  # type: ignore[arg-type]
-
     @classmethod
     def free(cls) -> "CostTable":
         """A zero-cost table (infinite CPU) for disk-only experiments."""

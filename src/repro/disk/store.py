@@ -77,11 +77,6 @@ class SectorImage:
         """Sorted sector numbers currently holding non-zero data."""
         return [sector for sector, _ in self.iter_nonzero()]
 
-    @property
-    def written_sectors(self) -> int:
-        """Number of sectors holding non-zero data (sparse population)."""
-        return sum(1 for _ in self.iter_nonzero())
-
 
 class DiskStore(SectorImage):
     """A sparse array of fixed-size sectors."""

@@ -431,10 +431,9 @@ class CrashpointExplorer(Campaign):
         self.ledger = Ledger(lambda: len(journal))
         if self.preset.workload == "nfs":
             # The server's drive is recorded; a client drives it by RPC.
-            client, system, mount = build_world(
+            client, system, _mount = build_world(
                 server_config=self.record_config)
-            proc = Proc(client, name="crashpoints", mount=mount,
-                        ledger=self.ledger)
+            proc = Proc(client, name="crashpoints", ledger=self.ledger)
         else:
             system = System.booted(self.record_config)
             proc = Proc(system, name="crashpoints", ledger=self.ledger)

@@ -131,7 +131,7 @@ class NetCampaign(Campaign):
             server_config=self.config, fault_plan=plan, timeo=0.3)
         force_sanitizer(self.sanitize, client, server_sys)
         ledger = Ledger()
-        proc = Proc(client, mount=mount, ledger=ledger)
+        proc = Proc(client, ledger=ledger)
         start = client.now
         client.run(self._workload(proc), name="netcampaign-workload")
         slots = ledger.slots().values()
@@ -184,7 +184,7 @@ class NetCampaign(Campaign):
         # The partition starts only after boot + mount activation (which
         # share the engine clock), so the mount itself comes up clean.
         plan.partitions = [(client.now + 0.01, 1e9)]
-        proc = Proc(client, mount=mount)
+        proc = Proc(client)
 
         def attempt():
             yield from proc.creat("/doomed")

@@ -125,8 +125,7 @@ class ScrubCampaign(Campaign):
         force_sanitizer(self.sanitize, survivor)
         region = survivor.disk.integrity
         assert region is not None
-        sb = survivor.mount.sb if survivor.mount is not None else None
-        assert sb is not None and survivor.mount is not None
+        sb = survivor.mount.sb
         fpb = sb.frags_per_block
         fs = region.frag_sectors
         proc = Proc(survivor)

@@ -207,7 +207,8 @@ class IntegrityRegion:
     # -- records -----------------------------------------------------------
     @property
     def pages_loaded(self) -> int:
-        """Number of table pages read from the store since attach."""
+        """Table pages read from the store since attach (a memory budget
+        only ``tests/integrity/test_table_pages.py`` reads)."""
         return len(self._pages)
 
     def _load(self, index: int) -> bytearray:

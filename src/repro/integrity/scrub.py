@@ -36,6 +36,7 @@ from repro.disk.buf import Buf, BufOp
 from repro.errors import DiskError, InvalidArgumentError
 from repro.sim.events import EventFailed
 from repro.sim.stats import StatSet
+from repro.ufs.mount import UfsMount
 from repro.ufs.ondisk import NDADDR
 from repro.units import MS
 
@@ -290,7 +291,7 @@ class Scrubber:
         inode must still map ``owner_lbn`` to this physical block.
         """
         mount = self.system.mount
-        if mount is None or rec.owner_ino == 0:
+        if not isinstance(mount, UfsMount) or rec.owner_ino == 0:
             return None
         vn = mount.cached_vnode(rec.owner_ino)
         if vn is None:

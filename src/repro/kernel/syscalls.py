@@ -67,10 +67,10 @@ class _OpenFile:
 class Proc:
     """A simulated process: an fd table and an address space.
 
-    ``mount`` overrides the file system the process talks to — the vnode
-    architecture's point being that any Vfs with the namespace surface
-    works: an :class:`~repro.nfs.client.NfsMount` on a diskless client
-    (errnos include a soft mount's ETIMEDOUT), or an S5FileSystem.
+    It talks to the machine's ``system.mount``, whichever Vfs that is: a
+    UFS, an S5FileSystem, or an NFS client's mount (errnos include a soft
+    mount's ETIMEDOUT).  ``mount`` overrides it only because ``perfbench``,
+    which must not change, passes it.
 
     ``ledger`` (a :class:`~repro.faults.ledger.Ledger`) records what the
     process was promised where each syscall returns: writes, fsync and
@@ -95,8 +95,7 @@ class Proc:
 
     @property
     def _mount(self):
-        mount = (self._mount_override if self._mount_override is not None
-                 else self.system.mount)
+        mount = self._mount_override or self.system.mount
         if mount is None:
             raise RuntimeError("file system not mounted")
         return mount
@@ -247,7 +246,8 @@ class Proc:
 
     @_syscall
     def munmap(self, segment) -> Generator[Any, Any, None]:
-        """Remove a mapping, flushing mapped writes."""
+        """Remove a mapping, flushing mapped writes (only
+        ``tests/vm/test_addrspace.py`` calls it)."""
         yield from self._charge_syscall()
         yield from self.addrspace.unmap(segment)
 
@@ -348,6 +348,8 @@ class Proc:
 
     @_syscall
     def stat_size(self, path: str) -> Generator[Any, Any, int]:
+        """``path``'s size.  Tests only: the lossy-NFS trace golden of
+        ``tests/sim/test_order_preserved.py`` records its LOOKUP."""
         yield from self._charge_syscall()
         vn = yield from self._mount.namei(path)
         return vn.size

@@ -17,6 +17,7 @@ from repro.ufs.mkfs import mkfs_region
 from repro.ufs.mount import UfsMount
 from repro.ufs.params import FsParams
 from repro.vfs.specfs import RawDiskVnode
+from repro.vfs.vnode import Vfs
 from repro.vm.pagecache import PageCache
 from repro.vm.pageout import PageoutDaemon, PageoutParams
 
@@ -63,7 +64,8 @@ class System:
             PageoutParams.for_memory(self.pagecache.total_pages),
             registry=self.requests,
         )
-        self.mount: UfsMount | None = None
+        #: The one mounted file system: UFS, S5FS or an NFS client mount.
+        self.mount: Vfs | None = None
         self.raw_disk = RawDiskVnode(self.engine, self.driver, self.cpu)
         #: The unified metrics registry: every layer's counters, gauges,
         #: and histograms behind one namespaced snapshot()/to_json() view.
@@ -98,17 +100,17 @@ class System:
         return sb
 
     def mount_fs(self) -> Generator[Any, Any, UfsMount]:
-        """Mount the file system (reads the root inode)."""
-        self.mount = UfsMount(
+        """Mount the UFS (reads the root inode)."""
+        mount = self.mount = UfsMount(
             self.engine, self.cpu, self.driver, self.pagecache,
             tuning=self.config.tuning, tracer=self.tracer,
             metacache_blocks=self.config.metacache_blocks,
             ordered_metadata=self.config.ordered_metadata,
         )
-        yield from self.mount.activate()
+        yield from mount.activate()
         if "ufs" not in self.metrics:
-            self.mount.register_metrics(self.metrics)
-        return self.mount
+            mount.register_metrics(self.metrics)
+        return mount
 
     @classmethod
     def booted(cls, config: SystemConfig | None = None,

@@ -143,6 +143,11 @@ class NfsMount(Vfs):
         """Every vnode this mount has looked up (the root included)."""
         return iter(self._vnodes.values())
 
+    def throttles(self) -> Iterator[tuple[str, WriteThrottle]]:
+        """The biod write-behind limit of every file looked up."""
+        for vn in self._vnodes.values():
+            yield f"nfs handle {vn.handle}", vn.throttle
+
     def activate(self) -> Generator[Any, Any, "NfsMount"]:
         handle, size = yield from self.rpc("LOOKUP", path="/")
         self._root = self._vnode_for(handle, size, VnodeType.DIRECTORY)

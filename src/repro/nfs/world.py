@@ -27,7 +27,8 @@ def build_world(server_config: SystemConfig | None = None,
                 drc_size: int = 256):
     """Boot a server machine (with a UFS) and a diskless-ish client machine
     on one engine, joined by a network; returns
-    ``(client_system, server_system, nfs_mount)``.
+    ``(client_system, server_system, nfs_mount)``, the mount being the
+    client's ``system.mount``.
 
     ``fault_plan`` (a :class:`~repro.faults.netplan.NetFaultPlan`) makes the
     wire lossy; ``soft``/``timeo``/``retrans`` pick the client's mount
@@ -49,10 +50,6 @@ def build_world(server_config: SystemConfig | None = None,
     mount = NfsMount(server_system.engine, client_system.cpu,
                      client_system.pagecache, network, server,
                      soft=soft, timeo=timeo, retrans=retrans)
-    # The client has no UFS mount: its write throttles live on the NFS
-    # vnodes, so its sanitizer learns them here, once for every client.
-    client_system.sanitizer.throttle_sources.append(
-        lambda: ((f"nfs handle {vn.handle}", vn.throttle)
-                 for vn in mount.vnodes()))
+    client_system.mount = mount
     client_system.run(mount.activate(), name="nfs-mount")
     return client_system, server_system, mount

@@ -116,14 +116,6 @@ class CriticalPath:
         tolerance (the conservation invariant)."""
         return sum(seg.duration for seg in self.segments)
 
-    def blame(self) -> dict[str, float]:
-        """Seconds on the path per span *name* (self time under the root's
-        own name), largest first; deterministic tie order by name."""
-        totals: dict[str, float] = {}
-        for seg in self.segments:
-            totals[seg.span.name] = totals.get(seg.span.name, 0.0) + seg.duration
-        return dict(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])))
-
     def categories(self) -> dict[str, float]:
         """Seconds on the path per attribution category (all categories
         present, zeros included) — the attrib.py-comparable view."""

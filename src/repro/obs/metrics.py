@@ -75,7 +75,9 @@ class MetricsRegistry:
 
     # -- instrument factories ---------------------------------------------
     def counters(self, namespace: str) -> StatSet:
-        """Create (or fetch) a :class:`StatSet` owned by the registry."""
+        """Create (or fetch) a :class:`StatSet` owned by the registry.  With
+        :meth:`gauge` / :meth:`histogram`, the factories layers are to bind
+        instruments through; only ``tests/obs/test_metrics.py`` calls them."""
         existing = self._sources.get(namespace)
         if isinstance(existing, StatSet):
             return existing

@@ -17,8 +17,9 @@ comparison needs a real (if reduced) S5FS:
   happens to have allocated them contiguously.
 
 It is a file system of the machine: ``s5_mkfs(system.store)`` on a
-``System`` built with no UFS, then ``Proc(system, mount=S5FileSystem(system))``;
-its counters are ``system.metrics``' ``s5fs`` and ``s5fs.metacache``.
+``System`` built with no UFS, then ``S5FileSystem(system)`` mounts itself as
+``system.mount`` and ``Proc(system)`` drives it; its counters are
+``system.metrics``' ``s5fs`` and ``s5fs.metacache``.
 """
 
 from repro.s5fs.check import S5CheckReport, s5check

@@ -24,7 +24,7 @@ from repro.s5fs.ondisk import (
 from repro.sim.stats import StatSet
 from repro.ufs.metacache import MetaBuf, MetaCache
 from repro.ufs.ondisk import IFDIR, IFMT, IFREG
-from repro.vfs.vnode import RW, PutFlags, Vfs, Vnode, VnodeType
+from repro.vfs.vnode import RW, PutFlags, StatFs, Vfs, Vnode, VnodeType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.store import DiskStore
@@ -150,8 +150,9 @@ class S5Inode(Vnode):
                 elif fs.clustering and fs.cache.peek(blk) is None:
                     # Probe contiguity only on a cache miss (the probe itself
                     # costs bmap work; cached blocks need none of it).
-                    run = yield from fs._contig_run(self, lbn)
-                    bufs = yield from fs.cache.mbread(run)
+                    first, n = yield from self.bmap(lbn)
+                    bufs = yield from fs.cache.mbread(
+                        list(range(first, first + n)))
                     buf = bufs[0]
                 else:
                     buf = yield from fs.cache.bread(blk)
@@ -198,6 +199,22 @@ class S5Inode(Vnode):
             yield from fs.iput(self)
         return written
 
+    def bmap(self, lbn: int) -> Generator[Any, Any, tuple[int, int]]:
+        """Up to :data:`CLUSTER_BLOCKS` contiguous blocks from ``lbn``, one
+        pointer walk per block, as Peacock's read-ahead probe makes them."""
+        fs = self.fs
+        first = yield from fs.bmap(self, lbn)
+        if first == 0:
+            return 0, 1
+        n = 1
+        nblocks = (self.size + fs.sb.bsize - 1) // fs.sb.bsize
+        while n < CLUSTER_BLOCKS and lbn + n < nblocks:
+            nxt = yield from fs.bmap(self, lbn + n)
+            if nxt != first + n:
+                break
+            n += 1
+        return first, n
+
     def getpage(self, offset: int, rw: RW = RW.READ,
                 req: Any | None = None) -> Generator[Any, Any, "Page"]:
         raise InvalidArgumentError("S5FS files are not pageable")
@@ -214,7 +231,8 @@ class S5Inode(Vnode):
 
 class S5FileSystem(Vfs):
     """A mounted S5FS with a flat root directory, on a machine built with
-    no UFS: ``Proc(system, mount=fs)`` drives it by ``/name`` paths.
+    no UFS: it becomes the machine's ``system.mount``, so ``Proc(system)``
+    drives it by ``/name`` paths.
 
     ``clustering=True`` enables the Peacock-style mbread/mbwrite paths:
     sequential reads probe how far the file continues physically
@@ -243,6 +261,12 @@ class S5FileSystem(Vfs):
         system.metrics.register("s5fs", self.stats, replace=True)
         system.metrics.register("s5fs.metacache", self.cache.stats,
                                 replace=True)
+        system.mount = self
+
+    def statfs(self) -> StatFs:
+        """Counts in blocks, the fragment of S5FS; no reserve."""
+        sb = self.sb
+        return StatFs(sb.bsize, sb.bsize, sb.fsize, sb.tfree, sb.tfree)
 
     @property
     def root(self) -> S5Inode:
@@ -352,21 +376,6 @@ class S5FileSystem(Vfs):
             set_ptr(buf.data, index, value)
             self.cache.bdwrite(buf)
         return value
-
-    def _contig_run(self, ip: S5Inode, lbn: int
-                    ) -> Generator[Any, Any, list[int]]:
-        """Physical blocks for lbn, lbn+1, ... while consecutive."""
-        first = yield from self.bmap(ip, lbn)
-        if first == 0:
-            return []
-        run = [first]
-        nblocks = (ip.size + self.sb.bsize - 1) // self.sb.bsize
-        while len(run) < CLUSTER_BLOCKS and lbn + len(run) < nblocks:
-            nxt = yield from self.bmap(ip, lbn + len(run))
-            if nxt != run[-1] + 1:
-                break
-            run.append(nxt)
-        return run
 
     # -- the namespace: a flat root directory, ``/name`` paths --------------------
     @staticmethod

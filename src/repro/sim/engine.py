@@ -28,7 +28,7 @@ from itertools import count
 from math import inf
 from typing import Any, Callable
 
-from repro.sim.events import Event, Process, ProcessGen, Timeout
+from repro.sim.events import Process, ProcessGen, Timeout
 
 
 class SimulationError(RuntimeError):
@@ -224,10 +224,6 @@ class Engine:
         ``cancel()``.
         """
         return Recurring(self, interval, fn, daemon)
-
-    def event(self, name: str = "") -> Event:
-        """Create a fresh untriggered event."""
-        return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None,
                 daemon: bool = False) -> Timeout:

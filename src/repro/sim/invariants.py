@@ -25,18 +25,19 @@ The shipped checks:
     exactly once, including driver-coalesce and split-retry paths; at idle
     the driver's outstanding table is empty.
 ``throttle_conservation``
-    Per-file write throttles are never over-credited, the bytes charged
-    never fall below the bytes still sitting in the driver for that file,
-    and at idle every throttle is fully drained.
+    The write throttles ``system.mount.throttles()`` lists are never
+    over-credited, the bytes charged never fall below the bytes still in
+    the driver for that file, and at idle every throttle is drained.
 ``request_spans``
     No request finishes with a child span still open; at idle the registry
     has no open requests and the in-flight gauge reads zero.
 ``page_coherency``
     Every clean, valid, unlocked page of a mounted UFS file is
     byte-identical to its backing store, resolved through the same block
-    pointers bmap uses.  The same entry holds the buffer cache's decoded
-    directory blocks to their bytes (``dir_views``, below), so the number
-    of checks a run reports does not depend on which caches exist.
+    pointers bmap uses (like ``allocator``, on a UfsMount only).  The same
+    entry holds the buffer cache's decoded directory blocks to their bytes
+    (``dir_views``, below), so the number of checks a run reports does not
+    depend on which caches exist.
 ``page_index``
     The page cache's per-vnode index (``v_pages``) holds exactly the pages
     its name hash holds, with no emptied vnode left behind.
@@ -62,14 +63,14 @@ set if it only holds when the engine has drained.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.throttle import WriteThrottle
     from repro.kernel.system import System
     from repro.sim.engine import Recurring
+    from repro.ufs.mount import UfsMount
 
 #: Environment switch: ``REPRO_SANITIZE=1`` turns the sanitizer on for
 #: every :class:`~repro.kernel.system.System` built afterwards (the test
@@ -106,12 +107,6 @@ class Sanitizer:
         #: Checkpoints taken and checks run, for tests and reports.
         self.checkpoints = 0
         self.checks_run = 0
-        #: Extra throttle providers beyond the UFS inode cache (the NFS
-        #: campaign registers its client vnodes here); each yields
-        #: ``(owner label, WriteThrottle)`` pairs.
-        self.throttle_sources: list[
-            Callable[[], Iterable[tuple[str, "WriteThrottle"]]]
-        ] = []
 
     # -- running ----------------------------------------------------------
     def checkpoint(self, point: str, idle: bool, deep: bool = False) -> None:
@@ -204,14 +199,6 @@ class Sanitizer:
                 )
 
     # -- check 3: write-throttle conservation ------------------------------
-    def _throttles(self) -> Iterable[tuple[str, "WriteThrottle"]]:
-        mount = self.system.mount
-        if mount is not None:
-            for ino, ip in mount._icache.items():
-                yield f"inode {ino}", ip.throttle
-        for source in self.throttle_sources:
-            yield from source()
-
     def _check_throttles(self, point: str, idle: bool, deep: bool) -> None:
         # Bytes still in the driver per throttle, recovered from the write
         # iodone hooks riding on the outstanding bufs.
@@ -222,7 +209,8 @@ class Sanitizer:
                 charged = getattr(hook, "charged", None)
                 if throttle is not None and charged is not None:
                     queued[id(throttle)] = queued.get(id(throttle), 0) + charged
-        for owner, throttle in self._throttles():
+        mount = self.system.mount
+        for owner, throttle in mount.throttles() if mount is not None else ():
             if not throttle.enabled:
                 continue  # limit 0: take/credit are no-ops, nothing to hold
             if throttle.value > throttle.limit:
@@ -279,12 +267,13 @@ class Sanitizer:
     def _check_page_coherency(self, point: str, idle: bool,
                               deep: bool) -> None:
         from repro.ufs.bmap import HOLE
+        from repro.ufs.mount import UfsMount
         from repro.ufs.ondisk import resolve_lbn
 
         mount = self.system.mount
-        if mount is None:
-            return
-        self._check_dir_views(point)
+        if not isinstance(mount, UfsMount):
+            return  # S5FS and NFS-client pages are not checked yet
+        self._check_dir_views(point, mount)
         pc = self.system.pagecache
         disk = mount.driver.disk
         sb = mount.sb
@@ -301,7 +290,7 @@ class Sanitizer:
             return disk.read_through(sb.fsb_to_sector(addr_block),
                                      sb.bsize // 512)
 
-        for vn in list(mount._vnodes.values()):
+        for vn in mount.vnodes():
             ip = vn.inode
             if not ip.is_reg:
                 continue
@@ -332,10 +321,10 @@ class Sanitizer:
                         "(a write was lost or mis-addressed)",
                     )
 
-    def _check_dir_views(self, point: str) -> None:
+    def _check_dir_views(self, point: str, mount: "UfsMount") -> None:
         from repro.ufs.ondisk import iter_dirents
 
-        for meta in self.system.mount.metacache._bufs.values():
+        for meta in mount.metacache.buffers():
             view = meta.view
             if view is None:
                 continue
@@ -370,11 +359,12 @@ class Sanitizer:
     # -- check 6: allocator consistency ------------------------------------
     def _check_allocator(self, point: str, idle: bool, deep: bool) -> None:
         from repro.ufs.bmap import HOLE
+        from repro.ufs.mount import UfsMount
         from repro.ufs.ondisk import NDADDR
 
         mount = self.system.mount
-        if mount is None:
-            return
+        if not isinstance(mount, UfsMount):
+            return  # an S5FS free list is not checked yet; NFS has none
         sb = mount.sb
         total_nbfree = total_nffree = 0
         for cg in mount.cgs:
@@ -399,7 +389,7 @@ class Sanitizer:
             )
         # Every block an active inode points at must be allocated in its
         # group's bitmap (a free-but-claimed fragment is a lost-data bug).
-        for ino, ip in mount._icache.items():
+        for ip in mount.inodes():
             if ip.nlink <= 0:
                 continue
             if not (ip.is_reg or ip.is_dir):
@@ -414,7 +404,7 @@ class Sanitizer:
                 if mount.cgs[cgx].frag_is_free(rel):
                     self.fail(
                         "allocator",
-                        f"at {point}: inode {ino} claims fragment {addr} "
+                        f"at {point}: inode {ip.ino} claims fragment {addr} "
                         f"but group {cgx}'s bitmap marks it free",
                     )
         if deep:

@@ -125,12 +125,12 @@ class Resource:
 
     @property
     def in_use(self) -> int:
-        """Number of slots currently held."""
+        """Slots held (only tests read it: ``tests/sim/test_resources.py``)."""
         return self.capacity - self._sem.value
 
     @property
     def queue_length(self) -> int:
-        """Number of processes waiting for a slot."""
+        """Processes waiting for a slot (only tests, as :attr:`in_use`)."""
         return self._sem.waiting
 
     def acquire(self) -> Event:

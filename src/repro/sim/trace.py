@@ -279,14 +279,6 @@ class Tracer:
         wanted = set(tags)
         return [r for r in self.records if r.tag in wanted]
 
-    def tags(self) -> list[str]:
-        """Tags in first-appearance order."""
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.tag not in seen:
-                seen.append(rec.tag)
-        return seen
-
     def render(self, predicate: Callable[[TraceRecord], bool] | None = None) -> str:
         """Render matching records one per line (for logs and debugging)."""
         records = self.records if predicate is None else [r for r in self.records if predicate(r)]

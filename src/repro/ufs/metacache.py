@@ -80,6 +80,10 @@ class MetaCache:
         """The cached buffer, if any: no I/O, no wait, no LRU effect."""
         return self._bufs.get(frag_addr)
 
+    def buffers(self) -> Iterator[MetaBuf]:
+        """Every cached buffer, least recently used first (no LRU effect)."""
+        return iter(self._bufs.values())
+
     # -- read -----------------------------------------------------------------
     def bread(self, frag_addr: int) -> Generator[Any, Any, MetaBuf]:
         """Get the block at ``frag_addr`` (block aligned), reading it
@@ -182,10 +186,6 @@ class MetaCache:
             yield from self._push([meta], wait=True)
             flushed += 1
         return flushed
-
-    @property
-    def dirty_count(self) -> int:
-        return sum(1 for m in self._bufs.values() if m.dirty)
 
     # -- internals ----------------------------------------------------------------------
     def _check_run(self, frag_addrs: list[int], what: str) -> None:

@@ -13,7 +13,7 @@ instead (asynchronous but unreorderable), the future-work variant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 from repro.core import ClusterTuning, FreeBehindPolicy
 from repro.disk.buf import Buf, BufOp
@@ -36,9 +36,10 @@ from repro.ufs.ondisk import (
     unpack_fast_symlink,
 )
 from repro.ufs.vnode import UfsVnode
-from repro.vfs.vnode import Vfs
+from repro.vfs.vnode import StatFs, Vfs
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.throttle import WriteThrottle
     from repro.cpu import Cpu
     from repro.disk.driver import DiskDriver
     from repro.sim.engine import Engine
@@ -127,7 +128,7 @@ class UfsMount(Vfs):
             enabled=self.tuning.freebehind,
             min_offset=self.tuning.freebehind_min_offset,
         )
-        self._icache: dict[int, Inode] = {}
+        #: The in-core inode table: inode number -> its vnode.
         self._vnodes: dict[int, UfsVnode] = {}
 
     # -- Vfs interface ---------------------------------------------------------
@@ -143,10 +144,35 @@ class UfsMount(Vfs):
         yield from self.iget(ROOT_INO)
         return self
 
+    def statfs(self) -> StatFs:
+        """Counts in fragments; the ``minfree`` reserve rounds up."""
+        sb = self.sb
+        free = sb.cs_nbfree * sb.frag + sb.cs_nffree
+        reserve = sb.total_frags - sb.total_frags * (100 - sb.minfree) // 100
+        return StatFs(sb.bsize, sb.fsize, sb.total_frags, free,
+                      max(0, free - reserve))
+
+    def throttles(self) -> Iterator[tuple[str, "WriteThrottle"]]:
+        for ino, vn in self._vnodes.items():
+            yield f"inode {ino}", vn.inode.throttle
+
     # -- inode management ----------------------------------------------------------
     def cached_vnode(self, ino: int) -> "UfsVnode | None":
         """The vnode of inode ``ino`` if it is in core (no I/O)."""
         return self._vnodes.get(ino)
+
+    def vnodes(self) -> Iterator[UfsVnode]:
+        """Every vnode in core (the root included)."""
+        return iter(self._vnodes.values())
+
+    def inodes(self) -> Iterator[Inode]:
+        """Every inode in core."""
+        return (vn.inode for vn in self._vnodes.values())
+
+    def _incore(self, ino: int, din: Dinode) -> UfsVnode:
+        """Enter inode ``ino``, as ``din`` has it, in the in-core table."""
+        vn = self._vnodes[ino] = UfsVnode(self, Inode(self, ino, din))
+        return vn
 
     def iget(self, ino: int) -> Generator[Any, Any, UfsVnode]:
         """Get (reading if necessary) the vnode for inode ``ino``."""
@@ -155,11 +181,8 @@ class UfsMount(Vfs):
             return vn
         frag_addr, byte_off = self.sb.inode_location(ino)
         meta = yield from self.metacache.bread(frag_addr)
-        din = Dinode.unpack(bytes(meta.data[byte_off:byte_off + DINODE_SIZE]))
-        ip = Inode(self, ino, din)
-        self._icache[ino] = ip
-        vn = UfsVnode(self, ip)
-        self._vnodes[ino] = vn
+        vn = self._incore(ino, Dinode.unpack(
+            bytes(meta.data[byte_off:byte_off + DINODE_SIZE])))
         yield from self.cpu.work("inode", self.cpu.costs.inode_update)
         return vn
 
@@ -206,12 +229,11 @@ class UfsMount(Vfs):
     # -- sync --------------------------------------------------------------------------
     def sync(self) -> Generator[Any, Any, None]:
         """Flush dirty inodes, data pages, cylinder groups, superblock."""
-        for ino, ip in list(self._icache.items()):
-            vn = self._vnodes[ino]
+        for vn in list(self._vnodes.values()):
             if self.pagecache.dirty_pages(vn):
                 yield from vn.fsync()
-            elif ip.dirty:
-                yield from self.write_inode(ip, sync=False)
+            elif vn.inode.dirty:
+                yield from self.write_inode(vn.inode, sync=False)
         yield from self.metacache.flush()
         frag_sectors = self.sb.fsize // 512
         for cgx in sorted(self._dirty_cgs):
@@ -277,10 +299,8 @@ class UfsMount(Vfs):
             raise FileExistsError_(link_path)
         ino = yield from self.allocator.alloc_inode(
             self.sb.cg_of_inode(dir_vn.inode.ino), IFLNK)
-        ip = Inode(self, ino, Dinode(mode=IFLNK | 0o777, nlink=1))
-        self._icache[ino] = ip
-        vn = UfsVnode(self, ip)
-        self._vnodes[ino] = vn
+        vn = self._incore(ino, Dinode(mode=IFLNK | 0o777, nlink=1))
+        ip = vn.inode
         encoded = target.encode()
         ip.size = len(encoded)
         if len(encoded) <= FAST_SYMLINK_MAX:
@@ -340,11 +360,8 @@ class UfsMount(Vfs):
         ino = yield from self.allocator.alloc_inode(
             self.sb.cg_of_inode(dir_vn.inode.ino), mode
         )
-        ip = Inode(self, ino, Dinode(mode=mode, nlink=1))
-        self._icache[ino] = ip
-        vn = UfsVnode(self, ip)
-        self._vnodes[ino] = vn
-        yield from self.write_inode(ip, sync=True)
+        vn = self._incore(ino, Dinode(mode=mode, nlink=1))
+        yield from self.write_inode(vn.inode, sync=True)
         yield from dirops.enter(self, dir_vn.inode, name, ino)
         self.stats.incr("creates")
         return vn
@@ -360,10 +377,8 @@ class UfsMount(Vfs):
         ino = yield from self.allocator.alloc_inode(
             self.sb.cg_of_inode(parent.ino), mode
         )
-        ip = Inode(self, ino, Dinode(mode=mode, nlink=2))
-        self._icache[ino] = ip
-        vn = UfsVnode(self, ip)
-        self._vnodes[ino] = vn
+        vn = self._incore(ino, Dinode(mode=mode, nlink=2))
+        ip = vn.inode
         # First block with . and ..
         addr = yield from bmap.bmap_alloc(self, ip, 0, self.sb.frag)
         block = bytearray(empty_dirblock(self.sb.bsize))
@@ -425,7 +440,6 @@ class UfsMount(Vfs):
         ip.mode = 0
         yield from self.write_inode(ip, sync=True)
         self.allocator.free_inode(ip.ino, was_dir=False)
-        self._icache.pop(ip.ino, None)
         self._vnodes.pop(ip.ino, None)
 
     def rename(self, old_path: str, new_path: str
@@ -509,7 +523,6 @@ class UfsMount(Vfs):
         ip.nlink = 0
         yield from self.write_inode(ip, sync=True)
         self.allocator.free_inode(ino, was_dir=True)
-        self._icache.pop(ino, None)
         self._vnodes.pop(ino, None)
         self.stats.incr("rmdirs")
 

@@ -179,11 +179,6 @@ class Superblock:
     def frags_per_block(self) -> int:
         return self.bsize // self.fsize
 
-    @property
-    def spc(self) -> int:
-        """Sectors per cylinder."""
-        return self.nsect * self.ntrak
-
     def fsb_to_sector(self, frag_addr: int) -> int:
         """Fragment address -> disk sector (fsbtodb)."""
         return frag_addr * (self.fsize // 512)
@@ -342,6 +337,8 @@ class CylinderGroup:
         return self._get(self.frag_bitmap, rel_frag)
 
     def set_frag(self, rel_frag: int, free: bool) -> None:
+        """One map bit, unchecked: how ``tests/ufs/test_fsck*.py`` corrupt
+        a map (the allocator uses :meth:`mark_frags`)."""
         self._set(self.frag_bitmap, rel_frag, free)
 
     def inode_is_free(self, rel_ino: int) -> bool:
@@ -357,11 +354,6 @@ class CylinderGroup:
         block (hence one map byte), are free."""
         run = (1 << n) - 1
         return (self.frag_bitmap[rel_frag >> 3] >> (rel_frag & 7)) & run == run
-
-    def block_is_free(self, rel_block_frag: int, frag: int) -> bool:
-        """True if the whole (aligned) block starting at ``rel_block_frag``
-        is free."""
-        return self.run_is_free(rel_block_frag, frag)
 
     def block_free_count(self, rel_block_frag: int, frag: int) -> int:
         """Free fragments in the (aligned) block at ``rel_block_frag``."""

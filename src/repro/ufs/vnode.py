@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.ufs import io
+from repro.errors import InvalidArgumentError
+from repro.ufs import bmap, io
 from repro.vfs.vnode import PutFlags, RW, Vnode, VnodeType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,21 +39,22 @@ class UfsVnode(Vnode):
                 req: "Any | None" = None) -> Generator[Any, Any, None]:
         yield from io.ufs_putpage(self, offset, length, flags, req=req)
 
+    def bmap(self, lbn: int) -> Generator[Any, Any, tuple[int, int]]:
+        """The paper's bmap: a fragment address and up to maxcontig blocks
+        contiguous with it."""
+        return (yield from bmap.bmap_read(self.mount, self.inode, lbn,
+                                          self.inode.cluster_blocks))
+
     def allocate_backing(self, offset: int) -> Generator[Any, Any, None]:
         """Ensure the block at ``offset`` has backing store (the write-fault
         half of the UFS_HOLE discipline for mapped writes)."""
-        from repro.ufs import bmap
-        from repro.ufs.io import _frags_for
-
         ip = self.inode
         sb = self.mount.sb
         if offset >= ip.size:
-            from repro.errors import InvalidArgumentError
-
             raise InvalidArgumentError("mapped write past end of file")
         lbn = offset // sb.bsize
         yield from bmap.bmap_alloc(self.mount, ip, lbn,
-                                   _frags_for(sb, lbn, ip.size))
+                                   io._frags_for(sb, lbn, ip.size))
         ip.inline_data = None  # a mapped store bypasses rdwr's invalidation
 
     def fsync(self, req: "Any | None" = None) -> Generator[Any, Any, None]:

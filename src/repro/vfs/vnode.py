@@ -3,7 +3,7 @@
 Each file system type implements two object classes, *vfs* and *vnode*
 [Kleiman].  Only the operations this reproduction exercises are declared:
 ``rdwr`` (read/write syscalls), ``getpage``/``putpage`` (where the I/O
-happens), ``fsync``, and directory operations for the real file systems.
+happens), ``fsync``, ``bmap`` (the paper's extent interface), ``statfs``.
 
 All operations that may perform I/O are generators (simulation processes);
 call them with ``yield from``.
@@ -15,9 +15,12 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator, NamedTuple
+
+from repro.errors import InvalidArgumentError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.throttle import WriteThrottle
     from repro.vm.page import Page
 
 _vnode_ids = count(1)
@@ -106,8 +109,27 @@ class Vnode(ABC):
         """Flush all dirty pages synchronously (default: via putpage)."""
         yield from self.putpage(0, max(self.size, 0), PutFlags(), req=req)
 
+    def bmap(self, lbn: int) -> Generator[Any, Any, tuple[int, int]]:
+        """``(address, contiguous blocks)`` of logical block ``lbn``: the
+        address in ``statfs().f_frsize`` units (0 and 1 for a hole), the
+        length capped at the file system's cluster size.  EINVAL where
+        there is no block map (an NFS client)."""
+        raise InvalidArgumentError(f"{type(self).__name__} has no block map")
+        yield  # pragma: no cover - makes this a generator
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} v{self.vnode_id} {self.vtype.value}>"
+
+
+class StatFs(NamedTuple):
+    """statvfs(2)'s sizes: a file's blocks are ``f_bsize`` bytes, the counts
+    ``f_frsize``; ``f_bavail`` is ``f_bfree`` less the minfree reserve."""
+
+    f_bsize: int
+    f_frsize: int
+    f_blocks: int
+    f_bfree: int
+    f_bavail: int
 
 
 class Vfs(ABC):
@@ -125,3 +147,11 @@ class Vfs(ABC):
         """Flush file system state (default: nothing)."""
         return
         yield  # pragma: no cover - makes this a generator
+
+    def statfs(self) -> StatFs:
+        """Sizes and free space, no I/O (EINVAL: NFS serves no STATFS)."""
+        raise InvalidArgumentError(f"{self.name}: statfs not supported")
+
+    def throttles(self) -> Iterator[tuple[str, "WriteThrottle"]]:
+        """``(owner label, WriteThrottle)`` per file (default: none)."""
+        return iter(())

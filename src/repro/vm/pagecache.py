@@ -81,13 +81,9 @@ class PageCache:
         return len(self._freelist)
 
     @property
-    def named_pages(self) -> int:
-        """Number of frames holding a cached vnode page."""
-        return len(self._hash)
-
-    @property
     def frames_backed(self) -> int:
-        """Number of frames that were ever named, and so hold a buffer."""
+        """Frames ever named, so holding a buffer: a memory cost only tests
+        read yet (``tests/kernel/test_remount_reset.py``)."""
         return sum(p.data is not None for p in self.frames)
 
     def _key(self, vnode: "Vnode", offset: int) -> tuple[int, int]:

@@ -3,7 +3,8 @@
 ``python -m repro report`` runs every row of
 :mod:`repro.bench.experiments` into ``BENCH_experiments.json`` and renders
 RESULTS.md and EXPERIMENTS.md's generated blocks from it.  All but the last
-five tests here read files only: the docs must be that rendering byte for
+five tests here read files only (one pins how many paper values lie
+outside their band): the docs must be that rendering byte for
 byte, every committed value must sit in its band, and the committed cells
 must be the registry's — so a hand-edited digit, a band changed without a
 re-run or a stale document fails without a simulated second.  The last
@@ -36,6 +37,20 @@ def test_results_and_experiments_md_are_the_documents_rendering():
 
 def test_every_committed_cell_is_inside_its_band():
     assert report.failures(DOCUMENT) == []
+
+
+def test_ten_of_the_45_paper_values_lie_outside_their_band():
+    """The fidelity count, pinned by cell: closing a gap to the paper (or
+    opening one) edits this test on purpose."""
+    assert report.outside_paper(DOCUMENT) == [
+        ("alloc_extents", "fresh: average extent (KB)"),
+        ("alloc_extents", "aged: average extent (KB)"),
+        *(("fig10_11", f"{c} FRR") for c in "ABCD"),
+        ("fig10_11", "D FRU"),
+        *(("fig10_11", f"A/D {p}") for p in ("FSU", "FSW", "FRU")),
+    ]
+    assert report.fidelity_line(DOCUMENT) == (
+        "paper values outside their band: 10 of 45")
 
 
 def test_the_committed_rows_are_the_registrys():

@@ -28,17 +28,23 @@ def test_free_behind_disabled():
 
 # -- write throttle -----------------------------------------------------------
 
+def charge(throttle, nbytes):
+    """The paper's decrement-then-maybe-sleep, as the write path does it."""
+    throttle.take(nbytes)
+    yield from throttle.wait_ok()
+
+
 def test_throttle_charges_and_blocks():
     eng = Engine()
     throttle = WriteThrottle(eng, limit=16 * KB)
     log = []
 
     def writer():
-        yield from throttle.charge(8 * KB)
+        yield from charge(throttle, 8 * KB)
         log.append(("first", eng.now))
-        yield from throttle.charge(8 * KB)
+        yield from charge(throttle, 8 * KB)
         log.append(("second", eng.now))
-        yield from throttle.charge(8 * KB)  # exceeds the limit: sleeps
+        yield from charge(throttle, 8 * KB)  # exceeds the limit: sleeps
         log.append(("third", eng.now))
 
     def completer():
@@ -59,7 +65,7 @@ def test_throttle_single_large_write_overshoots_then_blocks():
     reached = []
 
     def writer():
-        yield from throttle.charge(32 * KB)
+        yield from charge(throttle, 32 * KB)
         reached.append(eng.now)
 
     def completer():
@@ -78,7 +84,7 @@ def test_throttle_disabled_is_free():
     throttle = WriteThrottle(eng, limit=0)
 
     def writer():
-        yield from throttle.charge(10**9)
+        yield from charge(throttle, 10**9)
         return eng.now
 
     assert eng.run_process(writer()) == 0
@@ -172,7 +178,7 @@ def test_throttle_validation():
         WriteThrottle(eng, limit=-1)
     throttle = WriteThrottle(eng, limit=KB)
     with pytest.raises(ValueError):
-        list(throttle.charge(-1))
+        throttle.take(-1)
     with pytest.raises(ValueError):
         throttle.credit(-1)
 
@@ -182,7 +188,7 @@ def test_throttle_in_flight_accounting():
     throttle = WriteThrottle(eng, limit=240 * KB)
 
     def writer():
-        yield from throttle.charge(100 * KB)
+        yield from charge(throttle, 100 * KB)
 
     eng.run_process(writer())
     assert throttle.in_flight == 100 * KB

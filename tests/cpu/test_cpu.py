@@ -102,15 +102,6 @@ def test_interrupt_charge_accounts_without_blocking():
     assert eng.now == 0  # no time elapsed in the caller's frame
 
 
-def test_cost_table_scaled():
-    base = CostTable()
-    double = base.scaled(2.0)
-    assert double.fault == pytest.approx(base.fault * 2)
-    assert double.copy_bandwidth == pytest.approx(base.copy_bandwidth / 2)
-    with pytest.raises(ValueError):
-        base.scaled(0)
-
-
 def test_cost_table_free_is_zero():
     free = CostTable.free()
     assert free.fault == 0

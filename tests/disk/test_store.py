@@ -30,9 +30,9 @@ def test_overwrite():
 def test_zero_write_reclaims_sparse_entry():
     store = DiskStore(total_sectors=4)
     store.write(1, b"\xaa" * 512)
-    assert store.written_sectors == 1
+    assert len(store.nonzero_sectors()) == 1
     store.write(1, bytes(512))
-    assert store.written_sectors == 0
+    assert len(store.nonzero_sectors()) == 0
     assert store.read(1, 1) == bytes(512)
 
 

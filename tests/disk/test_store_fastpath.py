@@ -63,17 +63,17 @@ def test_single_sector_paths():
     store.write(3, b"\x7e" * 512)
     assert store.read(3, 1) == b"\x7e" * 512
     store.write(3, bytes(512))  # zero write reclaims the entry
-    assert store.written_sectors == 0
+    assert len(store.nonzero_sectors()) == 0
 
 
 def test_zero_runs_in_large_writes_are_reclaimed():
     store = DiskStore(total_sectors=64)
     store.write(0, b"\xff" * (32 * 512))
-    assert store.written_sectors == 32
+    assert len(store.nonzero_sectors()) == 32
     # Overwrite the middle with zeros inside one large write.
     data = b"\xff" * (8 * 512) + bytes(16 * 512) + b"\xff" * (8 * 512)
     store.write(0, data)
-    assert store.written_sectors == 16
+    assert len(store.nonzero_sectors()) == 16
     assert store.read(0, 32) == data
 
 

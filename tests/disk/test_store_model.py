@@ -7,9 +7,8 @@ it, living only here.  Generated sequences of writes (aligned with chunk
 boundaries and straddling them; all-zero, partly zero and random; passed as
 ``bytes``, ``bytearray`` and ``memoryview``), reads, clones written to on
 both sides and range / length errors must leave every observable equal on
-both: ``read`` of every touched range, ``digest()``, ``nonzero_sectors()``,
-``written_sectors`` and ``differing_sectors()`` in both directions against a
-diverged clone.
+both: ``read`` of every touched range, ``digest()``, ``nonzero_sectors()`` and
+``differing_sectors()`` in both directions against a diverged clone.
 
 Hand mutations that must each fail this file (run by hand, listed in
 CHANGES.md): storing all-zero chunks, the partial-write splice off by one
@@ -134,11 +133,6 @@ class RefStore:
         return sorted(s for s in mine.keys() | theirs.keys()
                       if mine.get(s) != theirs.get(s))
 
-    @property
-    def written_sectors(self) -> int:
-        """Number of sectors holding non-zero data (sparse population)."""
-        return len(self._sectors)
-
 
 # -- generated sequences ------------------------------------------------------------
 
@@ -203,7 +197,6 @@ def assert_same_image(store, ref):
     assert store.read(0, store.total_sectors) == ref.read(0, ref.total_sectors)
     assert store.digest() == ref.digest()
     assert store.nonzero_sectors() == ref.nonzero_sectors()
-    assert store.written_sectors == ref.written_sectors
     assert_canonical(store)
 
 
@@ -270,11 +263,11 @@ def test_zeros_over_data_free_the_chunk():
     block = b"\x5a" * (CHUNK_SECTORS * SECTOR_SIZE)
     store.write(CHUNK_SECTORS, block)
     store.write(3 * CHUNK_SECTORS + 2, b"\x5a" * SECTOR_SIZE)
-    assert store.written_sectors == CHUNK_SECTORS + 1
+    assert len(store.nonzero_sectors()) == CHUNK_SECTORS + 1
     assert len(store._chunks) == 2
     store.write(CHUNK_SECTORS, bytes(len(block)))                # whole chunk
     store.write(3 * CHUNK_SECTORS, bytes(4 * SECTOR_SIZE))       # partial
-    assert store.written_sectors == 0
+    assert len(store.nonzero_sectors()) == 0
     assert store._chunks == {}
     assert store.digest() == DiskStore(4 * CHUNK_SECTORS).digest()
 

@@ -5,6 +5,7 @@ import pytest
 from repro.disk import DiskGeometry
 from repro.errors import BadFileError, FileNotFoundError_, InvalidArgumentError
 from repro.kernel import Proc, SEEK_CUR, SEEK_END, SEEK_SET, System, SystemConfig
+from repro.sim import Event
 from repro.units import KB
 
 
@@ -158,7 +159,7 @@ def test_booted_system_has_everything():
 
 def test_run_all_detects_deadlock(system):
     def stuck():
-        yield system.engine.event()  # never fires
+        yield Event(system.engine)  # never fires
 
     with pytest.raises(RuntimeError, match="deadlock"):
         system.run_all([stuck()])

@@ -283,7 +283,7 @@ def test_counts_match_a_bit_by_bit_count(group):
     for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
         bits = [cg.frag_is_free(block_rel + i) for i in range(sb.frag)]
         assert cg.block_free_count(block_rel, sb.frag) == sum(bits)
-        assert cg.block_is_free(block_rel, sb.frag) == all(bits)
+        assert cg.run_is_free(block_rel, sb.frag) == all(bits)
         for low in range(sb.frag):
             for n in range(1, sb.frag - low + 1):
                 assert (cg.run_is_free(block_rel + low, n)

@@ -102,7 +102,7 @@ def test_pagecache_frame_conservation(ops):
         named = [p for p in cache.frames if p.named]
         keys = {(p.vnode.vnode_id, p.offset) for p in named}
         assert len(keys) == len(named), "duplicate page identity"
-        assert cache.named_pages == len(named)
+        assert len(cache._hash) == len(named)
         _assert_index_matches_frames(cache, vnodes, offset)
 
 
@@ -199,7 +199,7 @@ def test_metacache_matches_disk_model(ops):
                     yield from cache.mbwrite(metas)
             elif kind == "flush":
                 yield from cache.flush()
-                assert cache.dirty_count == 0
+                assert not any(m.dirty for m in cache.buffers())
             elif kind == "peek":
                 meta = cache.peek(addrs[op[1]])
                 assert (meta is not None) == (addrs[op[1]] in resident)

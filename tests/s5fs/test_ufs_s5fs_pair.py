@@ -1,13 +1,17 @@
-"""One program, two file systems: the same ``Proc`` syscall sequence on a
-config-A UFS machine and on a config-A machine mounting S5FS must return
-the same bytes and the same errnos.  The seed of a ``{ufs, s5fs}`` model."""
+"""One program, three file systems: the same ``Proc(system)`` syscall
+sequence on a config-A UFS machine, on a config-A machine mounting S5FS and
+on an NFS client must return the same bytes and the same errnos — each is
+the machine's ``system.mount``.  The seed of a ``{ufs, s5fs, nfs}`` model."""
 
 import pytest
 
+from repro.bench.agefs import measure_extents
 from repro.errors import InvalidArgumentError, ReproError
 from repro.kernel import Proc, System, SystemConfig
 from repro.kernel.syscalls import SEEK_END
+from repro.nfs import build_world
 from repro.s5fs import S5FileSystem, s5_mkfs, s5check
+from repro.ufs import fsck
 from repro.units import KB
 
 # 700 bytes, then 9 000 more: across the 1 KB block at 1024 and the 8 KB
@@ -53,22 +57,55 @@ def s5_machine() -> "tuple[System, S5FileSystem]":
 def test_ufs_and_s5fs_run_one_program_to_the_same_bytes_and_errnos():
     ufs = transcript(Proc(System.booted(SystemConfig.config_a())))
     system, fs = s5_machine()
-    s5 = transcript(Proc(system, mount=fs))
+    assert system.mount is fs
+    s5 = transcript(Proc(system))
     data = bytearray(FIRST + SECOND)
     data[1000:1100] = OVERWRITE
     assert ufs[7] == bytes(data)
     assert ufs[8] == len(data)
     assert ufs[-1] == "ENOENT"
     assert s5 == ufs
-    system.run(fs.sync())
+    system.sync()  # the machine's sync is its S5FS's
     assert s5check(system.store).clean
+
+
+def test_an_nfs_client_runs_the_same_program():
+    ufs = transcript(Proc(System.booted(SystemConfig.config_a())))
+    client, server, mount = build_world()
+    assert client.mount is mount
+    assert transcript(Proc(client)) == ufs
+    assert mount.stats["rpc_remove"] == 1
+    server.sync()
+    assert fsck(server.store).clean
+
+
+def test_bmap_extents_sum_to_the_file_size():
+    """``measure_extents`` builds extents from ``Vnode.bmap`` runs on UFS
+    and on S5FS alike; an NFS client has no block map."""
+    ufs = System.booted(SystemConfig.config_a())
+    s5, _fs = s5_machine()
+    for system in (ufs, s5):
+        proc = Proc(system)
+        transcript(proc)
+        fd = system.run(proc.creat("/g"))
+        system.run(proc.write(fd, FIRST + SECOND))
+        report = measure_extents(system, "/g")
+        assert report.file_size == len(FIRST + SECOND)
+        assert sum(report.extents) == report.file_size
+        assert report.count >= 1
+    client, _server, mount = build_world()
+    vn = client.run(mount.create("/h"))
+    with pytest.raises(InvalidArgumentError):
+        client.run(vn.bmap(0))
+    with pytest.raises(InvalidArgumentError):
+        mount.statfs()
 
 
 def test_s5fs_is_a_file_system_of_the_machine():
     """No page cache under S5FS: mapping its file is EINVAL.  Its
     syscalls are requests of the machine, its counters metrics of it."""
-    system, fs = s5_machine()
-    proc = Proc(system, mount=fs)
+    system, _fs = s5_machine()
+    proc = Proc(system)
     transcript(proc)
     fd = system.run(proc.creat("/m"))
     system.run(proc.write(fd, bytes(8 * KB)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Resource, SimulationError
+from repro.sim import Engine, Event, Resource, SimulationError
 
 
 def test_time_starts_at_zero():
@@ -169,7 +169,7 @@ def test_deadlock_detected_by_run_process():
     eng = Engine()
 
     def stuck():
-        yield eng.event()  # never triggered
+        yield Event(eng)  # never triggered
 
     with pytest.raises(SimulationError, match="deadlock"):
         eng.run_process(stuck())
@@ -240,7 +240,7 @@ def test_stale_wakeup_after_interrupt_ignored():
 
 def test_event_value_delivered_to_process():
     eng = Engine()
-    ev = eng.event()
+    ev = Event(eng)
 
     def waiter():
         value = yield ev
@@ -254,7 +254,7 @@ def test_event_value_delivered_to_process():
 
 def test_event_double_trigger_rejected():
     eng = Engine()
-    ev = eng.event()
+    ev = Event(eng)
     ev.succeed(1)
     with pytest.raises(RuntimeError):
         ev.succeed(2)
@@ -262,7 +262,7 @@ def test_event_double_trigger_rejected():
 
 def test_callback_added_after_trigger_still_runs():
     eng = Engine()
-    ev = eng.event()
+    ev = Event(eng)
     ev.succeed("late")
     got = []
     ev.add_callback(lambda e: got.append(e.value))

@@ -7,7 +7,7 @@ sanitizer's ``engine_liveness`` check enforces: ``_live`` equals
 it with work still pending.
 """
 
-from repro.sim import Engine
+from repro.sim import Engine, Event
 
 
 def assert_consistent(eng):
@@ -142,7 +142,7 @@ def test_live_pending_counts_handle_free_entries():
         yield eng.timeout(1.0)
 
     eng.process(proc())  # handle-free start entry
-    done = eng.event()
+    done = Event(eng)
     done.succeed()
     done.add_callback(lambda _ev: None)  # handle-free, already triggered
     eng.timeout(3.0, daemon=True)

@@ -33,8 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu
-from repro.sim import (AllOf, AnyOf, Engine, EventFailed, Interrupt, Resource,
-                       Semaphore, Signal, Timeout)
+from repro.sim import (AllOf, AnyOf, Engine, Event, EventFailed, Interrupt,
+                       Resource, Semaphore, Signal, Timeout)
 
 
 # -- the reference: every hop taken ------------------------------------------
@@ -135,7 +135,7 @@ class World:
                                          name="cpu")
         self.sems = [Semaphore(eng, 0), Semaphore(eng, 1)]
         self.signals = [Signal(eng), Signal(eng)]
-        self.events = [eng.event(f"e{i}") for i in range(3)]
+        self.events = [Event(eng, name=f"e{i}") for i in range(3)]
         self.timers = [None, None]
         self.procs = [eng.process(self.body(pid, ops), name=f"p{pid}")
                       for pid, ops in enumerate(programs)]
@@ -302,7 +302,7 @@ def test_same_instant_timeouts_and_a_zero_delay_post_run_in_time_seq_order():
 
         def poster():
             yield eng.timeout(1)
-            eng.event().succeed().add_callback(lambda _: note("post"))
+            Event(eng).succeed().add_callback(lambda _: note("post"))
             note("c")
 
         eng.process(sleeper("a", 1))
@@ -348,7 +348,7 @@ def test_event_triggered_by_a_scheduled_callback_as_a_timeout_expires():
     # At t=1 the schedule() callback runs first and posts e's waiter; the
     # timeout expiring next must queue its own waiter behind that post.
     def scenario(eng, note):
-        gate = eng.event("gate")
+        gate = Event(eng, name="gate")
 
         def on_gate():
             yield gate
@@ -667,7 +667,7 @@ def test_cancel_before_and_after_an_inline_expiry():
 
 def test_failed_event_still_throws_into_the_waiter():
     def scenario(eng, note):
-        gate = eng.event("gate")
+        gate = Event(eng, name="gate")
 
         def waiter():
             yield eng.timeout(1)  # resumed inline by the expiry ...

@@ -272,17 +272,31 @@ def test_deep_allocator_runs_fsck():
     assert system.sanitizer.checks_run > before
 
 
-def test_nfs_throttles_via_throttle_sources():
-    from repro.core import WriteThrottle
+def test_nfs_client_throttles_via_its_mount():
+    """An NFS client's throttles are found through ``system.mount``, the
+    client's NfsMount: a write-behind slot taken and never credited on a
+    ``build_world`` client raises at the next idle checkpoint."""
+    from repro.nfs import build_world
 
-    system = make_system()
-    throttle = WriteThrottle(system.engine, 8 * KB, owner="extra file")
-    system.sanitizer.throttle_sources.append(
-        lambda: [("extra file", throttle)])
-    system.sanitizer.checkpoint("test", idle=True)  # drained: fine
-    throttle.take(4 * KB)
-    with pytest.raises(SanitizerError, match="extra file"):
-        system.sanitizer.checkpoint("test", idle=True)
+    client, _server, _mount = build_world(
+        server_config=SystemConfig.config_a().with_(
+            geometry=DiskGeometry.uniform(cylinders=200, heads=4,
+                                          sectors_per_track=32)))
+    client.sanitizer.enabled = True
+    proc = Proc(client)
+
+    def work():
+        fd = yield from proc.creat("/f")
+        yield from proc.write(fd, bytes(16 * KB))
+        yield from proc.fsync(fd)
+        yield from proc.close(fd)
+
+    client.run(work())  # drained at idle: fine
+    vn = client.run(client.mount.namei("/f"))
+    vn.throttle.take(4 * KB)  # a slot no completion will credit
+    with pytest.raises(SanitizerError,
+                       match=f"nfs handle {vn.handle} still has 4096"):
+        client.sanitizer.checkpoint("test", idle=True)
 
 
 def test_sanitizer_constructor_reads_env(monkeypatch):

@@ -83,7 +83,6 @@ def test_tracer_tag_filter_and_select():
     tr.emit("drop", n=2)
     tr.emit("keep", n=3)
     assert [r.n for r in tr.select("keep")] == [1, 3]
-    assert tr.tags() == ["keep", "drop"]
 
 
 def test_tracer_render_and_describe():

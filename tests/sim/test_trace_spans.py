@@ -107,7 +107,6 @@ def test_select_and_render_records():
     tr.emit("b", n=2)
     tr.emit("a", n=3)
     assert [r.n for r in tr.select("a")] == [1, 3]
-    assert tr.tags() == ["a", "b"]
     rendered = tr.render(lambda r: r.tag == "b")
     assert "b n=2" in rendered
     assert "a n=1" not in rendered

@@ -16,9 +16,7 @@ def mount(system):
 
 @pytest.fixture
 def ip(mount):
-    inode = Inode(mount, 10, Dinode(mode=IFREG, nlink=1))
-    mount._icache[10] = inode
-    return inode
+    return mount._incore(10, Dinode(mode=IFREG, nlink=1)).inode
 
 
 def alloc_lbns(system, mount, ip, lbns, frags=None):

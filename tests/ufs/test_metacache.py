@@ -42,13 +42,13 @@ def test_delayed_write_flushes_on_flush(stack):
         meta = yield from cache.bread(8)
         meta.data[:3] = b"xyz"
         cache.bdwrite(meta)
-        assert cache.dirty_count == 1
+        assert sum(m.dirty for m in cache.buffers()) == 1
         flushed = yield from cache.flush()
         return flushed
 
     assert engine.run_process(work()) == 1
     assert disk.store.read(16, 1)[:3] == b"xyz"
-    assert cache.dirty_count == 0
+    assert not any(m.dirty for m in cache.buffers())
 
 
 def test_sync_write_is_on_disk_immediately(stack):

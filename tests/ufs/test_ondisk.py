@@ -111,9 +111,9 @@ def test_block_is_free_requires_all_frags():
     )
     for i in range(8):
         cg.set_frag(i, True)
-    assert cg.block_is_free(0, 8)
+    assert cg.run_is_free(0, 8)
     cg.set_frag(3, False)
-    assert not cg.block_is_free(0, 8)
+    assert not cg.run_is_free(0, 8)
 
 
 def test_dirent_validation():

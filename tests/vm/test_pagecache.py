@@ -168,7 +168,7 @@ def test_vnode_pages_sorted_and_invalidate(cache, vnode):
     assert [p.offset for p in pages] == [0, 8192, 3 * 8192]
     assert cache.vnode_invalidate(vnode) == 3
     assert cache.vnode_pages(vnode) == []
-    assert cache.named_pages == 0
+    assert not any(p.named for p in cache.frames)
 
 
 def test_vnode_drop_clean_keeps_dirty_and_locked_pages(cache, vnode):
@@ -258,4 +258,4 @@ def test_create_unlink_churn_does_not_grow_the_index(cache, vnode):
         for slot in range(3):
             fill_page(cache, vn, slot * 8 * KB)
         assert cache.vnode_invalidate(vn) == 3
-    assert cache._vpages == {} and cache.named_pages == 0
+    assert cache._vpages == {} and not any(p.named for p in cache.frames)
