@@ -24,6 +24,10 @@ from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.units import KB
 
+#: Past the target, aging churns until it has created this many times the
+#: files it took to reach it, to fragment the free space.
+CHURN_FACTOR = 2.0
+
 
 @dataclass
 class ExtentReport:
@@ -80,10 +84,10 @@ def measure_extents(system: System, path: str) -> ExtentReport:
 
 
 def age_filesystem(system: System, target_utilization: float = 0.75,
-                   seed: int = 1991, mean_file_kb: int = 24,
-                   churn_factor: float = 2.0) -> int:
+                   seed: int = 1991, mean_file_kb: int = 24) -> int:
     """Create/delete churn until the fs reaches ``target_utilization`` of
-    its non-reserved space, with extra churn to fragment the free space.
+    its non-reserved space, with extra churn (:data:`CHURN_FACTOR`) to
+    fragment the free space.
 
     Returns the number of files left alive.
     """
@@ -117,7 +121,7 @@ def age_filesystem(system: System, target_utilization: float = 0.75,
         if used_fraction() >= target_utilization:
             if target_creates is None:
                 # Keep churning (delete+create) to scramble free space.
-                target_creates = created * churn_factor
+                target_creates = created * CHURN_FACTOR
             if created >= target_creates:
                 return len(live)
         over_target = used_fraction() >= target_utilization

@@ -15,6 +15,10 @@ from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.units import KB, MB
 
+#: The paper's 16 MB file, and where it lives.
+FILE_SIZE = 16 * MB
+PATH = "/mmapbench.dat"
+
 
 @dataclass
 class CpuBenchResult:
@@ -30,22 +34,21 @@ class CpuBenchResult:
         return self.cpu_seconds / self.elapsed if self.elapsed else 0.0
 
 
-def run_cpu_bench(config: SystemConfig, file_size: int = 16 * MB,
-                  path: str = "/mmapbench.dat") -> CpuBenchResult:
+def run_cpu_bench(config: SystemConfig) -> CpuBenchResult:
     """Write the file, drop caches, then mmap-read it and meter the CPU."""
     system = System.booted(config)
     proc = Proc(system, name="cpubench")
     record = bytes(64 * KB)
 
     def setup():
-        fd = yield from proc.open(path, create=True)
-        for _ in range(file_size // len(record)):
+        fd = yield from proc.open(PATH, create=True)
+        for _ in range(FILE_SIZE // len(record)):
             yield from proc.write(fd, record)
         yield from proc.fsync(fd)
         return fd
 
     fd = system.run(setup(), name="cpubench-setup")
-    vn = system.run(system.mount.namei(path), name="lookup")
+    vn = system.run(system.mount.namei(PATH), name="lookup")
     system.pagecache.vnode_drop_clean(vn)
     vn.inode.readahead.reset()
 
@@ -53,7 +56,7 @@ def run_cpu_bench(config: SystemConfig, file_size: int = 16 * MB,
     t0 = system.now
 
     def fault_read():
-        yield from proc.mmap_read(fd, 0, file_size)
+        yield from proc.mmap_read(fd, 0, FILE_SIZE)
 
     system.run(fault_read(), name="cpubench-read")
     return CpuBenchResult(

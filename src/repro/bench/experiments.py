@@ -557,7 +557,7 @@ BURST = ("max queue", "avg queue", "worst bystander read (ms)")
 def _flush_bursts(lazy: bool):
     system, proc = _small_a(lazy_writeback=lazy, write_limit=0)
     if lazy:
-        UpdateDaemon(system.engine, system.mount, period=5.0)
+        UpdateDaemon(system.engine, system.mount)
     write_file(system, proc, "/bystander", 16 * KB, chunk=16 * KB)
     system.pagecache.vnode_drop_clean(
         system.run(system.mount.namei("/bystander")))
@@ -951,7 +951,7 @@ def _pipeline(sections):
 def _scrubbed_read(interval: "float | None"):
     """A cold read on checksummed config A, scrubbed every ``interval``."""
     system, proc = machine(SystemConfig.config_a().with_(checksums=True))
-    daemon = interval and system.start_scrub(interval=interval, batch_frags=64)
+    daemon = interval and system.start_scrub(interval=interval)
     write_file(system, proc, "/f", 4 * MB, fill=patterned, close=True)
     digest, rate, _ = read_file(system, proc, "/f")
     if not daemon:
@@ -1052,7 +1052,7 @@ def _scrub_bracket() -> dict:
     edges = [system.now]
     idle(0.5)
     edges.append(system.now)
-    daemon = system.start_scrub(interval=0.02, batch_frags=64)
+    daemon = system.start_scrub(interval=0.02)
     idle(1.0)
     daemon.stop()
     edges += [system.now, float("inf")]

@@ -21,36 +21,40 @@ from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.units import KB
 
+#: Simulated users, and the scripts each runs.
+USERS = 4
+ITERATIONS = 8
+#: Mean think time before each script, drawn uniformly in [0.5, 1.5] x.
+THINK_TIME = 0.2
+SEED = 7
+
 
 @dataclass
 class MusbusResult:
     """Elapsed simulated time for the whole multi-user run."""
 
     config: str
-    users: int
-    iterations: int
     elapsed: float
     cpu_util: float
 
     @property
     def throughput(self) -> float:
         """Script iterations per simulated second."""
-        return self.users * self.iterations / self.elapsed
+        return USERS * ITERATIONS / self.elapsed
 
 
-def run_musbus(config: SystemConfig, users: int = 4, iterations: int = 8,
-               think_time: float = 0.2, seed: int = 7) -> MusbusResult:
+def run_musbus(config: SystemConfig) -> MusbusResult:
     """Run the workload; returns timing for the whole mix."""
     system = System.booted(config)
     cpu = system.cpu
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
 
     def user(index: int):
         proc = Proc(system, name=f"user{index}")
         yield from proc.mkdir(f"/u{index}")
-        for it in range(iterations):
+        for it in range(ITERATIONS):
             # Think.
-            yield from system.engine.sleep(think_time * rng.uniform(0.5, 1.5))
+            yield from system.engine.sleep(THINK_TIME * rng.uniform(0.5, 1.5))
             # Run a small program (fork/exec + a little computation).
             yield from cpu.work("exec", cpu.costs.context_switch * 4)
             yield from cpu.work("user", 0.005)
@@ -67,9 +71,9 @@ def run_musbus(config: SystemConfig, users: int = 4, iterations: int = 8,
             yield from proc.unlink(path)
 
     t0 = system.now
-    system.run_all([user(i) for i in range(users)])
+    system.run_all([user(i) for i in range(USERS)])
     elapsed = system.now - t0
     return MusbusResult(
-        config=config.name, users=users, iterations=iterations,
-        elapsed=elapsed, cpu_util=cpu.system_time / elapsed,
+        config=config.name, elapsed=elapsed,
+        cpu_util=cpu.system_time / elapsed,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.bench import (
     bench_document, canonical_json, diff_documents, write_document,
@@ -153,7 +153,7 @@ def measure(row, sections: dict) -> dict:
     return entry(row, values)
 
 
-def run_experiments(rows, say: Callable[[str], None] = print):
+def run_experiments(rows):
     """Run ``rows`` in order, printing each with its verdicts: the
     experiments document, and ``{file: (run, results)}`` of the documents
     those rows own."""
@@ -161,8 +161,8 @@ def run_experiments(rows, say: Callable[[str], None] = print):
     for row in rows:
         sections: dict = {}
         results[row.id] = measure(row, sections)
-        say(f"{row.id} — {row.paper_section}\n"
-            + render_block(results[row.id], verdicts=True))
+        print(f"{row.id} — {row.paper_section}\n"
+              + render_block(results[row.id], verdicts=True))
         if row.document:
             owned[row.document[0]] = (row.document[1], sections)
     return bench_document(
@@ -188,14 +188,13 @@ def changed_documents(root: Path, owned: dict) -> "list[str]":
     return lines
 
 
-def publish(root: Path, document: dict, owned: dict,
-            say: Callable[[str], None] = print) -> None:
+def publish(root: Path, document: dict, owned: dict) -> None:
     """Write the experiments document, the documents its rows own,
     RESULTS.md and EXPERIMENTS.md's blocks under ``root``."""
-    write_document(root / DOCUMENT, document["run"], document["results"], say)
+    write_document(root / DOCUMENT, document["run"], document["results"])
     for name, (run, results) in owned.items():
-        write_document(root / name, run, results, say)
+        write_document(root / name, run, results)
     committed = json.loads(canonical_json(document))
-    write_text(root / "RESULTS.md", render_results(committed), say)
+    write_text(root / "RESULTS.md", render_results(committed))
     experiments = root / "EXPERIMENTS.md"
-    write_text(experiments, splice(experiments.read_text(), committed), say)
+    write_text(experiments, splice(experiments.read_text(), committed))

@@ -25,10 +25,10 @@ class BmapCache:
     "cache of extent tuples" variant the paper prefers.
     """
 
-    def __init__(self, capacity: int = 8):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    #: Extents kept per inode, least recently used evicted.
+    CAPACITY = 8
+
+    def __init__(self):
         self._extents: OrderedDict[int, tuple[int, int]] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -50,7 +50,7 @@ class BmapCache:
             raise ValueError("length_blocks must be positive")
         self._extents[first_lbn] = (phys, length_blocks)
         self._extents.move_to_end(first_lbn)
-        while len(self._extents) > self.capacity:
+        while len(self._extents) > self.CAPACITY:
             self._extents.popitem(last=False)
 
     def invalidate(self) -> None:

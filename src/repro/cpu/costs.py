@@ -15,7 +15,7 @@ scale is inherited from the target machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.units import MB, US
 
@@ -77,8 +77,6 @@ class CostTable:
     #: integrity region is attached.
     checksum_frag: float = 8 * US
 
-    extra: dict[str, float] = field(default_factory=dict)
-
     def copy_cost(self, nbytes: int) -> float:
         """CPU seconds to copy ``nbytes`` between kernel and user space."""
         if nbytes < 0:
@@ -90,9 +88,7 @@ class CostTable:
         """A zero-cost table (infinite CPU) for disk-only experiments."""
         values: dict[str, object] = {}
         for f in fields(cls):
-            if f.name == "extra":
-                values[f.name] = {}
-            elif f.name == "copy_bandwidth":
+            if f.name == "copy_bandwidth":
                 values[f.name] = float("inf")
             else:
                 values[f.name] = 0.0

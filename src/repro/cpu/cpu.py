@@ -28,16 +28,11 @@ class Cpu:
     the handler duration for the caller to fold into its completion timing.
     """
 
-    def __init__(self, engine: "Engine", costs: CostTable | None = None,
-                 ncpus: int = 1):
+    def __init__(self, engine: "Engine", costs: CostTable | None = None):
         self.engine = engine
         self.costs = costs if costs is not None else CostTable()
-        self.resource = Resource(engine, capacity=ncpus, name="cpu")
+        self.resource = Resource(engine, capacity=1, name="cpu")
         self.ledger = StatSet("cpu")
-        self._zero = all(
-            getattr(self.costs, name) == 0
-            for name in ("syscall", "fault", "getpage_hit", "driver_strategy")
-        ) and self.costs.copy_bandwidth == float("inf")
 
     # -- process context ---------------------------------------------------
     def work(self, tag: str, seconds: float) -> Iterable[Event]:

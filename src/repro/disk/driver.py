@@ -46,19 +46,12 @@ class DiskQueue:
     default, or any policy passed in (by name or as an instance).
     """
 
-    def __init__(self, max_passes: int = 8,
-                 scheduler: "Scheduler | str" = "elevator"):
+    def __init__(self, scheduler: "Scheduler | str" = "elevator"):
         if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler, max_passes=max_passes)
+            scheduler = make_scheduler(scheduler)
         self.scheduler = scheduler
-        self.max_passes = max_passes
         self._segments: list[tuple[str, list[Buf]]] = []
         self._length = 0
-
-    @property
-    def _passes(self) -> dict[int, int]:
-        """The elevator's pass counters (empty for non-elevator policies)."""
-        return getattr(self.scheduler, "_passes", {})
 
     def __len__(self) -> int:
         return self._length
@@ -91,47 +84,6 @@ class DiskQueue:
         self._length -= 1
         self.scheduler.forget(buf)
         return buf
-
-    def snapshot(self) -> Any:
-        """Deep-enough copy of the queue: barrier segment boundaries, the
-        bufs in each segment, the length, and the scheduler's accounting.
-        The bufs themselves are shared (they are identity objects)."""
-        return (
-            [(kind, list(seg)) for kind, seg in self._segments],
-            self._length,
-            self.scheduler.snapshot(),
-        )
-
-    def restore(self, state: Any) -> None:
-        """Return the queue to a :meth:`snapshot`, segment boundaries and
-        all.  The snapshot stays valid — restoring it again later yields
-        the same state regardless of mutations in between."""
-        segments, length, sched_state = state
-        self._segments = [(kind, list(seg)) for kind, seg in segments]
-        self._length = length
-        self.scheduler.restore(sched_state)
-
-    def peek_all(self, last_sector: int = 0, now: float = 0.0) -> list[Buf]:
-        """All queued bufs **in predicted service order**, without popping.
-
-        Contract: ``peek_all(s, t)`` returns exactly the sequence repeated
-        ``pop(...)`` calls would yield if the head were at ``s`` at time
-        ``t`` and no further requests arrived (each pop's ``last_sector``
-        advancing to the served buf's end).  The queue and the scheduler's
-        internal accounting (e.g. elevator pass counts) are left untouched.
-        """
-        state = self.snapshot()
-        order: list[Buf] = []
-        try:
-            while True:
-                buf = self.pop(last_sector, now)
-                if buf is None:
-                    break
-                order.append(buf)
-                last_sector = buf.end_sector
-        finally:
-            self.restore(state)
-        return order
 
     def find_adjacent(self, buf: Buf, max_sectors: int) -> Buf | None:
         """A queued buf adjacent to ``buf`` that could be coalesced with it.
@@ -237,26 +189,26 @@ class BlockDevice:
 class DiskDriver(BlockDevice):
     """Queue + service process + completion interrupts for one disk."""
 
+    #: Largest request driver clustering merges queued neighbours into.
+    COALESCE_LIMIT = 56 * KB
+    #: Bounded retries for transient errors and detected timeouts;
+    #: attempt n backs off for RETRY_BACKOFF * 2**(n-1).
+    MAX_RETRIES = 4
+    RETRY_BACKOFF = 2 * MS
+    #: Settle time charged when a bad sector is revectored to a spare.
+    REMAP_PENALTY = 5 * MS
+
     def __init__(self, engine: "Engine", disk: RotationalDisk,
                  cpu: "Cpu | None" = None,
                  coalesce: bool = False,
-                 coalesce_limit: int = 56 * KB,
-                 max_retries: int = 4,
-                 retry_backoff: float = 2 * MS,
-                 remap_penalty: float = 5 * MS,
                  scheduler: "Scheduler | str" = "elevator",
                  name: str = "sd0"):
         super().__init__(engine, name)
         self.disk = disk
         self.cpu = cpu
         self.coalesce = coalesce
-        self.coalesce_limit_sectors = coalesce_limit // disk.geometry.sector_size
-        #: Bounded retries for transient errors and detected timeouts;
-        #: attempt n backs off for retry_backoff * 2**(n-1).
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: Settle time charged when a bad sector is revectored to a spare.
-        self.remap_penalty = remap_penalty
+        self.coalesce_limit_sectors = (self.COALESCE_LIMIT
+                                       // disk.geometry.sector_size)
         #: Bad sectors this driver has revectored: sector -> spare slot.
         #: The drive substitutes the spare transparently, so the sector
         #: keeps its logical address; the table exists for introspection
@@ -372,7 +324,7 @@ class DiskDriver(BlockDevice):
         """Service ``buf``, absorbing recoverable faults.
 
         Transient errors and detected controller timeouts are retried up to
-        ``max_retries`` times with exponential backoff; hard media errors
+        :attr:`MAX_RETRIES` times with exponential backoff; hard media errors
         are revectored to a spare (the bad-block remap table) and retried.
         Returns None on success or the unrecoverable error.
         """
@@ -392,19 +344,19 @@ class DiskDriver(BlockDevice):
                     return exc  # unremappable: hard failure
                 self.remap_table[exc.sector] = spare
                 self.stats.incr("remaps")
-                yield from self.engine.sleep(self.remap_penalty)
+                yield from self.engine.sleep(self.REMAP_PENALTY)
             except (TransientDiskError, DiskTimeoutError) as exc:
                 if isinstance(exc, DiskTimeoutError):
                     self.stats.incr("timeouts_detected")
                 else:
                     self.stats.incr("transient_errors")
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > self.MAX_RETRIES:
                     self.stats.incr("retries_exhausted")
                     return exc
                 self.stats.incr("retries")
                 yield from self.engine.sleep(
-                    self.retry_backoff * (2 ** (attempt - 1)))
+                    self.RETRY_BACKOFF * (2 ** (attempt - 1)))
             except ChecksumError as exc:
                 # A verification failure is worth exactly one re-read: the
                 # first read may have tripped on a marginal transfer, but a
@@ -415,7 +367,7 @@ class DiskDriver(BlockDevice):
                 if cs_attempts > 1:
                     return exc
                 self.stats.incr("checksum_retries")
-                yield from self.engine.sleep(self.retry_backoff)
+                yield from self.engine.sleep(self.RETRY_BACKOFF)
             except DiskError as exc:
                 return exc  # a dead device and anything else unrecoverable
 

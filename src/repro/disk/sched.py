@@ -7,7 +7,8 @@ decides the *order* inside one sweep.  Three policies ship:
 ``elevator`` (the default)
     Classic ``disksort``: one-way C-LOOK by starting sector, with the
     anti-starvation pass bound real controllers have — a request passed
-    over ``max_passes`` times is served next regardless of position.
+    over :attr:`ElevatorScheduler.MAX_PASSES` times is served next
+    regardless of position.
 
 ``fifo``
     Arrival order, as with ``disksort`` compiled out.  Useful as the
@@ -18,23 +19,22 @@ decides the *order* inside one sweep.  Three policies ship:
     earliest-deadline-first.  Reads get a much shorter deadline than
     writes, which bounds read latency behind the paper's 240 KB asynchronous
     write bursts: a read parked behind a full write queue is promoted after
-    ``read_deadline`` seconds instead of riding out the whole sweep.
+    :attr:`DeadlineScheduler.READ_DEADLINE` instead of riding out the
+    whole sweep.
 
 Every scheduler moves the same bufs to the same sectors — only the order
 (and therefore seek time and per-request wait) changes, so on-disk bytes
 are identical across schedulers for any workload.
 
-Schedulers are deliberately stateful-per-queue (the elevator's pass counts
-live here); :meth:`Scheduler.snapshot`/:meth:`Scheduler.restore` let
-``DiskQueue.peek_all`` simulate service order without disturbing that
-state.
+Schedulers are deliberately stateful-per-queue: the elevator's pass counts
+live here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.units import MS
 
@@ -57,20 +57,12 @@ class Scheduler:
     def select(self, seg: "list[Buf]", last_sector: int, now: float) -> int:
         """Index of the buf to serve next from a non-empty sweep.
 
-        May mutate internal accounting (e.g. elevator pass counts) — that
-        is what :meth:`snapshot`/:meth:`restore` bracket for peeking.
+        May mutate internal accounting (e.g. elevator pass counts).
         """
         return 0
 
     def forget(self, buf: "Buf") -> None:
         """Drop per-buf state once ``buf`` leaves the queue."""
-
-    def snapshot(self) -> Any:
-        """Opaque copy of mutable state, for simulation by ``peek_all``."""
-        return None
-
-    def restore(self, state: Any) -> None:
-        """Undo mutations made since the matching :meth:`snapshot`."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -87,14 +79,14 @@ class ElevatorScheduler(Scheduler):
 
     A pure one-way elevator starves a request parked behind the head while
     a continuous forward stream (e.g. a big sequential write) keeps
-    arriving; ``max_passes`` bounds that: a request passed over that many
-    times is served next (oldest first), regardless of position.
+    arriving; :attr:`MAX_PASSES` bounds that: a request passed over that
+    many times is served next (oldest first), regardless of position.
     """
 
     name = "elevator"
+    MAX_PASSES = 8
 
-    def __init__(self, max_passes: int = 8):
-        self.max_passes = max_passes
+    def __init__(self):
         self._passes: dict[int, int] = {}  # buf id -> times passed over
 
     def insert(self, seg: "list[Buf]", buf: "Buf") -> None:
@@ -105,7 +97,7 @@ class ElevatorScheduler(Scheduler):
         if passes:  # nobody has been passed over: nobody can be starved
             starved = [
                 i for i, b in enumerate(seg)
-                if passes.get(b.id, 0) >= self.max_passes
+                if passes.get(b.id, 0) >= self.MAX_PASSES
             ]
             if starved:
                 return min(starved, key=lambda i: seg[i].issued_at)
@@ -120,42 +112,26 @@ class ElevatorScheduler(Scheduler):
     def forget(self, buf: "Buf") -> None:
         self._passes.pop(buf.id, None)
 
-    def snapshot(self) -> Any:
-        return dict(self._passes)
-
-    def restore(self, state: Any) -> None:
-        # Copy: adopting the snapshot dict itself would let later mutations
-        # bleed into it, so restoring the same snapshot twice (as nested
-        # peeks or queue save/restore cycles do) would replay the first
-        # restore's mutations instead of the saved state.
-        self._passes = dict(state)
-
 
 class DeadlineScheduler(ElevatorScheduler):
     """Elevator order with per-request deadlines (reads before writes).
 
-    Each request's deadline is ``issued_at + read_deadline`` (reads) or
-    ``issued_at + write_deadline`` (writes).  While nothing is late the
-    policy is exactly the elevator; once requests are past deadline the
-    latest-suffering one (earliest deadline) is served first.  With the
-    paper's 240 KB write limit a full write burst takes a couple hundred
-    milliseconds to drain — ``read_deadline`` caps what a synchronous read
-    can be made to wait behind it.
+    Each request's deadline is ``issued_at +`` :attr:`READ_DEADLINE`
+    (reads) or ``issued_at +`` :attr:`WRITE_DEADLINE` (writes).  While
+    nothing is late the policy is exactly the elevator; once requests are
+    past deadline the latest-suffering one (earliest deadline) is served
+    first.  With the paper's 240 KB write limit a full write burst takes a
+    couple hundred milliseconds to drain — :attr:`READ_DEADLINE` caps what
+    a synchronous read can be made to wait behind it.
     """
 
     name = "deadline"
-
-    def __init__(self, read_deadline: float = 60 * MS,
-                 write_deadline: float = 400 * MS, max_passes: int = 8):
-        super().__init__(max_passes=max_passes)
-        if read_deadline <= 0 or write_deadline <= 0:
-            raise ValueError("deadlines must be positive")
-        self.read_deadline = read_deadline
-        self.write_deadline = write_deadline
+    READ_DEADLINE = 60 * MS
+    WRITE_DEADLINE = 400 * MS
 
     def deadline_of(self, buf: "Buf") -> float:
         return buf.issued_at + (
-            self.read_deadline if buf.is_read else self.write_deadline
+            self.READ_DEADLINE if buf.is_read else self.WRITE_DEADLINE
         )
 
     def select(self, seg: "list[Buf]", last_sector: int, now: float) -> int:
@@ -173,20 +149,12 @@ SCHEDULERS = {
 }
 
 
-def make_scheduler(name: str, **kwargs: Any) -> Scheduler:
-    """Build a scheduler by name (``elevator``, ``fifo``, ``deadline``).
-
-    Keyword arguments a given policy does not take are dropped, so callers
-    can pass e.g. ``max_passes`` uniformly.
-    """
+def make_scheduler(name: str) -> Scheduler:
+    """Build a scheduler by name (``elevator``, ``fifo``, ``deadline``)."""
     try:
         cls = SCHEDULERS[name]
     except KeyError:
         raise ValueError(
             f"unknown scheduler {name!r} (have {sorted(SCHEDULERS)})"
         ) from None
-    if cls is FifoScheduler:
-        kwargs = {}
-    elif cls is ElevatorScheduler:
-        kwargs = {k: v for k, v in kwargs.items() if k == "max_passes"}
-    return cls(**kwargs)
+    return cls()

@@ -449,9 +449,8 @@ class MultiVolume(BlockDevice):
     fault_plan = None
 
     def __init__(self, engine: "Engine", members: "list[VolumeMember]",
-                 spec: VolumeSpec, geometry: DiskGeometry,
-                 name: str = "vol0"):
-        super().__init__(engine, name)
+                 spec: VolumeSpec, geometry: DiskGeometry):
+        super().__init__(engine, "vol0")
         self.members = members
         self.spec = spec
         self.geometry = geometry
@@ -864,12 +863,12 @@ class MirrorVolume(MultiVolume):
         return True
 
     # -- resync ------------------------------------------------------------
-    def resync(self, index: int,
-               clear_faults: bool = True) -> Generator[Any, Any, dict]:
-        """Bring member ``index`` back into the mirror: diff its store
-        against a live source, copy the differing runs with timed member
-        I/O (FUA writes, scrub-style contiguous runs), then verify the
-        copy against the integrity region when one is attached.
+    def resync(self, index: int) -> Generator[Any, Any, dict]:
+        """Bring member ``index`` back into the mirror: clear its fault
+        plan, diff its store against a live source, copy the differing
+        runs with timed member I/O (FUA writes, scrub-style contiguous
+        runs), then verify the copy against the integrity region when one
+        is attached.
 
         Run at quiesce (flush first): volatile survivor entries are not
         part of the durable diff.  Returns a report dict.
@@ -882,9 +881,8 @@ class MirrorVolume(MultiVolume):
                       None)
         if source is None:
             raise InvalidArgumentError("mirror resync needs a live source")
-        if clear_faults:
-            target.fault_plan = None
-            target.disk.fault_plan = None
+        target.fault_plan = None
+        target.disk.fault_plan = None
         if target.write_cache is not None and target.write_cache.entries:
             target.write_cache.drop_all()  # stale volatile pre-death state
         target.failed = False

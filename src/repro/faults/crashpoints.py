@@ -63,7 +63,6 @@ from repro.disk.store import DiskStore
 from repro.errors import ReproError
 from repro.faults.harness import Campaign, force_sanitizer
 from repro.faults.ledger import Ledger, check
-from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.nfs.world import build_world
@@ -86,7 +85,7 @@ class Preset:
     sector-atomic, so sector-aligned writes make "old or new, per
     sector" the exact contract for unsynced data.  ``cache_bytes=0``
     records on the paper's write-through drive (no volatile cache);
-    ``layout`` is the volume the default machine records on.
+    ``layout`` is the volume the machine records on.
     """
 
     name: str
@@ -375,10 +374,7 @@ class CrashpointExplorer(Campaign):
 
     def __init__(self, preset: "str | Preset" = "smoke", seed: int = 0,
                  sanitize: "bool | None" = None,
-                 max_states: "int | None" = 20000,
-                 window: "int | None" = None,
-                 torn_limit: "int | None" = None,
-                 config: "SystemConfig | None" = None):
+                 max_states: "int | None" = 20000):
         if max_states is not None and max_states < 1:  # nothing checked
             raise ValueError("max_states must be >= 1")
         if isinstance(preset, str):
@@ -388,17 +384,14 @@ class CrashpointExplorer(Campaign):
                 raise ValueError(
                     f"unknown preset {preset!r} (have {sorted(PRESETS)})"
                 ) from None
-        super().__init__(CrashpointReport(), seed, config, sanitize,
+        if preset.window < 1:
+            raise ValueError("window must be >= 1")
+        if preset.torn_limit < 0:
+            raise ValueError("torn_limit must be >= 0")
+        super().__init__(CrashpointReport(), seed, sanitize,
                          layout=preset.layout)
         self.preset = preset
         self.max_states = max_states
-        self.window = window if window is not None else preset.window
-        self.torn_limit = (torn_limit if torn_limit is not None
-                           else preset.torn_limit)
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.torn_limit < 0:
-            raise ValueError("torn_limit must be >= 0")
         self.record_config = self.config.with_(
             write_cache=preset.cache_bytes > 0,
             write_cache_bytes=preset.cache_bytes,
@@ -516,7 +509,7 @@ class CrashpointExplorer(Campaign):
         from itertools import combinations
 
         yield frozenset()
-        for k in range(1, self.window):
+        for k in range(1, self.preset.window):
             for combo in combinations(range(j_max), k):
                 yield frozenset(combo)
 
@@ -526,7 +519,7 @@ class CrashpointExplorer(Campaign):
         chosen = {e.seq for e in subset}
         out: list[JournalEvent] = []
         for e in pending:
-            if len(out) >= self.torn_limit:
+            if len(out) >= self.preset.torn_limit:
                 break
             if e.seq not in chosen and self._subset_legal(
                     pending, chosen | {e.seq}):
@@ -538,7 +531,7 @@ class CrashpointExplorer(Campaign):
         barrier_blocked = False
         for e in pending:
             if e.seq in chosen:
-                if barrier_blocked or holes >= self.window:
+                if barrier_blocked or holes >= self.preset.window:
                     return False
                 if e.ordered and holes > 0:
                     return False

@@ -3,8 +3,8 @@
 ``netcampaign``, ``crashpoints`` and ``scrubcampaign`` have different
 bodies — a replay leg and a soft-mount probe, an enumeration over one
 recording, a single six-phase run — so there is no phase protocol here
-for them to be bent into.  They share a shell: a small-disk default
-machine, the "``None`` leaves the environment default" sanitizer rule, a
+for them to be bent into.  They share a shell: a small-disk machine,
+the "``None`` leaves the environment default" sanitizer rule, a
 dataclass of counters, per-record outcomes and a seed-stable digest.
 Their verdicts are rows of the experiment table
 (:func:`repro.bench.experiments.sweep_cells`).
@@ -42,12 +42,11 @@ class Campaign:
     #: The ``python -m repro`` subcommand.
     name = ""
 
-    def __init__(self, stats: Any, seed: int,
-                 config: "SystemConfig | None", sanitize: "bool | None",
+    def __init__(self, stats: Any, seed: int, sanitize: "bool | None",
                  **small: object):
         self.stats = stats
         self.seed = seed
-        self.config = config if config is not None else small_config(**small)
+        self.config = small_config(**small)
         #: Force the invariant sanitizer on/off on every machine of the
         #: sweep; None keeps the REPRO_SANITIZE environment default.
         self.sanitize = sanitize

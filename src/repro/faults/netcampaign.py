@@ -32,7 +32,6 @@ from repro.errors import RpcTimeoutError
 from repro.faults.harness import Campaign, force_sanitizer
 from repro.faults.ledger import Ledger, check
 from repro.faults.netplan import NetFaultPlan
-from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.nfs.world import build_world
 from repro.units import KB
@@ -73,30 +72,28 @@ class NetCampaign(Campaign):
 
     name = "netcampaign"
 
-    def __init__(self, seeds: int = 20, seed: int = 0, nfiles: int = 5,
-                 file_bytes: int = 16 * KB,
-                 config: "SystemConfig | None" = None,
+    #: Files the workload creates, and the size of each.
+    NFILES = 5
+    FILE_BYTES = 16 * KB
+
+    def __init__(self, seeds: int = 20, seed: int = 0,
                  sanitize: "bool | None" = None):
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if nfiles < 2:
-            raise ValueError("nfiles must be >= 2")
-        super().__init__(NetCampaignStats(), seed, config, sanitize)
+        super().__init__(NetCampaignStats(), seed, sanitize)
         self.seeds = seeds
-        self.nfiles = nfiles
-        self.file_bytes = file_bytes
         self._window: "tuple[float, float] | None" = None
 
     # -- the workload --------------------------------------------------------
     def _payload(self, i: int) -> bytes:
-        return bytes((i * 41 + j * 13) % 251 for j in range(self.file_bytes))
+        return bytes((i * 41 + j * 13) % 251 for j in range(self.FILE_BYTES))
 
     def _workload(self, proc: Proc) -> Generator[Any, Any, None]:
         """Create/write/fsync/remove churn over the wire.  Every fsync that
         *returned* is a promise in ``proc``'s ledger: the COMMIT barrier
         means those bytes are on the server's disk whatever the wire does
         next."""
-        for i in range(self.nfiles):
+        for i in range(self.NFILES):
             fd = yield from proc.creat(f"/r{i}")
             yield from proc.write(fd, self._payload(i))
             yield from proc.fsync(fd)

@@ -28,7 +28,6 @@ from repro.faults.harness import Campaign, force_sanitizer
 from repro.faults.ledger import Ledger, check
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
-from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.sim.engine import SimulationError
@@ -66,29 +65,26 @@ class ScrubCampaign(Campaign):
 
     name = "scrubcampaign"
 
-    def __init__(self, seed: int = 0, nfiles: int = 8,
-                 file_bytes: int = 24 * KB,
-                 config: "SystemConfig | None" = None,
-                 sanitize: "bool | None" = None):
-        if nfiles < 2 or nfiles % 2:
-            raise ValueError("nfiles must be even and >= 2")
-        super().__init__(ScrubCampaignStats(), seed, config, sanitize,
+    #: Files the workload builds (half are read back, half are not), and
+    #: the size of each.
+    NFILES = 8
+    FILE_BYTES = 24 * KB
+
+    def __init__(self, seed: int = 0, sanitize: "bool | None" = None):
+        super().__init__(ScrubCampaignStats(), seed, sanitize,
                          checksums=True)
-        if not self.config.checksums:
-            raise ValueError("scrub campaign requires a checksummed config")
-        self.nfiles = nfiles
-        self.file_bytes = file_bytes
 
     # -- workload ----------------------------------------------------------
     def _payload(self, i: int) -> bytes:
-        return bytes((i * 41 + j * 13) % 251 + 1 for j in range(self.file_bytes))
+        return bytes((i * 41 + j * 13) % 251 + 1
+                     for j in range(self.FILE_BYTES))
 
     def _path(self, i: int) -> str:
         return f"/data/f{i}"
 
     def _build(self, proc: Proc) -> Generator[Any, Any, None]:
         yield from proc.mkdir("/data")
-        for i in range(self.nfiles):
+        for i in range(self.NFILES):
             fd = yield from proc.creat(self._path(i))
             yield from proc.write(fd, self._payload(i))
             yield from proc.fsync(fd)
@@ -104,9 +100,9 @@ class ScrubCampaign(Campaign):
     # -- the sweep ---------------------------------------------------------
     def run(self) -> ScrubCampaignStats:
         cfg = self.config
-        half = self.nfiles // 2
+        half = self.NFILES // 2
         bsize = cfg.fs_params.bsize
-        nblocks = self.file_bytes // bsize
+        nblocks = self.FILE_BYTES // bsize
 
         # Phase 1: build the population and push it durable.
         builder = System(cfg)
@@ -132,7 +128,7 @@ class ScrubCampaign(Campaign):
         fds: dict[int, int] = {}
         for i in range(half):
             fd, data = survivor.run(
-                self._open_read(proc, self._path(i), self.file_bytes),
+                self._open_read(proc, self._path(i), self.FILE_BYTES),
                 name="scrub-warm")
             assert data == self._payload(i), "pre-injection read mismatch"
             fds[i] = fd
@@ -141,7 +137,7 @@ class ScrubCampaign(Campaign):
         # starts, any engine run would checkpoint the sanitizer against a
         # deliberately-corrupted disk.
         direct: "dict[int, list[int]]" = {}
-        for i in range(self.nfiles):
+        for i in range(self.NFILES):
             vn = survivor.run(survivor.mount.namei(self._path(i)),
                               name="scrub-stat")
             direct[i] = list(vn.inode.direct)
@@ -176,7 +172,7 @@ class ScrubCampaign(Campaign):
             injected.append({"target": target, "file": None, "lbn": None,
                              "off": None, "frag": frag, "kind": "bitrot",
                              "expect": "replica"})
-        for j, i in enumerate(range(half, self.nfiles)):
+        for j, i in enumerate(range(half, self.NFILES)):
             lbn = 0 if j % 2 == 0 else 1  # even: EIO at once; odd: partial
             lbn, off, frag = _pick(direct[i], lbn)
             kind = CORRUPT_KINDS[j % len(CORRUPT_KINDS)]

@@ -109,20 +109,21 @@ class Scrubber:
     request registry so scrubbing yields to foreground I/O.
     """
 
-    def __init__(self, system: "System", batch_frags: int = 64,
-                 inflight_limit: int = 2, pace: float = 2 * MS):
+    #: Fragments read and verified per batch (one request).
+    BATCH_FRAGS = 64
+    #: Foreground requests in flight above which scrubbing waits.
+    INFLIGHT_LIMIT = 2
+    #: How long a throttled full pass sleeps before looking again.
+    PACE = 2 * MS
+
+    def __init__(self, system: "System"):
         if system.disk.integrity is None:
             raise InvalidArgumentError(
                 "scrubber requires an attached integrity region "
                 "(mkfs with checksums=True, or tunefs)"
             )
-        if batch_frags < 1:
-            raise InvalidArgumentError("batch_frags must be >= 1")
         self.system = system
         self.engine = system.engine
-        self.batch_frags = batch_frags
-        self.inflight_limit = inflight_limit
-        self.pace = pace
         self.report = ScrubReport()
         self.stats = StatSet("scrub")
         self._cursor = 0
@@ -137,9 +138,9 @@ class Scrubber:
     def scrub_now(self) -> Generator[Any, Any, ScrubReport]:
         """One full pass over every stamped fragment; returns the report."""
         frags = self.region.stamped_frags()
-        for i in range(0, len(frags), self.batch_frags):
+        for i in range(0, len(frags), self.BATCH_FRAGS):
             yield from self._throttle()
-            yield from self._scan_batch(frags[i:i + self.batch_frags])
+            yield from self._scan_batch(frags[i:i + self.BATCH_FRAGS])
         self.report.passes += 1
         self.stats.incr("passes")
         return self.report
@@ -155,7 +156,7 @@ class Scrubber:
             return False
         if self._cursor >= len(frags):
             self._cursor = 0
-        batch = frags[self._cursor:self._cursor + self.batch_frags]
+        batch = frags[self._cursor:self._cursor + self.BATCH_FRAGS]
         yield from self._scan_batch(batch)
         self._cursor += len(batch)
         if self._cursor >= len(frags):
@@ -167,9 +168,9 @@ class Scrubber:
 
     # -- scanning ----------------------------------------------------------
     def _throttle(self) -> Generator[Any, Any, None]:
-        while self.system.requests.inflight.value > self.inflight_limit:
+        while self.system.requests.inflight.value > self.INFLIGHT_LIMIT:
             self.stats.incr("throttle_waits")
-            yield from self.engine.sleep(self.pace)
+            yield from self.engine.sleep(self.PACE)
 
     def _scan_batch(self, batch: "list[int]") -> Generator[Any, Any, None]:
         """Read one batch through the stack, verify offline, repair."""
@@ -331,14 +332,12 @@ class ScrubDaemon:
     still run to idle.
     """
 
-    def __init__(self, system: "System", interval: float = 5.0,
-                 batch_frags: int = 64, inflight_limit: int = 2):
+    def __init__(self, system: "System", interval: float = 5.0):
         if interval <= 0:
             raise InvalidArgumentError("interval must be > 0")
         self.system = system
         self.interval = interval
-        self.scrubber = Scrubber(system, batch_frags=batch_frags,
-                                 inflight_limit=inflight_limit)
+        self.scrubber = Scrubber(system)
         self.stats = self.scrubber.stats
         self.running = False
         self._proc = None
@@ -380,7 +379,7 @@ class ScrubDaemon:
                 self.running = False
                 return
             if (self.system.requests.inflight.value
-                    > self.scrubber.inflight_limit):
+                    > Scrubber.INFLIGHT_LIMIT):
                 self.stats.incr("ticks_throttled")
                 continue
             self.stats.incr("ticks")

@@ -123,11 +123,10 @@ class System:
 
     @classmethod
     def remounted(cls, store: "DiskStore | list[DiskStore]",
-                  config: SystemConfig | None = None,
-                  fault_plan=None) -> "System":
+                  config: SystemConfig | None = None) -> "System":
         """Boot a fresh machine against existing on-disk bytes (no mkfs) —
         how a crash-consistency campaign comes back up after a power cut."""
-        system = cls(config, store=store, fault_plan=fault_plan)
+        system = cls(config, store=store)
         system.run(system.mount_fs())
         return system
 
@@ -164,15 +163,12 @@ class System:
         if self.mount is not None:
             self.run(self.mount.sync(), name="sync")
 
-    def start_scrub(self, interval: float = 5.0, batch_frags: int = 64,
-                    inflight_limit: int = 2):
+    def start_scrub(self, interval: float = 5.0):
         """Start the paced background scrub daemon (requires an attached
         integrity region); returns it."""
         from repro.integrity.scrub import ScrubDaemon
 
-        daemon = ScrubDaemon(self, interval=interval,
-                             batch_frags=batch_frags,
-                             inflight_limit=inflight_limit)
+        daemon = ScrubDaemon(self, interval=interval)
         daemon.start()
         self.daemons.append(daemon)
         # replace=True: a restarted daemon takes over the namespace.
@@ -194,6 +190,8 @@ class System:
         return recorder
 
     def shutdown_daemons(self) -> None:
-        """Stop every background daemon started on this machine."""
+        """Stop every background daemon started on this machine.  Tests
+        only: ``tests/kernel/test_remount_reset.py`` stops a scrub daemon
+        with it."""
         for daemon in self.daemons:
             daemon.stop()

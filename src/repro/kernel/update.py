@@ -19,20 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class UpdateDaemon:
-    """Calls ``mount.sync()`` every ``period`` simulated seconds."""
+    """Calls ``mount.sync()`` every :attr:`PERIOD` simulated seconds."""
 
-    def __init__(self, engine: "Engine", mount: "UfsMount",
-                 period: float = 30.0):
-        if period <= 0:
-            raise ValueError("period must be positive")
+    PERIOD = 5.0
+
+    def __init__(self, engine: "Engine", mount: "UfsMount"):
         self.engine = engine
         self.mount = mount
-        self.period = period
         self.syncs = 0
         self._proc = engine.process(self._run(), name="update")
 
     def _run(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.engine.timeout(self.period, daemon=True)
+            yield self.engine.timeout(self.PERIOD, daemon=True)
             yield from self.mount.sync()
             self.syncs += 1

@@ -21,7 +21,7 @@ and is hardened the way real NFS/UDP clients were:
   Karn's rule — a sample is only taken when the call was answered without
   any retransmission, since an ambiguous reply could be to either copy;
 * timeouts back off **exponentially with seeded jitter**, bounded by
-  ``max_rto``;
+  :attr:`RttEstimator.MAX_RTO`;
 * **hard vs soft mounts**: a hard mount retransmits forever (the default,
   like ``mount -o hard``); a soft mount gives up after ``retrans``
   transmissions and raises :class:`~repro.errors.RpcTimeoutError`
@@ -66,19 +66,17 @@ class RttEstimator:
 
     ``srtt`` is the smoothed round-trip time (gain 1/8), ``rttvar`` the
     smoothed mean deviation (gain 1/4); the timeout is ``srtt + 4*rttvar``
-    clamped to ``[min_rto, max_rto]``.  Until the first sample arrives the
+    clamped to ``[MIN_RTO, MAX_RTO]``.  Until the first sample arrives the
     configured initial timeout is used.
     """
 
-    def __init__(self, initial_rto: float = 1.1, min_rto: float = 0.1,
-                 max_rto: float = 20.0):
-        if not 0 < min_rto <= max_rto:
-            raise ValueError("need 0 < min_rto <= max_rto")
+    MIN_RTO = 0.1
+    MAX_RTO = 20.0
+
+    def __init__(self, initial_rto: float = 1.1):
         if initial_rto <= 0:
             raise ValueError("initial_rto must be positive")
         self.initial_rto = initial_rto
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self.srtt: "float | None" = None
         self.rttvar = 0.0
         self.samples = 0
@@ -99,18 +97,22 @@ class RttEstimator:
         """Current retransmission timeout."""
         if self.srtt is None:
             return self.initial_rto
-        return min(self.max_rto, max(self.min_rto, self.srtt + 4 * self.rttvar))
+        return min(self.MAX_RTO,
+                   max(self.MIN_RTO, self.srtt + 4 * self.rttvar))
 
 
 class NfsMount(Vfs):
     """A client-side mount of a remote server (hard by default)."""
 
+    #: Bytes of write-behind each file may have in flight.
+    WRITE_BEHIND_LIMIT = 64 * KB
+    #: Seed of the retransmission backoff's jitter.
+    JITTER_SEED = 0
+
     def __init__(self, engine: "Engine", cpu: "Cpu", pagecache: "PageCache",
                  network: Network, server: NfsServer,
-                 write_behind_limit: int = 64 * KB, name: str = "nfs0",
-                 soft: bool = False, timeo: float = 1.1, retrans: int = 5,
-                 max_rto: float = 20.0, jitter_seed: int = 0):
-        super().__init__(name)
+                 soft: bool = False, timeo: float = 1.1, retrans: int = 5):
+        super().__init__("nfs0")
         if retrans < 1:
             raise ValueError("retrans must be >= 1")
         self.engine = engine
@@ -118,17 +120,15 @@ class NfsMount(Vfs):
         self.pagecache = pagecache
         self.network = network
         self.server = server
-        self.write_behind_limit = write_behind_limit
         self.soft = soft
         self.timeo = timeo
         self.retrans = retrans
-        self.max_rto = max_rto
-        self.stats = StatSet(name)
+        self.stats = StatSet(self.name)
         self._vnodes: dict[int, "NfsVnode"] = {}
         self._root: "NfsVnode | None" = None
         self._next_xid = 1
         self._estimators: dict[str, RttEstimator] = {}
-        self._jitter = random.Random(jitter_seed)
+        self._jitter = random.Random(self.JITTER_SEED)
         #: Transmissions the most recent completed rpc() needed (1 = clean);
         #: namespace ops use it for retransmission-aware error handling.
         self._last_transmissions = 0
@@ -159,7 +159,7 @@ class NfsMount(Vfs):
         and a LOOKUP have very different service times)."""
         est = self._estimators.get(op)
         if est is None:
-            est = RttEstimator(initial_rto=self.timeo, max_rto=self.max_rto)
+            est = RttEstimator(initial_rto=self.timeo)
             self._estimators[op] = est
         return est
 
@@ -210,7 +210,7 @@ class NfsMount(Vfs):
                         f"NFS {op} xid={xid}: no reply after {transmissions} "
                         f"transmissions (soft mount)")
                 # Bounded exponential backoff with seeded jitter.
-                rto = min(self.max_rto,
+                rto = min(RttEstimator.MAX_RTO,
                           rto * 2 * (1 + 0.1 * self._jitter.random()))
             if transmissions == 1:
                 # Karn's rule: a retransmitted call's reply is ambiguous (it
@@ -326,7 +326,7 @@ class NfsVnode(Vnode):
         self.remote_size = size
         self.readahead = ReadAheadState()
         self.throttle = WriteThrottle(mount.engine,
-                                      mount.write_behind_limit,
+                                      mount.WRITE_BEHIND_LIMIT,
                                       owner=f"nfs handle {handle}")
         #: Deferred write-behind failure, raised by the next write()/fsync()
         #: (the NFS flavour of ufs/io.py's partial-write error propagation).

@@ -16,8 +16,8 @@ on COMMIT, which fsyncs the file; the ``crashpoints`` preset ``nfs`` holds
 every COMMIT to its word in every crash state of the server's drive.
 
 The server is its own "machine": its own CPU and its own disk stack; only
-the network couples it to the client.  ``nfsd_threads`` requests are
-served concurrently, as the real nfsd pool did.
+the network couples it to the client.  :attr:`NfsServer.NFSD_THREADS`
+requests are served concurrently, as the real nfsd pool did.
 """
 
 from __future__ import annotations
@@ -71,15 +71,16 @@ class RpcReply:
 class NfsServer:
     """Serves LOOKUP/GETATTR/READ/WRITE/CREATE/REMOVE/COMMIT on a UfsMount."""
 
+    #: The nfsd pool's size.
+    NFSD_THREADS = 2
+    #: Replies the duplicate-request cache keeps, least recent evicted.
+    DRC_SIZE = 256
+
     def __init__(self, engine: "Engine", mount: "UfsMount",
-                 nfsd_threads: int = 2, per_rpc_cpu: float = 300 * US,
-                 drc_size: int = 256):
-        if drc_size < 0:
-            raise ValueError("drc_size must be >= 0")
+                 per_rpc_cpu: float = 300 * US):
         self.mount = mount
         self.per_rpc_cpu = per_rpc_cpu
-        self.drc_size = drc_size
-        self._nfsds = Resource(engine, capacity=nfsd_threads, name="nfsd")
+        self._nfsds = Resource(engine, capacity=self.NFSD_THREADS, name="nfsd")
         self._drc: "OrderedDict[int, RpcReply]" = OrderedDict()
         #: xids of mutating ops already executed once — accounting only (a
         #: real server has no such table; campaigns use it to prove the DRC
@@ -100,19 +101,18 @@ class NfsServer:
             self.stats.incr("corrupt_requests_rejected")
             return None
         opkey = op.lower()
-        if self.drc_size > 0:
-            cached = self._drc.get(xid)
-            if cached is _IN_PROGRESS:
-                # The original is still executing; answering now would race
-                # it, so the retransmission is dropped (the client's timer
-                # covers us).
-                self.stats.incr("drc_in_progress_drops")
-                return None
-            if cached is not None:
-                self.stats.incr("drc_hits")
-                self._drc.move_to_end(xid)
-                return cached
-            self._drc[xid] = _IN_PROGRESS  # type: ignore[assignment]
+        cached = self._drc.get(xid)
+        if cached is _IN_PROGRESS:
+            # The original is still executing; answering now would race
+            # it, so the retransmission is dropped (the client's timer
+            # covers us).
+            self.stats.incr("drc_in_progress_drops")
+            return None
+        if cached is not None:
+            self.stats.incr("drc_hits")
+            self._drc.move_to_end(xid)
+            return cached
+        self._drc[xid] = _IN_PROGRESS  # type: ignore[assignment]
         if opkey in MUTATING_OPS:
             if xid in self._executed_mutations:
                 self.stats.incr("duplicate_executions")
@@ -122,12 +122,11 @@ class NfsServer:
             reply = RpcReply("ok", result.value, result.wire_bytes)
         except ReproError as exc:
             reply = RpcReply("err", exc)
-        if self.drc_size > 0:
-            self._drc[xid] = reply
-            self._drc.move_to_end(xid)
-            while len(self._drc) > self.drc_size:
-                self._drc.popitem(last=False)
-                self.stats.incr("drc_evictions")
+        self._drc[xid] = reply
+        self._drc.move_to_end(xid)
+        while len(self._drc) > self.DRC_SIZE:
+            self._drc.popitem(last=False)
+            self.stats.incr("drc_evictions")
         return reply
 
     # -- dispatch -----------------------------------------------------------

@@ -16,15 +16,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def build_world(server_config: SystemConfig | None = None,
-                client_config: SystemConfig | None = None,
                 bandwidth: float = ETHERNET_10MBIT,
                 latency: float = 1.0 * MS,
-                nfsd_threads: int = 2,
                 fault_plan: "NetFaultPlan | None" = None,
                 soft: bool = False,
                 timeo: float = 1.1,
-                retrans: int = 5,
-                drc_size: int = 256):
+                retrans: int = 5):
     """Boot a server machine (with a UFS) and a diskless-ish client machine
     on one engine, joined by a network; returns
     ``(client_system, server_system, nfs_mount)``, the mount being the
@@ -32,21 +29,17 @@ def build_world(server_config: SystemConfig | None = None,
 
     ``fault_plan`` (a :class:`~repro.faults.netplan.NetFaultPlan`) makes the
     wire lossy; ``soft``/``timeo``/``retrans`` pick the client's mount
-    semantics and ``drc_size`` the server's duplicate-request cache
-    capacity.  The server's own crashes are the ``crashpoints`` preset
+    semantics.  The server's own crashes are the ``crashpoints`` preset
     ``nfs``, which records this world's server drive.
     """
     server_system = System.booted(
         server_config if server_config is not None else SystemConfig.config_a()
     )
-    client_system = System(
-        client_config if client_config is not None else SystemConfig(name="client"),
-        engine=server_system.engine,
-    )
+    client_system = System(SystemConfig(name="client"),
+                           engine=server_system.engine)
     network = Network(server_system.engine, bandwidth=bandwidth,
                       latency=latency, fault_plan=fault_plan)
-    server = NfsServer(server_system.engine, server_system.mount,
-                       nfsd_threads=nfsd_threads, drc_size=drc_size)
+    server = NfsServer(server_system.engine, server_system.mount)
     mount = NfsMount(server_system.engine, client_system.cpu,
                      client_system.pagecache, network, server,
                      soft=soft, timeo=timeo, retrans=retrans)

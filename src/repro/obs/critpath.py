@@ -44,7 +44,7 @@ misattribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs.attrib import (
     _SPAN_CATEGORY, ATTRIBUTION_CATEGORIES, attribution_table,
@@ -304,20 +304,22 @@ class CritReport:
         }
 
 
-def critical_paths(tracer: "Tracer",
-                   kinds: "Iterable[str] | None" = None) -> CritReport:
+#: Relative tolerance of :func:`verify_conservation`.
+CONSERVATION_TOL = 1e-9
+#: Seconds :func:`verify_against_attribution` lets the two sweeps differ
+#: by per cell (they visit float boundaries in different orders).
+ATTRIBUTION_TOL = 1e-6
+
+
+def critical_paths(tracer: "Tracer") -> CritReport:
     """Extract every completed request's critical path from a trace.
 
-    ``kinds`` restricts the roots considered (e.g. only ``read``); open
-    roots are excluded and counted on the report.
+    Open roots are excluded and counted on the report.
     """
-    wanted = set(kinds) if kinds is not None else None
     children = tracer.children_index()
     paths: list[CriticalPath] = []
     open_roots = 0
     for root in tracer.span_roots():
-        if wanted is not None and root.name not in wanted:
-            continue
         if root.end is None:
             open_roots += 1
             continue
@@ -325,10 +327,11 @@ def critical_paths(tracer: "Tracer",
     return CritReport(paths, open_roots)
 
 
-def verify_conservation(report: CritReport, tol: float = 1e-9
-                        ) -> "list[str]":
-    """Check every path's segments sum to its latency (within ``tol``
-    relative to the latency).  Returns human-readable violations."""
+def verify_conservation(report: CritReport) -> "list[str]":
+    """Check every path's segments sum to its latency (within
+    :data:`CONSERVATION_TOL` relative to the latency).  Returns
+    human-readable violations."""
+    tol = CONSERVATION_TOL
     problems = []
     for path in report.paths:
         bound = max(tol, abs(path.latency) * tol)
@@ -339,15 +342,14 @@ def verify_conservation(report: CritReport, tol: float = 1e-9
     return problems
 
 
-def verify_against_attribution(tracer: "Tracer", report: CritReport,
-                               tol: float = 1e-6) -> "list[str]":
+def verify_against_attribution(tracer: "Tracer", report: CritReport
+                               ) -> "list[str]":
     """Cross-check the per-kind blame totals against attrib.py's sweep.
 
     Both modules classify every instant of every completed request; they
-    must agree per kind and category to within ``tol`` seconds (the two
-    sweeps visit float boundaries in different orders).  Disagreement
-    means one of the sweeps mis-blamed time — returned as messages, one
-    per mismatched cell.
+    must agree per kind and category to within :data:`ATTRIBUTION_TOL`.
+    Disagreement means one of the sweeps mis-blamed time — returned as
+    messages, one per mismatched cell.
     """
     attrib = attribution_table(tracer)
     ours = report.by_kind()
@@ -361,7 +363,7 @@ def verify_against_attribution(tracer: "Tracer", report: CritReport,
         for category in ATTRIBUTION_CATEGORIES:
             a = a_row["categories"][category]
             o = o_row["categories"][category]
-            if abs(a - o) > tol:
+            if abs(a - o) > ATTRIBUTION_TOL:
                 problems.append(f"{kind}/{category}: attrib={a!r} "
                                 f"critpath={o!r}")
     return problems

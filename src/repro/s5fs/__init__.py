@@ -24,7 +24,7 @@ It is a file system of the machine: ``s5_mkfs(system.store)`` on a
 
 from repro.s5fs.check import S5CheckReport, s5check
 from repro.s5fs.fs import S5FileSystem, s5_mkfs
-from repro.s5fs.ondisk import S5Params, S5Superblock
+from repro.s5fs.ondisk import S5Superblock
 
-__all__ = ["S5CheckReport", "S5FileSystem", "S5Params", "S5Superblock",
-           "s5_mkfs", "s5check"]
+__all__ = ["S5CheckReport", "S5FileSystem", "S5Superblock", "s5_mkfs",
+           "s5check"]

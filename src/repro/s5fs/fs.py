@@ -16,10 +16,11 @@ from repro.errors import (
     FileExistsError_, FileNotFoundError_, InvalidArgumentError, NoSpaceError,
 )
 from repro.s5fs.ondisk import (
-    NICFREE, S5_DIRENT_SIZE, S5_MAGIC, S5_NADDR, S5_NDIRECT, S5_ROOT_INO,
-    S5Dinode, S5Params, S5Superblock, check_s5_name, get_ptr, iter_ptrs,
-    iter_s5_dirents, pack_free_chain_block, pack_s5_dirent, s5_dirent_ino,
-    s5_lbn_path, set_ptr, set_s5_dirent_ino, unpack_free_chain_block,
+    NICFREE, S5_BSIZE, S5_DINODE_SIZE, S5_DIRENT_SIZE, S5_MAGIC, S5_NADDR,
+    S5_NBPI, S5_NDIRECT, S5_ROOT_INO, S5Dinode, S5Superblock, check_s5_name,
+    get_ptr, iter_ptrs, iter_s5_dirents, pack_free_chain_block,
+    pack_s5_dirent, s5_dirent_ino, s5_lbn_path, set_ptr, set_s5_dirent_ino,
+    unpack_free_chain_block,
 )
 from repro.sim.stats import StatSet
 from repro.ufs.metacache import MetaBuf, MetaCache
@@ -35,18 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
 CLUSTER_BLOCKS = 56
 
 
-def s5_mkfs(store: "DiskStore", params: S5Params | None = None,
-            size_blocks: int | None = None) -> S5Superblock:
-    """Build an S5 file system (offline, via the data plane)."""
-    params = params if params is not None else S5Params()
-    bsize = params.bsize
+def s5_mkfs(store: "DiskStore") -> S5Superblock:
+    """Build an S5 file system over the whole store (offline, via the data
+    plane)."""
+    bsize = S5_BSIZE
     per_block = bsize // 512
-    total = size_blocks if size_blocks is not None else (
-        store.total_sectors // per_block
-    )
+    total = store.total_sectors // per_block
     if total < 16:
         raise InvalidArgumentError("device too small for S5FS")
-    isize = max(1, (total * bsize // params.nbpi * 64) // bsize)
+    isize = max(1, (total * bsize // S5_NBPI * S5_DINODE_SIZE) // bsize)
     data_start = 2 + isize
     if data_start >= total - 2:
         raise InvalidArgumentError("inode list leaves no data blocks")

@@ -21,21 +21,8 @@ S5_NDIRECT = 10
 S5_DIRSIZ = 14  # max file name length
 S5_DIRENT_SIZE = 16  # 2-byte inode + 14-byte name
 S5_ROOT_INO = 2
-
-
-@dataclass(frozen=True)
-class S5Params:
-    """mkfs parameters for S5FS."""
-
-    bsize: int = 1024
-    #: Data bytes per inode (sizes the inode list).
-    nbpi: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.bsize % 512 or self.bsize <= 0:
-            raise ValueError("bsize must be a positive multiple of 512")
-        if self.nbpi <= 0:
-            raise ValueError("nbpi must be positive")
+S5_BSIZE = 1024  # the block size s5_mkfs builds
+S5_NBPI = 4096  # data bytes per inode (sizes the inode list)
 
 
 @dataclass

@@ -101,9 +101,10 @@ class SanitizerError(SimulationError):
 class Sanitizer:
     """The per-machine registry of cross-layer invariant checks."""
 
-    def __init__(self, system: "System", enabled: "bool | None" = None):
+    def __init__(self, system: "System"):
         self.system = system
-        self.enabled = default_enabled() if enabled is None else enabled
+        #: Starts at :func:`default_enabled`; ``--sanitize`` and tests set it.
+        self.enabled = default_enabled()
         #: Checkpoints taken and checks run, for tests and reports.
         self.checkpoints = 0
         self.checks_run = 0

@@ -182,7 +182,9 @@ class Tracer:
         """Direct children of ``parent``, in recording order.
 
         Served from the incrementally-maintained parent index: O(children),
-        never a rescan of every span.
+        never a rescan of every span.  Tests only: analyzers walk
+        :meth:`children_index`, which ``tests/sim/test_trace_determinism.py``
+        holds equal to this.
         """
         pid = parent.id if isinstance(parent, Span) else parent
         return list(self._children.get(pid, ()))

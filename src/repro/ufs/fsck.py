@@ -568,20 +568,24 @@ def _check(store: "DiskStore") -> _Checker:
     return checker
 
 
-def fsck(store: "DiskStore", repair: bool = False,
-         max_passes: int = 8) -> FsckReport:
+#: Check/repair rounds a repairing fsck runs at most before giving up.
+MAX_REPAIR_PASSES = 8
+
+
+def fsck(store: "DiskStore", repair: bool = False) -> FsckReport:
     """Check (and with ``repair=True``, repair) the file system on ``store``.
 
     The returned report carries the first pass's findings — what was
     *detected* — plus, in repair mode, every repair applied across however
-    many check/repair passes it took to converge.  Callers verify by
+    many check/repair passes (at most :data:`MAX_REPAIR_PASSES`) it took
+    to converge.  Callers verify by
     running a second ``fsck(store)`` and asserting ``clean``.
     """
     checker = _check(store)
     report = checker.report
     if not repair or report.clean:
         return report
-    for _ in range(max_passes):
+    for _ in range(MAX_REPAIR_PASSES):
         _Repairer(store, checker.sb).apply(checker.actions, report.repairs)
         checker = _check(store)
         if checker.report.clean:

@@ -355,13 +355,11 @@ def ufs_putpage(vn: "UfsVnode", offset: int, length: int, flags: PutFlags,
         offset = min(offset, start)
         length = end - offset
     yield from _push_range(vn, offset, length, async_=flags.async_,
-                           free=flags.free, invalidate=flags.invalidate,
-                           req=req)
+                           free=flags.free, req=req)
 
 
 def _push_range(vn: "UfsVnode", offset: int, length: int, async_: bool,
-                free: bool, invalidate: bool = False,
-                req: "IORequest | None" = None
+                free: bool, req: "IORequest | None" = None
                 ) -> Generator[Any, Any, None]:
     """Write out all dirty pages in [offset, offset+length), clustered by
     contiguity on disk (figure 8's while loop).
@@ -401,7 +399,7 @@ def _push_range(vn: "UfsVnode", offset: int, length: int, async_: bool,
             )
         cluster = run[:contig]
         buf, written = yield from _issue_write(vn, cluster, addr, async_,
-                                               free, invalidate, req=req)
+                                               free, req=req)
         seen.update(p.frame for p in written)
         if buf is not None:
             if not async_:
@@ -440,17 +438,16 @@ class _WriteIodone:
     """
 
     __slots__ = ("pages", "pagecache", "throttle", "charged", "health",
-                 "free", "invalidate")
+                 "free")
 
     def __init__(self, pages: "list[Page]", pagecache, throttle, charged: int,
-                 health, free: bool, invalidate: bool) -> None:
+                 health, free: bool) -> None:
         self.pages = pages
         self.pagecache = pagecache
         self.throttle = throttle
         self.charged = charged
         self.health = health
         self.free = free
-        self.invalidate = invalidate
 
     def __call__(self, done_buf: Buf) -> None:
         if done_buf.error is not None:
@@ -464,17 +461,14 @@ class _WriteIodone:
             for page in self.pages:
                 page.dirty = False
                 page.unlock()
-                if self.invalidate:
-                    self.pagecache.destroy(page)
-                elif self.free and not page.referenced and not page.free:
+                if self.free and not page.referenced and not page.free:
                     self.pagecache.free(page)
             self.health.record_success()
         self.throttle.credit(self.charged, source=done_buf)
 
 
 def _issue_write(vn: "UfsVnode", cluster: "list[Page]", addr: int,
-                 async_: bool, free: bool, invalidate: bool,
-                 req: "IORequest | None" = None
+                 async_: bool, free: bool, req: "IORequest | None" = None
                  ) -> Generator[Any, Any, "tuple[Buf | None, list[Page]]"]:
     """Write one on-disk-contiguous cluster of dirty pages.
 
@@ -543,8 +537,7 @@ def _issue_write(vn: "UfsVnode", cluster: "list[Page]", addr: int,
         mount.stats.incr("write_bytes", len(data))
 
         buf.iodone.append(_WriteIodone(run, pc, ip.throttle, len(data),
-                                       ip.writecluster.health, free,
-                                       invalidate))
+                                       ip.writecluster.health, free))
         mount.driver.strategy(buf)
         throttle_span = None
         if req is not None and ip.throttle.enabled and ip.throttle.value < 0:

@@ -52,15 +52,15 @@ class UfsMount(Vfs):
     def __init__(self, engine: "Engine", cpu: "Cpu", driver: "DiskDriver",
                  pagecache: "PageCache", tuning: ClusterTuning | None = None,
                  tracer: Tracer | None = None, metacache_blocks: int = 64,
-                 ordered_metadata: bool = False, name: str = "ufs0"):
-        super().__init__(name)
+                 ordered_metadata: bool = False):
+        super().__init__("ufs0")
         self.engine = engine
         self.cpu = cpu
         self.driver = driver
         self.pagecache = pagecache
         self.tuning = tuning if tuning is not None else ClusterTuning.new_system()
         self.trace = tracer if tracer is not None else Tracer(engine)
-        self.stats = StatSet(name)
+        self.stats = StatSet(self.name)
         #: Shared per-mount throttle counters: every inode's WriteThrottle
         #: reports into this one StatSet (the metrics registry's
         #: ``ufs.throttle`` namespace).

@@ -3,7 +3,10 @@
 Each file system type implements two object classes, *vfs* and *vnode*
 [Kleiman].  Only the operations this reproduction exercises are declared:
 ``rdwr`` (read/write syscalls), ``getpage``/``putpage`` (where the I/O
-happens), ``fsync``, ``bmap`` (the paper's extent interface), ``statfs``.
+happens), ``fsync``, ``bmap`` (the paper's extent interface), ``statfs``,
+and the namespace operations the syscall layer calls on a ``Vfs``.  Every
+file system has ``namei``, ``create`` and ``unlink``; one that lacks any
+other answers it with EINVAL, so a syscall always fails with an errno.
 
 All operations that may perform I/O are generators (simulation processes);
 call them with ``yield from``.
@@ -53,18 +56,15 @@ class PutFlags:
         Start the write but do not wait for it (B_ASYNC).
     ``free``
         Free the page once clean (B_FREE) — free-behind and pageout use it.
-    ``invalidate``
-        Destroy the page after the write (B_INVAL).
     """
 
     delay: bool = False
     async_: bool = False
     free: bool = False
-    invalidate: bool = False
 
     def __post_init__(self) -> None:
-        if self.delay and (self.async_ or self.invalidate):
-            raise ValueError("delayed writes cannot also be async/invalidate")
+        if self.delay and self.async_:
+            raise ValueError("delayed writes cannot also be async")
 
 
 class Vnode(ABC):
@@ -151,6 +151,55 @@ class Vfs(ABC):
     def statfs(self) -> StatFs:
         """Sizes and free space, no I/O (EINVAL: NFS serves no STATFS)."""
         raise InvalidArgumentError(f"{self.name}: statfs not supported")
+
+    # -- namespace ---------------------------------------------------------
+    @abstractmethod
+    def namei(self, path: str) -> Generator[Any, Any, Any]:
+        """The file ``path`` names (ENOENT when there is none)."""
+
+    @abstractmethod
+    def create(self, path: str) -> Generator[Any, Any, Any]:
+        """A new empty regular file at ``path``."""
+
+    @abstractmethod
+    def unlink(self, path: str) -> Generator[Any, Any, None]:
+        """Remove the name ``path`` and, with its last name, the file."""
+
+    def _unsupported(self, op: str) -> Generator[Any, Any, Any]:
+        raise InvalidArgumentError(f"{self.name}: {op} not supported")
+        yield  # pragma: no cover - makes this a generator
+
+    def link(self, existing: str, new_path: str) -> Generator[Any, Any, None]:
+        """A second name for ``existing`` (default: EINVAL)."""
+        return self._unsupported("link")
+
+    def symlink(self, target: str, link_path: str
+                ) -> Generator[Any, Any, Any]:
+        """A symbolic link at ``link_path`` (default: EINVAL)."""
+        return self._unsupported("symlink")
+
+    def readlink(self, path: str) -> Generator[Any, Any, str]:
+        """The target of the symbolic link ``path`` (default: EINVAL)."""
+        return self._unsupported("readlink")
+
+    def rename(self, old_path: str, new_path: str
+               ) -> Generator[Any, Any, None]:
+        """Move a name (default: EINVAL)."""
+        return self._unsupported("rename")
+
+    def mkdir(self, path: str) -> Generator[Any, Any, Any]:
+        """A new directory (default: EINVAL)."""
+        return self._unsupported("mkdir")
+
+    def rmdir(self, path: str) -> Generator[Any, Any, None]:
+        """Remove an empty directory (default: EINVAL)."""
+        return self._unsupported("rmdir")
+
+    def readdir(self, path: str
+                ) -> Generator[Any, Any, list[tuple[str, int]]]:
+        """``(name, inode number)`` per entry of ``path`` (default:
+        EINVAL)."""
+        return self._unsupported("readdir")
 
     def throttles(self) -> Iterator[tuple[str, "WriteThrottle"]]:
         """``(owner label, WriteThrottle)`` per file (default: none)."""

@@ -226,7 +226,7 @@ def test_tuning_validation():
 # -- bmap cache ---------------------------------------------------------------------
 
 def test_bmap_cache_extent_hit_by_offset():
-    cache = BmapCache(capacity=4)
+    cache = BmapCache()
     cache.insert(first_lbn=10, phys=800, length_blocks=5)
     assert cache.lookup(10, frags_per_block=8) == (800, 5)
     assert cache.lookup(12, frags_per_block=8) == (816, 3)
@@ -236,14 +236,14 @@ def test_bmap_cache_extent_hit_by_offset():
 
 
 def test_bmap_cache_lru_eviction():
-    cache = BmapCache(capacity=2)
-    cache.insert(0, 100, 1)
-    cache.insert(10, 200, 1)
+    cache = BmapCache()
+    for i in range(BmapCache.CAPACITY):
+        cache.insert(10 * i, 100 * (i + 1), 1)
     cache.lookup(0, 8)  # refresh entry 0
-    cache.insert(20, 300, 1)  # evicts entry 10
+    cache.insert(1000, 300, 1)  # full: evicts entry 10, the least recent
     assert cache.lookup(10, 8) is None
     assert cache.lookup(0, 8) is not None
-    assert cache.lookup(20, 8) is not None
+    assert cache.lookup(1000, 8) is not None
 
 
 def test_bmap_cache_invalidate():
@@ -255,8 +255,6 @@ def test_bmap_cache_invalidate():
 
 
 def test_bmap_cache_validation():
-    with pytest.raises(ValueError):
-        BmapCache(capacity=0)
     cache = BmapCache()
     with pytest.raises(ValueError):
         cache.insert(0, 100, 0)

@@ -135,18 +135,3 @@ def test_breakdown_and_reset():
     cpu.reset_ledger()
     assert cpu.system_time == 0
     assert cpu.resource.busy_time == 0
-
-
-def test_two_cpus_overlap():
-    eng = Engine()
-    cpu = Cpu(eng, ncpus=2)
-    finish = {}
-
-    def user(tag):
-        yield from cpu.work(tag, 1.0)
-        finish[tag] = eng.now
-
-    for tag in "abc":
-        eng.process(user(tag))
-    eng.run()
-    assert finish == {"a": 1.0, "b": 1.0, "c": 2.0}

@@ -1,7 +1,12 @@
 """Tests for the elevator anti-starvation bound and queue-bytes tracking."""
 
-from repro.disk import Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, RotationalDisk
+from repro.disk import (
+    Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, ElevatorScheduler,
+    RotationalDisk,
+)
 from repro.sim import Engine
+
+MAX_PASSES = ElevatorScheduler.MAX_PASSES
 
 
 def wbuf(engine, sector, nsectors=2):
@@ -11,13 +16,13 @@ def wbuf(engine, sector, nsectors=2):
 
 def test_pass_limit_rescues_starved_request():
     eng = Engine()
-    queue = DiskQueue(max_passes=3)
+    queue = DiskQueue()
     victim = Buf(eng, BufOp.READ, 5, 2)
     queue.insert(victim)
     last = 500
     served = []
     next_sector = 600
-    for _ in range(10):
+    for _ in range(MAX_PASSES + 2):
         queue.insert(wbuf(eng, next_sector))
         next_sector += 10
         buf = queue.pop(last)
@@ -26,14 +31,14 @@ def test_pass_limit_rescues_starved_request():
         if buf is victim:
             break
     assert victim in served
-    # It was passed over exactly max_passes times before being forced.
-    assert served.index(victim) == 3
+    # It was passed over exactly MAX_PASSES times before being forced.
+    assert served.index(victim) == MAX_PASSES
 
 
 def test_forced_request_counts_as_pass_for_others():
     """Several starved requests are served oldest-first."""
     eng = Engine()
-    queue = DiskQueue(max_passes=2)
+    queue = DiskQueue()
     old = Buf(eng, BufOp.READ, 5, 2)
     queue.insert(old)
     newer = Buf(eng, BufOp.READ, 10, 2)
@@ -41,7 +46,7 @@ def test_forced_request_counts_as_pass_for_others():
     last = 500
     order = []
     next_sector = 600
-    for _ in range(8):
+    for _ in range(MAX_PASSES + 4):
         queue.insert(wbuf(eng, next_sector))
         next_sector += 10
         buf = queue.pop(last)
@@ -55,7 +60,7 @@ def test_forced_request_counts_as_pass_for_others():
 def test_no_passes_without_skipping():
     """Pure ascending traffic never triggers the starvation path."""
     eng = Engine()
-    queue = DiskQueue(max_passes=1)
+    queue = DiskQueue()
     for sector in (10, 20, 30):
         queue.insert(wbuf(eng, sector))
     order = []

@@ -95,16 +95,17 @@ def test_ordered_buf_is_a_barrier():
     assert queue.pop(502).sector == 10
 
 
-def test_queue_len_and_peek():
+def test_queue_len_and_pop_order():
     queue = DiskQueue()
     eng = Engine()
     bufs = [wbuf(eng, s) for s in (30, 10, 20)]
     for b in bufs:
         queue.insert(b)
     assert len(queue) == 3
-    assert [b.sector for b in queue.peek_all()] == [10, 20, 30]
-    queue.pop(0)
+    assert queue.pop(0).sector == 10
     assert len(queue) == 2
+    assert [queue.pop(12).sector, queue.pop(22).sector] == [20, 30]
+    assert len(queue) == 0
 
 
 def test_coalescing_merges_adjacent_writes():
@@ -129,10 +130,12 @@ def test_coalescing_merges_adjacent_writes():
 
 def test_coalescing_respects_size_limit():
     eng = Engine()
-    _, driver = make_stack(eng, coalesce=True, coalesce_limit=2 * KB)
-    driver.strategy(wbuf(eng, 700, async_=True))  # busy decoy
-    driver.strategy(wbuf(eng, 8, nsectors=2, async_=True))
-    driver.strategy(wbuf(eng, 10, nsectors=4, async_=True))  # would exceed 2 KB
+    _, driver = make_stack(eng, coalesce=True)
+    limit = DiskDriver.COALESCE_LIMIT // 512
+    driver.strategy(wbuf(eng, 1400, async_=True))  # busy decoy
+    driver.strategy(wbuf(eng, 8, nsectors=limit // 2, async_=True))
+    driver.strategy(wbuf(eng, 8 + limit // 2, nsectors=limit // 2 + 2,
+                         async_=True))  # together: past the limit
     eng.run()
     assert driver.stats["coalesced"] == 0
 

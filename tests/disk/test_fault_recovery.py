@@ -59,13 +59,13 @@ def test_retry_backoff_is_exponential():
 def test_retries_exhausted_fails_the_buf():
     eng = Engine()
     plan = FaultPlan(read_transient_p=1.0)
-    _, driver = make_stack(eng, plan, max_retries=3)
+    _, driver = make_stack(eng, plan)
     buf = Buf(eng, BufOp.READ, 10, 2, async_=True)
     driver.strategy(buf)
     eng.run()
     assert isinstance(buf.error, TransientDiskError)
     assert buf.data is None
-    assert driver.stats["retries"] == 3
+    assert driver.stats["retries"] == DiskDriver.MAX_RETRIES
     assert driver.stats["retries_exhausted"] == 1
     assert driver.stats["errors"] == 1
 
@@ -73,7 +73,7 @@ def test_retries_exhausted_fails_the_buf():
 def test_sync_waiter_sees_the_failure():
     eng = Engine()
     plan = FaultPlan(read_transient_p=1.0)
-    _, driver = make_stack(eng, plan, max_retries=1)
+    _, driver = make_stack(eng, plan)
 
     def proc():
         buf = Buf(eng, BufOp.READ, 10, 2)
@@ -161,7 +161,7 @@ def test_failed_cluster_splits_and_children_succeed():
 def test_unrecoverable_cluster_failure_reaches_every_child():
     eng = Engine()
     plan = FaultPlan(read_transient_p=1.0)
-    _, driver = make_stack(eng, plan, coalesce=True, max_retries=2)
+    _, driver = make_stack(eng, plan, coalesce=True)
     r1 = Buf(eng, BufOp.READ, 8, 2, async_=True)
     r2 = Buf(eng, BufOp.READ, 10, 2, async_=True)
     driver.strategy(r1)
@@ -194,6 +194,6 @@ def test_queue_remove_drops_starvation_counter():
     queue.insert(behind)
     queue.insert(ahead)
     assert queue.pop(last_sector=20) is ahead  # passes over `behind`
-    assert queue._passes  # the pass was counted
+    assert queue.scheduler._passes  # the pass was counted
     queue.remove(behind)  # e.g. absorbed into a coalesced parent
-    assert not queue._passes  # and the counter did not leak
+    assert not queue.scheduler._passes  # and the counter did not leak

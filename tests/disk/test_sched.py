@@ -38,16 +38,8 @@ def test_make_scheduler_by_name():
     assert isinstance(make_scheduler("elevator"), ElevatorScheduler)
     assert isinstance(make_scheduler("fifo"), FifoScheduler)
     assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
-    assert make_scheduler("elevator", max_passes=3).max_passes == 3
-    # Unknown kwargs are dropped per-policy, not an error.
-    assert isinstance(make_scheduler("fifo", max_passes=3), FifoScheduler)
     with pytest.raises(ValueError):
         make_scheduler("cfq")
-
-
-def test_deadline_validates_deadlines():
-    with pytest.raises(ValueError):
-        DeadlineScheduler(read_deadline=0)
 
 
 def test_same_bufs_different_orders():
@@ -76,56 +68,29 @@ def test_elevator_one_way_sweep_with_wrap():
 
 def test_deadline_promotes_expired_read():
     eng = Engine()
-    sched = DeadlineScheduler(read_deadline=60 * MS, write_deadline=400 * MS)
-    queue = DiskQueue(scheduler=sched)
+    assert DeadlineScheduler.READ_DEADLINE == 60 * MS
+    queue = DiskQueue(scheduler="deadline")
     # A read parked at a low sector behind a stream of forward writes.
     starving = rbuf(eng, 5, issued_at=0.0)
     queue.insert(starving)
     for i, sector in enumerate((100, 200, 300)):
         queue.insert(wbuf(eng, sector, issued_at=0.01 * i))
     # Before its deadline the elevator order wins (head at 90 goes up).
-    assert queue.peek_all(last_sector=90, now=0.050)[0].sector == 100
+    assert queue.pop(90, now=0.050).sector == 100
     # Past the read deadline the read is served first despite its position.
-    assert queue.pop(90, now=0.100) is starving
+    assert queue.pop(102, now=0.100) is starving
 
 
 def test_deadline_expired_writes_by_earliest_deadline():
     eng = Engine()
-    sched = DeadlineScheduler(read_deadline=60 * MS, write_deadline=400 * MS)
-    queue = DiskQueue(scheduler=sched)
+    assert DeadlineScheduler.WRITE_DEADLINE == 400 * MS
+    queue = DiskQueue(scheduler="deadline")
     first = wbuf(eng, 300, issued_at=0.0)
     second = wbuf(eng, 100, issued_at=0.1)
     queue.insert(first)
     queue.insert(second)
     # Both expired: earliest deadline (oldest write) wins, not sector order.
     assert queue.pop(0, now=1.0) is first
-
-
-def test_peek_all_matches_pop_sequence_for_every_scheduler():
-    eng = Engine()
-    for name in ("elevator", "fifo", "deadline"):
-        queue = DiskQueue(scheduler=name)
-        for i, sector in enumerate((40, 10, 999, 30, 20)):
-            buf = rbuf(eng, sector, issued_at=float(i))
-            if sector == 999:
-                buf.ordered = True  # a barrier in the middle
-            queue.insert(buf)
-        predicted = queue.peek_all(last_sector=15, now=0.0)
-        assert len(queue) == 5  # peeking does not consume
-        popped = drain(queue, last_sector=15)
-        assert predicted == popped, name
-
-
-def test_peek_all_leaves_elevator_pass_counts_alone():
-    eng = Engine()
-    queue = DiskQueue(scheduler="elevator")
-    queue.insert(rbuf(eng, 10))
-    queue.insert(rbuf(eng, 30))
-    queue.pop(20)  # head at 20 passes over sector 10, bumping its count
-    before = dict(queue._passes)
-    assert before  # the pass really was counted
-    queue.peek_all(last_sector=20)
-    assert queue._passes == before
 
 
 def test_remove_forgets_scheduler_state():
@@ -135,9 +100,9 @@ def test_remove_forgets_scheduler_state():
     queue.insert(parked)
     queue.insert(rbuf(eng, 30))
     queue.pop(20)  # bump parked's pass count
-    assert queue._passes
+    assert queue.scheduler._passes
     queue.remove(parked)
-    assert not queue._passes
+    assert not queue.scheduler._passes
     assert len(queue) == 0
 
 
@@ -165,7 +130,7 @@ def test_elevator_select_matches_reference(seed):
 
     rng = random.Random(seed)
     eng = Engine()
-    sched = ElevatorScheduler(max_passes=rng.choice((1, 2, 8)))
+    sched = ElevatorScheduler()
     ref_passes: dict[int, int] = {}
     seg: list = []
     last_sector, starved_picks = 0, 0
@@ -180,12 +145,12 @@ def test_elevator_select_matches_reference(seed):
             continue
         before = dict(sched._passes)
         assert before == ref_passes
-        want = _reference_elevator_select(ref_passes, sched.max_passes,
+        want = _reference_elevator_select(ref_passes, sched.MAX_PASSES,
                                           seg, last_sector)
         got = sched.select(seg, last_sector, now=float(step))
         assert got == want
         assert sched._passes == ref_passes
-        starved_picks += before.get(seg[got].id, 0) >= sched.max_passes
+        starved_picks += before.get(seg[got].id, 0) >= sched.MAX_PASSES
         buf = seg.pop(got)
         sched.forget(buf)
         ref_passes.pop(buf.id, None)

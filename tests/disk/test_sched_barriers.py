@@ -1,12 +1,6 @@
-"""B_ORDER barrier semantics across schedulers, and the DiskQueue
-snapshot/restore contract (segment boundaries must round-trip).
-
-The round-trip matters because ``peek_all`` simulates service order by
-popping the real queue and restoring it: if restore loses a barrier
-segment boundary — or aliases the snapshot's lists so a later restore
-replays mutations — the elevator would happily predict (and after a
-restore, perform) a reorder across a write barrier.
-"""
+"""B_ORDER barrier semantics across schedulers: the DiskQueue keeps each
+barrier's segment boundary, so no scheduler reorders a request across a
+write barrier, and the elevator's pass accounting follows the pops."""
 
 import pytest
 
@@ -55,83 +49,27 @@ def test_barrier_never_reordered_across(name):
     assert set(order[cut + 1:]) == set(post)
 
 
-@pytest.mark.parametrize("name", ["elevator", "fifo", "deadline"])
-def test_snapshot_restore_round_trips_segments(name):
-    engine = Engine()
-    queue = DiskQueue(scheduler=name)
-    fill(queue, engine)
-    state = queue.snapshot()
-    baseline = drain(queue)
-    assert len(queue) == 0
-    # Restore after draining everything: the full order must come back,
-    # barrier boundaries included.
-    queue.restore(state)
-    assert len(queue) == len(baseline)
-    assert drain(queue) == baseline
-
-
-@pytest.mark.parametrize("name", ["elevator", "fifo", "deadline"])
-def test_snapshot_survives_partial_pop_and_reinsert(name):
-    engine = Engine()
-    queue = DiskQueue(scheduler=name)
-    fill(queue, engine)
-    state = queue.snapshot()
-    baseline = drain(queue)
-    # Mutate hard after the snapshot: new inserts, including a new barrier.
-    queue.insert(wbuf(engine, 70))
-    queue.insert(wbuf(engine, 80, ordered=True))
-    queue.pop(0)
-    queue.restore(state)
-    assert drain(queue) == baseline
-    # The same snapshot restores a second time to the identical state
-    # (no aliasing between the snapshot and the live queue/scheduler).
-    queue.restore(state)
-    assert drain(queue) == baseline
-
-
-def test_peek_all_predicts_pop_order_with_barriers():
+def test_elevator_pop_order_with_barriers():
     engine = Engine()
     queue = DiskQueue(scheduler="elevator")
-    fill(queue, engine)
-    predicted = queue.peek_all(last_sector=0)
-    assert len(queue) == 7  # peeking leaves the queue intact
-    assert drain(queue) == predicted
+    pre, barrier, post = fill(queue, engine)
+    # One ascending sweep per segment, the barrier alone between them.
+    assert drain(queue) == sorted(pre, key=lambda b: b.sector) + [barrier] \
+        + sorted(post, key=lambda b: b.sector)
 
 
-def test_peek_all_does_not_disturb_elevator_accounting():
+def test_elevator_pops_count_passes():
     engine = Engine()
     queue = DiskQueue(scheduler="elevator")
-    for s in (40, 10, 30):
-        queue.insert(wbuf(engine, s))
-    before = dict(queue.scheduler._passes)
-    predicted = queue.peek_all(last_sector=35)  # skips 10 and 30 internally
-    assert dict(queue.scheduler._passes) == before
-    # And the real pops agree with the undisturbed prediction.
-    assert drain(queue, last_sector=35) == predicted
-
-
-def test_elevator_double_restore_is_not_aliased():
-    """Restoring the same scheduler snapshot twice yields the same state
-    even when selects mutate pass counts in between."""
-    engine = Engine()
-    queue = DiskQueue(scheduler="elevator")
-    bufs = [wbuf(engine, s) for s in (40, 10, 30)]
-    for buf in bufs:
+    low, mid, high = (wbuf(engine, s) for s in (10, 30, 40))
+    for buf in (high, low, mid):
         queue.insert(buf)
-    sched = queue.scheduler
-    state = sched.snapshot()
-    seg = [b for b in sorted(bufs, key=lambda b: b.sector)]
-    sched.select(seg, last_sector=35, now=0.0)  # passes over 10 and 30
-    first = dict(sched._passes)
-    sched.restore(state)
-    assert sched._passes == {}
-    sched.select(seg, last_sector=35, now=0.0)
-    assert dict(sched._passes) == first
-    sched.restore(state)
-    # The aliasing bug: the first restore adopted the snapshot dict, so
-    # the select above mutated the snapshot itself and this second
-    # restore would see pass counts that were never snapshotted.
-    assert sched._passes == {}
+    # The head at 35 serves 40 and passes over 10 and 30 once each.
+    assert queue.pop(35) is high
+    assert queue.scheduler._passes == {low.id: 1, mid.id: 1}
+    # The wrap serves them in sector order, and each leaves no count.
+    assert drain(queue, last_sector=high.end_sector) == [low, mid]
+    assert queue.scheduler._passes == {}
 
 
 def test_consecutive_barriers_stay_ordered():

@@ -1,10 +1,10 @@
 """Several DiskQueues coexisting — the volume layer's member queues.
 
 Every member of a multi-member volume owns its own DiskQueue and scheduler
-object.  These tests pin the properties the volume fan-out relies on:
-snapshot/restore and the elevator's pass accounting must stay per-queue
-(no shared state bleeding between members), barriers must hold per member,
-and ``peek_all`` must keep predicting each member's pops independently.
+object.  These tests pin the properties the volume fan-out relies on: the
+elevator's pass accounting stays per-queue (no shared state bleeding
+between members), barriers hold per member, and popping one member's
+queue leaves every other member's order alone.
 """
 
 import pytest
@@ -35,38 +35,24 @@ def drain(queue, last_sector=0):
 
 
 @pytest.mark.parametrize("name", ["elevator", "fifo", "deadline"])
-def test_snapshot_restore_is_per_queue(name):
-    engine = Engine()
-    queues = [DiskQueue(scheduler=name) for _ in range(3)]
-    for i, queue in enumerate(queues):
-        for sector in (40 + i, 10 + i, 30 + i):
-            queue.insert(wbuf(engine, sector))
-    snaps = [q.snapshot() for q in queues]
-    # Draining one queue must not disturb the others or their snapshots.
-    drained = drain(queues[0])
-    assert len(drained) == 3
-    assert len(queues[0]) == 0
-    assert [len(q) for q in queues[1:]] == [3, 3]
-    queues[0].restore(snaps[0])
-    assert len(queues[0]) == 3
-    assert [b.sector for b in drain(queues[0])] == \
-           [b.sector for b in drained]
-
-
-@pytest.mark.parametrize("name", ["elevator", "fifo", "deadline"])
-def test_peek_all_predicts_pop_per_member(name):
+def test_pops_are_per_member(name):
     engine = Engine()
     queues = [DiskQueue(scheduler=name) for _ in range(2)]
     # Interleaved inserts, as the volume fan-out produces them.
-    for sector in (40, 10, 90, 30, 5, 70):
+    for sector in (40, 11, 90, 31, 5, 70):
         queues[sector % 2].insert(wbuf(engine, sector))
     queues[0].insert(wbuf(engine, 60, ordered=True))
     queues[0].insert(wbuf(engine, 1))
-    predictions = [q.peek_all(0, 0.0) for q in queues]
-    # Predicting one member must not perturb another member's prediction.
-    assert queues[1].peek_all(0, 0.0) == predictions[1]
-    for queue, predicted in zip(queues, predictions):
-        assert drain(queue) == predicted
+    # Pops of one member interleaved with draining the other.
+    head = queues[0].pop(0, now=0.0)
+    other = [b.sector for b in drain(queues[1])]
+    rest = [b.sector for b in drain(queues[0], last_sector=head.end_sector)]
+    if name == "fifo":
+        assert (other, [head.sector] + rest) == ([11, 31, 5],
+                                                 [40, 90, 70, 60, 1])
+    else:
+        assert (other, [head.sector] + rest) == ([5, 11, 31],
+                                                 [40, 70, 90, 60, 1])
 
 
 def test_barriers_hold_per_member_queue():
@@ -98,11 +84,12 @@ def test_elevator_pass_accounting_is_per_queue():
     # queue 0; queue 1's elevator must not see those passes.
     served = queues[0].pop(60, now=0.0)
     assert served.sector == 100
-    assert len(queues[0]._passes) == 2
-    assert len(queues[1]._passes) == 0
+    passes = [queue.scheduler._passes for queue in queues]
+    assert len(passes[0]) == 2
+    assert len(passes[1]) == 0
     queues[1].pop(60, now=0.0)
-    assert len(queues[1]._passes) == 2
-    assert queues[0]._passes is not queues[1]._passes
+    assert len(passes[1]) == 2
+    assert passes[0] is not passes[1]
 
 
 def test_volume_member_queues_are_distinct_objects():

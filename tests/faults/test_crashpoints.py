@@ -31,12 +31,13 @@ def test_presets_are_wired():
 
 def test_explorer_rejects_bad_window():
     with pytest.raises(ValueError):
-        CrashpointExplorer(PRESETS["smoke"], window=0)
+        CrashpointExplorer(dataclasses.replace(PRESETS["smoke"], window=0))
 
 
 def test_explorer_rejects_a_negative_torn_limit():
     with pytest.raises(ValueError, match="torn_limit"):
-        CrashpointExplorer(PRESETS["smoke"], torn_limit=-1)
+        CrashpointExplorer(dataclasses.replace(PRESETS["smoke"],
+                                               torn_limit=-1))
 
 
 def test_torn_limit_zero_tears_nothing():
@@ -45,8 +46,11 @@ def test_torn_limit_zero_tears_nothing():
     the 822 raw states of ``torn_limit=1``."""
     pending = [JournalEvent("write", seq, 8 * seq, 4, bytes(2048))
                for seq in range(3)]
-    zero = CrashpointExplorer("append", torn_limit=0, sanitize=False)
-    one = CrashpointExplorer("append", torn_limit=1, sanitize=False)
+    append = PRESETS["append"]
+    zero = CrashpointExplorer(dataclasses.replace(append, torn_limit=0),
+                              sanitize=False)
+    one = CrashpointExplorer(dataclasses.replace(append, torn_limit=1),
+                             sanitize=False)
     assert zero._torn_candidates(pending, []) == []
     assert one._torn_candidates(pending, []) == pending[:1]
     assert zero.run().raw_states < one.run().raw_states
@@ -268,7 +272,7 @@ def _flush_acked_by_one_member(real):
     return join_hook
 
 
-def _resync_skipped(self, index, clear_faults=True):
+def _resync_skipped(self, index):
     return {"member": index, "identical": True, "verify_failures": []}
     yield  # pragma: no cover - a generator that does nothing
 

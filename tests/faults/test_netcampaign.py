@@ -38,8 +38,6 @@ def test_plan_derivation_is_seed_stable():
 def test_validation():
     with pytest.raises(ValueError):
         NetCampaign(seeds=0)
-    with pytest.raises(ValueError):
-        NetCampaign(nfiles=1)
 
 
 def test_a_file_that_grew_past_its_promise_is_a_corrupt_serve(

@@ -148,7 +148,7 @@ def test_split_retry_settles_every_issued_buf():
 def test_unrecoverable_split_still_settles_children():
     eng = Engine()
     plan = FaultPlan(read_transient_p=1.0)
-    _, driver = driver_stack(eng, plan, coalesce=True, max_retries=2)
+    _, driver = driver_stack(eng, plan, coalesce=True)
     r1 = Buf(eng, BufOp.READ, 8, 2, async_=True)
     r2 = Buf(eng, BufOp.READ, 10, 2, async_=True)
     driver.strategy(r1)

@@ -118,8 +118,7 @@ def test_remount_after_sync_preserves_tree():
     assert fsck(system.store).clean
 
     mount2 = UfsMount(system.engine, system.cpu, system.driver,
-                      system.pagecache, tuning=system.config.tuning,
-                      name="remount")
+                      system.pagecache, tuning=system.config.tuning)
 
     def verify():
         yield from mount2.activate()

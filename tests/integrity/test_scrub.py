@@ -187,7 +187,7 @@ def test_scrub_issues_real_requests(system):
 
 
 def test_daemon_paces_and_checkpoints(system):
-    daemon = system.start_scrub(interval=0.05, batch_frags=16)
+    daemon = system.start_scrub(interval=0.05)
 
     def idle_for(seconds):
         yield system.engine.timeout(seconds)

@@ -55,7 +55,7 @@ def test_scrub_repairs_from_the_other_member():
     frag, fs = _find_payload_frag(system, b"\xab\xab\xab\xab")
     system.volume.members[0].disk.store.write(frag * fs,
                                               b"\x5a" * (fs * 512))
-    report = system.run(Scrubber(system, batch_frags=4096).scrub_now(),
+    report = system.run(Scrubber(system).scrub_now(),
                         name="scrub")
     assert report.detected == 1
     assert report.repaired_from_mirror == 1
@@ -78,7 +78,7 @@ def test_mirror_rung_rejects_a_corrupt_second_copy():
                                               b"\x11" * (fs * 512))
     system.volume.members[1].disk.store.write(frag * fs,
                                               b"\x22" * (fs * 512))
-    report = system.run(Scrubber(system, batch_frags=4096).scrub_now(),
+    report = system.run(Scrubber(system).scrub_now(),
                         name="scrub")
     assert report.detected == 1
     assert report.repaired_from_mirror == 0
@@ -91,6 +91,6 @@ def test_single_layout_has_no_mirror_rung():
     _drop_pages(system)
     frag, fs = _find_payload_frag(system, b"\xee\xee\xee\xee", system.store)
     system.store.write(frag * fs, b"\x33" * (fs * 512))
-    report = system.run(Scrubber(system, batch_frags=4096).scrub_now(),
+    report = system.run(Scrubber(system).scrub_now(),
                         name="scrub")
     assert report.repaired_from_mirror == 0

@@ -124,7 +124,7 @@ def test_remount_neutralizes_the_old_systems_scrub_daemon():
 
     old.run(workload(proc), name="seed-data")
     old.sync()
-    daemon = old.start_scrub(interval=0.05, batch_frags=16)
+    daemon = old.start_scrub(interval=0.05)
     assert daemon in old.daemons
     assert not daemon.stale
 

@@ -9,7 +9,7 @@ from repro.errors import FileNotFoundError_, RpcTimeoutError
 from repro.faults import NetFaultPlan
 from repro.faults.netplan import DOWN, UP
 from repro.kernel import Proc, SystemConfig
-from repro.nfs import RttEstimator, build_world
+from repro.nfs import NfsServer, RttEstimator, build_world
 from repro.sim.engine import SimulationError
 from repro.units import KB
 
@@ -62,20 +62,16 @@ def test_rtt_estimator_converges_on_steady_rtt():
         est.observe(0.01)
     assert est.srtt == pytest.approx(0.01)
     # Variance decays toward zero; the floor keeps the timer sane.
-    assert est.rto() == pytest.approx(est.min_rto)
+    assert est.rto() == pytest.approx(RttEstimator.MIN_RTO)
 
 
 def test_rtt_estimator_clamps_to_max():
-    est = RttEstimator(initial_rto=1.0, max_rto=2.0)
-    est.observe(10.0)
-    assert est.rto() == 2.0
+    est = RttEstimator(initial_rto=1.0)
+    est.observe(10.0)  # srtt 10 + 4 * rttvar 5 = 30 s
+    assert est.rto() == RttEstimator.MAX_RTO
 
 
 def test_rtt_estimator_validation():
-    with pytest.raises(ValueError):
-        RttEstimator(min_rto=0)
-    with pytest.raises(ValueError):
-        RttEstimator(min_rto=5, max_rto=1)
     with pytest.raises(ValueError):
         RttEstimator(initial_rto=0)
     with pytest.raises(ValueError):
@@ -167,12 +163,16 @@ def test_lost_remove_reply_answered_from_drc():
         client.run(mount.namei("/f"))
 
 
-def test_lost_remove_reply_without_drc_hits_the_heuristic():
-    """drc_size=0 shows the bug the DRC exists for: the retransmitted
+def test_lost_remove_reply_without_drc_hits_the_heuristic(monkeypatch):
+    """A DRC that keeps no finished reply (as when the REMOVE's entry has
+    been evicted) shows the bug the DRC exists for: the retransmitted
     REMOVE re-executes and answers ENOENT; the client-side heuristic
-    (ENOENT on a retransmitted REMOVE is success) papers over it."""
+    (ENOENT on a retransmitted REMOVE is success) papers over it.
+    Evicting the entry at ``DRC_SIZE`` would take 256 more calls inside
+    one retransmission timeout, so the size is patched to 0."""
+    monkeypatch.setattr(NfsServer, "DRC_SIZE", 0)
     plan = NetFaultPlan(scheduled=[(1.0, DOWN, "drop")])
-    client, _server, mount = small_world(fault_plan=plan, drc_size=0)
+    client, _server, mount = small_world(fault_plan=plan)
     proc, _fd = _prepare_file(client, mount)
     server = mount.server
 
@@ -400,12 +400,12 @@ def test_write_fsync_read_back_over_lossy_wire():
 # -- the nfsd pool under interruption -------------------------------------------
 
 def test_interrupted_queued_call_gives_its_nfsd_slot_back():
-    """One nfsd: ``holder`` runs, ``victim`` queues behind it and is
-    interrupted there.  The slot must not stay charged to the call that
+    """Every nfsd busy: the holders run, ``victim`` queues behind them and
+    is interrupted there.  The slot must not stay charged to the call that
     will never run — at idle none is in use and a later call is served."""
     from repro.sim import Interrupt
 
-    client, _server, mount = small_world(nfsd_threads=1)
+    client, _server, mount = small_world()
     _prepare_file(client, mount)
     engine, server = client.engine, mount.server
     log = []
@@ -418,11 +418,14 @@ def test_interrupted_queued_call_gives_its_nfsd_slot_back():
         else:
             log.append((tag, result.value[1]))
 
-    engine.process(caller("holder"))
+    holders = [f"holder{i}" for i in range(NfsServer.NFSD_THREADS)]
+    for tag in holders:
+        engine.process(caller(tag))
     victim = engine.process(caller("victim"))
     engine.schedule(0.0, lambda _: victim.interrupt())
     engine.run()
-    assert log == [("victim", "interrupted"), ("holder", 8 * KB)]
+    assert log == [("victim", "interrupted")] + [(tag, 8 * KB)
+                                                 for tag in holders]
     assert (server._nfsds.in_use, server._nfsds.queue_length) == (0, 0)
     late = engine.process(caller("late"))
     engine.run()

@@ -127,10 +127,10 @@ def test_disksort_is_mostly_ascending(sectors):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_disksort_starvation_bounded(data):
-    """A request behind the head is served within max_passes pops even if
+    """A request behind the head is served within MAX_PASSES pops even if
     forward traffic keeps arriving."""
     eng = Engine()
-    queue = DiskQueue(max_passes=5)
+    queue = DiskQueue()
     victim = Buf(eng, BufOp.READ, 10, 2)
     queue.insert(victim)
     last = 1000  # head is already past the victim

@@ -79,6 +79,45 @@ def test_an_nfs_client_runs_the_same_program():
     assert fsck(server.store).clean
 
 
+def namespace_transcript(proc: Proc) -> list:
+    """``link``, ``symlink``, ``readlink``, ``rename``, ``mkdir``,
+    ``rmdir`` and ``readdir``: each call's result, or its errno.  Any
+    other exception escapes and fails the test."""
+    system = proc.system
+    out = []
+
+    def call(gen):
+        proc.errno = None
+        try:
+            out.append(system.run(gen))
+        except ReproError:
+            assert proc.errno is not None
+            out.append(proc.errno)
+
+    system.run(proc.close(system.run(proc.creat("/a"))))
+    call(proc.link("/a", "/b"))
+    call(proc.symlink("/a", "/s"))
+    call(proc.readlink("/s"))
+    call(proc.rename("/a", "/c"))
+    call(proc.mkdir("/d"))
+    call(proc.rmdir("/d"))
+    call(proc.readdir("/"))
+    return out
+
+
+def test_every_file_system_answers_every_namespace_syscall():
+    """UFS has all seven; S5FS and an NFS client have none of them, and
+    answer each with EINVAL."""
+    ufs = namespace_transcript(Proc(System.booted(SystemConfig.config_a())))
+    assert ufs[:6] == [None, None, "/a", None, None, None]
+    assert sorted(name for name, _ino in ufs[6]) == [".", "..", "b", "c",
+                                                     "s"]
+    s5_system, _fs = s5_machine()
+    client, _server, _mount = build_world()
+    for system in (s5_system, client):
+        assert namespace_transcript(Proc(system)) == ["EINVAL"] * 7
+
+
 def test_bmap_extents_sum_to_the_file_size():
     """``measure_extents`` builds extents from ``Vnode.bmap`` runs on UFS
     and on S5FS alike; an NFS client has no block map."""

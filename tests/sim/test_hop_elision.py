@@ -129,10 +129,9 @@ class World:
         self.eng = eng
         self.log = []
         self.resources = [make_resource(eng, capacity=1), make_resource(eng, capacity=2)]
-        self.cpus = [Cpu(eng), Cpu(eng, ncpus=2)]
-        for cpu in self.cpus:
-            cpu.resource = make_resource(eng, capacity=cpu.resource.capacity,
-                                         name="cpu")
+        self.cpus = [Cpu(eng), Cpu(eng)]
+        for cpu, capacity in zip(self.cpus, (1, 2)):
+            cpu.resource = make_resource(eng, capacity=capacity, name="cpu")
         self.sems = [Semaphore(eng, 0), Semaphore(eng, 1)]
         self.signals = [Signal(eng), Signal(eng)]
         self.events = [Event(eng, name=f"e{i}") for i in range(3)]

@@ -128,7 +128,7 @@ def _traced_lossy_nfs():
     plan = NetFaultPlan(seed=7, drop_p=0.08, duplicate_p=0.04, reorder_p=0.04)
     client, server, mount = build_world(
         server_config=SystemConfig.config_a().with_(geometry=SMALL),
-        nfsd_threads=2, fault_plan=plan, timeo=0.05)
+        fault_plan=plan, timeo=0.05)
     client.tracer.enabled = server.tracer.enabled = True
     proc = Proc(client, mount=mount)
 

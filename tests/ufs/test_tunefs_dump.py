@@ -55,8 +55,7 @@ def test_tunefs_upgrades_old_fs_to_clustered():
     from repro.core import ClusterTuning
 
     mount2 = UfsMount(system.engine, system.cpu, system.driver,
-                      system.pagecache, tuning=ClusterTuning.new_system(),
-                      name="upgraded")
+                      system.pagecache, tuning=ClusterTuning.new_system())
     proc2 = Proc(system)
     system.run(mount2.activate())
     system.mount = mount2
