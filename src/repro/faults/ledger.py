@@ -13,7 +13,8 @@ et al., "All File Systems Are Not Created Equal", OSDI 2014):
 * an fsync return, or an O_SYNC write return: a *promise* of the path's
   current bytes;
 * ``unlink``: *begin* before the call, *end* after it; ``rename``: the
-  displaced target is forgotten, then *begin*, then *end*;
+  displaced target is forgotten, then *begin*, then *end* — a rename the
+  file system refuses (ENOENT, EISDIR...) withdraws what it recorded;
 * a file the process creates: a *create* event (it starts empty).
 
 Each event is stamped with ``position()``: the crash-point explorer passes
@@ -38,13 +39,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, NamedTuple
 
-from repro.errors import FileNotFoundError_
+from repro.errors import FileNotFoundError_, ReproError
 from repro.kernel.syscalls import SEEK_END
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.syscalls import Proc
 
 SECTOR = 512
+#: The errno of a rename refused before anything changed: a missing
+#: source, a directory where a file belongs, a mount with no rename.
+REFUSED = {"ENOENT", "EISDIR", "ENOTDIR", "EINVAL"}
 
 
 class Event(NamedTuple):
@@ -104,18 +108,29 @@ class Ledger:
         if cur is not None:
             self._add("promise", path, bytes(cur))
 
-    def unlinking(self, path: str) -> None:
+    def unlinking(self, path: str, call: Generator[Any, Any, None]
+                  ) -> Generator[Any, Any, None]:
+        """Record an unlink around the file system's ``call``."""
         self._add("unlink_begin", path)
-
-    def unlinked(self, path: str) -> None:
+        yield from call
         self._bytes.pop(path, None)
         self._add("unlink", path)
 
-    def renaming(self, old: str, new: str) -> None:
+    def renaming(self, old: str, new: str, call: Generator[Any, Any, None]
+                 ) -> Generator[Any, Any, None]:
+        """Record a rename around the file system's ``call``.  A rename
+        refused before anything changed withdraws what it recorded; any
+        other failure (a soft mount's timeout) may have happened and
+        keeps it."""
+        mark = len(self.events)
         self._add("forget", new)
         self._add("rename_begin", old, new_path=new)
-
-    def renamed(self, old: str, new: str) -> None:
+        try:
+            yield from call
+        except ReproError as error:
+            if error.code in REFUSED:
+                del self.events[mark:]
+            raise
         cur = self._bytes.pop(old, None)
         self._bytes.pop(new, None)
         if cur is not None:

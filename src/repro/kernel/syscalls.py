@@ -314,22 +314,18 @@ class Proc:
     @_syscall
     def unlink(self, path: str) -> Generator[Any, Any, None]:
         yield from self._charge_syscall()
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.unlinking(path)
-        yield from self._mount.unlink(path)
-        if ledger is not None:
-            ledger.unlinked(path)
+        call = self._mount.unlink(path)
+        if self.ledger is not None:
+            call = self.ledger.unlinking(path, call)
+        yield from call
 
     @_syscall
     def rename(self, old_path: str, new_path: str) -> Generator[Any, Any, None]:
         yield from self._charge_syscall()
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.renaming(old_path, new_path)
-        yield from self._mount.rename(old_path, new_path)
-        if ledger is not None:
-            ledger.renamed(old_path, new_path)
+        call = self._mount.rename(old_path, new_path)
+        if self.ledger is not None:
+            call = self.ledger.renaming(old_path, new_path, call)
+        yield from call
 
     @_syscall
     def mkdir(self, path: str) -> Generator[Any, Any, None]:

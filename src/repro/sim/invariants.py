@@ -47,10 +47,11 @@ The shipped checks:
     allocated; ``deep=True`` additionally runs fsck's walkers read-only
     over the on-disk bytes.
 ``dir_views`` (run by ``page_coherency``)
-    Every directory view a cached buffer carries lists exactly what
-    ``iter_dirents`` decodes from the bytes it was built on, with a
-    first-wins name index — so the incremental updates of create and
-    unlink are checked against the reference decoder at every quiesce.
+    Every directory view a cached buffer carries holds exactly the
+    records ``dir_records`` decodes from the bytes it was built on, free
+    slots and record lengths included, their live count and a first-wins
+    name index — so the incremental updates of create and unlink are
+    checked against the one decoder at every quiesce.
 
 A violation raises :class:`SanitizerError`, which carries the offending
 request's rendered span tree when one is attributable.
@@ -323,17 +324,17 @@ class Sanitizer:
                     )
 
     def _check_dir_views(self, point: str, mount: "UfsMount") -> None:
-        from repro.ufs.ondisk import iter_dirents
+        from repro.ufs.ondisk import dir_records
 
         for meta in mount.metacache.buffers():
             view = meta.view
             if view is None:
                 continue
-            decoded = iter_dirents(view.image)
-            first: dict[str, int] = {}
-            for _, ino, name in decoded:
-                first.setdefault(name, ino)
-            if view.entries != decoded or view.index != first:
+            decoded = dir_records(view.image)
+            live = [(name, ino) for _, ino, _, name in decoded if ino]
+            first = dict(reversed(live))
+            if (view.records != decoded or view.live != len(live)
+                    or view.index != first):
                 self.fail(
                     "dir_views",
                     f"at {point}: the directory view of block "

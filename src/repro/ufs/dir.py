@@ -6,35 +6,27 @@ into its predecessor (classic FFS compaction); insertion claims the first
 sufficient free span.  Directory blocks move through the metadata buffer
 cache, and directory *updates* are written synchronously — the consistency
 discipline whose cost motivates the paper's B_ORDER proposal.  A block's
-buffer keeps its decoded entries (:class:`DirView`), so a block is decoded
-once per content rather than once per lookup; the simulated scan is still
+buffer keeps its decoded records (:class:`DirView`), so a block is decoded
+once per content rather than once per lookup, and create and unlink find
+their slot in the records, not the bytes; the simulated scan is still
 charged entry by entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import FileExistsError_, FilesystemError
 from repro.ufs import bmap
 from repro.ufs.ondisk import (
-    DIRBLKSIZ, Dirent, empty_dirblock, iter_dirents, set_dirent_ino,
-    set_dirent_reclen,
+    DIRBLKSIZ, Dirent, dir_records, dirent_size, empty_dirblock, put_dirent,
+    set_dirent_ino, set_dirent_reclen,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
     from repro.ufs.metacache import MetaBuf
     from repro.ufs.mount import UfsMount
-
-_HEAD = Dirent._HEAD
-_HEAD_SIZE = _HEAD.size
-
-
-def _entry_span(block: "bytes | bytearray", offset: int) -> tuple[int, int, int]:
-    """(ino, reclen, namelen) at ``offset``."""
-    return _HEAD.unpack_from(block, offset)
 
 
 def _dir_blocks(ip: "Inode") -> int:
@@ -45,20 +37,23 @@ def _dir_blocks(ip: "Inode") -> int:
 
 
 class DirView:
-    """A directory block decoded once per content: its live entries as
-    :func:`iter_dirents` lists them, and a first-wins ``name -> ino``
-    index (what a scan from the top finds first).  It describes ``image``
-    and is trusted only while the buffer's bytes still equal it."""
+    """A directory block decoded once per content: every record in offset
+    order as :func:`dir_records` lists them (free slots included), the
+    number of live ones, and a first-wins ``name -> ino`` index (what a
+    scan from the top finds first).  It describes ``image`` and is trusted
+    only while the buffer's bytes still equal it."""
 
-    __slots__ = ("image", "entries", "index")
+    __slots__ = ("image", "records", "live", "index")
 
     def __init__(self, image: bytes):
         self.image = image
-        self.entries = iter_dirents(image)
+        self.records = dir_records(image)
+        self.live = sum(1 for record in self.records if record[1])
         self.reindex()
 
     def reindex(self) -> None:
-        self.index = {name: ino for _, ino, name in reversed(self.entries)}
+        self.index = {name: ino
+                      for _, ino, _, name in reversed(self.records) if ino}
 
 
 def _view(meta: "MetaBuf") -> DirView:
@@ -86,7 +81,7 @@ def lookup(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
         view = _view(meta)
         # Read before the charge yields: what the block held when read.
         ino = view.index.get(name)
-        yield from _charge_scan(mount, max(1, len(view.entries)))
+        yield from _charge_scan(mount, max(1, view.live))
         if ino is not None:
             return ino
     return None
@@ -98,9 +93,9 @@ def entries(mount: "UfsMount", dp: "Inode") -> Generator[Any, Any, list[tuple[st
     for blkno in range(_dir_blocks(dp)):
         addr = yield from bmap.get_pointer(mount, dp, blkno)
         meta = yield from mount.metacache.bread(addr)
-        listed = _view(meta).entries
-        found.extend((name, ino) for _, ino, name in listed)
-        yield from _charge_scan(mount, max(1, len(listed)))
+        view = _view(meta)
+        found.extend((name, ino) for _, ino, _, name in view.records if ino)
+        yield from _charge_scan(mount, max(1, view.live))
     return found
 
 
@@ -113,7 +108,8 @@ def is_empty(mount: "UfsMount", dp: "Inode") -> Generator[Any, Any, bool]:
 def enter(mount: "UfsMount", dp: "Inode", name: str, ino: int
           ) -> Generator[Any, Any, None]:
     """Add ``name -> ino``; the directory block is written synchronously."""
-    needed = Dirent(ino, name).reclen_needed
+    Dirent(ino, name)  # a legal name, or ValueError
+    needed = dirent_size(name)
     existing = yield from lookup(mount, dp, name)
     if existing is not None:
         raise FileExistsError_(f"{name!r} already exists")
@@ -139,51 +135,35 @@ def enter(mount: "UfsMount", dp: "Inode", name: str, ino: int
 
 
 def _insert(meta: "MetaBuf", name: str, ino: int, needed: int) -> bool:
-    """Add the entry to ``meta``'s block if it fits, and the view with it:
-    one entry placed in offset order, not a re-decode."""
+    """Put the entry in the first record of ``meta``'s block with room for
+    it — a free slot at least ``needed`` long, or a live entry with that
+    much spare past its own size, which it then shrinks to — and patch the
+    view's records as the bytes are patched, without a re-decode."""
     view = _view(meta)
-    offset = _try_insert(meta.data, name, ino, needed)
-    if offset is None:
+    records = view.records
+    for i, (offset, e_ino, reclen, e_name) in enumerate(records):
+        if e_ino == 0:
+            if reclen >= needed:
+                records[i] = (offset, ino, reclen, name)
+                break
+        elif reclen > needed:  # else no spare can be that large
+            used = dirent_size(e_name)
+            if reclen - used >= needed:
+                set_dirent_reclen(meta.data, offset, used)
+                records[i] = (offset, e_ino, used, e_name)
+                offset, reclen = offset + used, reclen - used
+                records.insert(i + 1, (offset, ino, reclen, name))
+                break
+    else:
         return False
-    insort(view.entries, (offset, ino, name))
+    put_dirent(meta.data, offset, ino, name, reclen)
+    view.live += 1
     if name in view.index:
         view.reindex()  # a duplicate (corrupt block): the first must win
     else:
         view.index[name] = ino
     view.image = bytes(meta.data)
     return True
-
-
-def _try_insert(block: bytearray, name: str, ino: int, needed: int
-                ) -> int | None:
-    """Claim space for the entry in any DIRBLKSIZ chunk of ``block``;
-    returns the offset it was written at, None if no span is large enough."""
-    for chunk in range(0, len(block), DIRBLKSIZ):
-        offset = chunk
-        while offset < chunk + DIRBLKSIZ:
-            e_ino, reclen, namelen = _entry_span(block, offset)
-            if e_ino == 0:
-                # A fully free slot.
-                if reclen >= needed:
-                    _write_entry(block, offset, ino, name, reclen)
-                    return offset
-            else:
-                used = (_HEAD_SIZE + namelen + 3) & ~3
-                spare = reclen - used
-                if spare >= needed:
-                    # Shrink this entry; the new one takes the tail space.
-                    set_dirent_reclen(block, offset, used)
-                    _write_entry(block, offset + used, ino, name, spare)
-                    return offset + used
-            offset += reclen
-    return None
-
-
-def _write_entry(block: bytearray, offset: int, ino: int, name: str,
-                 reclen: int) -> None:
-    encoded = name.encode()
-    _HEAD.pack_into(block, offset, ino, reclen, len(encoded))
-    block[offset + _HEAD_SIZE:offset + _HEAD_SIZE + len(encoded)] = encoded
 
 
 def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int]:
@@ -193,24 +173,29 @@ def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
     for blkno in range(_dir_blocks(dp)):
         addr = yield from bmap.get_pointer(mount, dp, blkno)
         meta = yield from mount.metacache.bread(addr)
-        hit = _find_in_block(meta.data, name)
-        if hit is None:
-            continue
-        offset, prev_offset, ino = hit
         view = _view(meta)
-        if prev_offset is not None:
-            # Merge into the predecessor's record length.
-            _, prev_reclen, _ = _entry_span(meta.data, prev_offset)
-            _, reclen, _ = _entry_span(meta.data, offset)
+        if name not in view.index:
+            continue
+        records = view.records
+        i = next(i for i, (_, e_ino, _, e_name) in enumerate(records)
+                 if e_ino and e_name == name)
+        offset, ino, reclen, _ = records[i]
+        if offset % DIRBLKSIZ:
+            # Merge into the predecessor's record length: the record before
+            # it in its chunk, free or live.
+            prev_offset, prev_ino, prev_reclen, prev_name = records[i - 1]
             set_dirent_reclen(meta.data, prev_offset, prev_reclen + reclen)
+            records[i - 1] = (prev_offset, prev_ino, prev_reclen + reclen,
+                              prev_name)
+            del records[i]
         else:
             set_dirent_ino(meta.data, offset, 0)  # ino = 0: free slot
+            records[i] = (offset, 0, reclen, "")
         # The entry found is the block's first of its name.  With one index
         # key per entry (no name held twice) it simply leaves the index;
         # otherwise the next entry of that name takes over.
-        entries = view.entries
-        del entries[bisect_left(entries, (offset,))]
-        if len(view.index) > len(entries):
+        view.live -= 1
+        if len(view.index) > view.live:
             del view.index[name]
         else:
             view.reindex()
@@ -219,18 +204,3 @@ def remove(mount: "UfsMount", dp: "Inode", name: str) -> Generator[Any, Any, int
         dp.mark_dirty()
         return ino
     raise FilesystemError(f"{name!r} not found")
-
-
-def _find_in_block(block: bytearray, name: str) -> "tuple[int, int | None, int] | None":
-    """(offset, previous entry offset in chunk, ino) of ``name``, or None."""
-    encoded = name.encode()
-    for chunk in range(0, len(block), DIRBLKSIZ):
-        offset = chunk
-        prev: int | None = None
-        while offset < chunk + DIRBLKSIZ:
-            ino, reclen, namelen = _entry_span(block, offset)
-            if ino != 0 and block[offset + _HEAD_SIZE:offset + _HEAD_SIZE + namelen] == encoded:
-                return offset, prev, ino
-            prev = offset
-            offset += reclen
-    return None

@@ -38,7 +38,7 @@ class MetaBuf:
     """One cached block.
 
     ``view`` is a decoded form of ``data`` left by whoever decoded it (a
-    directory block's entries, :class:`repro.ufs.dir.DirView`); it carries
+    directory block's records, :class:`repro.ufs.dir.DirView`); it carries
     the bytes it was decoded from and is trusted only while ``data`` still
     equals them, so no writer has to know it exists.
     """

@@ -592,10 +592,10 @@ class Dirent:
         if "/" in self.name or "\x00" in self.name:
             raise ValueError(f"illegal character in name {self.name!r}")
 
-    @property
-    def reclen_needed(self) -> int:
-        """Bytes needed: header + name, rounded to 4."""
-        return (self._HEAD.size + len(self.name.encode()) + 3) & ~3
+
+def dirent_size(name: str) -> int:
+    """Bytes an entry named ``name`` needs: header + name, rounded to 4."""
+    return (Dirent._HEAD.size + len(name.encode()) + 3) & ~3
 
 
 def pack_dirent(ino: int, name: str, reclen: int) -> bytes:
@@ -606,6 +606,16 @@ def pack_dirent(ino: int, name: str, reclen: int) -> bytes:
     if len(body) > reclen:
         raise ValueError("reclen too small for entry")
     return body.ljust(reclen, b"\x00")
+
+
+def put_dirent(block: bytearray, offset: int, ino: int, name: str,
+               reclen: int) -> None:
+    """Write an entry's header and name at ``offset``; the rest of its
+    ``reclen`` bytes keep whatever they held."""
+    encoded = name.encode()
+    head = Dirent._HEAD
+    head.pack_into(block, offset, ino, reclen, len(encoded))
+    block[offset + head.size:offset + head.size + len(encoded)] = encoded
 
 
 def set_dirent_ino(block: bytearray, offset: int, ino: int) -> None:
@@ -626,15 +636,14 @@ def empty_dirblock(bsize: int) -> bytes:
     return slot * (bsize // DIRBLKSIZ)
 
 
-def iter_dirents(block: bytes) -> "list[tuple[int, int, str]]":
-    """Yield (offset, ino, name) for every live entry in a directory block.
-
-    Entries never cross DIRBLKSIZ boundaries; an entry with ino == 0 is a
-    deleted slot whose reclen still consumes space.
-    """
+def dir_records(block: bytes) -> "list[tuple[int, int, int, str]]":
+    """Every record of a directory block in offset order, as (offset, ino,
+    reclen, name): the one decoder of the format.  Records tile each
+    DIRBLKSIZ chunk; a free one (ino 0) still spans its reclen, and its
+    name is not decoded ("")."""
     head_size = Dirent._HEAD.size
     unpack_head = Dirent._HEAD.unpack_from
-    entries = []
+    records = []
     for chunk_start in range(0, len(block), DIRBLKSIZ):
         offset = chunk_start
         chunk_end = min(chunk_start + DIRBLKSIZ, len(block))
@@ -644,8 +653,13 @@ def iter_dirents(block: bytes) -> "list[tuple[int, int, str]]":
                 raise CorruptionError(
                     f"bad directory reclen {reclen} at offset {offset}"
                 )
-            if ino != 0:
-                name = block[offset + head_size:offset + head_size + namelen].decode()
-                entries.append((offset, ino, name))
+            name = (block[offset + head_size:offset + head_size + namelen]
+                    .decode() if ino else "")
+            records.append((offset, ino, reclen, name))
             offset += reclen
-    return entries
+    return records
+
+
+def iter_dirents(block: bytes) -> "list[tuple[int, int, str]]":
+    """(offset, ino, name) of every live record (:func:`dir_records`)."""
+    return [(o, ino, name) for o, ino, _, name in dir_records(block) if ino]

@@ -3,6 +3,9 @@ position, read back by the one check every sweep calls."""
 
 import pytest
 
+from repro.errors import (
+    FileNotFoundError_, IsADirectoryError_, RpcTimeoutError,
+)
 from repro.faults import CrashpointExplorer
 from repro.faults.crashpoints import settled
 from repro.faults.harness import small_config
@@ -93,6 +96,59 @@ def test_check_reads_every_kind_back(recorded):
         "missing", "not_removed", "wrong_bytes"]
     assert check(proc, ledger, paths={"/grow"})[0][1] == (
         "/grow: sector at byte 1024 matches no unsynced version (0 allowed)")
+
+
+def _promised_b(system):
+    """A ledgered Proc that holds /b's fsynced bytes, beside a directory
+    /d and an unledgered Proc to break the promise with."""
+    ledger = Ledger()
+    proc = Proc(system, ledger=ledger)
+
+    def setup():
+        fd = yield from proc.creat("/b")
+        yield from proc.write(fd, B)
+        yield from proc.fsync(fd)
+        yield from proc.close(fd)
+        yield from proc.mkdir("/d")
+
+    system.run(setup())
+    return proc, ledger
+
+
+def test_a_refused_rename_keeps_the_targets_promise():
+    """A rename the file system refuses changes nothing, so it must not
+    erase what the target was promised: a later loss of /b is still seen."""
+    system = System.booted(small_config())
+    proc, ledger = _promised_b(system)
+    before = _view(ledger.slots())
+    with pytest.raises(FileNotFoundError_):
+        system.run(proc.rename("/x", "/b"))      # no source
+    with pytest.raises(IsADirectoryError_):
+        system.run(proc.rename("/b", "/d"))      # target a directory
+    assert _view(ledger.slots()) == before
+    system.run(Proc(system).unlink("/b"))
+    assert check(proc, ledger) == [
+        ("missing", "/b: no candidate of ['/b'] survives")]
+
+
+def test_a_rename_of_unknown_outcome_may_have_happened(monkeypatch):
+    """A soft mount's timeout leaves the rename undecided: the target's
+    old promise is forgotten and the source may be found under either
+    name, as for a rename still in flight."""
+    system = System.booted(small_config())
+    proc, ledger = _promised_b(system)
+    system.run(proc.creat("/a"))
+
+    def timed_out(old, new):
+        raise RpcTimeoutError("RENAME")
+        yield
+
+    monkeypatch.setattr(system.mount, "rename", timed_out)
+    with pytest.raises(RpcTimeoutError):
+        system.run(proc.rename("/b", "/a"))
+    assert [ev.kind for ev in ledger.events[-2:]] == ["forget",
+                                                      "rename_begin"]
+    assert _view(ledger.slots()) == {"/b": (B, [], ["/b", "/a"], False)}
 
 
 def test_a_short_file_is_short():

@@ -228,6 +228,21 @@ def test_page_index_catches_identity_change_behind_its_back():
         system.sanitizer.checkpoint("test", idle=False)
 
 
+def test_dir_views_catch_a_record_changed_behind_the_views_back():
+    """A view whose record lengths drift from its image still answers
+    every lookup right, so only the full record compare sees it."""
+    system = make_system()
+    write_file(system)
+    system.run(system.mount.namei("/f"))  # leaves the root's view behind
+    system.sanitizer.checkpoint("test", idle=True)  # healthy
+    view = next(meta.view for meta in system.mount.metacache.buffers()
+                if meta.view is not None)
+    offset, ino, reclen, name = view.records[-1]
+    view.records[-1] = (offset, ino, reclen - 4, name)
+    with pytest.raises(SanitizerError, match="dir_views"):
+        system.sanitizer.checkpoint("test", idle=True)
+
+
 # -- check 6: allocator ------------------------------------------------------
 
 def test_allocator_catches_counter_drift():

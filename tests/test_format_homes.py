@@ -13,10 +13,13 @@ system, and the next cache fix must reach every file system at once; a
 new ``import struct`` or a second ``def bread`` is how either would start
 to stop being true.  A module can also know the format without ``struct``
 — the superblock's sector written as ``16``, pointer words packed with
-``int.to_bytes(4, "little")`` — so those constructs are looked for too.
+``int.to_bytes(4, "little")``, a dirent header unpacked through
+``Dirent._HEAD`` borrowed from the home — so those constructs are looked
+for too.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -45,7 +48,8 @@ def _hand_packed(tree):
     """What knows the format without importing ``struct``: the
     superblock's sector as a literal first argument (``store.read(16,
     16)``), a byte order picked at the call (``int.from_bytes(b,
-    "little")``), the fast-symlink word count (``NDADDR + 2``)."""
+    "little")``), the fast-symlink word count (``NDADDR + 2``), a format
+    class's private struct taken out of its home (``Dirent._HEAD``)."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and node.args
                 and isinstance(node.args[0], ast.Constant)
@@ -61,6 +65,11 @@ def _hand_packed(tree):
                 and isinstance(node.right, ast.Constant)
                 and node.right.value == 2):
             yield f"line {node.lineno}: NDADDR + 2"
+        if (isinstance(node, ast.Attribute)
+                and re.fullmatch(r"_[A-Z][A-Z0-9_]*", node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id[:1].isupper()):
+            yield f"line {node.lineno}: {node.value.id}.{node.attr}"
 
 
 def test_no_format_is_known_outside_its_home():
@@ -71,7 +80,8 @@ def test_no_format_is_known_outside_its_home():
 
 def test_the_guard_sees_each_construct():
     for text in ("store.read(16, 16)", "int.from_bytes(b, 'little')",
-                 "w.to_bytes(4, 'little')", "n = (NDADDR + 2) * 4 - 1"):
+                 "w.to_bytes(4, 'little')", "n = (NDADDR + 2) * 4 - 1",
+                 "_HEAD = Dirent._HEAD"):
         assert list(_hand_packed(ast.parse(text))), text
 
 

@@ -1,24 +1,32 @@
 """Directory views: each cached directory block is decoded once per content.
 
 ``ufs/dir.py`` answers ``lookup`` and ``entries`` from a view hung on the
-block's buffer (``MetaBuf.view``), patched in place by ``enter`` and
-``remove`` and trusted only while the buffer's bytes equal the bytes it was
-decoded from.  The oracle is the decode-per-call ``lookup`` / ``entries``
-the view replaced, kept below verbatim: after any sequence of creates,
-unlinks, renames and mkdirs, both must return the same inode, the same
-readdir order and the same simulated ``dirscan`` charges.  The sanitizer
-(on for every test) additionally holds every resident view to a fresh
-decode at each quiesce.
+block's buffer (``MetaBuf.view``), and ``enter`` / ``remove`` find their
+slot in the view's records, patching records and bytes together; a view
+is trusted only while the buffer's bytes equal the bytes it was decoded
+from.  The oracles are the code the view replaced, kept below verbatim:
+the decode-per-call ``lookup`` / ``entries``, and the byte walkers
+``_try_insert`` / ``_find_in_block`` that create and unlink used.  After
+any sequence of creates, unlinks, renames and mkdirs, both sides must
+return the same inode, the same readdir order and the same simulated
+``dirscan`` charges, and every create or unlink must leave the same block
+bytes as the byte walk does on a copy of each block.  The sanitizer (on
+for every test) additionally holds every resident view to a fresh decode
+at each quiesce.
 
 Names are short or at the 59-character limit in four-byte characters
 (230 bytes encoded, two entries to a 512-byte chunk), so directories
-spill into a second block and freed slots are reused.  Set
+spill into a second block and freed slots are reused.  The model also
+frees an entry in place, as fsck's repair of a dangling entry does (a
+free record mid-chunk, or first in its chunk), and renames one entry to
+another's name, as a corruption would (a name held twice).  Set
 ``REPRO_DIR_VIEW_EXAMPLES`` to run the model longer (CI does).
 """
 
 import os
+from collections import Counter
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -26,7 +34,10 @@ from repro.errors import CorruptionError, FilesystemError
 from repro.kernel import Proc
 from repro.ufs import bmap, dir as dirops
 from repro.ufs.dir import _charge_scan, _dir_blocks
-from repro.ufs.ondisk import iter_dirents, set_dirent_ino
+from repro.ufs.ondisk import (
+    DIRBLKSIZ, Dirent, empty_dirblock, iter_dirents, set_dirent_ino,
+    set_dirent_reclen,
+)
 
 from tests.ufs.conftest import make_system
 
@@ -58,6 +69,127 @@ def ref_entries(mount, dp):
         yield from _charge_scan(mount, max(1, len(listed)))
         found.extend((name, ino) for _, ino, name in listed)
     return found
+
+
+# -- the reference: walk the bytes on every create and unlink -------------------
+
+_HEAD = Dirent._HEAD
+_HEAD_SIZE = _HEAD.size
+
+
+def _entry_span(block: "bytes | bytearray", offset: int) -> tuple[int, int, int]:
+    """(ino, reclen, namelen) at ``offset``."""
+    return _HEAD.unpack_from(block, offset)
+
+
+def _try_insert(block: bytearray, name: str, ino: int, needed: int
+                ) -> int | None:
+    """Claim space for the entry in any DIRBLKSIZ chunk of ``block``;
+    returns the offset it was written at, None if no span is large enough."""
+    for chunk in range(0, len(block), DIRBLKSIZ):
+        offset = chunk
+        while offset < chunk + DIRBLKSIZ:
+            e_ino, reclen, namelen = _entry_span(block, offset)
+            if e_ino == 0:
+                # A fully free slot.
+                if reclen >= needed:
+                    _write_entry(block, offset, ino, name, reclen)
+                    return offset
+            else:
+                used = (_HEAD_SIZE + namelen + 3) & ~3
+                spare = reclen - used
+                if spare >= needed:
+                    # Shrink this entry; the new one takes the tail space.
+                    set_dirent_reclen(block, offset, used)
+                    _write_entry(block, offset + used, ino, name, spare)
+                    return offset + used
+            offset += reclen
+    return None
+
+
+def _write_entry(block: bytearray, offset: int, ino: int, name: str,
+                 reclen: int) -> None:
+    encoded = name.encode()
+    _HEAD.pack_into(block, offset, ino, reclen, len(encoded))
+    block[offset + _HEAD_SIZE:offset + _HEAD_SIZE + len(encoded)] = encoded
+
+
+def _find_in_block(block: bytearray, name: str) -> "tuple[int, int | None, int] | None":
+    """(offset, previous entry offset in chunk, ino) of ``name``, or None."""
+    encoded = name.encode()
+    for chunk in range(0, len(block), DIRBLKSIZ):
+        offset = chunk
+        prev: int | None = None
+        while offset < chunk + DIRBLKSIZ:
+            ino, reclen, namelen = _entry_span(block, offset)
+            if ino != 0 and block[offset + _HEAD_SIZE:offset + _HEAD_SIZE + namelen] == encoded:
+                return offset, prev, ino
+            prev = offset
+            offset += reclen
+    return None
+
+
+def ref_enter(blocks, name, ino, bsize):
+    """What the byte-walking ``enter`` did to a directory's blocks: the
+    first span large enough in any block, else one fresh block."""
+    needed = (_HEAD_SIZE + len(name.encode()) + 3) & ~3
+    for block in blocks:
+        if _try_insert(block, name, ino, needed) is not None:
+            return
+    blocks.append(bytearray(empty_dirblock(bsize)))
+    assert _try_insert(blocks[-1], name, ino, needed) is not None
+
+
+def ref_remove(blocks, name):
+    """What the byte-walking ``remove`` did; returns the inode number."""
+    for block in blocks:
+        hit = _find_in_block(block, name)
+        if hit is None:
+            continue
+        offset, prev_offset, ino = hit
+        if prev_offset is not None:
+            # Merge into the predecessor's record length.
+            _, prev_reclen, _ = _entry_span(block, prev_offset)
+            _, reclen, _ = _entry_span(block, offset)
+            set_dirent_reclen(block, prev_offset, prev_reclen + reclen)
+        else:
+            set_dirent_ino(block, offset, 0)  # ino = 0: free slot
+        return ino
+    raise FilesystemError(f"{name!r} not found")
+
+
+def block_copies(mount, dp):
+    """A copy of each of the directory's blocks, in order."""
+    copies = []
+    for blkno in range(_dir_blocks(dp)):
+        addr = yield from bmap.get_pointer(mount, dp, blkno)
+        meta = yield from mount.metacache.bread(addr)
+        copies.append(bytearray(meta.data))
+    return copies
+
+
+def byte_checked(real_enter, real_remove):
+    """``enter`` / ``remove`` that run the byte walk on a copy of every
+    block beside the real call: same bytes after, same ino, same charges
+    (an enter's are its lookup's; the walk of a remove charged none)."""
+
+    def enter(mount, dp, name, ino):
+        blocks = yield from block_copies(mount, dp)
+        _, want = yield from charged(mount, ref_lookup(mount, dp, name))
+        _, got = yield from charged(mount, real_enter(mount, dp, name, ino))
+        ref_enter(blocks, name, ino, mount.sb.bsize)
+        assert (yield from block_copies(mount, dp)) == blocks
+        assert got == want
+
+    def remove(mount, dp, name):
+        blocks = yield from block_copies(mount, dp)
+        ino, got = yield from charged(mount, real_remove(mount, dp, name))
+        assert ino == ref_remove(blocks, name)
+        assert (yield from block_copies(mount, dp)) == blocks
+        assert got == []
+        return ino
+
+    return enter, remove
 
 
 def charged(mount, call):
@@ -104,20 +236,62 @@ ops = st.one_of(
     st.tuples(st.just("mkdir"), names),
     st.tuples(st.just("lookup"), names),
     st.tuples(st.just("readdir")),
+    st.tuples(st.just("zap"), names),
+    st.tuples(st.just("dup"), names, names),
 )
 
 EXAMPLES = int(os.environ.get("REPRO_DIR_VIEW_EXAMPLES", "50"))
+
+
+def patch_entry(mount, dp, name, patch):
+    """Apply ``patch(data, offset)`` to ``name``'s first entry behind the
+    view's back and write the block, as an fsck repair would."""
+    for blkno in range(_dir_blocks(dp)):
+        addr = yield from bmap.get_pointer(mount, dp, blkno)
+        meta = yield from mount.metacache.bread(addr)
+        for offset, _, e_name in iter_dirents(bytes(meta.data)):
+            if e_name == name:
+                patch(meta.data, offset)
+                yield from mount.meta_write(meta)
+                return
+    raise AssertionError(f"{name!r} not in the directory")
+
+
+def _zap(data, offset):
+    set_dirent_ino(data, offset, 0)  # fsck's _repoint_dirent(..., 0)
+
+
+def _renamed_to(name):
+    encoded = name.encode()
+
+    def patch(data, offset):
+        data[offset + 8:offset + 8 + len(encoded)] = encoded
+
+    return patch
 
 
 @settings(max_examples=EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(prefill=st.integers(0, 36), script=st.lists(ops, max_size=40))
+@example(prefill=0, script=[  # a free record mid-chunk, merged into, reused
+    ("create", "s0"), ("create", "s1"), ("create", "s2"), ("zap", "s1"),
+    ("unlink", "s2"), ("create", "s3"), ("create", LONG[0]), ("readdir",)])
+@example(prefill=4, script=[  # a chunk whose first record is free
+    ("unlink", LONG[2]), ("create", "s0"), ("unlink", LONG[3]),
+    ("unlink", "s0"), ("zap", LONG[0]), ("create", LONG[2]),
+    ("create", LONG[3]), ("readdir",)])
+@example(prefill=0, script=[  # a name held twice, either way round
+    ("create", "s0"), ("create", "s1"), ("create", "s2"), ("create", "s3"),
+    ("dup", "s0", "s1"), ("dup", "s3", "s2"), ("lookup", "s0"),
+    ("lookup", "s3"), ("unlink", "s0"), ("lookup", "s0"), ("unlink", "s3"),
+    ("create", "s1"), ("unlink", "s0"), ("unlink", "s3"), ("readdir",)])
 def test_views_answer_like_a_fresh_decode(prefill, script):
     system = make_system("A")
     mount = system.mount
     proc = Proc(system)
     model = {}  # name -> "file" | "dir"
+    twice = Counter()  # file name -> entries beyond the first
 
     def run():
         yield from proc.mkdir("/d")
@@ -128,34 +302,52 @@ def test_views_answer_like_a_fresh_decode(prefill, script):
         for op, *args in script:
             name = args[0] if args else None
             path = f"/d/{name}"
+            single = model.get(name) == "file" and not twice[name]
             if op == "create" and name not in model:
                 yield from proc.close((yield from proc.creat(path)))
                 model[name] = "file"
             elif op == "mkdir" and name not in model:
                 yield from proc.mkdir(path)
                 model[name] = "dir"
+            elif op == "unlink" and twice[name]:
+                yield from proc.unlink(path)
+                twice[name] -= 1
             elif op == "unlink" and name in model:
                 if model.pop(name) == "dir":
                     yield from proc.rmdir(path)
                 else:
                     yield from proc.unlink(path)
-            elif (op == "rename" and model.get(name) == "file"
-                  and model.get(args[1], "file") == "file"):
+            elif (op == "rename" and single
+                  and model.get(args[1], "file") == "file"
+                  and not twice[args[1]]):
                 yield from proc.rename(path, f"/d/{args[1]}")
                 model[args[1]] = model.pop(name)
+            elif op == "zap" and single:
+                yield from patch_entry(mount, dp, name, _zap)
+                del model[name]
+            elif (op == "dup" and single and args[1] != name
+                  and model.get(args[1]) == "file" and not twice[args[1]]
+                  and len(args[1].encode()) == len(name.encode())):
+                yield from patch_entry(mount, dp, args[1], _renamed_to(name))
+                del model[args[1]]
+                twice[name] += 1
             elif op == "lookup":
                 ino = yield from agree(mount, dp, name)
                 assert (ino is not None) == (name in model)
             elif op == "readdir":
                 listing = yield from agree(mount, dp)
                 assert sorted(n for n, _ in listing) == sorted(
-                    [".", "..", *model])
+                    [".", "..", *model, *twice.elements()])
         for name in SHORT + LONG:
             yield from agree(mount, dp, name)
         yield from agree(mount, dp)
         return dp
 
-    dp = system.run(run())
+    with pytest.MonkeyPatch.context() as patch:
+        enter, remove = byte_checked(dirops.enter, dirops.remove)
+        patch.setattr(dirops, "enter", enter)
+        patch.setattr(dirops, "remove", remove)
+        dp = system.run(run())
     if prefill > 32:
         assert _dir_blocks(dp) > 1
 
@@ -230,8 +422,8 @@ def test_create_and_unlink_patch_the_view_instead_of_decoding(system,
     dp, meta = _dir_with(system, "x")
     system.run(dirops.lookup(mount, dp, "x"))
     decodes = []
-    real = dirops.iter_dirents
-    monkeypatch.setattr(dirops, "iter_dirents",
+    real = dirops.dir_records
+    monkeypatch.setattr(dirops, "dir_records",
                         lambda image: decodes.append(1) or real(image))
     proc = Proc(system)
 

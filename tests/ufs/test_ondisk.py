@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
     CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, SUPERBLOCK_MAGIC, CylinderGroup, Dinode,
-    Dirent, Superblock, empty_dirblock, iter_dirents, pack_dirent,
+    Dirent, Superblock, dirent_size, empty_dirblock, iter_dirents, pack_dirent,
 )
 
 
@@ -125,7 +125,7 @@ def test_dirent_validation():
         Dirent(1, "a/b")
     with pytest.raises(ValueError):
         Dirent(1, "a\x00b")
-    assert Dirent(1, "name").reclen_needed == 12  # 8 header + 4 + pad
+    assert dirent_size("name") == 12  # 8 header + 4 + pad
 
 
 def test_pack_and_iter_dirents():
