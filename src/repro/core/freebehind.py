@@ -19,7 +19,6 @@ from dataclasses import dataclass
 class FreeBehindPolicy:
     """Decision function for freeing pages behind a sequential reader."""
 
-    enabled: bool = True
     #: The file offset must exceed this before free-behind engages; small
     #: files keep their cache ("still leave in place the caching effects
     #: for smaller files").
@@ -30,13 +29,7 @@ class FreeBehindPolicy:
 
     def should_free(self, sequential: bool, offset: int, freemem: int,
                     lotsfree: int) -> bool:
-        """True if the just-read page at ``offset`` should be freed."""
-        if not self.enabled or not sequential:
-            return False
-        if offset < self.min_offset:
-            return False
-        return freemem < self.headroom * lotsfree
-
-    @classmethod
-    def disabled(cls) -> "FreeBehindPolicy":
-        return cls(enabled=False)
+        """True if the just-read page at ``offset`` should be freed (asked
+        only while free-behind is on: ``ClusterTuning.freebehind``)."""
+        return (sequential and offset >= self.min_offset
+                and freemem < self.headroom * lotsfree)

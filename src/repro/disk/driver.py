@@ -18,7 +18,7 @@ Two paper-relevant options:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.disk.buf import Buf, BufOp
 from repro.disk.disk import RotationalDisk
@@ -128,8 +128,8 @@ class BlockDevice:
         #: Bufs accepted by strategy() whose completion has not run yet,
         #: by buf id.  Coalesced parents are internal (never registered);
         #: their children stay outstanding until they individually
-        #: complete, so split-retry cannot lose one.  The sanitizer's
-        #: buf-balance check requires this to be empty at idle.
+        #: complete, so split-retry cannot lose one.  Empty at idle
+        #: (:meth:`_check_books`).
         self.outstanding: dict[int, Buf] = {}
         self.stats = StatSet(f"{name}.driver")
         self.queue_depth = TimeWeighted(engine, 0)
@@ -166,6 +166,29 @@ class BlockDevice:
         """
         if self.outstanding.pop(buf.id, None) is not None:
             self.stats.incr("tracked_completed")
+
+    def _check_books(self, point: str, fail: Callable[..., None], label: str,
+                     queued: int, busy: bool) -> None:
+        """The sanitizer's ``buf_balance`` check, given what the device has
+        ``queued`` and whether it is ``busy``: quiesced, nothing is queued
+        or in service, and every buf strategy() accepted completed exactly
+        once — coalescing and split-retry included."""
+        if not self.idle:
+            fail("buf_balance", f"at {point}: quiesced with {label} busy "
+                 f"(queue={queued}, busy={busy})")
+        if self.outstanding:
+            buf = next(iter(self.outstanding.values()))
+            fail("buf_balance",
+                 f"at {point}: {len(self.outstanding)} buf(s) issued to "
+                 f"{label} never completed; first leak: {buf!r} "
+                 f"(owner={buf.owner!r})",
+                 request=getattr(buf, "request", None))
+        issued = self.stats["tracked_issued"]
+        done = self.stats["tracked_completed"]
+        if issued != done:
+            fail("buf_balance",
+                 f"at {point}: {label}: {issued:g} bufs issued but {done:g} "
+                 "completions recorded (a buf completed twice or vanished)")
 
     def issue_flush(self, owner: str = "flush",
                     request: "Any | None" = None) -> Buf | None:
@@ -217,7 +240,8 @@ class DiskDriver(BlockDevice):
         self.queue = DiskQueue(scheduler=scheduler)
         self._work = Signal(engine, name=f"{name}.work")
         self._drain_waiters: list[Event] = []
-        self._busy = False
+        #: True while a request is in service.
+        self.busy = False
         self._last_sector = 0
         engine.process(self._run(), name=f"{name}.driver")
 
@@ -234,18 +258,23 @@ class DiskDriver(BlockDevice):
         if self.coalesce and not buf.ordered:
             merged = self._try_coalesce(buf)
             if merged is not None:
-                self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
+                self.queue_depth.set(len(self.queue) + (1 if self.busy else 0))
                 self._work.fire()
                 return merged
         self.queue.insert(buf)
-        self.queue_depth.set(len(self.queue) + (1 if self._busy else 0))
+        self.queue_depth.set(len(self.queue) + (1 if self.busy else 0))
         self._work.fire()
         return buf
 
     @property
     def idle(self) -> bool:
         """True when nothing is queued or in service."""
-        return not self._busy and len(self.queue) == 0
+        return not self.busy and len(self.queue) == 0
+
+    def check_buf_balance(self, point: str, fail: Callable[..., None],
+                          label: str = "driver") -> None:
+        """The sanitizer's ``buf_balance`` check of this driver."""
+        self._check_books(point, fail, label, len(self.queue), self.busy)
 
     def drain(self) -> Event:
         """An event that triggers once the driver goes idle."""
@@ -290,7 +319,7 @@ class DiskDriver(BlockDevice):
                         ev.succeed()
                 yield self._work.wait()
                 continue
-            self._busy = True
+            self.busy = True
             self.queue_depth.set(len(self.queue) + 1)
             service_start = self.engine.now
             self.wait_hist.observe(service_start - buf.issued_at)
@@ -317,7 +346,7 @@ class DiskDriver(BlockDevice):
             else:
                 self._complete(buf, error)
                 self.queue_bytes.add(-buf.nbytes)
-            self._busy = False
+            self.busy = False
             self.queue_depth.set(len(self.queue))
 
     def _service_with_recovery(self, buf: Buf):

@@ -32,7 +32,7 @@ volume does not serialize unrelated members against each other.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from repro.disk.buf import Buf, BufOp
 from repro.disk.disk import RotationalDisk
@@ -403,16 +403,6 @@ class MemberIntegrityView:
 # the multi-member device
 
 
-class _VolumeQueueView:
-    """len()-able stand-in for a driver queue: the members' queued total."""
-
-    def __init__(self, volume: "MultiVolume"):
-        self.volume = volume
-
-    def __len__(self) -> int:
-        return sum(len(m.driver.queue) for m in self.volume.members)
-
-
 class _JoinState:
     """Book-keeping for one fanned-out parent buf until all children ack."""
 
@@ -460,7 +450,6 @@ class MultiVolume(BlockDevice):
         self.device = self.disk = self
         self.integrity: "IntegrityRegion | None" = None
         self._cache_view = VolumeCacheView(self)
-        self.queue = _VolumeQueueView(self)
 
     # -- the address map (subclasses) --------------------------------------
     def _logical_sectors(self) -> int:
@@ -552,9 +541,15 @@ class MultiVolume(BlockDevice):
         return not self.outstanding and all(
             m.driver.idle for m in self.members)
 
-    @property
-    def _busy(self) -> bool:
-        return any(m.driver._busy for m in self.members)
+    def check_buf_balance(self, point: str, fail: Callable[..., None],
+                          label: str = "driver") -> None:
+        """The sanitizer's ``buf_balance`` check of the volume's own books,
+        then of every member's driver under the member's name."""
+        self._check_books(point, fail, label,
+                          sum(len(m.driver.queue) for m in self.members),
+                          any(m.driver.busy for m in self.members))
+        for member in self.members:
+            member.driver.check_buf_balance(point, fail, member.name)
 
     def describe(self) -> str:
         return self.spec.describe()
@@ -818,7 +813,7 @@ class MirrorVolume(MultiVolume):
             return None
         if self.read_policy == "shortest":
             return min(cands, key=lambda m: (
-                len(m.driver.queue) + (1 if m.driver._busy else 0), m.index))
+                len(m.driver.queue) + (1 if m.driver.busy else 0), m.index))
         member = cands[self._rr % len(cands)]
         self._rr += 1
         return member

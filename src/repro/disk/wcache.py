@@ -19,7 +19,7 @@ does (:class:`repro.disk.disk.JournalEvent`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.stats import StatSet
 
@@ -86,6 +86,29 @@ class VolatileWriteCache:
     def register_metrics(self, registry, ns: str) -> None:
         """Report the cache's counters into a MetricsRegistry at ``ns``."""
         registry.register(ns, self.stats)
+
+    def check_accounting(self, point: str, idle: bool, label: str,
+                         fail: Callable[..., None]) -> None:
+        """The sanitizer's ``write_cache`` check on member ``label``: the
+        byte counter equals the bytes held, every entry holds its sectors'
+        bytes, and the settled cache fits its limit."""
+        actual = sum(e.nbytes for e in self.entries)
+        if self.bytes != actual:
+            fail("write_cache",
+                 f"at {point}: {label} cache byte counter {self.bytes} "
+                 f"!= {actual} bytes actually held (accounting leak)")
+        if idle and self.over_limit:
+            # Mid-service the cache may transiently exceed its limit while
+            # the triggering write destages room; settled, it must fit.
+            fail("write_cache",
+                 f"at {point}: {label} cache holds {self.bytes} bytes "
+                 f"over the {self.limit_bytes}-byte limit at idle")
+        for entry in self.entries:
+            if len(entry.data) != entry.nsectors * self.sector_size:
+                fail("write_cache",
+                     f"at {point}: {label} entry #{entry.seq} claims "
+                     f"{entry.nsectors} sectors but holds "
+                     f"{len(entry.data)} bytes")
 
     # -- write plane -------------------------------------------------------
     def write(self, buf: "Buf") -> CacheEntry:

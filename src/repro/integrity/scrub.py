@@ -36,8 +36,6 @@ from repro.disk.buf import Buf, BufOp
 from repro.errors import DiskError, InvalidArgumentError
 from repro.sim.events import EventFailed
 from repro.sim.stats import StatSet
-from repro.ufs.mount import UfsMount
-from repro.ufs.ondisk import NDADDR
 from repro.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -282,45 +280,18 @@ class Scrubber:
         return None
 
     def _cache_copy(self, frag: int, rec: "Record") -> "bytes | None":
-        """A clean in-memory copy of the fragment, if its owner file is
-        live and the block is cached.
+        """An in-memory copy of the fragment, if its owner file is live and
+        the block is cached (:meth:`~repro.vfs.vnode.Vfs.cached_fragment`).
 
         The page is only *read* — a dirty page stays dirty and will be
         written back (and restamped) by the ordinary sync path; the
         scrub repair just stops the on-disk rot from shadowing it.
-        The block-pointer guard rejects stale attribution: the owner
-        inode must still map ``owner_lbn`` to this physical block.
         """
         mount = self.system.mount
-        if not isinstance(mount, UfsMount) or rec.owner_ino == 0:
+        if mount is None or rec.owner_ino == 0:
             return None
-        vn = mount.cached_vnode(rec.owner_ino)
-        if vn is None:
-            return None
-        lbn = rec.owner_lbn
-        if lbn >= NDADDR:
-            # Indirect blocks would need a pointer walk; decline (rare —
-            # files that large are scrubbed from replicas of nothing, so
-            # they fall through to unrepairable unless rewritten).
-            return None
-        ip = vn.inode
-        addr = ip.direct[lbn] if lbn < len(ip.direct) else 0
-        if addr == 0 or frag - rec.off != addr:
-            return None
-        sb = mount.sb
-        offset = lbn * sb.bsize
-        pc = mount.pagecache
-        if offset % pc.page_size != 0:
-            return None
-        page = pc.lookup(vn, offset)
-        if page is None or not page.valid or page.locked:
-            return None
-        lo = rec.off * sb.fsize
-        chunk = bytes(page.data[lo:lo + sb.fsize])
-        # Partial tail pages: the fragment must lie inside the cached span.
-        if len(chunk) < sb.fsize:
-            return None
-        return chunk
+        return mount.cached_fragment(frag, rec.owner_ino, rec.owner_lbn,
+                                     rec.off)
 
 
 class ScrubDaemon:

@@ -291,6 +291,21 @@ class Engine:
             if entry[4] is None or not (entry[4].cancelled or entry[4].daemon)
         )
 
+    def check_liveness(self, point: str, idle: bool,
+                       fail: Callable[..., None]) -> None:
+        """The sanitizer's ``engine_liveness`` check: the run-to-idle
+        counter can neither wedge the loop (too high) nor stop it with
+        work pending (too low), and reads 0 at idle."""
+        pending = self.live_pending()
+        if self._live != pending:
+            fail("engine_liveness",
+                 f"at {point}: _live={self._live} but the heap holds "
+                 f"{pending} non-cancelled non-daemon entries "
+                 "(cancel/step accounting drifted)")
+        if idle and self._live != 0:
+            fail("engine_liveness",
+                 f"at {point}: engine reported idle with _live={self._live}")
+
     def run(self, until: float | None = None) -> None:
         """Run until the heap drains or simulated time reaches ``until``
         (which may not lie in the past: the clock never runs backwards).

@@ -14,50 +14,55 @@ is the registry of such invariants, checked at *quiesce points*:
 * at campaign ends and benchmark phase boundaries;
 * optionally every N simulated seconds (:meth:`Sanitizer.attach_every`).
 
-The shipped checks:
+The nine checks of :data:`Sanitizer.CHECKS`, in the order they run, and
+the owner of each.  A check of one layer's own books is a method of that
+layer, which the sanitizer calls; a check that reads two layers at once
+lives here.
 
-``engine_liveness``
-    ``Engine._live`` equals the number of non-cancelled, non-daemon heap
-    entries — the run-to-idle counter can neither wedge the loop (too high)
-    nor stop it with work pending (too low).
-``buf_balance``
-    Every buf handed to ``DiskDriver.strategy`` completes (or errors)
-    exactly once, including driver-coalesce and split-retry paths; at idle
-    the driver's outstanding table is empty.
-``throttle_conservation``
+``engine_liveness`` — :meth:`Engine.check_liveness`
+    The run-to-idle counter equals the number of non-cancelled, non-daemon
+    heap entries, so it can neither wedge the loop nor stop it early.
+``buf_balance`` — :meth:`BlockDevice.check_buf_balance` (idle only)
+    Every buf strategy() took completed exactly once, coalescing and
+    split-retry included, and nothing is queued or in service; a volume
+    checks its own books, then each member's driver.
+``throttle_conservation`` — here: throttles x driver
     The write throttles ``system.mount.throttles()`` lists are never
     over-credited, the bytes charged never fall below the bytes still in
     the driver for that file, and at idle every throttle is drained.
-``request_spans``
-    No request finishes with a child span still open; at idle the registry
-    has no open requests and the in-flight gauge reads zero.
-``page_coherency``
-    Every clean, valid, unlocked page of a mounted UFS file is
-    byte-identical to its backing store, resolved through the same block
-    pointers bmap uses (like ``allocator``, on a UfsMount only).  The same
-    entry holds the buffer cache's decoded directory blocks to their bytes
-    (``dir_views``, below), so the number of checks a run reports does not
-    depend on which caches exist.
-``page_index``
-    The page cache's per-vnode index (``v_pages``) holds exactly the pages
-    its name hash holds, with no emptied vnode left behind.
-``allocator``
-    In-memory cylinder-group bitmaps agree with the group counters and the
-    superblock totals, and every block an active inode points at is marked
-    allocated; ``deep=True`` additionally runs fsck's walkers read-only
-    over the on-disk bytes.
-``dir_views`` (run by ``page_coherency``)
-    Every directory view a cached buffer carries holds exactly the
-    records ``dir_records`` decodes from the bytes it was built on, free
-    slots and record lengths included, their live count and a first-wins
-    name index — so the incremental updates of create and unlink are
-    checked against the one decoder at every quiesce.
+``request_spans`` — :meth:`RequestRegistry.check_spans`
+    No request finishes with a child span still open; at idle none is open
+    and the in-flight gauge reads zero.
+``page_coherency`` — :meth:`Vfs.check_page_coherency`
+    UFS: every clean, valid, unlocked page of a file is byte-identical to
+    its fragments on disk, resolved through the pointers bmap uses, and
+    every directory view a cached buffer carries equals a decode of its
+    bytes (raised as ``dir_views``).
+``page_index`` — :meth:`PageCache.check_index`
+    The per-vnode page index holds exactly the pages the name hash holds,
+    with no emptied vnode left behind.
+``allocator`` — :meth:`Vfs.check_allocator`
+    UFS: the group bitmaps agree with the group counters and the
+    superblock totals, and every fragment an active inode points at is
+    allocated; ``deep`` also runs fsck's walkers read-only.
+``write_cache`` — :meth:`VolatileWriteCache.check_accounting`, per member
+    The byte counter equals the bytes held, each entry holds its sectors'
+    bytes, and at idle the cache fits its limit.
+``integrity`` — here: integrity region x disk x write cache (deep only)
+    Every stamped fragment's media bytes match its record.
+
+The two :class:`~repro.vfs.vnode.Vfs` checks are empty on the base class:
+S5FS and the NFS client run them as no-ops until they have checks of their
+own, so the count of checks a run reports does not depend on which file
+system is mounted.
 
 A violation raises :class:`SanitizerError`, which carries the offending
 request's rendered span tree when one is attributable.
 
-Adding a check: write a ``Sanitizer`` method raising :meth:`Sanitizer.fail`
-on violation and append it to :data:`Sanitizer.CHECKS` with ``idle_only``
+Adding a check: a check of one layer's books is a method of that layer
+taking ``(point, ..., fail)`` and calling ``fail(check, message)``; a
+check that reads two layers at once is a ``Sanitizer`` method.  Either
+way it gets one entry in :data:`Sanitizer.CHECKS`, with ``idle_only``
 set if it only holds when the engine has drained.
 """
 
@@ -71,7 +76,6 @@ from repro.sim.engine import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.system import System
     from repro.sim.engine import Recurring
-    from repro.ufs.mount import UfsMount
 
 #: Environment switch: ``REPRO_SANITIZE=1`` turns the sanitizer on for
 #: every :class:`~repro.kernel.system.System` built afterwards (the test
@@ -145,62 +149,37 @@ class Sanitizer:
         tree when tracing captured one."""
         raise SanitizerError(check, message, span_tree=render_request(request))
 
-    # -- check 1: engine liveness -----------------------------------------
+    # -- checks of one layer's books, kept by that layer --------------------
     def _check_engine_liveness(self, point: str, idle: bool,
                                deep: bool) -> None:
-        engine = self.system.engine
-        pending = engine.live_pending()
-        if engine._live != pending:
-            self.fail(
-                "engine_liveness",
-                f"at {point}: _live={engine._live} but the heap holds "
-                f"{pending} non-cancelled non-daemon entries "
-                "(cancel/step accounting drifted)",
-            )
-        if idle and engine._live != 0:
-            self.fail(
-                "engine_liveness",
-                f"at {point}: engine reported idle with _live={engine._live}",
-            )
-
-    # -- check 2: buf refcount / leak -------------------------------------
-    def _drivers(self) -> "list[tuple[str, Any]]":
-        """The kernel-facing device plus, for multi-member volumes, every
-        member driver — buf balance must hold at each layer."""
-        drivers: "list[tuple[str, Any]]" = [("driver", self.system.driver)]
-        members = self.system.volume.members
-        if len(members) > 1:
-            drivers.extend((m.name, m.driver) for m in members)
-        return drivers
+        self.system.engine.check_liveness(point, idle, self.fail)
 
     def _check_buf_balance(self, point: str, idle: bool, deep: bool) -> None:
-        for label, driver in self._drivers():
-            if not driver.idle:
-                self.fail(
-                    "buf_balance",
-                    f"at {point}: quiesced with {label} busy "
-                    f"(queue={len(driver.queue)}, busy={driver._busy})",
-                )
-            if driver.outstanding:
-                buf = next(iter(driver.outstanding.values()))
-                self.fail(
-                    "buf_balance",
-                    f"at {point}: {len(driver.outstanding)} buf(s) issued "
-                    f"to {label} never completed; first leak: {buf!r} "
-                    f"(owner={buf.owner!r})",
-                    request=getattr(buf, "request", None),
-                )
-            issued = driver.stats["tracked_issued"]
-            done = driver.stats["tracked_completed"]
-            if issued != done:
-                self.fail(
-                    "buf_balance",
-                    f"at {point}: {label}: {issued:g} bufs issued but "
-                    f"{done:g} completions recorded (a buf completed twice "
-                    "or vanished)",
-                )
+        self.system.driver.check_buf_balance(point, self.fail)
 
-    # -- check 3: write-throttle conservation ------------------------------
+    def _check_request_spans(self, point: str, idle: bool,
+                             deep: bool) -> None:
+        self.system.requests.check_spans(point, idle, self.fail)
+
+    def _check_page_coherency(self, point: str, idle: bool,
+                              deep: bool) -> None:
+        if self.system.mount is not None:
+            self.system.mount.check_page_coherency(point, self.fail)
+
+    def _check_page_index(self, point: str, idle: bool, deep: bool) -> None:
+        self.system.pagecache.check_index(point, self.fail)
+
+    def _check_allocator(self, point: str, idle: bool, deep: bool) -> None:
+        if self.system.mount is not None:
+            self.system.mount.check_allocator(point, deep, self.fail)
+
+    def _check_write_cache(self, point: str, idle: bool, deep: bool) -> None:
+        for member in self.system.volume.members:
+            if member.write_cache is not None:
+                member.write_cache.check_accounting(point, idle, member.name,
+                                                    self.fail)
+
+    # -- cross-layer checks ------------------------------------------------
     def _check_throttles(self, point: str, idle: bool, deep: bool) -> None:
         # Bytes still in the driver per throttle, recovered from the write
         # iodone hooks riding on the outstanding bufs.
@@ -237,227 +216,6 @@ class Sanitizer:
                     "(a completion path never credited them back)",
                 )
 
-    # -- check 4: request/span balance -------------------------------------
-    def _check_request_spans(self, point: str, idle: bool,
-                             deep: bool) -> None:
-        registry = self.system.requests
-        if registry.span_leaks:
-            rid, kind, names = registry.span_leaks[0]
-            self.fail(
-                "request_spans",
-                f"at {point}: request #{rid} ({kind}) finished with open "
-                f"span(s) {list(names)} — a begin() without a finally end() "
-                f"({len(registry.span_leaks)} leak(s) total)",
-            )
-        if idle and registry.open:
-            req = next(iter(registry.open.values()))
-            self.fail(
-                "request_spans",
-                f"at {point}: {len(registry.open)} request(s) still open at "
-                f"idle; first: {req!r}",
-                request=req,
-            )
-        if idle and registry.inflight.value != 0:
-            self.fail(
-                "request_spans",
-                f"at {point}: inflight gauge reads "
-                f"{registry.inflight.value:g} at idle (start/complete "
-                "accounting drifted)",
-            )
-
-    # -- check 5: page-cache / on-disk coherency ---------------------------
-    def _check_page_coherency(self, point: str, idle: bool,
-                              deep: bool) -> None:
-        from repro.ufs.bmap import HOLE
-        from repro.ufs.mount import UfsMount
-        from repro.ufs.ondisk import resolve_lbn
-
-        mount = self.system.mount
-        if not isinstance(mount, UfsMount):
-            return  # S5FS and NFS-client pages are not checked yet
-        self._check_dir_views(point, mount)
-        pc = self.system.pagecache
-        disk = mount.driver.disk
-        sb = mount.sb
-
-        def pointer_block(addr_block: int) -> "bytes | bytearray":
-            # Resolving a pointer costs no simulated I/O and moves nothing
-            # in the LRU: the buffer cache's copy if it has one (``peek``),
-            # else the raw store — the bytes bmap would read, in the same
-            # precedence.  read_through: on a disk with a volatile write
-            # cache the authoritative copy may still sit in its buffer.
-            meta = mount.metacache.peek(addr_block)
-            if meta is not None:
-                return meta.data
-            return disk.read_through(sb.fsb_to_sector(addr_block),
-                                     sb.bsize // 512)
-
-        for vn in mount.vnodes():
-            ip = vn.inode
-            if not ip.is_reg:
-                continue
-            for page in pc.vnode_pages(vn):
-                if page.dirty or page.locked or not page.valid:
-                    continue  # only clean, settled pages promise coherency
-                if page.offset >= ip.size:
-                    continue
-                lbn = page.offset // sb.bsize
-                nbytes = min(ip.blksize(lbn), ip.size - page.offset)
-                addr = resolve_lbn(ip, lbn, sb.bsize, pointer_block)
-                if addr == HOLE:
-                    if any(page.data[:nbytes]):
-                        self.fail(
-                            "page_coherency",
-                            f"at {point}: inode {ip.ino} offset "
-                            f"{page.offset}: clean page over a hole holds "
-                            "non-zero bytes",
-                        )
-                    continue
-                nsectors = -(-nbytes // 512)
-                ondisk = disk.read_through(sb.fsb_to_sector(addr), nsectors)
-                if bytes(page.data[:nbytes]) != ondisk[:nbytes]:
-                    self.fail(
-                        "page_coherency",
-                        f"at {point}: inode {ip.ino} offset {page.offset}: "
-                        f"clean page differs from disk at fragment {addr} "
-                        "(a write was lost or mis-addressed)",
-                    )
-
-    def _check_dir_views(self, point: str, mount: "UfsMount") -> None:
-        from repro.ufs.ondisk import dir_records
-
-        for meta in mount.metacache.buffers():
-            view = meta.view
-            if view is None:
-                continue
-            decoded = dir_records(view.image)
-            live = [(name, ino) for _, ino, _, name in decoded if ino]
-            first = dict(reversed(live))
-            if (view.records != decoded or view.live != len(live)
-                    or view.index != first):
-                self.fail(
-                    "dir_views",
-                    f"at {point}: the directory view of block "
-                    f"{meta.frag_addr} disagrees with a decode of the bytes "
-                    "it was built on (an incremental update went wrong)",
-                )
-
-    def _check_page_index(self, point: str, idle: bool, deep: bool) -> None:
-        pc = self.system.pagecache
-        grouped: dict[int, dict[int, Any]] = {}
-        for (vnode_id, offset), page in pc._hash.items():
-            grouped.setdefault(vnode_id, {})[offset] = page
-        if pc._vpages != grouped:
-            stale = sorted(vid for vid in pc._vpages.keys() | grouped.keys()
-                           if pc._vpages.get(vid) != grouped.get(vid))
-            self.fail(
-                "page_index",
-                f"at {point}: the per-vnode page index disagrees with the "
-                f"page hash for vnode ids {stale[:8]} (an identity change "
-                "bypassed allocate/destroy, or an emptied vnode was left "
-                "behind)",
-            )
-
-    # -- check 6: allocator consistency ------------------------------------
-    def _check_allocator(self, point: str, idle: bool, deep: bool) -> None:
-        from repro.ufs.bmap import HOLE
-        from repro.ufs.mount import UfsMount
-        from repro.ufs.ondisk import NDADDR
-
-        mount = self.system.mount
-        if not isinstance(mount, UfsMount):
-            return  # an S5FS free list is not checked yet; NFS has none
-        sb = mount.sb
-        total_nbfree = total_nffree = 0
-        for cg in mount.cgs:
-            nbfree, nffree = cg.free_counts(
-                *sb.cg_data_range(cg.cgx), sb.frag)
-            if nbfree != cg.nbfree or nffree != cg.nffree:
-                self.fail(
-                    "allocator",
-                    f"at {point}: group {cg.cgx} counters say "
-                    f"nbfree={cg.nbfree} nffree={cg.nffree} but its bitmap "
-                    f"shows {nbfree}/{nffree}",
-                )
-            total_nbfree += cg.nbfree
-            total_nffree += cg.nffree
-        if (total_nbfree != sb.cs_nbfree
-                or total_nffree != sb.cs_nffree):
-            self.fail(
-                "allocator",
-                f"at {point}: superblock totals nbfree={sb.cs_nbfree} "
-                f"nffree={sb.cs_nffree} != group sums "
-                f"{total_nbfree}/{total_nffree}",
-            )
-        # Every block an active inode points at must be allocated in its
-        # group's bitmap (a free-but-claimed fragment is a lost-data bug).
-        for ip in mount.inodes():
-            if ip.nlink <= 0:
-                continue
-            if not (ip.is_reg or ip.is_dir):
-                continue  # fast symlinks reuse direct[] as target bytes
-            claims = [a for a in ip.direct[:NDADDR] if a != HOLE]
-            for a in (ip.indirect, ip.dindirect):
-                if a != HOLE:
-                    claims.append(a)
-            for addr in claims:
-                cgx = addr // sb.fpg
-                rel = addr - sb.cgbase(cgx)
-                if mount.cgs[cgx].frag_is_free(rel):
-                    self.fail(
-                        "allocator",
-                        f"at {point}: inode {ip.ino} claims fragment {addr} "
-                        f"but group {cgx}'s bitmap marks it free",
-                    )
-        if deep:
-            self._check_allocator_deep(point)
-
-    def _check_allocator_deep(self, point: str) -> None:
-        """The on-disk form: fsck's walkers, read-only, must come back
-        clean.  Only valid after a full sync (the caller's contract)."""
-        from repro.ufs.fsck import fsck
-
-        report = fsck(self.system.store)
-        if not report.clean:
-            self.fail(
-                "allocator",
-                f"at {point}: on-disk walk found "
-                f"{len(report.findings)} problem(s); first: "
-                f"{report.findings[0]}",
-            )
-
-    # -- check 7: volatile write-cache accounting ---------------------------
-    def _check_write_cache(self, point: str, idle: bool, deep: bool) -> None:
-        for member in self.system.volume.members:
-            label, cache = member.name, member.write_cache
-            if cache is None:
-                continue
-            actual = sum(e.nbytes for e in cache.entries)
-            if cache.bytes != actual:
-                self.fail(
-                    "write_cache",
-                    f"at {point}: {label} cache byte counter {cache.bytes} "
-                    f"!= {actual} bytes actually held (accounting leak)",
-                )
-            if idle and cache.bytes > cache.limit_bytes:
-                # Mid-service the cache may transiently exceed its limit
-                # while the triggering write destages room; settled, it
-                # must fit.
-                self.fail(
-                    "write_cache",
-                    f"at {point}: {label} cache holds {cache.bytes} bytes "
-                    f"over the {cache.limit_bytes}-byte limit at idle",
-                )
-            for entry in cache.entries:
-                if len(entry.data) != entry.nsectors * cache.sector_size:
-                    self.fail(
-                        "write_cache",
-                        f"at {point}: {label} entry #{entry.seq} claims "
-                        f"{entry.nsectors} sectors but holds "
-                        f"{len(entry.data)} bytes",
-                    )
-
-    # -- check 8: integrity-table audit (deep only) -------------------------
     def _check_integrity(self, point: str, idle: bool, deep: bool) -> None:
         """Every stamped fragment's media bytes must match its record.
 

@@ -23,7 +23,7 @@ internal maintenance I/O) pay nothing and need no ceremony.
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.stats import Histogram, StatSet, TimeWeighted
 
@@ -239,6 +239,28 @@ class RequestRegistry:
         self.span_leaks.append(
             (req.id, req.kind, tuple(s.name for s in leaked))
         )
+
+    def check_spans(self, point: str, idle: bool,
+                    fail: Callable[..., None]) -> None:
+        """The sanitizer's ``request_spans`` check: no request finished
+        with a child span open; at idle none is open and the in-flight
+        gauge reads zero."""
+        if self.span_leaks:
+            rid, kind, names = self.span_leaks[0]
+            fail("request_spans",
+                 f"at {point}: request #{rid} ({kind}) finished with open "
+                 f"span(s) {list(names)} — a begin() without a finally end() "
+                 f"({len(self.span_leaks)} leak(s) total)")
+        if idle and self.open:
+            req = next(iter(self.open.values()))
+            fail("request_spans",
+                 f"at {point}: {len(self.open)} request(s) still open at "
+                 f"idle; first: {req!r}", request=req)
+        if idle and self.inflight.value != 0:
+            fail("request_spans",
+                 f"at {point}: inflight gauge reads "
+                 f"{self.inflight.value:g} at idle (start/complete "
+                 "accounting drifted)")
 
     def register_metrics(self, registry) -> None:
         """Report request accounting into a system MetricsRegistry.

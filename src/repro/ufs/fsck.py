@@ -238,10 +238,11 @@ class _Checker:
                     self.report.problem(f"directory {ino}: hole at block {lbn}")
                     self.actions.append(("clear_inode", ino))
                     continue
+                if addr + sb.frag > sb.total_frags:
+                    continue  # _claim flagged it; nothing readable behind it
                 try:
-                    block = self._read_frag_addr(addr, sb.bsize)
-                    entries = iter_dirents(block)
-                except (CorruptionError, ValueError, UnicodeDecodeError) as exc:
+                    entries = iter_dirents(self._read_frag_addr(addr, sb.bsize))
+                except CorruptionError as exc:
                     self.report.problem(f"directory {ino}: {exc}")
                     self.actions.append(("clear_dirblock", addr))
                     continue

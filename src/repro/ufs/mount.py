@@ -13,7 +13,7 @@ instead (asynchronous but unreorderable), the future-work variant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 
 from repro.core import ClusterTuning, FreeBehindPolicy
 from repro.disk.buf import Buf, BufOp
@@ -27,13 +27,14 @@ from repro.sim.stats import StatSet
 from repro.sim.trace import Tracer
 from repro.ufs import bmap, dir as dirops
 from repro.ufs.alloc import Allocator
+from repro.ufs.fsck import fsck
 from repro.ufs.inode import Inode
 from repro.ufs.metacache import MetaCache
 from repro.ufs.ondisk import (
     DINODE_SIZE, Dinode, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFREG, NDADDR,
     ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Superblock,
-    empty_dirblock, pack_dirent, DIRBLKSIZ, pack_fast_symlink,
-    unpack_fast_symlink,
+    dir_records, empty_dirblock, pack_dirent, DIRBLKSIZ, pack_fast_symlink,
+    resolve_lbn, unpack_fast_symlink,
 )
 from repro.ufs.vnode import UfsVnode
 from repro.vfs.vnode import StatFs, Vfs
@@ -124,10 +125,9 @@ class UfsMount(Vfs):
         self.metacache = MetaCache(engine, driver, cpu, self.sb.bsize,
                                    frag_sectors, capacity=metacache_blocks)
         self.allocator = Allocator(self)
+        #: Consulted only while ``tuning.freebehind`` is on (``ufs_rdwr``).
         self.freebehind = FreeBehindPolicy(
-            enabled=self.tuning.freebehind,
-            min_offset=self.tuning.freebehind_min_offset,
-        )
+            min_offset=self.tuning.freebehind_min_offset)
         #: The in-core inode table: inode number -> its vnode.
         self._vnodes: dict[int, UfsVnode] = {}
 
@@ -157,10 +157,6 @@ class UfsMount(Vfs):
             yield f"inode {ino}", vn.inode.throttle
 
     # -- inode management ----------------------------------------------------------
-    def cached_vnode(self, ino: int) -> "UfsVnode | None":
-        """The vnode of inode ``ino`` if it is in core (no I/O)."""
-        return self._vnodes.get(ino)
-
     def vnodes(self) -> Iterator[UfsVnode]:
         """Every vnode in core (the root included)."""
         return iter(self._vnodes.values())
@@ -168,6 +164,34 @@ class UfsMount(Vfs):
     def inodes(self) -> Iterator[Inode]:
         """Every inode in core."""
         return (vn.inode for vn in self._vnodes.values())
+
+    def cached_fragment(self, frag: int, ino: int, lbn: int,
+                        off: int) -> "bytes | None":
+        """The page-cache copy of a data fragment (clean *or* dirty), read
+        only.  The block-pointer guard rejects stale attribution: the
+        inode must still map ``lbn`` to ``frag``'s block."""
+        vn = self._vnodes.get(ino)
+        if vn is None or lbn >= NDADDR:
+            # Indirect blocks would need a pointer walk; decline (rare —
+            # files that large fall through to unrepairable unless
+            # rewritten).
+            return None
+        ip = vn.inode
+        addr = ip.direct[lbn] if lbn < len(ip.direct) else 0
+        if addr == 0 or frag - off != addr:
+            return None
+        sb = self.sb
+        offset = lbn * sb.bsize
+        pc = self.pagecache
+        if offset % pc.page_size != 0:
+            return None
+        page = pc.lookup(vn, offset)
+        if page is None or not page.valid or page.locked:
+            return None
+        lo = off * sb.fsize
+        chunk = bytes(page.data[lo:lo + sb.fsize])
+        # Partial tail pages: the fragment must lie inside the cached span.
+        return chunk if len(chunk) == sb.fsize else None
 
     def _incore(self, ino: int, din: Dinode) -> UfsVnode:
         """Enter inode ``ino``, as ``din`` has it, in the in-core table."""
@@ -552,3 +576,115 @@ class UfsMount(Vfs):
         registry.register("ufs", self.stats)
         registry.register("ufs.metacache", self.metacache.stats)
         registry.register("ufs.throttle", self.throttle_stats)
+
+    # -- the sanitizer's checks of the mount's own books ------------------------
+    def check_page_coherency(self, point: str,
+                             fail: Callable[..., None]) -> None:
+        """Every directory view a cached buffer carries equals a decode of
+        the bytes it was built on (``dir_views``), and every clean, valid,
+        unlocked page of a regular file equals its fragments on disk,
+        resolved through the block pointers bmap uses."""
+        self._check_dir_views(point, fail)
+        disk = self.driver.disk
+        sb = self.sb
+
+        def pointer_block(addr_block: int) -> "bytes | bytearray":
+            # Resolving a pointer costs no simulated I/O and moves nothing
+            # in the LRU: the buffer cache's copy if it has one (``peek``),
+            # else the raw store — the bytes bmap would read, in the same
+            # precedence.  read_through: on a disk with a volatile write
+            # cache the authoritative copy may still sit in its buffer.
+            meta = self.metacache.peek(addr_block)
+            if meta is not None:
+                return meta.data
+            return disk.read_through(sb.fsb_to_sector(addr_block),
+                                     sb.bsize // 512)
+
+        for vn in self.vnodes():
+            ip = vn.inode
+            if not ip.is_reg:
+                continue
+            for page in self.pagecache.vnode_pages(vn):
+                if page.dirty or page.locked or not page.valid:
+                    continue  # only clean, settled pages promise coherency
+                if page.offset >= ip.size:
+                    continue
+                lbn = page.offset // sb.bsize
+                nbytes = min(ip.blksize(lbn), ip.size - page.offset)
+                addr = resolve_lbn(ip, lbn, sb.bsize, pointer_block)
+                if addr == bmap.HOLE:
+                    if any(page.data[:nbytes]):
+                        fail("page_coherency",
+                             f"at {point}: inode {ip.ino} offset "
+                             f"{page.offset}: clean page over a hole holds "
+                             "non-zero bytes")
+                    continue
+                nsectors = -(-nbytes // 512)
+                ondisk = disk.read_through(sb.fsb_to_sector(addr), nsectors)
+                if bytes(page.data[:nbytes]) != ondisk[:nbytes]:
+                    fail("page_coherency",
+                         f"at {point}: inode {ip.ino} offset {page.offset}: "
+                         f"clean page differs from disk at fragment {addr} "
+                         "(a write was lost or mis-addressed)")
+
+    def _check_dir_views(self, point: str, fail: Callable[..., None]) -> None:
+        """Each view's records, free slots and record lengths included, its
+        live count and its first-wins name index, against the one decoder:
+        the incremental updates of create and unlink are checked here."""
+        for meta in self.metacache.buffers():
+            view = meta.view
+            if view is None:
+                continue
+            decoded = dir_records(view.image)
+            live = [(name, ino) for _, ino, _, name in decoded if ino]
+            if (view.records != decoded or view.live != len(live)
+                    or view.index != dict(reversed(live))):
+                fail("dir_views",
+                     f"at {point}: the directory view of block "
+                     f"{meta.frag_addr} disagrees with a decode of the bytes "
+                     "it was built on (an incremental update went wrong)")
+
+    def check_allocator(self, point: str, deep: bool,
+                        fail: Callable[..., None]) -> None:
+        """The in-memory group bitmaps agree with the group counters and
+        the superblock totals, and every fragment an active inode points
+        at is allocated; ``deep`` runs fsck's walkers read-only over the
+        on-disk bytes, which must come back clean."""
+        sb = self.sb
+        total_nbfree = total_nffree = 0
+        for cg in self.cgs:
+            nbfree, nffree = cg.free_counts(*sb.cg_data_range(cg.cgx), sb.frag)
+            if nbfree != cg.nbfree or nffree != cg.nffree:
+                fail("allocator",
+                     f"at {point}: group {cg.cgx} counters say "
+                     f"nbfree={cg.nbfree} nffree={cg.nffree} but its bitmap "
+                     f"shows {nbfree}/{nffree}")
+            total_nbfree += cg.nbfree
+            total_nffree += cg.nffree
+        if total_nbfree != sb.cs_nbfree or total_nffree != sb.cs_nffree:
+            fail("allocator",
+                 f"at {point}: superblock totals nbfree={sb.cs_nbfree} "
+                 f"nffree={sb.cs_nffree} != group sums "
+                 f"{total_nbfree}/{total_nffree}")
+        # A free-but-claimed fragment is a lost-data bug.
+        for ip in self.inodes():
+            if ip.nlink <= 0:
+                continue
+            if not (ip.is_reg or ip.is_dir):
+                continue  # fast symlinks reuse direct[] as target bytes
+            claims = [a for a in ip.direct[:NDADDR] if a != bmap.HOLE]
+            claims += [a for a in (ip.indirect, ip.dindirect)
+                       if a != bmap.HOLE]
+            for addr in claims:
+                cgx = addr // sb.fpg
+                if self.cgs[cgx].frag_is_free(addr - sb.cgbase(cgx)):
+                    fail("allocator",
+                         f"at {point}: inode {ip.ino} claims fragment {addr} "
+                         f"but group {cgx}'s bitmap marks it free")
+        if not deep:
+            return
+        report = fsck(self.driver.disk.store)
+        if not report.clean:
+            fail("allocator",
+                 f"at {point}: on-disk walk found {len(report.findings)} "
+                 f"problem(s); first: {report.findings[0]}")

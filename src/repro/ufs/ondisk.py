@@ -648,13 +648,27 @@ def dir_records(block: bytes) -> "list[tuple[int, int, int, str]]":
         offset = chunk_start
         chunk_end = min(chunk_start + DIRBLKSIZ, len(block))
         while offset < chunk_end:
+            if offset + head_size > len(block):
+                raise CorruptionError(
+                    f"truncated directory record at offset {offset}")
             ino, reclen, namelen = unpack_head(block, offset)
             if reclen < head_size or offset + reclen > chunk_end or reclen % 4:
                 raise CorruptionError(
                     f"bad directory reclen {reclen} at offset {offset}"
                 )
-            name = (block[offset + head_size:offset + head_size + namelen]
-                    .decode() if ino else "")
+            name = ""
+            if ino:
+                if namelen > reclen - head_size:
+                    raise CorruptionError(
+                        f"directory name length {namelen} overruns its "
+                        f"{reclen}-byte record at offset {offset}")
+                raw = block[offset + head_size:offset + head_size + namelen]
+                try:
+                    name = raw.decode()
+                except UnicodeDecodeError:
+                    raise CorruptionError(
+                        f"directory name {bytes(raw)!r} at offset {offset} "
+                        "is not UTF-8") from None
             records.append((offset, ino, reclen, name))
             offset += reclen
     return records

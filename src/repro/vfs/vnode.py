@@ -18,7 +18,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, NamedTuple
 
 from repro.errors import InvalidArgumentError
 
@@ -204,3 +204,25 @@ class Vfs(ABC):
     def throttles(self) -> Iterator[tuple[str, "WriteThrottle"]]:
         """``(owner label, WriteThrottle)`` per file (default: none)."""
         return iter(())
+
+    def cached_fragment(self, frag: int, ino: int, lbn: int,
+                        off: int) -> "bytes | None":
+        """Fragment ``frag``'s bytes from the page cache, when it is
+        fragment ``off`` of logical block ``lbn`` of live inode ``ino`` and
+        that block is cached: the scrubber's repair source for data
+        (default: none)."""
+        return None
+
+    # -- the sanitizer's checks of this file system's own books ------------
+    # The defaults check nothing: S5FS and the NFS client have no check of
+    # their own yet, so they run the same nine checks with these two empty.
+    def check_page_coherency(self, point: str,
+                             fail: Callable[..., None]) -> None:
+        """``page_coherency``: every clean cached page equals the bytes it
+        caches, and every decoded metadata view equals its bytes."""
+
+    def check_allocator(self, point: str, deep: bool,
+                        fail: Callable[..., None]) -> None:
+        """``allocator``: the free maps agree with their counters and with
+        every block a file claims; ``deep`` also walks the on-disk bytes
+        (only after a full sync)."""

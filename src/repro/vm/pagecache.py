@@ -21,7 +21,7 @@ file's pages instead of all of memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.sim.events import Event
 from repro.sim.resources import Signal
@@ -85,6 +85,22 @@ class PageCache:
         """Frames ever named, so holding a buffer: a memory cost only tests
         read yet (``tests/kernel/test_remount_reset.py``)."""
         return sum(p.data is not None for p in self.frames)
+
+    def check_index(self, point: str, fail: Callable[..., None]) -> None:
+        """The sanitizer's ``page_index`` check: the per-vnode index holds
+        exactly the pages the name hash holds, with no emptied vnode left
+        behind."""
+        grouped: dict[int, dict[int, Page]] = {}
+        for (vnode_id, offset), page in self._hash.items():
+            grouped.setdefault(vnode_id, {})[offset] = page
+        if self._vpages != grouped:
+            stale = sorted(vid for vid in self._vpages.keys() | grouped.keys()
+                           if self._vpages.get(vid) != grouped.get(vid))
+            fail("page_index",
+                 f"at {point}: the per-vnode page index disagrees with the "
+                 f"page hash for vnode ids {stale[:8]} (an identity change "
+                 "bypassed allocate/destroy, or an emptied vnode was left "
+                 "behind)")
 
     def _key(self, vnode: "Vnode", offset: int) -> tuple[int, int]:
         return (vnode.vnode_id, offset)

@@ -21,11 +21,6 @@ def test_free_behind_requires_all_conditions():
     assert not policy.should_free(True, 512 * KB, 100, 8)
 
 
-def test_free_behind_disabled():
-    policy = FreeBehindPolicy.disabled()
-    assert not policy.should_free(True, 10**9, 0, 1000)
-
-
 # -- write throttle -----------------------------------------------------------
 
 def charge(throttle, nbytes):

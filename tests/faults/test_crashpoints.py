@@ -215,6 +215,22 @@ def test_ordered_metadata_preset_holds(invariant_cells):
     assert explorer.stats.distinct_states > 0
 
 
+@pytest.mark.parametrize("preset", ["overwrite", "rename", "spanning"])
+def test_presets_without_a_row_hold(preset, invariant_cells):
+    """No experiment row runs these three, so they are held here: every
+    sanitized crash state keeps every promise.  ``overwrite``'s last file
+    is the only one written through O_SYNC under crash points; its
+    write returns must promise its bytes."""
+    explorer = CrashpointExplorer(preset, seed=0, sanitize=True)
+    explorer.run()
+    assert explorer.stats.distinct_states > 0
+    assert set(invariant_cells(explorer).values()) == {0}
+    if preset == "overwrite":
+        p = explorer.preset
+        promised = explorer.ledger.slots()["/ow1"].promised
+        assert promised is not None and len(promised) == p.chunk * p.chunks
+
+
 @pytest.mark.parametrize("preset", ["mirror", "stripe"])
 def test_volume_presets_meet_the_coverage_floor(preset, request,
                                                 invariant_cells):

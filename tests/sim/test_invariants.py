@@ -129,6 +129,25 @@ def test_buf_balance_catches_count_drift():
         system.sanitizer.checkpoint("test", idle=True)
 
 
+def test_a_volume_checks_its_own_books_then_each_members():
+    """On a stripe the volume's table is checked as ``driver``, then each
+    member's driver under the member's own name."""
+    from repro.disk import Buf, BufOp
+
+    system = make_system(layout="stripe:2")
+    member = system.volume.members[1]
+    buf = Buf(system.engine, BufOp.READ, 8, 2, owner="leak-test")
+    member.driver.outstanding[buf.id] = buf
+    with pytest.raises(SanitizerError,
+                       match="issued to sd1 never completed"):
+        system.sanitizer.checkpoint("test", idle=True)
+    del member.driver.outstanding[buf.id]
+    system.volume.stats.incr("tracked_issued")
+    with pytest.raises(SanitizerError,
+                       match=r"at test: driver: \d+ bufs issued"):
+        system.sanitizer.checkpoint("test", idle=True)
+
+
 def test_buf_double_complete_is_reported():
     from repro.disk import Buf, BufOp
     from repro.sim import SimulationError
@@ -312,6 +331,34 @@ def test_nfs_client_throttles_via_its_mount():
     with pytest.raises(SanitizerError,
                        match=f"nfs handle {vn.handle} still has 4096"):
         client.sanitizer.checkpoint("test", idle=True)
+
+
+def test_s5fs_and_nfs_machines_run_the_vfs_base_checks():
+    """S5FS and the NFS client have no file-system checks of their own
+    yet: they inherit the ``Vfs`` base's empty ones, no type test skips
+    them, and a checkpoint on either still runs all nine checks."""
+    from repro.nfs import build_world
+    from repro.s5fs import S5FileSystem, s5_mkfs
+    from repro.vfs.vnode import Vfs
+
+    s5 = System(SystemConfig.config_a().with_(
+        geometry=DiskGeometry.uniform(cylinders=60, heads=2,
+                                      sectors_per_track=16)))
+    s5_mkfs(s5.store)
+    S5FileSystem(s5)
+    client, _server, _mount = build_world(
+        server_config=SystemConfig.config_a().with_(
+            geometry=DiskGeometry.uniform(cylinders=200, heads=4,
+                                          sectors_per_track=32)))
+    for system in (s5, client):
+        mount = type(system.mount)
+        assert mount.check_page_coherency is Vfs.check_page_coherency
+        assert mount.check_allocator is Vfs.check_allocator
+        system.sanitizer.enabled = True
+        write_file(system)
+        before = system.sanitizer.checks_run
+        system.sanitizer.checkpoint("test", idle=True, deep=True)
+        assert system.sanitizer.checks_run - before == 9
 
 
 def test_sanitizer_constructor_reads_env(monkeypatch):

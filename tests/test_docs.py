@@ -63,6 +63,19 @@ def test_every_benchmark_is_indexed_in_design():
         assert row_id in indexed, f"{row_id} is not indexed in DESIGN.md"
 
 
+def test_every_sanitizer_check_is_in_design():
+    """DESIGN.md §8's check table and the sanitizer's docstring name every
+    entry of ``Sanitizer.CHECKS``, the table in the order they run."""
+    from repro.sim import invariants
+
+    names = [name for name, _, _ in invariants.Sanitizer.CHECKS]
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("## 8. Invariants")[1].split("\n## ")[0]
+    assert re.findall(r"^\| `([a-z_]+)` \|", section, re.M) == names
+    for name in names:
+        assert f"``{name}``" in invariants.__doc__, name
+
+
 def test_every_example_is_listed_in_readme():
     readme = (ROOT / "README.md").read_text()
     for example in sorted((ROOT / "examples").glob("*.py")):

@@ -16,6 +16,17 @@ to stop being true.  A module can also know the format without ``struct``
 ``int.to_bytes(4, "little")``, a dirent header unpacked through
 ``Dirent._HEAD`` borrowed from the home — so those constructs are looked
 for too.
+
+The same file holds a second split: each layer checks its own books.  A
+sanitizer check of one layer's bookkeeping is a method of that layer; a
+file-system check is a ``Vfs`` method the UFS overrides and the base
+leaves empty.  While the sanitizer read the engine's, the driver's and
+the page cache's private tables and imported the UFS to decode its
+blocks, every layer's books had two homes, ``sim/`` imported the file
+system that imports it, and S5FS and NFS machines were skipped by a type
+test.  A ``repro.ufs`` import under ``sim/`` or in the scrubber, a private
+attribute of another object read by the sanitizer, or an
+``isinstance(…, UfsMount)`` anywhere is how that would start again.
 """
 
 import ast
@@ -91,3 +102,69 @@ def test_one_class_defines_bread():
               for item in cls.body
               if isinstance(item, ast.FunctionDef) and item.name == "bread"]
     assert owners == ["ufs/metacache.py:MetaCache"]
+
+
+def _ufs_imports(tree):
+    """Every import of ``repro.ufs`` or a module in it, at any level:
+    module top, function body, ``TYPE_CHECKING`` block."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "repro.ufs" or n.startswith("repro.ufs.") for n in names):
+            yield f"line {node.lineno}: {names[0]}"
+
+
+def _foreign_privates(tree):
+    """Every ``_``-prefixed attribute read of an object other than
+    ``self`` (dunders aside)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "self")):
+            yield f"line {node.lineno}: .{node.attr}"
+
+
+def _ufs_type_tests(tree):
+    """Every ``isinstance(x, …UfsMount…)``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(getattr(n, "id", getattr(n, "attr", None))
+                        == "UfsMount" for n in ast.walk(node.args[1]))):
+            yield f"line {node.lineno}: isinstance(..., UfsMount)"
+
+
+def test_sim_and_the_scrubber_import_no_ufs():
+    found = {name: list(_ufs_imports(tree)) for name, tree in _modules()
+             if name.startswith("sim/") or name == "integrity/scrub.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_sanitizer_reads_no_other_objects_privates():
+    tree = ast.parse((SRC / "sim" / "invariants.py").read_text())
+    assert list(_foreign_privates(tree)) == []
+
+
+def test_no_type_test_picks_out_the_ufs():
+    found = {name: list(_ufs_type_tests(tree)) for name, tree in _modules()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_book_guards_see_each_construct():
+    for guard, text in (
+            (_ufs_imports, "import repro.ufs.mount"),
+            (_ufs_imports, "from repro import ufs"),
+            (_ufs_imports, "def f():\n    from repro.ufs.ondisk import HOLE"),
+            (_foreign_privates, "engine._live"),
+            (_foreign_privates, "self.system.pagecache._hash"),
+            (_ufs_type_tests, "isinstance(mount, UfsMount)"),
+            (_ufs_type_tests, "isinstance(m, (S5FileSystem, ufs.UfsMount))")):
+        assert list(guard(ast.parse(text))), text
+    assert not list(_foreign_privates(ast.parse("self._x, a.__class__")))
+    assert not list(_ufs_imports(ast.parse("from repro.ufsx import y")))

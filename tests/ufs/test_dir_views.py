@@ -32,7 +32,7 @@ import pytest
 
 from repro.errors import CorruptionError, FilesystemError
 from repro.kernel import Proc
-from repro.ufs import bmap, dir as dirops
+from repro.ufs import bmap, dir as dirops, fsck
 from repro.ufs.dir import _charge_scan, _dir_blocks
 from repro.ufs.ondisk import (
     DIRBLKSIZ, Dirent, empty_dirblock, iter_dirents, set_dirent_ino,
@@ -414,6 +414,31 @@ def test_a_corrupt_reclen_raises_every_time_and_is_never_cached(system):
         assert meta.view.image != meta.data  # only the old view remains
     meta.data[:] = good
     assert system.run(dirops.lookup(mount, dp, "x")) == ino
+
+
+@pytest.mark.parametrize("damage", ["non_utf8_name", "namelen_overrun"])
+def test_a_corrupt_name_is_euclean_and_fsck_resets_its_block(system, damage):
+    """A live name that is not UTF-8, or whose length runs past its record
+    into the next one, is corruption: ``open`` fails EUCLEAN (not a raw
+    decode error, not a name made of the next record's bytes), and fsck
+    reports the directory and resets the block."""
+    dp, meta = _dir_with(system, "x", "z")
+    system.sync()
+    off = _offset_of(meta, "x")  # "x" spans 12 bytes: "z" follows it
+    if damage == "non_utf8_name":
+        meta.data[off + 8] = 0xFF
+    else:
+        meta.data[off + 6:off + 8] = (8).to_bytes(2, "little")
+    sb = system.mount.sb
+    system.store.write(sb.fsb_to_sector(meta.frag_addr), bytes(meta.data))
+    proc = Proc(system)
+    with pytest.raises(CorruptionError):
+        system.run(proc.open("/d/y"))
+    assert proc.errno == "EUCLEAN"
+    report = fsck(system.store)
+    assert any(f.startswith(f"directory {dp.ino}: ") for f in report.findings)
+    repaired = fsck(system.store.clone(), repair=True)
+    assert f"reset directory block at frag {meta.frag_addr}" in repaired.repairs
 
 
 def test_create_and_unlink_patch_the_view_instead_of_decoding(system,

@@ -143,6 +143,15 @@ def test_iter_dirents_rejects_bad_reclen():
         iter_dirents(bytes(block))
 
 
+def test_a_record_cut_short_by_the_block_end_is_corruption():
+    """A record ending 4 bytes before the block's end leaves a header no
+    bytes can hold: corruption, not a raw unpacking error."""
+    block = bytearray(empty_dirblock(DIRBLKSIZ))
+    block[:DIRBLKSIZ - 4] = pack_dirent(0, "", DIRBLKSIZ - 4)
+    with pytest.raises(CorruptionError, match="truncated"):
+        iter_dirents(bytes(block))
+
+
 def test_pack_dirent_too_small_reclen():
     with pytest.raises(ValueError):
         pack_dirent(1, "longname", 8)
