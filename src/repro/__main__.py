@@ -28,10 +28,10 @@ Commands:
   (``series``);
 * ``demo`` — a short guided tour (quickstart + fsck).
 
-``iobench`` and every campaign accept ``--sanitize`` to run with the
-cross-layer invariant sanitizer enabled (see
-``repro.sim.invariants``); the ``REPRO_SANITIZE`` environment variable
-sets the default.
+``iobench`` and every campaign accept ``--sanitize``: every machine the
+command builds is born with the cross-layer invariant sanitizer on (a
+``repro.sim.invariants.sanitizing`` scope around the command); without
+it the ``REPRO_SANITIZE`` environment variable decides.
 
 Every command with ``--json`` accepts it bare (or as ``--json -``) to
 write the JSON document to **stdout** with all human progress routed to
@@ -97,8 +97,7 @@ def _cmd_iobench(args: argparse.Namespace) -> int:
     from repro.bench.iobench import pipeline_lines
     from repro.bench.report import entry, render_block
 
-    benches = _benches("iobench", args, args.configs,
-                       sanitize=True if args.sanitize else None)
+    benches = _benches("iobench", args, args.configs)
     if benches is None:
         return 2
     names = args.configs.upper()
@@ -171,8 +170,9 @@ class CampaignCommand(NamedTuple):
     """One campaign subcommand: ``cls`` is ``module:Class``, imported at
     use so ``--help`` never pays for the simulator; each ``(parameter,
     default, help)`` of ``flags`` becomes a ``--flag`` beside ``--seed`` /
-    ``--sanitize`` / ``--json`` (a ``ValueError`` from the constructor is a
-    bad argument); ``notes(campaign)`` yields human lines after the cells.
+    ``--json`` and :func:`main`'s ``--sanitize`` scope (a ``ValueError``
+    from the constructor is a bad argument); ``notes(campaign)`` yields
+    human lines after the cells.
     """
 
     name: str
@@ -235,16 +235,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     row: CampaignCommand = args.campaign
     say = _emit(args)
     module, _, cls = row.cls.partition(":")
-    flags = {name: getattr(args, name) for name, _, _ in row.flags}
+    run = {"seed": args.seed} | {
+        name: getattr(args, name) for name, _, _ in row.flags}
     try:
-        campaign = getattr(import_module(module), cls)(
-            seed=args.seed, sanitize=True if args.sanitize else None, **flags)
+        campaign = getattr(import_module(module), cls)(**run)
     except ValueError as exc:
         print(f"{row.name}: {exc}", file=sys.stderr)
         return 2
     say(f"{row.name} (seed={args.seed}): {row.help}...")
     campaign.run()
-    run = {"seed": args.seed} | flags
     table, own = sweep_row(row.name, run, {"seed": 0} | {
         name: default for name, default, _ in row.flags})
     block = entry(table, sweep_cells(campaign)) | {"workload": (
@@ -507,7 +506,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 "it is a directory" if Path(path).is_dir() else
                 f"{Path(path).parent} is not a directory"), file=sys.stderr)
             return 2
-    return args.fn(args)
+    if not getattr(args, "sanitize", False):
+        return args.fn(args)
+    from repro.sim.invariants import sanitizing
+    with sanitizing(True):
+        return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from repro.kernel import Proc, System, SystemConfig
 from repro.kernel.update import UpdateDaemon
 from repro.obs.bench import run_bench
 from repro.s5fs import S5FileSystem, s5_mkfs
+from repro.sim.invariants import sanitizing
 from repro.ufs import FsParams, bmap
 from repro.units import KB, MB
 from repro.vfs import RW
@@ -1191,8 +1192,9 @@ def _sanitized_run() -> tuple:
     """IObench C, sanitized, FSW traced, then sync and a deep check: the
     raw trace's sha256, rates, request counts, spans and checks run."""
     bench = IObench(SystemConfig.config_c(), file_size=2 * MB,
-                    random_ops=128, trace_phase="FSW", sanitize=True)
-    rates = bench.run().rates
+                    random_ops=128, trace_phase="FSW")
+    with sanitizing(True):
+        rates = bench.run().rates
     system = bench.system
     system.sync()
     system.sanitizer.checkpoint("determinism_end", idle=True, deep=True)
@@ -1279,9 +1281,9 @@ def sweep(id: str, paper_section: str, workload: str, cls: str, kwargs: dict,
 
     def swept(sanitize: bool) -> dict:
         module, _, name = cls.partition(":")
-        campaign = getattr(import_module(module), name)(sanitize=sanitize,
-                                                        **kwargs)
-        campaign.run()
+        campaign = getattr(import_module(module), name)(**kwargs)
+        with sanitizing(sanitize):
+            campaign.run()
         return sweep_cells(campaign)
 
     def run(_sections: dict) -> dict:

@@ -54,7 +54,6 @@ class IObench:
     def __init__(self, config: SystemConfig, file_size: int = 16 * MB,
                  random_ops: int = 2048, seed: int = 1991,
                  trace_phase: "str | None" = None,
-                 sanitize: "bool | None" = None,
                  telemetry_interval: "float | None" = None,
                  telemetry_namespaces: "list[str] | None" = None):
         # A phase of zero operations has no rate.
@@ -79,9 +78,6 @@ class IObench:
         #: ``"*"`` traces every phase — what ``run_bench``
         #: needs to attribute the whole run's time, at ~5x trace volume.
         self.trace_phase = trace_phase
-        #: Force the invariant sanitizer on (True) or off (False) for this
-        #: run; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         #: Sample the metrics registry every this many simulated seconds
         #: during the run (None = no telemetry); the recorder lands on
         #: ``self.telemetry`` for series reads after :meth:`run`.
@@ -160,8 +156,6 @@ class IObench:
     def run(self) -> IObenchResult:
         """FSW, FSU, FSR, FRR, FRU — in an order that sets up each phase."""
         system = System.booted(self.config)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
         if self.telemetry_interval is not None:
             self.telemetry = system.start_telemetry(
                 self.telemetry_interval, self.telemetry_namespaces)

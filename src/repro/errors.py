@@ -148,3 +148,12 @@ class CorruptionError(FilesystemError):
     """On-disk metadata failed validation (what fsck exists to find)."""
 
     code = "EUCLEAN"
+
+
+def decode_name(raw: bytes, what: str) -> str:
+    """An on-disk name or link target as text; bytes that are not UTF-8
+    are a :class:`CorruptionError` naming ``what``."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise CorruptionError(f"{what} is not UTF-8: {raw!r}") from None

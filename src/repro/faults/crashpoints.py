@@ -61,7 +61,7 @@ from typing import Any, Callable, Generator
 from repro.disk.disk import JournalEvent
 from repro.disk.store import DiskStore
 from repro.errors import ReproError
-from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -373,7 +373,6 @@ class CrashpointExplorer(Campaign):
     name = "crashpoints"
 
     def __init__(self, preset: "str | Preset" = "smoke", seed: int = 0,
-                 sanitize: "bool | None" = None,
                  max_states: "int | None" = 20000):
         if max_states is not None and max_states < 1:  # nothing checked
             raise ValueError("max_states must be >= 1")
@@ -388,8 +387,7 @@ class CrashpointExplorer(Campaign):
             raise ValueError("window must be >= 1")
         if preset.torn_limit < 0:
             raise ValueError("torn_limit must be >= 0")
-        super().__init__(CrashpointReport(), seed, sanitize,
-                         layout=preset.layout)
+        super().__init__(CrashpointReport(), seed, layout=preset.layout)
         self.preset = preset
         self.max_states = max_states
         self.record_config = self.config.with_(
@@ -426,11 +424,9 @@ class CrashpointExplorer(Campaign):
             # The server's drive is recorded; a client drives it by RPC.
             client, system, _mount = build_world(
                 server_config=self.record_config)
-            proc = Proc(client, name="crashpoints", ledger=self.ledger)
         else:
-            system = System.booted(self.record_config)
-            proc = Proc(system, name="crashpoints", ledger=self.ledger)
-        force_sanitizer(self.sanitize, system, proc.system)
+            client = system = System.booted(self.record_config)
+        proc = Proc(client, name="crashpoints", ledger=self.ledger)
         system.sync()  # quiesce: the base images below are fully durable
         system.tracer.enabled = True  # violations carry request span trees
         stores = [member.store for member in system.volume.members]
@@ -662,7 +658,6 @@ class CrashpointExplorer(Campaign):
         problems: list[tuple[str, str]] = []
         try:
             survivor.run(survivor.mount_fs())
-            force_sanitizer(self.sanitize, survivor)
             proc = Proc(survivor, name="crashpoints-verify")
             problems.extend(check(proc, self.ledger, at, self._certain(at)))
             survivor.sanitizer.checkpoint(checkpoint, idle=True, deep=True)

@@ -3,11 +3,11 @@
 ``netcampaign``, ``crashpoints`` and ``scrubcampaign`` have different
 bodies — a replay leg and a soft-mount probe, an enumeration over one
 recording, a single six-phase run — so there is no phase protocol here
-for them to be bent into.  They share a shell: a small-disk machine,
-the "``None`` leaves the environment default" sanitizer rule, a
+for them to be bent into.  They share a shell: a small-disk machine, a
 dataclass of counters, per-record outcomes and a seed-stable digest.
-Their verdicts are rows of the experiment table
-(:func:`repro.bench.experiments.sweep_cells`).
+The caller's :func:`~repro.sim.invariants.sanitizing` scope around
+:meth:`run` sanitizes their machines.  Their verdicts are rows of the
+experiment table (:func:`repro.bench.experiments.sweep_cells`).
 """
 
 from __future__ import annotations
@@ -28,28 +28,16 @@ def small_config(**overrides: object) -> SystemConfig:
         **overrides)
 
 
-def force_sanitizer(sanitize: "bool | None", *systems: Any) -> None:
-    """Force the invariant sanitizer on/off on ``systems``; ``None`` keeps
-    the ``REPRO_SANITIZE`` environment default each was built with."""
-    if sanitize is not None:
-        for system in systems:
-            system.sanitizer.enabled = sanitize
-
-
 class Campaign:
     """The shell of a sweep: seed, machine, stats, records, digest."""
 
     #: The ``python -m repro`` subcommand.
     name = ""
 
-    def __init__(self, stats: Any, seed: int, sanitize: "bool | None",
-                 **small: object):
+    def __init__(self, stats: Any, seed: int, **small: object):
         self.stats = stats
         self.seed = seed
         self.config = small_config(**small)
-        #: Force the invariant sanitizer on/off on every machine of the
-        #: sweep; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         #: One JSON-ready dict per cut / seed / injection / violation.
         self.records: "list[dict]" = []
 

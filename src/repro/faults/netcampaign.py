@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import RpcTimeoutError
-from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
 from repro.faults.netplan import NetFaultPlan
 from repro.kernel.syscalls import Proc
@@ -76,11 +76,10 @@ class NetCampaign(Campaign):
     NFILES = 5
     FILE_BYTES = 16 * KB
 
-    def __init__(self, seeds: int = 20, seed: int = 0,
-                 sanitize: "bool | None" = None):
+    def __init__(self, seeds: int = 20, seed: int = 0):
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
-        super().__init__(NetCampaignStats(), seed, sanitize)
+        super().__init__(NetCampaignStats(), seed)
         self.seeds = seeds
         self._window: "tuple[float, float] | None" = None
 
@@ -126,7 +125,6 @@ class NetCampaign(Campaign):
         """Build a world, run the doomed workload, verify, fingerprint."""
         client, server_sys, mount = build_world(
             server_config=self.config, fault_plan=plan, timeo=0.3)
-        force_sanitizer(self.sanitize, client, server_sys)
         ledger = Ledger()
         proc = Proc(client, ledger=ledger)
         start = client.now

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import ReproError
-from repro.faults.harness import Campaign, force_sanitizer
+from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
@@ -70,9 +70,8 @@ class ScrubCampaign(Campaign):
     NFILES = 8
     FILE_BYTES = 24 * KB
 
-    def __init__(self, seed: int = 0, sanitize: "bool | None" = None):
-        super().__init__(ScrubCampaignStats(), seed, sanitize,
-                         checksums=True)
+    def __init__(self, seed: int = 0):
+        super().__init__(ScrubCampaignStats(), seed, checksums=True)
 
     # -- workload ----------------------------------------------------------
     def _payload(self, i: int) -> bytes:
@@ -105,10 +104,7 @@ class ScrubCampaign(Campaign):
         nblocks = self.FILE_BYTES // bsize
 
         # Phase 1: build the population and push it durable.
-        builder = System(cfg)
-        force_sanitizer(self.sanitize, builder)
-        builder.mkfs()
-        builder.run(builder.mount_fs())
+        builder = System.booted(cfg)
         ledger = Ledger()
         builder.run(self._build(Proc(builder, ledger=ledger)),
                     name="scrub-build")
@@ -118,7 +114,6 @@ class ScrubCampaign(Campaign):
         # Phase 2: a fresh machine over the same bytes.  Reading the first
         # half populates its page cache — the repair source for those files.
         survivor = System.remounted(store, cfg)
-        force_sanitizer(self.sanitize, survivor)
         region = survivor.disk.integrity
         assert region is not None
         sb = survivor.mount.sb

@@ -80,8 +80,8 @@ class System:
         self.daemons: list = []
         for member in self.volume.members:
             member.store.attach_epoch += 1
-        #: The cross-layer invariant sanitizer ("simsan"); enabled via the
-        #: REPRO_SANITIZE environment variable or per-run --sanitize flags.
+        #: The cross-layer invariant sanitizer ("simsan"), on or off from
+        #: birth: a ``sanitizing`` scope, else REPRO_SANITIZE, decides.
         self.sanitizer = Sanitizer(self)
         # A remounted store may already carry an integrity region — find
         # it, so verification starts with the first read (mount itself).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import CorruptionError, InvalidArgumentError
+from repro.errors import CorruptionError, InvalidArgumentError, decode_name
 
 S5_MAGIC = 0xFD187E20
 NICFREE = 50  # free block numbers cached in the superblock
@@ -180,7 +180,8 @@ def iter_s5_dirents(block: bytes) -> list[tuple[int, int, str]]:
         if ino == 0:
             continue
         raw = block[offset + _DIRENT_INO.size:offset + S5_DIRENT_SIZE]
-        entries.append((offset, ino, raw.rstrip(b"\x00").decode()))
+        entries.append((offset, ino, decode_name(
+            raw.rstrip(b"\x00"), f"S5 directory name at offset {offset}")))
     return entries
 
 

@@ -69,7 +69,9 @@ set if it only holds when the engine has drained.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.sim.engine import SimulationError
 
@@ -77,15 +79,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.system import System
     from repro.sim.engine import Recurring
 
-#: Environment switch: ``REPRO_SANITIZE=1`` turns the sanitizer on for
-#: every :class:`~repro.kernel.system.System` built afterwards (the test
-#: suite sets it in ``tests/conftest.py``; production runs default off).
-ENV_SWITCH = "REPRO_SANITIZE"
+#: The innermost :func:`sanitizing` scope's value; None outside every scope.
+_SCOPE: "ContextVar[bool | None]" = ContextVar("sanitizing", default=None)
+
+
+@contextmanager
+def sanitizing(on: bool) -> Iterator[None]:
+    """Every machine built inside this scope is born with its sanitizer on
+    (or off), so its boot and a crash survivor's mount are checked too."""
+    token = _SCOPE.set(on)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 def default_enabled() -> bool:
-    """The process-wide default for new sanitizers (see :data:`ENV_SWITCH`)."""
-    return os.environ.get(ENV_SWITCH, "0").lower() in ("1", "true", "yes", "on")
+    """Whether a sanitizer built now starts on: the innermost
+    :func:`sanitizing` scope, else ``REPRO_SANITIZE=1`` (the test suite
+    sets it in ``tests/conftest.py``; production runs default off)."""
+    scoped = _SCOPE.get()
+    env = os.environ.get("REPRO_SANITIZE", "0").lower()
+    return env in ("1", "true", "yes", "on") if scoped is None else scoped
 
 
 class SanitizerError(SimulationError):
@@ -108,7 +123,7 @@ class Sanitizer:
 
     def __init__(self, system: "System"):
         self.system = system
-        #: Starts at :func:`default_enabled`; ``--sanitize`` and tests set it.
+        #: Fixed at birth by :func:`default_enabled` (tests may flip it).
         self.enabled = default_enabled()
         #: Checkpoints taken and checks run, for tests and reports.
         self.checkpoints = 0

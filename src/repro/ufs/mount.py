@@ -20,7 +20,7 @@ from repro.disk.buf import Buf, BufOp
 from repro.errors import (
     CorruptionError, DirectoryNotEmptyError, FileExistsError_,
     FileNotFoundError_, InvalidArgumentError, IsADirectoryError_,
-    NotADirectoryError_,
+    NotADirectoryError_, decode_name,
 )
 from repro.sim.events import EventFailed
 from repro.sim.stats import StatSet
@@ -349,10 +349,11 @@ class UfsMount(Vfs):
         """The symlink's target string."""
         if not ip.is_symlink:
             raise InvalidArgumentError("not a symlink")
+        what = f"symlink target of inode {ip.ino}"
         if ip.size <= FAST_SYMLINK_MAX:
-            return unpack_fast_symlink(ip).decode()
+            return decode_name(unpack_fast_symlink(ip), what)
         meta = yield from self.metacache.bread(ip.direct[0])
-        return bytes(meta.data[:ip.size]).decode()
+        return decode_name(bytes(meta.data[:ip.size]), what)
 
     def readlink(self, path: str) -> Generator[Any, Any, str]:
         vn = yield from self.namei(path, follow=False)

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.errors import CorruptionError, InvalidArgumentError
+from repro.errors import CorruptionError, InvalidArgumentError, decode_name
 
 SUPERBLOCK_MAGIC = 0x011954  # FS_MAGIC, as a tip of the hat
 CG_MAGIC = 0x090255
@@ -662,13 +662,9 @@ def dir_records(block: bytes) -> "list[tuple[int, int, int, str]]":
                     raise CorruptionError(
                         f"directory name length {namelen} overruns its "
                         f"{reclen}-byte record at offset {offset}")
-                raw = block[offset + head_size:offset + head_size + namelen]
-                try:
-                    name = raw.decode()
-                except UnicodeDecodeError:
-                    raise CorruptionError(
-                        f"directory name {bytes(raw)!r} at offset {offset} "
-                        "is not UTF-8") from None
+                start = offset + head_size
+                name = decode_name(block[start:start + namelen],
+                                   f"directory name at offset {offset}")
             records.append((offset, ino, reclen, name))
             offset += reclen
     return records

@@ -2,10 +2,12 @@
 
 The cross-layer invariant sanitizer (``repro.sim.invariants``) is on for
 every test by default: each System built during a test checks the nine
-simsan invariants at its quiesce points.  Because the environment variable
-is inherited by subprocesses, the CLI smoke tests' campaign runs are
-sanitized too.  Individual tests that *need* it off (e.g. to construct a
-deliberately broken machine) set ``system.sanitizer.enabled = False``.
+simsan invariants at its quiesce points, boot included.  Because the
+environment variable is inherited by subprocesses, the CLI smoke tests'
+campaign runs are sanitized too.  A test that runs a campaign or IObench
+with the sanitizer forced one way builds its machines inside
+``sanitizing(on)``; a test that *needs* it off on one machine (e.g. to
+construct a deliberately broken one) sets ``system.sanitizer.enabled``.
 """
 
 import os

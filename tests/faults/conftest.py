@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import CrashpointExplorer
+from repro.sim.invariants import sanitizing
 from repro.vm import Page, PageCache
 
 
@@ -25,13 +26,20 @@ def count_page_buffers(patch):
     return ledger
 
 
+def sanitized_run(explorer):
+    """``explorer``, after a run whose every machine is born sanitized."""
+    with sanitizing(True):
+        explorer.run()
+    return explorer
+
+
 @pytest.fixture(scope="session")
 def smoke_explorer():
     """The sanitized smoke exploration (~3 s): run once, read by the
     crash-point tests and by the campaign goldens.  ``page_ledger`` is what
     its machines cost in page frames (ROADMAP item 3's ledger row)."""
-    explorer = CrashpointExplorer("smoke", seed=0, sanitize=True)
-    with pytest.MonkeyPatch.context() as patch:
+    explorer = CrashpointExplorer("smoke", seed=0)
+    with pytest.MonkeyPatch.context() as patch, sanitizing(True):
         explorer.page_ledger = count_page_buffers(patch)
         explorer.run()
     return explorer
@@ -41,18 +49,14 @@ def smoke_explorer():
 def writethrough_explorer():
     """The sanitized exploration of the paper's write-through drive, read
     by the crash-point tests and by the campaign goldens."""
-    explorer = CrashpointExplorer("writethrough", seed=0, sanitize=True)
-    explorer.run()
-    return explorer
+    return sanitized_run(CrashpointExplorer("writethrough", seed=0))
 
 
 @pytest.fixture(scope="session")
 def nfs_explorer():
     """The sanitized exploration of an NFS server's drive under a client's
     fsyncs, read by the crash-point tests and by the campaign goldens."""
-    explorer = CrashpointExplorer("nfs", seed=0, sanitize=True)
-    explorer.run()
-    return explorer
+    return sanitized_run(CrashpointExplorer("nfs", seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -60,9 +64,7 @@ def mirror_explorer():
     """The sanitized exploration of a mirror:2 volume (each leg's crash
     states and each leg's death), read by the crash-point tests and by the
     campaign goldens."""
-    explorer = CrashpointExplorer("mirror", seed=0, sanitize=True)
-    explorer.run()
-    return explorer
+    return sanitized_run(CrashpointExplorer("mirror", seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +72,4 @@ def stripe_explorer():
     """The sanitized exploration of a stripe:2 volume (the product of its
     members' crash states), read by the crash-point tests and by the
     campaign goldens."""
-    explorer = CrashpointExplorer("stripe", seed=0, sanitize=True)
-    explorer.run()
-    return explorer
+    return sanitized_run(CrashpointExplorer("stripe", seed=0))

@@ -13,6 +13,7 @@ from repro.faults import CrashpointExplorer, PRESETS
 from repro.ufs import io as ufs_io
 from repro.ufs.vnode import UfsVnode
 from repro.nfs.server import RpcResult
+from repro.sim.invariants import sanitizing
 from repro.vfs.vnode import PutFlags, RW
 
 
@@ -47,13 +48,12 @@ def test_torn_limit_zero_tears_nothing():
     pending = [JournalEvent("write", seq, 8 * seq, 4, bytes(2048))
                for seq in range(3)]
     append = PRESETS["append"]
-    zero = CrashpointExplorer(dataclasses.replace(append, torn_limit=0),
-                              sanitize=False)
-    one = CrashpointExplorer(dataclasses.replace(append, torn_limit=1),
-                             sanitize=False)
+    zero = CrashpointExplorer(dataclasses.replace(append, torn_limit=0))
+    one = CrashpointExplorer(dataclasses.replace(append, torn_limit=1))
     assert zero._torn_candidates(pending, []) == []
     assert one._torn_candidates(pending, []) == pending[:1]
-    assert zero.run().raw_states < one.run().raw_states
+    with sanitizing(False):
+        assert zero.run().raw_states < one.run().raw_states
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +124,9 @@ def test_relocation_bug_stays_fixed(invariant_cells):
     inode pointers durable (write + FLUSH + FUA inode + FLUSH) before the
     old fragments can be handed out again.
     """
-    explorer = CrashpointExplorer(PRESETS["relocate"], seed=0, sanitize=True)
-    report = explorer.run()
+    explorer = CrashpointExplorer(PRESETS["relocate"], seed=0)
+    with sanitizing(True):
+        report = explorer.run()
     # The workload really took the relocation path (else this test guards
     # nothing) ...
     assert explorer.recorded is not None
@@ -221,8 +222,9 @@ def test_presets_without_a_row_hold(preset, invariant_cells):
     sanitized crash state keeps every promise.  ``overwrite``'s last file
     is the only one written through O_SYNC under crash points; its
     write returns must promise its bytes."""
-    explorer = CrashpointExplorer(preset, seed=0, sanitize=True)
-    explorer.run()
+    explorer = CrashpointExplorer(preset, seed=0)
+    with sanitizing(True):
+        explorer.run()
     assert explorer.stats.distinct_states > 0
     assert set(invariant_cells(explorer).values()) == {0}
     if preset == "overwrite":
@@ -269,8 +271,9 @@ def test_a_member_write_is_torn_only_once_its_drive_began_it():
     started: on this stripe, the inode write that follows a FLUSH, beside
     the other member's still-volatile data, made four false violations."""
     explorer = CrashpointExplorer(
-        dataclasses.replace(PRESETS["stripe"], chunks=4), sanitize=False)
-    explorer.run()
+        dataclasses.replace(PRESETS["stripe"], chunks=4))
+    with sanitizing(False):
+        explorer.run()
     assert explorer.records == []
 
 

@@ -11,6 +11,7 @@ from repro.faults.crashpoints import settled
 from repro.faults.harness import small_config
 from repro.faults.ledger import Event, Ledger, check
 from repro.kernel import Proc, System
+from repro.sim.invariants import sanitizing
 
 A, B, C, D = b"A" * 1024, b"B" * 512, b"C" * 512, b"D" * 512
 #: What /b holds after its two O_SYNC writes: C, a 1536-byte hole, D.
@@ -191,8 +192,9 @@ def test_dirty_versions_are_load_bearing(monkeypatch):
         del self.events[kept:]
 
     monkeypatch.setattr(Ledger, "wrote", wrote_without_dirty)
-    explorer = CrashpointExplorer("smoke", seed=0, sanitize=False)
-    explorer.run()
+    explorer = CrashpointExplorer("smoke", seed=0)
+    with sanitizing(False):
+        explorer.run()
     assert explorer.records
     assert {r["category"] for r in explorer.records} <= {"short",
                                                           "wrong_bytes"}

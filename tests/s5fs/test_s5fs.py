@@ -5,11 +5,14 @@ import pytest
 from repro.cpu import CostTable
 from repro.disk import DiskGeometry
 from repro.errors import (
-    FileExistsError_, FileNotFoundError_, InvalidArgumentError, NoSpaceError,
+    CorruptionError, FileExistsError_, FileNotFoundError_,
+    InvalidArgumentError, NoSpaceError,
 )
 from repro.kernel import Proc, System, SystemConfig
 from repro.s5fs import S5FileSystem, s5_mkfs, s5check
-from repro.s5fs.ondisk import S5Dinode, S5Superblock
+from repro.s5fs.ondisk import (
+    S5_DIRENT_SIZE, S5_DIRSIZ, S5Dinode, S5Superblock,
+)
 from repro.ufs.ondisk import IFREG
 from repro.units import KB
 from repro.vfs import RW
@@ -355,3 +358,16 @@ def test_s5check_reports_an_inode_no_entry_names():
     system.store.write(blk * 2, bytes(block))
     assert s5check(system.store).findings == [
         "inode 7 is allocated but no entry names it"]
+
+
+def test_a_non_utf8_name_is_euclean():
+    """A live entry's name byte set to 0xff is corruption: ``open`` fails
+    EUCLEAN, not with a raw decode error."""
+    system, fs = make_fs()
+    proc = Proc(system, mount=fs)
+    system.run(fs.create("/abc"))
+    buf, off, _ino = system.run(fs._find("abc"))
+    buf.data[off + S5_DIRENT_SIZE - S5_DIRSIZ] = 0xFF
+    with pytest.raises(CorruptionError):
+        system.run(proc.open("/abc"))
+    assert proc.errno == "EUCLEAN"

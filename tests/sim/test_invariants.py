@@ -10,7 +10,7 @@ import pytest
 from repro.disk import DiskGeometry
 from repro.kernel import Proc, System, SystemConfig
 from repro.sim import Sanitizer, SanitizerError
-from repro.sim.invariants import default_enabled
+from repro.sim.invariants import default_enabled, sanitizing
 from repro.units import KB
 
 
@@ -46,6 +46,41 @@ def test_env_switch_controls_default(monkeypatch):
     assert default_enabled()
     monkeypatch.setenv("REPRO_SANITIZE", "off")
     assert not default_enabled()
+    with sanitizing(True):
+        assert default_enabled()
+        with sanitizing(False):
+            assert not default_enabled()
+        assert default_enabled()
+    assert not default_enabled()
+
+
+def test_a_scope_sanitizes_machines_from_birth(monkeypatch):
+    """A machine built inside ``sanitizing(True)`` checks its boot and a
+    survivor its mount, with the environment off: the switch is read
+    where machines are born, not applied after the boot."""
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    cfg = SystemConfig.config_a().with_(
+        geometry=DiskGeometry.uniform(cylinders=200, heads=4,
+                                      sectors_per_track=32))
+    with sanitizing(True):
+        system = System.booted(cfg)
+        assert system.sanitizer.checkpoints > 0
+        system.sync()
+        survivor = System.remounted(system.store, cfg)
+        assert survivor.sanitizer.checkpoints > 0
+
+
+def test_determinism_counts_the_same_checks_whatever_the_environment(
+        monkeypatch):
+    """The ``determinism`` row's "sanitizer checks per run" cell counts the
+    boot's quiesce point too, so the environment cannot move it."""
+    from repro.bench.experiments import _sanitized_run
+
+    checks = []
+    for env in ("0", "1"):
+        monkeypatch.setenv("REPRO_SANITIZE", env)
+        checks.append(_sanitized_run()[-1])
+    assert checks[0] == checks[1]
 
 
 def test_disabled_sanitizer_checks_nothing():

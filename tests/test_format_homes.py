@@ -27,6 +27,14 @@ system that imports it, and S5FS and NFS machines were skipped by a type
 test.  A ``repro.ufs`` import under ``sim/`` or in the scrubber, a private
 attribute of another object read by the sanitizer, or an
 ``isinstance(…, UfsMount)`` anywhere is how that would start again.
+
+A third: the sanitizer has one switch, read where a machine is born.
+While each campaign and IObench took a ``sanitize`` argument and set
+``sanitizer.enabled`` after the boot, the one bit travelled four ways
+and a committed cell (the boot's checks) moved with the environment.
+``REPRO_SANITIZE`` named outside ``sim/invariants.py``, or a
+``.sanitizer.enabled`` assigned anywhere in the package, is how that
+would start again.
 """
 
 import ast
@@ -156,6 +164,30 @@ def test_no_type_test_picks_out_the_ufs():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _switch_uses(tree):
+    """Every ``"REPRO_SANITIZE"`` literal and every assignment to a
+    ``.sanitizer.enabled``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant)
+                and node.value == "REPRO_SANITIZE"):
+            yield f"line {node.lineno}: REPRO_SANITIZE"
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [getattr(node, "target", None)])
+        for target in targets:
+            if (isinstance(target, ast.Attribute)
+                    and target.attr == "enabled"
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "sanitizer"):
+                yield f"line {node.lineno}: .sanitizer.enabled ="
+
+
+def test_the_sanitizer_switch_is_read_only_where_machines_are_born():
+    found = {name: list(_switch_uses(tree)) for name, tree in _modules()}
+    found["sim/invariants.py"] = [
+        hit for hit in found["sim/invariants.py"] if "REPRO" not in hit]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_the_book_guards_see_each_construct():
     for guard, text in (
             (_ufs_imports, "import repro.ufs.mount"),
@@ -164,7 +196,10 @@ def test_the_book_guards_see_each_construct():
             (_foreign_privates, "engine._live"),
             (_foreign_privates, "self.system.pagecache._hash"),
             (_ufs_type_tests, "isinstance(mount, UfsMount)"),
-            (_ufs_type_tests, "isinstance(m, (S5FileSystem, ufs.UfsMount))")):
+            (_ufs_type_tests, "isinstance(m, (S5FileSystem, ufs.UfsMount))"),
+            (_switch_uses, "os.environ.get('REPRO_SANITIZE')"),
+            (_switch_uses, "system.sanitizer.enabled = flag"),
+            (_switch_uses, "self.system.sanitizer.enabled |= True")):
         assert list(guard(ast.parse(text))), text
     assert not list(_foreign_privates(ast.parse("self._x, a.__class__")))
     assert not list(_ufs_imports(ast.parse("from repro.ufsx import y")))

@@ -32,10 +32,9 @@ PINNED = {
     "(b) a CLI flag or a sweep row reaches it through **": {
         "__main__.py:main": "argv",
         "bench/iobench.py:IObench": "telemetry_namespaces",
-        "faults/crashpoints.py:CrashpointExplorer":
-            "preset seed sanitize max_states",
-        "faults/netcampaign.py:NetCampaign": "seeds seed sanitize",
-        "integrity/campaign.py:ScrubCampaign": "seed sanitize",
+        "faults/crashpoints.py:CrashpointExplorer": "preset seed max_states",
+        "faults/netcampaign.py:NetCampaign": "seeds seed",
+        "integrity/campaign.py:ScrubCampaign": "seed",
         "obs/bench.py:run_bench": "configs file_mb random_ops seed",
     },
     "(c) a fault-injection schedule": {

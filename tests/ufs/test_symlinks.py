@@ -3,7 +3,7 @@ paper cites as prior art for data-in-the-inode."""
 
 import pytest
 
-from repro.errors import FilesystemError, InvalidArgumentError
+from repro.errors import CorruptionError, FilesystemError, InvalidArgumentError
 from repro.ufs import fsck, ufsdump, restore
 from repro.kernel import Proc
 
@@ -109,6 +109,26 @@ def test_unlink_slow_symlink_frees_block(system, proc):
     assert (sb.cs_nbfree, sb.cs_nffree) == free0
     system.sync()
     assert fsck(system.store).clean
+
+
+@pytest.mark.parametrize("target", [
+    "/real", "/" + "/".join("dir%02d" % i for i in range(20))],
+    ids=["fast", "slow"])
+def test_a_non_utf8_link_target_is_euclean(system, proc, target):
+    """A link target byte set to 0xff is corruption: ``readlink``, and
+    ``open`` through the link, fail EUCLEAN, not with a raw decode error."""
+    system.run(proc.symlink(target, "/bad"))
+    ip = system.run(system.mount.namei("/bad", follow=False)).inode
+    if ip.blocks:  # slow: the target lives in a data block
+        meta = system.run(system.mount.metacache.bread(ip.direct[0]))
+        meta.data[1] = 0xFF
+    else:  # fast: the target is packed into the inode's pointer words
+        ip.direct[0] |= 0xFF00
+    for call in (proc.readlink, proc.open):
+        proc.errno = None
+        with pytest.raises(CorruptionError):
+            system.run(call("/bad"))
+        assert proc.errno == "EUCLEAN"
 
 
 def test_symlink_validation(system, proc):
