@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import CorruptionError
 from repro.s5fs.ondisk import (
     S5_NDIRECT, S5_ROOT_INO, S5Dinode, S5Superblock,
     iter_ptrs, iter_s5_dirents, unpack_free_chain_block,
@@ -130,7 +131,12 @@ def s5check(store: "DiskStore") -> S5CheckReport:
         if blk == 0:
             report.problem("hole in the root directory")
             continue
-        for _, ino, name in iter_s5_dirents(read_block(blk)):
+        try:
+            entries = iter_s5_dirents(read_block(blk))
+        except CorruptionError as exc:
+            report.problem(f"root directory block {blk}: {exc}")
+            continue
+        for _, ino, name in entries:
             if name in (".", ".."):
                 continue
             named.add(ino)

@@ -14,7 +14,7 @@ is the registry of such invariants, checked at *quiesce points*:
 * at campaign ends and benchmark phase boundaries;
 * optionally every N simulated seconds (:meth:`Sanitizer.attach_every`).
 
-The nine checks of :data:`Sanitizer.CHECKS`, in the order they run, and
+The eight checks of :data:`Sanitizer.CHECKS`, in the order they run, and
 the owner of each.  A check of one layer's own books is a method of that
 layer, which the sanitizer calls; a check that reads two layers at once
 lives here.
@@ -38,9 +38,6 @@ lives here.
     its fragments on disk, resolved through the pointers bmap uses, and
     every directory view a cached buffer carries equals a decode of its
     bytes (raised as ``dir_views``).
-``page_index`` — :meth:`PageCache.check_index`
-    The per-vnode page index holds exactly the pages the name hash holds,
-    with no emptied vnode left behind.
 ``allocator`` — :meth:`Vfs.check_allocator`
     UFS: the group bitmaps agree with the group counters and the
     superblock totals, and every fragment an active inode points at is
@@ -181,9 +178,6 @@ class Sanitizer:
         if self.system.mount is not None:
             self.system.mount.check_page_coherency(point, self.fail)
 
-    def _check_page_index(self, point: str, idle: bool, deep: bool) -> None:
-        self.system.pagecache.check_index(point, self.fail)
-
     def _check_allocator(self, point: str, idle: bool, deep: bool) -> None:
         if self.system.mount is not None:
             self.system.mount.check_allocator(point, deep, self.fail)
@@ -268,7 +262,6 @@ class Sanitizer:
         ("throttle_conservation", False, _check_throttles),
         ("request_spans", False, _check_request_spans),
         ("page_coherency", False, _check_page_coherency),
-        ("page_index", False, _check_page_index),
         ("allocator", False, _check_allocator),
         ("write_cache", False, _check_write_cache),
         ("integrity", False, _check_integrity),

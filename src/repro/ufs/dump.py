@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, decode_name
 from repro.ufs.ondisk import (
     DINODE_SIZE, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFMT, IFREG, ROOT_INO,
     SBLOCK, SBLOCK_SECTORS, Dinode, Superblock, iter_dirents, resolve_lbn,
@@ -154,7 +154,9 @@ def restore(proc: "Proc", archive: DumpArchive) -> Generator[Any, Any, int]:
         if entry.kind == "dir":
             yield from proc.mkdir(entry.path)
         elif entry.kind == "symlink":
-            yield from proc.symlink(entry.content.decode(), entry.path)
+            target = decode_name(entry.content,
+                                 f"dumped link target of {entry.path}")
+            yield from proc.symlink(target, entry.path)
         else:
             fd = yield from proc.creat(entry.path)
             if entry.content:

@@ -215,7 +215,7 @@ class Vfs(ABC):
 
     # -- the sanitizer's checks of this file system's own books ------------
     # The defaults check nothing: S5FS and the NFS client have no check of
-    # their own yet, so they run the same nine checks with these two empty.
+    # their own yet, so they run the same eight checks with these two empty.
     def check_page_coherency(self, point: str,
                              fail: Callable[..., None]) -> None:
         """``page_coherency``: every clean cached page equals the bytes it

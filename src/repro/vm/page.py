@@ -1,11 +1,11 @@
 """A physical page frame.
 
-Frames are created once (machine memory / page size of them) and recycled
-forever.  A frame may be *named* by a ``<vnode, offset>`` identity, hold real
-data bytes (in a buffer that exists from its first ``name()`` on: no kernel
-zeroes memory at boot), and carry the usual flags: valid, dirty, locked,
-referenced, and free.  A page can be simultaneously free and named — that is
-what makes the free list a cache (reclaim) rather than a garbage pile.
+A frame is made on its first allocation (no kernel touches memory at boot)
+and recycled forever after.  It may be *named* by a ``<vnode, offset>``
+identity, holds real data bytes, and carries the usual flags: valid, dirty,
+locked, referenced, and free.  A page can be simultaneously free and named
+— that is what makes the free list a cache (reclaim) rather than a garbage
+pile.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Page:
         self.engine = engine
         self.frame = frame
         self.size = size
-        self.data: "bytearray | None" = None
+        self.data = bytearray(size)
         self.vnode: "Vnode | None" = None
         self.offset = -1
         self.valid = False
@@ -56,8 +56,6 @@ class Page:
             raise ValueError(f"offset {offset} not page aligned")
         self.vnode = vnode
         self.offset = offset
-        if self.data is None:
-            self.data = bytearray(self.size)
 
     def unname(self) -> None:
         """Strip identity and contents (frame becomes anonymous)."""
@@ -85,10 +83,7 @@ class Page:
 
     def lock_wait(self) -> Generator[Event, Any, None]:
         """Wait until the page is unlocked, then lock it.  ``yield from``."""
-        while self.locked:
-            ev = Event(self.engine, name=("page%d.lockwait", self.frame))
-            self._lock_waiters.append(ev)
-            yield ev
+        yield from self.wait_unlocked()
         self.lock()
 
     def wait_unlocked(self) -> Generator[Event, Any, None]:
@@ -101,8 +96,6 @@ class Page:
     # -- data plane -----------------------------------------------------------
     def fill(self, data: bytes) -> None:
         """Install page contents (pads short data with zeros)."""
-        if self.data is None:
-            raise RuntimeError(f"frame {self.frame} was never named: no buffer")
         if len(data) > self.size:
             raise ValueError(f"data length {len(data)} exceeds page size {self.size}")
         self.data[: len(data)] = data

@@ -1,4 +1,4 @@
-"""The unified page cache: a fixed pool of frames, a name hash, a free list.
+"""The unified page cache: a fixed pool of frames, a name index, a free list.
 
 Allocation discipline (mirrors SunOS):
 
@@ -6,22 +6,24 @@ Allocation discipline (mirrors SunOS):
   (cache hit on a free page — the caching effect the paper is careful to
   preserve for small files).
 * ``allocate`` takes the oldest free frame, stripping its old identity if it
-  had one.  When the free list is empty the caller must wait for memory
-  (``wait_for_memory``), which nudges the pageout daemon.
+  had one, or making the frame if it was never used.  When the free list is
+  empty the caller must wait for memory (``wait_for_memory``), which nudges
+  the pageout daemon.
 * ``free`` puts a page at the tail of the free list *keeping its name*;
   ``free_front`` puts it at the head (used by free-behind: sequential I/O
   pages are unlikely to be reused, so they are the best candidates for
   immediate recycling).
 
-Beside the global name hash every vnode's pages hang off a per-vnode index
-(SunOS's ``v_pages`` list), so putpage, fsync, truncate and unlink walk one
-file's pages instead of all of memory.
+Names are found through one index, ``vnode_id -> {offset -> Page}``: a
+lookup is two dict probes, and every vnode's pages hang together (SunOS's
+``v_pages`` list), so putpage, fsync, truncate and unlink walk one file's
+pages instead of all of memory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.events import Event
 from repro.sim.resources import Signal
@@ -50,17 +52,15 @@ class PageCache:
             raise ValueError("reserved_pages must be in [0, total)")
         #: Frames usable by the page cache (kernel + process memory removed).
         self.total_pages = total - reserved_pages
-        self.frames: list[Page] = [
-            Page(engine, frame, page_size) for frame in range(self.total_pages)
-        ]
-        self._hash: dict[tuple[int, int], Page] = {}
-        #: ``vnode_id -> {offset -> Page}``: the same pages as ``_hash``,
-        #: grouped by vnode.  A vnode with no cached page has no entry.
+        #: ``frame -> Page``, ``None`` until the frame's first allocation.
+        self.frames: list[Page | None] = [None] * self.total_pages
+        #: ``vnode_id -> {offset -> Page}``: every named page, grouped by
+        #: vnode.  A vnode with no cached page has no entry.
         self._vpages: dict[int, dict[int, Page]] = {}
-        # Free list keyed by frame number; ordered oldest-freed first.
-        self._freelist: OrderedDict[int, Page] = OrderedDict(
-            (p.frame, p) for p in self.frames
-        )
+        # Free list keyed by frame number; ordered oldest-freed first.  A
+        # never-used frame is on it as ``None``.
+        self._freelist: OrderedDict[int, Page | None] = OrderedDict.fromkeys(
+            range(self.total_pages))
         self.memory_wanted = Signal(engine, name="memwait")
         self.low_memory = Signal(engine, name="lowmem")
         #: Free-page threshold below which low_memory fires (the pageout
@@ -82,33 +82,14 @@ class PageCache:
 
     @property
     def frames_backed(self) -> int:
-        """Frames ever named, so holding a buffer: a memory cost only tests
-        read yet (``tests/kernel/test_remount_reset.py``)."""
-        return sum(p.data is not None for p in self.frames)
-
-    def check_index(self, point: str, fail: Callable[..., None]) -> None:
-        """The sanitizer's ``page_index`` check: the per-vnode index holds
-        exactly the pages the name hash holds, with no emptied vnode left
-        behind."""
-        grouped: dict[int, dict[int, Page]] = {}
-        for (vnode_id, offset), page in self._hash.items():
-            grouped.setdefault(vnode_id, {})[offset] = page
-        if self._vpages != grouped:
-            stale = sorted(vid for vid in self._vpages.keys() | grouped.keys()
-                           if self._vpages.get(vid) != grouped.get(vid))
-            fail("page_index",
-                 f"at {point}: the per-vnode page index disagrees with the "
-                 f"page hash for vnode ids {stale[:8]} (an identity change "
-                 "bypassed allocate/destroy, or an emptied vnode was left "
-                 "behind)")
-
-    def _key(self, vnode: "Vnode", offset: int) -> tuple[int, int]:
-        return (vnode.vnode_id, offset)
+        """Frames ever allocated, so made and holding a buffer: a memory cost
+        only tests read yet (``tests/kernel/test_remount_reset.py``)."""
+        return sum(p is not None for p in self.frames)
 
     def _unindex(self, page: Page) -> None:
-        """Drop a named page from the hash and from its vnode's index."""
+        """Drop a named page from its vnode's index, and the vnode with its
+        last page."""
         vid = page.vnode.vnode_id
-        del self._hash[vid, page.offset]
         pages = self._vpages[vid]
         del pages[page.offset]
         if not pages:
@@ -117,7 +98,8 @@ class PageCache:
     # -- lookup / reclaim --------------------------------------------------------
     def lookup(self, vnode: "Vnode", offset: int) -> Page | None:
         """Find the page caching ``<vnode, offset>``, reclaiming if free."""
-        page = self._hash.get(self._key(vnode, offset))
+        pages = self._vpages.get(vnode.vnode_id)
+        page = pages.get(offset) if pages is not None else None
         if page is None:
             self.stats.incr("misses")
             return None
@@ -140,23 +122,26 @@ class PageCache:
         ``yield from wait_for_memory()`` and retry.  The named page must not
         already be cached (callers look up first).
         """
-        key = self._key(vnode, offset)
-        if key in self._hash:
-            raise RuntimeError(f"page {key} already cached; lookup() first")
+        vid = vnode.vnode_id
+        if offset in self._vpages.get(vid, ()):
+            raise RuntimeError(f"page {(vid, offset)} already cached; "
+                               "lookup() first")
         if not self._freelist:
             self.stats.incr("allocation_shortfalls")
             return None
-        _, page = self._freelist.popitem(last=False)
-        page.free = False
-        if page.named:
+        frame, page = self._freelist.popitem(last=False)
+        if page is None:
+            page = self.frames[frame] = Page(self.engine, frame,
+                                             self.page_size)
+        elif page.named:
             # Steal the oldest free frame from whatever it used to cache.
             self._unindex(page)
             page.unname()
             self.stats.incr("identity_steals")
+        page.free = False
         page.name(vnode, offset)
         page.lock()
-        self._hash[key] = page
-        self._vpages.setdefault(vnode.vnode_id, {})[offset] = page
+        self._vpages.setdefault(vid, {})[offset] = page
         self.stats.incr("allocations")
         self.freemem_track.set(self.freemem)
         if self.freemem < self.low_water:
@@ -210,7 +195,7 @@ class PageCache:
         """Strip identity and free the frame (file truncation/unlink)."""
         if page.locked:
             raise RuntimeError(f"cannot destroy locked frame {page.frame}")
-        if page.named and self._hash.get(self._key(page.vnode, page.offset)) is page:
+        if page.named:
             self._unindex(page)
         was_free = page.free
         page.unname()

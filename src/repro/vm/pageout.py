@@ -23,6 +23,7 @@ from repro.vfs.vnode import PutFlags
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu import Cpu
     from repro.sim.engine import Engine
+    from repro.sim.request import RequestRegistry
     from repro.vm.pagecache import PageCache
 
 
@@ -55,19 +56,16 @@ class PageoutDaemon:
     """The two-handed clock over all page frames."""
 
     def __init__(self, engine: "Engine", cache: "PageCache", cpu: "Cpu",
-                 params: PageoutParams | None = None,
-                 registry: "Any | None" = None):
+                 params: PageoutParams, registry: "RequestRegistry"):
         self.engine = engine
         self.cache = cache
         self.cpu = cpu
-        #: Optional RequestRegistry: each dirty-page push the daemon starts
-        #: is accounted as a "pageout" request (the kernel's own I/O shows
-        #: up in the same per-kind latency report as user syscalls).
+        #: Each dirty-page push the daemon starts is accounted as a
+        #: "pageout" request (the kernel's own I/O shows up in the same
+        #: per-kind latency report as user syscalls).
         self.registry = registry
-        self.params = params if params is not None else PageoutParams.for_memory(
-            cache.total_pages
-        )
-        if self.params.handspread >= cache.total_pages:
+        self.params = params
+        if params.handspread >= cache.total_pages:
             raise ValueError("handspread must be smaller than memory")
         self.stats = StatSet("pageout")
         self._front = 0  # front hand frame index
@@ -126,33 +124,28 @@ class PageoutDaemon:
             hand = self._front = (hand + 1) % n
             incr("examined", 2)
             yield from work("pagedaemon", scan_cost)
-            # Front hand: clear the reference bit.
-            if not front.free and not front.locked:
+            # Front hand: clear the reference bit.  A never-used frame
+            # (None) is free and anonymous.
+            if front is not None and not front.free and not front.locked:
                 front.referenced = False
             # Back hand: free if still unreferenced.
-            if back.free or back.locked or not back.named or back.referenced:
+            if (back is None or back.free or back.locked or not back.named
+                    or back.referenced):
                 continue
             if back.dirty:
                 progress = True
                 incr("pushed_dirty")
                 flags = PutFlags(async_=True, free=True)
-                if self.registry is None:
-                    # No registry (unit-test daemons over bare fakes): plain
-                    # call, no request accounting.
+                req = self.registry.start("pageout", origin="pagedaemon",
+                                          offset=back.offset)
+                try:
                     yield from back.vnode.putpage(
-                        back.offset, cache.page_size, flags
+                        back.offset, cache.page_size, flags, req=req
                     )
-                else:
-                    req = self.registry.start("pageout", origin="pagedaemon",
-                                              offset=back.offset)
-                    try:
-                        yield from back.vnode.putpage(
-                            back.offset, cache.page_size, flags, req=req
-                        )
-                    except BaseException as exc:
-                        req.complete(error=exc)
-                        raise
-                    req.complete()
+                except BaseException as exc:
+                    req.complete(error=exc)
+                    raise
+                req.complete()
             else:
                 progress = True
                 incr("freed")

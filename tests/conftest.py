@@ -1,7 +1,7 @@
 """Suite-wide defaults.
 
 The cross-layer invariant sanitizer (``repro.sim.invariants``) is on for
-every test by default: each System built during a test checks the nine
+every test by default: each System built during a test checks the eight
 simsan invariants at its quiesce points, boot included.  Because the
 environment variable is inherited by subprocesses, the CLI smoke tests'
 campaign runs are sanitized too.  A test that runs a campaign or IObench

@@ -9,20 +9,20 @@ from repro.vm import Page, PageCache
 
 def count_page_buffers(patch):
     """Count, from now until ``patch`` is undone, the machines built and the
-    page frames that got a buffer (a frame's first ``name()``)."""
+    page frames made, each with its buffer (a frame's first allocation)."""
     ledger = {"machines": 0, "buffers": 0}
-    real_init, real_name = PageCache.__init__, Page.name
+    real_cache_init, real_page_init = PageCache.__init__, Page.__init__
 
-    def counting_init(self, *args, **kwargs):
+    def counting_cache_init(self, *args, **kwargs):
         ledger["machines"] += 1
-        real_init(self, *args, **kwargs)
+        real_cache_init(self, *args, **kwargs)
 
-    def counting_name(self, vnode, offset):
-        ledger["buffers"] += self.data is None
-        real_name(self, vnode, offset)
+    def counting_page_init(self, *args, **kwargs):
+        ledger["buffers"] += 1
+        real_page_init(self, *args, **kwargs)
 
-    patch.setattr(PageCache, "__init__", counting_init)
-    patch.setattr(Page, "name", counting_name)
+    patch.setattr(PageCache, "__init__", counting_cache_init)
+    patch.setattr(Page, "__init__", counting_page_init)
     return ledger
 
 

@@ -74,7 +74,8 @@ def test_failing_reads_leak_no_spans():
     system.run(put())
     system.run(system.mount.namei("/f"))  # warm the name cache
     for page in list(system.pagecache.frames):
-        if page.named and not page.locked and not page.dirty:
+        if page is not None and page.named and not page.locked \
+                and not page.dirty:
             system.pagecache.destroy(page)  # cold cache: reads hit the disk
     system.tracer.enabled = True
     plan.read_transient_p = 1.0

@@ -56,8 +56,8 @@ def test_remounted_machine_shares_nothing_but_the_store():
 
 
 def test_remounted_machine_shares_no_page_buffer_and_backs_none():
-    """A power cut loses memory: the survivor's frames start without
-    buffers, and a remount-and-fsck probe never gives them any."""
+    """A power cut loses memory: the survivor's frames start unmade, and
+    a remount-and-fsck probe never makes one."""
     crashed, config = crashedlike_system()
     assert crashed.pagecache.frames_backed > 0
     survivor = System.remounted(crashed.store, config)
@@ -72,8 +72,8 @@ def test_remounted_machine_shares_no_page_buffer_and_backs_none():
         yield from proc.close(fd)
 
     survivor.run(read(proc), name="read-back")
-    mine = {id(p.data) for p in survivor.pagecache.frames if p.data is not None}
-    theirs = {id(p.data) for p in crashed.pagecache.frames if p.data is not None}
+    mine = {id(p.data) for p in survivor.pagecache.frames if p is not None}
+    theirs = {id(p.data) for p in crashed.pagecache.frames if p is not None}
     assert mine and not mine & theirs
 
 
@@ -83,6 +83,28 @@ def test_a_booted_machine_backs_no_frame():
     system = System.booted(SystemConfig.config_a())
     assert system.pagecache.total_pages == 768
     assert system.pagecache.frames_backed == 0
+
+
+def test_a_machine_is_born_holding_no_page():
+    """Frames are made on first allocation: a new machine has made no
+    ``Page``, and one 8 KB write makes exactly the frames it allocates."""
+    config = SystemConfig.config_a()
+    assert System(config).pagecache.frames == [None] * 768
+    system = System.booted(config)
+    cache = system.pagecache
+    assert cache.frames == [None] * 768
+    proc = Proc(system)
+
+    def write(proc):
+        fd = yield from proc.creat("/f")
+        yield from proc.write(fd, bytes(8192))
+        yield from proc.close(fd)
+
+    system.run(write(proc))
+    made = [page for page in cache.frames if page is not None]
+    assert made and len(made) == cache.stats["allocations"]
+    assert cache.frames_backed == len(made)
+    assert all(cache.frames[page.frame] is page for page in made)
 
 
 def test_remounted_registry_and_sanitizer_start_clean():

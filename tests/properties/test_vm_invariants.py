@@ -27,8 +27,9 @@ def _assert_index_matches_frames(cache, vnodes, offset):
     """The per-vnode index answers exactly what a scan of every frame
     would: whole-vnode, dirty-only, all-dirty and windowed queries."""
     psize = cache.page_size
+    made = [p for p in cache.frames if p is not None]
     for vnode in vnodes:
-        scan = sorted((p for p in cache.frames if p.vnode is vnode),
+        scan = sorted((p for p in made if p.vnode is vnode),
                       key=lambda p: p.offset)
         assert cache.vnode_pages(vnode) == scan
         assert cache.dirty_pages(vnode) == [p for p in scan if p.dirty]
@@ -38,10 +39,10 @@ def _assert_index_matches_frames(cache, vnodes, offset):
             assert cache.vnode_range(vnode, start, end) == [
                 p for p in scan if start <= p.offset < end]
     assert cache.dirty_pages() == sorted(
-        (p for p in cache.frames if p.named and p.dirty),
+        (p for p in made if p.named and p.dirty),
         key=lambda p: (p.vnode.vnode_id, p.offset))
     assert set(cache._vpages) == {p.vnode.vnode_id
-                                  for p in cache.frames if p.named}
+                                  for p in made if p.named}
 
 
 @settings(max_examples=80, deadline=None,
@@ -49,8 +50,9 @@ def _assert_index_matches_frames(cache, vnodes, offset):
 @given(ops=st.lists(vm_op, min_size=1, max_size=60))
 def test_pagecache_frame_conservation(ops):
     """Frames are conserved: every frame is exactly once either free or in
-    use; named frames appear in the hash exactly once; lookup never lies;
-    and the per-vnode index agrees with a brute-force scan of the frames.
+    use, and a never-used frame is unmade and free; named frames appear in
+    the index exactly once; lookup never lies; and the index agrees with a
+    brute-force scan of the frames.
 
     Three vnodes share eight frames, so allocations steal identities
     across vnodes."""
@@ -97,12 +99,14 @@ def test_pagecache_frame_conservation(ops):
             cache.destroy(page)
 
         # Invariants after every step:
-        in_use = sum(1 for p in cache.frames if not p.free)
+        made = [p for p in cache.frames if p is not None]
+        in_use = sum(1 for p in made if not p.free)
         assert in_use + cache.freemem == cache.total_pages
-        named = [p for p in cache.frames if p.named]
+        assert cache.frames_backed == len(made)
+        named = [p for p in made if p.named]
         keys = {(p.vnode.vnode_id, p.offset) for p in named}
         assert len(keys) == len(named), "duplicate page identity"
-        assert len(cache._hash) == len(named)
+        assert sum(map(len, cache._vpages.values())) == len(named)
         _assert_index_matches_frames(cache, vnodes, offset)
 
 

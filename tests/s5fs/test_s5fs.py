@@ -371,3 +371,21 @@ def test_a_non_utf8_name_is_euclean():
     with pytest.raises(CorruptionError):
         system.run(proc.open("/abc"))
     assert proc.errno == "EUCLEAN"
+
+
+def test_s5check_reports_a_non_utf8_root_entry():
+    """s5check reads the same entry offline: the bad name is a finding
+    naming its root directory block, not a raised decode error."""
+    system, fs = make_fs()
+    system.run(fs.create("/abc"))
+    system.run(fs.sync())
+    buf, off, _ino = system.run(fs._find("abc"))
+    blk = buf.frag_addr
+    image = bytearray(system.store.read(blk * 2, 2))
+    image[off + S5_DIRENT_SIZE - S5_DIRSIZ] = 0xFF
+    system.store.write(blk * 2, bytes(image))
+    report = s5check(system.store)
+    assert not report.clean
+    assert [f for f in report.findings
+            if f.startswith(f"root directory block {blk}:")
+            and "not UTF-8" in f]

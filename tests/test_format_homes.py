@@ -148,6 +148,16 @@ def _ufs_type_tests(tree):
             yield f"line {node.lineno}: isinstance(..., UfsMount)"
 
 
+def _page_frame_reads(tree):
+    """Every read of a page cache's ``frames``: a frame never allocated is
+    ``None``, which only the VM layer may see."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "frames"
+                and getattr(node.value, "id",
+                            getattr(node.value, "attr", None)) == "pagecache"):
+            yield f"line {node.lineno}: pagecache.frames"
+
+
 def test_sim_and_the_scrubber_import_no_ufs():
     found = {name: list(_ufs_imports(tree)) for name, tree in _modules()
              if name.startswith("sim/") or name == "integrity/scrub.py"}
@@ -157,6 +167,12 @@ def test_sim_and_the_scrubber_import_no_ufs():
 def test_the_sanitizer_reads_no_other_objects_privates():
     tree = ast.parse((SRC / "sim" / "invariants.py").read_text())
     assert list(_foreign_privates(tree)) == []
+
+
+def test_only_the_vm_reads_the_page_frames():
+    found = {name: list(_page_frame_reads(tree)) for name, tree in _modules()
+             if not name.startswith("vm/")}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_no_type_test_picks_out_the_ufs():
@@ -194,7 +210,9 @@ def test_the_book_guards_see_each_construct():
             (_ufs_imports, "from repro import ufs"),
             (_ufs_imports, "def f():\n    from repro.ufs.ondisk import HOLE"),
             (_foreign_privates, "engine._live"),
-            (_foreign_privates, "self.system.pagecache._hash"),
+            (_foreign_privates, "self.system.pagecache._vpages"),
+            (_page_frame_reads, "system.pagecache.frames[0]"),
+            (_page_frame_reads, "for page in pagecache.frames: pass"),
             (_ufs_type_tests, "isinstance(mount, UfsMount)"),
             (_ufs_type_tests, "isinstance(m, (S5FileSystem, ufs.UfsMount))"),
             (_switch_uses, "os.environ.get('REPRO_SANITIZE')"),
@@ -203,3 +221,4 @@ def test_the_book_guards_see_each_construct():
         assert list(guard(ast.parse(text))), text
     assert not list(_foreign_privates(ast.parse("self._x, a.__class__")))
     assert not list(_ufs_imports(ast.parse("from repro.ufsx import y")))
+    assert not list(_page_frame_reads(ast.parse("self.frames[0]")))

@@ -131,6 +131,24 @@ def test_a_non_utf8_link_target_is_euclean(system, proc, target):
         assert proc.errno == "EUCLEAN"
 
 
+def test_a_non_utf8_dumped_link_target_fails_restore_euclean(system, proc):
+    """A fast link whose target has a 0xff byte dumps (the archive holds
+    bytes), and restoring it is corruption, not a raw decode error."""
+    from .conftest import make_system
+
+    system.run(proc.symlink("/real", "/bad"))
+    ip = system.run(system.mount.namei("/bad", follow=False)).inode
+    ip.direct[0] |= 0xFF00
+    system.run(system.mount.write_inode(ip, sync=True))
+    system.sync()
+    archive = ufsdump(system.store)
+    assert b"\xff" in archive.find("/bad").content
+
+    target = make_system("A")
+    with pytest.raises(CorruptionError, match="dumped link target of /bad"):
+        target.run(restore(Proc(target), archive))
+
+
 def test_symlink_validation(system, proc):
     with pytest.raises(InvalidArgumentError):
         system.run(proc.symlink("relative/target", "/l"))

@@ -26,7 +26,7 @@ class FakeVnode(Vnode):
         raise NotImplementedError
         yield
 
-    def putpage(self, offset, length, flags: PutFlags):
+    def putpage(self, offset, length, flags: PutFlags, req=None):
         self.putpage_calls.append((offset, length, flags))
         page = self.cache.lookup(self, offset)
         if page is not None:

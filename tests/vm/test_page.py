@@ -10,7 +10,7 @@ def test_new_frame_is_anonymous_and_free():
     eng = Engine()
     page = Page(eng, frame=0, size=8192)
     assert page.free and not page.named and not page.valid
-    assert page.data is None  # never named: no buffer behind it yet
+    assert bytes(page.data) == bytes(8192)  # made with its buffer, zeroed
 
 
 def test_name_and_unname(engine, vnode):
@@ -34,14 +34,6 @@ def test_buffer_exists_from_first_name_and_is_kept(engine, vnode):
     # A recycled frame keeps its buffer (and, as on the parent, its stale
     # bytes: whoever names it fills or zeroes it before marking it valid).
     assert page.data is buffer and bytes(page.data[:3]) == b"abc"
-
-
-def test_fill_and_zero_on_a_never_named_frame_raise(engine):
-    page = Page(engine, 0, 8192)
-    with pytest.raises(RuntimeError, match="never named"):
-        page.fill(b"abc")
-    with pytest.raises(RuntimeError, match="never named"):
-        page.zero()
 
 
 def test_name_requires_alignment(engine, vnode):

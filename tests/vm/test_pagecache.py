@@ -34,7 +34,7 @@ def test_reserved_pages_shrink_pool(engine):
 
 def test_frames_are_backed_on_first_name_only(cache, vnode):
     assert cache.frames_backed == 0
-    assert all(page.data is None for page in cache.frames)
+    assert all(page is None for page in cache.frames)
     first = fill_page(cache, vnode, 0)
     fill_page(cache, vnode, 8 * KB)
     assert cache.frames_backed == 2
@@ -168,7 +168,7 @@ def test_vnode_pages_sorted_and_invalidate(cache, vnode):
     assert [p.offset for p in pages] == [0, 8192, 3 * 8192]
     assert cache.vnode_invalidate(vnode) == 3
     assert cache.vnode_pages(vnode) == []
-    assert not any(p.named for p in cache.frames)
+    assert not any(p.named for p in cache.frames if p is not None)
 
 
 def test_vnode_drop_clean_keeps_dirty_and_locked_pages(cache, vnode):
@@ -235,7 +235,7 @@ def test_vnode_leaves_the_index_with_its_last_page(cache, vnode):
     cache.destroy(a)
     assert set(cache._vpages) == {vnode.vnode_id}
     cache.destroy(b)
-    assert cache._vpages == {} and cache._hash == {}
+    assert cache._vpages == {}
 
 
 def test_stolen_identity_leaves_the_index(engine, vnode):
@@ -258,4 +258,5 @@ def test_create_unlink_churn_does_not_grow_the_index(cache, vnode):
         for slot in range(3):
             fill_page(cache, vn, slot * 8 * KB)
         assert cache.vnode_invalidate(vn) == 3
-    assert cache._vpages == {} and not any(p.named for p in cache.frames)
+    assert cache._vpages == {}
+    assert not any(p.named for p in cache.frames if p is not None)

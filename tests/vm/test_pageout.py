@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import CostTable, Cpu
+from repro.sim.request import RequestRegistry
 from repro.units import KB
 from repro.vm import PageCache, PageoutDaemon, PageoutParams
 
@@ -15,7 +16,7 @@ def make_vm(engine, pages=32, lotsfree=8, handspread=16, free_cpu=True):
     cpu = Cpu(engine, costs)
     params = PageoutParams(lotsfree=lotsfree, handspread=handspread,
                            scan_batch=16, breath=0.001)
-    daemon = PageoutDaemon(engine, cache, cpu, params)
+    daemon = PageoutDaemon(engine, cache, cpu, params, RequestRegistry(engine))
     # The vnode must share the daemon's cache, or its putpage frees nothing.
     vnode = FakeVnode(cache)
     return cache, cpu, daemon, vnode
@@ -105,7 +106,8 @@ def test_handspread_validation(engine):
     cache = PageCache(eng, memory_bytes=16 * 8 * KB, page_size=8 * KB)
     cpu = Cpu(eng, CostTable.free())
     with pytest.raises(ValueError):
-        PageoutDaemon(eng, cache, cpu, PageoutParams(lotsfree=4, handspread=16))
+        PageoutDaemon(eng, cache, cpu, PageoutParams(lotsfree=4, handspread=16),
+                      RequestRegistry(eng))
 
 
 def test_for_memory_defaults():
