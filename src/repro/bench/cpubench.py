@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.iobench import drop_cache
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
@@ -48,9 +49,7 @@ def run_cpu_bench(config: SystemConfig) -> CpuBenchResult:
         return fd
 
     fd = system.run(setup(), name="cpubench-setup")
-    vn = system.run(system.mount.namei(PATH), name="lookup")
-    system.pagecache.vnode_drop_clean(vn)
-    vn.inode.readahead.reset()
+    drop_cache(system, PATH)
 
     system.cpu.reset_ledger()
     t0 = system.now

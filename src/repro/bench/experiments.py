@@ -23,7 +23,7 @@ from typing import Any, Callable
 from repro.bench import (
     IObench, age_filesystem, measure_extents, run_cpu_bench, run_musbus,
 )
-from repro.bench.iobench import PHASES
+from repro.bench.iobench import PHASES, drop_cache
 from repro.bench.report import PAPER_FIGURE_10, PAPER_FIGURE_11, PAPER_FIGURE_12
 from repro.core import ClusterTuning
 from repro.disk import DiskGeometry
@@ -161,13 +161,6 @@ def write_file(system, proc, path: str, size: int, chunk: int = RECORD,
     t0 = system.now
     fd = system.run(work())
     return fd, size / (system.now - t0) / KB
-
-
-def drop_cache(system, path: str) -> None:
-    """Forget ``path``'s cached pages and read-ahead state."""
-    vn = system.run(system.mount.namei(path))
-    system.pagecache.vnode_drop_clean(vn)
-    vn.inode.readahead.reset()
 
 
 def read_file(system, proc, path: str, record: int = RECORD,

@@ -46,6 +46,14 @@ class IObenchResult:
         return self.rates[phase]
 
 
+def drop_cache(system: System, path: str) -> None:
+    """Forget ``path``'s clean cached pages and read-ahead state, so the
+    next read of it goes to disk."""
+    vn = system.run(system.mount.namei(path), name="lookup")
+    system.pagecache.vnode_drop_clean(vn)
+    vn.inode.readahead.reset()
+
+
 class IObench:
     """Run the IObench phases against one system configuration."""
 
@@ -147,11 +155,6 @@ class IObench:
 
         return work()
 
-    def _drop_file_cache(self, system: System):
-        vn = system.run(system.mount.namei(self.path), name="lookup")
-        system.pagecache.vnode_drop_clean(vn)
-        vn.inode.readahead.reset()
-
     # -- the full run ------------------------------------------------------------
     def run(self) -> IObenchResult:
         """FSW, FSU, FSR, FRR, FRU — in an order that sets up each phase."""
@@ -170,11 +173,11 @@ class IObench:
         self._timed(system, self._seq_write(proc, update=True),
                     self.file_size, result, "FSU")
         # FSR: sequential read, cold cache.
-        self._drop_file_cache(system)
+        drop_cache(system, self.path)
         self._timed(system, self._seq_read(proc), self.file_size,
                     result, "FSR")
         # FRR: random reads.
-        self._drop_file_cache(system)
+        drop_cache(system, self.path)
         nbytes = self.random_ops * RECORD
         self._timed(system, self._random_ops(proc, write=False), nbytes,
                     result, "FRR")

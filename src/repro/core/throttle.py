@@ -18,18 +18,18 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
+    from repro.sim.stats import StatSet
 
 
 class WriteThrottle:
     """The inode's counting semaphore over bytes in the write queue."""
 
-    def __init__(self, engine: "Engine", limit: int, owner: str = "",
-                 stats: "Any | None" = None):
-        """``limit`` in bytes; 0 disables throttling entirely.  ``owner``
-        labels the file this throttle belongs to in sanitizer reports.
-        ``stats`` is an optional shared :class:`~repro.sim.stats.StatSet`
-        (one per mount) that consolidates every inode's throttle activity
-        for the metrics registry."""
+    def __init__(self, engine: "Engine", limit: int, stats: "StatSet",
+                 owner: str = ""):
+        """``limit`` in bytes; 0 disables throttling entirely.  ``stats``
+        is the mount's shared counters, which every file's throttle
+        reports into.  ``owner`` labels the file this throttle belongs to
+        in sanitizer reports."""
         if limit < 0:
             raise ValueError("limit must be >= 0")
         self.engine = engine
@@ -60,8 +60,7 @@ class WriteThrottle:
             raise ValueError("nbytes must be >= 0")
         if self.enabled:
             self.value -= nbytes
-            if self.stats is not None:
-                self.stats.incr("bytes_taken", nbytes)
+            self.stats.incr("bytes_taken", nbytes)
 
     def wait_ok(self) -> Generator[Event, Any, None]:
         """Sleep until the semaphore is non-negative again."""
@@ -69,8 +68,7 @@ class WriteThrottle:
             return
         while self.value < 0:
             self.sleeps += 1
-            if self.stats is not None:
-                self.stats.incr("sleeps")
+            self.stats.incr("sleeps")
             ev = Event(self.engine, name="write-limit")
             self._waiters.append(ev)
             yield ev

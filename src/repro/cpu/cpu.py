@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Iterable
 from repro.cpu.costs import CostTable
 from repro.sim.events import Event
 from repro.sim.resources import Resource
-from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
 
 
@@ -28,11 +28,12 @@ class Cpu:
     the handler duration for the caller to fold into its completion timing.
     """
 
-    def __init__(self, engine: "Engine", costs: CostTable | None = None):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 costs: CostTable | None = None):
         self.engine = engine
         self.costs = costs if costs is not None else CostTable()
         self.resource = Resource(engine, capacity=1, name="cpu")
-        self.ledger = StatSet("cpu")
+        self.ledger = metrics.counters("cpu")
 
     # -- process context ---------------------------------------------------
     def work(self, tag: str, seconds: float) -> Iterable[Event]:

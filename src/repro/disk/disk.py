@@ -47,12 +47,12 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.store import DiskStore
 from repro.errors import ChecksumError
 from repro.sim.events import Event
-from repro.sim.stats import StatSet
 from repro.units import MB, MS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.wcache import VolatileWriteCache
     from repro.faults.plan import FaultPlan
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
 
 
@@ -178,7 +178,8 @@ class TrackBuffer:
 class RotationalDisk:
     """A rotational disk with real data, real angles, and a track buffer."""
 
-    def __init__(self, engine: "Engine", geometry: DiskGeometry | None = None,
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry", ns: str,
+                 geometry: DiskGeometry | None = None,
                  store: DiskStore | None = None,
                  track_buffer: bool = True,
                  bus_rate: float = 2.5 * MB,
@@ -212,7 +213,7 @@ class RotationalDisk:
         self.journal: "list[JournalEvent] | None" = None
         #: This drive's index in its volume, stamped on its journal events.
         self.member = member
-        self.stats = StatSet("disk")
+        self.stats = metrics.counters(ns)
         self._cyl = 0
         self._head = 0
 

@@ -29,11 +29,11 @@ from repro.errors import (
 )
 from repro.sim.events import Event
 from repro.sim.resources import Signal
-from repro.sim.stats import Histogram, StatSet, TimeWeighted
 from repro.units import KB, MS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu import Cpu
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
 
 
@@ -120,9 +120,11 @@ class DiskQueue:
 class BlockDevice:
     """The books of anything the kernel calls ``strategy(buf)`` on — one
     disk's driver or a whole volume: what was accepted and has not
-    completed, the request counters, and the queue gauges/histograms."""
+    completed, the request counters (at ``ns``) and the queue
+    gauges/histograms (at ``ns.*``)."""
 
-    def __init__(self, engine: "Engine", name: str):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 ns: str, name: str):
         self.engine = engine
         self.name = name
         #: Bufs accepted by strategy() whose completion has not run yet,
@@ -131,24 +133,15 @@ class BlockDevice:
         #: complete, so split-retry cannot lose one.  Empty at idle
         #: (:meth:`_check_books`).
         self.outstanding: dict[int, Buf] = {}
-        self.stats = StatSet(f"{name}.driver")
-        self.queue_depth = TimeWeighted(engine, 0)
+        self.stats = metrics.counters(ns)
+        self.queue_depth = metrics.gauge(f"{ns}.queue_depth", 0)
         #: Per-request time from strategy() to entering service.
-        self.wait_hist = Histogram(f"{name}.queue_wait")
+        self.wait_hist = metrics.histogram(f"{ns}.wait")
         #: Per-request service time (seeks, rotation, transfer, recovery).
-        self.service_hist = Histogram(f"{name}.service")
+        self.service_hist = metrics.histogram(f"{ns}.service")
         #: Bytes of buffered data sitting in the queue or in service —
         #: for writes, this is memory pinned by in-flight I/O.
-        self.queue_bytes = TimeWeighted(engine, 0)
-
-    def register_metrics(self, registry, ns: str) -> None:
-        """Report this device's instruments into a MetricsRegistry:
-        counters at ``ns``, gauges/histograms at ``ns.*``."""
-        registry.register(ns, self.stats)
-        registry.register(f"{ns}.queue_depth", self.queue_depth)
-        registry.register(f"{ns}.queue_bytes", self.queue_bytes)
-        registry.register(f"{ns}.wait", self.wait_hist)
-        registry.register(f"{ns}.service", self.service_hist)
+        self.queue_bytes = metrics.gauge(f"{ns}.queue_bytes", 0)
 
     def _accept(self, buf: Buf) -> None:
         """Book a buf into the outstanding table as strategy() takes it."""
@@ -221,12 +214,13 @@ class DiskDriver(BlockDevice):
     #: Settle time charged when a bad sector is revectored to a spare.
     REMAP_PENALTY = 5 * MS
 
-    def __init__(self, engine: "Engine", disk: RotationalDisk,
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 ns: str, disk: RotationalDisk,
                  cpu: "Cpu | None" = None,
                  coalesce: bool = False,
                  scheduler: "Scheduler | str" = "elevator",
                  name: str = "sd0"):
-        super().__init__(engine, name)
+        super().__init__(engine, metrics, ns, name)
         self.disk = disk
         self.cpu = cpu
         self.coalesce = coalesce

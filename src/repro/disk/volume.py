@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
     from repro.integrity.checksum import IntegrityRegion
     from repro.kernel.config import SystemConfig
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
 
 
@@ -169,9 +170,11 @@ def concat_geometry(geom: DiskGeometry, n: int) -> DiskGeometry:
 
 
 class VolumeMember:
-    """One spindle of a volume: its own store, disk, queue, and faults."""
+    """One spindle of a volume: its own store, disk, queue, and faults;
+    its driver, mechanism and (if any) write cache report under ``ns``."""
 
-    def __init__(self, engine: "Engine", index: int, config: "SystemConfig",
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry", ns: str,
+                 index: int, config: "SystemConfig",
                  cpu: "Cpu | None" = None,
                  store: "DiskStore | None" = None,
                  fault_plan: "FaultPlan | None" = None):
@@ -186,15 +189,16 @@ class VolumeMember:
             from repro.disk.wcache import VolatileWriteCache
 
             write_cache = VolatileWriteCache(
-                self.store, cfg.write_cache_bytes,
+                metrics, f"{ns}.wcache", self.store, cfg.write_cache_bytes,
                 sector_size=cfg.geometry.sector_size)
         self.write_cache = write_cache
-        self.disk = RotationalDisk(engine, cfg.geometry, self.store,
+        self.disk = RotationalDisk(engine, metrics, f"{ns}.mech",
+                                   cfg.geometry, self.store,
                                    track_buffer=cfg.track_buffer,
                                    fault_plan=fault_plan,
                                    write_cache=write_cache, member=index)
-        self.driver = DiskDriver(engine, self.disk, cpu=cpu,
-                                 coalesce=cfg.driver_coalesce,
+        self.driver = DiskDriver(engine, metrics, f"{ns}.driver", self.disk,
+                                 cpu=cpu, coalesce=cfg.driver_coalesce,
                                  scheduler=cfg.scheduler, name=self.name)
         #: Consecutive-failure state machine; ``degraded`` (or a
         #: MemberDeadError) fails the member out of a mirror.
@@ -207,14 +211,6 @@ class VolumeMember:
     @property
     def live(self) -> bool:
         return not self.failed
-
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Report this spindle's stack into a MetricsRegistry: its driver,
-        mechanism and (if any) write cache under ``prefix``."""
-        self.driver.register_metrics(registry, f"{prefix}.driver")
-        registry.register(f"{prefix}.mech", self.disk.stats)
-        if self.write_cache is not None:
-            self.write_cache.register_metrics(registry, f"{prefix}.wcache")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +250,6 @@ class SingleVolume:
 
     def describe(self) -> str:
         return "single"
-
-    def register_metrics(self, registry) -> None:
-        """Report the one-disk stack into a system MetricsRegistry."""
-        self.members[0].register_metrics(registry, "disk")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +430,11 @@ class MultiVolume(BlockDevice):
     #: none (driver-level remap consults members individually).
     fault_plan = None
 
-    def __init__(self, engine: "Engine", members: "list[VolumeMember]",
-                 spec: VolumeSpec, geometry: DiskGeometry):
-        super().__init__(engine, "vol0")
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 members: "list[VolumeMember]", spec: VolumeSpec,
+                 geometry: DiskGeometry):
+        # The fan-out/join layer's books; member i's stack is ``disk.m{i}``.
+        super().__init__(engine, metrics, "volume", "vol0")
         self.members = members
         self.spec = spec
         self.geometry = geometry
@@ -553,14 +547,6 @@ class MultiVolume(BlockDevice):
 
     def describe(self) -> str:
         return self.spec.describe()
-
-    def register_metrics(self, registry) -> None:
-        """Report the volume and every member spindle into a system
-        MetricsRegistry: the fan-out/join layer at ``volume``, member
-        ``i``'s stack under ``disk.m{i}``."""
-        super().register_metrics(registry, "volume")
-        for member in self.members:
-            member.register_metrics(registry, f"disk.m{member.index}")
 
     def strategy(self, buf: Buf) -> Buf:
         self._accept(buf)
@@ -744,8 +730,9 @@ class StripeVolume(MultiVolume):
     (members appended end to end) is the same map with one chunk per
     member: the chunk is the member."""
 
-    def __init__(self, engine: "Engine", members: "list[VolumeMember]",
-                 spec: VolumeSpec, geometry: DiskGeometry):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 members: "list[VolumeMember]", spec: VolumeSpec,
+                 geometry: DiskGeometry):
         self.kind = spec.kind
         store = members[0].store
         self.chunk_sectors = (spec.chunk_bytes // store.sector_size
@@ -756,7 +743,7 @@ class StripeVolume(MultiVolume):
             raise InvalidArgumentError(
                 f"chunk of {self.chunk_sectors} sectors does not divide the "
                 f"member size {members[0].store.total_sectors}")
-        super().__init__(engine, members, spec, geometry)
+        super().__init__(engine, metrics, members, spec, geometry)
 
     def _logical_sectors(self) -> int:
         return self.members[0].store.total_sectors * len(self.members)
@@ -794,11 +781,12 @@ class MirrorVolume(MultiVolume):
     kind = "mirror"
     redundant = True
 
-    def __init__(self, engine: "Engine", members: "list[VolumeMember]",
-                 spec: VolumeSpec, geometry: DiskGeometry):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 members: "list[VolumeMember]", spec: VolumeSpec,
+                 geometry: DiskGeometry):
         self.read_policy = spec.read_policy
         self._rr = 0
-        super().__init__(engine, members, spec, geometry)
+        super().__init__(engine, metrics, members, spec, geometry)
 
     def _logical_sectors(self) -> int:
         return self.members[0].store.total_sectors
@@ -926,7 +914,8 @@ class MirrorVolume(MultiVolume):
 # construction
 
 
-def build_volume(engine: "Engine", config: "SystemConfig",
+def build_volume(engine: "Engine", metrics: "MetricsRegistry",
+                 config: "SystemConfig",
                  cpu: "Cpu | None" = None,
                  store: "DiskStore | list[DiskStore] | None" = None,
                  fault_plan=None):
@@ -960,12 +949,14 @@ def build_volume(engine: "Engine", config: "SystemConfig",
         plans = list(fault_plan)
     else:
         plans = [fault_plan] + [None] * (n - 1)
-    members = [VolumeMember(engine, i, config, cpu,
-                            store=stores[i], fault_plan=plans[i])
+    single = spec.kind == "single"
+    members = [VolumeMember(engine, metrics,
+                            "disk" if single else f"disk.m{i}", i, config,
+                            cpu, store=stores[i], fault_plan=plans[i])
                for i in range(n)]
-    if spec.kind == "single":
+    if single:
         return SingleVolume(members[0])
     if spec.kind == "mirror":
-        return MirrorVolume(engine, members, spec, config.geometry)
-    return StripeVolume(engine, members, spec,
+        return MirrorVolume(engine, metrics, members, spec, config.geometry)
+    return StripeVolume(engine, metrics, members, spec,
                         concat_geometry(config.geometry, n))

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.stats import StatSet
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.buf import Buf
     from repro.disk.store import DiskStore
+    from repro.obs.metrics import MetricsRegistry
 
 
 class CacheEntry:
@@ -71,7 +70,8 @@ class VolatileWriteCache:
     and the read overlay.
     """
 
-    def __init__(self, store: "DiskStore", limit_bytes: int,
+    def __init__(self, metrics: "MetricsRegistry", ns: str,
+                 store: "DiskStore", limit_bytes: int,
                  sector_size: int = 512):
         if limit_bytes <= 0:
             raise ValueError("limit_bytes must be positive")
@@ -80,12 +80,8 @@ class VolatileWriteCache:
         self.sector_size = sector_size
         self.entries: list[CacheEntry] = []
         self.bytes = 0
-        self.stats = StatSet("wcache")
+        self.stats = metrics.counters(ns)
         self._seq = 0
-
-    def register_metrics(self, registry, ns: str) -> None:
-        """Report the cache's counters into a MetricsRegistry at ``ns``."""
-        registry.register(ns, self.stats)
 
     def check_accounting(self, point: str, idle: bool, label: str,
                          fail: Callable[..., None]) -> None:

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Generator
 from repro.disk.buf import Buf, BufOp
 from repro.errors import DiskError, InvalidArgumentError
 from repro.sim.events import EventFailed
-from repro.sim.stats import StatSet
 from repro.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,7 +122,7 @@ class Scrubber:
         self.system = system
         self.engine = system.engine
         self.report = ScrubReport()
-        self.stats = StatSet("scrub")
+        self.stats = system.metrics.counters("scrub")
         self._cursor = 0
 
     @property

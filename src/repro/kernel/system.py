@@ -38,26 +38,32 @@ class System:
         self.config = config if config is not None else SystemConfig()
         cfg = self.config
         self.engine = engine if engine is not None else Engine()
-        self.cpu = Cpu(self.engine, cfg.costs)
+        #: The unified metrics registry: every layer below creates its
+        #: counters, gauges and histograms here as it is built, behind one
+        #: namespaced snapshot().
+        self.metrics = MetricsRegistry(self.engine)
+        self.cpu = Cpu(self.engine, self.metrics, cfg.costs)
         self.tracer = Tracer(self.engine)
         #: One registry per machine: every syscall-level I/O request is
         #: opened here, so benchmarks can report per-kind latencies.
-        self.requests = RequestRegistry(self.engine, self.tracer)
+        self.requests = RequestRegistry(self.engine, self.metrics,
+                                        self.tracer)
         self.fault_plan = fault_plan
         #: The block-device stack: a SingleVolume facade by default
         #: (byte-identical to the classic one-disk machine), or a
         #: concat/stripe/mirror volume per ``cfg.layout``.  ``store``,
         #: ``disk``, ``driver``, and ``write_cache`` below are the
         #: volume's kernel-facing views of it.
-        self.volume = build_volume(self.engine, cfg, cpu=self.cpu,
-                                   store=store, fault_plan=fault_plan)
+        self.volume = build_volume(self.engine, self.metrics, cfg,
+                                   cpu=self.cpu, store=store,
+                                   fault_plan=fault_plan)
         self.store = self.volume.store
         self.disk = self.volume.disk
         self.driver = self.volume.device
         self.write_cache = self.disk.write_cache
         reserved_pages = cfg.reserved_memory_bytes // cfg.page_size
-        self.pagecache = PageCache(self.engine, cfg.memory_bytes,
-                                   page_size=cfg.page_size,
+        self.pagecache = PageCache(self.engine, self.metrics,
+                                   cfg.memory_bytes, page_size=cfg.page_size,
                                    reserved_pages=reserved_pages)
         self.pageout = PageoutDaemon(
             self.engine, self.pagecache, self.cpu,
@@ -67,13 +73,6 @@ class System:
         #: The one mounted file system: UFS, S5FS or an NFS client mount.
         self.mount: Vfs | None = None
         self.raw_disk = RawDiskVnode(self.engine, self.driver, self.cpu)
-        #: The unified metrics registry: every layer's counters, gauges,
-        #: and histograms behind one namespaced snapshot()/to_json() view.
-        self.metrics = MetricsRegistry(self.engine)
-        self.metrics.register("cpu", self.cpu.ledger)
-        self.requests.register_metrics(self.metrics)
-        self.volume.register_metrics(self.metrics)
-        self.pagecache.register_metrics(self.metrics)
         #: Background daemons started on this machine (scrub today); a
         #: remount over the same stores neutralizes them via the stores'
         #: attach epochs, and shutdown_daemons() stops them explicitly.
@@ -102,14 +101,12 @@ class System:
     def mount_fs(self) -> Generator[Any, Any, UfsMount]:
         """Mount the UFS (reads the root inode)."""
         mount = self.mount = UfsMount(
-            self.engine, self.cpu, self.driver, self.pagecache,
+            self.engine, self.metrics, self.cpu, self.driver, self.pagecache,
             tuning=self.config.tuning, tracer=self.tracer,
             metacache_blocks=self.config.metacache_blocks,
             ordered_metadata=self.config.ordered_metadata,
         )
         yield from mount.activate()
-        if "ufs" not in self.metrics:
-            mount.register_metrics(self.metrics)
         return mount
 
     @classmethod
@@ -171,8 +168,6 @@ class System:
         daemon = ScrubDaemon(self, interval=interval)
         daemon.start()
         self.daemons.append(daemon)
-        # replace=True: a restarted daemon takes over the namespace.
-        self.metrics.register("scrub", daemon.stats, replace=True)
         return daemon
 
     def start_telemetry(self, interval: float = 0.010,

@@ -124,6 +124,9 @@ class NfsMount(Vfs):
         self.timeo = timeo
         self.retrans = retrans
         self.stats = StatSet(self.name)
+        #: Every file's write-behind throttle reports here; kept apart
+        #: from ``stats``, which the NFS digests hash.
+        self.throttle_stats = StatSet("throttle")
         self._vnodes: dict[int, "NfsVnode"] = {}
         self._root: "NfsVnode | None" = None
         self._next_xid = 1
@@ -327,6 +330,7 @@ class NfsVnode(Vnode):
         self.readahead = ReadAheadState()
         self.throttle = WriteThrottle(mount.engine,
                                       mount.WRITE_BEHIND_LIMIT,
+                                      mount.throttle_stats,
                                       owner=f"nfs handle {handle}")
         #: Deferred write-behind failure, raised by the next write()/fsync()
         #: (the NFS flavour of ufs/io.py's partial-write error propagation).

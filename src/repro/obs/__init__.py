@@ -6,9 +6,9 @@ rates and CPU-per-byte — so the reproduction's perf story has to be held
 to the same standard.  This package gives it three legs:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` attached to every
-  :class:`~repro.kernel.system.System`, consolidating the per-layer
+  :class:`~repro.kernel.system.System`, in which every layer makes its
   counters, gauges, and histograms (driver retries, page-cache hits,
-  throttle waits, write-cache destages, checksum errors, scrub progress,
+  throttle waits, write-cache destages, scrub progress,
   per-volume-member I/O) behind one namespaced ``snapshot()``, the only
   source of numbers the ``iobench`` pipeline lines and BENCH cells read;
 * :mod:`repro.obs.attrib` — per-layer *time attribution* computed from the

@@ -23,9 +23,13 @@ dict — the escape hatch for dynamic collections (per-request-kind
 latency histograms, per-member breakdowns) that cannot be registered as
 one object up front.
 
-Registration happens at construction/attach time (``System.__init__``,
-``mount_fs``, ``start_scrub``), never on the hot path; reading a metric
-costs exactly what it cost before this module existed.
+Each layer creates its instruments through the registry's factories
+(:meth:`~MetricsRegistry.counters`, :meth:`~MetricsRegistry.gauge`,
+:meth:`~MetricsRegistry.histogram`) on the line where it is built, so a
+namespace is written once, never on the hot path; reading a metric costs
+exactly what it cost before this module existed.  :meth:`register` is
+left for what is born outside the machine: the per-kind latency callable
+and tests' own sources.
 """
 
 from __future__ import annotations
@@ -55,14 +59,12 @@ class MetricsRegistry:
         self._sources: dict[str, Any] = {}
 
     # -- registration ------------------------------------------------------
-    def register(self, namespace: str, source: Any,
-                 replace: bool = False) -> Any:
+    def register(self, namespace: str, source: Any) -> Any:
         """Attach a live instrument (or dict-returning callable) at
-        ``namespace``.  Duplicate namespaces are a wiring bug unless
-        ``replace=True`` (daemons restarted over the same machine)."""
+        ``namespace``.  A duplicate namespace is a wiring bug."""
         if not namespace:
             raise ValueError("namespace must be non-empty")
-        if namespace in self._sources and not replace:
+        if namespace in self._sources:
             raise ValueError(f"metrics namespace {namespace!r} already "
                              "registered")
         if not (isinstance(source, (StatSet, Histogram, TimeWeighted))
@@ -76,8 +78,9 @@ class MetricsRegistry:
     # -- instrument factories ---------------------------------------------
     def counters(self, namespace: str) -> StatSet:
         """Create (or fetch) a :class:`StatSet` owned by the registry.  With
-        :meth:`gauge` / :meth:`histogram`, the factories layers are to bind
-        instruments through; only ``tests/obs/test_metrics.py`` calls them."""
+        :meth:`gauge` / :meth:`histogram`, the factories every layer binds
+        its instruments through: the first claimant of a namespace creates
+        it, a later one (a second mount, a second scrubber) continues it."""
         existing = self._sources.get(namespace)
         if isinstance(existing, StatSet):
             return existing

@@ -18,8 +18,8 @@ comparison needs a real (if reduced) S5FS:
 
 It is a file system of the machine: ``s5_mkfs(system.store)`` on a
 ``System`` built with no UFS, then ``S5FileSystem(system)`` mounts itself as
-``system.mount`` and ``Proc(system)`` drives it; its counters are
-``system.metrics``' ``s5fs`` and ``s5fs.metacache``.
+``system.mount`` and ``Proc(system)`` drives it; it makes its counters,
+``s5fs`` and ``s5fs.metacache``, in ``system.metrics``.
 """
 
 from repro.s5fs.check import S5CheckReport, s5check

@@ -22,7 +22,6 @@ from repro.s5fs.ondisk import (
     pack_s5_dirent, s5_dirent_ino, s5_lbn_path, set_ptr, set_s5_dirent_ino,
     unpack_free_chain_block,
 )
-from repro.sim.stats import StatSet
 from repro.ufs.metacache import MetaBuf, MetaCache
 from repro.ufs.ondisk import IFDIR, IFMT, IFREG
 from repro.vfs.vnode import RW, PutFlags, StatFs, Vfs, Vnode, VnodeType
@@ -250,15 +249,12 @@ class S5FileSystem(Vfs):
         #: The old-style fixed buffer cache: everything, data included,
         #: moves through it.  One "fragment" per block, so buffer
         #: addresses are S5 block numbers.
-        self.cache = MetaCache(system.engine, system.driver, self.cpu,
-                               self.sb.bsize, frag_sectors=self.sb.bsize // 512,
+        self.cache = MetaCache(system.engine, system.metrics, "s5fs.metacache",
+                               system.driver, self.cpu, self.sb.bsize,
+                               frag_sectors=self.sb.bsize // 512,
                                capacity=nbufs)
-        self.stats = StatSet("s5fs")
+        self.stats = system.metrics.counters("s5fs")
         self._icache: dict[int, S5Inode] = {}
-        # replace=True: a remount over the same machine takes the names.
-        system.metrics.register("s5fs", self.stats, replace=True)
-        system.metrics.register("s5fs.metacache", self.cache.stats,
-                                replace=True)
         system.mount = self
 
     def statfs(self) -> StatFs:

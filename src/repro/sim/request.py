@@ -25,10 +25,11 @@ from __future__ import annotations
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.stats import Histogram, StatSet, TimeWeighted
+from repro.sim.stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.disk.buf import Buf
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
     from repro.sim.trace import Span, Tracer
 
@@ -193,16 +194,21 @@ class RequestRegistry:
     rides on the tracer's enabled flag.
     """
 
-    def __init__(self, engine: "Engine", tracer: "Tracer | None" = None):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 tracer: "Tracer | None" = None):
         self.engine = engine
         self.tracer = tracer
         #: Per-registry request ids (one registry per machine): two
         #: same-seed machines in one process number their requests the
         #: same way, which trace-export byte-determinism depends on.
         self._ids = count(1)
-        self.stats = StatSet("requests")
-        self.inflight = TimeWeighted(engine, 0)
+        self.stats = metrics.counters("requests")
+        self.inflight = metrics.gauge("requests.inflight", 0)
+        #: Per-kind latency histograms, made as each kind first completes;
+        #: the registry re-renders them through a callable at each snapshot.
         self.latency: dict[str, Histogram] = {}
+        metrics.register("requests.latency", lambda: {
+            kind: h.summary() for kind, h in sorted(self.latency.items())})
         #: Requests started but not yet completed, by id — the sanitizer's
         #: span-balance check requires this to be empty at idle.
         self.open: dict[int, IORequest] = {}
@@ -261,13 +267,3 @@ class RequestRegistry:
                  f"at {point}: inflight gauge reads "
                  f"{self.inflight.value:g} at idle (start/complete "
                  "accounting drifted)")
-
-    def register_metrics(self, registry) -> None:
-        """Report request accounting into a system MetricsRegistry.
-
-        Latency histograms are per-kind and appear lazily, so they go in
-        as a callable the registry re-renders at each snapshot."""
-        registry.register("requests", self.stats)
-        registry.register("requests.inflight", self.inflight)
-        registry.register("requests.latency", lambda: {
-            kind: h.summary() for kind, h in sorted(self.latency.items())})

@@ -46,8 +46,8 @@ class Inode:
         self.readahead = ReadAheadState()
         self.writecluster = WriteClusterState()
         self.throttle = WriteThrottle(
-            mount.engine, mount.tuning.write_limit, owner=f"inode {ino}",
-            stats=getattr(mount, "throttle_stats", None))
+            mount.engine, mount.tuning.write_limit, mount.throttle_stats,
+            owner=f"inode {ino}")
         self.bmap_cache = BmapCache() if mount.tuning.bmap_cache else None
         #: Blocks this file has allocated in its current preferred group,
         #: for the maxbpg group-spill policy.

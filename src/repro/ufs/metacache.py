@@ -26,11 +26,11 @@ from typing import TYPE_CHECKING, Any, Generator, Iterator, Sequence
 
 from repro.disk.buf import Buf, BufOp
 from repro.sim.events import Event
-from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu import Cpu
     from repro.disk.driver import DiskDriver
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
 
 
@@ -53,10 +53,12 @@ class MetaBuf:
 
 
 class MetaCache:
-    """LRU cache of ``bsize`` blocks, keyed by fragment address."""
+    """LRU cache of ``bsize`` blocks, keyed by fragment address; its
+    counters are ``ns`` of the machine's registry."""
 
-    def __init__(self, engine: "Engine", driver: "DiskDriver", cpu: "Cpu",
-                 bsize: int, frag_sectors: int, capacity: int = 64):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry", ns: str,
+                 driver: "DiskDriver", cpu: "Cpu", bsize: int,
+                 frag_sectors: int, capacity: int = 64):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if bsize % (512 * frag_sectors):
@@ -74,7 +76,7 @@ class MetaCache:
         self._inflight: dict[int, Event] = {}
         #: Blocks with an asynchronous write on its way -> that write.
         self._writing: dict[int, Buf] = {}
-        self.stats = StatSet("metacache")
+        self.stats = metrics.counters(ns)
 
     def peek(self, frag_addr: int) -> MetaBuf | None:
         """The cached buffer, if any: no I/O, no wait, no LRU effect."""

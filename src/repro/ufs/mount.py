@@ -23,7 +23,6 @@ from repro.errors import (
     NotADirectoryError_, decode_name,
 )
 from repro.sim.events import EventFailed
-from repro.sim.stats import StatSet
 from repro.sim.trace import Tracer
 from repro.ufs import bmap, dir as dirops
 from repro.ufs.alloc import Allocator
@@ -43,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.throttle import WriteThrottle
     from repro.cpu import Cpu
     from repro.disk.driver import DiskDriver
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
     from repro.vm.pagecache import PageCache
 
@@ -50,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class UfsMount(Vfs):
     """One mounted instance of UFS."""
 
-    def __init__(self, engine: "Engine", cpu: "Cpu", driver: "DiskDriver",
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 cpu: "Cpu", driver: "DiskDriver",
                  pagecache: "PageCache", tuning: ClusterTuning | None = None,
                  tracer: Tracer | None = None, metacache_blocks: int = 64,
                  ordered_metadata: bool = False):
@@ -61,11 +62,10 @@ class UfsMount(Vfs):
         self.pagecache = pagecache
         self.tuning = tuning if tuning is not None else ClusterTuning.new_system()
         self.trace = tracer if tracer is not None else Tracer(engine)
-        self.stats = StatSet(self.name)
+        self.stats = metrics.counters("ufs")
         #: Shared per-mount throttle counters: every inode's WriteThrottle
-        #: reports into this one StatSet (the metrics registry's
-        #: ``ufs.throttle`` namespace).
-        self.throttle_stats = StatSet("throttle")
+        #: reports into this one StatSet.
+        self.throttle_stats = metrics.counters("ufs.throttle")
         self.ordered_metadata = ordered_metadata
 
         store = driver.disk.store
@@ -122,8 +122,9 @@ class UfsMount(Vfs):
         if self.sb_recovered:
             self._sb_dirty = True
 
-        self.metacache = MetaCache(engine, driver, cpu, self.sb.bsize,
-                                   frag_sectors, capacity=metacache_blocks)
+        self.metacache = MetaCache(engine, metrics, "ufs.metacache", driver,
+                                   cpu, self.sb.bsize, frag_sectors,
+                                   capacity=metacache_blocks)
         self.allocator = Allocator(self)
         #: Consulted only while ``tuning.freebehind`` is on (``ufs_rdwr``).
         self.freebehind = FreeBehindPolicy(
@@ -570,13 +571,6 @@ class UfsMount(Vfs):
         ip.recycle()
         yield from bmap.truncate_blocks(self, ip)
         yield from self.write_inode(ip, sync=True)
-
-    # -- reporting ---------------------------------------------------------------
-    def register_metrics(self, registry) -> None:
-        """Report the mount's instruments into a system MetricsRegistry."""
-        registry.register("ufs", self.stats)
-        registry.register("ufs.metacache", self.metacache.stats)
-        registry.register("ufs.throttle", self.throttle_stats)
 
     # -- the sanitizer's checks of the mount's own books ------------------------
     def check_page_coherency(self, point: str,

@@ -27,11 +27,11 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.events import Event
 from repro.sim.resources import Signal
-from repro.sim.stats import StatSet, TimeWeighted
 from repro.units import KB
 from repro.vm.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Engine
     from repro.vfs.vnode import Vnode
 
@@ -39,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class PageCache:
     """All of physical memory, managed as a cache of vnode pages."""
 
-    def __init__(self, engine: "Engine", memory_bytes: int,
-                 page_size: int = 8 * KB, reserved_pages: int = 0):
+    def __init__(self, engine: "Engine", metrics: "MetricsRegistry",
+                 memory_bytes: int, page_size: int = 8 * KB,
+                 reserved_pages: int = 0):
         if memory_bytes <= 0 or page_size <= 0:
             raise ValueError("memory and page size must be positive")
         if memory_bytes % page_size != 0:
@@ -66,13 +67,8 @@ class PageCache:
         #: Free-page threshold below which low_memory fires (the pageout
         #: daemon sets this to its lotsfree).
         self.low_water = 0
-        self.stats = StatSet("pagecache")
-        self.freemem_track = TimeWeighted(engine, self.total_pages)
-
-    def register_metrics(self, registry) -> None:
-        """Report the VM instruments into a system MetricsRegistry."""
-        registry.register("vm.pagecache", self.stats)
-        registry.register("vm.freemem", self.freemem_track)
+        self.stats = metrics.counters("vm.pagecache")
+        self.freemem_track = metrics.gauge("vm.freemem", self.total_pages)
 
     # -- inspection -----------------------------------------------------------
     @property

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BmapCache, ClusterTuning, FreeBehindPolicy, WriteThrottle
-from repro.sim import Engine
+from repro.sim import Engine, StatSet
 from repro.units import KB
 
 
@@ -31,7 +31,7 @@ def charge(throttle, nbytes):
 
 def test_throttle_charges_and_blocks():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=16 * KB)
+    throttle = WriteThrottle(eng, limit=16 * KB, stats=StatSet())
     log = []
 
     def writer():
@@ -56,7 +56,7 @@ def test_throttle_charges_and_blocks():
 def test_throttle_single_large_write_overshoots_then_blocks():
     """A write bigger than the limit proceeds; the writer sleeps after."""
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=8 * KB)
+    throttle = WriteThrottle(eng, limit=8 * KB, stats=StatSet())
     reached = []
 
     def writer():
@@ -76,7 +76,7 @@ def test_throttle_single_large_write_overshoots_then_blocks():
 
 def test_throttle_disabled_is_free():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=0)
+    throttle = WriteThrottle(eng, limit=0, stats=StatSet())
 
     def writer():
         yield from charge(throttle, 10**9)
@@ -89,7 +89,7 @@ def test_throttle_disabled_is_free():
 
 def test_throttle_drain_waits_for_all_in_flight():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=16 * KB)
+    throttle = WriteThrottle(eng, limit=16 * KB, stats=StatSet())
     done = []
 
     def barrier():
@@ -113,7 +113,7 @@ def test_throttle_drain_waits_for_all_in_flight():
 
 def test_throttle_drain_returns_immediately_when_idle():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=16 * KB)
+    throttle = WriteThrottle(eng, limit=16 * KB, stats=StatSet())
 
     def barrier():
         yield from throttle.drain()
@@ -122,7 +122,7 @@ def test_throttle_drain_returns_immediately_when_idle():
     assert eng.run_process(barrier()) == 0
 
     # Disabled throttles never hold anything to drain.
-    free = WriteThrottle(eng, limit=0)
+    free = WriteThrottle(eng, limit=0, stats=StatSet())
 
     def barrier_free():
         yield from free.drain()
@@ -135,7 +135,7 @@ def test_throttle_error_path_credit_unblocks_drain():
     """Failed write-behind must credit too, or drain would wedge forever —
     the release-on-error contract the NFS client's _push_one relies on."""
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=8 * KB)
+    throttle = WriteThrottle(eng, limit=8 * KB, stats=StatSet())
     done = []
 
     def failing_write():
@@ -162,7 +162,7 @@ def test_throttle_error_path_credit_unblocks_drain():
 
 def test_throttle_overcredit_detected():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=8 * KB)
+    throttle = WriteThrottle(eng, limit=8 * KB, stats=StatSet())
     with pytest.raises(RuntimeError):
         throttle.credit(1)
 
@@ -170,8 +170,8 @@ def test_throttle_overcredit_detected():
 def test_throttle_validation():
     eng = Engine()
     with pytest.raises(ValueError):
-        WriteThrottle(eng, limit=-1)
-    throttle = WriteThrottle(eng, limit=KB)
+        WriteThrottle(eng, limit=-1, stats=StatSet())
+    throttle = WriteThrottle(eng, limit=KB, stats=StatSet())
     with pytest.raises(ValueError):
         throttle.take(-1)
     with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ def test_throttle_validation():
 
 def test_throttle_in_flight_accounting():
     eng = Engine()
-    throttle = WriteThrottle(eng, limit=240 * KB)
+    throttle = WriteThrottle(eng, limit=240 * KB, stats=StatSet())
 
     def writer():
         yield from charge(throttle, 100 * KB)

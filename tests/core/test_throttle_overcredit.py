@@ -10,13 +10,14 @@ the offending request's span tree.
 import pytest
 
 from repro.core import WriteThrottle
-from repro.sim import Engine, SanitizerError, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Engine, SanitizerError, StatSet, Tracer
 from repro.sim.request import RequestRegistry
 
 
 def test_over_credit_raises_sanitizer_error():
     eng = Engine()
-    throttle = WriteThrottle(eng, 8192, owner="inode 42")
+    throttle = WriteThrottle(eng, 8192, StatSet(), owner="inode 42")
     throttle.take(4096)
     throttle.credit(4096)
     with pytest.raises(SanitizerError) as exc:
@@ -28,7 +29,7 @@ def test_over_credit_raises_sanitizer_error():
 
 def test_over_credit_names_the_source():
     eng = Engine()
-    throttle = WriteThrottle(eng, 8192, owner="inode 7")
+    throttle = WriteThrottle(eng, 8192, StatSet(), owner="inode 7")
 
     class FakeBuf:
         request = None
@@ -43,7 +44,7 @@ def test_over_credit_names_the_source():
 def test_over_credit_attaches_request_span_tree():
     eng = Engine()
     tracer = Tracer(eng, enabled=True)
-    registry = RequestRegistry(eng, tracer)
+    registry = RequestRegistry(eng, MetricsRegistry(eng), tracer)
     req = registry.start("write", fd=3)
 
     class FakeBuf:
@@ -53,7 +54,7 @@ def test_over_credit_attaches_request_span_tree():
         def __repr__(self):
             return "<Buf#100>"
 
-    throttle = WriteThrottle(eng, 8192, owner="inode 9")
+    throttle = WriteThrottle(eng, 8192, StatSet(), owner="inode 9")
     with pytest.raises(SanitizerError) as exc:
         throttle.credit(64, source=FakeBuf(req))
     assert exc.value.span_tree is not None
@@ -64,13 +65,13 @@ def test_over_credit_attaches_request_span_tree():
 
 def test_disabled_throttle_cannot_over_credit():
     eng = Engine()
-    throttle = WriteThrottle(eng, 0)
+    throttle = WriteThrottle(eng, 0, StatSet())
     throttle.credit(1 << 20)  # no limit, no claim, no error
 
 
 def test_balanced_take_credit_round_trip():
     eng = Engine()
-    throttle = WriteThrottle(eng, 8192, owner="inode 1")
+    throttle = WriteThrottle(eng, 8192, StatSet(), owner="inode 1")
     throttle.take(8192)
     assert throttle.in_flight == 8192
     throttle.credit(8192)

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cpu import CostTable, Cpu
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine, Interrupt
 from repro.units import MB, US
 
 
 def test_work_advances_time_and_ledger():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
 
     def proc():
         yield from cpu.work("getpage", 300 * US)
@@ -25,7 +26,7 @@ def test_work_advances_time_and_ledger():
 
 def test_zero_work_is_free_and_nonblocking():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
 
     def proc():
         yield from cpu.work("noop", 0.0)
@@ -37,14 +38,14 @@ def test_zero_work_is_free_and_nonblocking():
 
 def test_negative_work_rejected():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
     with pytest.raises(ValueError):
         list(cpu.work("bad", -1.0))
 
 
 def test_cpu_contention_serializes():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
     finish = {}
 
     def user(tag):
@@ -60,7 +61,7 @@ def test_cpu_contention_serializes():
 
 def test_interrupt_while_queued_for_the_cpu_leaves_it_usable():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
     finish = {}
 
     def user(tag, arrive):
@@ -83,7 +84,7 @@ def test_interrupt_while_queued_for_the_cpu_leaves_it_usable():
 def test_copy_uses_bandwidth():
     eng = Engine()
     costs = CostTable(copy_bandwidth=8 * MB)
-    cpu = Cpu(eng, costs)
+    cpu = Cpu(eng, MetricsRegistry(eng), costs)
 
     def proc():
         yield from cpu.copy("copyout", 8 * MB)
@@ -95,7 +96,7 @@ def test_copy_uses_bandwidth():
 
 def test_interrupt_charge_accounts_without_blocking():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
     delay = cpu.interrupt_charge("intr", 180 * US)
     assert delay == pytest.approx(180 * US)
     assert cpu.ledger["intr"] == pytest.approx(180 * US)
@@ -107,7 +108,7 @@ def test_cost_table_free_is_zero():
     assert free.fault == 0
     assert free.copy_cost(10 * MB) == 0
     eng = Engine()
-    cpu = Cpu(eng, free)
+    cpu = Cpu(eng, MetricsRegistry(eng), free)
 
     def proc():
         yield from cpu.work("fault", free.fault)
@@ -124,7 +125,7 @@ def test_copy_cost_validation():
 
 def test_breakdown_and_reset():
     eng = Engine()
-    cpu = Cpu(eng)
+    cpu = Cpu(eng, MetricsRegistry(eng))
 
     def proc():
         yield from cpu.work("a", 1.0)

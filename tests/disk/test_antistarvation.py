@@ -4,6 +4,7 @@ from repro.disk import (
     Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, ElevatorScheduler,
     RotationalDisk,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 
 MAX_PASSES = ElevatorScheduler.MAX_PASSES
@@ -77,8 +78,9 @@ def test_no_passes_without_skipping():
 def test_queue_bytes_tracks_pinned_memory():
     eng = Engine()
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(eng, geom)
-    driver = DiskDriver(eng, disk)
+    metrics = MetricsRegistry(eng)
+    disk = RotationalDisk(eng, metrics, "disk.mech", geom)
+    driver = DiskDriver(eng, metrics, "disk.driver", disk)
     for sector in (8, 40, 100):
         driver.strategy(wbuf(eng, sector, nsectors=4))
     assert driver.queue_bytes.value == 3 * 4 * 512

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.disk import Buf, BufOp, DiskGeometry, RotationalDisk
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.units import MB
 
@@ -12,7 +13,8 @@ def make_disk(engine, track_buffer=True, **kwargs):
         cylinders=20, heads=2, sectors_per_track=16,
         track_skew=2, cyl_skew=4,
     )
-    return RotationalDisk(engine, geom, track_buffer=track_buffer, **kwargs)
+    return RotationalDisk(engine, MetricsRegistry(engine), "disk.mech", geom,
+                          track_buffer=track_buffer, **kwargs)
 
 
 def service(engine, disk, buf):
@@ -193,7 +195,7 @@ def test_sequential_streaming_approaches_media_rate():
     should sustain close to the media rate (the clustering win)."""
     eng = Engine()
     geom = DiskGeometry.ibm_400mb()
-    disk = RotationalDisk(eng, geom)
+    disk = RotationalDisk(eng, MetricsRegistry(eng), "disk.mech", geom)
     total_sectors = 240 * 8  # 8 clusters of 120 KB
 
     def workload():

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.disk import Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, RotationalDisk
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.units import KB
 
 
 def make_stack(engine, **driver_kwargs):
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom)
-    driver = DiskDriver(engine, disk, **driver_kwargs)
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom)
+    driver = DiskDriver(engine, metrics, "disk.driver", disk, **driver_kwargs)
     return disk, driver
 
 
@@ -196,9 +198,10 @@ def test_interrupt_charged_on_completion():
 
     eng = Engine()
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(eng, geom)
-    cpu = Cpu(eng)
-    driver = DiskDriver(eng, disk, cpu=cpu)
+    metrics = MetricsRegistry(eng)
+    disk = RotationalDisk(eng, metrics, "disk.mech", geom)
+    cpu = Cpu(eng, metrics)
+    driver = DiskDriver(eng, metrics, "disk.driver", disk, cpu=cpu)
     driver.strategy(wbuf(eng, 8, async_=True))
     eng.run()
     assert cpu.ledger["interrupt"] == pytest.approx(cpu.costs.interrupt)

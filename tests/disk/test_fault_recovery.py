@@ -3,14 +3,16 @@
 from repro.disk import Buf, BufOp, DiskDriver, DiskGeometry, DiskQueue, RotationalDisk
 from repro.errors import MemberDeadError, TransientDiskError
 from repro.faults import FaultPlan
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.sim.events import EventFailed
 
 
 def make_stack(engine, plan=None, **driver_kwargs):
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom, fault_plan=plan)
-    driver = DiskDriver(engine, disk, **driver_kwargs)
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom, fault_plan=plan)
+    driver = DiskDriver(engine, metrics, "disk.driver", disk, **driver_kwargs)
     return disk, driver
 
 

@@ -17,6 +17,7 @@ from repro.disk.disk import RotationalDisk
 from repro.disk.volume import build_volume
 from repro.faults.crashpoints import CrashpointExplorer
 from repro.kernel.config import SystemConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.units import KB
 
@@ -33,10 +34,10 @@ OPS = st.lists(st.one_of(
 @given(layout=st.sampled_from(["single", "mirror:2", "stripe:2:chunk=4k"]),
        ops=OPS)
 def test_shared_journal_replays_each_member(layout, ops):
-    vol = build_volume(Engine(), SystemConfig(
+    engine = Engine()
+    vol = build_volume(engine, MetricsRegistry(engine), SystemConfig(
         layout=layout, geometry=SMALL, write_cache=True,
         write_cache_bytes=4 * KB))
-    engine = vol.members[0].disk.engine
     journal: list = []
     for member in vol.members:
         member.disk.journal = journal

@@ -21,6 +21,7 @@ from repro.errors import InvalidArgumentError
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.units import KB
 
@@ -99,7 +100,8 @@ def test_spec_describe_parses_back_to_the_same_spec(spec):
 
 def _volume(layout, **cfg_kw):
     cfg = SystemConfig(layout=layout, **cfg_kw)
-    return build_volume(Engine(), cfg)
+    engine = Engine()
+    return build_volume(engine, MetricsRegistry(engine), cfg)
 
 
 @pytest.mark.parametrize("layout", [

@@ -19,6 +19,7 @@ from repro.disk import Buf, BufOp, DiskGeometry, DiskStore
 from repro.disk.volume import VolumeSpec, build_volume
 from repro.kernel.config import SystemConfig
 from repro.kernel.system import System
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.units import KB, SECTOR_SIZE
 
@@ -30,7 +31,9 @@ LAYOUTS = (["concat:2", "mirror:2", "mirror:3"]
 
 
 def _volume(layout):
-    return build_volume(Engine(), SystemConfig(layout=layout, geometry=SMALL))
+    engine = Engine()
+    return build_volume(engine, MetricsRegistry(engine),
+                        SystemConfig(layout=layout, geometry=SMALL))
 
 
 @st.composite

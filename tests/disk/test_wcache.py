@@ -8,6 +8,7 @@ from repro.disk.store import DiskStore
 from repro.disk.wcache import VolatileWriteCache
 from repro.errors import MemberDeadError
 from repro.faults import FaultPlan
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 
 
@@ -22,13 +23,15 @@ def wbuf(engine, sector, nsectors=1, fill=0xAA, **kw):
 def make_cache(limit_bytes=4 * SS, sectors=64):
     engine = Engine()
     store = DiskStore(sectors, SS)
-    return engine, store, VolatileWriteCache(store, limit_bytes)
+    return engine, store, VolatileWriteCache(
+        MetricsRegistry(engine), "disk.wcache", store, limit_bytes)
 
 
 def test_limit_must_be_positive():
     store = DiskStore(8, SS)
     with pytest.raises(ValueError):
-        VolatileWriteCache(store, 0)
+        VolatileWriteCache(MetricsRegistry(Engine()), "disk.wcache",
+                           store, 0)
 
 
 def test_write_is_volatile_until_destaged():
@@ -101,8 +104,10 @@ def test_journal_records_every_event_kind():
     engine = Engine()
     geom = DiskGeometry.uniform(cylinders=20, heads=2, sectors_per_track=16)
     store = DiskStore(geom.total_sectors, SS)
-    disk = RotationalDisk(engine, geom, store,
-                          write_cache=VolatileWriteCache(store, 4 * SS))
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom, store,
+                          write_cache=VolatileWriteCache(
+                              metrics, "disk.wcache", store, 4 * SS))
     disk.journal = []
 
     def service(buf):

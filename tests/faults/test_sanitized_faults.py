@@ -14,6 +14,7 @@ from repro.disk import Buf, BufOp, DiskDriver, DiskGeometry, RotationalDisk
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.kernel import Proc, System, SystemConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine, SimulationError
 from repro.units import KB
 
@@ -104,8 +105,9 @@ def test_memory_wait_span_closes_on_teardown():
 
     eng = Engine()
     tracer = Tracer(eng, enabled=True)
-    registry = RequestRegistry(eng, tracer)
-    pc = PageCache(eng, 64 * KB, page_size=8 * KB)
+    metrics = MetricsRegistry(eng)
+    registry = RequestRegistry(eng, metrics, tracer)
+    pc = PageCache(eng, metrics, 64 * KB, page_size=8 * KB)
 
     class VN:
         vnode_id = 1
@@ -124,8 +126,9 @@ def test_memory_wait_span_closes_on_teardown():
 
 def driver_stack(engine, plan=None, **kw):
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom, fault_plan=plan)
-    return disk, DiskDriver(engine, disk, **kw)
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom, fault_plan=plan)
+    return disk, DiskDriver(engine, metrics, "disk.driver", disk, **kw)
 
 
 def test_split_retry_settles_every_issued_buf():

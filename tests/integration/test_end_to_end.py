@@ -117,7 +117,7 @@ def test_remount_after_sync_preserves_tree():
     system.sync()
     assert fsck(system.store).clean
 
-    mount2 = UfsMount(system.engine, system.cpu, system.driver,
+    mount2 = UfsMount(system.engine, system.metrics, system.cpu, system.driver,
                       system.pagecache, tuning=system.config.tuning)
 
     def verify():

@@ -3,6 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.units import KB
 from repro.vm import PageCache
@@ -57,7 +58,8 @@ def test_pagecache_frame_conservation(ops):
     Three vnodes share eight frames, so allocations steal identities
     across vnodes."""
     engine = Engine()
-    cache = PageCache(engine, memory_bytes=8 * 8 * KB, page_size=8 * KB)
+    cache = PageCache(engine, MetricsRegistry(engine),
+                      memory_bytes=8 * 8 * KB, page_size=8 * KB)
     vnodes = [_StubVnode() for _ in range(3)]
     live: dict[tuple[int, int], object] = {}  # (vnode, offset) -> page in use
 
@@ -140,9 +142,11 @@ def test_metacache_matches_disk_model(ops):
 
     engine = Engine()
     geom = DiskGeometry.uniform(cylinders=40, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom)
-    cpu = Cpu(engine, CostTable.free())
-    cache = MetaCache(engine, DiskDriver(engine, disk, cpu=cpu), cpu,
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom)
+    cpu = Cpu(engine, metrics, CostTable.free())
+    driver = DiskDriver(engine, metrics, "disk.driver", disk, cpu=cpu)
+    cache = MetaCache(engine, metrics, "ufs.metacache", driver, cpu,
                       bsize=8192, frag_sectors=2, capacity=4)
     addrs = [8 + k * 8 for k in range(12)]  # block aligned, 8 frags apart
     model: dict[int, bytes] = {}  # block addr -> latest content

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import (AllOf, AnyOf, Engine, Event, EventFailed, Interrupt,
                        Resource, Semaphore, Signal, Timeout)
 
@@ -129,7 +130,8 @@ class World:
         self.eng = eng
         self.log = []
         self.resources = [make_resource(eng, capacity=1), make_resource(eng, capacity=2)]
-        self.cpus = [Cpu(eng), Cpu(eng)]
+        self.cpus = [Cpu(eng, MetricsRegistry(eng)),
+                     Cpu(eng, MetricsRegistry(eng))]
         for cpu, capacity in zip(self.cpus, (1, 2)):
             cpu.resource = make_resource(eng, capacity=capacity, name="cpu")
         self.sems = [Semaphore(eng, 0), Semaphore(eng, 1)]
@@ -417,7 +419,7 @@ def test_charge_behind_a_wakeup_it_posted_keeps_its_acquire_hop():
 def test_uncontended_charge_is_one_step_contended_two_and_fifo():
     def charges(users, each):
         def scenario(eng, note):
-            cpu = Cpu(eng)
+            cpu = Cpu(eng, MetricsRegistry(eng))
             cpu.resource = make_resource(eng, capacity=1, name="cpu")
 
             def user(tag):
@@ -637,7 +639,7 @@ def test_negative_duration_raises_at_the_call():
     with pytest.raises(ValueError, match="duration must be >= 0"):
         res.use(-1)  # not iterated: use() is not a generator
     with pytest.raises(ValueError, match="must be >= 0"):
-        Cpu(eng).work("bad", -1)
+        Cpu(eng, MetricsRegistry(eng)).work("bad", -1)
     assert (eng.now, res.service_count, res.in_use) == (0, 0, 0)
     assert not eng._heap
 

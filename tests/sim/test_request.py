@@ -8,7 +8,7 @@ from repro.sim import Engine, IORequest, RequestRegistry, Tracer
 def make_registry(enabled=False):
     eng = Engine()
     tracer = Tracer(eng, enabled=enabled)
-    return eng, tracer, RequestRegistry(eng, tracer)
+    return eng, tracer, RequestRegistry(eng, MetricsRegistry(eng), tracer)
 
 
 def test_request_without_tracing_has_no_spans():
@@ -93,7 +93,9 @@ def test_complete_is_idempotent():
 
 
 def test_registry_latency_histograms_per_kind():
-    eng, _, registry = make_registry()
+    eng = Engine()
+    metrics = MetricsRegistry(eng)
+    registry = RequestRegistry(eng, metrics)
 
     def proc():
         r1 = registry.start("read")
@@ -104,8 +106,6 @@ def test_registry_latency_histograms_per_kind():
         r2.complete()
 
     eng.run_process(proc())
-    metrics = MetricsRegistry(eng)
-    registry.register_metrics(metrics)
     snap = metrics.snapshot()
     assert snap["requests"]["started"] == 2
     assert snap["requests"]["read_started"] == 1

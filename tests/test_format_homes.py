@@ -35,11 +35,24 @@ and a committed cell (the boot's checks) moved with the environment.
 ``REPRO_SANITIZE`` named outside ``sim/invariants.py``, or a
 ``.sanitizer.enabled`` assigned anywhere in the package, is how that
 would start again.
+
+A fourth: every instrument is born in its machine's registry.  While
+each layer built ``StatSet("pagecache")`` and a ``register_metrics``
+method named it again as ``vm.pagecache``, a namespace was written
+twice, ``System`` glued eight such methods together, two special cases
+disagreed about a second mount or scrubber, and the pageout daemon's
+counters reached no snapshot.  A ``def register_metrics``, or a
+``StatSet(`` / ``TimeWeighted(`` / ``Histogram(`` called outside the
+registry, ``Histogram.since``, the per-kind latency histograms and the
+modules of ``tests/obs/test_metrics.py``'s ``DARK`` table, is how that
+would start again.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from tests.obs.test_metrics import DARK
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 FORMAT_HOMES = {"ufs/ondisk.py", "s5fs/ondisk.py", "integrity/checksum.py"}
@@ -204,6 +217,30 @@ def test_the_sanitizer_switch_is_read_only_where_machines_are_born():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _instrument_births(tree):
+    """Every ``def register_metrics`` and every ``StatSet(`` /
+    ``TimeWeighted(`` / ``Histogram(`` call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name == "register_metrics"):
+            yield f"line {node.lineno}: def register_metrics"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("StatSet", "TimeWeighted", "Histogram")):
+            yield f"line {node.lineno}: {node.func.id}("
+
+
+def test_every_instrument_is_born_in_the_registry():
+    dark = {entry.split(":")[0] for entry in DARK}
+    allowed = {"obs/metrics.py": ("StatSet(", "TimeWeighted(", "Histogram("),
+               "sim/stats.py": ("Histogram(",),  # Histogram.since
+               "sim/request.py": ("Histogram(",),  # per-kind latencies
+               **{name: ("StatSet(",) for name in dark}}
+    found = {name: [hit for hit in _instrument_births(tree)
+                    if not hit.endswith(allowed.get(name, ()))]
+             for name, tree in _modules()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_the_book_guards_see_each_construct():
     for guard, text in (
             (_ufs_imports, "import repro.ufs.mount"),
@@ -217,8 +254,14 @@ def test_the_book_guards_see_each_construct():
             (_ufs_type_tests, "isinstance(m, (S5FileSystem, ufs.UfsMount))"),
             (_switch_uses, "os.environ.get('REPRO_SANITIZE')"),
             (_switch_uses, "system.sanitizer.enabled = flag"),
-            (_switch_uses, "self.system.sanitizer.enabled |= True")):
+            (_switch_uses, "self.system.sanitizer.enabled |= True"),
+            (_instrument_births, "def register_metrics(self, registry): pass"),
+            (_instrument_births, "self.stats = StatSet('pagecache')"),
+            (_instrument_births, "self.depth = TimeWeighted(engine, 0)"),
+            (_instrument_births, "wait = Histogram('wait')")):
         assert list(guard(ast.parse(text))), text
     assert not list(_foreign_privates(ast.parse("self._x, a.__class__")))
     assert not list(_ufs_imports(ast.parse("from repro.ufsx import y")))
     assert not list(_page_frame_reads(ast.parse("self.frames[0]")))
+    assert not list(_instrument_births(ast.parse(
+        "self.stats = metrics.counters('vm.pagecache')")))

@@ -74,9 +74,8 @@ PINNED = {
         "vm/pageout.py:PageoutParams": "scan_batch breath hysteresis",
     },
     "(e) an argument of an interface only tests call: the value an event "
-    "carries, a syscall's own argument, a gauge's starting value": {
+    "carries, a syscall's own argument": {
         "kernel/syscalls.py:Proc.mmap": "offset writable",
-        "obs/metrics.py:MetricsRegistry.gauge": "initial",
         "sim/engine.py:Engine.every": "daemon",
         "sim/engine.py:Engine.schedule": "arg",
         "sim/engine.py:Engine.timeout": "value",

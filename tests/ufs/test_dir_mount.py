@@ -200,7 +200,7 @@ def test_sync_persists_across_remount(system, proc):
 
     from repro.ufs.mount import UfsMount
 
-    mount2 = UfsMount(system.engine, system.cpu, system.driver,
+    mount2 = UfsMount(system.engine, system.metrics, system.cpu, system.driver,
                       system.pagecache, tuning=system.config.tuning)
 
     def verify():

@@ -87,7 +87,7 @@ def test_holes_flag_recomputed_from_di_blocks_on_load():
 
     from repro.ufs.mount import UfsMount
 
-    mount2 = UfsMount(system.engine, system.cpu, system.driver,
+    mount2 = UfsMount(system.engine, system.metrics, system.cpu, system.driver,
                       system.pagecache, tuning=system.config.tuning)
 
     def reload():

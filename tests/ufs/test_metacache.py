@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import CostTable, Cpu
 from repro.disk import DiskDriver, DiskGeometry, RotationalDisk
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.ufs.metacache import MetaCache
 
@@ -12,11 +13,12 @@ from repro.ufs.metacache import MetaCache
 def stack():
     engine = Engine()
     geom = DiskGeometry.uniform(cylinders=50, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom)
-    cpu = Cpu(engine, CostTable.free())
-    driver = DiskDriver(engine, disk, cpu=cpu)
-    cache = MetaCache(engine, driver, cpu, bsize=8192, frag_sectors=2,
-                      capacity=4)
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom)
+    cpu = Cpu(engine, metrics, CostTable.free())
+    driver = DiskDriver(engine, metrics, "disk.driver", disk, cpu=cpu)
+    cache = MetaCache(engine, metrics, "ufs.metacache", driver, cpu,
+                      bsize=8192, frag_sectors=2, capacity=4)
     return engine, disk, cache
 
 
@@ -152,7 +154,8 @@ def test_bdwrite_requires_cached_buffer(stack):
 def test_capacity_validation(stack):
     engine, disk, cache = stack
     with pytest.raises(ValueError):
-        MetaCache(engine, None, None, 8192, 2, capacity=0)
+        MetaCache(engine, MetricsRegistry(engine), "ufs.metacache", None,
+                  None, 8192, 2, capacity=0)
 
 
 def test_peek_sees_without_touching(stack):

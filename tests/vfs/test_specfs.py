@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import CostTable, Cpu
 from repro.disk import DiskDriver, DiskGeometry, RotationalDisk
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.vfs import PutFlags, RW, RawDiskVnode
 
@@ -12,9 +13,10 @@ from repro.vfs import PutFlags, RW, RawDiskVnode
 def raw():
     engine = Engine()
     geom = DiskGeometry.uniform(cylinders=40, heads=2, sectors_per_track=16)
-    disk = RotationalDisk(engine, geom)
-    cpu = Cpu(engine, CostTable.free())
-    driver = DiskDriver(engine, disk, cpu=cpu)
+    metrics = MetricsRegistry(engine)
+    disk = RotationalDisk(engine, metrics, "disk.mech", geom)
+    cpu = Cpu(engine, metrics, CostTable.free())
+    driver = DiskDriver(engine, metrics, "disk.driver", disk, cpu=cpu)
     return engine, disk, RawDiskVnode(engine, driver, cpu)
 
 

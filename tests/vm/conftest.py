@@ -46,10 +46,12 @@ def engine():
 
 @pytest.fixture
 def cache(engine):
+    from repro.obs.metrics import MetricsRegistry
     from repro.units import KB
     from repro.vm import PageCache
 
-    return PageCache(engine, memory_bytes=64 * 8 * KB, page_size=8 * KB)
+    return PageCache(engine, MetricsRegistry(engine),
+                     memory_bytes=64 * 8 * KB, page_size=8 * KB)
 
 
 @pytest.fixture

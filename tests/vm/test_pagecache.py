@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.units import KB
 from repro.vm import PageCache
 
@@ -17,16 +18,18 @@ def fill_page(cache, vnode, offset, value=b"\xaa"):
 
 def test_construction_validation(engine):
     with pytest.raises(ValueError):
-        PageCache(engine, memory_bytes=0)
+        PageCache(engine, MetricsRegistry(engine), memory_bytes=0)
     with pytest.raises(ValueError):
-        PageCache(engine, memory_bytes=100, page_size=64)  # not a multiple
+        PageCache(engine, MetricsRegistry(engine), memory_bytes=100,
+                  page_size=64)  # not a multiple
     with pytest.raises(ValueError):
-        PageCache(engine, memory_bytes=64 * 8 * KB, page_size=8 * KB,
-                  reserved_pages=64)
+        PageCache(engine, MetricsRegistry(engine), memory_bytes=64 * 8 * KB,
+                  page_size=8 * KB, reserved_pages=64)
 
 
 def test_reserved_pages_shrink_pool(engine):
-    cache = PageCache(engine, memory_bytes=64 * 8 * KB, page_size=8 * KB,
+    cache = PageCache(engine, MetricsRegistry(engine),
+                      memory_bytes=64 * 8 * KB, page_size=8 * KB,
                       reserved_pages=16)
     assert cache.total_pages == 48
     assert cache.freemem == 48
@@ -192,7 +195,8 @@ def test_dirty_pages_listing(cache, vnode):
 
 
 def test_low_water_fires_low_memory(engine, vnode):
-    cache = PageCache(engine, memory_bytes=8 * 8 * KB, page_size=8 * KB)
+    cache = PageCache(engine, MetricsRegistry(engine),
+                      memory_bytes=8 * 8 * KB, page_size=8 * KB)
     cache.low_water = 6
     fired = []
 
@@ -239,7 +243,8 @@ def test_vnode_leaves_the_index_with_its_last_page(cache, vnode):
 
 
 def test_stolen_identity_leaves_the_index(engine, vnode):
-    small = PageCache(engine, memory_bytes=2 * 8 * KB, page_size=8 * KB)
+    small = PageCache(engine, MetricsRegistry(engine),
+                      memory_bytes=2 * 8 * KB, page_size=8 * KB)
     other = type(vnode)(small)
     for offset in (0, 8 * KB):
         small.free(fill_page(small, vnode, offset))

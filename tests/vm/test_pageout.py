@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import CostTable, Cpu
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.request import RequestRegistry
 from repro.units import KB
 from repro.vm import PageCache, PageoutDaemon, PageoutParams
@@ -11,12 +12,15 @@ from repro.vm import PageCache, PageoutDaemon, PageoutParams
 def make_vm(engine, pages=32, lotsfree=8, handspread=16, free_cpu=True):
     from .conftest import FakeVnode
 
-    cache = PageCache(engine, memory_bytes=pages * 8 * KB, page_size=8 * KB)
+    metrics = MetricsRegistry(engine)
+    cache = PageCache(engine, metrics, memory_bytes=pages * 8 * KB,
+                      page_size=8 * KB)
     costs = CostTable.free() if free_cpu else CostTable()
-    cpu = Cpu(engine, costs)
+    cpu = Cpu(engine, metrics, costs)
     params = PageoutParams(lotsfree=lotsfree, handspread=handspread,
                            scan_batch=16, breath=0.001)
-    daemon = PageoutDaemon(engine, cache, cpu, params, RequestRegistry(engine))
+    daemon = PageoutDaemon(engine, cache, cpu, params,
+                           RequestRegistry(engine, metrics))
     # The vnode must share the daemon's cache, or its putpage frees nothing.
     vnode = FakeVnode(cache)
     return cache, cpu, daemon, vnode
@@ -103,11 +107,13 @@ def test_handspread_validation(engine):
     from repro.sim import Engine
 
     eng = Engine()
-    cache = PageCache(eng, memory_bytes=16 * 8 * KB, page_size=8 * KB)
-    cpu = Cpu(eng, CostTable.free())
+    metrics = MetricsRegistry(eng)
+    cache = PageCache(eng, metrics, memory_bytes=16 * 8 * KB,
+                      page_size=8 * KB)
+    cpu = Cpu(eng, metrics, CostTable.free())
     with pytest.raises(ValueError):
         PageoutDaemon(eng, cache, cpu, PageoutParams(lotsfree=4, handspread=16),
-                      RequestRegistry(eng))
+                      RequestRegistry(eng, metrics))
 
 
 def test_for_memory_defaults():
