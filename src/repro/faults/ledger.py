@@ -10,6 +10,9 @@ et al., "All File Systems Are Not Created Equal", OSDI 2014):
 * ``write`` / ``pwrite``: a *dirty* event with the file's new bytes,
   recorded *before* the write issues — from then on any sector of the new
   version may legally reach the platter;
+* ``creat`` of a file that holds bytes: a *dirty* event with ``b""``,
+  recorded *before* the truncate issues — from then on the old bytes and
+  none at all are both legal, until the next promise;
 * an fsync return, or an O_SYNC write return: a *promise* of the path's
   current bytes;
 * ``unlink``: *begin* before the call, *end* after it; ``rename``: the
@@ -24,7 +27,8 @@ into the contract in effect there, and :func:`check` reads every slot back
 through a process on the machine that came back:
 
 * ``missing``: a promised file resolves under none of its names;
-* ``short``: it holds fewer bytes than promised;
+* ``short``: it holds fewer bytes than promised, or, when it was
+  truncated since, than the shortest version since;
 * ``wrong_bytes``: a sector matches neither the promised bytes nor any
   later dirty version — bytes past the promised end included;
 * ``not_removed``: a path whose unlink completed (and, see ``certain``,
@@ -102,6 +106,13 @@ class Ledger:
             cur.extend(bytes(offset - len(cur)))
         cur[offset:offset + len(data)] = data
         self._add("dirty", path, bytes(cur))
+
+    def truncated(self, path: str) -> None:
+        cur = self._bytes.get(path)
+        if cur is None:
+            return
+        cur.clear()
+        self._add("dirty", path, b"")
 
     def synced(self, path: str) -> None:
         cur = self._bytes.get(path)
@@ -239,8 +250,11 @@ def _judge(path: str, slot: Slot, found: "str | None",
             return None
         return ("missing", f"{path}: no candidate of {slot.alts} survives")
     n = len(slot.promised)
-    if len(data) < n:
-        return ("short", f"{found}: size {len(data)} < promised {n} bytes")
+    # Writes only grow a file: a version shorter than the promise is a
+    # truncation, and the file may legally be that short.
+    floor = min([n, *map(len, slot.versions)])
+    if len(data) < floor:
+        return ("short", f"{found}: size {len(data)} < promised {floor} bytes")
     for off in range(0, len(data), SECTOR):
         got = data[off:off + SECTOR]
         allowed = [v[off:off + SECTOR][:len(got)]

@@ -4,6 +4,7 @@ A :class:`Proc` owns a file-descriptor table; its methods are generators
 (simulation processes) implementing open/creat/read/write/lseek/close/
 fsync/unlink/mkdir plus an mmap-style ``mmap_read`` that drives the fault
 path without copyout (the paper's figure 12 benchmark interface).
+``creat`` truncates an existing file through ``Vnode.truncate``.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class Proc:
     which must not change, passes it.
 
     ``ledger`` (a :class:`~repro.faults.ledger.Ledger`) records what the
-    process was promised where each syscall returns: writes, fsync and
-    O_SYNC returns, unlinks and renames.
+    process was promised where each syscall returns: writes, a ``creat``'s
+    truncation, fsync and O_SYNC returns, unlinks and renames.
     """
 
     def __init__(self, system: "System", name: str = "proc", mount=None,
@@ -143,8 +144,22 @@ class Proc:
         self._files[fd] = _OpenFile(vnode, path, sync=sync)
         return fd
 
+    @_syscall
     def creat(self, path: str) -> Generator[Any, Any, int]:
-        return (yield from self.open(path, create=True))
+        """Open ``path``, emptied: a file it creates starts empty, and an
+        existing one that holds bytes is truncated through its vnode."""
+        fd = yield from self.open(path, create=True)
+        vnode = self._files[fd].vnode
+        if vnode.size:
+            if self.ledger is not None:
+                # Before the truncate issues, as a write's dirty version.
+                self.ledger.truncated(path)
+            try:
+                yield from vnode.truncate()
+            except BaseException:
+                del self._files[fd]
+                raise
+        return fd
 
     @_syscall
     def close(self, fd: int) -> Generator[Any, Any, None]:

@@ -547,6 +547,17 @@ class NfsVnode(Vnode):
             # slot would wedge this file at the limit forever.
             self.throttle.credit(self.mount.pagecache.page_size, source=self)
 
+    def truncate(self) -> Generator[Any, Any, None]:
+        """SETATTR size 0.  In-flight write-behind drains first, so no WRITE
+        of the old bytes lands on the server after the SETATTR; the cached
+        pages and the read-ahead prediction go with the bytes."""
+        self._raise_deferred()
+        yield from self.throttle.drain()
+        yield from self.mount.pagecache.vnode_discard(self)
+        self.readahead.reset()
+        yield from self.mount.rpc("SETATTR", handle=self.handle)
+        self.remote_size = 0
+
     def fsync(self, req: "Any | None" = None) -> Generator[Any, Any, None]:
         self._raise_deferred()
         # Let in-flight write-behind drain first: their failures belong to

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 RPC_HEADER = 128
 
 #: Ops whose execution mutates the file system (DRC accounting).
-MUTATING_OPS = frozenset({"create", "write", "remove"})
+MUTATING_OPS = frozenset({"create", "write", "setattr", "remove"})
 
 #: DRC sentinel: the original transmission is still executing.
 _IN_PROGRESS = object()
@@ -69,7 +69,8 @@ class RpcReply:
 
 
 class NfsServer:
-    """Serves LOOKUP/GETATTR/READ/WRITE/CREATE/REMOVE/COMMIT on a UfsMount."""
+    """Serves LOOKUP/GETATTR/SETATTR/READ/WRITE/CREATE/REMOVE/COMMIT on a
+    UfsMount."""
 
     #: The nfsd pool's size.
     NFSD_THREADS = 2
@@ -184,6 +185,14 @@ class NfsServer:
     def _op_getattr(self, handle: int) -> Generator[Any, Any, RpcResult]:
         vn = yield from self.mount.iget(handle)
         return RpcResult(vn.size)
+
+    def _op_setattr(self, handle: int) -> Generator[Any, Any, RpcResult]:
+        """SETATTR with size 0 (RFC 1094 §2.2.3), the one attribute a client
+        sets: the file's own truncate, its inode written before the
+        reply."""
+        vn = yield from self.mount.iget(handle)
+        yield from vn.truncate()
+        return RpcResult(None)
 
     def _op_read(self, handle: int, offset: int, count: int
                  ) -> Generator[Any, Any, RpcResult]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import (
-    FileExistsError_, FileNotFoundError_, InvalidArgumentError, NoSpaceError,
+    FileExistsError_, FileNotFoundError_, InvalidArgumentError,
+    IsADirectoryError_, NoSpaceError,
 )
 from repro.s5fs.ondisk import (
     NICFREE, S5_BSIZE, S5_DINODE_SIZE, S5_DIRENT_SIZE, S5_MAGIC, S5_NADDR,
@@ -224,6 +225,13 @@ class S5Inode(Vnode):
 
     def fsync(self, req: Any | None = None) -> Generator[Any, Any, None]:
         yield from self.fs.sync()
+
+    def truncate(self) -> Generator[Any, Any, None]:
+        """Free every block, then write the inode (delayed, as rdwr does)."""
+        if self.vtype is VnodeType.DIRECTORY:
+            raise IsADirectoryError_("the root directory")
+        yield from self.fs.itrunc(self)
+        yield from self.fs.iput(self)
 
 
 class S5FileSystem(Vfs):
@@ -447,11 +455,16 @@ class S5FileSystem(Vfs):
         buf, off, ino = found
         set_s5_dirent_ino(buf.data, off, 0)
         yield from self.cache.bwrite(buf)
-        yield from self._truncate_and_free(ino)
+        ip = yield from self.iget(ino)
+        yield from self.itrunc(ip)
+        ip.mode = ip.nlink = 0
+        yield from self.iput(ip)
+        del self._icache[ino]
         self.stats.incr("unlinks")
 
-    def _truncate_and_free(self, ino: int) -> Generator[Any, Any, None]:
-        ip = yield from self.iget(ino)
+    def itrunc(self, ip: S5Inode) -> Generator[Any, Any, None]:
+        """Free every block of ``ip`` onto the free list and leave it empty,
+        unwritten: the walk truncation and unlink share."""
         nblocks = (ip.size + self.sb.bsize - 1) // self.sb.bsize
         for lbn in range(nblocks):
             blk = yield from self.bmap(ip, lbn)
@@ -469,12 +482,8 @@ class S5FileSystem(Vfs):
                             yield from self.free_block(inner)
                 self.cache.drop(ip.addrs[slot])
                 yield from self.free_block(ip.addrs[slot])
-        ip.mode = 0
-        ip.nlink = 0
         ip.size = 0
         ip.addrs = [0] * S5_NADDR
-        yield from self.iput(ip)
-        del self._icache[ino]
 
     def sync(self) -> Generator[Any, Any, None]:
         for ip in list(self._icache.values()):

@@ -16,7 +16,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import InvalidArgumentError
-from repro.ufs.ondisk import NDADDR, get_ptr, iter_ptrs, lbn_path, set_ptr
+from repro.ufs.ondisk import (
+    NDADDR, get_ptr, is_fast_symlink, iter_ptrs, lbn_path, set_ptr,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ufs.inode import Inode
@@ -183,17 +185,20 @@ def truncate_blocks(mount: "UfsMount", ip: "Inode") -> Generator[Any, Any, int]:
     """Free every block of the file (truncate to zero); returns frags freed.
 
     Walks direct, indirect, and double-indirect pointers, returning data
-    blocks, pointer blocks, and the fragment tail to the allocator.
+    blocks, pointer blocks, and the fragment tail to the allocator.  A fast
+    symlink's pointer words are target bytes: they are cleared, not freed.
     """
     sb = mount.sb
     freed = 0
+    if is_fast_symlink(ip):
+        ip.direct, ip.indirect, ip.dindirect = [HOLE] * NDADDR, HOLE, HOLE
     last_lbn = (ip.size - 1) // sb.bsize if ip.size > 0 else -1
     for lbn in range(min(last_lbn + 1, NDADDR)):
         addr = ip.direct[lbn]
         if addr == HOLE:
             continue
         nfrags = ip.blksize(lbn) // sb.fsize
-        _forget_dir_block(mount, ip, addr)
+        _forget_meta_block(mount, ip, addr)
         mount.allocator.free_frags(ip, addr, nfrags)
         freed += nfrags
         ip.direct[lbn] = HOLE
@@ -209,12 +214,12 @@ def truncate_blocks(mount: "UfsMount", ip: "Inode") -> Generator[Any, Any, int]:
     return freed
 
 
-def _forget_dir_block(mount: "UfsMount", ip: "Inode", addr: int) -> None:
-    """A directory's blocks live in the buffer cache (a file's live in the
-    page cache, which the caller empties): a freed one must leave it, or
-    the block's next owner meets the dead buffer — ``install_new`` of a
-    new directory's block refuses a cached one."""
-    if ip.is_dir:
+def _forget_meta_block(mount: "UfsMount", ip: "Inode", addr: int) -> None:
+    """A directory's and a slow symlink's blocks live in the buffer cache
+    (a file's live in the page cache, which the caller empties): a freed
+    one must leave it, or the block's next owner meets the dead buffer —
+    ``install_new`` of a new directory's block refuses a cached one."""
+    if not ip.is_reg:
         mount.metacache.drop(addr)
 
 
@@ -229,7 +234,7 @@ def _free_pointer_block(mount: "UfsMount", ip: "Inode", addr: int, depth: int
         if depth > 1:
             freed += yield from _free_pointer_block(mount, ip, child, depth - 1)
         else:
-            _forget_dir_block(mount, ip, child)
+            _forget_meta_block(mount, ip, child)
             mount.allocator.free_frags(ip, child, sb.frag)
             freed += sb.frag
     mount.metacache.drop(addr)

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import CorruptionError, decode_name
 from repro.ufs.ondisk import (
-    DINODE_SIZE, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFMT, IFREG, ROOT_INO,
-    SBLOCK, SBLOCK_SECTORS, Dinode, Superblock, iter_dirents, resolve_lbn,
+    DINODE_SIZE, IFDIR, IFLNK, IFMT, IFREG, ROOT_INO, SBLOCK, SBLOCK_SECTORS,
+    Dinode, Superblock, is_fast_symlink, iter_dirents, resolve_lbn,
     unpack_fast_symlink,
 )
 
@@ -133,7 +133,7 @@ def ufsdump(store: "DiskStore") -> DumpArchive:
                 DumpEntry(prefix, "file", reader.read_file(din))
             )
         elif kind == IFLNK:
-            if din.size <= FAST_SYMLINK_MAX:
+            if is_fast_symlink(din):
                 target = unpack_fast_symlink(din)
             else:
                 target = reader._read_frags(din.direct[0], din.size)

@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
-    CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFMT,
-    IFREG, NDADDR, ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Dinode,
-    Superblock, differing_bits, empty_dirblock, iter_dinodes, iter_dirents,
-    iter_ptrs, max_lbn, pack_dirent, set_dirent_ino,
+    CG_MAGIC, DINODE_SIZE, DIRBLKSIZ, IFDIR, IFLNK, IFMT, IFREG, NDADDR,
+    ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Dinode, Superblock,
+    differing_bits, empty_dirblock, is_fast_symlink, iter_dinodes,
+    iter_dirents, iter_ptrs, max_lbn, pack_dirent, set_dirent_ino,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -150,7 +150,7 @@ class _Checker:
             self.actions.append(("clear_inode", ino))
             return
         if kind == IFLNK:
-            if din.size <= FAST_SYMLINK_MAX:
+            if is_fast_symlink(din):
                 # Fast symlink: the pointer words are target bytes.
                 if din.blocks != 0:
                     self.report.problem(

@@ -30,10 +30,10 @@ from repro.ufs.fsck import fsck
 from repro.ufs.inode import Inode
 from repro.ufs.metacache import MetaCache
 from repro.ufs.ondisk import (
-    DINODE_SIZE, Dinode, FAST_SYMLINK_MAX, IFDIR, IFLNK, IFREG, NDADDR,
-    ROOT_INO, SBLOCK, SBLOCK_SECTORS, CylinderGroup, Superblock,
-    dir_records, empty_dirblock, pack_dirent, DIRBLKSIZ, pack_fast_symlink,
-    resolve_lbn, unpack_fast_symlink,
+    DINODE_SIZE, Dinode, IFDIR, IFLNK, IFREG, NDADDR, ROOT_INO, SBLOCK,
+    SBLOCK_SECTORS, CylinderGroup, Superblock, dir_records, empty_dirblock,
+    is_fast_symlink, pack_dirent, DIRBLKSIZ, pack_fast_symlink, resolve_lbn,
+    unpack_fast_symlink,
 )
 from repro.ufs.vnode import UfsVnode
 from repro.vfs.vnode import StatFs, Vfs
@@ -328,16 +328,14 @@ class UfsMount(Vfs):
         ip = vn.inode
         encoded = target.encode()
         ip.size = len(encoded)
-        if len(encoded) <= FAST_SYMLINK_MAX:
+        if is_fast_symlink(ip):
             # Fast symlink: pack the target into the pointer words.
             ip.direct, ip.indirect, ip.dindirect = pack_fast_symlink(encoded)
             self.stats.incr("fast_symlinks")
         else:
             # Slow symlink: the target lives in a data block.
-            from repro.ufs import bmap as bmap_mod
-
             nfrags = max(1, -(-len(encoded) // self.sb.fsize))
-            addr = yield from bmap_mod.bmap_alloc(self, ip, 0, nfrags)
+            addr = yield from bmap.bmap_alloc(self, ip, 0, nfrags)
             meta = yield from self.metacache.install_new(
                 addr, encoded.ljust(self.sb.bsize, b"\x00"))
             yield from self.meta_write(meta)
@@ -351,7 +349,7 @@ class UfsMount(Vfs):
         if not ip.is_symlink:
             raise InvalidArgumentError("not a symlink")
         what = f"symlink target of inode {ip.ino}"
-        if ip.size <= FAST_SYMLINK_MAX:
+        if is_fast_symlink(ip):
             return decode_name(unpack_fast_symlink(ip), what)
         meta = yield from self.metacache.bread(ip.direct[0])
         return decode_name(bytes(meta.data[:ip.size]), what)
@@ -442,30 +440,31 @@ class UfsMount(Vfs):
         if ino is None:
             raise FileNotFoundError_(path)
         vn = yield from self.iget(ino)
-        ip = vn.inode
-        if ip.is_dir:
+        if vn.inode.is_dir:
             raise IsADirectoryError_(path)
         yield from dirops.remove(self, dir_vn.inode, name)
+        if (yield from self._drop_link(vn)):
+            self.stats.incr("unlinks")
+
+    def _drop_link(self, vn: UfsVnode) -> Generator[Any, Any, bool]:
+        """One name fewer; True when it was the last and the inode is gone."""
+        ip = vn.inode
         ip.nlink -= 1
         if ip.nlink > 0:
             yield from self.write_inode(ip, sync=True)
-            return
+            return False
         yield from self._destroy_inode(vn)
-        self.stats.incr("unlinks")
+        return True
 
     def _destroy_inode(self, vn: UfsVnode) -> Generator[Any, Any, None]:
-        """Last link gone: remove backing store (frees every cached page),
-        free the blocks and the inode."""
+        """Last link gone: let go of the bytes (every cached page, every
+        block), then write the dead inode once and free it."""
         ip = vn.inode
-        for page in self.pagecache.vnode_pages(vn):
-            if page.locked:
-                yield from page.wait_unlocked()
-        self.pagecache.vnode_invalidate(vn)
-        ip.recycle()
-        yield from self._release_file_blocks(ip)
-        ip.mode = 0
+        yield from vn._free_contents()
+        was_dir = ip.is_dir
+        ip.mode = ip.nlink = 0
         yield from self.write_inode(ip, sync=True)
-        self.allocator.free_inode(ip.ino, was_dir=False)
+        self.allocator.free_inode(ip.ino, was_dir=was_dir)
         self._vnodes.pop(ip.ino, None)
 
     def rename(self, old_path: str, new_path: str
@@ -503,30 +502,8 @@ class UfsMount(Vfs):
         ip.nlink -= 1
         yield from self.write_inode(ip, sync=True)
         if target_vn is not None:
-            tp = target_vn.inode
-            tp.nlink -= 1
-            if tp.nlink > 0:
-                yield from self.write_inode(tp, sync=True)
-            else:
-                yield from self._destroy_inode(target_vn)
+            yield from self._drop_link(target_vn)
         self.stats.incr("renames")
-
-    def _release_file_blocks(self, ip: Inode) -> Generator[Any, Any, None]:
-        """Free an inode's blocks; a fast symlink's "pointers" are target
-        bytes and must not be fed to the allocator."""
-        if ip.is_symlink:
-            if ip.size > FAST_SYMLINK_MAX:
-                nfrags = max(1, -(-ip.size // self.sb.fsize))
-                self.metacache.drop(ip.direct[0])
-                self.allocator.free_frags(ip, ip.direct[0], nfrags)
-            ip.direct = [0] * NDADDR
-            ip.indirect = 0
-            ip.dindirect = 0
-            ip.blocks = 0
-            ip.size = 0
-            ip.mark_dirty()
-            return
-        yield from bmap.truncate_blocks(self, ip)
 
     def rmdir(self, path: str) -> Generator[Any, Any, None]:
         dir_vn, name = yield from self._dir_and_name(path)
@@ -544,12 +521,7 @@ class UfsMount(Vfs):
         yield from dirops.remove(self, parent, name)
         parent.nlink -= 1
         yield from self.write_inode(parent, sync=True)
-        yield from bmap.truncate_blocks(self, ip)
-        ip.mode = 0
-        ip.nlink = 0
-        yield from self.write_inode(ip, sync=True)
-        self.allocator.free_inode(ino, was_dir=True)
-        self._vnodes.pop(ino, None)
+        yield from self._destroy_inode(vn)
         self.stats.incr("rmdirs")
 
     def readdir(self, path: str) -> Generator[Any, Any, list[tuple[str, int]]]:
@@ -557,20 +529,6 @@ class UfsMount(Vfs):
         if not vn.inode.is_dir:
             raise NotADirectoryError_(path)
         return (yield from dirops.entries(self, vn.inode))
-
-    def truncate(self, path: str) -> Generator[Any, Any, None]:
-        """Truncate a file to zero length (frees all blocks)."""
-        vn = yield from self.namei(path)
-        ip = vn.inode
-        if ip.is_dir:
-            raise IsADirectoryError_(path)
-        for page in self.pagecache.vnode_pages(vn):
-            if page.locked:
-                yield from page.wait_unlocked()
-        self.pagecache.vnode_invalidate(vn)
-        ip.recycle()
-        yield from bmap.truncate_blocks(self, ip)
-        yield from self.write_inode(ip, sync=True)
 
     # -- the sanitizer's checks of the mount's own books ------------------------
     def check_page_coherency(self, point: str,
@@ -665,8 +623,8 @@ class UfsMount(Vfs):
         for ip in self.inodes():
             if ip.nlink <= 0:
                 continue
-            if not (ip.is_reg or ip.is_dir):
-                continue  # fast symlinks reuse direct[] as target bytes
+            if is_fast_symlink(ip):
+                continue  # its direct[] holds target bytes, not fragments
             claims = [a for a in ip.direct[:NDADDR] if a != bmap.HOLE]
             claims += [a for a in (ip.indirect, ip.dindirect)
                        if a != bmap.HOLE]

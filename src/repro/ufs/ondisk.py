@@ -513,6 +513,12 @@ _FAST_LINK = struct.Struct("<" + "I" * (NDADDR + 2))
 FAST_SYMLINK_MAX = _FAST_LINK.size - 1
 
 
+def is_fast_symlink(ip: "Any") -> bool:
+    """Whether ``ip`` (anything with ``mode`` and ``size``) is a symlink
+    whose pointer words are target bytes; a slow one's are real claims."""
+    return ip.mode & IFMT == IFLNK and ip.size <= FAST_SYMLINK_MAX
+
+
 def pack_fast_symlink(target: bytes) -> tuple[list[int], int, int]:
     """The pointer fields ``(direct, indirect, dindirect)`` holding
     ``target`` (at most :data:`FAST_SYMLINK_MAX` bytes)."""

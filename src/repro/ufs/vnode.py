@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, IsADirectoryError_
 from repro.ufs import bmap, io
 from repro.vfs.vnode import PutFlags, RW, Vnode, VnodeType
 
@@ -74,6 +74,21 @@ class UfsVnode(Vnode):
             yield from self.mount.flush_disk(req=req)
         yield from self.mount.write_inode(self.inode, sync=True)
         yield from self.mount.flush_disk(req=req)
+
+    def truncate(self) -> Generator[Any, Any, None]:
+        """Empty the file, then write its inode synchronously."""
+        if self.inode.is_dir:
+            raise IsADirectoryError_(f"inode {self.inode.ino} is a directory")
+        yield from self._free_contents()
+        yield from self.mount.write_inode(self.inode, sync=True)
+
+    def _free_contents(self) -> Generator[Any, Any, None]:
+        """The step truncation and inode destruction share: wait out pages
+        in flight, destroy them, ``recycle`` the state that described the
+        bytes, free every block.  The caller writes the inode, once."""
+        yield from self.mount.pagecache.vnode_discard(self)
+        self.inode.recycle()
+        yield from bmap.truncate_blocks(self.mount, self.inode)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UfsVnode ino={self.inode.ino} size={self.inode.size}>"

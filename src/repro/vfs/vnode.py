@@ -3,10 +3,11 @@
 Each file system type implements two object classes, *vfs* and *vnode*
 [Kleiman].  Only the operations this reproduction exercises are declared:
 ``rdwr`` (read/write syscalls), ``getpage``/``putpage`` (where the I/O
-happens), ``fsync``, ``bmap`` (the paper's extent interface), ``statfs``,
-and the namespace operations the syscall layer calls on a ``Vfs``.  Every
-file system has ``namei``, ``create`` and ``unlink``; one that lacks any
-other answers it with EINVAL, so a syscall always fails with an errno.
+happens), ``fsync``, ``bmap`` (the paper's extent interface), ``truncate``
+(the one way a file is emptied), ``statfs``, and the namespace operations
+the syscall layer calls on a ``Vfs``.  Every file system has ``namei``,
+``create`` and ``unlink``; one that lacks any other answers it with
+EINVAL, so a syscall always fails with an errno.
 
 All operations that may perform I/O are generators (simulation processes);
 call them with ``yield from``.
@@ -115,6 +116,14 @@ class Vnode(ABC):
         length capped at the file system's cluster size.  EINVAL where
         there is no block map (an NFS client)."""
         raise InvalidArgumentError(f"{type(self).__name__} has no block map")
+        yield  # pragma: no cover - makes this a generator
+
+    def truncate(self) -> Generator[Any, Any, None]:
+        """Empty the file (length 0): its blocks, its cached pages and the
+        performance state that described its bytes go.  EINVAL where the
+        file has no bytes of its own to free (a raw disk)."""
+        raise InvalidArgumentError(f"{type(self).__name__}: truncate not "
+                                   "supported")
         yield  # pragma: no cover - makes this a generator
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

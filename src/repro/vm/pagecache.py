@@ -246,6 +246,14 @@ class PageCache:
             count += 1
         return count
 
+    def vnode_discard(self, vnode: "Vnode") -> Generator[Any, Any, int]:
+        """Wait out a vnode's pages in flight, then destroy every page (the
+        file's bytes are gone: truncate, unlink); returns count destroyed."""
+        for page in self.vnode_pages(vnode):
+            if page.locked:
+                yield from page.wait_unlocked()
+        return self.vnode_invalidate(vnode)
+
     def vnode_drop_clean(self, vnode: "Vnode") -> int:
         """Destroy a vnode's clean, unlocked pages; returns count destroyed.
 

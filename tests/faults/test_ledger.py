@@ -168,6 +168,35 @@ def test_a_short_file_is_short():
         ("short", "/a: size 512 < promised 1024 bytes")]
 
 
+def test_a_truncation_is_a_dirty_empty_version():
+    """``creat`` of a file holding promised bytes records a dirty ``b""``
+    before the truncate issues: until the next promise the old bytes and
+    an empty file are both legal, and neither is short."""
+    system = System.booted(small_config())
+    proc, ledger = _promised_b(system)
+    other = Proc(system)  # unledgered: puts bytes back behind the ledger
+
+    def put(path, data):
+        fd = yield from other.open(path)
+        yield from other.write(fd, data)
+        yield from other.close(fd)
+
+    system.run(proc.close(system.run(proc.creat("/b"))))
+    assert ledger.events[-1] == Event("dirty", "/b", 0, b"")
+    assert _view(ledger.slots()) == {"/b": (B, [b""], ["/b"], False)}
+    assert check(proc, ledger) == []             # empty
+    system.run(put("/b", B))
+    assert check(proc, ledger) == []             # the old bytes
+    system.run(put("/b", C))
+    assert [kind for kind, _ in check(proc, ledger)] == ["wrong_bytes"]
+    fd = system.run(proc.open("/b"))
+    system.run(proc.write(fd, D))
+    system.run(proc.fsync(fd))                   # the next promise: D
+    system.run(other.close(system.run(other.creat("/b"))))
+    assert check(proc, ledger) == [
+        ("short", "/b: size 0 < promised 512 bytes")]
+
+
 def test_a_namespace_op_is_certain_once_every_member_flushed():
     """B_ORDER metadata: a rename is settled only when every member has
     flushed after it; until then the file may resolve under either name."""

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.disk import DiskGeometry
-from repro.errors import BadFileError, FileNotFoundError_, InvalidArgumentError
+from repro.errors import (
+    BadFileError, FileNotFoundError_, InvalidArgumentError, IsADirectoryError_,
+)
 from repro.kernel import Proc, SEEK_CUR, SEEK_END, SEEK_SET, System, SystemConfig
 from repro.sim import Event
 from repro.units import KB
@@ -173,6 +175,42 @@ def test_stat_size(system, proc):
         return (yield from proc.stat_size("/sized"))
 
     assert system.run(work()) == 12345
+
+
+def test_creat_empties_a_file_and_frees_its_blocks(system, proc):
+    free = system.mount.statfs().f_bfree
+
+    def work():
+        fd = yield from proc.creat("/f")
+        yield from proc.write(fd, bytes(100 * KB))
+        yield from proc.close(fd)
+        fd = yield from proc.creat("/f")
+        return (yield from proc.lseek(fd, 0, SEEK_END))
+
+    assert system.run(work()) == 0
+    assert system.mount.statfs().f_bfree == free
+    assert system.run(system.mount.namei("/f")).inode.blocks == 0
+
+
+def test_creat_truncates_only_a_file_holding_bytes(system, proc,
+                                                   monkeypatch):
+    """A file ``creat`` makes, or finds empty, is never truncated."""
+    system.run(proc.creat("/empty"))
+
+    def refuse(vnode):
+        raise AssertionError("truncated an empty file")
+        yield
+
+    monkeypatch.setattr(type(system.mount.root), "truncate", refuse)
+    system.run(proc.creat("/new"))
+    system.run(proc.creat("/empty"))
+
+
+def test_creat_of_a_directory_is_eisdir(system, proc):
+    with pytest.raises(IsADirectoryError_):
+        system.run(proc.creat("/"))
+    assert proc.errno == "EISDIR"
+    assert proc._files == {}  # the fd open handed out is taken back
 
 
 def test_errno_mirrors_last_failure(system, proc):

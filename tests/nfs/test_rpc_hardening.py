@@ -163,6 +163,48 @@ def test_lost_remove_reply_answered_from_drc():
         client.run(mount.namei("/f"))
 
 
+def test_lost_setattr_reply_answered_from_drc():
+    """SETATTR (the truncate ``creat`` sends) mutates the file: its
+    retransmission is answered from the DRC, not executed twice."""
+    plan = NetFaultPlan(scheduled=[(1.0, DOWN, "drop")])
+    client, server_system, mount = small_world(fault_plan=plan)
+    _prepare_file(client, mount)
+    server = mount.server
+    vn = client.run(mount.namei("/f"))
+
+    def truncate_after_fault():
+        yield from _settle(client.engine, 1.0)
+        yield from vn.truncate()
+
+    client.run(truncate_after_fault())
+    assert mount.stats["retransmits"] >= 1
+    assert server.stats["drc_hits"] >= 1
+    assert server.stats["setattr"] == 1
+    assert server.stats["duplicate_executions"] == 0
+    assert vn.size == 0
+    assert server_system.run(server_system.mount.namei("/f")).size == 0
+
+
+def test_setattr_executed_twice_without_drc_is_counted(monkeypatch):
+    """With no finished reply kept, the retransmitted SETATTR re-executes:
+    harmless for size 0, but SETATTR is a mutating op, so the campaigns'
+    ``duplicate_executions`` counter sees it."""
+    monkeypatch.setattr(NfsServer, "DRC_SIZE", 0)
+    plan = NetFaultPlan(scheduled=[(1.0, DOWN, "drop")])
+    client, _server, mount = small_world(fault_plan=plan)
+    _prepare_file(client, mount)
+    vn = client.run(mount.namei("/f"))
+
+    def truncate_after_fault():
+        yield from _settle(client.engine, 1.0)
+        yield from vn.truncate()
+
+    client.run(truncate_after_fault())
+    assert mount.server.stats["setattr"] >= 2
+    assert mount.server.stats["duplicate_executions"] >= 1
+    assert vn.size == 0
+
+
 def test_lost_remove_reply_without_drc_hits_the_heuristic(monkeypatch):
     """A DRC that keeps no finished reply (as when the REMOVE's entry has
     been evicted) shows the bug the DRC exists for: the retransmitted

@@ -90,7 +90,9 @@ def _workout(system, proc, rng, trace):
                                        len(data))
                 yield from proc.close(fd)
             elif roll < 0.82:
-                yield from system.mount.truncate(rng.choice(files))
+                # Truncate: creat of an existing file empties it.
+                fd = yield from proc.creat(rng.choice(files))
+                yield from proc.close(fd)
             else:
                 path = files.pop(rng.randrange(len(files)))
                 yield from proc.unlink(path)

@@ -19,6 +19,8 @@ from repro.units import KB
 FIRST = bytes(i % 251 for i in range(700))
 SECOND = bytes(i % 241 for i in range(9000))
 OVERWRITE = b"\xee" * 100
+# What the program writes after ``creat`` has emptied the file.
+AFTER_CREAT = b"0123456789"
 
 
 def transcript(proc: Proc) -> list:
@@ -43,9 +45,24 @@ def transcript(proc: Proc) -> list:
     call(proc.pread(fd, 16 * KB, 0))
     call(proc.lseek(fd, 0, SEEK_END))
     call(proc.close(fd))
+    fd = call(proc.creat("/f"))  # exists, holds bytes: truncated
+    call(proc.stat_size("/f"))
+    call(proc.write(fd, AFTER_CREAT))
+    call(proc.pread(fd, 16 * KB, 0))
+    call(proc.close(fd))
     call(proc.unlink("/f"))
     call(proc.open("/f"))
     return out
+
+
+def after_creat(out: list) -> list:
+    """What the transcript saw after ``creat`` of the existing ``/f``:
+    its size, then the write and the read-back."""
+    return out[11:14]
+
+
+#: ``creat`` left the file empty: size 0, then exactly the 10 bytes.
+EMPTIED = [0, len(AFTER_CREAT), AFTER_CREAT]
 
 
 def s5_machine() -> "tuple[System, S5FileSystem]":
@@ -64,6 +81,7 @@ def test_ufs_and_s5fs_run_one_program_to_the_same_bytes_and_errnos():
     assert ufs[7] == bytes(data)
     assert ufs[8] == len(data)
     assert ufs[-1] == "ENOENT"
+    assert [after_creat(ufs), after_creat(s5)] == [EMPTIED, EMPTIED]
     assert s5 == ufs
     system.sync()  # the machine's sync is its S5FS's
     assert s5check(system.store).clean
@@ -73,7 +91,10 @@ def test_an_nfs_client_runs_the_same_program():
     ufs = transcript(Proc(System.booted(SystemConfig.config_a())))
     client, server, mount = build_world()
     assert client.mount is mount
-    assert transcript(Proc(client)) == ufs
+    nfs = transcript(Proc(client))
+    assert after_creat(nfs) == EMPTIED
+    assert nfs == ufs
+    assert mount.stats["rpc_setattr"] == 1
     assert mount.stats["rpc_remove"] == 1
     server.sync()
     assert fsck(server.store).clean
@@ -155,6 +176,7 @@ def test_s5fs_is_a_file_system_of_the_machine():
     assert snapshot["s5fs"]["creates"] == 2
     assert snapshot["s5fs"]["unlinks"] == 1
     assert snapshot["s5fs.metacache"]["hits"] > 0
-    # The program's 2 writes, pwrite, fsync and pread; a write, mmap_read.
-    assert system.requests.stats["started"] == 7
+    # The program's 3 writes, pwrite, fsync and 2 preads; a write,
+    # mmap_read.
+    assert system.requests.stats["started"] == 9
     assert system.requests.stats["errors"] == 1  # the mmap_read

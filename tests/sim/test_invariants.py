@@ -317,6 +317,25 @@ def test_allocator_catches_freed_but_claimed_fragment():
         system.sanitizer.checkpoint("test", idle=True)
 
 
+def test_allocator_checks_a_slow_symlinks_block():
+    """Only a fast symlink's pointer words are target bytes; a slow one's
+    ``direct[0]`` is a real claim, and freeing it behind the link's back
+    fires the check."""
+    system = make_system()
+    proc = Proc(system)
+    system.run(proc.symlink("/" + "t" * 99, "/slow"))
+    system.run(proc.symlink("/t", "/fast"))
+    system.sanitizer.checkpoint("test", idle=True)  # both links healthy
+    vn = system.run(system.mount.namei("/slow", follow=False))
+    addr = vn.inode.direct[0]
+    # free_frags keeps the counters with the bitmap, so the *claims* check
+    # (not the recount) is what fires.
+    system.mount.allocator.free_frags(None, addr, 1)
+    with pytest.raises(SanitizerError,
+                       match=f"claims fragment {addr} but"):
+        system.sanitizer.checkpoint("test", idle=True)
+
+
 def test_deep_allocator_runs_fsck():
     system = make_system()
     write_file(system)

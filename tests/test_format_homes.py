@@ -46,6 +46,17 @@ counters reached no snapshot.  A ``def register_metrics``, or a
 registry, ``Histogram.since``, the per-kind latency histograms and the
 modules of ``tests/obs/test_metrics.py``'s ``DARK`` table, is how that
 would start again.
+
+A fifth: one way to empty a file.  While UFS let go of a file's bytes in
+four hand-made copies (a path-API ``truncate`` only tests called, inode
+destruction, ``rmdir``'s own walk, a fast-symlink fork) and S5FS in a
+private ``_truncate_and_free``, none was reachable from a syscall and
+``creat`` kept the old bytes; the fast-symlink test ``size <=
+FAST_SYMLINK_MAX`` was written four times, and one of them made the
+sanitizer skip slow symlinks' real blocks.  A second caller of
+``bmap.truncate_blocks``, one of the retired copies defined again, or
+``FAST_SYMLINK_MAX`` compared outside ``ufs/ondisk.py`` is how that would
+start again.
 """
 
 import ast
@@ -265,3 +276,69 @@ def test_the_book_guards_see_each_construct():
     assert not list(_page_frame_reads(ast.parse("self.frames[0]")))
     assert not list(_instrument_births(ast.parse(
         "self.stats = metrics.counters('vm.pagecache')")))
+
+
+def _block_walk_calls(tree):
+    """Every call of ``truncate_blocks``, bare or through a module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "truncate_blocks"):
+            yield f"line {node.lineno}: truncate_blocks("
+
+
+def _retired_release_copies(tree):
+    """Every ``def _truncate_and_free`` / ``def _release_file_blocks`` and
+    every ``truncate`` method of a ``UfsMount``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name in ("_truncate_and_free",
+                                  "_release_file_blocks")):
+            yield f"line {node.lineno}: def {node.name}"
+        if isinstance(node, ast.ClassDef) and node.name == "UfsMount":
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and item.name == "truncate"):
+                    yield f"line {item.lineno}: def UfsMount.truncate"
+
+
+def _fast_symlink_compares(tree):
+    """Every comparison with ``FAST_SYMLINK_MAX`` as an operand."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare)
+                and any(getattr(n, "id", getattr(n, "attr", None))
+                        == "FAST_SYMLINK_MAX"
+                        for n in (node.left, *node.comparators))):
+            yield f"line {node.lineno}: FAST_SYMLINK_MAX compared"
+
+
+def test_one_walk_frees_a_files_blocks():
+    callers = [name for name, tree in _modules()
+               for _ in _block_walk_calls(tree)]
+    assert callers == ["ufs/vnode.py"]
+    found = {name: list(_retired_release_copies(tree))
+             for name, tree in _modules()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_one_predicate_knows_a_fast_symlink():
+    found = {name: list(_fast_symlink_compares(tree))
+             for name, tree in _modules() if name != "ufs/ondisk.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_release_guards_see_each_construct():
+    for guard, text in (
+            (_block_walk_calls, "yield from bmap.truncate_blocks(m, ip)"),
+            (_block_walk_calls, "truncate_blocks(mount, ip)"),
+            (_retired_release_copies, "def _truncate_and_free(self): pass"),
+            (_retired_release_copies, "def _release_file_blocks(s, ip): pass"),
+            (_retired_release_copies,
+             "class UfsMount:\n    def truncate(self, path): pass"),
+            (_fast_symlink_compares, "if ip.size <= FAST_SYMLINK_MAX: pass"),
+            (_fast_symlink_compares, "big = ondisk.FAST_SYMLINK_MAX < n")):
+        assert list(guard(ast.parse(text))), text
+    assert not list(_retired_release_copies(ast.parse(
+        "class UfsVnode:\n    def truncate(self): pass")))
+    assert not list(_fast_symlink_compares(ast.parse(
+        "FAST_SYMLINK_MAX = _FAST_LINK.size - 1")))

@@ -26,6 +26,14 @@ def _write(proc, path, nbytes, create=True):
     return gen()
 
 
+def _truncate(proc, path):
+    def gen():
+        fd = yield from proc.creat(path)  # an existing file is emptied
+        yield from proc.close(fd)
+
+    return gen()
+
+
 def _read_all(proc, path, record=8 * KB):
     def gen():
         fd = yield from proc.open(path)
@@ -57,7 +65,7 @@ def _armed_inode(system, proc, path="/ra", nbytes=256 * KB):
 def test_truncate_resets_readahead_state():
     system, proc = _booted()
     ip = _armed_inode(system, proc)
-    system.run(system.mount.truncate("/ra"), name="truncate")
+    system.run(_truncate(proc, "/ra"), name="truncate")
     assert ip.readahead.nextr == 0
     assert ip.readahead.trigger is None
     assert ip.readahead.nextrio == 0
@@ -83,7 +91,7 @@ def test_reread_after_truncate_is_sequential_from_offset_zero():
     read-ahead for the new contents instead of chasing the old ones."""
     system, proc = _booted()
     ip = _armed_inode(system, proc, nbytes=256 * KB)
-    system.run(system.mount.truncate("/ra"), name="truncate")
+    system.run(_truncate(proc, "/ra"), name="truncate")
     system.run(_write(proc, "/ra", 64 * KB, create=False))
     # Writing moved nextr only via reads, not writes — still reset here.
     page = system.pagecache.page_size
@@ -97,7 +105,7 @@ def test_readahead_never_reads_past_new_eof():
     new EOF: stale predictions would have prefetched old block offsets."""
     system, proc = _booted()
     _armed_inode(system, proc, nbytes=256 * KB)
-    system.run(system.mount.truncate("/ra"), name="truncate")
+    system.run(_truncate(proc, "/ra"), name="truncate")
     new_size = 64 * KB
     system.run(_write(proc, "/ra", new_size, create=False))
     system.sync()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import CostTable, Cpu
 from repro.disk import DiskDriver, DiskGeometry, RotationalDisk
+from repro.errors import InvalidArgumentError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.vfs import PutFlags, RW, RawDiskVnode
@@ -72,6 +73,12 @@ def test_no_paging_interfaces(raw):
         next(iter(vnode.getpage(0)))
     with pytest.raises(NotImplementedError):
         next(iter(vnode.putpage(0, 512, PutFlags())))
+
+
+def test_a_raw_disk_cannot_be_truncated(raw):
+    engine, _, vnode = raw
+    with pytest.raises(InvalidArgumentError):
+        engine.run_process(vnode.truncate())
 
 
 def test_raw_io_takes_real_time(raw):

@@ -174,6 +174,23 @@ def test_vnode_pages_sorted_and_invalidate(cache, vnode):
     assert not any(p.named for p in cache.frames if p is not None)
 
 
+def test_vnode_discard_waits_out_a_page_in_flight(engine, cache, vnode):
+    """Where ``vnode_invalidate`` refuses a locked page, ``vnode_discard``
+    (a truncate's) waits for its I/O, then destroys every page."""
+    fill_page(cache, vnode, 0)
+    busy = fill_page(cache, vnode, 8192)
+    busy.lock()
+
+    def io_done():
+        yield engine.timeout(0.01)
+        busy.unlock()
+
+    engine.process(io_done())
+    assert engine.run_process(cache.vnode_discard(vnode)) == 2
+    assert engine.now == pytest.approx(0.01)
+    assert cache.vnode_pages(vnode) == []
+
+
 def test_vnode_drop_clean_keeps_dirty_and_locked_pages(cache, vnode):
     clean, dirty, busy = (fill_page(cache, vnode, off)
                           for off in (0, 8192, 2 * 8192))
