@@ -106,12 +106,11 @@ class DiskStore(SectorImage):
         first, skip = divmod(sector, CHUNK_SECTORS)
         last, end = divmod(sector + count - 1, CHUNK_SECTORS)
         get = self._chunks.get
-        if first == last:
-            chunk = get(first)
-            if chunk is None:
-                return bytes(count * size)
-            return chunk[skip * size:(end + 1) * size]
         zero = self._zero_chunk
+        if first == last:
+            # A whole chunk is the stored bytes themselves (or the one zero
+            # chunk): readers share it, never a copy.
+            return get(first, zero)[skip * size:(end + 1) * size]
         pieces = [get(index, zero) for index in range(first, last + 1)]
         # Trim the two ends before the join, never the joined bytes after.
         pieces[0] = pieces[0][skip * size:]

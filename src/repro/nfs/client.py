@@ -510,7 +510,7 @@ class NfsVnode(Vnode):
                     page = yield from self._fetch_page(page_off, req=req)
             yield from page.lock_wait()
             yield from cpu.copy("copyin", chunk)
-            page.data[in_page:in_page + chunk] = data[written:written + chunk]
+            page.write(in_page, data[written:written + chunk])
             page.dirty = True
             page.valid = True
             page.unlock()

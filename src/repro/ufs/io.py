@@ -202,14 +202,15 @@ class _ReadIodone:
     layer instead of anonymous plumbing.
     """
 
-    __slots__ = ("pages", "psize", "pagecache", "health")
+    __slots__ = ("pages", "psize", "pagecache", "health", "store")
 
     def __init__(self, pages: "list[Page]", psize: int, pagecache,
-                 health) -> None:
+                 health, store) -> None:
         self.pages = pages
         self.psize = psize
         self.pagecache = pagecache
         self.health = health
+        self.store = store
 
     def __call__(self, done_buf: Buf) -> None:
         if done_buf.error is not None:
@@ -225,10 +226,29 @@ class _ReadIodone:
         assert done_buf.data is not None
         for i, page in enumerate(self.pages):
             page.fill(done_buf.data[i * self.psize:(i + 1) * self.psize])
+            _share_stored_block(self.store, done_buf, i, page)
             page.valid = True
             page.dirty = False
             page.unlock()
         self.health.record_success()
+
+
+def _share_stored_block(store, buf: Buf, index: int, page: "Page") -> None:
+    """Let page ``index`` of ``buf``'s transfer, if the transfer moved it
+    whole, hold the block the disk now stores in place of equal bytes of
+    its own.
+
+    A cluster crosses the disk as one buffer that the store keeps split
+    into blocks, and a volume copies every transfer it splits or joins, so
+    without this a page and the disk would each hold a copy of the same
+    block.  Only equal bytes are exchanged: a page whose write the disk has
+    not stored yet (a write cache), or whose read came back altered, keeps
+    what it has.  Called page by page, so a cluster's pages never hold
+    their buffer's slices all at once.
+    """
+    nsec = page.size // store.sector_size
+    if (index + 1) * nsec <= buf.nsectors:
+        page.share(store.read(buf.sector + index * nsec, nsec))
 
 
 def _issue_read(vn: "UfsVnode", offset: int, want_blocks: int, async_: bool,
@@ -294,7 +314,8 @@ def _issue_read(vn: "UfsVnode", offset: int, want_blocks: int, async_: bool,
         mount.stats.incr("read_ios")
         mount.stats.incr("read_bytes", nbytes)
 
-        buf.iodone.append(_ReadIodone(pages, psize, pc, ip.readahead.health))
+        buf.iodone.append(_ReadIodone(pages, psize, pc, ip.readahead.health,
+                                      mount.driver.disk.store))
         mount.driver.strategy(buf)
         return buf, blocks * psize
     finally:
@@ -438,16 +459,17 @@ class _WriteIodone:
     """
 
     __slots__ = ("pages", "pagecache", "throttle", "charged", "health",
-                 "free")
+                 "free", "store")
 
     def __init__(self, pages: "list[Page]", pagecache, throttle, charged: int,
-                 health, free: bool) -> None:
+                 health, free: bool, store) -> None:
         self.pages = pages
         self.pagecache = pagecache
         self.throttle = throttle
         self.charged = charged
         self.health = health
         self.free = free
+        self.store = store
 
     def __call__(self, done_buf: Buf) -> None:
         if done_buf.error is not None:
@@ -458,7 +480,8 @@ class _WriteIodone:
                 page.unlock()
             self.health.record_failure()
         else:
-            for page in self.pages:
+            for i, page in enumerate(self.pages):
+                _share_stored_block(self.store, done_buf, i, page)
                 page.dirty = False
                 page.unlock()
                 if self.free and not page.referenced and not page.free:
@@ -510,12 +533,14 @@ def _issue_write(vn: "UfsVnode", cluster: "list[Page]", addr: int,
         first_lbn = run[0].offset // sb.bsize
         last_lbn = first_lbn + len(run) - 1
         nbytes = (len(run) - 1) * sb.bsize + ip.blksize(last_lbn)
-        data = bytearray()
-        for idx, page in enumerate(run):
-            take = min(pc.page_size, nbytes - idx * pc.page_size)
-            data.extend(page.data[:take])
-        nsectors = -(-len(data) // 512)
-        data = bytes(data.ljust(nsectors * 512, b"\x00"))
+        # One join: a one-page cluster hands over the page's own bytes.
+        # ``nbytes`` is whole fragments, so whole sectors.
+        parts = [page.data for page in run]
+        tail = nbytes - (len(run) - 1) * pc.page_size
+        if tail < pc.page_size:
+            parts[-1] = memoryview(parts[-1])[:tail]
+        data = b"".join(parts)
+        nsectors = nbytes // 512
 
         # The write is charged now but the sleep happens after the request is
         # queued — a single over-limit write must still reach the driver.
@@ -537,7 +562,8 @@ def _issue_write(vn: "UfsVnode", cluster: "list[Page]", addr: int,
         mount.stats.incr("write_bytes", len(data))
 
         buf.iodone.append(_WriteIodone(run, pc, ip.throttle, len(data),
-                                       ip.writecluster.health, free))
+                                       ip.writecluster.health, free,
+                                       mount.driver.disk.store))
         mount.driver.strategy(buf)
         throttle_span = None
         if req is not None and ip.throttle.enabled and ip.throttle.value < 0:
@@ -714,7 +740,7 @@ def _rdwr_write(vn: "UfsVnode", offset: int, data: bytes,
             raise
         yield from page.lock_wait()
         yield from cpu.copy("copyin", chunk)
-        page.data[in_page:in_page + chunk] = data[written:written + chunk]
+        page.write(in_page, data[written:written + chunk])
         page.dirty = True
         page.referenced = True
         page.valid = True

@@ -169,7 +169,7 @@ class AddressSpace:
             take = min(self.page_size - in_page, len(data) - written,
                        segment.end - addr)
             yield from self.cpu.copy("copyin", take)
-            page.data[in_page:in_page + take] = data[written:written + take]
+            page.write(in_page, data[written:written + take])
             addr += take
             written += take
         return written

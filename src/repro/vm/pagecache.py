@@ -78,9 +78,17 @@ class PageCache:
 
     @property
     def frames_backed(self) -> int:
-        """Frames ever allocated, so made and holding a buffer: a memory cost
-        only tests read yet (``tests/kernel/test_remount_reset.py``)."""
+        """Frames ever allocated, so made: each holds bytes, but a frame
+        costs its own buffer only while :attr:`private_buffers` counts it."""
         return sum(p is not None for p in self.frames)
+
+    @property
+    def private_buffers(self) -> int:
+        """Frames holding a private copy of their bytes (written in part
+        since they last adopted a whole page); every other frame shares
+        immutable bytes.  Host memory, read only by tests."""
+        return sum(type(p.data) is bytearray for p in self.frames
+                   if p is not None)
 
     def _unindex(self, page: Page) -> None:
         """Drop a named page from its vnode's index, and the vnode with its
@@ -233,26 +241,31 @@ class PageCache:
                 if start <= offset < end]
 
     def vnode_invalidate(self, vnode: "Vnode") -> int:
-        """Destroy every (unlocked) page of a vnode; returns count destroyed.
+        """Destroy every page of a vnode; returns count destroyed.
 
-        Used on unlink — the paper notes removing backing store is one of
-        only two ways pages leave the system.
+        All or nothing: a locked page (I/O in flight) refuses the whole
+        call before any page goes.  Used on unlink — the paper notes
+        removing backing store is one of only two ways pages leave the
+        system.
         """
-        count = 0
-        for page in self.vnode_pages(vnode):
-            if page.locked:
-                raise RuntimeError("invalidate with locked pages in flight")
+        pages = self.vnode_pages(vnode)
+        if any(page.locked for page in pages):
+            raise RuntimeError("invalidate with locked pages in flight")
+        for page in pages:
             self.destroy(page)
-            count += 1
-        return count
+        return len(pages)
 
     def vnode_discard(self, vnode: "Vnode") -> Generator[Any, Any, int]:
-        """Wait out a vnode's pages in flight, then destroy every page (the
-        file's bytes are gone: truncate, unlink); returns count destroyed."""
-        for page in self.vnode_pages(vnode):
-            if page.locked:
-                yield from page.wait_unlocked()
-        return self.vnode_invalidate(vnode)
+        """Wait until no page of a vnode is in flight, then destroy every
+        page (the file's bytes are gone: truncate, unlink); returns count
+        destroyed.  A page locked while another was waited out is waited
+        for too."""
+        while True:
+            locked = next((page for page in self.vnode_pages(vnode)
+                           if page.locked), None)
+            if locked is None:
+                return self.vnode_invalidate(vnode)
+            yield from locked.wait_unlocked()
 
     def vnode_drop_clean(self, vnode: "Vnode") -> int:
         """Destroy a vnode's clean, unlocked pages; returns count destroyed.

@@ -46,6 +46,19 @@ def test_iobench_deterministic():
     assert r1.rates == r2.rates
 
 
+@pytest.mark.parametrize("name", ["A", "D"])
+def test_iobench_pages_share_one_buffer(name):
+    """IObench writes one zero record over and over: every page it leaves
+    behind shares the zero block, and none holds a private copy."""
+    bench = IObench(small_config(name), file_size=1 * MB, random_ops=16)
+    bench.run()
+    cache = bench.system.pagecache
+    frames = [page for page in cache.frames if page is not None]
+    assert cache.frames_backed == len(frames) > 0
+    assert cache.private_buffers == 0
+    assert len({id(page.data) for page in frames}) == 1
+
+
 # -- agefs ------------------------------------------------------------------------
 
 def test_extent_report_properties():

