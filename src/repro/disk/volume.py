@@ -32,6 +32,7 @@ volume does not serialize unrelated members against each other.
 from __future__ import annotations
 
 import dataclasses
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from repro.disk.buf import Buf, BufOp
@@ -41,7 +42,6 @@ from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.store import DiskStore, SectorImage
 from repro.core.health import ClusterHealth
 from repro.errors import InvalidArgumentError, MemberDeadError
-from repro.sim.events import Event
 from repro.units import KB, SECTOR_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -395,11 +395,15 @@ class MemberIntegrityView:
 # the multi-member device
 
 
+#: ``(offset, data, start, end)``: ``data[start:end]`` lands at ``offset``.
+Piece = tuple[int, bytes, int, int]
+
+
 class _JoinState:
     """Book-keeping for one fanned-out parent buf until all children ack."""
 
     __slots__ = ("parent", "pending", "error", "first_start", "ok", "tried",
-                 "buffer")
+                 "pieces")
 
     def __init__(self, parent: Buf):
         self.parent = parent
@@ -408,8 +412,20 @@ class _JoinState:
         self.first_start: "float | None" = None
         self.ok = 0
         self.tried: set[int] = set()
-        self.buffer: "bytearray | None" = (
-            bytearray(parent.nbytes) if parent.is_read else None)
+        #: A read's pieces (see :func:`_joined`), as its children land.
+        self.pieces: "list[Piece] | None" = [] if parent.is_read else None
+
+
+def _joined(pieces: "list[Piece]") -> bytes:
+    """The bytes the pieces tile, in one copy — or none, when the one piece
+    is all of a ``bytes``."""
+    if len(pieces) == 1:
+        _, data, start, end = pieces[0]
+        if type(data) is bytes and start == 0 and end == len(data):
+            return data
+    return b"".join(memoryview(data)[start:end]
+                    for _, data, start, end in sorted(pieces,
+                                                      key=itemgetter(0)))
 
 
 class MultiVolume(BlockDevice):
@@ -557,28 +573,6 @@ class MultiVolume(BlockDevice):
             self._fan_out(buf)
         return buf
 
-    def drain(self) -> Event:
-        """An event that triggers once the whole volume goes idle."""
-        ev = Event(self.engine, name=f"{self.name}.drain")
-        if self.idle:
-            ev.succeed()
-            return ev
-
-        def _wait() -> Generator[Any, Any, None]:
-            while not self.idle:
-                for member in self.members:
-                    if not member.driver.idle:
-                        yield member.driver.drain()
-                        break
-                else:
-                    # Members are idle; outstanding parents complete inside
-                    # member completions, so this settles next tick.
-                    yield self.engine.timeout(0)
-            ev.succeed()
-
-        self.engine.process(_wait(), name=f"{self.name}.drain")
-        return ev
-
     # -- fan-out -----------------------------------------------------------
     def _fan_out(self, parent: Buf) -> None:
         write = parent.is_write
@@ -594,12 +588,10 @@ class MultiVolume(BlockDevice):
             data = None
             if write:
                 assert parent.data is not None
-                out = bytearray(cnt * ss)
-                for lsec, off, n in self.member_to_logical(mi, msec, cnt):
-                    src = (lsec - parent.sector) * ss
-                    out[off * ss:(off + n) * ss] = \
-                        parent.data[src:src + n * ss]
-                data = bytes(out)
+                data = _joined([
+                    (off * ss, parent.data, (lsec - parent.sector) * ss,
+                     (lsec - parent.sector + n) * ss)
+                    for lsec, off, n in self.member_to_logical(mi, msec, cnt)])
             child = Buf(self.engine, parent.op, msec, cnt, data=data,
                         async_=True, ordered=parent.ordered, fua=parent.fua,
                         owner=parent.owner)
@@ -662,7 +654,7 @@ class MultiVolume(BlockDevice):
             if child.error is None:
                 member.health.record_success()
                 state.ok += 1
-                if state.buffer is not None:
+                if state.pieces is not None:
                     self._scatter(state, member.index, child)
             else:
                 member.health.record_failure()
@@ -679,13 +671,13 @@ class MultiVolume(BlockDevice):
         return hook
 
     def _scatter(self, state: _JoinState, mi: int, child: Buf) -> None:
-        assert child.data is not None and state.buffer is not None
+        assert child.data is not None and state.pieces is not None
         ss = SECTOR_SIZE
         parent = state.parent
-        for lsec, off, n in self.member_to_logical(mi, child.sector,
-                                                   child.nsectors):
-            dst = (lsec - parent.sector) * ss
-            state.buffer[dst:dst + n * ss] = child.data[off * ss:(off + n) * ss]
+        state.pieces.extend(
+            ((lsec - parent.sector) * ss, child.data, off * ss, (off + n) * ss)
+            for lsec, off, n in self.member_to_logical(mi, child.sector,
+                                                       child.nsectors))
 
     def _mark_failed(self, member: VolumeMember) -> None:
         if not member.failed:
@@ -708,8 +700,8 @@ class MultiVolume(BlockDevice):
                 self.stats.incr("degraded_writes")
             else:
                 error = state.error
-        if parent.is_read and error is None and state.buffer is not None:
-            parent.data = bytes(state.buffer)
+        if parent.is_read and error is None and state.pieces is not None:
+            parent.data = _joined(state.pieces)
         now = self.engine.now
         start = state.first_start if state.first_start is not None else now
         parent.started_at = start

@@ -53,16 +53,17 @@ or torn, so a contract breach points at the guilty code path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice, product
-from typing import Any, Callable, Generator
+from itertools import combinations, islice, product
+from typing import Any, Callable
 
 from repro.disk.disk import JournalEvent
 from repro.disk.store import DiskStore
 from repro.errors import ReproError
 from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
+from repro.kernel.program import Op, Program, run
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.nfs.world import build_world
@@ -70,7 +71,6 @@ from repro.sim.engine import SimulationError
 from repro.sim.invariants import SanitizerError, render_request
 from repro.ufs.fsck import fsck
 from repro.units import KB
-from repro.vfs.vnode import PutFlags
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,10 @@ class Preset:
     torn_limit: int = 2           # torn candidates per crash subset
     ordered_metadata: bool = False
     layout: str = "single"
+
+    def program(self, seed: int) -> Program:
+        """The workload, its bytes drawn in op order from ``Random(seed)``."""
+        return _WORKLOADS[self.workload](random.Random(seed), self)
 
 
 PRESETS: dict[str, Preset] = {
@@ -155,78 +159,56 @@ PRESETS: dict[str, Preset] = {
 # workloads: the process's ledger records every promise and dirty version
 # ---------------------------------------------------------------------------
 
-def _writeback(proc: Proc, path: str) -> Generator[Any, Any, None]:
-    """Write-behind, as the update daemon would: push the file's dirty
-    pages without waiting and without a flush — they land in the drive's
-    volatile cache and stay there until something barriers."""
-    vn = yield from proc.system.mount.namei(path)
-    if vn.size > 0:
-        yield from vn.putpage(0, vn.size, PutFlags(async_=True))
-
-
-def _wl_append(proc: Proc, rng: random.Random,
-               p: Preset) -> Generator[Any, Any, None]:
-    fds: dict[str, int] = {}
-    for i in range(p.files):
-        path = f"/f{i}"
-        fds[path] = yield from proc.creat(path)
+def _wl_append(rng: random.Random, p: Preset) -> Program:
+    paths = [f"/f{i}" for i in range(p.files)]
+    ops: list[Op] = [("creat", path) for path in paths]
     for c in range(p.chunks):
-        for path in sorted(fds):
-            yield from proc.write(fds[path], rng.randbytes(p.chunk))
-            # fsync every third chunk: long enough between flushes for the
-            # cache to accumulate a rich pending set, short enough that
-            # promised state keeps advancing.
-            if c % 3 == 2 or c == p.chunks - 1:
-                yield from proc.fsync(fds[path])
-            else:
-                yield from _writeback(proc, path)
-    for path in sorted(fds):
-        yield from proc.close(fds[path])
+        # fsync every third chunk: long enough between flushes for the
+        # cache to accumulate a rich pending set, short enough that
+        # promised state keeps advancing.
+        sync = "fsync" if c % 3 == 2 or c == p.chunks - 1 else "writeback"
+        for path in paths:
+            ops += [("write", path, rng.randbytes(p.chunk)), (sync, path)]
+    return (*ops, *(("close", path) for path in paths))
 
 
-def _wl_overwrite(proc: Proc, rng: random.Random,
-                  p: Preset) -> Generator[Any, Any, None]:
+def _wl_overwrite(rng: random.Random, p: Preset) -> Program:
+    ops: list[Op] = []
     for i in range(p.files):
         path = f"/ow{i}"
         osync = i == p.files - 1  # the last file writes through O_SYNC
-        fd = yield from proc.open(path, create=True, sync=osync)
-        yield from proc.write(fd, rng.randbytes(p.chunk * p.chunks))
-        if not osync:
-            yield from proc.fsync(fd)
+        sync = () if osync else (("fsync", path),)
+        ops += [("open", path, True, osync),
+                ("write", path, rng.randbytes(p.chunk * p.chunks)), *sync]
         for c in range(p.chunks - 1, 0, -1):  # rewrite interior chunks
-            yield from proc.pwrite(fd, rng.randbytes(p.chunk), c * p.chunk)
+            ops.append(("pwrite", path, rng.randbytes(p.chunk), c * p.chunk))
             if not osync:
-                yield from _writeback(proc, path)
-        if not osync:
-            yield from proc.fsync(fd)
-        yield from proc.close(fd)
+                ops.append(("writeback", path))
+        ops += [*sync, ("close", path)]
+    return tuple(ops)
 
 
-def _wl_rename(proc: Proc, rng: random.Random,
-               p: Preset) -> Generator[Any, Any, None]:
+def _wl_rename(rng: random.Random, p: Preset) -> Program:
+    ops: list[Op] = []
     for i in range(p.files):
         for gen in range(2):  # publish twice: second rename displaces
             tmp = f"/tmp{i}.{gen}"
-            fd = yield from proc.creat(tmp)
-            yield from proc.write(fd, rng.randbytes(p.chunk * (gen + 1)))
-            yield from proc.fsync(fd)
-            yield from proc.close(fd)
-            yield from proc.rename(tmp, f"/pub{i}")
+            ops += [("creat", tmp),
+                    ("write", tmp, rng.randbytes(p.chunk * (gen + 1))),
+                    ("fsync", tmp), ("close", tmp),
+                    ("rename", tmp, f"/pub{i}")]
+    return tuple(ops)
 
 
-def _wl_spanning(proc: Proc, rng: random.Random,
-                 p: Preset) -> Generator[Any, Any, None]:
-    path = "/big"
-    fd = yield from proc.creat(path)
+def _wl_spanning(rng: random.Random, p: Preset) -> Program:
+    ops: list[Op] = [("creat", "/big")]
     for _ in range(p.chunks):
-        yield from proc.write(fd, rng.randbytes(p.chunk))
-        yield from _writeback(proc, path)
-    yield from proc.fsync(fd)
-    yield from proc.close(fd)
+        ops += [("write", "/big", rng.randbytes(p.chunk)),
+                ("writeback", "/big")]
+    return (*ops, ("fsync", "/big"), ("close", "/big"))
 
 
-def _wl_relocate(proc: Proc, rng: random.Random,
-                 p: Preset) -> Generator[Any, Any, None]:
+def _wl_relocate(rng: random.Random, p: Preset) -> Program:
     """The fragment-relocation durability trap, distilled.
 
     f0 is fsynced while its tail is a short fragment run; f1's tail sits
@@ -236,68 +218,51 @@ def _wl_relocate(proc: Proc, rng: random.Random,
     fragments and fsyncs — the flush makes *its* bytes durable in the
     fragments f0's durable inode still points at.
     """
-    fds: dict[str, int] = {}
-    for name in ("/f0", "/f1"):
-        fds[name] = yield from proc.creat(name)
-        yield from proc.write(fds[name], rng.randbytes(p.chunk))
-        yield from proc.fsync(fds[name])
-    yield from proc.write(fds["/f0"], rng.randbytes(p.chunk))
-    yield from _writeback(proc, "/f0")
-    fd = yield from proc.creat("/g")
-    yield from proc.write(fd, rng.randbytes(p.chunk))
-    yield from proc.fsync(fd)
-    for name in ("/f0", "/f1"):
-        yield from proc.close(fds[name])
-    yield from proc.close(fd)
+    ops: list[Op] = []
+    for path in ("/f0", "/f1"):
+        ops += [("creat", path), ("write", path, rng.randbytes(p.chunk)),
+                ("fsync", path)]
+    ops += [("write", "/f0", rng.randbytes(p.chunk)), ("writeback", "/f0"),
+            ("creat", "/g"), ("write", "/g", rng.randbytes(p.chunk)),
+            ("fsync", "/g")]
+    return (*ops, ("close", "/f0"), ("close", "/f1"), ("close", "/g"))
 
 
-def _wl_smoke(proc: Proc, rng: random.Random,
-              p: Preset) -> Generator[Any, Any, None]:
+def _wl_smoke(rng: random.Random, p: Preset) -> Program:
     # A little of everything, kept small: three append files, one
     # overwritten file, one rename publish, one unlink.
-    yield from _wl_append(proc, rng,
-                          Preset("smoke-append", "", "append", files=p.files,
-                                 chunk=p.chunk, chunks=p.chunks))
-    fd = yield from proc.creat("/ow")
-    yield from proc.write(fd, rng.randbytes(p.chunk * 2))
-    yield from proc.fsync(fd)
-    yield from proc.pwrite(fd, rng.randbytes(p.chunk), 0)
-    yield from proc.close(fd)
-    yield from _wl_rename(proc, rng,
-                          Preset("smoke-rename", "", "rename", files=1,
-                                 chunk=p.chunk))
-    yield from proc.unlink("/f0")
+    append = _wl_append(rng, p)
+    overwrite = (("creat", "/ow"),
+                 ("write", "/ow", rng.randbytes(p.chunk * 2)),
+                 ("fsync", "/ow"), ("pwrite", "/ow", rng.randbytes(p.chunk), 0),
+                 ("close", "/ow"))
+    rename = _wl_rename(rng, replace(p, files=1))
+    return (*append, *overwrite, *rename, ("unlink", "/f0"))
 
 
-def _wl_writethrough(proc: Proc, rng: random.Random, p: Preset,
-                     root: str = "/work") -> Generator[Any, Any, None]:
+def _wl_writethrough(rng: random.Random, p: Preset, root: str = "/work"
+                     ) -> Program:
     # Create/write/fsync/unlink churn: every other file is fsynced, and
     # every fourth step removes a never-fsynced earlier file, so the
     # synchronous metadata order of unlink is under the crash points too.
     # An NFS client has no MKDIR: there the files go in the root.
-    if root:
-        yield from proc.mkdir(root)
+    ops: list[Op] = [("mkdir", root)] if root else []
     for i in range(p.files):
-        data = rng.randbytes(p.chunk)
-        fd = yield from proc.creat(f"{root}/f{i}")
-        yield from proc.write(fd, data)
+        path = f"{root}/f{i}"
+        ops += [("creat", path), ("write", path, rng.randbytes(p.chunk))]
         if i % 2 == 0:
-            yield from proc.fsync(fd)
-        yield from proc.close(fd)
+            ops.append(("fsync", path))
+        ops.append(("close", path))
         if i % 4 == 3:
-            yield from proc.unlink(f"{root}/f{i - 2}")
+            ops.append(("unlink", f"{root}/f{i - 2}"))
+    return tuple(ops)
 
 
-_WORKLOADS = {
-    "append": _wl_append,
-    "overwrite": _wl_overwrite,
-    "rename": _wl_rename,
-    "relocate": _wl_relocate,
-    "spanning": _wl_spanning,
-    "smoke": _wl_smoke,
-    "writethrough": _wl_writethrough,
-    "nfs": partial(_wl_writethrough, root=""),
-}
+_WORKLOADS = {"append": _wl_append, "overwrite": _wl_overwrite,
+              "rename": _wl_rename, "relocate": _wl_relocate,
+              "spanning": _wl_spanning, "smoke": _wl_smoke,
+              "writethrough": _wl_writethrough,
+              "nfs": partial(_wl_writethrough, root="")}
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +398,7 @@ class CrashpointExplorer(Campaign):
         base = [store.clone() for store in stores]  # at journal start
         for member in system.volume.members:
             member.disk.journal = journal
-        rng = random.Random(self.seed)
-        workload = _WORKLOADS[self.preset.workload]
-        system.run(workload(proc, rng, self.preset),
+        system.run(run(proc, self.preset.program(self.seed)),
                    name="crashpoints-record")
         system.sync()  # ends with a FLUSH: the journal closes drained
         # Journal/data-plane self-check: replaying each member's events
@@ -502,8 +465,6 @@ class CrashpointExplorer(Campaign):
     def _hole_sets(self, j_max: int):
         """All sets of dropped indices below an included ``j_max``; the
         window allows at most ``window - 1`` of them."""
-        from itertools import combinations
-
         yield frozenset()
         for k in range(1, self.preset.window):
             for combo in combinations(range(j_max), k):

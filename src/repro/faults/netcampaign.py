@@ -26,12 +26,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any
 
 from repro.errors import RpcTimeoutError
 from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
 from repro.faults.netplan import NetFaultPlan
+from repro.kernel.program import Op, Program, run
 from repro.kernel.syscalls import Proc
 from repro.nfs.world import build_world
 from repro.units import KB
@@ -87,20 +88,19 @@ class NetCampaign(Campaign):
     def _payload(self, i: int) -> bytes:
         return bytes((i * 41 + j * 13) % 251 for j in range(self.FILE_BYTES))
 
-    def _workload(self, proc: Proc) -> Generator[Any, Any, None]:
+    def program(self) -> Program:
         """Create/write/fsync/remove churn over the wire.  Every fsync that
-        *returned* is a promise in ``proc``'s ledger: the COMMIT barrier
-        means those bytes are on the server's disk whatever the wire does
-        next."""
+        returned is a promise: COMMIT put its bytes on the server's disk."""
+        ops: list[Op] = []
         for i in range(self.NFILES):
-            fd = yield from proc.creat(f"/r{i}")
-            yield from proc.write(fd, self._payload(i))
-            yield from proc.fsync(fd)
-            yield from proc.close(fd)
+            path = f"/r{i}"
+            ops += [("creat", path), ("write", path, self._payload(i)),
+                    ("fsync", path), ("close", path)]
             if i % 3 == 2:
                 # Remove an earlier (already durable) file: REMOVE is the
                 # non-idempotent op the duplicate-request cache exists for.
-                yield from proc.unlink(f"/r{i - 1}")
+                ops.append(("unlink", f"/r{i - 1}"))
+        return tuple(ops)
 
     # -- one seeded run ------------------------------------------------------
     def _plan_for(self, seed: int) -> NetFaultPlan:
@@ -128,7 +128,7 @@ class NetCampaign(Campaign):
         ledger = Ledger()
         proc = Proc(client, ledger=ledger)
         start = client.now
-        client.run(self._workload(proc), name="netcampaign-workload")
+        client.run(run(proc, self.program()), name="netcampaign-workload")
         slots = ledger.slots().values()
         result = {
             "mount": mount, "server": mount.server,
@@ -180,12 +180,9 @@ class NetCampaign(Campaign):
         # share the engine clock), so the mount itself comes up clean.
         plan.partitions = [(client.now + 0.01, 1e9)]
         proc = Proc(client)
-
-        def attempt():
-            yield from proc.creat("/doomed")
-
         try:
-            client.run(attempt(), name="netcampaign-soft")
+            client.run(run(proc, (("creat", "/doomed"),)),
+                       name="netcampaign-soft")
         except RpcTimeoutError:
             return proc.errno == "ETIMEDOUT"
         return False

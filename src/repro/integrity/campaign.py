@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Generator
 
 from repro.errors import ReproError
 from repro.faults.harness import Campaign
 from repro.faults.ledger import Ledger, check
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
+from repro.kernel.program import Program, run, step
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.sim.engine import SimulationError
@@ -81,20 +81,12 @@ class ScrubCampaign(Campaign):
     def _path(self, i: int) -> str:
         return f"/data/f{i}"
 
-    def _build(self, proc: Proc) -> Generator[Any, Any, None]:
-        yield from proc.mkdir("/data")
-        for i in range(self.NFILES):
-            fd = yield from proc.creat(self._path(i))
-            yield from proc.write(fd, self._payload(i))
-            yield from proc.fsync(fd)
-            yield from proc.close(fd)
-
-    @staticmethod
-    def _open_read(proc: Proc, path: str, length: int
-                   ) -> Generator[Any, Any, "tuple[int, bytes]"]:
-        fd = yield from proc.open(path)
-        data = yield from proc.read(fd, length)
-        return fd, data
+    def file_program(self, i: int, opener: str = "creat") -> Program:
+        """File ``i``'s whole payload written through an fd ``opener``
+        returns, then fsynced."""
+        path = self._path(i)
+        return ((opener, path), ("write", path, self._payload(i)),
+                ("fsync", path), ("close", path))
 
     # -- the sweep ---------------------------------------------------------
     def run(self) -> ScrubCampaignStats:
@@ -106,7 +98,9 @@ class ScrubCampaign(Campaign):
         # Phase 1: build the population and push it durable.
         builder = System.booted(cfg)
         ledger = Ledger()
-        builder.run(self._build(Proc(builder, ledger=ledger)),
+        build = (("mkdir", "/data"), *(op for i in range(self.NFILES)
+                                         for op in self.file_program(i)))
+        builder.run(run(Proc(builder, ledger=ledger), build),
                     name="scrub-build")
         builder.sync()
         store = builder.store
@@ -120,13 +114,13 @@ class ScrubCampaign(Campaign):
         fpb = sb.frags_per_block
         fs = region.frag_sectors
         proc = Proc(survivor)
-        fds: dict[int, int] = {}
+        fds: dict[str, int] = {}
         for i in range(half):
-            fd, data = survivor.run(
-                self._open_read(proc, self._path(i), self.FILE_BYTES),
+            path = self._path(i)
+            fds[path], data = survivor.run(
+                run(proc, (("open", path), ("read", path, self.FILE_BYTES))),
                 name="scrub-warm")
             assert data == self._payload(i), "pre-injection read mismatch"
-            fds[i] = fd
 
         # Learn every file's block addresses up front: once injection
         # starts, any engine run would checkpoint the sanitizer against a
@@ -218,15 +212,15 @@ class ScrubCampaign(Campaign):
         # through the stack.
         s.verify_failures += len(check(
             proc, ledger, paths={self._path(i) for i in range(half)}))
-        for fd in fds.values():
-            survivor.run(proc.close(fd), name="scrub-verify")
+        for path in fds:
+            survivor.run(step(proc, fds, ("close", path)), name="scrub-verify")
 
         # Phase 5b: unrepairable files fail with EIO, keeping every byte
         # before the bad fragment and surfacing nothing at/after it.
         for inj in injected:
             if inj["expect"] != "unrepairable":
                 continue
-            inj["eio_ok"] = self._check_eio(survivor, inj, bsize, nblocks)
+            inj["eio_ok"] = self._check_eio(survivor, inj, bsize)
             if not inj["eio_ok"]:
                 s.eio_misses += 1
 
@@ -237,7 +231,8 @@ class ScrubCampaign(Campaign):
         for inj in injected:
             if inj["expect"] != "unrepairable":
                 continue
-            survivor.run(self._rewrite(rehab, inj["file"]), name="scrub-rehab")
+            survivor.run(run(rehab, self.file_program(inj["file"], "open")),
+                         name="scrub-rehab")
         second = Scrubber(survivor)
         report2 = survivor.run(second.scrub_now(), name="scrub-pass-2")
         s.residual_detected = report2.detected
@@ -252,37 +247,28 @@ class ScrubCampaign(Campaign):
         self.records = injected
         return s
 
-    def _rewrite(self, proc: Proc, i: int) -> Generator[Any, Any, None]:
-        fd = yield from proc.open(self._path(i))
-        yield from proc.write(fd, self._payload(i))
-        yield from proc.fsync(fd)
-        yield from proc.close(fd)
-
-    def _check_eio(self, survivor: System, inj: dict, bsize: int,
-                   nblocks: int) -> bool:
+    def _check_eio(self, survivor: System, inj: dict, bsize: int) -> bool:
         """Block-at-a-time reads: every block before the corrupt one is
         returned intact, the corrupt one fails with EIO."""
         proc = Proc(survivor, name="eio-check")
-        payload = self._payload(inj["file"])
+        path, bad = self._path(inj["file"]), inj["lbn"]
+        fds: dict[str, int] = {}
         try:
-            fd = survivor.run(proc.open(self._path(inj["file"])),
-                              name="scrub-eio")
+            survivor.run(step(proc, fds, ("open", path)), name="scrub-eio")
         except (ReproError, SimulationError):
             return False
-        ok = True
-        for lbn in range(nblocks):
+        got = []
+        for _ in range(bad + 1):
             try:
-                got = survivor.run(proc.read(fd, bsize), name="scrub-eio")
+                got.append(survivor.run(step(proc, fds, ("read", path, bsize)),
+                                        name="scrub-eio"))
             except SanitizerError:
                 raise
             except (ReproError, SimulationError):
-                got = None
-            if lbn < inj["lbn"]:
-                if got != payload[lbn * bsize:(lbn + 1) * bsize]:
-                    ok = False  # a clean prefix block was lost
-            elif lbn == inj["lbn"]:
-                if got is not None or proc.errno != "EIO":
-                    ok = False  # the bad block must fail, precisely
-                break
-        survivor.run(proc.close(fd), name="scrub-eio")
+                got.append(None)
+        payload = self._payload(inj["file"])
+        # Every clean prefix block intact; the bad block fails, precisely.
+        ok = got == [payload[lbn * bsize:(lbn + 1) * bsize]
+                     for lbn in range(bad)] + [None] and proc.errno == "EIO"
+        survivor.run(step(proc, fds, ("close", path)), name="scrub-eio")
         return ok

@@ -110,8 +110,3 @@ class Network:
     def send_to_client(self, nbytes: int) -> Generator[Any, Any, Delivery]:
         """Occupy the server->client direction for ``nbytes``."""
         return (yield from self._transfer(self._to_client, "down", nbytes))
-
-    def utilization(self) -> float:
-        """Busier direction's utilisation since t=0."""
-        return max(self._to_server.utilization(),
-                   self._to_client.utilization())

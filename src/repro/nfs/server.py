@@ -182,10 +182,6 @@ class NfsServer:
             vn = yield from self.mount.create(path)
         return RpcResult((vn.inode.ino, vn.size))
 
-    def _op_getattr(self, handle: int) -> Generator[Any, Any, RpcResult]:
-        vn = yield from self.mount.iget(handle)
-        return RpcResult(vn.size)
-
     def _op_setattr(self, handle: int) -> Generator[Any, Any, RpcResult]:
         """SETATTR with size 0 (RFC 1094 §2.2.3), the one attribute a client
         sets: the file's own truncate, its inode written before the

@@ -222,7 +222,7 @@ class TimeWeighted:
         self.set(self._value + delta)
 
     def average(self) -> float:
-        """Time-weighted mean from creation (or :meth:`reset`) until now."""
+        """Time-weighted mean from creation until now."""
         now = self.engine.now
         total = now - self._start
         if total <= 0:
@@ -239,12 +239,3 @@ class TimeWeighted:
         without resetting (and so perturbing) the gauge itself.
         """
         return self._area + self._value * (self.engine.now - self._last_change)
-
-    def reset(self) -> None:
-        """Restart the averaging window at the current time and value."""
-        now = self.engine.now
-        self._area = 0.0
-        self._start = now
-        self._last_change = now
-        self.minimum = self._value
-        self.maximum = self._value

@@ -2,6 +2,7 @@
 determinism, volumes, and the pinning tests for the bugs it found.
 """
 
+import ast
 import dataclasses
 from collections import Counter
 
@@ -9,7 +10,8 @@ import pytest
 
 from repro.disk.disk import JournalEvent
 from repro.disk.volume import MirrorVolume, MultiVolume
-from repro.faults import CrashpointExplorer, PRESETS
+from repro.faults import CrashpointExplorer, NetCampaign, PRESETS
+from repro.integrity import ScrubCampaign
 from repro.ufs import io as ufs_io
 from repro.ufs.vnode import UfsVnode
 from repro.nfs.server import RpcResult
@@ -28,6 +30,25 @@ def test_presets_are_wired():
         assert preset.name == name
         assert preset.description
     assert "smoke" in PRESETS and "relocate" in PRESETS
+
+
+#: Every campaign's program: each preset's at seed 0, the network sweep's,
+#: and the scrub sweep's build and rewrite of one file.
+PROGRAMS = {
+    **{name: lambda p=preset: p.program(0)
+       for name, preset in PRESETS.items()},
+    "netcampaign": lambda: NetCampaign().program(),
+    "scrubcampaign-build": lambda: ScrubCampaign().file_program(0),
+    "scrubcampaign-rewrite": lambda: ScrubCampaign().file_program(0, "open"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_a_programs_printed_form_is_the_program(name):
+    """Ops are plain tuples of names, paths, numbers and bytes: a program
+    can be printed, diffed and read back whole."""
+    program = PROGRAMS[name]()
+    assert program and ast.literal_eval(repr(program)) == program
 
 
 def test_explorer_rejects_bad_window():

@@ -7,6 +7,7 @@ from repro.errors import (
     BadFileError, FileNotFoundError_, InvalidArgumentError, IsADirectoryError_,
 )
 from repro.kernel import Proc, SEEK_CUR, SEEK_END, SEEK_SET, System, SystemConfig
+from repro.kernel.program import run
 from repro.sim import Event
 from repro.units import KB
 
@@ -230,6 +231,27 @@ def test_errno_mirrors_last_failure(system, proc):
     # Like the C library: success does not clear errno.
     system.run(proc.stat_size("/f"))
     assert proc.errno == "EBADF"
+
+
+def test_a_program_runs_each_op_on_the_fd_its_path_last_opened(system, proc):
+    """``run`` hands an fd op the fd its path last opened and returns each
+    op's result; ``writeback`` pushes a file's dirty pages, no fsync."""
+    results = system.run(run(proc, (
+        ("creat", "/a"), ("creat", "/b"), ("write", "/a", b"aa"),
+        ("write", "/b", b"bbb"), ("writeback", "/b"),
+        ("pread", "/a", 10, 0), ("close", "/a"), ("close", "/b"))))
+    assert results == [3, 4, 2, 3, None, b"aa", None, None]
+    dirty = {path: any(page.dirty for page in system.pagecache.vnode_pages(
+        system.run(system.mount.namei(path)))) for path in ("/a", "/b")}
+    assert dirty == {"/a": True, "/b": False}
+
+
+def test_a_program_stops_at_its_first_error(system, proc):
+    with pytest.raises(FileNotFoundError_):
+        system.run(run(proc, (("open", "/nope"), ("creat", "/never"))))
+    assert proc.errno == "ENOENT"
+    with pytest.raises(FileNotFoundError_):
+        system.run(proc.open("/never"))
 
 
 def _write_then_evict(system, proc, path, nbytes):

@@ -1,13 +1,15 @@
-"""One program, three file systems: the same ``Proc(system)`` syscall
-sequence on a config-A UFS machine, on a config-A machine mounting S5FS and
-on an NFS client must return the same bytes and the same errnos — each is
-the machine's ``system.mount``.  The seed of a ``{ufs, s5fs, nfs}`` model."""
+"""One program, three file systems: the same ``Proc(system)`` program
+(ops run one by one through ``repro.kernel.program.step``) on a config-A UFS
+machine, on a config-A machine mounting S5FS and on an NFS client must
+return the same bytes and the same errnos — each is the machine's
+``system.mount``.  The seed of a ``{ufs, s5fs, nfs}`` model."""
 
 import pytest
 
 from repro.bench.agefs import measure_extents
 from repro.errors import InvalidArgumentError, ReproError
 from repro.kernel import Proc, System, SystemConfig
+from repro.kernel.program import step
 from repro.kernel.syscalls import SEEK_END
 from repro.nfs import build_world
 from repro.s5fs import S5FileSystem, s5_mkfs, s5check
@@ -23,35 +25,54 @@ OVERWRITE = b"\xee" * 100
 AFTER_CREAT = b"0123456789"
 
 
-def transcript(proc: Proc) -> list:
-    """Run the program; each syscall's result, or its errno."""
-    system = proc.system
+#: The program each file system runs.
+PROGRAM = (
+    ("creat", "/f"),
+    ("write", "/f", FIRST),
+    ("write", "/f", SECOND),
+    ("pwrite", "/f", OVERWRITE, 1000),
+    ("fsync", "/f"),
+    ("close", "/f"),
+    ("open", "/f"),
+    ("pread", "/f", 16 * KB, 0),
+    ("lseek", "/f", 0, SEEK_END),
+    ("close", "/f"),
+    ("creat", "/f"),  # exists, holds bytes: truncated
+    ("stat_size", "/f"),
+    ("write", "/f", AFTER_CREAT),
+    ("pread", "/f", 16 * KB, 0),
+    ("close", "/f"),
+    ("unlink", "/f"),
+    ("open", "/f"),
+)
+
+#: ``link``, ``symlink``, ``readlink``, ``rename``, ``mkdir``, ``rmdir``
+#: and ``readdir``, after a ``creat`` and ``close`` of ``/a``.
+NAMESPACE = (
+    ("creat", "/a"),
+    ("close", "/a"),
+    ("link", "/a", "/b"),
+    ("symlink", "/a", "/s"),
+    ("readlink", "/s"),
+    ("rename", "/a", "/c"),
+    ("mkdir", "/d"),
+    ("rmdir", "/d"),
+    ("readdir", "/"),
+)
+
+
+def transcript(proc: Proc, program=PROGRAM) -> list:
+    """Run ``program`` op by op: each op's result, or its errno.  Any
+    other exception escapes and fails the test."""
+    fds: dict[str, int] = {}
     out = []
-
-    def call(gen):
+    for op in program:
+        proc.errno = None
         try:
-            out.append(system.run(gen))
+            out.append(proc.system.run(step(proc, fds, op)))
         except ReproError:
+            assert proc.errno is not None
             out.append(proc.errno)
-        return out[-1]
-
-    fd = call(proc.creat("/f"))
-    call(proc.write(fd, FIRST))
-    call(proc.write(fd, SECOND))
-    call(proc.pwrite(fd, OVERWRITE, 1000))
-    call(proc.fsync(fd))
-    call(proc.close(fd))
-    fd = call(proc.open("/f"))
-    call(proc.pread(fd, 16 * KB, 0))
-    call(proc.lseek(fd, 0, SEEK_END))
-    call(proc.close(fd))
-    fd = call(proc.creat("/f"))  # exists, holds bytes: truncated
-    call(proc.stat_size("/f"))
-    call(proc.write(fd, AFTER_CREAT))
-    call(proc.pread(fd, 16 * KB, 0))
-    call(proc.close(fd))
-    call(proc.unlink("/f"))
-    call(proc.open("/f"))
     return out
 
 
@@ -101,29 +122,8 @@ def test_an_nfs_client_runs_the_same_program():
 
 
 def namespace_transcript(proc: Proc) -> list:
-    """``link``, ``symlink``, ``readlink``, ``rename``, ``mkdir``,
-    ``rmdir`` and ``readdir``: each call's result, or its errno.  Any
-    other exception escapes and fails the test."""
-    system = proc.system
-    out = []
-
-    def call(gen):
-        proc.errno = None
-        try:
-            out.append(system.run(gen))
-        except ReproError:
-            assert proc.errno is not None
-            out.append(proc.errno)
-
-    system.run(proc.close(system.run(proc.creat("/a"))))
-    call(proc.link("/a", "/b"))
-    call(proc.symlink("/a", "/s"))
-    call(proc.readlink("/s"))
-    call(proc.rename("/a", "/c"))
-    call(proc.mkdir("/d"))
-    call(proc.rmdir("/d"))
-    call(proc.readdir("/"))
-    return out
+    """The seven namespace syscalls' results, or their errnos."""
+    return transcript(proc, NAMESPACE)[2:]
 
 
 def test_every_file_system_answers_every_namespace_syscall():

@@ -66,6 +66,15 @@ until ``Page.write`` — the one mutator — copies it; a store into
 ``page.data[...]`` (``=`` or ``^=``) anywhere but ``vm/page.py`` would
 write through bytes the disk or another page may share, and is how that
 would start again.
+
+A seventh: a workload is a program.  While the crash-point presets, the
+network sweep and the scrub sweep each wrote their workloads as private
+generators — each with its own fd table, its own ``yield from proc.``
+loop and, in one, its own write-behind helper — a new access pattern was
+new code, and no workload could be printed, compared or handed to another
+campaign.  A workload is now a tuple of ops that ``kernel/program.py``'s
+``step`` and ``run`` interpret; a ``yield from proc.`` in one of the
+three campaign modules is how that would start again.
 """
 
 import ast
@@ -388,3 +397,39 @@ def test_the_page_store_guard_sees_each_construct():
     for text in ("meta.data[:3] = b'xyz'", "head = page.data[0]",
                  "page.write(0, data)", "page.data = block"):
         assert not list(_page_data_stores(ast.parse(text))), text
+
+
+CAMPAIGNS = ("faults/crashpoints.py", "faults/netcampaign.py",
+             "integrity/campaign.py")
+
+
+def _hand_driven_syscalls(tree):
+    """Every ``yield from proc.<...>(...)``: a method of ``proc`` or of
+    anything reached through it (``proc.system.mount.namei``)."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.YieldFrom)
+                and isinstance(node.value, ast.Call)):
+            continue
+        root = node.value.func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if root is not node.value.func and getattr(root, "id", None) == "proc":
+            yield f"line {node.lineno}: yield from proc."
+
+
+def test_the_campaigns_run_their_workloads_as_programs():
+    found = {name: list(_hand_driven_syscalls(tree))
+             for name, tree in _modules() if name in CAMPAIGNS}
+    assert sorted(found) == sorted(CAMPAIGNS)
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_program_guard_sees_each_construct():
+    for text in ("def f(proc):\n    yield from proc.creat('/f')",
+                 "def f(proc, fd):\n    n = yield from proc.write(fd, b'x')",
+                 "def f(proc, p):\n    yield from proc.system.mount.namei(p)"):
+        assert list(_hand_driven_syscalls(ast.parse(text))), text
+    for text in ("def f(proc, p):\n    yield from run(proc, p)",
+                 "def f(proc):\n    yield from proc()",
+                 "def f(proc, fds, op):\n    yield from step(proc, fds, op)"):
+        assert not list(_hand_driven_syscalls(ast.parse(text))), text
