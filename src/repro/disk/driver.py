@@ -271,8 +271,7 @@ class DiskDriver(BlockDevice):
         self._check_books(point, fail, label, len(self.queue), self.busy)
 
     def drain(self) -> Event:
-        """An event that triggers once the driver goes idle (only
-        ``tests/disk/test_driver.py``'s two drain tests wait on it)."""
+        """An event that triggers once the driver goes idle."""
         ev = Event(self.engine, name=f"{self.name}.drain")
         if self.idle:
             ev.succeed()

@@ -8,7 +8,7 @@ package supplies that second, remote file system type:
 * :class:`~repro.nfs.net.Network` — a half-duplex-per-direction 1991
   Ethernet (10 Mbit/s, fixed per-RPC latency);
 * :class:`~repro.nfs.server.NfsServer` — stateless v2-style handlers
-  (LOOKUP/GETATTR/SETATTR/READ/WRITE/CREATE/REMOVE/COMMIT) over a
+  (LOOKUP/SETATTR/READ/WRITE/CREATE/REMOVE/COMMIT) over a
   server-side :class:`~repro.ufs.UfsMount` with its own CPU and disk;
 * :class:`~repro.nfs.client.NfsMount` / ``NfsVnode`` — a client file
   system whose pages live in the *client's* unified page cache, with

@@ -69,7 +69,7 @@ class RpcReply:
 
 
 class NfsServer:
-    """Serves LOOKUP/GETATTR/SETATTR/READ/WRITE/CREATE/REMOVE/COMMIT on a
+    """Serves LOOKUP/SETATTR/READ/WRITE/CREATE/REMOVE/COMMIT on a
     UfsMount."""
 
     #: The nfsd pool's size.

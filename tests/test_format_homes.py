@@ -73,8 +73,9 @@ generators — each with its own fd table, its own ``yield from proc.``
 loop and, in one, its own write-behind helper — a new access pattern was
 new code, and no workload could be printed, compared or handed to another
 campaign.  A workload is now a tuple of ops that ``kernel/program.py``'s
-``step`` and ``run`` interpret; a ``yield from proc.`` in one of the
-three campaign modules is how that would start again.
+``step`` and ``run`` interpret; a ``proc`` method called in one of the
+three campaign modules — by ``yield from`` or through ``run`` — is how
+that would start again.
 """
 
 import ast
@@ -404,17 +405,17 @@ CAMPAIGNS = ("faults/crashpoints.py", "faults/netcampaign.py",
 
 
 def _hand_driven_syscalls(tree):
-    """Every ``yield from proc.<...>(...)``: a method of ``proc`` or of
-    anything reached through it (``proc.system.mount.namei``)."""
+    """Every call of a method of ``proc`` or of anything reached through
+    it (``proc.system.mount.namei``), however it is driven: ``yield from``,
+    ``system.run(...)`` or ``survivor.run(...)``."""
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.YieldFrom)
-                and isinstance(node.value, ast.Call)):
+        if not isinstance(node, ast.Call):
             continue
-        root = node.value.func
+        root = node.func
         while isinstance(root, ast.Attribute):
             root = root.value
-        if root is not node.value.func and getattr(root, "id", None) == "proc":
-            yield f"line {node.lineno}: yield from proc."
+        if root is not node.func and getattr(root, "id", None) == "proc":
+            yield f"line {node.lineno}: proc.<...>(...)"
 
 
 def test_the_campaigns_run_their_workloads_as_programs():
@@ -427,9 +428,13 @@ def test_the_campaigns_run_their_workloads_as_programs():
 def test_the_program_guard_sees_each_construct():
     for text in ("def f(proc):\n    yield from proc.creat('/f')",
                  "def f(proc, fd):\n    n = yield from proc.write(fd, b'x')",
-                 "def f(proc, p):\n    yield from proc.system.mount.namei(p)"):
+                 "def f(proc, p):\n    yield from proc.system.mount.namei(p)",
+                 "survivor.run(proc.close(fd))",
+                 "fd = survivor.run(proc.open('/f'))"):
         assert list(_hand_driven_syscalls(ast.parse(text))), text
     for text in ("def f(proc, p):\n    yield from run(proc, p)",
                  "def f(proc):\n    yield from proc()",
+                 "ok = proc.errno == 'EIO'",
+                 "survivor.run(run(proc, program))",
                  "def f(proc, fds, op):\n    yield from step(proc, fds, op)"):
         assert not list(_hand_driven_syscalls(ast.parse(text))), text
